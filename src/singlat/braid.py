@@ -24,7 +24,8 @@ import time
 from collections import deque
 from dataclasses import dataclass
 
-from .lattice import (StokesMatrix, symmetrized_form, mat_det, is_connected)
+from .lattice import (StokesMatrix, symmetrized_form, mat_det, is_connected,
+                      form_pair)
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,7 @@ class VanishingTuple:
         if abs(mat_det(self.vectors)) != 1:
             raise ValueError("tuple is not a Z-basis")
         for v in self.vectors:
-            if _pair(i_rows, v, v) != 2:
+            if form_pair(i_rows, v, v) != 2:
                 raise ValueError("tuple member without self-pairing 2")
         return True
 
@@ -69,11 +70,6 @@ class VanishingTuple:
                          for i in range(n)), seed)
 
 
-def _pair(i_rows, a, b):
-    return sum(x * sum(r * y for r, y in zip(row, b))
-               for x, row in zip(a, i_rows))
-
-
 def _apply_gen(vectors, i_rows, g):
     """Raw generator action on a tuple of coordinate vectors."""
     i = abs(g) - 1
@@ -82,11 +78,11 @@ def _apply_gen(vectors, i_rows, g):
     vs = list(vectors)
     a, b = vs[i], vs[i + 1]
     if g > 0:
-        c = _pair(i_rows, b, a)
+        c = form_pair(i_rows, b, a)
         vs[i] = b
         vs[i + 1] = tuple(x - c * y for x, y in zip(a, b))
     else:
-        c = _pair(i_rows, a, b)
+        c = form_pair(i_rows, a, b)
         vs[i] = tuple(x - c * y for x, y in zip(b, a))
         vs[i + 1] = a
     return tuple(vs)
@@ -290,8 +286,8 @@ def _pack_state(flat):
 
 def orbit_enumerate(seed: StokesMatrix, mode: str = "bases", *,
                     max_states: int = None, max_bytes: int = None,
-                    checkpoint: str = None, checkpoint_every: int = 250_000,
-                    collect_bound: bool = False) -> OrbitReport:
+                    checkpoint: str = None,
+                    checkpoint_every: int = 250_000) -> OrbitReport:
     """Breadth-first closure under all signed braid generators.
 
     bases  : states are sign-canonical tuples over the fixed seed.
@@ -334,7 +330,6 @@ def orbit_enumerate(seed: StokesMatrix, mode: str = "bases", *,
     expanded = 0
     truncated = False
     state_bytes = n * n + 64
-    max_entry = 0
 
     if checkpoint:
         resumed = _load_checkpoint(checkpoint, mode, seed_rows)
@@ -351,9 +346,6 @@ def orbit_enumerate(seed: StokesMatrix, mode: str = "bases", *,
             break
         state = frontier.popleft()
         expanded += 1
-        if collect_bound:
-            max_entry = max(max_entry,
-                            max(abs(x) for part in state for x in part))
         for g in gens:
             nxt = step(state, g)
             k = key(nxt)
@@ -370,13 +362,10 @@ def orbit_enumerate(seed: StokesMatrix, mode: str = "bases", *,
         _save_checkpoint(checkpoint, mode, seed_rows, visited, frontier,
                          expanded)
 
-    report = OrbitReport(mode=mode, class_count=len(visited),
-                         states_visited=expanded,
-                         wall_clock=time.monotonic() - t0,
-                         truncated=truncated)
-    if collect_bound:
-        report.max_entry = max_entry
-    return report
+    return OrbitReport(mode=mode, class_count=len(visited),
+                       states_visited=expanded,
+                       wall_clock=time.monotonic() - t0,
+                       truncated=truncated)
 
 
 def _save_checkpoint(path, mode, seed_rows, visited, frontier, expanded):

@@ -45,16 +45,9 @@ def _usage_error(msg):
     return EXIT_USAGE
 
 
-def _load_seed(args, cls):
-    if getattr(args, "seed_file", None):
-        import os
-        os.environ[singdata.SEED_DIR_ENV] = args.seed_file
-    return singdata.seed_stokes(cls)
-
-
 def cmd_orbit(args):
     cls = _parse_class(args.cls)
-    rec = singdata.seed_stokes(cls) if not args.seed_file else _load_seed(args, cls)
+    rec = singdata.seed_stokes(cls, seed_dir=args.seed_file)
     budget_states = args.budget_states
     if cls.is_elliptic and args.mode == "bases" and budget_states is None:
         budget_states = 200_000  # the orbit is infinite; refuse to run open-ended
@@ -312,9 +305,6 @@ def build_parser():
     def add(name, fn, **kw):
         p = sub.add_parser(name, **kw)
         p.set_defaults(fn=fn)
-        p.add_argument("--json", action="store_true",
-                       help="machine-readable output (the default; kept for "
-                            "explicit invocations)")
         return p
 
     p = add("orbit", cmd_orbit, help="braid-orbit enumeration from a seed")
@@ -324,7 +314,8 @@ def build_parser():
     p.add_argument("--budget-mem", type=int, default=None)
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--seed-file", default=None,
-                   help="directory with seed JSON files (overrides bundled)")
+                   help="directory of <label>.json seed files, read "
+                        "instead of the built-in seed")
 
     p = add("stokes-count", cmd_stokes_count,
             help="closed-form count of Stokes classes")
@@ -374,8 +365,6 @@ def build_parser():
 
     p = add("scorecard", cmd_scorecard,
             help="run the verification scorecard")
-    p.add_argument("--quick", action="store_true",
-                   help="desk-scale targets only (the default)")
     p.add_argument("--extended", action="store_true",
                    help="include the long-running orbit certifications")
     p.add_argument("--jobs", type=int, default=1)

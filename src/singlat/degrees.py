@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .singdata import SingularityClass, sing_class, weights
+from .singdata import sing_class, weights
 
 F = Fraction
 
@@ -54,7 +54,7 @@ class DegreeBreakdown:
 
 def deg_ll_simple(cls_or_label) -> DegreeBreakdown:
     """mu! / prod_j deg_w t_j, an exact integer for every ADE class."""
-    cls = _cls(cls_or_label)
+    cls = sing_class(cls_or_label)
     if cls.is_elliptic:
         raise ValueError("deg_ll_simple needs an ADE class")
     tw = weights(cls).t_weights
@@ -70,7 +70,7 @@ def deg_ll_simple(cls_or_label) -> DegreeBreakdown:
 
 def deg_ll_elliptic(cls_or_label) -> DegreeBreakdown:
     """mu! * (1/2) sum_{j=2}^{mu-1} 1/deg_w t_j / prod_{j=2}^{mu-1} deg_w t_j."""
-    cls = _cls(cls_or_label)
+    cls = sing_class(cls_or_label)
     if not cls.is_elliptic:
         raise ValueError("deg_ll_elliptic needs an elliptic class")
     tw = weights(cls).t_weights[1:]  # j = 2 .. mu-1
@@ -86,12 +86,8 @@ def deg_ll_elliptic(cls_or_label) -> DegreeBreakdown:
 
 
 def deg_ll(cls_or_label) -> DegreeBreakdown:
-    cls = _cls(cls_or_label)
+    cls = sing_class(cls_or_label)
     return deg_ll_elliptic(cls) if cls.is_elliptic else deg_ll_simple(cls)
-
-
-def _cls(c) -> SingularityClass:
-    return c if isinstance(c, SingularityClass) else sing_class(c)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +140,7 @@ ELLIPTIC_C = {"tE6": 3, "tE7": 2, "tE8": 3}
 
 def cone_weights(cls_or_label) -> SegreInputs:
     """a = d * (deg_w t_{mu-1} .. t_2), b = d * (2 .. mu)."""
-    cls = _cls(cls_or_label)
+    cls = sing_class(cls_or_label)
     if not cls.is_elliptic:
         raise ValueError("cone weights are defined for the elliptic classes")
     w = weights(cls)
@@ -160,7 +156,7 @@ def cone_weights(cls_or_label) -> SegreInputs:
 def degC_from_lambda_orders(cls_or_label) -> dict:
     """Per weight level k: 3*(rho orders) + (psi3 orders) + (psi2 orders),
     which must equal half the number of cone weights at that level."""
-    cls = _cls(cls_or_label)
+    cls = sing_class(cls_or_label)
     rows = LAMBDA_ORDERS[cls.label]
     w = weights(cls)
     d = w.cone_d
@@ -216,14 +212,14 @@ def quotient_degree(cls_or_label) -> int:
     over the marked moduli quotient.  For tE6 this is 324 (the printed 326
     is an arithmetic slip: 6*2*3*3^2 = 324, and 24800580/324 = 76545
     matches the independently known Stokes-class count)."""
-    cls = _cls(cls_or_label)
+    cls = sing_class(cls_or_label)
     (p, q, r), u2 = U_DATA[cls.label]
     return 6 * u1_size(p, q, r) * u2
 
 
 def gz_order(cls_or_label) -> int:
     """Order of the symmetry group of the Milnor lattice, ADE classes."""
-    cls = _cls(cls_or_label)
+    cls = sing_class(cls_or_label)
     if cls.family == "A":
         if cls.mu < 2:
             raise ValueError("the count tables start at mu = 2 for the "
@@ -237,7 +233,7 @@ def gz_order(cls_or_label) -> int:
 def bases_class_count(cls_or_label) -> int:
     """|distinguished bases / sign group| = deg LL for the ADE classes.
     Infinite for the elliptic classes."""
-    cls = _cls(cls_or_label)
+    cls = sing_class(cls_or_label)
     if cls.is_elliptic:
         raise ValueError(f"{cls.label}: the set of distinguished bases is "
                          "infinite")
@@ -248,7 +244,7 @@ def stokes_class_count(cls_or_label) -> int:
     """|Stokes matrices / sign group|.
 
     ADE: 2 * deg LL / |G_Z|;  elliptic: deg LL / quotient_degree."""
-    cls = _cls(cls_or_label)
+    cls = sing_class(cls_or_label)
     if cls.is_elliptic:
         num, den = deg_ll_elliptic(cls).deg_ll, quotient_degree(cls)
     else:
@@ -260,7 +256,7 @@ def stokes_class_count(cls_or_label) -> int:
 
 def full_basis_count(cls_or_label) -> int:
     """|distinguished bases| = 2^mu * |bases / sign group| (ADE only)."""
-    cls = _cls(cls_or_label)
+    cls = sing_class(cls_or_label)
     return (2 ** cls.mu) * bases_class_count(cls)
 
 
@@ -268,13 +264,13 @@ def stokes_total(cls_or_label) -> int:
     """|Stokes matrices| = 2^(mu-1) * |Stokes matrices / sign group|;
     the sign group acts with the single global-sign kernel because every
     diagram in the orbit is connected."""
-    cls = _cls(cls_or_label)
+    cls = sing_class(cls_or_label)
     return (2 ** (cls.mu - 1)) * stokes_class_count(cls)
 
 
 def counts_row(cls_or_label) -> dict:
     """The full count-table row for the class."""
-    cls = _cls(cls_or_label)
+    cls = sing_class(cls_or_label)
     row = {"class": cls.label, "mu": cls.mu,
            "deg_ll": deg_ll(cls).deg_ll,
            "stokes_classes": stokes_class_count(cls),

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .polyalg import field_rank
+
 
 # ---------------------------------------------------------------------------
 # integer matrix helpers (tuples of tuples)
@@ -45,6 +47,12 @@ def mat_add(a, b):
     return tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(a, b))
 
 
+def form_pair(i_rows, a, b):
+    """a^t I b for the symmetric form I given by its rows."""
+    return sum(x * sum(r * y for r, y in zip(row, b))
+               for x, row in zip(a, i_rows))
+
+
 def mat_pow(m, k):
     n = len(m)
     out = mat_identity(n)
@@ -55,29 +63,6 @@ def mat_pow(m, k):
         base = mat_mul(base, base)
         k >>= 1
     return out
-
-
-def mat_rank(m):
-    """Rank over Q by exact elimination."""
-    rows = [[Fraction(x) for x in row] for row in m]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][c]
-        for i in range(r + 1, len(rows)):
-            if rows[i][c]:
-                f = rows[i][c] / pv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-        rank += 1
-        if r == len(rows):
-            break
-    return rank
 
 
 def mat_det(m):
@@ -202,8 +187,7 @@ class IntersectionMatrix:
         return len(self.rows)
 
     def pair(self, a, b):
-        return sum(x * sum(r * y for r, y in zip(row, b))
-                   for x, row in zip(a, self.rows))
+        return form_pair(self.rows, a, b)
 
 
 @dataclass(frozen=True)
@@ -323,7 +307,7 @@ def is_connected(s: StokesMatrix) -> bool:
 
 def radical_rank(i: IntersectionMatrix) -> int:
     rows = i.rows if isinstance(i, IntersectionMatrix) else i
-    return len(rows) - mat_rank(rows)
+    return len(rows) - field_rank([[Fraction(x) for x in row] for row in rows])
 
 
 def definiteness(i: IntersectionMatrix):

@@ -33,6 +33,28 @@ TOL_WALL = 1e-9
 TOL_DISC = 1e-9
 
 
+def _horner(cs, x):
+    acc = complex(0)
+    for c in reversed(cs):
+        acc = acc * x + c
+    return acc
+
+
+def _polished_roots(cs):
+    """Roots of the polynomial with ascending coefficients cs: companion
+    eigenvalues (np.roots), each polished by up to four Newton steps."""
+    dcs = [k * c for k, c in enumerate(cs)][1:]
+    out = []
+    for x in np.roots(list(reversed(cs))):
+        for _ in range(4):
+            dp = _horner(dcs, x)
+            if abs(dp) < 1e-14:
+                break
+            x = x - _horner(cs, x) / dp
+        out.append(x)
+    return out
+
+
 @dataclass(frozen=True)
 class LLPoint:
     """Monic polynomial in one variable, coefficients ascending (constant
@@ -52,24 +74,7 @@ class LLPoint:
                                   if c})
 
     def roots(self):
-        cs = [complex(c) for c in self.coeffs]
-        dcs = [k * c for k, c in enumerate(cs)][1:]
-
-        def horner(seq, x):
-            acc = complex(0)
-            for c in reversed(seq):
-                acc = acc * x + c
-            return acc
-
-        out = []
-        for x in np.roots(list(reversed(cs))):
-            for _ in range(4):
-                dp = horner(dcs, x)
-                if abs(dp) < 1e-14:
-                    break
-                x = x - horner(cs, x) / dp
-            out.append(x)
-        return np.array(out)
+        return np.array(_polished_roots([complex(c) for c in self.coeffs]))
 
 
 @dataclass(frozen=True)
@@ -182,7 +187,7 @@ def critical_values_numeric(cls_or_label, t, lam=None, *, starts=400,
     damped-Newton multistart on the gradient; requires a generic parameter
     (exactly mu distinct critical points) and raises IncompleteFiber when
     the start budget does not locate all of them."""
-    cls = _cls(cls_or_label)
+    cls = sing_class(cls_or_label)
     if cls.family == "A":
         t = [complex(v) for v in t]
         # derivative of x^(mu+1) + sum t_j x^(j-1) is
@@ -191,22 +196,7 @@ def critical_values_numeric(cls_or_label, t, lam=None, *, starts=400,
         dcoeffs[cls.mu] = cls.mu + 1
         for j in range(2, cls.mu + 1):
             dcoeffs[j - 2] += (j - 1) * t[j - 1]
-        ddcoeffs = [k * dcoeffs[k] for k in range(1, cls.mu + 1)]
-
-        def horner(cs, x):
-            acc = complex(0)
-            for c in reversed(cs):
-                acc = acc * x + c
-            return acc
-
-        xs = list(np.roots(list(reversed(dcoeffs))))
-        for k, x in enumerate(xs):  # polish the companion eigenvalues
-            for _ in range(4):
-                dp = horner(ddcoeffs, x)
-                if abs(dp) < 1e-14:
-                    break
-                x = x - horner(dcoeffs, x) / dp
-            xs[k] = x
+        xs = _polished_roots(dcoeffs)
         values = []
         for x in xs:
             v = x ** (cls.mu + 1) + sum(t[j - 1] * x ** (j - 1)
@@ -277,10 +267,6 @@ def _maybe_good_order(values):
         return None
 
 
-def _cls(c):
-    return c if isinstance(c, SingularityClass) else sing_class(c)
-
-
 # ---------------------------------------------------------------------------
 # fiber counting (mu = 2, 3)
 # ---------------------------------------------------------------------------
@@ -326,7 +312,7 @@ def ll_fiber_count(cls_or_label, p: LLPoint, budget=600, *, seed=5,
     Only mu = 2 and 3 are supported; the target must be square-free.  The
     saturation flag records that no new solution appeared during the last
     half of the start budget."""
-    cls = _cls(cls_or_label)
+    cls = sing_class(cls_or_label)
     if cls.family != "A" or cls.mu not in (2, 3):
         raise ValueError("fiber counting is desk-scale: chain family, mu in {2, 3}")
     mu = cls.mu
@@ -401,6 +387,7 @@ def wall_walk_A(mu, path, steps=2000, *, tol_wall=TOL_WALL,
     if len(waypoints) == 1:
         return BraidWord(())
 
+    # unpolished companion roots: every path sample pays for this call
     def values_at(tvec):
         dcoeffs = [complex(0)] * (mu + 1)
         dcoeffs[mu] = mu + 1

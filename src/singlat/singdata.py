@@ -5,9 +5,11 @@ seed Stokes matrices for A_mu, D_mu, E_6..E_8 and the three one-parameter
 elliptic families tE6, tE7, tE8 (Legendre normal forms; the family
 parameter is the variable `la`, excluded from {0, 1}).
 
-Seed Stokes matrices for the A family and D_4 are constructed in code
-(chain, and the Kronecker square of the A_2 chain); all other seeds are
-bundled JSON data files validated on load and certified by orbit counts.
+Every seed Stokes matrix is built in code: the chain for A_mu, the
+classical tree for D_mu (mu >= 5) and E7, and Kronecker products of chains
+for D4, E6, E8 and the elliptic families (sums of one-variable
+singularities in separated variables).  Seeds are validated when built;
+the finite orbits are certified by the braid-orbit counts.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
+from functools import reduce
 
 from .lattice import (StokesMatrix, symmetrized_form, monodromy_from_stokes,
                       is_connected, is_quasiunipotent, definiteness,
@@ -58,7 +60,10 @@ class SingularityClass:
 
 
 def sing_class(label) -> SingularityClass:
-    """Parse a class label: A<mu>, D<mu>, E6..E8, tE6..tE8."""
+    """Parse a class label: A<mu>, D<mu>, E6..E8, tE6..tE8.  A
+    SingularityClass comes back unchanged."""
+    if isinstance(label, SingularityClass):
+        return label
     label = str(label).strip()
     alias = {"Ẽ6": "tE6", "Ẽ7": "tE7", "Ẽ8": "tE8",
              "E~6": "tE6", "E~7": "tE7", "E~8": "tE8"}
@@ -492,9 +497,6 @@ class SeedRecord:
     source: str = ""
 
 
-SEED_DIR_ENV = "SINGLAT_SEED_DIR"
-
-
 class SeedError(ValueError):
     pass
 
@@ -505,21 +507,72 @@ def tensor_stokes(s1: StokesMatrix, s2: StokesMatrix) -> StokesMatrix:
     return StokesMatrix(tensor_rows(s1.rows, s2.rows))
 
 
-def _load_seed_file(label):
-    name = label.lower() + ".json"
-    override = os.environ.get(SEED_DIR_ENV)
-    if override:
-        path = os.path.join(override, name)
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                return json.load(fh), path
-        except OSError as exc:
-            raise SeedError(f"unseeded class {label}: cannot read {path}: {exc}")
+# Classes with a sum-of-separated-variables representative: chain lengths
+# of the summands and the representative.  The seed is the Kronecker
+# product of the chain seeds (Thom-Sebastiani; Gabrielov's tensor rule).
+TENSOR_SEEDS = {
+    "D4": ((2, 2), "x^3 + y^3"),
+    "E6": ((3, 2), "x^4 + y^3"),
+    "E8": ((4, 2), "x^5 + y^3"),
+    "tE6": ((2, 2, 2), "x^3 + y^3 + z^3"),
+    "tE7": ((3, 3), "x^4 + y^4"),
+    "tE8": ((2, 5), "x^3 + y^6"),
+}
+
+
+def _tree_stokes(mu, edges):
+    """Unitriangular Stokes matrix with entry -1 on every tree edge."""
+    rows = [[1 if i == j else 0 for j in range(mu)] for i in range(mu)]
+    for i, j in edges:
+        rows[min(i, j)][max(i, j)] = -1
+    return StokesMatrix(tuple(tuple(r) for r in rows))
+
+
+def _builtin_seed(cls):
+    mu = cls.mu
+    if cls.family == "A":
+        return SeedRecord(cls, StokesMatrix.chain(mu), "builtin",
+                          "one-variable chain diagram")
+    if cls.label in TENSOR_SEEDS:
+        factors, poly = TENSOR_SEEDS[cls.label]
+        stokes = reduce(tensor_stokes, map(StokesMatrix.chain, factors))
+        names = " x ".join(f"A{m}" for m in factors)
+        return SeedRecord(cls, stokes, "tensor-derived",
+                          f"Kronecker product {names} of chain seeds from "
+                          f"the separated-variables representative {poly} "
+                          "(Thom-Sebastiani/Gabrielov tensor rule)")
+    if cls.family == "D":
+        # a chain of mu-1 vertices, the last vertex forking off the
+        # second-to-last chain vertex
+        edges = [(i, i + 1) for i in range(mu - 2)] + [(mu - 3, mu - 1)]
+    else:
+        # E7: a chain of six, the last vertex forking off the fourth
+        edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (3, 6)]
+    return SeedRecord(cls, _tree_stokes(mu, edges), "builtin",
+                      "classical tree diagram of the family (A'Campo/"
+                      "Gabrielov 1973-74, Ebeling, Funktionentheorie ch. 5)")
+
+
+def _seed_from_file(cls, seed_dir):
+    path = os.path.join(seed_dir, cls.label.lower() + ".json")
     try:
-        ref = resources.files(__package__).joinpath("seeds").joinpath(name)
-        return json.loads(ref.read_text(encoding="utf-8")), str(ref)
-    except (OSError, FileNotFoundError) as exc:
-        raise SeedError(f"unseeded class {label}: no bundled data file: {exc}")
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise SeedError(f"{cls.label}: cannot read seed file {path}: {exc}")
+    if not isinstance(doc, dict):
+        raise SeedError(f"{cls.label}: seed file {path} is not a JSON object")
+    for key in ("class", "mu", "upper", "source"):
+        if key not in doc:
+            raise SeedError(f"{cls.label}: seed file missing field {key!r}")
+    try:
+        if doc["class"] != cls.label or int(doc["mu"]) != cls.mu:
+            raise SeedError(f"{cls.label}: seed file metadata mismatch in "
+                            f"{path}")
+        stokes = _stokes_from_upper(cls.mu, doc["upper"])
+    except (TypeError, KeyError) as exc:
+        raise SeedError(f"{cls.label}: malformed seed file {path}: {exc!r}")
+    return SeedRecord(cls, stokes, "external-file", doc["source"])
 
 
 def _stokes_from_upper(mu, upper):
@@ -557,30 +610,15 @@ def validate_seed(cls: SingularityClass, s: StokesMatrix):
     return True
 
 
-def seed_stokes(cls_or_label) -> SeedRecord:
-    """Seed Stokes matrix of the class.
+def seed_stokes(cls, seed_dir=None) -> SeedRecord:
+    """Seed Stokes matrix of the class, strictly validated.
 
-    A family and D_4 are built in code; every other class is loaded from a
-    bundled JSON file and strictly validated.  For the finite orbits the
-    bundled seeds are certified by the braid-orbit counts."""
-    cls = cls_or_label if isinstance(cls_or_label, SingularityClass) \
-        else sing_class(cls_or_label)
-    if cls.family == "A":
-        rec = SeedRecord(cls, StokesMatrix.chain(cls.mu), "builtin",
-                         "one-variable chain diagram")
-    elif cls.label == "D4":
-        a2 = StokesMatrix.chain(2)
-        rec = SeedRecord(cls, tensor_stokes(a2, a2), "tensor-derived",
-                         "Kronecker square of the A2 chain (sum of two "
-                         "one-variable cubics)")
-    else:
-        doc, path = _load_seed_file(cls.label)
-        for key in ("class", "mu", "upper", "source"):
-            if key not in doc:
-                raise SeedError(f"{cls.label}: seed file missing field {key!r}")
-        if doc["class"] != cls.label or int(doc["mu"]) != cls.mu:
-            raise SeedError(f"{cls.label}: seed file metadata mismatch in {path}")
-        s = _stokes_from_upper(cls.mu, doc["upper"])
-        rec = SeedRecord(cls, s, "external-file", doc["source"])
+    Built in code: the chain for A_mu, Kronecker products of chains for
+    the classes in TENSOR_SEEDS, the classical tree for D_mu (mu >= 5) and
+    E7.  With seed_dir, the seed is read from <seed_dir>/<label>.json
+    (lower-case label; fields class, mu, upper, source) instead."""
+    cls = sing_class(cls)
+    rec = _builtin_seed(cls) if seed_dir is None \
+        else _seed_from_file(cls, seed_dir)
     validate_seed(cls, rec.stokes)
     return rec

@@ -24,9 +24,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polyalg import MultiPoly, RatFunc, Cyclo, graded_piece_rank
-from .singdata import (SingularityClass, sing_class, normal_form, weights,
-                       unfolding_monomials, symmetry_data)
+from .polyalg import MultiPoly, RatFunc, Cyclo, graded_piece_rank, parse_poly
+from .singdata import (sing_class, normal_form, weights, unfolding_monomials,
+                       symmetry_data)
 
 F = Fraction
 
@@ -86,7 +86,7 @@ def jacobi_dimension(cls_or_label, lam=None) -> int:
     lam = None runs the elliptic families symbolically in la; a Fraction
     outside {0, 1} evaluates there.  ADE classes ignore lam.
     """
-    cls = _cls(cls_or_label)
+    cls = sing_class(cls_or_label)
     wsys = weights(cls)
     f = normal_form(cls)
     xv = cls.xvars
@@ -136,10 +136,6 @@ def jacobi_dimension(cls_or_label, lam=None) -> int:
 # ---------------------------------------------------------------------------
 # unfolding symmetry identities
 # ---------------------------------------------------------------------------
-
-def _cls(c) -> SingularityClass:
-    return c if isinstance(c, SingularityClass) else sing_class(c)
-
 
 def _field_one(datum):
     if datum.cyclo is not None:
@@ -197,7 +193,7 @@ def check_unfolding_identity(cls_or_label, which: str) -> CheckOutcome:
     leading terms are compared; the unprinted remainders are only required
     to avoid the excluded parameters, and are reported in `detail`.
     """
-    cls = _cls(cls_or_label)
+    cls = sing_class(cls_or_label)
     data = {d.label: d for d in symmetry_data(cls)}
     if which not in data:
         raise ValueError(f"{cls.label} has no stored symmetry {which!r}")
@@ -254,7 +250,7 @@ def check_unfolding_identity(cls_or_label, which: str) -> CheckOutcome:
 def check_lambda_projection(cls_or_label, which: str) -> CheckOutcome:
     """The la-component of the symmetry: f_la(phi(x)) = f_{la'}(x) with
     la' = 1/la (psi2) or 1 - la (psi3), exactly over Q(nu)."""
-    cls = _cls(cls_or_label)
+    cls = sing_class(cls_or_label)
     datum = {d.label: d for d in symmetry_data(cls)}[which]
     _, f_target, la = _lift_unfolding(cls, datum)
     f = normal_form(cls).subst({"la": la})
@@ -270,7 +266,7 @@ def check_simple_symmetry(cls_or_label) -> CheckOutcome:
     to t_2 -> -t_2 for every D_mu, and for D_4 the order-3 coordinate
     change phi3 with its tabulated shift reproduces the tabulated
     parameter map."""
-    cls = _cls(cls_or_label)
+    cls = sing_class(cls_or_label)
     if cls.family != "D":
         raise ValueError("check_simple_symmetry covers the D families")
     data = {d.label: d for d in symmetry_data(cls)}
@@ -310,7 +306,7 @@ def _kappa_data(cls):
     vs = xv + sv + ("ka",)
 
     def P(text):
-        return _parse_signed(text, vs)
+        return parse_poly(text, vs)
 
     if cls.label == "tE6":
         rho = {
@@ -330,7 +326,7 @@ def _kappa_data(cls):
                    * _mono(vs, "ka", -2)),
             "y2": P("x0 * x2^2") * _mono(vs, "ka", -2),
         }
-        ext = _parse_signed(
+        ext = parse_poly(
             "x0 * y0 + s6 * y0 - y1 - ka * x0 * x1^2 + x1^3 - y2"
             " + s1 + x0 * s2 + x1 * s3 + x2 * s4 + x1 * x2 * s7",
             vs + yv)
@@ -344,7 +340,7 @@ def _kappa_data(cls):
         c = 2
         yv = ("y",)
         ydefs = {"y": P("x0 * x1") * _mono(vs, "ka", -1)}
-        ext = _parse_signed(
+        ext = parse_poly(
             "x0^2 * y - ka^2 * y^2 - y^2 + x1^2 * y"
             " + s1 + x0 * s2 + x1 * s3 + x0^2 * s4 + y * s5 + x1^2 * s6"
             " + x0 * y * s7 + x1 * y * s8",
@@ -364,7 +360,7 @@ def _kappa_data(cls):
         yv = ("y",)
         ydefs = {"y": (P("x0 * x1") - P("x1 * s9") * F(1, 2))
                  * _mono(vs, "ka", -1)}
-        ext = _parse_signed(
+        ext = parse_poly(
             "x0^3 * y + 1/2 * x0^2 * s9 * y + 1/4 * x0 * s9^2 * y"
             " + 1/8 * s9^3 * y + x0 * s7 * y + 1/2 * s9 * s7 * y + s6 * y"
             " - ka * x0^2 * x1^2 - y^2 + x1^3"
@@ -379,17 +375,12 @@ def _mono(vs, name, e):
     return MultiPoly(vs, {tuple(e if v == name else 0 for v in vs): F(1)})
 
 
-def _parse_signed(text, vs):
-    from .polyalg import parse_poly
-    return parse_poly(text, vs)
-
-
 def check_kappa_extension(cls_or_label) -> CheckOutcome:
     """Pull the unfolding back along la = kappa^c and x0 -> kappa^e x0 with
     the tabulated parameter rescale rho; the result, rewritten through the
     auxiliary y-variables, must equal the tabulated extended form, which is
     polynomial in kappa (so the family extends to kappa = 0)."""
-    cls = _cls(cls_or_label)
+    cls = sing_class(cls_or_label)
     rho, x0_scale, c, ydefs, ext, vs, yv = _kappa_data(cls)
     name = f"{cls.label}:kappa-extension"
     f = normal_form(cls)

@@ -1,12 +1,23 @@
 import json
+import os
+
+import pytest
 
 from singlat.cli import main
+from singlat.singdata import seed_stokes, sing_class
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out.strip()
     return code, json.loads(out) if out else None
+
+
+def write_seed(seed_dir, label, rows):
+    mu = len(rows)
+    doc = {"class": label, "mu": mu, "source": "test",
+           "upper": [list(rows[i][i + 1:]) for i in range(mu - 1)]}
+    (seed_dir / f"{label.lower()}.json").write_text(json.dumps(doc))
 
 
 class TestDegreeCommand:
@@ -42,6 +53,42 @@ class TestOrbitCommand:
         code, doc = run(capsys, "orbit", "tE6", "--mode", "bases",
                         "--budget-states", "2000")
         assert code == 3 and doc["truncated"] is True
+
+    def test_d9_is_seeded(self, capsys):
+        code, doc = run(capsys, "orbit", "D9", "--mode", "stokes",
+                        "--budget-states", "1000")
+        assert code == 3 and doc["truncated"] is True
+
+    def test_seed_file_matches_builtin(self, capsys, tmp_path):
+        write_seed(tmp_path, "D5", seed_stokes("D5").stokes.rows)
+        env = dict(os.environ)
+        code, doc = run(capsys, "orbit", "D5", "--mode", "stokes",
+                        "--seed-file", str(tmp_path))
+        _, builtin = run(capsys, "orbit", "D5", "--mode", "stokes")
+        assert code == 0 and doc["count"] == builtin["count"] == 256
+        # the directory applies to that call only
+        assert dict(os.environ) == env
+        assert seed_stokes("E7").provenance == "builtin"
+
+    @pytest.mark.parametrize("label", ["A3", "E7"])
+    @pytest.mark.parametrize("content", [None, "{not json", "untyped",
+                                         "disconnected"])
+    def test_bad_seed_file_fails(self, capsys, tmp_path, label, content):
+        mu = sing_class(label).mu
+        path = tmp_path / f"{label.lower()}.json"
+        if content == "disconnected":
+            write_seed(tmp_path, label, [[int(i == j) for j in range(mu)]
+                                         for i in range(mu)])
+        elif content == "untyped":
+            path.write_text(json.dumps({"class": label, "mu": mu,
+                                        "upper": None, "source": "test"}))
+        elif content is not None:
+            path.write_text(content)
+        code = main(["orbit", label, "--mode", "stokes",
+                     "--seed-file", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error:")
 
 
 class TestCountsAndChecks:
@@ -93,6 +140,13 @@ class TestLLCommands:
         code = main(["diagram", "A3"])
         out = capsys.readouterr().out
         assert code == 0 and out.startswith("graph diagram {")
+
+
+@pytest.mark.parametrize("argv", [("degree", "E6", "--json"),
+                                  ("orbit", "A3", "--json"),
+                                  ("scorecard", "--quick")])
+def test_removed_flags_are_usage_errors(capsys, argv):
+    assert main(list(argv)) == 2
 
 
 def test_output_is_byte_deterministic(capsys):

@@ -3,8 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from singlat.lattice import (StokesMatrix, is_connected, mat_neg,
-                             monodromy_from_stokes, tensor_rows)
+from singlat.lattice import (StokesMatrix, coxeter_dynkin, is_connected,
+                             mat_neg, monodromy_from_stokes, tensor_rows)
 from singlat.polyalg import MultiPoly, RatFunc, parse_poly
 from singlat.singdata import (ALL_LABELS, SeedError, normal_form, seed_stokes,
                               sing_class, symmetry_data, tensor_stokes,
@@ -148,11 +148,26 @@ class TestSeeds:
         a2 = StokesMatrix.chain(2)
         assert rec.stokes.rows == tensor_stokes(a2, a2).rows
 
-    def test_external_seeds_validate(self):
-        for label in ("D5", "D8", "E6", "E7", "E8", "tE6", "tE7", "tE8"):
+    def test_builtin_seeds_validate(self):
+        provenance = {"D5": "builtin", "D6": "builtin", "D7": "builtin",
+                      "D8": "builtin", "E7": "builtin",
+                      "E6": "tensor-derived", "E8": "tensor-derived",
+                      "tE6": "tensor-derived", "tE7": "tensor-derived",
+                      "tE8": "tensor-derived"}
+        for label, want in provenance.items():
             rec = seed_stokes(label)
-            assert rec.provenance == "external-file"
-            assert rec.source
+            assert rec.provenance == want, label
+            assert rec.source, label
+
+    def test_d_family_trees(self):
+        # mu-1 simple edges with a single branch vertex: the D_mu tree
+        for mu in range(5, 11):
+            g = coxeter_dynkin(seed_stokes(f"D{mu}").stokes)
+            assert len(g.edges) == mu - 1, mu
+            assert all(w == 1 and style == "plain"
+                       for _, _, w, style in g.edges), mu
+            degs = [len(nbrs) for nbrs in g.adjacency().values()]
+            assert degs.count(3) == 1 and max(degs) == 3, mu
 
     def test_entry_bounds(self):
         for label in ALL_LABELS:
@@ -160,18 +175,16 @@ class TestSeeds:
             bound = 2 if cls.is_elliptic else 1
             assert seed_stokes(label).stokes.entry_bound() <= bound
 
-    def test_missing_seed_dir_errors(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("SINGLAT_SEED_DIR", str(tmp_path))
+    def test_missing_seed_dir_errors(self, tmp_path):
         with pytest.raises(SeedError):
-            seed_stokes("E7")
+            seed_stokes("E7", seed_dir=str(tmp_path))
 
-    def test_corrupt_seed_rejected(self, monkeypatch, tmp_path):
+    def test_corrupt_seed_rejected(self, tmp_path):
         doc = {"class": "E7", "mu": 7, "source": "test",
                "upper": [[0] * (6 - i) for i in range(6)]}  # disconnected
         (tmp_path / "e7.json").write_text(json.dumps(doc))
-        monkeypatch.setenv("SINGLAT_SEED_DIR", str(tmp_path))
         with pytest.raises(SeedError):
-            seed_stokes("E7")
+            seed_stokes("E7", seed_dir=str(tmp_path))
 
 
 class TestTensor:
