@@ -10,19 +10,48 @@ with s the reflection of lattice.pl_reflect.  The two are mutually inverse,
 and all orbit counts are independent of which of the two standard
 conventions is chosen.
 
-Orbit enumeration is a deterministic FIFO breadth-first closure over all
+Orbit enumeration is a deterministic breadth-first closure over all
 2(mu-1) signed generators, with states canonicalized modulo the sign group
-before deduplication.  Dedup keys are compared by full equality (Python
-dict semantics), so counts are exact.
+before deduplication.
+
+Engine: the search is level-synchronous.  A BFS level is one integer array
+of shape (B, mu, mu), stored as int8 while its entries fit.  A generator
+acting on slots i, i+1 is one batched row (bases) or row-and-column
+(Stokes, S' = P S P^t) recombination with a per-state multiplier c; every
+generator is applied to a chunk of about 2^16 candidate entries in one
+numpy pass, in int16, int64 or Python ints as a bound on the result
+entries requires, so arithmetic is exact at every width.  Candidates are
+inserted state-major, generator-minor, which numbers the classes exactly
+as a FIFO queue would.
+
+Keys: a bases state is normalized so that each vector's first nonzero
+coordinate is positive; a Stokes state is put in the tree sign normal
+form of _tree_sign_form, signs propagated along a spanning tree that
+depends only on the support pattern.  The support is sign-invariant, so
+the tree is too, and on a connected diagram the tree-edge signs fix the
+conjugating signs up to a global sign; so that form is a complete
+sign-class invariant.  The lex-minimal sign_canonical_stokes is the same
+invariant in another normal form and stays the public API.  A key is the
+int8 bytes of the state, or a prefixed int64 (or repr) encoding when an
+entry exceeds 127, so widths never collide and nothing overflows.  Keys
+are compared by full equality (Python set semantics), so counts are exact.
+
+Budgets are exact: a run stopped by max_states reports exactly that many
+classes, the first ones in FIFO order, and is truncated only if the orbit
+is larger.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import os
 import pickle
+import tempfile
 import time
-from collections import deque
 from dataclasses import dataclass
+
+import numpy as np
 
 from .lattice import (StokesMatrix, symmetrized_form, mat_det, is_connected,
                       form_pair)
@@ -222,13 +251,24 @@ def _canon_stokes_rows(rows):
 # orbit enumeration
 # ---------------------------------------------------------------------------
 
+CHECKPOINT_FORMAT = 2          # 1 was the lex-min keyed, state-by-state engine
+_CHUNK_ELEMENTS = 2 ** 16      # candidate entries computed per numpy pass
+_INT8_MAX = 127
+_INT16_MAX = 2 ** 15 - 1
+_INT64_MAX = 2 ** 63 - 1
+
+
 @dataclass
 class OrbitReport:
+    """Outcome of orbit_enumerate.  states_visited counts the states fully
+    expanded; levels[d] is the number of classes found at braid distance d
+    from the seed."""
     mode: str
     class_count: int
     states_visited: int
     wall_clock: float
     truncated: bool
+    levels: tuple = ()
 
     def to_json(self, label=None):
         doc = {
@@ -237,51 +277,184 @@ class OrbitReport:
             "visited": self.states_visited,
             "truncated": self.truncated,
             "seconds": round(self.wall_clock, 3),
+            "levels": list(self.levels),
         }
         if label is not None:
             doc["class"] = label
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def _stokes_step(rows, g):
-    """Generator action on a Stokes matrix, computed tuple-locally with the
-    matrix as its own seed; valid because the reflection data is a function
-    of S alone.
-
-    The moved standard-basis tuple only touches slots i, i+1, so the new
-    Seifert Gram matrix is the old L = -S^t with rows and columns i, i+1
-    recombined; everything stays O(mu^2)."""
-    n = len(rows)
-    i = abs(g) - 1
-    c = rows[i][i + 1]  # = I(e_i, e_{i+1}) for the current matrix
-    l = [[-rows[b][a] for b in range(n)] for a in range(n)]
-    if g > 0:
-        # rows/cols (i, i+1) <- (i+1, i - c*(i+1))
-        ra, rb = l[i + 1], [x - c * y for x, y in zip(l[i], l[i + 1])]
-    else:
-        # rows/cols (i, i+1) <- (i+1 - c*i, i)
-        ra, rb = [x - c * y for x, y in zip(l[i + 1], l[i])], l[i]
-    l[i], l[i + 1] = ra, rb
-    for row in l:
-        a, b = row[i], row[i + 1]
-        if g > 0:
-            row[i], row[i + 1] = b, a - c * b
-        else:
-            row[i], row[i + 1] = b - c * a, a
-    for a in range(n):
-        if l[a][a] != -1:
-            raise AssertionError("tuple is not distinguished-shaped")
-        for b in range(a + 1, n):
-            if l[a][b] != 0:
-                raise AssertionError("tuple is not distinguished-shaped")
-    return tuple(tuple(-l[j][i2] for j in range(n)) for i2 in range(n))
+def _generators(n):
+    """The 2(mu-1) signed generators in expansion order."""
+    return [g for k in range(1, n) for g in (k, -k)]
 
 
-def _pack_state(flat):
-    """Fixed-width byte stream for small entries, tuple fallback otherwise."""
-    if all(-120 <= x <= 120 for x in flat):
-        return bytes(x + 125 for x in flat)
-    return tuple(flat)
+@functools.lru_cache(maxsize=None)
+def _move_tables(n):
+    """Index arrays of the generators: the pair (i, i+1) a generator mixes,
+    the slot t that receives the combination, the other slot, the row
+    permutation swapping i and i+1, and the upper triangle of a matrix.
+
+    +k (i = k-1): (v_i, v_{i+1}) -> (v_{i+1}, v_i - c v_{i+1}), t = i+1
+    -k          : (v_i, v_{i+1}) -> (v_{i+1} - c v_i, v_i),     t = i
+    so in both cases  new[t] = old[other] - c old[t]  and the rest is the
+    swap.  c = I(v_i, v_{i+1}) is symmetric in the pair."""
+    gens = _generators(n)
+    i = np.array([abs(g) - 1 for g in gens], dtype=np.intp)
+    t = np.array([abs(g) if g > 0 else abs(g) - 1 for g in gens],
+                 dtype=np.intp)
+    perm = np.tile(np.arange(n), (len(gens), 1))
+    perm[np.arange(len(gens)), i] = i + 1
+    perm[np.arange(len(gens)), i + 1] = i
+    return _frozen(np.arange(len(gens)), i, t, 2 * i + 1 - t, perm,
+                   *np.triu_indices(n))
+
+
+def _frozen(*arrays):
+    """Read-only arrays, safe to share from a cache."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _work_dtype(bound):
+    """Narrowest exact dtype for values of absolute value <= bound."""
+    if bound <= _INT16_MAX:
+        return np.int16
+    if bound <= _INT64_MAX:
+        return np.int64
+    return object
+
+
+def _stokes_moves(x):
+    """Every generator move of a batch of Stokes matrices.
+
+    x has shape (B, mu, mu); the result (B, G, mu, mu) holds
+    S' = P S P^t for each generator in _generators order, where P is the
+    identity with the (i, i+1) block [[0, 1], [1, -c]] (+k) or
+    [[-c, 1], [1, 0]] (-k) and c = S[i, i+1].  This is the tuple-local
+    step: the moved standard basis only touches slots i, i+1, and the
+    reflection data is a function of S alone, so the matrix is its own
+    seed.  Entries grow to at most M (1 + M)^2 for |S| <= M (the row step
+    gives M + M^2, the column step multiplies by 1 + M), which the caller
+    must fit into x.dtype.  Raises unless every result is unit upper
+    triangular, as the Stokes matrix of a distinguished basis is."""
+    n = x.shape[-1]
+    gi, i, t, other, perm, lo_i, lo_j = _move_tables(n)
+    c = x[:, i, i + 1][:, :, None]
+    r = x[:, perm]                                    # P S, before mixing
+    r[:, gi, t] = x[:, other] - c * x[:, t]
+    rt = r.transpose(0, 1, 3, 2)
+    y = rt[:, gi[:, None], perm]                      # (P S P^t)^t
+    y[:, gi, t] = rt[:, gi, other] - c * rt[:, gi, t]
+    if np.any(y[..., lo_i, lo_j] != (lo_i == lo_j)):  # lower part of S'
+        raise AssertionError("tuple is not distinguished-shaped")
+    return y.transpose(0, 1, 3, 2)
+
+
+def _bases_moves(x, form):
+    """Every generator move of a batch of sign-canonical vector tuples.
+
+    x has shape (B, mu, mu), one vector per row; form is the intersection
+    form of the seed in x.dtype.  The result (B, G, mu, mu) is again sign
+    canonical: only the combined slot t can change sign.  With |x| <= M and
+    |form| <= F, |c| <= mu^2 F M^2 bounds every partial sum of the pairing
+    and the new slot stays within M + mu^2 F M^3; the caller must fit that
+    into x.dtype."""
+    gi, i, t, other, perm, _, _ = _move_tables(x.shape[-1])
+    xf = x @ form
+    pair = (xf[:, :-1] * x[:, 1:]).sum(axis=-1, dtype=x.dtype)
+    y = x[:, perm]
+    row = x[:, other] - pair[:, i][:, :, None] * x[:, t]
+    lead = np.take_along_axis(row, (row != 0).argmax(axis=-1)[..., None], -1)
+    y[:, gi, t] = np.where(lead < 0, -row, row)
+    return y
+
+
+def _tree_sign_form(s):
+    """Sign normal form diag(e) S diag(e) of a batch (N, mu, mu) of Stokes
+    matrices with connected diagrams.
+
+    e_0 = +1; then, at most mu-1 times, every vertex j still unsigned that
+    has a signed neighbour gets e_j = e_i sign(S_ij), i its lowest-index
+    signed neighbour (S_ij read from the upper triangle).  The rounds, and
+    so the spanning tree of parents i, depend on the support of S alone.
+
+    Complete sign-class invariant: conjugating by D = diag(d) keeps the
+    support, hence the tree, and turns every edge sign sign(S_ij) into
+    d_i d_j sign(S_ij); by induction along the tree the new signs are
+    e'_j = d_0 d_j e_j, so E' (D S D) E' = E S E and the form is constant on
+    sign classes.  Conversely equal forms E S E = E' S' E' make S' the sign
+    conjugate (E E') S (E E').  On a disconnected diagram some vertex stays
+    unsigned; that raises, since the form would no longer be complete."""
+    n = s.shape[-1]
+    sg = np.sign(s).astype(np.int8)
+    nb = sg + sg.transpose(0, 2, 1)                   # edge signs, symmetric
+    # w[j, i] = e_i sign(S_ij) lies in {-1, 0, 1} off the diagonal, so its
+    # lowest-index nonzero entry is the sign of w[j] . (3^(n-1), ..., 3, 1):
+    # each power of 3 outweighs the sum of all smaller ones, and the dot
+    # product stays below 3^n / 2
+    pow3 = np.array([3 ** k for k in range(n - 1, -1, -1)],
+                    dtype=_work_dtype(3 ** n // 2))
+    e = np.zeros(s.shape[:2], np.int8)
+    e[:, 0] = 1
+    for _ in range(n - 1):
+        if e.all():
+            break
+        first = np.sign((nb * e[:, None, :]) @ pow3).astype(np.int8)
+        e = np.where(e != 0, e, first)
+    if not e.all():
+        raise AssertionError("orbit reached a disconnected diagram")
+    return s * (e[:, :, None] * e[:, None, :])
+
+
+def _expand_stokes(x):
+    """Tree sign normal forms of every move of the Stokes matrices x, as
+    one (B * G, mu, mu) batch in FIFO order, computed exactly."""
+    m = int(np.abs(x).max())
+    y = _stokes_moves(x.astype(_work_dtype(m * (1 + m) ** 2)))
+    return _tree_sign_form(y.reshape(-1, *x.shape[1:]))
+
+
+def _expand_bases(x, form_rows):
+    """Every move of the sign-canonical tuples x over the intersection form
+    form_rows, as one (B * G, mu, mu) batch in FIFO order, computed
+    exactly."""
+    m = int(np.abs(x).max())
+    f = max(abs(v) for row in form_rows for v in row)
+    w = _work_dtype(m + x.shape[-1] ** 2 * f * m ** 3)
+    y = _bases_moves(x.astype(w), np.array(form_rows, dtype=object).astype(w))
+    return y.reshape(-1, *x.shape[1:])
+
+
+def _keys(states):
+    """Dedup keys of a batch of canonical states: the int8 bytes when every
+    entry of the state has absolute value <= 127, else b"W" and the int64
+    bytes, else b"P" and the repr; the three kinds never compare equal."""
+    if not len(states):
+        return []
+    flat = states.reshape(len(states), -1)
+    if -_INT8_MAX <= flat.min() and flat.max() <= _INT8_MAX:
+        rows = np.ascontiguousarray(flat, dtype=np.int8)
+        return rows.view(np.dtype((np.void, flat.shape[1]))).ravel().tolist()
+    return [_wide_key(v) for v in flat]
+
+
+def _wide_key(v):
+    m = max(abs(int(x)) for x in v)
+    if m <= _INT8_MAX:
+        return v.astype(np.int8).tobytes()
+    if m <= _INT64_MAX:
+        return b"W" + v.astype(np.int64).tobytes()
+    return b"P" + repr(tuple(int(x) for x in v)).encode()
+
+
+def _narrow(states):
+    """Store states as int8 when they fit, else int64, else Python ints."""
+    m = int(np.abs(states).max())
+    if m <= _INT8_MAX:
+        return states.astype(np.int8)
+    return states.astype(np.int64 if m <= _INT64_MAX else object)
 
 
 def orbit_enumerate(seed: StokesMatrix, mode: str = "bases", *,
@@ -291,97 +464,149 @@ def orbit_enumerate(seed: StokesMatrix, mode: str = "bases", *,
     """Breadth-first closure under all signed braid generators.
 
     bases  : states are sign-canonical tuples over the fixed seed.
-    stokes : states are sign-canonical Stokes matrices; transitions treat
-             the current matrix as its own seed.
+    stokes : states are tree sign normal forms of Stokes matrices;
+             transitions treat the current matrix as its own seed.
 
-    Stops with truncated=True when a budget is exceeded; the partial count
-    is still exact for the states discovered.
+    The search is level-synchronous: each level is one array and a chunk of
+    it is expanded by all generators in one numpy pass, in entries wide
+    enough to be exact.  Classes are numbered in FIFO order (state-major,
+    generator-minor), so a budget keeps the first max_states classes:
+    class_count = min(orbit size, max_states) and truncated is True iff the
+    orbit is larger.  A run resumed from a checkpoint that already holds
+    more classes than the budget keeps them and stops, truncated, at the
+    first new class.  max_bytes is a state budget of
+    max_bytes // (mu^2 + 64) states (at least the start state).  levels
+    holds the sphere sizes of the orbit graph, which no choice of canonical
+    form changes; a truncated run reports the classes found per level.
     """
     if mode not in ("bases", "stokes"):
         raise ValueError(f"unknown mode {mode!r}")
     if not is_connected(seed):
         raise ValueError("orbit enumeration requires a connected seed diagram")
+    for name, value in (("max_states", max_states), ("max_bytes", max_bytes)):
+        if value is not None and value < 1:
+            raise ValueError(f"{name} must be at least 1")
     n = seed.mu
-    gens = [g for k in range(1, n) for g in (k, -k)]
     t0 = time.monotonic()
-
-    i_rows = symmetrized_form(seed).rows
-    seed_rows = seed.rows
+    limit = float("inf") if max_states is None else max_states
+    if max_bytes is not None:
+        limit = min(limit, max(1, max_bytes // (n * n + 64)))
 
     if mode == "bases":
-        start = _canon_vectors(VanishingTuple.standard(seed).vectors)
+        form = symmetrized_form(seed).rows
+        start = np.eye(n, dtype=np.int8)[None]
 
-        def step(state, g):
-            return _canon_vectors(_apply_gen(state, i_rows, g))
-
-        def key(state):
-            return _pack_state([x for v in state for x in v])
+        def expand(x):
+            return _expand_bases(x, form)
     else:
-        start = _canon_stokes_rows(seed_rows)
+        start = _narrow(_tree_sign_form(np.array([seed.rows], dtype=object)))
+        expand = _expand_stokes
 
-        def step(state, g):
-            return _canon_stokes_rows(_stokes_step(state, g))
-
-        def key(state):
-            return _pack_state([x for row in state for x in row])
-
-    visited = {key(start)}
-    frontier = deque([start])
-    expanded = 0
-    truncated = False
-    state_bytes = n * n + 64
-
+    g_count = 2 * (n - 1)
+    chunk = max(1, _CHUNK_ELEMENTS // (max(1, g_count) * n * n))
+    level, nxt, levels, expanded = start, [], [1], 0
+    visited = set(_keys(start))
     if checkpoint:
-        resumed = _load_checkpoint(checkpoint, mode, seed_rows)
+        resumed = _load_checkpoint(checkpoint, mode, seed.rows)
         if resumed is not None:
-            visited, frontier, expanded = resumed
+            visited, level, nxt, levels, expanded = resumed
 
-    since_checkpoint = 0
-    while frontier:
-        if max_states is not None and len(visited) > max_states:
-            truncated = True
+    def save():
+        _save_checkpoint(checkpoint, {
+            "format": CHECKPOINT_FORMAT, "mode": mode, "seed": seed.rows,
+            "visited": visited, "frontier": level, "next": nxt,
+            "levels": levels, "expanded": expanded})
+
+    truncated = False
+    saved_at = expanded
+    while len(level) or nxt:
+        if not len(level):
+            level, nxt = np.concatenate(nxt), []
+            levels.append(len(level))
+        x = level[:chunk]
+        cands = expand(x)
+        room = limit - len(visited)
+        new = []
+        for j, key in enumerate(_keys(cands)):
+            if key not in visited:
+                if len(new) >= room:
+                    truncated = True
+                    break
+                visited.add(key)
+                new.append(j)
+        if new:
+            nxt.append(_narrow(cands[new]))
+        if truncated:
+            # the state in progress stays in the frontier: a resumed run
+            # expands it again and finds its remaining classes in order
+            level = level[j // g_count:]
+            expanded += j // g_count
             break
-        if max_bytes is not None and len(visited) * state_bytes > max_bytes:
-            truncated = True
-            break
-        state = frontier.popleft()
-        expanded += 1
-        for g in gens:
-            nxt = step(state, g)
-            k = key(nxt)
-            if k not in visited:
-                visited.add(k)
-                frontier.append(nxt)
-        since_checkpoint += 1
-        if checkpoint and since_checkpoint >= checkpoint_every:
-            _save_checkpoint(checkpoint, mode, seed_rows, visited, frontier,
-                             expanded)
-            since_checkpoint = 0
+        level = level[len(x):]
+        expanded += len(x)
+        if checkpoint and expanded - saved_at >= checkpoint_every:
+            save()
+            saved_at = expanded
 
     if checkpoint and truncated:
-        _save_checkpoint(checkpoint, mode, seed_rows, visited, frontier,
-                         expanded)
-
+        save()
+    if nxt:
+        levels.append(sum(len(a) for a in nxt))
     return OrbitReport(mode=mode, class_count=len(visited),
                        states_visited=expanded,
                        wall_clock=time.monotonic() - t0,
-                       truncated=truncated)
+                       truncated=truncated, levels=tuple(levels))
 
 
-def _save_checkpoint(path, mode, seed_rows, visited, frontier, expanded):
-    with open(path, "wb") as fh:
-        pickle.dump({"mode": mode, "seed": seed_rows, "visited": visited,
-                     "frontier": list(frontier), "expanded": expanded},
-                    fh, protocol=4)
+def _save_checkpoint(path, doc):
+    """Pickle doc to a temporary file beside path, then rename it over
+    path, so a reader sees the old checkpoint or the new one, never a
+    partial write."""
+    try:
+        fd, tmp = tempfile.mkstemp(
+            dir=os.path.dirname(os.path.abspath(path)),
+            prefix=os.path.basename(path) + ".", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                pickle.dump(doc, fh, protocol=4)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ValueError(f"cannot write checkpoint {path}: {exc}") from None
 
 
 def _load_checkpoint(path, mode, seed_rows):
+    """The saved search state, or None when path is missing or empty.
+    Anything unreadable, of another format, or of another run raises
+    ValueError."""
     try:
         with open(path, "rb") as fh:
-            doc = pickle.load(fh)
-    except (OSError, EOFError):
+            data = fh.read()
+    except FileNotFoundError:
         return None
+    except OSError as exc:
+        raise ValueError(f"cannot read checkpoint {path}: {exc}") from None
+    if not data:
+        return None
+    try:
+        doc = pickle.loads(data)
+    except (pickle.UnpicklingError, EOFError, AttributeError, ImportError,
+            IndexError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"checkpoint {path} is corrupt: {exc!r}") from None
+    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
+        raise ValueError(f"checkpoint {path} is not in checkpoint format "
+                         f"{CHECKPOINT_FORMAT} (written by an older engine "
+                         "or not a singlat checkpoint)")
     if doc.get("mode") != mode or doc.get("seed") != seed_rows:
         raise ValueError("checkpoint belongs to a different run "
                          "(mode or seed mismatch)")
-    return doc["visited"], deque(doc["frontier"]), doc["expanded"]
+    try:
+        return (doc["visited"], doc["frontier"], doc["next"], doc["levels"],
+                doc["expanded"])
+    except KeyError as exc:
+        raise ValueError(f"checkpoint {path} is corrupt: missing {exc}") \
+            from None

@@ -40,6 +40,16 @@ def _parse_class(label):
         raise _Usage(str(exc))
 
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _usage_error(msg):
     _info(f"error: {msg}")
     return EXIT_USAGE
@@ -310,8 +320,8 @@ def build_parser():
     p = add("orbit", cmd_orbit, help="braid-orbit enumeration from a seed")
     p.add_argument("cls")
     p.add_argument("--mode", choices=("bases", "stokes"), default="bases")
-    p.add_argument("--budget-states", type=int, default=None)
-    p.add_argument("--budget-mem", type=int, default=None)
+    p.add_argument("--budget-states", type=_positive_int, default=None)
+    p.add_argument("--budget-mem", type=_positive_int, default=None)
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--seed-file", default=None,
                    help="directory of <label>.json seed files, read "

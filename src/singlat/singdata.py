@@ -566,13 +566,21 @@ def _seed_from_file(cls, seed_dir):
         if key not in doc:
             raise SeedError(f"{cls.label}: seed file missing field {key!r}")
     try:
-        if doc["class"] != cls.label or int(doc["mu"]) != cls.mu:
+        if doc["class"] != cls.label or _strict_int(doc["mu"]) != cls.mu:
             raise SeedError(f"{cls.label}: seed file metadata mismatch in "
                             f"{path}")
         stokes = _stokes_from_upper(cls.mu, doc["upper"])
     except (TypeError, KeyError) as exc:
         raise SeedError(f"{cls.label}: malformed seed file {path}: {exc!r}")
     return SeedRecord(cls, stokes, "external-file", doc["source"])
+
+
+def _strict_int(v):
+    """A JSON integer; floats, booleans and strings are rejected rather
+    than truncated."""
+    if type(v) is not int:
+        raise SeedError(f"expected an integer, got {v!r}")
+    return v
 
 
 def _stokes_from_upper(mu, upper):
@@ -582,7 +590,8 @@ def _stokes_from_upper(mu, upper):
     for i in range(mu):
         if i < mu - 1 and len(upper[i]) != mu - 1 - i:
             raise SeedError(f"row {i} of upper part has wrong length")
-        row = [0] * i + [1] + ([int(v) for v in upper[i]] if i < mu - 1 else [])
+        row = [0] * i + [1] + ([_strict_int(v) for v in upper[i]]
+                               if i < mu - 1 else [])
         rows.append(tuple(row))
     return StokesMatrix(tuple(rows))
 

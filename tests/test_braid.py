@@ -1,13 +1,18 @@
 import itertools
+import pickle
 import random
 
+import numpy as np
 import pytest
 
-from singlat.braid import (BraidWord, VanishingTuple, braid_apply,
+from singlat.braid import (CHECKPOINT_FORMAT, BraidWord, VanishingTuple,
+                           _apply_gen, _canon_vectors, _expand_bases,
+                           _expand_stokes, _generators, _keys, _narrow,
+                           _stokes_moves, _tree_sign_form, braid_apply,
                            braid_apply_word, orbit_enumerate,
                            sign_canonical_stokes, sign_canonical_tuple,
                            stokes_of_tuple)
-from singlat.lattice import StokesMatrix
+from singlat.lattice import StokesMatrix, symmetrized_form
 from singlat.singdata import seed_stokes, tensor_stokes
 
 
@@ -163,6 +168,17 @@ class TestOrbits:
             rs = orbit_enumerate(chain(mu), "stokes")
             assert (rb.class_count, rb.truncated) == (nb, False)
             assert (rs.class_count, rs.truncated) == (ns, False)
+            for rep in (rb, rs):
+                assert rep.levels[0] == 1
+                assert sum(rep.levels) == rep.states_visited == \
+                    rep.class_count
+
+    def test_rank_one_orbit(self):
+        # no generators: the seed is the whole orbit
+        for mode in ("bases", "stokes"):
+            rep = orbit_enumerate(chain(1), mode)
+            assert (rep.class_count, rep.truncated, rep.levels) == \
+                (1, False, (1,))
 
     def test_d4_tensor_counts(self):
         s = tensor_stokes(chain(2), chain(2))
@@ -172,7 +188,7 @@ class TestOrbits:
     def test_budget_truncation(self):
         rep = orbit_enumerate(chain(5), "bases", max_states=100)
         assert rep.truncated
-        assert rep.class_count <= 1296
+        assert rep.class_count == 100 == sum(rep.levels)
 
     def test_elliptic_bases_hits_budget(self):
         s = seed_stokes("tE6").stokes
@@ -201,6 +217,24 @@ class TestOrbits:
         assert not resumed.truncated
         assert resumed.class_count == 125
 
+    @pytest.mark.parametrize("budget", [{"max_states": 20},
+                                        {"max_bytes": 20 * (5 * 5 + 64)}])
+    def test_resume_over_budget_truncates(self, tmp_path, budget):
+        ck = str(tmp_path / "orbit.ck")
+        orbit_enumerate(chain(5), "bases", max_states=50,
+                        checkpoint=ck, checkpoint_every=7)
+        resumed = orbit_enumerate(chain(5), "bases", checkpoint=ck, **budget)
+        assert resumed.truncated
+        assert resumed.class_count == 50 == sum(resumed.levels)
+        # nothing was lost: the checkpoint still completes the orbit
+        full = orbit_enumerate(chain(5), "bases", checkpoint=ck)
+        assert (full.truncated, full.class_count) == (False, 1296)
+
+    def test_truncated_run_counts_expanded_states(self):
+        rep = orbit_enumerate(chain(5), "bases", max_states=100)
+        # a state is counted once all its moves are in; 8 moves per state
+        assert rep.truncated and 0 < rep.states_visited < 100
+
     def test_checkpoint_mismatch_rejected(self, tmp_path):
         ck = str(tmp_path / "orbit.ck")
         orbit_enumerate(chain(4), "bases", max_states=40,
@@ -214,10 +248,236 @@ class TestOrbits:
         rng = random.Random(15)
         for label, bound in (("A4", 1), ("tE6", 2)):
             s = seed_stokes(label).stokes
-            rows = s.rows
-            from singlat.braid import _stokes_step
+            rows = np.array(s.rows, dtype=np.int64)
             for _ in range(300):
-                g = rng.choice([sg * k for k in range(1, s.mu)
-                                for sg in (1, -1)])
-                rows = _stokes_step(rows, g)
-                assert max(abs(v) for r in rows for v in r) <= bound
+                k = rng.randrange(2 * (s.mu - 1))
+                rows = _stokes_moves(rows[None])[0, k]
+                assert np.abs(rows).max() <= bound
+
+    def test_budget_equal_to_orbit_size(self):
+        # an orbit exactly the size of the budget is complete
+        rep = orbit_enumerate(chain(4), "stokes", max_states=25)
+        assert (rep.class_count, rep.truncated) == (25, False)
+        rep = orbit_enumerate(chain(4), "stokes", max_states=24)
+        assert (rep.class_count, rep.truncated) == (24, True)
+
+    def test_budget_keeps_fifo_prefix(self):
+        full = orbit_enumerate(chain(4), "bases")
+        for budget in (1, 7, 60):
+            rep = orbit_enumerate(chain(4), "bases", max_states=budget)
+            assert rep.class_count == budget and rep.truncated
+            # the classes found are the first ones of the full search
+            expect, left = [], budget
+            for size in full.levels:
+                expect.append(min(size, left))
+                left -= expect[-1]
+            assert rep.levels == tuple(x for x in expect if x)
+
+    def test_bad_budgets_rejected(self):
+        for kw in ({"max_states": 0}, {"max_states": -5}, {"max_bytes": 0}):
+            with pytest.raises(ValueError, match="at least 1"):
+                orbit_enumerate(chain(3), "stokes", **kw)
+
+    def test_byte_budget_is_a_state_budget(self):
+        rep = orbit_enumerate(chain(4), "bases", max_bytes=10 * (16 + 64))
+        assert (rep.class_count, rep.truncated) == (10, True)
+        rep = orbit_enumerate(chain(4), "bases", max_bytes=1)
+        assert (rep.class_count, rep.truncated) == (1, True)
+
+    @pytest.mark.parametrize("label", ["A4", "D4"])
+    @pytest.mark.parametrize("mode", ["bases", "stokes"])
+    def test_levels_match_scalar_bfs(self, label, mode):
+        seed = seed_stokes(label).stokes
+        gens = [g for k in range(1, seed.mu) for g in (k, -k)]
+        if mode == "bases":
+            def canon(t):
+                return sign_canonical_tuple(t)
+
+            def key(t):
+                return t.vectors
+
+            def step(t, g):
+                return canon(braid_apply(t, g))
+            start = canon(VanishingTuple.standard(seed))
+        else:
+            def key(s):
+                return s.rows
+
+            def step(s, g):
+                return sign_canonical_stokes(stokes_of_tuple(
+                    braid_apply(VanishingTuple.standard(s), g)))
+            start = sign_canonical_stokes(seed)
+        seen, level, sizes = {key(start)}, [start], [1]
+        while level:
+            nxt = []
+            for state in level:
+                for g in gens:
+                    moved = step(state, g)
+                    if key(moved) not in seen:
+                        seen.add(key(moved))
+                        nxt.append(moved)
+            if nxt:
+                sizes.append(len(nxt))
+            level = nxt
+        assert orbit_enumerate(seed, mode).levels == tuple(sizes)
+
+    def test_checkpoint_resume_keeps_levels(self, tmp_path):
+        ck = str(tmp_path / "orbit.ck")
+        full = orbit_enumerate(chain(5), "stokes")
+        partial = orbit_enumerate(chain(5), "stokes", max_states=50,
+                                  checkpoint=ck, checkpoint_every=7)
+        assert sum(partial.levels) == 50
+        resumed = orbit_enumerate(chain(5), "stokes", checkpoint=ck)
+        assert resumed.levels == full.levels
+        assert (resumed.class_count, resumed.states_visited) == (216, 216)
+
+    def test_checkpoint_garbage_rejected(self, tmp_path):
+        ck = tmp_path / "orbit.ck"
+        ck.write_bytes(b"\x80\x04garbage, not a pickle")
+        with pytest.raises(ValueError, match="corrupt"):
+            orbit_enumerate(chain(4), "bases", checkpoint=str(ck))
+
+    def test_checkpoint_old_format_rejected(self, tmp_path):
+        # the layout the state-by-state engine wrote, with lex-min keys
+        ck = tmp_path / "orbit.ck"
+        seed = chain(4)
+        ck.write_bytes(pickle.dumps({"mode": "stokes", "seed": seed.rows,
+                                     "visited": set(), "frontier": [],
+                                     "expanded": 0}))
+        with pytest.raises(ValueError, match="format"):
+            orbit_enumerate(seed, "stokes", checkpoint=str(ck))
+
+    def test_checkpoint_written_atomically(self, tmp_path):
+        ck = tmp_path / "orbit.ck"
+        orbit_enumerate(chain(5), "bases", max_states=300,
+                        checkpoint=str(ck), checkpoint_every=5)
+        assert [p.name for p in tmp_path.iterdir()] == ["orbit.ck"]
+        assert pickle.loads(ck.read_bytes())["format"] == CHECKPOINT_FORMAT
+
+
+def random_signed_walk(rng, seed, steps):
+    """A Stokes matrix a random braid word away from the seed, conjugated
+    by a random sign vector."""
+    n = seed.mu
+    t = braid_apply_word(VanishingTuple.standard(seed),
+                         random_word(rng, n, steps))
+    rows = stokes_of_tuple(t).rows
+    e = [rng.choice((1, -1)) for _ in range(n)]
+    return StokesMatrix(tuple(tuple(e[i] * e[j] * rows[i][j]
+                                    for j in range(n)) for i in range(n)))
+
+
+def tree_key(s):
+    return _keys(_tree_sign_form(np.array([s.rows], dtype=object)))[0]
+
+
+class TestBatchedEngine:
+    @pytest.mark.parametrize("label", ["A5", "D5", "E6", "tE6", "tE8"])
+    def test_tree_key_matches_lex_min(self, label):
+        rng = random.Random(21)
+        seed = seed_stokes(label).stokes
+        mats = [random_signed_walk(rng, seed, rng.randint(0, 12))
+                for _ in range(40)]
+        for m in mats:
+            # sign conjugates share the key, and the key is the class
+            flip = random_signed_walk(rng, m, 0)
+            assert tree_key(flip) == tree_key(m)
+        for a, b in itertools.combinations(mats, 2):
+            same = sign_canonical_stokes(a).rows == sign_canonical_stokes(b).rows
+            assert (tree_key(a) == tree_key(b)) == same
+        # the walks reach several classes, so both outcomes are exercised
+        assert len({tree_key(m) for m in mats}) > 5
+
+    @pytest.mark.parametrize("label", ["A5", "D6", "E6", "tE7", "tE8"])
+    def test_stokes_step_matches_scalar(self, label):
+        rng = random.Random(22)
+        seed = seed_stokes(label).stokes
+        mats = [random_signed_walk(rng, seed, rng.randint(0, 10))
+                for _ in range(25)]
+        moved = _stokes_moves(np.array([m.rows for m in mats], np.int16))
+        gens = _generators(seed.mu)
+        for m, row in zip(mats, moved):
+            std = VanishingTuple.standard(m)
+            for g, got in zip(gens, row):
+                assert got.tolist() == [list(r) for r in stokes_of_tuple(
+                    braid_apply(std, g)).rows]
+
+    @pytest.mark.parametrize("label", ["A5", "D5", "E6", "tE6"])
+    def test_bases_step_matches_scalar(self, label):
+        rng = random.Random(23)
+        seed = seed_stokes(label).stokes
+        i_rows = symmetrized_form(seed).rows
+        states = [_canon_vectors(braid_apply_word(
+            VanishingTuple.standard(seed),
+            random_word(rng, seed.mu, rng.randint(0, 15))).vectors)
+            for _ in range(25)]
+        got = _expand_bases(np.array(states, np.int8), i_rows)
+        want = [_canon_vectors(_apply_gen(v, i_rows, g)) for v in states
+                for g in _generators(seed.mu)]
+        assert [tuple(map(tuple, x)) for x in got.tolist()] == want
+
+    @pytest.mark.parametrize("big", [31, 32, 127, 128, 2 ** 20, 2 ** 31,
+                                     2 ** 40])
+    def test_stokes_widths_exact(self, big):
+        rng = random.Random(big)
+        n = 5
+        mats = []
+        for _ in range(6):
+            rows = [[int(i == j) if j <= i else
+                     rng.choice((1, -1)) * rng.randint(1, big)
+                     for j in range(n)] for i in range(n)]
+            rows[0][1] = big
+            mats.append(StokesMatrix(tuple(map(tuple, rows))))
+        states = np.array([m.rows for m in mats], dtype=object)
+        got = _expand_stokes(_narrow(states))
+        k = 0
+        for m in mats:
+            std = VanishingTuple.standard(m)
+            for g in _generators(n):
+                want = stokes_of_tuple(braid_apply(std, g))
+                assert tree_key(want) == _keys(got[k:k + 1])[0]
+                assert got[k].tolist() == \
+                    [list(r) for r in _tree_sign_form(
+                        np.array([want.rows], dtype=object))[0]]
+                k += 1
+
+    @pytest.mark.parametrize("big", [2, 5, 6, 127, 2 ** 20, 2 ** 31])
+    def test_bases_widths_exact(self, big):
+        rng = random.Random(big)
+        seed = seed_stokes("D5").stokes
+        i_rows = symmetrized_form(seed).rows
+        states = []
+        for _ in range(6):
+            vs = [[rng.randint(-big, big) for _ in range(5)]
+                  for _ in range(5)]
+            vs[2][0] = big
+            states.append(_canon_vectors([tuple(v) for v in vs]))
+        got = _expand_bases(_narrow(np.array(states, dtype=object)), i_rows)
+        want = [_canon_vectors(_apply_gen(v, i_rows, g)) for v in states
+                for g in _generators(5)]
+        assert [tuple(map(tuple, x)) for x in got.tolist()] == want
+
+    def test_key_widths(self):
+        n = 3
+        base = np.eye(n, dtype=object)
+        for value, prefix, length in ((127, None, n * n),
+                                      (-127, None, n * n),
+                                      (128, b"W", 1 + 8 * n * n),
+                                      (-128, b"W", 1 + 8 * n * n),
+                                      (2 ** 63, b"P", None)):
+            s = base.copy()
+            s[0, 2] = value
+            key = _keys(np.stack([base, s]))[1]
+            if prefix is None:
+                assert len(key) == length
+                assert np.frombuffer(key, np.int8)[2] == value
+            else:
+                assert key.startswith(prefix)
+                assert length is None or len(key) == length
+        # a narrow key never equals a wide one
+        assert _keys(np.stack([base]))[0] != _keys(
+            np.stack([base * 128]))[0]
+
+    def test_disconnected_state_raises(self):
+        with pytest.raises(AssertionError, match="disconnected"):
+            _tree_sign_form(np.array([np.eye(3, dtype=np.int8)]))

@@ -54,6 +54,49 @@ class TestOrbitCommand:
                         "--budget-states", "2000")
         assert code == 3 and doc["truncated"] is True
 
+    def test_budget_is_exact(self, capsys):
+        code, doc = run(capsys, "orbit", "D12", "--mode", "stokes",
+                        "--budget-states", "500")
+        assert code == 3 and doc["truncated"] is True
+        assert doc["count"] == 500 == sum(doc["levels"])
+
+    @pytest.mark.parametrize("flag", ["--budget-states", "--budget-mem"])
+    @pytest.mark.parametrize("value", ["0", "-5", "x"])
+    def test_bad_budget_is_usage_error(self, capsys, flag, value):
+        assert main(["orbit", "A3", flag, value]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_levels_in_output(self, capsys):
+        code, doc = run(capsys, "orbit", "A4", "--mode", "stokes")
+        assert code == 0 and doc["levels"] == [1, 6, 13, 5]
+
+    @pytest.mark.parametrize("content", [b"garbage", b"\x80\x04\x95junk"])
+    def test_corrupt_checkpoint_fails(self, capsys, tmp_path, content):
+        ck = tmp_path / "orbit.ck"
+        ck.write_bytes(content)
+        code = main(["orbit", "A3", "--checkpoint", str(ck)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error:")
+
+    def test_resume_over_budget_exits_truncated(self, capsys, tmp_path):
+        ck = str(tmp_path / "orbit.ck")
+        code, doc = run(capsys, "orbit", "D5", "--checkpoint", ck,
+                        "--budget-states", "30")
+        assert code == 3 and doc["count"] == 30
+        code, doc = run(capsys, "orbit", "D5", "--checkpoint", ck,
+                        "--budget-states", "10")
+        assert code == 3 and doc["truncated"] is True
+        assert doc["count"] == 30
+
+    def test_unwritable_checkpoint_fails(self, capsys, tmp_path):
+        ck = tmp_path / "missing" / "orbit.ck"
+        code = main(["orbit", "A5", "--checkpoint", str(ck),
+                     "--budget-states", "10"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error:")
+
     def test_d9_is_seeded(self, capsys):
         code, doc = run(capsys, "orbit", "D9", "--mode", "stokes",
                         "--budget-states", "1000")
@@ -72,13 +115,19 @@ class TestOrbitCommand:
 
     @pytest.mark.parametrize("label", ["A3", "E7"])
     @pytest.mark.parametrize("content", [None, "{not json", "untyped",
-                                         "disconnected"])
+                                         "disconnected", "non-integer"])
     def test_bad_seed_file_fails(self, capsys, tmp_path, label, content):
         mu = sing_class(label).mu
         path = tmp_path / f"{label.lower()}.json"
         if content == "disconnected":
             write_seed(tmp_path, label, [[int(i == j) for j in range(mu)]
                                          for i in range(mu)])
+        elif content == "non-integer":
+            # int() would truncate this to the chain: 3.6 -> 3, -1.7 -> -1
+            upper = [[-1.7 if j == i + 1 else 0.4 for j in range(i + 1, mu)]
+                     for i in range(mu - 1)]
+            path.write_text(json.dumps({"class": label, "mu": mu + 0.6,
+                                        "upper": upper, "source": "test"}))
         elif content == "untyped":
             path.write_text(json.dumps({"class": label, "mu": mu,
                                         "upper": None, "source": "test"}))
