@@ -458,8 +458,7 @@ def _narrow(states):
 
 
 def orbit_enumerate(seed: StokesMatrix, mode: str = "bases", *,
-                    max_states: int = None, max_bytes: int = None,
-                    checkpoint: str = None,
+                    max_states: int = None, checkpoint: str = None,
                     checkpoint_every: int = 250_000) -> OrbitReport:
     """Breadth-first closure under all signed braid generators.
 
@@ -474,23 +473,19 @@ def orbit_enumerate(seed: StokesMatrix, mode: str = "bases", *,
     class_count = min(orbit size, max_states) and truncated is True iff the
     orbit is larger.  A run resumed from a checkpoint that already holds
     more classes than the budget keeps them and stops, truncated, at the
-    first new class.  max_bytes is a state budget of
-    max_bytes // (mu^2 + 64) states (at least the start state).  levels
-    holds the sphere sizes of the orbit graph, which no choice of canonical
-    form changes; a truncated run reports the classes found per level.
+    first new class.  levels holds the sphere sizes of the orbit graph,
+    which no choice of canonical form changes; a truncated run reports the
+    classes found per level.
     """
     if mode not in ("bases", "stokes"):
         raise ValueError(f"unknown mode {mode!r}")
     if not is_connected(seed):
         raise ValueError("orbit enumeration requires a connected seed diagram")
-    for name, value in (("max_states", max_states), ("max_bytes", max_bytes)):
-        if value is not None and value < 1:
-            raise ValueError(f"{name} must be at least 1")
+    if max_states is not None and max_states < 1:
+        raise ValueError("max_states must be at least 1")
     n = seed.mu
     t0 = time.monotonic()
     limit = float("inf") if max_states is None else max_states
-    if max_bytes is not None:
-        limit = min(limit, max(1, max_bytes // (n * n + 64)))
 
     if mode == "bases":
         form = symmetrized_form(seed).rows

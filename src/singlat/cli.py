@@ -65,7 +65,7 @@ def cmd_orbit(args):
               f"applying a default budget of {budget_states} states")
     report = braid.orbit_enumerate(
         rec.stokes, args.mode, max_states=budget_states,
-        max_bytes=args.budget_mem, checkpoint=args.checkpoint)
+        checkpoint=args.checkpoint)
     doc = json.loads(report.to_json(label=cls.label))
     _emit(doc)
     _info(f"{cls.label} {args.mode}: {report.class_count} classes "
@@ -321,7 +321,6 @@ def build_parser():
     p.add_argument("cls")
     p.add_argument("--mode", choices=("bases", "stokes"), default="bases")
     p.add_argument("--budget-states", type=_positive_int, default=None)
-    p.add_argument("--budget-mem", type=_positive_int, default=None)
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--seed-file", default=None,
                    help="directory of <label>.json seed files, read "

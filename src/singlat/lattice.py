@@ -173,9 +173,6 @@ class StokesMatrix:
     def entry_bound(self):
         return max((abs(x) for row in self.rows for x in row), default=0)
 
-    def transpose_rows(self):
-        return mat_transpose(self.rows)
-
 
 @dataclass(frozen=True)
 class IntersectionMatrix:
@@ -245,19 +242,18 @@ def pl_reflect(i: IntersectionMatrix, delta, b):
     delta must be a root-like vector: I(delta, delta) = 2.
     """
     rows = i.rows if isinstance(i, IntersectionMatrix) else i
-    d_rows = [sum(r * x for r, x in zip(row, delta)) for row in rows]
-    if sum(x * y for x, y in zip(delta, d_rows)) != 2:
+    if form_pair(rows, delta, delta) != 2:
         raise ValueError("reflection vector must have self-pairing 2")
-    pairing = sum(x * y for x, y in zip(b, d_rows))
+    pairing = form_pair(rows, b, delta)
     return tuple(x - pairing * d for x, d in zip(b, delta))
 
 
 def reflection_matrix(i_rows, delta):
     """Matrix of s_delta acting on column vectors."""
     n = len(delta)
-    d_rows = [sum(r * x for r, x in zip(row, delta)) for row in i_rows]
-    if sum(x * y for x, y in zip(delta, d_rows)) != 2:
+    if form_pair(i_rows, delta, delta) != 2:
         raise ValueError("reflection vector must have self-pairing 2")
+    d_rows = [sum(r * x for r, x in zip(row, delta)) for row in i_rows]
     return tuple(tuple((1 if r == c else 0) - delta[r] * d_rows[c]
                        for c in range(n)) for r in range(n))
 

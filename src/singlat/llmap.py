@@ -22,12 +22,12 @@ import numpy as np
 
 from .braid import BraidWord
 from .polyalg import MultiPoly, resultant
-from .singdata import SingularityClass, sing_class, normal_form, \
-    unfolding_monomials
+from .singdata import SingularityClass, sing_class, unfolding
 
 F = Fraction
 
 TOL_DEDUP = 1e-6
+TOL_POINT = 1e-8
 TOL_CROSSCHECK = 1e-10
 TOL_WALL = 1e-9
 TOL_DISC = 1e-9
@@ -103,26 +103,16 @@ class IncompleteFiber(RuntimeError):
 # exact chain-family map
 # ---------------------------------------------------------------------------
 
-def _chain_unfolding_poly(mu, t):
-    vs = ("x", "y")
-    f = MultiPoly(vs, {(mu + 1, 0): F(1)})
-    for j, tj in enumerate(t, start=1):
-        if tj:
-            f = f + MultiPoly(vs, {(j - 1, 0): F(tj)})
-    return f
-
-
 def ll_exact_A(mu, t) -> LLPoint:
     """Exact configuration polynomial prod_j (y - u_j) for the chain family
     x^(mu+1) + t_1 + t_2 x + ... + t_mu x^(mu-1), via the resultant of the
     x-derivative with y - F, normalized monic."""
     if len(t) != mu:
         raise ValueError(f"need {mu} parameters")
-    t = [F(v) for v in t]
-    f = _chain_unfolding_poly(mu, t)
-    df = f.partial("x")
-    y_minus_f = MultiPoly(("x", "y"), {(0, 1): F(1)}) - f
-    res = resultant(df, y_minus_f, "x")
+    cls = sing_class(f"A{mu}")
+    f = unfolding(cls).subst({tn: F(v) for tn, v in zip(cls.tvars, t)})
+    y_minus_f = MultiPoly.var("y", ("x0", "y")) - f
+    res = resultant(f.partial("x0"), y_minus_f, "x0")
     coeffs = [F(0)] * (mu + 1)
     for expo, c in res.terms.items():
         coeffs[expo[res.vars.index("y")]] = c
@@ -166,20 +156,8 @@ def good_order(values, tol=TOL_WALL):
 # numeric critical values
 # ---------------------------------------------------------------------------
 
-def _numeric_unfolding(cls, t, lam=None):
-    """F_t as an exact polynomial with the parameters substituted."""
-    allv = cls.xvars + cls.tvars + (("la",) if cls.is_elliptic else ())
-    f = normal_form(cls).with_vars(allv)
-    for j, m in enumerate(unfolding_monomials(cls), start=1):
-        f = f + MultiPoly.var(f"t{j}", allv) * m.with_vars(allv)
-    sub = {f"t{j}": complex(v) for j, v in enumerate(t, start=1)}
-    if cls.is_elliptic:
-        sub["la"] = complex(lam)
-    return f, sub
-
-
 def critical_values_numeric(cls_or_label, t, lam=None, *, starts=400,
-                            seed=11, tol=1e-8) -> CriticalData:
+                            seed=11) -> CriticalData:
     """Critical values of the unfolding at the given parameters.
 
     Chain family: roots of the x-derivative (companion matrix), exact
@@ -207,7 +185,10 @@ def critical_values_numeric(cls_or_label, t, lam=None, *, starts=400,
     if cls.nvars != 2:
         raise ValueError("numeric critical values cover one- and "
                          "two-variable families")
-    f, sub = _numeric_unfolding(cls, t, lam)
+    f = unfolding(cls)
+    sub = {tn: complex(v) for tn, v in zip(cls.tvars, t)}
+    if cls.is_elliptic:
+        sub["la"] = complex(lam)
     fx = f.partial("x0")
     fy = f.partial("x1")
     fxx, fxy = fx.partial("x0"), fx.partial("x1")
@@ -248,7 +229,7 @@ def critical_values_numeric(cls_or_label, t, lam=None, *, starts=400,
         hess = ev(fxx, x, y) * ev(fyy, x, y) - ev(fxy, x, y) * ev(fyx, x, y)
         if abs(hess) < 1e-8:
             continue  # degenerate critical point: the parameter is not generic
-        if all(abs(x - px) + abs(y - py) > tol for px, py, _ in found):
+        if all(abs(x - px) + abs(y - py) > TOL_POINT for px, py, _ in found):
             found.append((x, y, ev(f, x, y)))
         if len(found) == cls.mu:
             break
@@ -275,14 +256,10 @@ def _maybe_good_order(values):
 def _symbolic_ll(mu):
     """Coefficient polynomials c_k(t) of the exact configuration polynomial
     for the chain family with symbolic parameters, plus their Jacobian."""
-    tv = tuple(f"t{j}" for j in range(1, mu + 1))
-    vs = ("x", "y") + tv
-    f = MultiPoly(vs, {(mu + 1, 0) + (0,) * mu: F(1)})
-    for j in range(1, mu + 1):
-        f = f + MultiPoly(vs, {(j - 1, 0) + tuple(
-            1 if k == j - 1 else 0 for k in range(mu)): F(1)})
-    res = resultant(f.partial("x"),
-                    MultiPoly(vs, {(0, 1) + (0,) * mu: F(1)}) - f, "x")
+    cls = sing_class(f"A{mu}")
+    tv = cls.tvars
+    f = unfolding(cls).with_vars(("x0", "y") + tv)
+    res = resultant(f.partial("x0"), MultiPoly.var("y", f.vars) - f, "x0")
     lead = res.coeff_of("y", mu)
     (e0, c0), = lead.terms.items()
     if any(e0):
@@ -326,14 +303,10 @@ def ll_fiber_count(cls_or_label, p: LLPoint, budget=600, *, seed=5,
 
     def G(tvec):
         vals = {tn: tvec[k] for k, tn in enumerate(tv)}
-        vals["x"] = 0.0
-        vals["y"] = 0.0
         return np.array([c.eval_complex(vals) for c in coeffs]) - target
 
     def J(tvec):
         vals = {tn: tvec[k] for k, tn in enumerate(tv)}
-        vals["x"] = 0.0
-        vals["y"] = 0.0
         return np.array([[jac[i][k].eval_complex(vals) for k in range(mu)]
                          for i in range(mu)])
 
@@ -370,11 +343,11 @@ def ll_fiber_count(cls_or_label, p: LLPoint, budget=600, *, seed=5,
 # ---------------------------------------------------------------------------
 
 def wall_walk_A(mu, path, steps=2000, *, tol_wall=TOL_WALL,
-                tol_disc=TOL_DISC, sign_flip=False) -> BraidWord:
+                tol_disc=TOL_DISC) -> BraidWord:
     """Track the good-ordered critical values along a piecewise-linear path
     of parameter vectors; emit one braid letter per transversal crossing of
     adjacent imaginary parts.  The letter sign comes from the real-part
-    order at the crossing (flip with sign_flip).
+    order at the crossing.
 
     Aborts when two critical values collide (the path hit the discriminant)
     or when a wall contact does not resolve within the sample resolution
@@ -432,9 +405,7 @@ def wall_walk_A(mu, path, steps=2000, *, tol_wall=TOL_WALL,
                 lo, hi = matched[i], matched[i + 1]
                 if (lo.imag > hi.imag) or \
                    (abs(lo.imag - hi.imag) < 1e-15 and lo.real < hi.real):
-                    letter = (i + 1) if (lo.real > hi.real) != sign_flip \
-                        else -(i + 1)
-                    letters.append(letter)
+                    letters.append((i + 1) if lo.real > hi.real else -(i + 1))
                     matched[i], matched[i + 1] = hi, lo
                     changed = True
         # a single sample may kiss a wall during a transversal crossing;

@@ -246,8 +246,10 @@ class RatFunc:
     __slots__ = ("var", "num", "den")
 
     def __init__(self, var, num, den=(1,), normalize=True):
-        num = _poly_trim(list(num))
-        den = _poly_trim(list(den))
+        # int coefficients become Fractions, so that the gcd and the monic
+        # normalisation below divide exactly
+        num = _poly_trim([Fraction(c) if isinstance(c, int) else c for c in num])
+        den = _poly_trim([Fraction(c) if isinstance(c, int) else c for c in den])
         if not den:
             raise ZeroDivisionError("zero denominator")
         if normalize and num:

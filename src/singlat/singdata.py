@@ -158,7 +158,7 @@ def unfolding(cls: SingularityClass) -> MultiPoly:
     """f + sum_j t_j m_j over (x, t) and, for the elliptic families, la."""
     f = normal_form(cls)
     vs = cls.xvars + cls.tvars + (("la",) if cls.is_elliptic else ())
-    out = f.with_vars(vs) if cls.is_elliptic else f.with_vars(cls.xvars + cls.tvars)
+    out = f.with_vars(vs)
     for j, m in enumerate(unfolding_monomials(cls), start=1):
         out = out + MultiPoly.var(f"t{j}", out.vars) * m.with_vars(out.vars)
     return out
@@ -231,13 +231,11 @@ class SymmetryDatum:
     exclusions: dict = None
 
 
-def _sym_field(m, cyclo=None):
-    """(nu, la) with la realized as nu^m over Q or over Q adjoined a root."""
-    if cyclo is not None:
-        one = Cyclo(cyclo, [1])
-        nu = RatFunc("nu", [Cyclo(cyclo, [0]), one], [one], normalize=False)
-    else:
-        nu = RatFunc.gen("nu")
+def sym_field(m, cyclo=None):
+    """(nu, la) with la realized as nu^m, in the field Q(nu) or, with a
+    cyclotomic field, Q(zeta)(nu).  The one builder of nu."""
+    one = Fraction(1) if cyclo is None else Cyclo(cyclo, [1])
+    nu = RatFunc("nu", [0 * one, one], [one], normalize=False)
     return nu, nu ** m
 
 
@@ -305,17 +303,18 @@ def _te6_symmetry(which):
     tv = tuple(f"t{j}" for j in range(1, 8))
     if which == "psi2":
         m = 2
-        nu, la = _sym_field(m, None)
+        nu, la = sym_field(m)
         half = nu          # la^(1/2)
+        one = nu ** 0
         P = lambda terms, vs: MultiPoly(vs, terms)
         phi = {"x0": P({(1, 0, 0): la ** -1}, xv),
-               "x1": P({(0, 1, 0): RatFunc("nu", [1])}, xv),
+               "x1": P({(0, 1, 0): one}, xv),
                "x2": P({(0, 0, 1): half}, xv)}
         shift = {}
         scale = {1: 1, 2: la ** -1, 3: 1, 4: half, 5: la ** -2, 6: la ** -1,
                  7: half}
         psi = {f"t{j}": P({tuple(1 if k == j - 1 else 0 for k in range(7)):
-                           (RatFunc("nu", [1]) * scale[j])}, tv)
+                           (one * scale[j])}, tv)
                for j in range(1, 8)}
         return SymmetryDatum("psi2", phi, shift, psi, "inv", m, None)
     m = 1
@@ -355,11 +354,11 @@ def _te7_symmetry(which):
     tv = tuple(f"t{j}" for j in range(1, 9))
     if which == "psi2":
         m = 4
-        nu, la = _sym_field(m, None)
+        nu, la = sym_field(m)
         q = nu                     # la^(1/4)
         P = lambda terms, vs: MultiPoly(vs, terms)
         phi = {"x0": P({(1, 0): q ** -3}, xv), "x1": P({(0, 1): q}, xv)}
-        scale = {1: RatFunc("nu", [1]), 2: q ** -3, 3: q, 4: q ** -6,
+        scale = {1: q ** 0, 2: q ** -3, 3: q, 4: q ** -6,
                  5: q ** -2, 6: q ** 2, 7: q ** -5, 8: q ** -1}
         psi = {f"t{j}": P({tuple(1 if k == j - 1 else 0 for k in range(8)):
                            scale[j]}, tv) for j in range(1, 9)}
@@ -367,8 +366,7 @@ def _te7_symmetry(which):
     m = 1
     xi = Cyclo.gen(ZETA8)
     one = Cyclo(ZETA8, [1])
-    nu = RatFunc("nu", [Cyclo(ZETA8, [0]), one], [one], normalize=False)
-    la = nu
+    _, la = sym_field(m, ZETA8)
     A = one / (1 - la)            # 1/(1-la) as a RatFunc over Q(zeta8)
 
     def P(terms, vs):
@@ -418,22 +416,20 @@ def _te8_symmetry(which):
     tv = tuple(f"t{j}" for j in range(1, 10))
     if which == "psi2":
         m = 2
-        nu, la = _sym_field(m, None)
+        nu, la = sym_field(m)
         h = nu                     # la^(1/2)
+        one = h ** 0
         P = lambda terms, vs: MultiPoly(vs, terms)
-        phi = {"x0": P({(1, 0): h ** -1}, xv),
-               "x1": P({(0, 1): RatFunc("nu", [1])}, xv)}
-        scale = {1: RatFunc("nu", [1]), 2: h ** -1, 3: la ** -1, 4: RatFunc("nu", [1]),
-                 5: h ** -3, 6: h ** -1, 7: la ** -1, 8: RatFunc("nu", [1]),
-                 9: h ** -1}
+        phi = {"x0": P({(1, 0): h ** -1}, xv), "x1": P({(0, 1): one}, xv)}
+        scale = {1: one, 2: h ** -1, 3: la ** -1, 4: one, 5: h ** -3,
+                 6: h ** -1, 7: la ** -1, 8: one, 9: h ** -1}
         psi = {f"t{j}": P({tuple(1 if k == j - 1 else 0 for k in range(9)):
                            scale[j]}, tv) for j in range(1, 10)}
         return SymmetryDatum("psi2", phi, {}, psi, "inv", m, None)
     m = 1
     i_ = Cyclo.gen(GAUSS)
     one = Cyclo(GAUSS, [1])
-    nu = RatFunc("nu", [Cyclo(GAUSS, [0]), one], [one], normalize=False)
-    la = nu
+    _, la = sym_field(m, GAUSS)
     A = one / (1 - la)             # 1/(1-la)
     B = A * A                      # 1/(1-la)^2
 

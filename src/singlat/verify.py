@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .polyalg import MultiPoly, RatFunc, Cyclo, graded_piece_rank, parse_poly
 from .singdata import (sing_class, normal_form, weights, unfolding_monomials,
-                       symmetry_data)
+                       unfolding, symmetry_data, sym_field)
 
 F = Fraction
 
@@ -143,31 +143,30 @@ def _field_one(datum):
     return F(1)
 
 
+def _lambda_target(cls, datum):
+    """la realized as nu^m in the datum's field, and the la-image
+    polynomial f_{la'}(x) with la' = 1/la (inv) or 1 - la (one-minus)."""
+    _, la = sym_field(datum.root_order, datum.cyclo)
+    f = normal_form(cls)
+    if not cls.is_elliptic:
+        return f, la
+    if datum.lam_image == "inv":
+        la_image = la ** -1
+    elif datum.lam_image == "one-minus":
+        la_image = 1 - la
+    else:
+        raise ValueError(datum.lam_image)
+    return f.subst({"la": la_image}), la
+
+
 def _lift_unfolding(cls, datum):
     """F(x, t) with coefficients in Q(nu)[zeta], la realized as nu^m,
     together with the la-image polynomial f_{la'}(x)."""
-    one = _field_one(datum)
-    nu = RatFunc("nu", [0 * one, one], [one], normalize=False)
-    la = nu ** datum.root_order
-    f = normal_form(cls)
-    xv, tv = cls.xvars, cls.tvars
+    f_target, la = _lambda_target(cls, datum)
+    F_full = unfolding(cls)
     if cls.is_elliptic:
-        f_la = f.subst({"la": la})
-        if datum.lam_image == "inv":
-            la_image = la ** -1
-        elif datum.lam_image == "one-minus":
-            la_image = 1 - la
-        else:
-            raise ValueError(datum.lam_image)
-        f_target = f.subst({"la": la_image})
-    else:
-        f_la = f
-        f_target = f
-    allv = xv + tv
-    F_full = f_la.with_vars(allv)
-    for j, m in enumerate(unfolding_monomials(cls), start=1):
-        F_full = F_full + MultiPoly.var(f"t{j}", allv) * m.with_vars(allv)
-    return F_full, f_target, la
+        F_full = F_full.subst({"la": la})
+    return F_full, f_target
 
 
 def _composed_substitution(cls, datum):
@@ -198,7 +197,7 @@ def check_unfolding_identity(cls_or_label, which: str) -> CheckOutcome:
     if which not in data:
         raise ValueError(f"{cls.label} has no stored symmetry {which!r}")
     datum = data[which]
-    F_full, f_target, la = _lift_unfolding(cls, datum)
+    F_full, f_target = _lift_unfolding(cls, datum)
     name = f"{cls.label}:{which}"
     lhs = F_full.subst(_composed_substitution(cls, datum))
     monos = unfolding_monomials(cls)
@@ -252,7 +251,7 @@ def check_lambda_projection(cls_or_label, which: str) -> CheckOutcome:
     la' = 1/la (psi2) or 1 - la (psi3), exactly over Q(nu)."""
     cls = sing_class(cls_or_label)
     datum = {d.label: d for d in symmetry_data(cls)}[which]
-    _, f_target, la = _lift_unfolding(cls, datum)
+    f_target, la = _lambda_target(cls, datum)
     f = normal_form(cls).subst({"la": la})
     lhs = f.subst({v: datum.phi[v] for v in cls.xvars})
     diff = lhs - f_target.with_vars(lhs.vars)
@@ -272,10 +271,7 @@ def check_simple_symmetry(cls_or_label) -> CheckOutcome:
     data = {d.label: d for d in symmetry_data(cls)}
     xv, tv = cls.xvars, cls.tvars
     allv = xv + tv
-    f = normal_form(cls).with_vars(allv)
-    F_full = f
-    for j, m in enumerate(unfolding_monomials(cls), start=1):
-        F_full = F_full + MultiPoly.var(f"t{j}", allv) * m.with_vars(allv)
+    F_full = unfolding(cls)
     # phi2: F(phi2(x), psi2(t)) = F(x, t)
     d2 = data["phi2"]
     sub = {v: d2.phi[v].with_vars(allv) for v in xv}
@@ -383,16 +379,10 @@ def check_kappa_extension(cls_or_label) -> CheckOutcome:
     cls = sing_class(cls_or_label)
     rho, x0_scale, c, ydefs, ext, vs, yv = _kappa_data(cls)
     name = f"{cls.label}:kappa-extension"
-    f = normal_form(cls)
-    xv, tv = cls.xvars, cls.tvars
-    allv = xv + tv + ("la",)
-    F_full = f.with_vars(allv)
-    for j, m in enumerate(unfolding_monomials(cls), start=1):
-        F_full = F_full + MultiPoly.var(f"t{j}", allv) * m.with_vars(allv)
     sub = {"la": _mono(vs, "ka", c),
            "x0": _mono(vs, "x0", 1) * _mono(vs, "ka", x0_scale)}
-    sub.update({t: rho[t] for t in tv})
-    pulled = F_full.subst(sub)
+    sub.update({t: rho[t] for t in cls.tvars})
+    pulled = unfolding(cls).subst(sub)
     if ext.min_degree("ka") < 0:
         return CheckOutcome(name, False, ext,
                             "stored extended form is not polynomial in kappa")

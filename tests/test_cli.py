@@ -60,7 +60,7 @@ class TestOrbitCommand:
         assert code == 3 and doc["truncated"] is True
         assert doc["count"] == 500 == sum(doc["levels"])
 
-    @pytest.mark.parametrize("flag", ["--budget-states", "--budget-mem"])
+    @pytest.mark.parametrize("flag", ["--budget-states"])
     @pytest.mark.parametrize("value", ["0", "-5", "x"])
     def test_bad_budget_is_usage_error(self, capsys, flag, value):
         assert main(["orbit", "A3", flag, value]) == 2
@@ -193,7 +193,8 @@ class TestLLCommands:
 
 @pytest.mark.parametrize("argv", [("degree", "E6", "--json"),
                                   ("orbit", "A3", "--json"),
-                                  ("scorecard", "--quick")])
+                                  ("scorecard", "--quick"),
+                                  ("orbit", "A3", "--budget-mem", "1000")])
 def test_removed_flags_are_usage_errors(capsys, argv):
     assert main(list(argv)) == 2
 

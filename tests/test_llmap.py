@@ -9,9 +9,9 @@ from singlat.braid import VanishingTuple, braid_apply_word, \
     sign_canonical_stokes, stokes_of_tuple
 from singlat.lattice import StokesMatrix
 from singlat.llmap import (IncompleteFiber, LLPoint, UnfoldingPoint,
-                           critical_values_numeric, discriminant_member,
-                           good_order, ll_exact_A, ll_fiber_count,
-                           wall_walk_A)
+                           _symbolic_ll, critical_values_numeric,
+                           discriminant_member, good_order, ll_exact_A,
+                           ll_fiber_count, wall_walk_A)
 from singlat.singdata import weights, sing_class
 
 
@@ -67,6 +67,20 @@ class TestExactMap:
             expect = tuple(p.coeffs[k] * factor ** (mu - k)
                            for k in range(mu + 1))
             assert q.coeffs == expect
+
+    def test_matches_symbolic_map(self):
+        # the exact map at t equals the symbolic coefficients evaluated at t
+        rng = random.Random(37)
+        for mu in (2, 3, 4):
+            tv, coeffs, _ = _symbolic_ll(mu)
+            for k in range(10):
+                t = [F(rng.randint(-9, 9), rng.randint(1, 6))
+                     for _ in range(mu)]
+                if k % 2 == 0:
+                    t[rng.randrange(mu)] = F(0)
+                at = dict(zip(tv, t))
+                want = [c.subst(at).terms.get((), F(0)) for c in coeffs]
+                assert ll_exact_A(mu, t).coeffs == tuple(want) + (F(1),), t
 
     def test_discriminant_examples(self):
         assert not discriminant_member(LLPoint((F(2), F(-3), F(1))))

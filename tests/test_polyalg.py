@@ -142,6 +142,14 @@ class TestRatFunc:
         assert f + 1 == 1 / (1 - la)
         assert (la ** -2) * la ** 2 == 1
 
+    def test_exact_inputs_stay_exact(self):
+        # int coefficients must not turn into floats in the gcd or the
+        # monic normalisation
+        for f in (RatFunc("nu", [2], [0, 2]), RatFunc.const("la", 3).inv(),
+                  RatFunc.gen("la") * 2 / 3):
+            assert all(type(c) is F for c in f.num + f.den), (f.num, f.den)
+        assert RatFunc("nu", [2], [0, 2]) == RatFunc.gen("nu", -1)
+
     def test_den_power_detection(self):
         la = RatFunc.gen("la")
         g = 1 / ((1 - la) ** 3)

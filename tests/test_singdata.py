@@ -61,9 +61,18 @@ class TestNormalForms:
 
 
 class TestUnfoldings:
-    def test_a2_unfolding(self):
-        u = unfolding(sing_class("A2"))
-        assert u == parse_poly("x0^3 + t1 + t2*x0", ("x0", "t1", "t2"))
+    # the variable order is x..., t..., then the family parameter la
+    @pytest.mark.parametrize("label, vs, text", [
+        ("A2", ("x0", "t1", "t2"), "x0^3 + t1 + t2*x0"),
+        ("tE7", ("x0", "x1") + tuple(f"t{j}" for j in range(1, 9)) + ("la",),
+         "x0 * x1^3 - x0^2 * x1^2 - la * x0^2 * x1^2 + la * x0^3 * x1"
+         " + t1 + t2 * x0 + t3 * x1 + t4 * x0^2 + t5 * x0 * x1"
+         " + t6 * x1^2 + t7 * x0^2 * x1 + t8 * x0 * x1^2"),
+    ], ids=["A2", "tE7"])
+    def test_unfolding(self, label, vs, text):
+        u = unfolding(sing_class(label))
+        assert u.vars == vs
+        assert u == parse_poly(text, vs)
 
     def test_monomial_counts(self):
         for label in ALL_LABELS:

@@ -75,7 +75,7 @@ class TestUnfoldingIdentities:
         bad_shift["x2"] = bad_shift["x2"] + MultiPoly.const(
             bad_shift["x2"].vars, F(1, 3))
         bad = dataclasses.replace(datum, psi_shift=bad_shift)
-        f_full, f_target, _ = _lift_unfolding(cls, bad)
+        f_full, f_target = _lift_unfolding(cls, bad)
         lhs = f_full.subst(_composed_substitution(cls, bad))
         assert not (lhs - f_target.with_vars(lhs.vars)).is_zero
 
@@ -106,7 +106,7 @@ class TestSimpleSymmetries:
         datum = {d.label: d for d in symmetry_data(cls)}["phi3"]
         bad_shift = {k: -v for k, v in datum.psi_shift.items()}
         bad = dataclasses.replace(datum, psi_shift=bad_shift)
-        f_full, f_target, _ = _lift_unfolding(cls, bad)
+        f_full, f_target = _lift_unfolding(cls, bad)
         lhs = f_full.subst(_composed_substitution(cls, bad))
         # with the broken shift the non-basis coefficients survive
         split = lhs.coefficient_split(cls.xvars)

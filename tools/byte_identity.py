@@ -1,0 +1,92 @@
+"""Print a fixed battery of exact and numeric outputs, for before/after diffs.
+
+A refactor that claims "same results" runs this on both checkouts and
+compares the two outputs byte for byte:
+
+    PYTHONPATH=src python tools/byte_identity.py > after.txt
+
+It records the stdout and exit code of the CLI verbs whose results rest on
+the unfoldings (verify-symmetry, verify-kappa, jacobi-dim, ll-eval,
+ll-fiber, counts) and the repr of critical_values_numeric, wall_walk_A
+and the symbolic chain-family LL coefficients.  Inputs are seeded, so the
+output is deterministic.  The battery takes about 20 s on a 2-core host.
+"""
+
+import contextlib
+import io
+import json
+import random
+from fractions import Fraction
+
+from singlat import cli, llmap
+from singlat.singdata import ALL_LABELS
+
+
+def run_cli(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(list(argv))
+    print(f"$ singlat {' '.join(argv)}  -> exit {code}")
+    print(out.getvalue(), end="")
+
+
+def rational_vectors(rng, mu, n):
+    """n seeded rational vectors of length mu; every third has zeros."""
+    out = []
+    for k in range(n):
+        t = [str(Fraction(rng.randint(-9, 9), rng.randint(1, 7)))
+             for _ in range(mu)]
+        if k % 3 == 0:
+            t[rng.randrange(mu)] = "0"
+            t[rng.randrange(mu)] = "0"
+        out.append(t)
+    return out
+
+
+def show(label, fn, *args, **kw):
+    try:
+        result = fn(*args, **kw)
+    except Exception as exc:  # the failure itself is part of the output
+        result = f"{type(exc).__name__}: {exc}"
+    print(f"{label}: {result!r}")
+
+
+def main():
+    rng = random.Random(20261018)
+    for label in ("D4", "D5", "D6", "D7", "D8", "tE6", "tE7", "tE8"):
+        run_cli("verify-symmetry", label)
+    for label in ("tE6", "tE7", "tE8"):
+        run_cli("verify-kappa", label)
+        run_cli("jacobi-dim", label)
+        run_cli("jacobi-dim", label, "--at", "2/5")
+    for mu in range(2, 6):
+        for t in rational_vectors(rng, mu, 24):
+            run_cli("ll-eval", f"A{mu}", json.dumps(t))
+    run_cli("ll-fiber", "A2", json.dumps(["3/7", "-2"]), "--budget", "120")
+    run_cli("ll-fiber", "A3", json.dumps(["1", "-1/2", "2"]),
+            "--budget", "160")
+    for label in ALL_LABELS:
+        run_cli("counts", label)
+    for label in ("A3", "A4", "D4", "D5", "E6", "E8"):
+        mu = int(label[1:])
+        t = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+             for _ in range(mu)]
+        show(f"critical_values_numeric {label}",
+             llmap.critical_values_numeric, label, t)
+    for label, mu in (("tE7", 9), ("tE8", 10)):
+        t = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+             for _ in range(mu - 1)]
+        show(f"critical_values_numeric {label}",
+             llmap.critical_values_numeric, label, t, Fraction(-3, 7))
+    for mu in (2, 3, 4):
+        path = [[complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                 for _ in range(mu)] for _ in range(3)]
+        show(f"wall_walk_A {mu}", llmap.wall_walk_A, mu, path, steps=400)
+    for mu in (2, 3, 4):
+        tv, coeffs, jac = llmap._symbolic_ll(mu)
+        print(f"_symbolic_ll {mu}: {tv!r} {coeffs!r} {jac!r}")
+
+
+if __name__ == "__main__":
+    main()
