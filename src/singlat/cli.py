@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -48,6 +49,13 @@ def _positive_int(text):
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def _fraction(text):
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
 
 
 def _usage_error(msg):
@@ -121,9 +129,7 @@ def cmd_verify_kappa(args):
 
 def cmd_jacobi_dim(args):
     cls = _parse_class(args.cls)
-    lam = None
-    if args.at is not None:
-        lam = Fraction(args.at)
+    lam = args.at
     try:
         dim = verify.jacobi_dimension(cls, lam)
     except verify.JacobiRankError as exc:
@@ -150,16 +156,24 @@ def _report_outcomes(outcomes):
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def _parse_tvec(text):
-    raw = json.loads(text)
-    out = []
-    for v in raw:
-        if isinstance(v, (list, tuple)):
-            out.append(complex(v[0], v[1]))
-        elif isinstance(v, str):
-            out.append(Fraction(v))
-        else:
-            out.append(v)
+def _json(text):
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise _Usage(f"not JSON: {text!r} ({exc})")
+
+
+def _parse_vec(raw, n):
+    """n numbers from a decoded JSON list: [re, im] pairs become complex,
+    strings rational; other numbers stay as they are (`v + 0` rejects
+    null and objects)."""
+    try:
+        out = [complex(*v) if isinstance(v, list) else
+               Fraction(v) if isinstance(v, str) else v + 0 for v in raw]
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise _Usage(f"bad vector {raw!r}: {exc}")
+    if len(out) != n:
+        raise _Usage(f"need {n} components, got {len(out)} in {raw!r}")
     return out
 
 
@@ -168,7 +182,7 @@ def cmd_ll_eval(args):
     if cls.family != "A":
         return _usage_error("exact evaluation covers the A family")
     t = [Fraction(v) if not isinstance(v, complex) else v
-         for v in _parse_tvec(args.t)]
+         for v in _parse_vec(_json(args.t), cls.mu)]
     if any(isinstance(v, complex) for v in t):
         return _usage_error("exact evaluation needs rational parameters")
     p = llmap.ll_exact_A(cls.mu, t)
@@ -179,7 +193,7 @@ def cmd_ll_eval(args):
 
 def cmd_ll_fiber(args):
     cls = _parse_class(args.cls)
-    target = [complex(v) for v in _parse_tvec(args.p)] + [1.0]
+    target = [complex(v) for v in _parse_vec(_json(args.p), cls.mu)] + [1.0]
     fc = llmap.ll_fiber_count(cls, llmap.LLPoint(tuple(target)),
                               budget=args.budget,
                               tol_cluster=args.tol_cluster)
@@ -192,9 +206,10 @@ def cmd_ll_fiber(args):
 
 
 def cmd_wall_walk(args):
-    path = json.loads(args.path)
-    waypoints = [[complex(v[0], v[1]) if isinstance(v, (list, tuple)) else v
-                  for v in wp] for wp in path]
+    path = _json(args.path)
+    if not isinstance(path, list) or not path:
+        raise _Usage("the path must be a non-empty JSON list of waypoints")
+    waypoints = [_parse_vec(wp, args.mu) for wp in path]
     word = llmap.wall_walk_A(args.mu, waypoints, steps=args.steps,
                              tol_wall=args.tol_wall, tol_disc=args.tol_disc)
     _emit({"mu": args.mu, "word": list(word.letters)})
@@ -279,7 +294,8 @@ def cmd_scorecard(args):
         if ns is not None:
             orbit_jobs.append((label, "stokes", ns))
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        workers = min(args.jobs, os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_orbit_entry, *job) for job in orbit_jobs]
             entries.extend(f.result() for f in futures)
     else:
@@ -347,7 +363,7 @@ def build_parser():
 
     p = add("jacobi-dim", cmd_jacobi_dim, help="Jacobi algebra dimension")
     p.add_argument("cls")
-    p.add_argument("--at", default=None, metavar="P/Q",
+    p.add_argument("--at", type=_fraction, default=None, metavar="P/Q",
                    help="rational family parameter (default: symbolic)")
 
     p = add("ll-eval", cmd_ll_eval,
@@ -376,7 +392,8 @@ def build_parser():
             help="run the verification scorecard")
     p.add_argument("--extended", action="store_true",
                    help="include the long-running orbit certifications")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1,
+                   help="orbit worker processes (at most the CPU count)")
 
     return ap
 

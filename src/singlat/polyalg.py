@@ -2,14 +2,16 @@
 
 Everything here is exact: coefficients are Fractions, elements of small
 cyclotomic extensions of Q (for i and the primitive 8th root of unity),
-or rational functions in one parameter over such a field.  MultiPoly is
-a sparse Laurent polynomial in named variables over any of these
-coefficient domains; the domains only need +, -, *, / and a truthiness
+or rational functions in one parameter over such a field (the symbolic
+Jacobi rank needs that field; the symmetry checks stay polynomial).
+MultiPoly is a sparse Laurent polynomial in named variables over any of
+these coefficient domains; the domains only need +, -, *, / and a truthiness
 test, so they mix freely through Python's operator coercion.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -156,6 +158,9 @@ class Cyclo:
         return self.coeffs == o.coeffs
 
     def __hash__(self):
+        # a rational element equals its Fraction, so it hashes like one
+        if not any(self.coeffs[1:]):
+            return hash(self.coeffs[0])
         return hash((self.field.name, self.coeffs))
 
     def __neg__(self):
@@ -362,16 +367,6 @@ class RatFunc:
             base = base * base
             n >>= 1
         return out
-
-    def den_is_power_of(self, root_shift):
-        """True iff den = (x - root_shift)^k for some k >= 0."""
-        den = list(self.den)
-        while len(den) > 1:
-            q, r = _poly_divmod(den, [-root_shift, 1])
-            if _poly_trim(r):
-                return False
-            den = q if q else [1]
-        return True
 
     def eval_complex(self, value):
         def ev(cs):
@@ -582,38 +577,34 @@ class MultiPoly:
         return MultiPoly(self.vars, terms)
 
     def subst(self, mapping):
-        """Simultaneous substitution name -> MultiPoly or scalar."""
-        images = {}
-        keep = []
-        for v in self.vars:
-            if v in mapping:
-                img = mapping[v]
-                if not isinstance(img, MultiPoly):
-                    img = MultiPoly.const((), Fraction(img) if isinstance(img, int) else img)
-                images[v] = img
-            else:
-                keep.append(v)
-        out_vars = list(keep)
-        for img in images.values():
-            for v in img.vars:
-                if v not in out_vars:
-                    out_vars.append(v)
-        out_vars = tuple(out_vars)
-        out = MultiPoly.zero(out_vars)
+        """Simultaneous substitution name -> MultiPoly or scalar.  Terms are
+        grouped by their exponents on the substituted variables; the kept
+        exponents are copied, and each group is multiplied by cached powers
+        of the images."""
+        sub = [i for i, v in enumerate(self.vars) if v in mapping]
+        keep = [i for i, v in enumerate(self.vars) if v not in mapping]
+        images = [m if isinstance(m, MultiPoly) else MultiPoly.const((), m)
+                  for m in (mapping[self.vars[i]] for i in sub)]
+        out_vars = [self.vars[i] for i in keep]
+        for img in images:
+            out_vars += [u for u in img.vars if u not in out_vars]
+        images = [img.with_vars(out_vars) for img in images]
+        tail = (0,) * (len(out_vars) - len(keep))
+        groups = {}
         for expo, c in self.terms.items():
-            term = MultiPoly.const(out_vars, c)
-            for v, e in zip(self.vars, expo):
-                if e == 0:
-                    continue
-                if v in images:
-                    term = term * (images[v].with_vars(
-                        tuple(out_vars)) if set(images[v].vars) <= set(out_vars)
-                        else images[v]) ** e
-                else:
-                    term = term * MultiPoly(out_vars, {tuple(
-                        e if u == v else 0 for u in out_vars): Fraction(1)})
-            out = out + term
-        return out.with_vars(out_vars) if out.vars != out_vars else out
+            kept = tuple(expo[i] for i in keep) + tail
+            groups.setdefault(tuple(expo[i] for i in sub), {})[kept] = c
+        powers = {}
+        out = MultiPoly.zero(out_vars)
+        for key, terms in groups.items():
+            part = MultiPoly(out_vars, terms)
+            for k, e in enumerate(key):
+                if e:
+                    if (k, e) not in powers:
+                        powers[k, e] = images[k] ** e
+                    part = part * powers[k, e]
+            out = out + part
+        return out
 
     def coefficient_split(self, on_vars):
         """Split into {exponent-on-on_vars: MultiPoly in remaining vars}."""
@@ -731,7 +722,8 @@ def parse_poly(text, vars):
     text = text.strip()
     if text in ("", "0"):
         return MultiPoly.zero(vars)
-    tokens = text.replace("-", "+-").split("+")
+    # a '-' directly after '^' belongs to a negative exponent
+    tokens = re.sub(r"(?<!\^)-", "+-", text).split("+")
     poly = MultiPoly.zero(vars)
     for tok in tokens:
         tok = tok.strip()

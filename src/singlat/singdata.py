@@ -18,13 +18,12 @@ import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 
 from .lattice import (StokesMatrix, symmetrized_form, monodromy_from_stokes,
                       is_connected, is_quasiunipotent, definiteness,
                       radical_rank, tensor_rows)
-from .polyalg import (MultiPoly, WeightSystem, RatFunc, Cyclo, GAUSS, ZETA8,
-                      parse_poly)
+from .polyalg import MultiPoly, WeightSystem, Cyclo, GAUSS, ZETA8, parse_poly
 
 F = Fraction
 
@@ -154,8 +153,12 @@ def unfolding_monomials(cls: SingularityClass):
     return [parse_poly(t, cls.xvars) for t in texts]
 
 
+@lru_cache(maxsize=None)
 def unfolding(cls: SingularityClass) -> MultiPoly:
-    """f + sum_j t_j m_j over (x, t) and, for the elliptic families, la."""
+    """f + sum_j t_j m_j over (x, t) and, for the elliptic families, la.
+
+    Built once per class and shared: no code writes MultiPoly.terms or
+    .vars in place, so callers cannot change the cached polynomial."""
     f = normal_form(cls)
     vs = cls.xvars + cls.tvars + (("la",) if cls.is_elliptic else ())
     out = f.with_vars(vs)
@@ -215,8 +218,12 @@ class SymmetryDatum:
                    with `exclusions` naming the t-variables the unprinted
                    remainder of each component must avoid
     lam_image      'inv' (la -> 1/la) or 'one-minus' (la -> 1-la)
-    root_order     m with la realized as nu^m (minimal power clearing the
-                   printed fractional exponents)
+    root_order     m with la realized as nu^m for 'inv' (minimal power
+                   clearing the printed fractional exponents); 1 for
+                   'one-minus', where la = 1 - a^-1 with a = 1/(1-la).
+                   Both realisations embed the parameter ring injectively
+                   (see sym_field), so the tables hold exactly when they
+                   hold over the family parameter
     cyclo          cyclotomic field adjoined (None, GAUSS or ZETA8)
     printed        'full' if every component is printed, else 'partial'
     """
@@ -231,12 +238,42 @@ class SymmetryDatum:
     exclusions: dict = None
 
 
-def sym_field(m, cyclo=None):
-    """(nu, la) with la realized as nu^m, in the field Q(nu) or, with a
-    cyclotomic field, Q(zeta)(nu).  The one builder of nu."""
-    one = Fraction(1) if cyclo is None else Cyclo(cyclo, [1])
-    nu = RatFunc("nu", [0 * one, one], [one], normalize=False)
-    return nu, nu ** m
+def sym_field(lam_image, m=1):
+    """(g, la): the Laurent generator g of a symmetry's parameter ring and
+    la written in it, both MultiPolys over Q.  The one builder of nu and a.
+
+    'inv' (la -> 1/la): g = nu with la = nu^m.  Q(la) embeds in Q(nu), and
+    1/la = nu^-m.
+    'one-minus' (la -> 1 - la): g = a = 1/(1 - la) with la = 1 - a^-1
+    (m is 1).  This identifies Q[la, 1/(1 - la)] with Q[a, 1/a], and
+    1 - la = a^-1.
+
+    Both maps are injective ring homomorphisms, so an identity holds in
+    the Laurent ring exactly when it holds over la.  Every inverse the
+    tables take is a monomial; a non-monomial inverse raises."""
+    if lam_image == "inv":
+        nu = MultiPoly.var("nu")
+        return nu, nu ** m
+    if lam_image == "one-minus":
+        a = MultiPoly.var("a")
+        return a, 1 - a ** -1
+    raise ValueError(f"no parameter field for the la-image {lam_image!r}")
+
+
+def _poly(terms, vs):
+    """A table entry over the variables vs from {exponent: coefficient}.
+    A coefficient is rational, cyclotomic or a Laurent polynomial in the
+    field generator of sym_field, whose variable then joins vs."""
+    out = MultiPoly.zero(vs)
+    for e, c in terms.items():
+        out = out + MultiPoly(vs, {e: F(1)}) * c
+    return out
+
+
+def _scalings(tv, scale):
+    """The diagonal parameter map t_j -> scale[j] t_j."""
+    return {t: _poly({tuple(int(u == t) for u in tv): scale[j]}, tv)
+            for j, t in enumerate(tv, start=1)}
 
 
 def symmetry_data(cls: SingularityClass):
@@ -258,36 +295,28 @@ def _d_family_symmetries(cls):
     out.append(SymmetryDatum("phi2", phi2, {}, psi2, "id", 1, None))
     if cls.mu == 4:
         i_ = Cyclo.gen(GAUSS)
-        one = Cyclo(GAUSS, [1])
-
-        def C(c):
-            return c * one if not isinstance(c, Cyclo) else c
-
-        def P(terms, vs):
-            return MultiPoly(vs, {e: C(c) for e, c in terms.items()})
-
         # phi3(x) = (-x0/2 - i x1/2, 3i x0/2 + x1/2)
         phi3 = {
-            "x0": P({(1, 0): C(F(-1, 2)), (0, 1): F(-1, 2) * i_}, xv),
-            "x1": P({(1, 0): F(3, 2) * i_, (0, 1): C(F(1, 2))}, xv),
+            "x0": _poly({(1, 0): F(-1, 2), (0, 1): F(-1, 2) * i_}, xv),
+            "x1": _poly({(1, 0): F(3, 2) * i_, (0, 1): F(1, 2)}, xv),
         }
         # Phi3 shifts by multiples of t4; the tabulated x1-shift is i/4 * t4
         # (the unique ansatz making the identity close, cf. the derivation
         # in verify.check_simple_symmetry).
         vs = xv + ("t4",)
         psi_shift3 = {
-            "x0": P({(1, 0, 0): C(1), (0, 0, 1): C(F(-1, 4))}, vs),
-            "x1": P({(0, 1, 0): C(1), (0, 0, 1): F(1, 4) * i_}, vs),
+            "x0": _poly({(1, 0, 0): 1, (0, 0, 1): F(-1, 4)}, vs),
+            "x1": _poly({(0, 1, 0): 1, (0, 0, 1): F(1, 4) * i_}, vs),
         }
         tv = cls.tvars
         psi3 = {
-            "t1": P({(1, 0, 0, 0): C(1), (0, 1, 0, 1): F(1, 4) * i_,
-                     (0, 0, 1, 1): C(F(-1, 4)), (0, 0, 0, 3): C(F(1, 16))}, tv),
-            "t2": P({(0, 1, 0, 0): C(F(1, 2)), (0, 0, 1, 0): F(-1, 2) * i_,
-                     (0, 0, 0, 2): F(1, 8) * i_}, tv),
-            "t3": P({(0, 1, 0, 0): F(3, 2) * i_, (0, 0, 1, 0): C(F(-1, 2)),
-                     (0, 0, 0, 2): C(F(3, 8))}, tv),
-            "t4": P({(0, 0, 0, 1): C(1)}, tv),
+            "t1": _poly({(1, 0, 0, 0): 1, (0, 1, 0, 1): F(1, 4) * i_,
+                         (0, 0, 1, 1): F(-1, 4), (0, 0, 0, 3): F(1, 16)}, tv),
+            "t2": _poly({(0, 1, 0, 0): F(1, 2), (0, 0, 1, 0): F(-1, 2) * i_,
+                         (0, 0, 0, 2): F(1, 8) * i_}, tv),
+            "t3": _poly({(0, 1, 0, 0): F(3, 2) * i_, (0, 0, 1, 0): F(-1, 2),
+                         (0, 0, 0, 2): F(3, 8)}, tv),
+            "t4": _poly({(0, 0, 0, 1): 1}, tv),
         }
         out.append(SymmetryDatum("phi3", phi3, psi_shift3, psi3, "id", 1, GAUSS))
     return out
@@ -303,50 +332,36 @@ def _te6_symmetry(which):
     tv = tuple(f"t{j}" for j in range(1, 8))
     if which == "psi2":
         m = 2
-        nu, la = sym_field(m)
-        half = nu          # la^(1/2)
-        one = nu ** 0
-        P = lambda terms, vs: MultiPoly(vs, terms)
-        phi = {"x0": P({(1, 0, 0): la ** -1}, xv),
-               "x1": P({(0, 1, 0): one}, xv),
-               "x2": P({(0, 0, 1): half}, xv)}
-        shift = {}
+        half, la = sym_field("inv", m)      # half = la^(1/2)
+        phi = {"x0": _poly({(1, 0, 0): la ** -1}, xv),
+               "x1": _poly({(0, 1, 0): 1}, xv),
+               "x2": _poly({(0, 0, 1): half}, xv)}
         scale = {1: 1, 2: la ** -1, 3: 1, 4: half, 5: la ** -2, 6: la ** -1,
                  7: half}
-        psi = {f"t{j}": P({tuple(1 if k == j - 1 else 0 for k in range(7)):
-                           (one * scale[j])}, tv)
-               for j in range(1, 8)}
-        return SymmetryDatum("psi2", phi, shift, psi, "inv", m, None)
-    m = 1
+        return SymmetryDatum("psi2", phi, {}, _scalings(tv, scale), "inv", m,
+                             None)
     i_ = Cyclo.gen(GAUSS)
-    one = Cyclo(GAUSS, [1])
-    C = lambda c: one * c
-
-    def P(terms, vs):
-        return MultiPoly(vs, {e: (c if isinstance(c, (Cyclo, RatFunc)) else C(c))
-                              for e, c in terms.items()})
-
-    phi = {"x0": P({(1, 0, 0): C(-1)}, xv),
-           "x1": P({(0, 1, 0): C(1), (1, 0, 0): C(-1)}, xv),
-           "x2": P({(0, 0, 1): i_}, xv)}
+    phi = {"x0": _poly({(1, 0, 0): -1}, xv),
+           "x1": _poly({(0, 1, 0): 1, (1, 0, 0): -1}, xv),
+           "x2": _poly({(0, 0, 1): i_}, xv)}
     # shift in the changed coordinates (the tabulated pre-change shift
     # x2 - (i/2) t7 conjugated through phi)
     vs = xv + ("t7",)
-    shift = {"x2": P({(0, 0, 1, 0): C(1), (0, 0, 0, 1): C(F(1, 2))}, vs)}
+    shift = {"x2": _poly({(0, 0, 1, 0): 1, (0, 0, 0, 1): F(1, 2)}, vs)}
     e = lambda *idx: tuple(idx)
     psi = {
-        "t1": P({e(1, 0, 0, 0, 0, 0, 0): C(1),
-                 e(0, 0, 0, 1, 0, 0, 1): C(F(1, 2))}, tv),
-        "t2": P({e(0, 1, 0, 0, 0, 0, 0): C(-1), e(0, 0, 1, 0, 0, 0, 0): C(-1),
-                 e(0, 0, 0, 0, 0, 0, 2): C(F(-1, 4))}, tv),
-        "t3": P({e(0, 0, 1, 0, 0, 0, 0): C(1),
-                 e(0, 0, 0, 0, 0, 0, 2): C(F(1, 2))}, tv),
-        "t4": P({e(0, 0, 0, 1, 0, 0, 0): i_}, tv),
-        "t5": P({e(0, 0, 0, 0, 1, 0, 0): C(1), e(0, 0, 0, 0, 0, 1, 0): C(1)}, tv),
-        "t6": P({e(0, 0, 0, 0, 0, 1, 0): C(-1)}, tv),
-        "t7": P({e(0, 0, 0, 0, 0, 0, 1): i_}, tv),
+        "t1": _poly({e(1, 0, 0, 0, 0, 0, 0): 1,
+                     e(0, 0, 0, 1, 0, 0, 1): F(1, 2)}, tv),
+        "t2": _poly({e(0, 1, 0, 0, 0, 0, 0): -1, e(0, 0, 1, 0, 0, 0, 0): -1,
+                     e(0, 0, 0, 0, 0, 0, 2): F(-1, 4)}, tv),
+        "t3": _poly({e(0, 0, 1, 0, 0, 0, 0): 1,
+                     e(0, 0, 0, 0, 0, 0, 2): F(1, 2)}, tv),
+        "t4": _poly({e(0, 0, 0, 1, 0, 0, 0): i_}, tv),
+        "t5": _poly({e(0, 0, 0, 0, 1, 0, 0): 1, e(0, 0, 0, 0, 0, 1, 0): 1}, tv),
+        "t6": _poly({e(0, 0, 0, 0, 0, 1, 0): -1}, tv),
+        "t7": _poly({e(0, 0, 0, 0, 0, 0, 1): i_}, tv),
     }
-    return SymmetryDatum("psi3", phi, shift, psi, "one-minus", m, GAUSS)
+    return SymmetryDatum("psi3", phi, shift, psi, "one-minus", 1, GAUSS)
 
 
 def _te7_symmetry(which):
@@ -354,61 +369,53 @@ def _te7_symmetry(which):
     tv = tuple(f"t{j}" for j in range(1, 9))
     if which == "psi2":
         m = 4
-        nu, la = sym_field(m)
-        q = nu                     # la^(1/4)
-        P = lambda terms, vs: MultiPoly(vs, terms)
-        phi = {"x0": P({(1, 0): q ** -3}, xv), "x1": P({(0, 1): q}, xv)}
-        scale = {1: q ** 0, 2: q ** -3, 3: q, 4: q ** -6,
+        q, _ = sym_field("inv", m)          # q = la^(1/4)
+        phi = {"x0": _poly({(1, 0): q ** -3}, xv), "x1": _poly({(0, 1): q}, xv)}
+        scale = {1: 1, 2: q ** -3, 3: q, 4: q ** -6,
                  5: q ** -2, 6: q ** 2, 7: q ** -5, 8: q ** -1}
-        psi = {f"t{j}": P({tuple(1 if k == j - 1 else 0 for k in range(8)):
-                           scale[j]}, tv) for j in range(1, 9)}
-        return SymmetryDatum("psi2", phi, {}, psi, "inv", m, None)
-    m = 1
+        return SymmetryDatum("psi2", phi, {}, _scalings(tv, scale), "inv", m,
+                             None)
     xi = Cyclo.gen(ZETA8)
-    one = Cyclo(ZETA8, [1])
-    _, la = sym_field(m, ZETA8)
-    A = one / (1 - la)            # 1/(1-la) as a RatFunc over Q(zeta8)
+    _, la = sym_field("one-minus")
+    A = (1 - la) ** -1                      # 1/(1-la), the generator a
 
-    def P(terms, vs):
-        return MultiPoly(vs, {e: (c if isinstance(c, (Cyclo, RatFunc)) else one * c)
-                              for e, c in terms.items()})
-
-    phi = {"x0": P({(1, 0): -xi}, xv),
-           "x1": P({(0, 1): xi, (1, 0): -xi}, xv)}
+    phi = {"x0": _poly({(1, 0): -xi}, xv),
+           "x1": _poly({(0, 1): xi, (1, 0): -xi}, xv)}
     vs = xv + ("t7", "t8")
-    shift = {"x1": P({(0, 1, 0, 0): one,
-                      (0, 0, 1, 0): -A, (0, 0, 0, 1): -A}, vs)}
+    shift = {"x1": _poly({(0, 1, 0, 0): 1,
+                          (0, 0, 1, 0): -A, (0, 0, 0, 1): -A}, vs)}
 
     def e(**kw):
         return tuple(kw.get(f"t{j}", 0) for j in range(1, 9))
 
     x2, x3 = xi ** 2, xi ** 3
     psi = {
-        "t1": P({e(t1=1): one, e(t3=1, t7=1): -A, e(t3=1, t8=1): -A,
-                 e(t6=1, t7=2): A * A, e(t6=1, t7=1, t8=1): 2 * A * A,
-                 e(t6=1, t8=2): A * A}, tv),
-        "t2": P({e(t2=1): -xi, e(t3=1): -xi,
-                 e(t5=1, t7=1): xi * A, e(t5=1, t8=1): xi * A,
-                 e(t6=1, t7=1): 2 * xi * A, e(t6=1, t8=1): 2 * xi * A,
-                 e(t7=3): xi * A ** 3,
-                 e(t7=2, t8=1): -xi * A * A + 3 * xi * A ** 3,
-                 e(t7=1, t8=2): -2 * xi * A * A + 3 * xi * A ** 3,
-                 e(t8=3): -xi * A * A + xi * A ** 3}, tv),
-        "t3": P({e(t3=1): xi, e(t6=1, t7=1): -2 * xi * A,
-                 e(t6=1, t8=1): -2 * xi * A}, tv),
-        "t4": P({e(t4=1): x2, e(t5=1): x2, e(t6=1): x2,
-                 e(t7=2): -x2 * A + x2 * (2 - la) * A * A,
-                 e(t7=1, t8=1): -x2 * A - 2 * x2 * A + x2 * (2 - la) * 2 * A * A,
-                 e(t8=2): -2 * x2 * A + x2 * (2 - la) * A * A}, tv),
-        "t5": P({e(t5=1): -x2, e(t6=1): -2 * x2,
-                 e(t7=1, t8=1): 2 * x2 * A - 3 * x2 * 2 * A * A,
-                 e(t8=2): 2 * x2 * A - 3 * x2 * A * A,
-                 e(t7=2): -3 * x2 * A * A}, tv),
-        "t6": P({e(t6=1): x2}, tv),
-        "t7": P({e(t7=1): x3 * A * (la - 3), e(t8=1): -2 * x3 * A}, tv),
-        "t8": P({e(t7=1): 3 * x3 * A, e(t8=1): x3 * A * (2 + la)}, tv),
+        "t1": _poly({e(t1=1): 1, e(t3=1, t7=1): -A, e(t3=1, t8=1): -A,
+                     e(t6=1, t7=2): A * A, e(t6=1, t7=1, t8=1): 2 * A * A,
+                     e(t6=1, t8=2): A * A}, tv),
+        "t2": _poly({e(t2=1): -xi, e(t3=1): -xi,
+                     e(t5=1, t7=1): xi * A, e(t5=1, t8=1): xi * A,
+                     e(t6=1, t7=1): 2 * xi * A, e(t6=1, t8=1): 2 * xi * A,
+                     e(t7=3): xi * A ** 3,
+                     e(t7=2, t8=1): -xi * A * A + 3 * xi * A ** 3,
+                     e(t7=1, t8=2): -2 * xi * A * A + 3 * xi * A ** 3,
+                     e(t8=3): -xi * A * A + xi * A ** 3}, tv),
+        "t3": _poly({e(t3=1): xi, e(t6=1, t7=1): -2 * xi * A,
+                     e(t6=1, t8=1): -2 * xi * A}, tv),
+        "t4": _poly({e(t4=1): x2, e(t5=1): x2, e(t6=1): x2,
+                     e(t7=2): -x2 * A + x2 * (2 - la) * A * A,
+                     e(t7=1, t8=1): (-x2 * A - 2 * x2 * A
+                                     + x2 * (2 - la) * 2 * A * A),
+                     e(t8=2): -2 * x2 * A + x2 * (2 - la) * A * A}, tv),
+        "t5": _poly({e(t5=1): -x2, e(t6=1): -2 * x2,
+                     e(t7=1, t8=1): 2 * x2 * A - 3 * x2 * 2 * A * A,
+                     e(t8=2): 2 * x2 * A - 3 * x2 * A * A,
+                     e(t7=2): -3 * x2 * A * A}, tv),
+        "t6": _poly({e(t6=1): x2}, tv),
+        "t7": _poly({e(t7=1): x3 * A * (la - 3), e(t8=1): -2 * x3 * A}, tv),
+        "t8": _poly({e(t7=1): 3 * x3 * A, e(t8=1): x3 * A * (2 + la)}, tv),
     }
-    return SymmetryDatum("psi3", phi, shift, psi, "one-minus", m, ZETA8)
+    return SymmetryDatum("psi3", phi, shift, psi, "one-minus", 1, ZETA8)
 
 
 def _te8_symmetry(which):
@@ -416,39 +423,29 @@ def _te8_symmetry(which):
     tv = tuple(f"t{j}" for j in range(1, 10))
     if which == "psi2":
         m = 2
-        nu, la = sym_field(m)
-        h = nu                     # la^(1/2)
-        one = h ** 0
-        P = lambda terms, vs: MultiPoly(vs, terms)
-        phi = {"x0": P({(1, 0): h ** -1}, xv), "x1": P({(0, 1): one}, xv)}
-        scale = {1: one, 2: h ** -1, 3: la ** -1, 4: one, 5: h ** -3,
-                 6: h ** -1, 7: la ** -1, 8: one, 9: h ** -1}
-        psi = {f"t{j}": P({tuple(1 if k == j - 1 else 0 for k in range(9)):
-                           scale[j]}, tv) for j in range(1, 10)}
-        return SymmetryDatum("psi2", phi, {}, psi, "inv", m, None)
-    m = 1
+        h, la = sym_field("inv", m)         # h = la^(1/2)
+        phi = {"x0": _poly({(1, 0): h ** -1}, xv), "x1": _poly({(0, 1): 1}, xv)}
+        scale = {1: 1, 2: h ** -1, 3: la ** -1, 4: 1, 5: h ** -3,
+                 6: h ** -1, 7: la ** -1, 8: 1, 9: h ** -1}
+        return SymmetryDatum("psi2", phi, {}, _scalings(tv, scale), "inv", m,
+                             None)
     i_ = Cyclo.gen(GAUSS)
-    one = Cyclo(GAUSS, [1])
-    _, la = sym_field(m, GAUSS)
-    A = one / (1 - la)             # 1/(1-la)
+    _, la = sym_field("one-minus")
+    A = (1 - la) ** -1             # 1/(1-la)
     B = A * A                      # 1/(1-la)^2
 
-    def P(terms, vs):
-        return MultiPoly(vs, {e: (c if isinstance(c, (Cyclo, RatFunc)) else one * c)
-                              for e, c in terms.items()})
-
-    phi = {"x0": P({(1, 0): i_}, xv),
-           "x1": P({(0, 1): one, (2, 0): -one}, xv)}
+    phi = {"x0": _poly({(1, 0): i_}, xv),
+           "x1": _poly({(0, 1): 1, (2, 0): -1}, xv)}
     # shift in the changed coordinates; the parameter-map components t7..t9
     # it produces reproduce the printed table exactly, certifying the signs
     vs = xv + ("t7", "t8", "t9")
     shift = {
-        "x0": P({(1, 0, 0, 0, 0): one, (0, 0, 0, 0, 1): F(1, 2) * B}, vs),
-        "x1": P({(0, 1, 0, 0, 0): one,
-                 (0, 0, 1, 0, 0): -A, (0, 0, 0, 1, 0): -A,
-                 (1, 0, 0, 0, 1): la * B,
-                 (0, 0, 0, 0, 2): F(1, 4) * (4 * la * la - 2 * la - 1) * B * B},
-                vs),
+        "x0": _poly({(1, 0, 0, 0, 0): 1, (0, 0, 0, 0, 1): F(1, 2) * B}, vs),
+        "x1": _poly({(0, 1, 0, 0, 0): 1,
+                     (0, 0, 1, 0, 0): -A, (0, 0, 0, 1, 0): -A,
+                     (1, 0, 0, 0, 1): la * B,
+                     (0, 0, 0, 0, 2): F(1, 4) * (4 * la * la - 2 * la - 1)
+                     * B * B}, vs),
     }
 
     def e(**kw):
@@ -457,19 +454,20 @@ def _te8_symmetry(which):
     # fully printed components (1/(la-1) = -A throughout), then the printed
     # leading terms of the rest
     psi = {
-        "t7": P({e(t7=1): -(la - 3) * A, e(t8=1): 2 * A,
-                 e(t9=2): F(1, 2) * (6 * la + 1) * A ** 3}, tv),
-        "t8": P({e(t7=1): -3 * A, e(t8=1): -(la + 2) * A,
-                 e(t9=2): F(1, 4) * (14 * la * la - 11 * la - 2) * B * B}, tv),
-        "t9": P({e(t9=1): i_ * la * la * B}, tv),
+        "t7": _poly({e(t7=1): -(la - 3) * A, e(t8=1): 2 * A,
+                     e(t9=2): F(1, 2) * (6 * la + 1) * A ** 3}, tv),
+        "t8": _poly({e(t7=1): -3 * A, e(t8=1): -(la + 2) * A,
+                     e(t9=2): F(1, 4) * (14 * la * la - 11 * la - 2) * B * B},
+                    tv),
+        "t9": _poly({e(t9=1): i_ * la * la * B}, tv),
     }
     leading = {
-        "t1": P({e(t1=1): one}, tv),
-        "t2": P({e(t2=1): i_}, tv),
-        "t3": P({e(t3=1): -one, e(t4=1): -one}, tv),
-        "t4": P({e(t4=1): one}, tv),
-        "t5": P({e(t5=1): -i_, e(t6=1): -i_}, tv),
-        "t6": P({e(t6=1): i_}, tv),
+        "t1": _poly({e(t1=1): 1}, tv),
+        "t2": _poly({e(t2=1): i_}, tv),
+        "t3": _poly({e(t3=1): -1, e(t4=1): -1}, tv),
+        "t4": _poly({e(t4=1): 1}, tv),
+        "t5": _poly({e(t5=1): -i_, e(t6=1): -i_}, tv),
+        "t6": _poly({e(t6=1): i_}, tv),
     }
     psi.update(leading)
     exclusions = {"t1": ("t1",), "t2": ("t1", "t2"),
@@ -477,7 +475,7 @@ def _te8_symmetry(which):
                   "t4": ("t1", "t2", "t3", "t4", "t5"),
                   "t5": ("t1", "t2", "t3", "t4", "t5", "t6"),
                   "t6": ("t1", "t2", "t3", "t4", "t5", "t6")}
-    return SymmetryDatum("psi3", phi, shift, psi, "one-minus", m, GAUSS,
+    return SymmetryDatum("psi3", phi, shift, psi, "one-minus", 1, GAUSS,
                          printed="partial", exclusions=exclusions)
 
 

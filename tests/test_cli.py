@@ -216,3 +216,27 @@ def test_scorecard_small(capsys, monkeypatch):
     assert code == 0 and doc["passed"]
     names = {e["name"] for e in doc["entries"]}
     assert "orbit:A3:bases" in names and "degree:tE8" in names
+
+
+@pytest.mark.parametrize("argv", [
+    ("jacobi-dim", "tE6", "--at", "1/0"),
+    ("jacobi-dim", "tE6", "--at", "abc"),
+    ("ll-eval", "A3", '["1/3", "7/5"]'),
+    ("ll-eval", "A2", "not json"),
+    ("wall-walk", "2", '[[0.5, [-1.0, 0.0]], [0.5]]'),
+], ids=["at-zero-denominator", "at-not-rational", "ll-eval-length",
+        "ll-eval-not-json", "wall-walk-waypoint-length"])
+def test_bad_input_is_usage_error(capsys, argv):
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "x"])
+def test_bad_jobs_rejected_at_parse(value):
+    # parsing only: no scorecard and no worker process is started
+    from singlat.cli import build_parser
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["scorecard", "--jobs", value])
+    assert exc.value.code == 2

@@ -5,10 +5,11 @@ import pytest
 
 from singlat.lattice import (StokesMatrix, coxeter_dynkin, is_connected,
                              mat_neg, monodromy_from_stokes, tensor_rows)
-from singlat.polyalg import MultiPoly, RatFunc, parse_poly
+from singlat.polyalg import MultiPoly, parse_poly
 from singlat.singdata import (ALL_LABELS, SeedError, normal_form, seed_stokes,
-                              sing_class, symmetry_data, tensor_stokes,
-                              unfolding, unfolding_monomials, weights)
+                              sing_class, sym_field, symmetry_data,
+                              tensor_stokes, unfolding, unfolding_monomials,
+                              weights)
 
 
 class TestClasses:
@@ -119,9 +120,10 @@ class TestSymmetryData:
         datum = {d.label: d for d in symmetry_data(sing_class("tE6"))}["psi2"]
         # la = nu^2; the t5 component is la^-2 t5 = nu^-4 t5
         comp = datum.psi["t5"]
+        assert comp.vars == tuple(f"t{j}" for j in range(1, 8)) + ("nu",)
         (expo, coeff), = comp.terms.items()
-        assert expo == (0, 0, 0, 0, 1, 0, 0)
-        assert coeff == RatFunc.gen("nu") ** -4
+        assert expo == (0, 0, 0, 0, 1, 0, 0, -4)
+        assert coeff == 1
 
     def test_d_family_phi2(self):
         datum = symmetry_data(sing_class("D6"))[0]
@@ -133,6 +135,30 @@ class TestSymmetryData:
         data = {d.label: d for d in symmetry_data(sing_class("D4"))}
         assert set(data) == {"phi2", "phi3"}
         assert data["phi3"].cyclo is not None
+
+    def test_one_minus_realisation(self):
+        # la = 1 - a^-1 with a = 1/(1 - la): 1 - la is the monomial a^-1
+        a, la = sym_field("one-minus")
+        assert 1 - la == a ** -1
+        assert (1 - la) ** -1 == a
+
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    def test_inv_realisation(self, m):
+        nu, la = sym_field("inv", m)
+        assert la == nu ** m
+        assert la ** -1 == nu ** -m
+
+    def test_te7_psi3_coefficient_is_a_squared(self):
+        # the tabulated A^2 = 1/(1-la)^2 is the monomial a^2
+        a, _ = sym_field("one-minus")
+        datum = {d.label: d for d in symmetry_data(sing_class("tE7"))}["psi3"]
+        t1 = datum.psi["t1"]
+        split = t1.coefficient_split(sing_class("tE7").tvars)
+        assert split[(0, 0, 0, 0, 0, 1, 2, 0)] == a ** 2
+
+    def test_unfolding_is_cached(self):
+        cls = sing_class("tE8")
+        assert unfolding(cls) is unfolding(cls)
 
     def test_te7_root_orders(self):
         data = {d.label: d for d in symmetry_data(sing_class("tE7"))}

@@ -68,6 +68,25 @@ class TestUnfoldingIdentities:
         assert out.passed
         assert "unprinted remainder" in out.detail
 
+    def test_dropped_leading_term_touches_excluded_parameters(self,
+                                                              monkeypatch):
+        # without its printed leading term t1, the t1 remainder holds t1
+        import singlat.verify as V
+        real = V.symmetry_data
+
+        def dropped(cls):
+            out = real(cls)
+            for k, d in enumerate(out):
+                if d.label == "psi3":
+                    psi = dict(d.psi, t1=MultiPoly.zero(cls.tvars))
+                    out[k] = dataclasses.replace(d, psi=psi)
+            return out
+
+        monkeypatch.setattr(V, "symmetry_data", dropped)
+        out = V.check_unfolding_identity("tE8", "psi3")
+        assert not out.passed
+        assert out.detail == "remainder of t1 touches excluded parameters"
+
     def test_perturbed_shift_fails(self):
         cls = sing_class("tE6")
         datum = {d.label: d for d in symmetry_data(cls)}["psi3"]

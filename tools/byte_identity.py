@@ -9,7 +9,7 @@ It records the stdout and exit code of the CLI verbs whose results rest on
 the unfoldings (verify-symmetry, verify-kappa, jacobi-dim, ll-eval,
 ll-fiber, counts) and the repr of critical_values_numeric, wall_walk_A
 and the symbolic chain-family LL coefficients.  Inputs are seeded, so the
-output is deterministic.  The battery takes about 20 s on a 2-core host.
+output is deterministic.  The battery takes about 4 s on a 2-core host.
 """
 
 import contextlib
