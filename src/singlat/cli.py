@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -48,6 +49,17 @@ def _positive_int(text):
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _positive_float(text):
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be positive and finite, got {text!r}")
     return value
 
 
@@ -130,6 +142,8 @@ def cmd_verify_kappa(args):
 def cmd_jacobi_dim(args):
     cls = _parse_class(args.cls)
     lam = args.at
+    if cls.is_elliptic and lam in (0, 1):
+        raise _Usage("family parameter must avoid 0 and 1")
     try:
         dim = verify.jacobi_dimension(cls, lam)
     except verify.JacobiRankError as exc:
@@ -374,16 +388,17 @@ def build_parser():
     p = add("ll-fiber", cmd_ll_fiber, help="numeric fiber count over a target")
     p.add_argument("cls")
     p.add_argument("p", help="JSON list of the mu non-leading coefficients")
-    p.add_argument("--budget", type=int, default=600)
-    p.add_argument("--tol-cluster", type=float, default=llmap.TOL_DEDUP)
+    p.add_argument("--budget", type=_positive_int, default=600)
+    p.add_argument("--tol-cluster", type=_positive_float,
+                   default=llmap.TOL_DEDUP)
 
     p = add("wall-walk", cmd_wall_walk,
             help="braid word emitted along a parameter path")
-    p.add_argument("mu", type=int)
+    p.add_argument("mu", type=_positive_int)
     p.add_argument("path", help="JSON list of waypoints (lists of [re, im])")
-    p.add_argument("--steps", type=int, default=2000)
-    p.add_argument("--tol-wall", type=float, default=llmap.TOL_WALL)
-    p.add_argument("--tol-disc", type=float, default=llmap.TOL_DISC)
+    p.add_argument("--steps", type=_positive_int, default=2000)
+    p.add_argument("--tol-wall", type=_positive_float, default=llmap.TOL_WALL)
+    p.add_argument("--tol-disc", type=_positive_float, default=llmap.TOL_DISC)
 
     p = add("diagram", cmd_diagram, help="seed diagram in DOT format")
     p.add_argument("cls")

@@ -281,58 +281,94 @@ class FiberCount:
     solutions: tuple
 
 
+def _newton_rows(G, J, starts):
+    """Newton's method on every row of starts at once.
+
+    G maps an (n, m) array of points to the (n, m) residuals, J to the
+    (n, m, m) Jacobians.  A row converges when max|g| < 1e-11 and is dropped
+    when its Jacobian is singular or its step exceeds 1e6 in modulus; after
+    120 iterations the rest are dropped.  Returns the converged mask and the
+    final points."""
+    T = np.array(starts, dtype=complex)
+    ok = np.zeros(len(T), dtype=bool)
+    live = np.arange(len(T))
+    for _ in range(120):
+        g = G(T[live])
+        done = np.max(np.abs(g), axis=1) < 1e-11
+        ok[live[done]] = True
+        live, g = live[~done], g[~done]
+        if not live.size:
+            break
+        jac = J(T[live])
+        keep = np.ones(len(live), dtype=bool)
+        try:
+            step = np.linalg.solve(jac, g[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            # the stacked solve fails as a whole: drop the singular rows only
+            step = np.zeros_like(g)
+            for i in range(len(live)):
+                try:
+                    step[i] = np.linalg.solve(jac[i], g[i])
+                except np.linalg.LinAlgError:
+                    keep[i] = False
+        keep &= ~(np.max(np.abs(step), axis=1) > 1e6)
+        live, step = live[keep], step[keep]
+        T[live] -= step
+    return ok, T
+
+
+def _ll_system(mu, p: LLPoint):
+    """Residual G and Jacobian J of the chain family's coefficient-matching
+    system c_k(t) = p_k (k < mu), each evaluated on an (n, mu) array of
+    parameter rows."""
+    tv, coeffs, jac = _symbolic_ll(mu)
+    target = np.array([complex(c) for c in p.coeffs[:mu]])
+
+    def ev(poly, T):
+        return np.broadcast_to(
+            poly.eval_complex({tn: T[:, k] for k, tn in enumerate(tv)}),
+            len(T))
+
+    def G(T):
+        return np.stack([ev(c, T) for c in coeffs], axis=1) - target
+
+    def J(T):
+        return np.stack([np.stack([ev(d, T) for d in row], axis=1)
+                         for row in jac], axis=1)
+
+    return G, J
+
+
 def ll_fiber_count(cls_or_label, p: LLPoint, budget=600, *, seed=5,
                    tol_cluster=TOL_DEDUP) -> FiberCount:
     """Number of parameter points mapping to the target configuration,
     located by multistart Newton on the coefficient-matching system.
 
-    Only mu = 2 and 3 are supported; the target must be square-free.  The
+    Only mu = 2 and 3 are supported; the target must be square-free.  All
+    budget starts are drawn up front from random.Random(seed) and iterated
+    together; the converged ones are deduplicated in start order.  The
     saturation flag records that no new solution appeared during the last
     half of the start budget."""
     cls = sing_class(cls_or_label)
     if cls.family != "A" or cls.mu not in (2, 3):
         raise ValueError("fiber counting is desk-scale: chain family, mu in {2, 3}")
+    if budget < 1:
+        raise ValueError(f"the start budget must be at least 1, got {budget}")
     mu = cls.mu
     if p.degree != mu:
         raise ValueError("target degree mismatch")
     sylv_roots = p.roots()
     if min(abs(a - b) for a, b in itertools.combinations(sylv_roots, 2)) < 1e-5:
         raise ValueError("target has a (near-)multiple root")
-    tv, coeffs, jac = _symbolic_ll(mu)
-    target = np.array([complex(c) for c in p.coeffs[:mu]])
-
-    def G(tvec):
-        vals = {tn: tvec[k] for k, tn in enumerate(tv)}
-        return np.array([c.eval_complex(vals) for c in coeffs]) - target
-
-    def J(tvec):
-        vals = {tn: tvec[k] for k, tn in enumerate(tv)}
-        return np.array([[jac[i][k].eval_complex(vals) for k in range(mu)]
-                         for i in range(mu)])
-
     rng = random.Random(seed)
+    starts = [[complex(rng.gauss(0, 2), rng.gauss(0, 2)) for _ in range(mu)]
+              for _ in range(budget)]
+    ok, T = _newton_rows(*_ll_system(mu, p), starts)
     sols = []
     last_new = 0
-    for s in range(budget):
-        tvec = np.array([complex(rng.gauss(0, 2), rng.gauss(0, 2))
-                         for _ in range(mu)])
-        ok = False
-        for _ in range(120):
-            g = G(tvec)
-            if np.max(np.abs(g)) < 1e-11:
-                ok = True
-                break
-            try:
-                step = np.linalg.solve(J(tvec), g)
-            except np.linalg.LinAlgError:
-                break
-            if np.max(np.abs(step)) > 1e6:
-                break
-            tvec = tvec - step
-        if not ok:
-            continue
-        if all(np.max(np.abs(tvec - s0)) > tol_cluster for s0 in sols):
-            sols.append(tvec)
+    for s in map(int, np.flatnonzero(ok)):
+        if all(np.max(np.abs(T[s] - s0)) > tol_cluster for s0 in sols):
+            sols.append(T[s])
             last_new = s
     return FiberCount(count=len(sols), saturated=last_new < budget // 2,
                       starts=budget, solutions=tuple(tuple(v) for v in sols))
@@ -341,6 +377,62 @@ def ll_fiber_count(cls_or_label, p: LLPoint, budget=600, *, seed=5,
 # ---------------------------------------------------------------------------
 # wall walking
 # ---------------------------------------------------------------------------
+
+# Path samples whose critical values are computed in one stacked eigenvalue
+# call; bounds the walk's working memory whatever the step count.
+WALK_CHUNK = 256
+
+
+def _chain_values(mu, T, X):
+    """Critical values x^(mu+1) + sum_j t_j x^(j-1) at the critical points X
+    (shape (n, mu)) of the parameter rows T."""
+    acc = 0
+    for j in range(1, mu + 1):
+        acc = acc + T[:, j - 1, None] * X ** (j - 1)
+    return X ** (mu + 1) + acc
+
+
+def _walk_values(mu, T):
+    """Unpolished critical values of the chain unfolding at each row of T,
+    as lists of complex, in row order.
+
+    Rows go through one stacked eigenvalue call over the companion matrices
+    np.roots builds; a row whose derivative has a zero constant term (which
+    np.roots deflates) or a chunk the stacked call rejects goes through
+    np.roots row by row, so an error surfaces at its own row."""
+    # descending coefficients of (mu+1) x^mu + sum_j (j-1) t_j x^(j-2)
+    P = np.zeros((len(T), mu + 1), dtype=complex)
+    P[:, 0] = mu + 1
+    for j in range(2, mu + 1):
+        P[:, mu + 2 - j] += (j - 1) * T[:, j - 1]
+    deflated = P[:, -1] == 0
+    A = np.zeros((len(T), mu, mu), dtype=complex)
+    A[:, 0, :] = -P[:, 1:] / P[:, :1]
+    A[:, np.arange(1, mu), np.arange(mu - 1)] = 1
+    try:
+        X = np.linalg.eigvals(A)
+    except np.linalg.LinAlgError:
+        deflated[:] = True
+    else:
+        V = _chain_values(mu, T, X).tolist()
+    for i in range(len(T)):
+        if deflated[i]:
+            x = np.roots(P[i])[None, :]
+            yield _chain_values(mu, T[i:i + 1], x)[0].tolist()
+        else:
+            yield V[i]
+
+
+def _path_values(mu, waypoints, steps):
+    """Critical values at the uniform samples k/steps of every segment, then
+    at the last waypoint, evaluated WALK_CHUNK samples at a time."""
+    W = np.array(waypoints, dtype=complex)
+    s = (np.arange(steps) / steps)[:, None]
+    for a, b in zip(W, W[1:]):
+        for k in range(0, steps, WALK_CHUNK):
+            yield from _walk_values(mu, a + s[k:k + WALK_CHUNK] * (b - a))
+    yield from _walk_values(mu, W[-1:])
+
 
 def wall_walk_A(mu, path, steps=2000, *, tol_wall=TOL_WALL,
                 tol_disc=TOL_DISC) -> BraidWord:
@@ -352,6 +444,10 @@ def wall_walk_A(mu, path, steps=2000, *, tol_wall=TOL_WALL,
     Aborts when two critical values collide (the path hit the discriminant)
     or when a wall contact does not resolve within the sample resolution
     (tangential crossing)."""
+    if mu < 1:
+        raise ValueError(f"mu must be at least 1, got {mu}")
+    if steps < 1:
+        raise ValueError(f"steps must be at least 1, got {steps}")
     waypoints = [tuple(complex(c) for c in wp) for wp in path]
     if len(waypoints) < 1:
         raise ValueError("empty path")
@@ -360,30 +456,10 @@ def wall_walk_A(mu, path, steps=2000, *, tol_wall=TOL_WALL,
     if len(waypoints) == 1:
         return BraidWord(())
 
-    # unpolished companion roots: every path sample pays for this call
-    def values_at(tvec):
-        dcoeffs = [complex(0)] * (mu + 1)
-        dcoeffs[mu] = mu + 1
-        for j in range(2, mu + 1):
-            dcoeffs[j - 2] += (j - 1) * tvec[j - 1]
-        xs = np.roots(list(reversed(dcoeffs)))
-        return [complex(x ** (mu + 1) + sum(tvec[j - 1] * x ** (j - 1)
-                                            for j in range(1, mu + 1)))
-                for x in xs]
-
-    # sample the whole path uniformly
-    samples = []
-    for a, b in zip(waypoints, waypoints[1:]):
-        for k in range(steps):
-            s = k / steps
-            samples.append(tuple(x + s * (y - x) for x, y in zip(a, b)))
-    samples.append(waypoints[-1])
-
     letters = []
     prev_vals = None   # tracked values, in the good order of the previous sample
     contact = {}       # adjacent pair -> consecutive samples spent on the wall
-    for tvec in samples:
-        vals = values_at(tvec)
+    for vals in _path_values(mu, waypoints, steps):
         for a, b in itertools.combinations(vals, 2):
             if abs(a - b) < tol_disc:
                 raise ValueError("hit discriminant: critical values collide")

@@ -175,9 +175,12 @@ class TestLLCommands:
 
     def test_ll_fiber_a2(self, capsys):
         # generic target from an exact evaluation: 3 preimages
-        code, doc = run(capsys, "ll-fiber", "A2",
-                        '[[0.518, 0.0], [-0.666, 0.0]]', "--budget", "150")
-        assert code == 0
+        assert main(["ll-fiber", "A2", '[[0.518, 0.0], [-0.666, 0.0]]',
+                     "--budget", "150"]) == 0
+        out = capsys.readouterr().out
+        # a numpy bool would print through str() as "True"
+        assert '"saturated":true' in out
+        doc = json.loads(out)
         assert doc["count"] == 3 and doc["saturated"] is True
 
     def test_wall_walk(self, capsys):
@@ -218,14 +221,32 @@ def test_scorecard_small(capsys, monkeypatch):
     assert "orbit:A3:bases" in names and "degree:tE8" in names
 
 
+WALK = json.dumps([[0.5, [-1.0, 0.0]], [-0.5, [1.0, 0.1]]])
+FIBER = json.dumps([[0.518, 0.0], [-0.666, 0.0]])
+
+
 @pytest.mark.parametrize("argv", [
     ("jacobi-dim", "tE6", "--at", "1/0"),
     ("jacobi-dim", "tE6", "--at", "abc"),
     ("ll-eval", "A3", '["1/3", "7/5"]'),
     ("ll-eval", "A2", "not json"),
     ("wall-walk", "2", '[[0.5, [-1.0, 0.0]], [0.5]]'),
+    ("jacobi-dim", "tE6", "--at", "0"),
+    ("jacobi-dim", "tE7", "--at", "1"),
+    ("wall-walk", "2", WALK, "--steps", "0"),
+    ("wall-walk", "2", WALK, "--steps", "-3"),
+    ("wall-walk", "0", "[[], []]"),
+    ("wall-walk", "2", WALK, "--tol-wall", "-1"),
+    ("wall-walk", "2", WALK, "--tol-disc", "nan"),
+    ("wall-walk", "2", WALK, "--tol-disc", "inf"),
+    ("ll-fiber", "A2", FIBER, "--budget", "0"),
+    ("ll-fiber", "A2", FIBER, "--tol-cluster", "-1"),
+    ("ll-fiber", "A2", FIBER, "--tol-cluster", "0"),
 ], ids=["at-zero-denominator", "at-not-rational", "ll-eval-length",
-        "ll-eval-not-json", "wall-walk-waypoint-length"])
+        "ll-eval-not-json", "wall-walk-waypoint-length", "at-zero",
+        "at-one", "steps-zero", "steps-negative", "walk-mu-zero",
+        "tol-wall-negative", "tol-disc-nan", "tol-disc-inf", "budget-zero",
+        "tol-cluster-negative", "tol-cluster-zero"])
 def test_bad_input_is_usage_error(capsys, argv):
     assert main(list(argv)) == 2
     captured = capsys.readouterr()

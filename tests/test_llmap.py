@@ -9,7 +9,8 @@ from singlat.braid import VanishingTuple, braid_apply_word, \
     sign_canonical_stokes, stokes_of_tuple
 from singlat.lattice import StokesMatrix
 from singlat.llmap import (IncompleteFiber, LLPoint, UnfoldingPoint,
-                           _symbolic_ll, critical_values_numeric,
+                           _ll_system, _newton_rows, _symbolic_ll,
+                           _walk_values, critical_values_numeric,
                            discriminant_member, good_order, ll_exact_A,
                            ll_fiber_count, wall_walk_A)
 from singlat.singdata import weights, sing_class
@@ -182,6 +183,96 @@ class TestFiberCount:
         with pytest.raises(ValueError):
             ll_fiber_count("A4", LLPoint((1j, 0j, 0j, 0j, 1)), budget=10)
 
+    @pytest.mark.parametrize("budget", [0, -4])
+    def test_empty_budget_rejected(self, budget):
+        with pytest.raises(ValueError, match="budget"):
+            ll_fiber_count("A2", target_from_roots((1, -1)), budget=budget)
+
+    # (count, saturated, len(solutions)) of the per-start Newton loop this
+    # batched one replaced, at the same seeded targets and budgets
+    @pytest.mark.parametrize("roots,budget,expect", [
+        (((-1.1788 - 1.1482j), (0.6695 - 2.2939j)), 150, (3, True, 3)),
+        (((-0.1434 - 2.2561j), (1.101 + 0.2029j)), 150, (3, True, 3)),
+        (((1.3563 - 0.5042j), (0.3982 - 0.2859j)), 150, (3, True, 3)),
+        (((-1.1788 - 1.1482j), (0.6695 - 2.2939j)), 6, (3, True, 3)),
+        (((-0.7383 + 0.1453j), (-1.2572 - 0.3547j), (0.6966 + 0.0575j)),
+         600, (16, True, 16)),
+        (((-0.4103 + 2.1895j), (0.0582 - 0.5868j), (0.1596 - 0.5228j)),
+         600, (16, True, 16)),
+        (((-0.1434 - 2.2561j), (1.101 + 0.2029j), (1.3563 - 0.5042j)),
+         40, (15, False, 15)),
+        # 15 of the 16 points, yet flagged saturated: the flag's rule as is
+        (((0.3982 - 0.2859j), (-0.7383 + 0.1453j), (-1.2572 - 0.3547j)),
+         120, (15, True, 15)),
+    ])
+    def test_counts_pinned(self, roots, budget, expect):
+        fc = ll_fiber_count(f"A{len(roots)}", target_from_roots(roots),
+                            budget=budget)
+        assert (fc.count, fc.saturated, len(fc.solutions)) == expect
+        assert type(fc.saturated) is bool
+
+
+def target_from_roots(roots):
+    return LLPoint(tuple(complex(c) for c in reversed(np.poly(roots))))
+
+
+def scalar_newton(mu, p, start):
+    """Reference: the per-start Newton loop that _newton_rows batches, on
+    scalar polynomial evaluations.  The final point, or None when dropped."""
+    tv, coeffs, jac = _symbolic_ll(mu)
+    target = np.array([complex(c) for c in p.coeffs[:mu]])
+    tvec = np.array(start, dtype=complex)
+    for _ in range(120):
+        vals = dict(zip(tv, tvec))
+        g = np.array([c.eval_complex(vals) for c in coeffs]) - target
+        if np.max(np.abs(g)) < 1e-11:
+            return tvec
+        jm = np.array([[d.eval_complex(vals) for d in row] for row in jac])
+        try:
+            step = np.linalg.solve(jm, g)
+        except np.linalg.LinAlgError:
+            return None
+        if np.max(np.abs(step)) > 1e6:
+            return None
+        tvec = tvec - step
+    return None
+
+
+class TestBatchedNewton:
+    @pytest.mark.parametrize("mu", [2, 3])
+    def test_matches_per_start_loop(self, mu):
+        rng = random.Random(43)
+        p = target_from_roots([complex(rng.gauss(0, 1), rng.gauss(0, 1))
+                               for _ in range(mu)])
+        starts = [[complex(rng.gauss(0, 2), rng.gauss(0, 2))
+                   for _ in range(mu)] for _ in range(40)]
+        ok, T = _newton_rows(*_ll_system(mu, p), starts)
+        for k, start in enumerate(starts):
+            ref = scalar_newton(mu, p, start)
+            assert ok[k] == (ref is not None)
+            if ref is not None:
+                assert np.max(np.abs(T[k] - ref)) < 1e-9
+
+    def test_singular_rows_dropped_alone(self):
+        # det J = 8/9 t2^2 for A2: a start with t2 = 0 has an exactly
+        # singular Jacobian, which makes the stacked solve fail as a whole
+        p = target_from_roots((0.7 + 0.2j, -0.4 + 1.1j))
+        G, J = _ll_system(2, p)
+        generic = [[0.3 + 0.4j, 1.2 - 0.5j], [-1.1 + 0.2j, 0.4 + 0.9j],
+                   [0.8 - 1.3j, -0.6 - 0.2j]]
+        singular = [[0.5 + 0.5j, 0j], [-2.0 + 0j, 0j]]
+        starts = [generic[0], singular[0], generic[1], singular[1],
+                  generic[2]]
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(J(np.array(starts)),
+                            G(np.array(starts))[..., None])
+        ok, T = _newton_rows(G, J, starts)
+        ok_g, T_g = _newton_rows(G, J, generic)
+        assert ok_g.all()
+        assert not ok[1] and not ok[3]
+        assert ok[[0, 2, 4]].all()
+        assert np.max(np.abs(T[[0, 2, 4]] - T_g)) < 1e-12
+
 
 class TestWallWalk:
     def test_constant_path_empty_word(self):
@@ -207,3 +298,88 @@ class TestWallWalk:
     def test_discriminant_abort(self):
         with pytest.raises(ValueError, match="discriminant"):
             wall_walk_A(2, [[0.3, 1.0], [0.3, -1.0]], steps=100)
+
+    @pytest.mark.parametrize("mu,path,steps", [
+        (2, [[0.5, -1.0], [-0.5, 1.0 + 0.1j]], 0),
+        (2, [[0.5, -1.0], [-0.5, 1.0 + 0.1j]], -3),
+        (0, [[], []], 10)])
+    def test_meaningless_counts_rejected(self, mu, path, steps):
+        with pytest.raises(ValueError, match="at least 1"):
+            wall_walk_A(mu, path, steps=steps)
+
+    # default-steps words of the per-sample walker this chunked one replaced
+    @pytest.mark.parametrize("path,word", [
+        ([((0.4163 - 0.5246j), (0.3856 - 1.9582j)),
+          ((-1.2549 - 0.0183j), (0.5282 + 0.4691j)),
+          ((0.749 + 0.2751j), (-1.7338 - 0.8939j))], (1, 1, 1)),
+        ([((0.4897 + 1.1454j), (0.6544 - 0.3457j)),
+          ((0.6297 - 2.04j), (1.0221 + 0.8555j)),
+          ((1.2285 - 0.5984j), (0.8538 - 1.855j))], (-1,)),
+        ([((-2.0611 - 0.0176j), (1.7857 + 1.2372j)),
+          ((-1.8477 + 0.1725j), (-1.4335 - 0.53j)),
+          ((0.3106 - 1.3667j), (1.146 - 0.6049j))], (1, 1, 1)),
+        ([((1.234 + 0.2532j), (-0.5 - 2.098j), (0.2828 + 0.1983j)),
+          ((-0.2864 - 1.072j), (0.401 + 2.9293j), (-1.1822 + 0.1983j)),
+          ((0.7201 - 0.7798j), (0.5374 + 1.5729j), (1.2325 - 0.4227j))],
+         (-1, -2, 1, 1, 1, -1, 1, 1, -2)),
+        ([((0.3049 - 0.5892j), (0.5335 - 0.0508j), (0.7508 + 0.6878j)),
+          ((0.6442 + 2.0206j), (-1.0975 + 1.1077j), (0.1413 + 0.4755j)),
+          ((-1.1823 - 0.74j), (0.0654 + 0.5675j), (-0.4078 - 0.0155j))],
+         (2, 1, 2, -1)),
+        ([((0.9198 - 0.2086j), (-0.3944 - 0.9488j), (-1.829 + 1.3378j)),
+          ((-0.8919 - 0.6204j), (0.2798 - 0.7176j), (-1.3918 + 1.3054j)),
+          ((-0.0895 + 0.1894j), (0.2466 - 0.1594j), (1.0509 - 0.7146j))],
+         (-1, 2, -1)),
+        ([((-0.3612 - 2.4337j), (0.3037 - 0.0112j), (0.1318 - 0.9957j),
+           (0.0083 - 0.9743j)),
+          ((0.7345 - 1.6142j), (0.8514 + 0.6763j), (0.2621 + 0.3851j),
+           (0.1777 + 0.5793j)),
+          ((2.0513 - 0.325j), (0.8676 - 1.9023j), (1.5143 + 0.4771j),
+           (0.7028 + 1.1929j))], (-1, -2, -1, -3, -2, -3)),
+        ([((-1.0699 - 0.8857j), (-0.169 + 0.8983j), (-1.231 - 0.454j),
+           (-0.0011 - 0.3406j)),
+          ((0.6779 + 1.3548j), (-0.7071 + 1.5911j), (3.3124 + 0.8322j),
+           (-0.7517 + 1.5682j)),
+          ((1.5245 - 0.1057j), (0.3283 - 0.6019j), (1.1132 + 1.1291j),
+           (-0.7739 - 1.0828j))], (1, 2, -2, -3, -2, 1, 2, 3)),
+        ([((-0.6229 + 0.7857j), (0.454 + 0.6242j), (-0.4291 + 1.0035j),
+           (-0.0561 + 1.2477j)),
+          ((0.2786 - 0.6524j), (-0.1738 - 1.1874j), (-0.2418 - 0.2327j),
+           (1.2759 + 0.2744j)),
+          ((1.2558 + 0.7651j), (-1.3029 - 0.9919j), (-0.3807 + 2.6947j),
+           (0.6636 + 0.7174j))],
+         (-3, -2, -1, -2, -1, -3, -2, -3, 3, -1, 2, 2)),
+    ])
+    def test_words_pinned(self, path, word):
+        assert wall_walk_A(len(path[0]), path).letters == word
+
+    def test_defect_round_trip_pinned(self):
+        # A null-homotopic mu = 3 round trip whose default-steps word has
+        # exponent sum -8, not 0 (the benchmark's known-defect walk).  A
+        # certified walker is expected to change this word.
+        p = [(0.9409 + 0.7478j, 0.7288 - 0.4045j, 0.4341 - 0.3422j),
+             (0.2149 - 0.1355j, -0.8713 + 1.977j, 0.7238 - 2.0566j),
+             (0.8936 - 1.3942j, -0.2321 - 0.5818j, -0.5345 + 0.2408j)]
+        word = wall_walk_A(3, p + p[-2::-1]).letters
+        assert word == (-1, -1, -1, -1, 1, -1, -1, -1, -1, -1,
+                        2, 1, 2, 1, 2, -2, -1, -2, -1, -2)
+        assert sum(1 if x > 0 else -1 for x in word) == -8
+
+    @pytest.mark.parametrize("mu", [1, 2, 3, 4, 5])
+    def test_stacked_values_match_np_roots(self, mu):
+        # reference: the per-sample evaluation through np.roots; rows with
+        # t2 = 0 (and t3 = 0) are the ones np.roots deflates
+        rng = random.Random(47 + mu)
+        T = np.array([[complex(rng.gauss(0, 1), rng.gauss(0, 1))
+                       for _ in range(mu)] for _ in range(60)])
+        T[5, 1:2] = 0
+        T[7, 1:3] = 0
+        got = list(_walk_values(mu, T))
+        for row, vals in zip(T, got):
+            t = [complex(z) for z in row]
+            desc = [mu + 1, 0] + [(j - 1) * t[j - 1] for j in range(mu, 1, -1)]
+            xs = np.roots(desc)
+            ref = [x ** (mu + 1) + sum(t[j - 1] * x ** (j - 1)
+                                       for j in range(1, mu + 1)) for x in xs]
+            assert len(vals) == mu
+            assert np.allclose(vals, ref, rtol=1e-12, atol=1e-12)

@@ -6,10 +6,12 @@ compares the two outputs byte for byte:
     PYTHONPATH=src python tools/byte_identity.py > after.txt
 
 It records the stdout and exit code of the CLI verbs whose results rest on
-the unfoldings (verify-symmetry, verify-kappa, jacobi-dim, ll-eval,
-ll-fiber, counts) and the repr of critical_values_numeric, wall_walk_A
-and the symbolic chain-family LL coefficients.  Inputs are seeded, so the
-output is deterministic.  The battery takes about 4 s on a 2-core host.
+the unfoldings or on the numeric llmap kernels (verify-symmetry,
+verify-kappa, jacobi-dim, ll-eval, ll-fiber, wall-walk, counts) and the
+repr of critical_values_numeric, wall_walk_A (including the default-steps
+round trip of a known-defect path) and the symbolic chain-family LL
+coefficients.  Inputs are seeded, so the output is deterministic.  The
+battery takes about 3 s on a 2-core host.
 """
 
 import contextlib
@@ -20,6 +22,14 @@ from fractions import Fraction
 
 from singlat import cli, llmap
 from singlat.singdata import ALL_LABELS
+
+# A null-homotopic mu = 3 path whose default-steps round trip returns a
+# braid with exponent sum -8 (the benchmark's known-defect walk).
+DEFECT_PATH = (
+    (0.9409 + 0.7478j, 0.7288 - 0.4045j, 0.4341 - 0.3422j),
+    (0.2149 - 0.1355j, -0.8713 + 1.977j, 0.7238 - 2.0566j),
+    (0.8936 - 1.3942j, -0.2321 - 0.5818j, -0.5345 + 0.2408j),
+)
 
 
 def run_cli(*argv):
@@ -66,6 +76,14 @@ def main():
     run_cli("ll-fiber", "A2", json.dumps(["3/7", "-2"]), "--budget", "120")
     run_cli("ll-fiber", "A3", json.dumps(["1", "-1/2", "2"]),
             "--budget", "160")
+    run_cli("ll-fiber", "A3", json.dumps([[0.4, 0.1], [-0.5, 0.0],
+                                          [0.3, 0.2]]))
+    run_cli("wall-walk", "2", json.dumps([[0.3, [1, 0]], [0.3, [0, 1]],
+                                          [0.3, [-1, 0]]]), "--steps", "500")
+    run_cli("wall-walk", "3", json.dumps(
+        [[[0.3049, -0.5892], [0.5335, -0.0508], [0.7508, 0.6878]],
+         [[0.6442, 2.0206], [-1.0975, 1.1077], [0.1413, 0.4755]],
+         [[-1.1823, -0.74], [0.0654, 0.5675], [-0.4078, -0.0155]]]))
     for label in ALL_LABELS:
         run_cli("counts", label)
     for label in ("A3", "A4", "D4", "D5", "E6", "E8"):
@@ -83,6 +101,8 @@ def main():
         path = [[complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
                  for _ in range(mu)] for _ in range(3)]
         show(f"wall_walk_A {mu}", llmap.wall_walk_A, mu, path, steps=400)
+    show("wall_walk_A defect round trip", llmap.wall_walk_A, 3,
+         DEFECT_PATH + DEFECT_PATH[-2::-1])
     for mu in (2, 3, 4):
         tv, coeffs, jac = llmap._symbolic_ll(mu)
         print(f"_symbolic_ll {mu}: {tv!r} {coeffs!r} {jac!r}")
