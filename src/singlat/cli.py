@@ -142,7 +142,9 @@ def cmd_verify_kappa(args):
 def cmd_jacobi_dim(args):
     cls = _parse_class(args.cls)
     lam = args.at
-    if cls.is_elliptic and lam in (0, 1):
+    if lam is not None and not cls.is_elliptic:
+        raise _Usage("--at applies to the simple elliptic classes only")
+    if lam in (0, 1):
         raise _Usage("family parameter must avoid 0 and 1")
     try:
         dim = verify.jacobi_dimension(cls, lam)

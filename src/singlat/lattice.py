@@ -14,11 +14,9 @@ suspension), so no generality is lost for the counting problems.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-
-from .polyalg import field_rank
 
 
 # ---------------------------------------------------------------------------
@@ -35,7 +33,7 @@ def mat_transpose(m):
 
 def mat_mul(a, b):
     bt = list(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
+    return tuple(tuple(sum(map(operator.mul, row, col)) for col in bt)
                  for row in a)
 
 
@@ -65,25 +63,41 @@ def mat_pow(m, k):
     return out
 
 
-def mat_det(m):
-    """Exact determinant over Q."""
-    rows = [[Fraction(x) for x in row] for row in m]
+def _bareiss(m):
+    """Rank and determinant of an integer matrix by fraction-free
+    (Bareiss) elimination over Z.
+
+    Every entry after a step is a minor of the input, so the division by
+    the previous pivot is exact.  The determinant is 0 unless the matrix
+    is square of full rank."""
+    rows = [[operator.index(x) for x in row] for row in m]
     n = len(rows)
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if rows[i][c]), None)
+    cols = len(rows[0]) if rows else 0
+    sign, prev, rank = 1, 1, 0
+    for c in range(cols):
+        piv = next((i for i in range(rank, n) if rows[i][c]), None)
         if piv is None:
-            return Fraction(0)
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            det = -det
-        pv = rows[c][c]
-        det *= pv
-        for i in range(c + 1, n):
-            if rows[i][c]:
-                f = rows[i][c] / pv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-    return det
+            continue
+        if piv != rank:
+            rows[rank], rows[piv] = rows[piv], rows[rank]
+            sign = -sign
+        top = rows[rank]
+        p = top[c]
+        for i in range(rank + 1, n):
+            r = rows[i]
+            f = r[c]
+            rows[i] = r[:c] + [(p * a - f * b) // prev
+                               for a, b in zip(r[c:], top[c:])]
+        prev = p
+        rank += 1
+        if rank == n:
+            break
+    return rank, sign * prev if rank == n == cols else 0
+
+
+def mat_det(m):
+    """Exact integer determinant."""
+    return _bareiss(m)[1]
 
 
 def unit_upper_inverse(s):
@@ -103,26 +117,23 @@ def unit_upper_inverse(s):
 def char_poly(m):
     """Characteristic polynomial det(y*Id - M), ascending integer coefficients.
 
-    Faddeev-LeVerrier over Fractions; the result is integral for integer input.
+    Faddeev-LeVerrier on Python ints: c_k = -tr(M A_k) / k is exact for an
+    integer matrix.  A non-integer entry raises TypeError.
     """
-    n = len(m)
-    mm = tuple(tuple(Fraction(x) for x in row) for row in m)
-    cs = [Fraction(1)]
+    mm = tuple(tuple(operator.index(x) for x in row) for row in m)
+    n = len(mm)
+    cs = [1]  # y^n + cs[1] y^{n-1} + ... + cs[n]
     a = mm
     for k in range(1, n + 1):
-        ck = -sum(a[i][i] for i in range(n)) / k
+        ck, rem = divmod(-sum(a[i][i] for i in range(n)), k)
+        if rem:
+            raise ArithmeticError("characteristic polynomial not integral")
         cs.append(ck)
         if k < n:
             shifted = tuple(tuple(a[i][j] + (ck if i == j else 0)
                                   for j in range(n)) for i in range(n))
             a = mat_mul(mm, shifted)
-    desc = cs  # y^n + cs[1] y^{n-1} + ... + cs[n]
-    out = []
-    for c in reversed(desc):
-        if c.denominator != 1:
-            raise ArithmeticError("characteristic polynomial not integral")
-        out.append(int(c))
-    return tuple(out)  # ascending: out[k] is the coefficient of y^k
+    return tuple(reversed(cs))  # ascending: entry k is the coefficient of y^k
 
 
 def matrix_order(m, cap=720):
@@ -303,7 +314,7 @@ def is_connected(s: StokesMatrix) -> bool:
 
 def radical_rank(i: IntersectionMatrix) -> int:
     rows = i.rows if isinstance(i, IntersectionMatrix) else i
-    return len(rows) - field_rank([[Fraction(x) for x in row] for row in rows])
+    return len(rows) - _bareiss(rows)[0]
 
 
 def definiteness(i: IntersectionMatrix):

@@ -346,9 +346,9 @@ def ll_fiber_count(cls_or_label, p: LLPoint, budget=600, *, seed=5,
 
     Only mu = 2 and 3 are supported; the target must be square-free.  All
     budget starts are drawn up front from random.Random(seed) and iterated
-    together; the converged ones are deduplicated in start order.  The
-    saturation flag records that no new solution appeared during the last
-    half of the start budget."""
+    together; the converged ones are deduplicated in start order.  Over a
+    square-free target the A_mu fiber has exactly deg LL = (mu+1)^(mu-1)
+    points, and the saturation flag records that all of them were found."""
     cls = sing_class(cls_or_label)
     if cls.family != "A" or cls.mu not in (2, 3):
         raise ValueError("fiber counting is desk-scale: chain family, mu in {2, 3}")
@@ -365,12 +365,11 @@ def ll_fiber_count(cls_or_label, p: LLPoint, budget=600, *, seed=5,
               for _ in range(budget)]
     ok, T = _newton_rows(*_ll_system(mu, p), starts)
     sols = []
-    last_new = 0
     for s in map(int, np.flatnonzero(ok)):
         if all(np.max(np.abs(T[s] - s0)) > tol_cluster for s0 in sols):
             sols.append(T[s])
-            last_new = s
-    return FiberCount(count=len(sols), saturated=last_new < budget // 2,
+    return FiberCount(count=len(sols),
+                      saturated=len(sols) == (mu + 1) ** (mu - 1),
                       starts=budget, solutions=tuple(tuple(v) for v in sols))
 
 

@@ -242,11 +242,14 @@ FIBER = json.dumps([[0.518, 0.0], [-0.666, 0.0]])
     ("ll-fiber", "A2", FIBER, "--budget", "0"),
     ("ll-fiber", "A2", FIBER, "--tol-cluster", "-1"),
     ("ll-fiber", "A2", FIBER, "--tol-cluster", "0"),
+    ("jacobi-dim", "A3", "--at", "0"),
+    ("jacobi-dim", "E8", "--at", "2/5"),
 ], ids=["at-zero-denominator", "at-not-rational", "ll-eval-length",
         "ll-eval-not-json", "wall-walk-waypoint-length", "at-zero",
         "at-one", "steps-zero", "steps-negative", "walk-mu-zero",
         "tol-wall-negative", "tol-disc-nan", "tol-disc-inf", "budget-zero",
-        "tol-cluster-negative", "tol-cluster-zero"])
+        "tol-cluster-negative", "tol-cluster-zero", "at-simple-class",
+        "at-simple-class-nonzero"])
 def test_bad_input_is_usage_error(capsys, argv):
     assert main(list(argv)) == 2
     captured = capsys.readouterr()

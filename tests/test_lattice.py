@@ -1,10 +1,13 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from singlat.lattice import (MonodromyMatrix, StokesMatrix, char_poly,
                              coxeter_dynkin, definiteness, is_connected,
-                             is_quasiunipotent, mat_identity, mat_pow,
+                             is_quasiunipotent, mat_det, mat_identity,
+                             mat_pow,
                              matrix_order, monodromy_from_stokes,
                              monodromy_product, pl_reflect, radical_rank,
                              symmetrized_form)
@@ -159,6 +162,62 @@ class TestRadicalAndDefiniteness:
     def test_double_identity(self):
         i = symmetrized_form(StokesMatrix.identity(4))
         assert radical_rank(i) == 0
+
+
+@st.composite
+def small_int_matrices(draw):
+    """Square integer matrices up to 12 x 12 with entries in [-5, 5]; about
+    half are singular: some rows are zero, copies or negations of earlier
+    rows, or the matrix is a product of n x r and r x n sign matrices of
+    rank at most r < n."""
+    n = draw(st.integers(0, 12))
+    kind = draw(st.sampled_from(("generic", "dependent-rows", "low-rank")))
+    if kind == "low-rank" and n > 1:
+        r = draw(st.integers(0, min(5, n - 1)))
+        signs = st.lists(st.integers(-1, 1), min_size=r, max_size=r)
+        a = draw(st.lists(signs, min_size=n, max_size=n))
+        b = draw(st.lists(signs, min_size=n, max_size=n))
+        return tuple(tuple(sum(x * y for x, y in zip(a[i], b[j]))
+                           for j in range(n)) for i in range(n))
+    entries = st.lists(st.integers(-5, 5), min_size=n, max_size=n)
+    rows = draw(st.lists(entries, min_size=n, max_size=n))
+    if kind == "dependent-rows" and n > 1:
+        for i in draw(st.lists(st.integers(1, n - 1), max_size=3)):
+            j = draw(st.integers(0, i - 1))
+            c = draw(st.sampled_from((0, 1, -1)))
+            rows[i] = [c * x for x in rows[j]]
+    return tuple(tuple(row) for row in rows)
+
+
+class TestIntegerKernels:
+    """char_poly, mat_det and radical_rank against sympy, a test-only
+    oracle, and against closed forms on large labels."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_int_matrices())
+    def test_match_sympy(self, rows):
+        sympy = pytest.importorskip("sympy")
+        m = sympy.Matrix(rows)
+        cp = m.charpoly(sympy.Symbol("y")).all_coeffs()
+        assert char_poly(rows) == tuple(int(c) for c in reversed(cp))
+        det = mat_det(rows)
+        assert type(det) is int and det == m.det()
+        assert radical_rank(rows) == len(rows) - m.rank()
+
+    @pytest.mark.parametrize("mu", [28, 40])
+    def test_chain_monodromy_is_cyclotomic(self, mu):
+        # the A_mu monodromy is a Coxeter element: (y^(mu+1) - 1)/(y - 1)
+        m = monodromy_from_stokes(seed_stokes(f"A{mu}").stokes)
+        assert char_poly(m.rows) == (1,) * (mu + 1)
+
+    def test_d24_monodromy(self):
+        # (y + 1)(y^23 + 1) = 1 + y + y^23 + y^24
+        m = monodromy_from_stokes(seed_stokes("D24").stokes)
+        assert char_poly(m.rows) == (1, 1) + (0,) * 21 + (1, 1)
+
+    def test_non_integer_entry_rejected(self):
+        with pytest.raises(TypeError):
+            char_poly([[Fraction(1, 2)]])
 
 
 def test_elliptic_monodromy_orders():

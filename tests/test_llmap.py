@@ -188,8 +188,9 @@ class TestFiberCount:
         with pytest.raises(ValueError, match="budget"):
             ll_fiber_count("A2", target_from_roots((1, -1)), budget=budget)
 
-    # (count, saturated, len(solutions)) of the per-start Newton loop this
-    # batched one replaced, at the same seeded targets and budgets
+    # (count, len(solutions)) of the per-start Newton loop this batched one
+    # replaced, at the same seeded targets and budgets; saturated iff the
+    # count is deg LL = (mu+1)^(mu-1)
     @pytest.mark.parametrize("roots,budget,expect", [
         (((-1.1788 - 1.1482j), (0.6695 - 2.2939j)), 150, (3, True, 3)),
         (((-0.1434 - 2.2561j), (1.101 + 0.2029j)), 150, (3, True, 3)),
@@ -201,9 +202,9 @@ class TestFiberCount:
          600, (16, True, 16)),
         (((-0.1434 - 2.2561j), (1.101 + 0.2029j), (1.3563 - 0.5042j)),
          40, (15, False, 15)),
-        # 15 of the 16 points, yet flagged saturated: the flag's rule as is
+        # 15 of the 16 points: not saturated
         (((0.3982 - 0.2859j), (-0.7383 + 0.1453j), (-1.2572 - 0.3547j)),
-         120, (15, True, 15)),
+         120, (15, False, 15)),
     ])
     def test_counts_pinned(self, roots, budget, expect):
         fc = ll_fiber_count(f"A{len(roots)}", target_from_roots(roots),

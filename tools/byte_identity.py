@@ -10,18 +10,25 @@ the unfoldings or on the numeric llmap kernels (verify-symmetry,
 verify-kappa, jacobi-dim, ll-eval, ll-fiber, wall-walk, counts) and the
 repr of critical_values_numeric, wall_walk_A (including the default-steps
 round trip of a known-defect path) and the symbolic chain-family LL
-coefficients.  Inputs are seeded, so the output is deterministic.  The
-battery takes about 3 s on a 2-core host.
+coefficients.  For the lattice kernels it prints, for every class and for
+D24 and A28, the characteristic polynomials of the seed monodromy M and
+form I, definiteness, radical rank, quasiunipotency and the determinants
+of I and of a braid-moved tuple, and the stdout, stderr and exit code of
+`orbit --seed-file` on two rejected seeds.  Inputs are seeded, so the
+output is deterministic.  The battery takes about 3 s on a 2-core host.
 """
 
 import contextlib
 import io
 import json
+import os
 import random
+import tempfile
 from fractions import Fraction
 
-from singlat import cli, llmap
-from singlat.singdata import ALL_LABELS
+from singlat import cli, lattice, llmap
+from singlat.braid import BraidWord, VanishingTuple, braid_apply_word
+from singlat.singdata import ALL_LABELS, seed_stokes
 
 # A null-homotopic mu = 3 path whose default-steps round trip returns a
 # braid with exponent sum -8 (the benchmark's known-defect walk).
@@ -32,13 +39,27 @@ DEFECT_PATH = (
 )
 
 
-def run_cli(*argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(io.StringIO()):
+# Seed files that validation rejects, as (label, upper part).  A4 with all
+# six edges plain has the form 3*Id - J, of eigenvalue -1: indefinite.  The
+# tree T_{2,3,7} on ten nodes has Lehmer's polynomial as the characteristic
+# polynomial of its monodromy, which is not quasiunipotent; a positive
+# (semi)definite form forces quasiunipotent monodromy, so the form check
+# rejects it first.
+REJECTED_SEEDS = (
+    ("A4", [[-1, -1, -1], [-1, -1], [-1]]),
+    ("A10", [[-1 if j == i + 1 < 9 or (i, j) == (2, 9) else 0
+              for j in range(i + 1, 10)] for i in range(9)]),
+)
+
+
+def run_cli(*argv, stderr=False):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(list(argv))
     print(f"$ singlat {' '.join(argv)}  -> exit {code}")
     print(out.getvalue(), end="")
+    if stderr:
+        print(f"[stderr] {err.getvalue()}", end="")
 
 
 def rational_vectors(rng, mu, n):
@@ -62,6 +83,49 @@ def show(label, fn, *args, **kw):
     print(f"{label}: {result!r}")
 
 
+def lattice_outputs(rng):
+    for label in ALL_LABELS + ("D24", "A28"):
+        s = seed_stokes(label).stokes
+        i = lattice.symmetrized_form(s)
+        m = lattice.monodromy_from_stokes(s)
+        word = BraidWord(tuple(rng.choice((1, -1)) * rng.randint(1, s.mu - 1)
+                               for _ in range(12)))
+        moved = braid_apply_word(VanishingTuple.standard(s), word)
+        print(f"lattice {label}: char_poly(M)={lattice.char_poly(m.rows)} "
+              f"char_poly(I)={lattice.char_poly(i.rows)} "
+              f"{lattice.definiteness(i)} "
+              f"radical_rank={lattice.radical_rank(i)} "
+              f"quasiunipotent={lattice.is_quasiunipotent(m)} "
+              f"det(I)={lattice.mat_det(i.rows)} "
+              f"det(moved)={lattice.mat_det(moved.vectors)}")
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # so the printed --seed-file argument is the same
+        try:
+            rejected_seeds()
+        finally:
+            os.chdir(home)
+
+
+def rejected_seeds():
+    """Write each rejected seed to ./<label>.json and run orbit on it."""
+    for label, upper in REJECTED_SEEDS:
+        mu = len(upper) + 1
+        s = lattice.StokesMatrix(tuple(
+            tuple([0] * k + [1] + (upper[k] if k < mu - 1 else []))
+            for k in range(mu)))
+        i = lattice.symmetrized_form(s)
+        m = lattice.monodromy_from_stokes(s)
+        print(f"rejected seed {label}: {lattice.definiteness(i)} "
+              f"char_poly(M)={lattice.char_poly(m.rows)} "
+              f"quasiunipotent={lattice.is_quasiunipotent(m)}")
+        doc = {"class": label, "mu": mu, "upper": upper,
+               "source": "rejected-seed battery"}
+        with open(label.lower() + ".json", "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        run_cli("orbit", label, "--seed-file", ".", stderr=True)
+
+
 def main():
     rng = random.Random(20261018)
     for label in ("D4", "D5", "D6", "D7", "D8", "tE6", "tE7", "tE8"):
@@ -78,6 +142,12 @@ def main():
             "--budget", "160")
     run_cli("ll-fiber", "A3", json.dumps([[0.4, 0.1], [-0.5, 0.0],
                                           [0.3, 0.2]]))
+    # 15 of the 16 points of the fiber over (y - r1)(y - r2)(y - r3) for
+    # r = 0.3982-0.2859i, -0.7383+0.1453i, -1.2572-0.3547i: not saturated
+    run_cli("ll-fiber", "A3", json.dumps(
+        [[-0.41277233710899996, 0.24856545368300006],
+         [0.12525311000000006, 0.56633422],
+         [1.5973000000000002, 0.49529999999999996]]), "--budget", "120")
     run_cli("wall-walk", "2", json.dumps([[0.3, [1, 0]], [0.3, [0, 1]],
                                           [0.3, [-1, 0]]]), "--steps", "500")
     run_cli("wall-walk", "3", json.dumps(
@@ -106,6 +176,7 @@ def main():
     for mu in (2, 3, 4):
         tv, coeffs, jac = llmap._symbolic_ll(mu)
         print(f"_symbolic_ll {mu}: {tv!r} {coeffs!r} {jac!r}")
+    lattice_outputs(random.Random(20261019))
 
 
 if __name__ == "__main__":
