@@ -9,7 +9,7 @@ from .lattice import (StokesMatrix, IntersectionMatrix, MonodromyMatrix,
 from .braid import (VanishingTuple, BraidWord, braid_apply, braid_apply_word,
                     stokes_of_tuple, sign_canonical_tuple,
                     sign_canonical_stokes, orbit_enumerate, OrbitReport)
-from .polyalg import (MultiPoly, RatFunc, Cyclo, WeightSystem, parse_poly,
+from .polyalg import (MultiPoly, Cyclo, WeightSystem, parse_poly,
                       resultant, graded_piece_rank)
 from .singdata import (SingularityClass, sing_class, normal_form, unfolding,
                        unfolding_monomials, weights, symmetry_data,

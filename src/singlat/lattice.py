@@ -18,6 +18,8 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .polyalg import bareiss
+
 
 # ---------------------------------------------------------------------------
 # integer matrix helpers (tuples of tuples)
@@ -63,41 +65,9 @@ def mat_pow(m, k):
     return out
 
 
-def _bareiss(m):
-    """Rank and determinant of an integer matrix by fraction-free
-    (Bareiss) elimination over Z.
-
-    Every entry after a step is a minor of the input, so the division by
-    the previous pivot is exact.  The determinant is 0 unless the matrix
-    is square of full rank."""
-    rows = [[operator.index(x) for x in row] for row in m]
-    n = len(rows)
-    cols = len(rows[0]) if rows else 0
-    sign, prev, rank = 1, 1, 0
-    for c in range(cols):
-        piv = next((i for i in range(rank, n) if rows[i][c]), None)
-        if piv is None:
-            continue
-        if piv != rank:
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-            sign = -sign
-        top = rows[rank]
-        p = top[c]
-        for i in range(rank + 1, n):
-            r = rows[i]
-            f = r[c]
-            rows[i] = r[:c] + [(p * a - f * b) // prev
-                               for a, b in zip(r[c:], top[c:])]
-        prev = p
-        rank += 1
-        if rank == n:
-            break
-    return rank, sign * prev if rank == n == cols else 0
-
-
 def mat_det(m):
     """Exact integer determinant."""
-    return _bareiss(m)[1]
+    return bareiss([[operator.index(x) for x in row] for row in m])[1]
 
 
 def unit_upper_inverse(s):
@@ -314,7 +284,8 @@ def is_connected(s: StokesMatrix) -> bool:
 
 def radical_rank(i: IntersectionMatrix) -> int:
     rows = i.rows if isinstance(i, IntersectionMatrix) else i
-    return len(rows) - _bareiss(rows)[0]
+    return len(rows) - bareiss([[operator.index(x) for x in row]
+                                for row in rows])[0]
 
 
 def definiteness(i: IntersectionMatrix):

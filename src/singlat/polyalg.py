@@ -1,20 +1,22 @@
-"""Exact multivariate polynomial and rational-function arithmetic.
+"""Exact multivariate polynomial arithmetic and fraction-free elimination.
 
-Everything here is exact: coefficients are Fractions, elements of small
-cyclotomic extensions of Q (for i and the primitive 8th root of unity),
-or rational functions in one parameter over such a field (the symbolic
-Jacobi rank needs that field; the symmetry checks stay polynomial).
-MultiPoly is a sparse Laurent polynomial in named variables over any of
-these coefficient domains; the domains only need +, -, *, / and a truthiness
-test, so they mix freely through Python's operator coercion.
+Everything here is exact: coefficients are Fractions or elements of small
+cyclotomic extensions of Q (for i and the primitive 8th root of unity).
+MultiPoly is a sparse Laurent polynomial in named variables over either
+domain; the domains only need +, -, *, / and a truthiness test, so they mix
+freely through Python's operator coercion.  `bareiss` is the one exact rank
+and determinant routine, over Z and over polynomial rings: the resultant,
+the Milnor-lattice determinants and the graded Jacobi ranks all call it.  A
+symbolic family parameter stays a polynomial variable, and a rank over
+Q(la) is an elimination over Q[la].
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +248,10 @@ class Cyclo:
 # ---------------------------------------------------------------------------
 
 class RatFunc:
-    """num/den of univariate polynomials, gcd-reduced with monic denominator."""
+    """num/den of univariate polynomials, gcd-reduced with monic denominator.
+
+    No singlat computation uses it.  It and `_poly_gcd` are kept only for
+    the `polyalg.ratfunc_ops` probe of the benchmark."""
 
     __slots__ = ("var", "num", "den")
 
@@ -399,9 +404,6 @@ class RatFunc:
 # sparse multivariate (Laurent) polynomials
 # ---------------------------------------------------------------------------
 
-Scalar = Union[int, Fraction, Cyclo, RatFunc]
-
-
 def _grlex_key(expo):
     return (sum(expo), expo)
 
@@ -472,7 +474,7 @@ class MultiPoly:
     def _co(self, other):
         if isinstance(other, MultiPoly):
             return other
-        if isinstance(other, (int, Fraction, Cyclo, RatFunc)):
+        if isinstance(other, (int, Fraction, Cyclo)):
             c = Fraction(other) if isinstance(other, int) else other
             return MultiPoly(self.vars, {(0,) * len(self.vars): c})
         return None
@@ -645,12 +647,7 @@ class MultiPoly:
         """Numeric evaluation; values maps every variable to a complex."""
         acc = 0j
         for expo, c in self.terms.items():
-            if isinstance(c, (Cyclo,)):
-                cv = c.eval_complex()
-            elif isinstance(c, RatFunc):
-                raise ValueError("evaluate RatFunc coefficients separately")
-            else:
-                cv = complex(c)
+            cv = c.eval_complex() if isinstance(c, Cyclo) else complex(c)
             for v, e in zip(self.vars, expo):
                 cv *= values[v] ** e
             acc += cv
@@ -658,12 +655,22 @@ class MultiPoly:
 
     # -- exact division (for fraction-free elimination) ----------------------
     def exact_div(self, other):
+        """The quotient self/other in the Laurent ring, or ArithmeticError.
+
+        An exact quotient has lowest exponent min_a - min_b in each
+        variable, so the long division stops at the first quotient term
+        below that floor instead of descending without end."""
         o = self._co(other)
         a, b = self._aligned(self, o)
         if b.is_zero:
             raise ZeroDivisionError("division by zero polynomial")
         if a.is_zero:
             return a
+        if len(b.terms) == 1:  # a unit of the Laurent ring
+            (be, bc), = b.terms.items()
+            return MultiPoly(a.vars, {tuple(x - y for x, y in zip(e, be)):
+                                      c / bc for e, c in a.terms.items()})
+        floor = [min(x) - min(y) for x, y in zip(zip(*a.terms), zip(*b.terms))]
         quo = {}
         rem = dict(a.terms)
         b_lead = max(b.terms, key=_grlex_key)
@@ -671,6 +678,8 @@ class MultiPoly:
         while rem:
             lead = max(rem, key=_grlex_key)
             qe = tuple(x - y for x, y in zip(lead, b_lead))
+            if any(x < y for x, y in zip(qe, floor)):
+                raise ArithmeticError("not exactly divisible")
             qc = rem[lead] / b_lc
             quo[qe] = qc
             for e2, c2 in b.terms.items():
@@ -683,6 +692,8 @@ class MultiPoly:
             if lead in rem:
                 raise ArithmeticError("not exactly divisible")
         return MultiPoly(a.vars, quo)
+
+    __floordiv__ = exact_div  # the exact division step of `bareiss`
 
     # -- text form ------------------------------------------------------------
     def format(self):
@@ -759,29 +770,40 @@ def parse_poly(text, vars):
 # resultants and graded linear algebra
 # ---------------------------------------------------------------------------
 
-def _bareiss_det(m):
-    """Fraction-free determinant of a square matrix of MultiPolys."""
-    n = len(m)
-    if n == 0:
-        return MultiPoly.const((), 1)
-    m = [row[:] for row in m]
-    sign = 1
-    prev = None
-    for k in range(n - 1):
-        if m[k][k].is_zero:
-            pivot = next((i for i in range(k + 1, n) if not m[i][k].is_zero), None)
-            if pivot is None:
-                return MultiPoly.zero(m[0][0].vars)
-            m[k], m[pivot] = m[pivot], m[k]
+def bareiss(rows):
+    """Rank and determinant of a matrix over Z or a polynomial ring, by
+    fraction-free (Bareiss) elimination; Bareiss, Math. Comp. 22 (1968).
+
+    Entries are ints or MultiPolys, and `//` is exact division for both.
+    Every entry after a step is a minor of the input, so the division by
+    the previous pivot is exact.  A step rewrites only the entries right of
+    the pivot column; those left of it are never read again.  The
+    determinant is 0 unless the matrix is square of full rank."""
+    rows = [list(row) for row in rows]
+    n = len(rows)
+    cols = len(rows[0]) if rows else 0
+    sign, prev, rank = 1, 1, 0
+    for c in range(cols):
+        piv = next((i for i in range(rank, n) if rows[i][c]), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            rows[rank], rows[piv] = rows[piv], rows[rank]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = num if prev is None else num.exact_div(prev)
-            m[i][k] = MultiPoly.zero(m[i][k].vars)
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return -det if sign < 0 else det
+        top = rows[rank]
+        p = top[c]
+        for r in rows[rank + 1:]:
+            f = r[c]
+            if f:
+                r[c + 1:] = [(p * a - f * b) // prev
+                             for a, b in zip(r[c + 1:], top[c + 1:])]
+            else:
+                r[c + 1:] = [p * a // prev for a in r[c + 1:]]
+        prev = p
+        rank += 1
+        if rank == n:
+            break
+    return rank, sign * prev if rank == n == cols else 0
 
 
 def resultant(p, q, var):
@@ -815,7 +837,8 @@ def resultant(p, q, var):
         for k in range(dq + 1):
             row[i + k] = qc[dq - k]
         rows.append(row)
-    return _bareiss_det(rows)
+    rank, det = bareiss(rows)
+    return det if rank == n else zero
 
 
 @dataclass(frozen=True)
@@ -827,10 +850,12 @@ class WeightSystem:
     cone_d: int = None          # common denominator used on the elliptic side
 
     def weight_of(self, name):
+        """The weight of a variable; one outside the system (the family
+        parameter la) has weight 0."""
         for v, w in self.var_weights:
             if v == name:
                 return w
-        raise KeyError(name)
+        return 0
 
     def monomial_degree(self, vars, expo):
         return sum(self.weight_of(v) * e for v, e in zip(vars, expo) if e)
@@ -854,42 +879,20 @@ class WeightSystem:
                     out.append(tuple(acc))
                 return
             w = weights[i]
-            emax = int(remaining / w)
-            for e in range(emax + 1):
-                if remaining - w * e >= 0:
-                    rec(i + 1, acc + [e], remaining - w * e)
+            for e in range(int(remaining / w) + 1):
+                rec(i + 1, acc + [e], remaining - w * e)
 
         rec(0, [], Fraction(q))
-        return [e for e in out
-                if self.monomial_degree(names, e) == Fraction(q)]
-
-
-def field_rank(rows):
-    """Rank of a matrix whose entries live in an exact field."""
-    m = [list(r) for r in rows if any(r)]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    row = 0
-    for col in range(cols):
-        piv = next((i for i in range(row, len(m)) if m[i][col]), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        pv = m[row][col]
-        for i in range(row + 1, len(m)):
-            if m[i][col]:
-                f = m[i][col] / pv
-                m[i] = [a - f * b for a, b in zip(m[i], m[row])]
-        row += 1
-        rank += 1
-        if row == len(m):
-            break
-    return rank
+        return out
 
 
 def graded_piece_rank(gens, weights, q):
-    """Rank over the coefficient field of the given quasihomogeneous
-    generators inside the weighted-degree-q piece of the polynomial ring."""
+    """Rank over Q, or over Q(la), of the given quasihomogeneous generators
+    inside the weighted-degree-q piece of the polynomial ring.
+
+    Each generator is one row, scaled to clear its denominators.  Variables
+    outside the weight system (the family parameter la) stay in the
+    entries, so a symbolic rank over Q(la) is an elimination over Q[la]."""
     q = Fraction(q)
     names = tuple(v for v, _ in weights.var_weights)
     basis = weights.monomial_basis(q)
@@ -902,13 +905,13 @@ def graded_piece_rank(gens, weights, q):
     for g in gens:
         if g.is_zero:
             continue
-        g = g.with_vars(names) if g.vars != names else g
-        row = [Fraction(0)] * len(basis)
-        for expo, c in g.terms.items():
+        scale = math.lcm(*(c.denominator for c in g.terms.values()))
+        g = (g * scale).with_vars(names + tuple(v for v in g.vars
+                                                if v not in names))
+        row = [0] * len(basis)
+        for expo, c in g.coefficient_split(names).items():
             if weights.monomial_degree(names, expo) != q:
                 raise ValueError(f"generator not homogeneous of degree {q}")
-            row[index[expo]] = c
+            row[index[expo]] = c if c.vars else c.terms[()].numerator
         rows.append(row)
-    if not rows:
-        return 0
-    return field_rank(rows)
+    return bareiss(rows)[0]

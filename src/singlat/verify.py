@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polyalg import MultiPoly, RatFunc, graded_piece_rank, parse_poly
+from .polyalg import MultiPoly, graded_piece_rank, parse_poly
 from .singdata import (sing_class, normal_form, weights, unfolding_monomials,
                        unfolding, symmetry_data, sym_field)
 
@@ -83,25 +83,21 @@ def jacobi_dimension(cls_or_label, lam=None) -> int:
     monomials of degree q and (elliptic, q = 1) the la-derivative must span
     the piece; by induction on the degree this pins the dimension to mu.
 
-    lam = None runs the elliptic families symbolically in la; a Fraction
-    outside {0, 1} evaluates there.  ADE classes ignore lam.
+    lam = None runs the elliptic families symbolically: la stays a
+    polynomial variable of weight 0 and the ranks are taken over Q(la).  A
+    Fraction outside {0, 1} evaluates there.  ADE classes ignore lam.
     """
     cls = sing_class(cls_or_label)
     wsys = weights(cls)
     f = normal_form(cls)
     xv = cls.xvars
-    if cls.is_elliptic:
-        if lam is None:
-            image = RatFunc.gen("la")
-        else:
-            lam = F(lam)
-            if lam in (0, 1):
-                raise ValueError("family parameter must avoid 0 and 1")
-            image = lam
-        dlam = f.partial("la").subst({"la": image})
-        f = f.subst({"la": image})
-    else:
-        dlam = None
+    dlam = f.partial("la") if cls.is_elliptic else None
+    if cls.is_elliptic and lam is not None:
+        lam = F(lam)
+        if lam in (0, 1):
+            raise ValueError("family parameter must avoid 0 and 1")
+        dlam = dlam.subst({"la": lam})
+        f = f.subst({"la": lam})
     partials = [f.partial(v) for v in xv]
     pdeg = [wsys.poly_degree(p) for p in partials]
     if any(d is None for d in pdeg):

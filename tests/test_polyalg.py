@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -5,8 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from singlat.polyalg import (Cyclo, GAUSS, ZETA8, MultiPoly, RatFunc,
-                             WeightSystem, graded_piece_rank, parse_poly,
-                             resultant)
+                             WeightSystem, bareiss, graded_piece_rank,
+                             parse_poly, resultant)
+from singlat.singdata import ALL_LABELS, sing_class, weights
+from singlat.verify import _achievable_degrees
 
 
 def P(text, vars):
@@ -86,6 +89,23 @@ class TestTextForm:
     def test_zero(self):
         assert parse_poly("0", ("x",)).is_zero
         assert MultiPoly.zero(("x",)).format() == "0"
+
+
+class TestExactDivision:
+    def test_exact_quotients(self):
+        vs = ("x", "y")
+        assert P("x^2 - y^2", vs).exact_div(P("x + y", vs)) == P("x - y", vs)
+        assert P("x^-1 + y", vs).exact_div(P("x^-1", vs)) == P("1 + x*y", vs)
+        assert P("6*x*y", vs) // P("2*y", vs) == P("3*x", vs)
+
+    @pytest.mark.parametrize("a, b, vs", [
+        ("la^2 + 1", "la + 1", ("la",)),
+        ("x", "x + y", ("x", "y")),
+    ])
+    def test_non_divisor_raises(self, a, b, vs):
+        # Laurent quotient terms once let the remainder descend forever
+        with pytest.raises(ArithmeticError):
+            P(a, vs).exact_div(P(b, vs))
 
 
 class TestResultant:
@@ -193,6 +213,35 @@ class TestGradedRank:
         with pytest.raises(ValueError):
             graded_piece_rank([P("x0 + x0^2", vs)], self.wsys(), F(1, 3))
 
+    def test_parameter_rank_is_generic(self):
+        # over Q(la) the rows (la, 1) and (1, la) are independent; at
+        # la = 1 they coincide
+        vs = ("x0", "x1", "x2", "la")
+        gens = [P("la * x0 + x1", vs), P("x0 + la * x1", vs)]
+        assert graded_piece_rank(gens, self.wsys(), F(1, 3)) == 2
+        at_one = [g.subst({"la": 1}) for g in gens]
+        assert graded_piece_rank(at_one, self.wsys(), F(1, 3)) == 1
+
+    def test_denominators_do_not_change_the_rank(self):
+        vs = ("x0", "x1", "x2")
+        gens = [P("1/2 * x0 + 1/3 * x1", vs), P("3 * x0 + 2 * x1", vs),
+                P("1/7 * x2", vs)]
+        assert graded_piece_rank(gens, self.wsys(), F(1, 3)) == 2
+
+
+@pytest.mark.parametrize("label", ALL_LABELS)
+def test_monomial_basis_is_the_degree_filtered_box(label):
+    # every piece the Jacobi check reads: the degrees q and the shifts
+    # q - deg(partial) are achievable degrees up to 1 + max weight
+    wsys = weights(sing_class(label))
+    names = [v for v, _ in wsys.var_weights]
+    ws = [w for _, w in wsys.var_weights]
+    qmax = 1 + max(ws)
+    for q in [F(0)] + _achievable_degrees(wsys, qmax):
+        box = itertools.product(*(range(int(q / w) + 1) for w in ws))
+        want = [e for e in box if wsys.monomial_degree(names, e) == q]
+        assert wsys.monomial_basis(q) == want, (label, q)
+
 
 _laurent = st.dictionaries(
     st.tuples(*[st.integers(-3, 3)] * 3),
@@ -206,3 +255,78 @@ def test_text_form_round_trips_laurent_polynomials(terms):
     vs = ("x", "y", "z")
     p = MultiPoly(vs, terms)
     assert parse_poly(p.format(), vs) == p
+
+
+@settings(max_examples=100, deadline=None)
+@given(_laurent, _laurent)
+def test_exact_division_inverts_multiplication(a, b):
+    vs = ("x", "y", "z")
+    a, b = MultiPoly(vs, a), MultiPoly(vs, b)
+    if not b.is_zero:
+        assert (a * b).exact_div(b) == a
+
+
+# ---------------------------------------------------------------------------
+# bareiss against sympy's DomainMatrix, a test-only oracle
+# ---------------------------------------------------------------------------
+
+_ints = st.integers(-4, 4)
+_zla = st.lists(st.integers(-3, 3), max_size=3).map(
+    lambda cs: MultiPoly(("la",), {(k,): F(c) for k, c in enumerate(cs)}))
+
+
+@st.composite
+def _matrices(draw, entry):
+    """n x m matrices, n, m <= 5; half are products of n x r and r x m
+    matrices with r < min(n, m), so rank-deficient."""
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        return [[draw(entry) for _ in range(m)] for _ in range(n)], False
+    r = draw(st.integers(0, min(n, m) - 1))
+    a = [[draw(entry) for _ in range(r)] for _ in range(n)]
+    b = [[draw(entry) for _ in range(m)] for _ in range(r)]
+    return [[sum((a[i][k] * b[k][j] for k in range(r)), 0)
+             for j in range(m)] for i in range(n)], True
+
+
+def _sympy(x):
+    sympy = pytest.importorskip("sympy")
+    if not isinstance(x, MultiPoly):
+        return sympy.Integer(x)
+    la = sympy.Symbol("la")
+    return sum((sympy.Rational(c.numerator, c.denominator) * la ** e
+                for (e,), c in x.terms.items()), sympy.Integer(0))
+
+
+def _domain_matrix(rows, domain):
+    from sympy.polys.matrices import DomainMatrix
+    return DomainMatrix([[domain.from_sympy(_sympy(x)) for x in row]
+                         for row in rows], (len(rows), len(rows[0])), domain)
+
+
+def _check_bareiss(rows, deficient, ring, field):
+    rank, det = bareiss(rows)
+    n, m = len(rows), len(rows[0])
+    assert rank == _domain_matrix(rows, field).rank()
+    if deficient:
+        assert rank < min(n, m)
+    if n == m:
+        want = ring.to_sympy(_domain_matrix(rows, ring).det())
+        assert (_sympy(det) - want).expand() == 0
+    else:
+        assert det == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(_matrices(_ints))
+def test_bareiss_over_z_matches_sympy(case):
+    sympy = pytest.importorskip("sympy")
+    _check_bareiss(*case, sympy.ZZ, sympy.QQ)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_matrices(_zla))
+def test_bareiss_over_z_la_matches_sympy(case):
+    sympy = pytest.importorskip("sympy")
+    la = sympy.Symbol("la")
+    _check_bareiss(*case, sympy.ZZ[la], sympy.QQ.frac_field(la))

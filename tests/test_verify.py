@@ -55,6 +55,20 @@ class TestJacobiDimension:
             V.jacobi_dimension("A3")
         assert err.value.q == F(1, 4)   # the weight of x0 in the quartic
 
+    def test_symbolic_rank_deficiency_on_an_elliptic_class(self, monkeypatch):
+        # at q = 3/4 the two partials of the tE7 quartic (la-dependent) and
+        # the cobasis monomials x0^2*x1, x0*x1^2 span the four cubics; with
+        # x0*x1^2 dropped the rank over Q(la) is 3
+        import singlat.verify as V
+        real = V.unfolding_monomials
+        monkeypatch.setattr(V, "unfolding_monomials",
+                            lambda cls: real(cls)[:-1])
+        assert real(sing_class("tE7"))[-1] == MultiPoly(("x0", "x1"),
+                                                        {(1, 2): F(1)})
+        with pytest.raises(JacobiRankError, match="rank 3, needs 4") as err:
+            V.jacobi_dimension("tE7")
+        assert err.value.q == F(3, 4)
+
 
 class TestUnfoldingIdentities:
     @pytest.mark.parametrize("label", ["tE6", "tE7", "tE8"])

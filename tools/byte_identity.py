@@ -14,8 +14,12 @@ coefficients.  For the lattice kernels it prints, for every class and for
 D24 and A28, the characteristic polynomials of the seed monodromy M and
 form I, definiteness, radical rank, quasiunipotency and the determinants
 of I and of a braid-moved tuple, and the stdout, stderr and exit code of
-`orbit --seed-file` on two rejected seeds.  Inputs are seeded, so the
-output is deterministic.  The battery takes about 3 s on a 2-core host.
+`orbit --seed-file` on two rejected seeds.  For the exact elimination it
+prints graded_piece_rank on seeded rational generator sets, full and
+rank-deficient, for every graded piece the Jacobi check reads in every
+class, and seeded resultants, some of pairs with a common factor.  Inputs
+are seeded, so the output is deterministic.  The battery takes about 4 s
+on a 2-core host.
 """
 
 import contextlib
@@ -28,7 +32,9 @@ from fractions import Fraction
 
 from singlat import cli, lattice, llmap
 from singlat.braid import BraidWord, VanishingTuple, braid_apply_word
-from singlat.singdata import ALL_LABELS, seed_stokes
+from singlat.polyalg import MultiPoly, graded_piece_rank, resultant
+from singlat.singdata import ALL_LABELS, seed_stokes, sing_class, weights
+from singlat.verify import _achievable_degrees
 
 # A null-homotopic mu = 3 path whose default-steps round trip returns a
 # braid with exponent sum -8 (the benchmark's known-defect walk).
@@ -126,6 +132,51 @@ def rejected_seeds():
         run_cli("orbit", label, "--seed-file", ".", stderr=True)
 
 
+def rational(rng):
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+
+def combination(rng, polys):
+    out = MultiPoly.zero(polys[0].vars)
+    for p in polys:
+        out = out + p * rational(rng)
+    return out
+
+
+def algebra_outputs(rng):
+    """Graded ranks of rational generator sets and resultants."""
+    for label in ALL_LABELS:
+        wsys = weights(sing_class(label))
+        names = tuple(v for v, _ in wsys.var_weights)
+        qmax = 1 + max(w for _, w in wsys.var_weights)
+        for q in _achievable_degrees(wsys, qmax):
+            basis = wsys.monomial_basis(q)
+            for deficient in (False, True):
+                k = rng.randint(1, len(basis) - 1) if deficient and \
+                    len(basis) > 1 else rng.randint(1, len(basis) + 1)
+                gens = [MultiPoly(names, {e: rational(rng) for e in basis
+                                          if rng.random() < 0.7})
+                        for _ in range(k)]
+                if deficient:
+                    gens += [combination(rng, gens)
+                             for _ in range(rng.randint(1, 3))]
+                show(f"graded_piece_rank {label} q={q} gens={len(gens)}",
+                     graded_piece_rank, gens, wsys, q)
+    vs = ("x", "a", "b")
+
+    def poly(deg):
+        return MultiPoly(vs, {(k, rng.randint(0, 2), rng.randint(0, 1)):
+                              rational(rng) for k in range(deg + 1)})
+
+    for k in range(16):
+        p, q = poly(rng.randint(1, 3)), poly(rng.randint(1, 3))
+        if k % 4 == 0:
+            common = MultiPoly(vs, {(1, 0, 0): Fraction(1),
+                                    (0, 1, 0): Fraction(-1)})
+            p, q = p * common, q * common
+        show(f"resultant {k}", lambda: resultant(p, q, "x").format())
+
+
 def main():
     rng = random.Random(20261018)
     for label in ("D4", "D5", "D6", "D7", "D8", "tE6", "tE7", "tE8"):
@@ -177,6 +228,7 @@ def main():
         tv, coeffs, jac = llmap._symbolic_ll(mu)
         print(f"_symbolic_ll {mu}: {tv!r} {coeffs!r} {jac!r}")
     lattice_outputs(random.Random(20261019))
+    algebra_outputs(random.Random(20261020))
 
 
 if __name__ == "__main__":
