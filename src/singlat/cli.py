@@ -7,6 +7,7 @@ JSON results go to stdout, human-readable progress to stderr.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
@@ -70,11 +71,6 @@ def _fraction(text):
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
 
 
-def _usage_error(msg):
-    _info(f"error: {msg}")
-    return EXIT_USAGE
-
-
 def cmd_orbit(args):
     cls = _parse_class(args.cls)
     rec = singdata.seed_stokes(cls, seed_dir=args.seed_file)
@@ -94,9 +90,18 @@ def cmd_orbit(args):
     return EXIT_TRUNCATED if report.truncated else EXIT_OK
 
 
+def _tabulated(count, cls):
+    """count(cls); a class outside the count tables is a usage error."""
+    try:
+        return count(cls)
+    except ValueError as exc:
+        raise _Usage(str(exc))
+
+
 def cmd_stokes_count(args):
     cls = _parse_class(args.cls)
-    _emit({"class": cls.label, "stokes_classes": degrees.stokes_class_count(cls)})
+    _emit({"class": cls.label,
+           "stokes_classes": _tabulated(degrees.stokes_class_count, cls)})
     return EXIT_OK
 
 
@@ -113,7 +118,7 @@ def cmd_degree(args):
 
 def cmd_counts(args):
     cls = _parse_class(args.cls)
-    _emit(degrees.counts_row(cls))
+    _emit(_tabulated(degrees.counts_row, cls))
     return EXIT_OK
 
 
@@ -128,14 +133,14 @@ def cmd_verify_symmetry(args):
             outcomes.append(verify.check_lambda_projection(cls, w))
             outcomes.append(verify.check_unfolding_identity(cls, w))
     else:
-        return _usage_error(f"{cls.label} carries no tabulated symmetry data")
+        raise _Usage(f"{cls.label} carries no tabulated symmetry data")
     return _report_outcomes(outcomes)
 
 
 def cmd_verify_kappa(args):
     cls = _parse_class(args.cls)
     if not cls.is_elliptic:
-        return _usage_error("the kappa extension concerns the elliptic classes")
+        raise _Usage("the kappa extension concerns the elliptic classes")
     return _report_outcomes([verify.check_kappa_extension(cls)])
 
 
@@ -180,14 +185,17 @@ def _json(text):
 
 
 def _parse_vec(raw, n):
-    """n numbers from a decoded JSON list: [re, im] pairs become complex,
-    strings rational; other numbers stay as they are (`v + 0` rejects
-    null and objects)."""
+    """n finite numbers from a decoded JSON list: [re, im] pairs become
+    complex, strings rational; other numbers stay as they are (`v + 0`
+    rejects null and objects)."""
     try:
         out = [complex(*v) if isinstance(v, list) else
                Fraction(v) if isinstance(v, str) else v + 0 for v in raw]
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise _Usage(f"bad vector {raw!r}: {exc}")
+    if not all(cmath.isfinite(v) for v in out
+               if isinstance(v, (float, complex))):
+        raise _Usage(f"NaN or Infinity in vector {raw!r}")
     if len(out) != n:
         raise _Usage(f"need {n} components, got {len(out)} in {raw!r}")
     return out
@@ -196,11 +204,10 @@ def _parse_vec(raw, n):
 def cmd_ll_eval(args):
     cls = _parse_class(args.cls)
     if cls.family != "A":
-        return _usage_error("exact evaluation covers the A family")
-    t = [Fraction(v) if not isinstance(v, complex) else v
-         for v in _parse_vec(_json(args.t), cls.mu)]
+        raise _Usage("exact evaluation covers the A family")
+    t = _parse_vec(_json(args.t), cls.mu)
     if any(isinstance(v, complex) for v in t):
-        return _usage_error("exact evaluation needs rational parameters")
+        raise _Usage("exact evaluation needs rational parameters")
     p = llmap.ll_exact_A(cls.mu, t)
     _emit({"class": cls.label, "coeffs": [str(c) for c in p.coeffs],
            "in_discriminant": llmap.discriminant_member(p)})
@@ -425,7 +432,8 @@ def main(argv=None):
     try:
         return args.fn(args)
     except _Usage as exc:
-        return _usage_error(str(exc))
+        _info(f"error: {exc}")
+        return EXIT_USAGE
     except (ValueError, singdata.SeedError) as exc:
         _info(f"error: {exc}")
         return EXIT_FAIL

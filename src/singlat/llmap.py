@@ -3,11 +3,12 @@
 For the one-variable chain family the map sending unfolding parameters to
 the monic polynomial with the critical values as roots is computed exactly
 through a resultant; discriminant membership is exact as well.  Numeric
-companions: critical values for small two-variable families by multistart
-Newton, fiber counting over generic targets for mu = 2, 3, and a wall
-walker that tracks the good ordering of the critical values along a path
-in parameter space and emits a braid letter at every transversal crossing
-of adjacent imaginary parts.
+companions: critical values for small two-variable families and fiber
+counts over generic targets for mu = 2, 3, both by one batched multistart
+Newton, and a wall walker that tracks the good ordering of the critical
+values along a path in parameter space and emits a braid letter at every
+transversal crossing of adjacent imaginary parts.  The chain-family
+critical values come from the walker's stacked eigenvalue kernel.
 """
 
 from __future__ import annotations
@@ -28,31 +29,21 @@ F = Fraction
 
 TOL_DEDUP = 1e-6
 TOL_POINT = 1e-8
-TOL_CROSSCHECK = 1e-10
 TOL_WALL = 1e-9
 TOL_DISC = 1e-9
 
 
-def _horner(cs, x):
-    acc = complex(0)
-    for c in reversed(cs):
-        acc = acc * x + c
-    return acc
-
-
 def _polished_roots(cs):
     """Roots of the polynomial with ascending coefficients cs: companion
-    eigenvalues (np.roots), each polished by up to four Newton steps."""
-    dcs = [k * c for k, c in enumerate(cs)][1:]
-    out = []
-    for x in np.roots(list(reversed(cs))):
-        for _ in range(4):
-            dp = _horner(dcs, x)
-            if abs(dp) < 1e-14:
-                break
-            x = x - _horner(cs, x) / dp
-        out.append(x)
-    return out
+    eigenvalues (np.roots), each polished by up to four Newton steps; a root
+    where the derivative drops below 1e-14 stays where it is."""
+    p = np.array(cs[::-1], dtype=complex)
+    x = np.roots(p).astype(complex)
+    for _ in range(4):
+        d = np.polyval(np.polyder(p), x)
+        live = np.abs(d) >= 1e-14
+        x[live] -= np.polyval(p, x[live]) / d[live]
+    return x
 
 
 @dataclass(frozen=True)
@@ -74,7 +65,7 @@ class LLPoint:
                                   if c})
 
     def roots(self):
-        return np.array(_polished_roots([complex(c) for c in self.coeffs]))
+        return _polished_roots([complex(c) for c in self.coeffs])
 
 
 @dataclass(frozen=True)
@@ -126,13 +117,10 @@ def discriminant_member(p: LLPoint) -> bool:
     """True iff the polynomial has a multiple root (vanishing discriminant),
     decided exactly through the resultant with the derivative."""
     poly = p.as_poly()
-    dpoly = poly.partial("y")
     if poly.degree("y") < 1:
         return False
-    if dpoly.is_zero:
-        return True
-    res = resultant(poly, dpoly, "y")
-    return res.is_zero
+    # monic of degree >= 1, so the derivative is not zero
+    return resultant(poly, poly.partial("y"), "y").is_zero
 
 
 # ---------------------------------------------------------------------------
@@ -160,84 +148,39 @@ def critical_values_numeric(cls_or_label, t, lam=None, *, starts=400,
                             seed=11) -> CriticalData:
     """Critical values of the unfolding at the given parameters.
 
-    Chain family: roots of the x-derivative (companion matrix), exact
-    parameter arithmetic until the final root find.  Two-variable families:
-    damped-Newton multistart on the gradient; requires a generic parameter
-    (exactly mu distinct critical points) and raises IncompleteFiber when
-    the start budget does not locate all of them."""
+    Chain family: one row of the wall walker's kernel (`_walk_values`), so a
+    walk and this function return the same floats at the same parameter.
+    Two-variable families: multistart Newton on the gradient; requires a
+    generic parameter (exactly mu distinct nondegenerate critical points)
+    and raises IncompleteFiber when the start budget does not locate all of
+    them."""
     cls = sing_class(cls_or_label)
     if cls.family == "A":
-        t = [complex(v) for v in t]
-        # derivative of x^(mu+1) + sum t_j x^(j-1) is
-        # (mu+1) x^mu + sum (j-1) t_j x^(j-2)
-        dcoeffs = [complex(0)] * (cls.mu + 1)
-        dcoeffs[cls.mu] = cls.mu + 1
-        for j in range(2, cls.mu + 1):
-            dcoeffs[j - 2] += (j - 1) * t[j - 1]
-        xs = _polished_roots(dcoeffs)
-        values = []
-        for x in xs:
-            v = x ** (cls.mu + 1) + sum(t[j - 1] * x ** (j - 1)
-                                        for j in range(1, cls.mu + 1))
-            values.append(complex(v))
-        values = tuple(values)
+        T = np.array([[complex(v) for v in t]])
+        values = tuple(next(_walk_values(cls.mu, T)))
         return CriticalData(values, _maybe_good_order(values))
     if cls.nvars != 2:
         raise ValueError("numeric critical values cover one- and "
                          "two-variable families")
     f = unfolding(cls)
-    sub = {tn: complex(v) for tn, v in zip(cls.tvars, t)}
+    fixed = {tn: complex(v) for tn, v in zip(cls.tvars, t)}
     if cls.is_elliptic:
-        sub["la"] = complex(lam)
-    fx = f.partial("x0")
-    fy = f.partial("x1")
-    fxx, fxy = fx.partial("x0"), fx.partial("x1")
-    fyx, fyy = fy.partial("x0"), fy.partial("x1")
-
-    def ev(poly, x, y):
-        vals = dict(sub)
-        vals["x0"], vals["x1"] = x, y
-        return poly.eval_complex(vals)
-
+        fixed["la"] = complex(lam)
+    xv = ("x0", "x1")
+    G, J = _poly_system([f.partial(v) for v in xv], xv, fixed, 0)
     rng = random.Random(seed)
-    found = []
-    for _ in range(starts):
-        x = complex(rng.gauss(0, 1.5), rng.gauss(0, 1.5))
-        y = complex(rng.gauss(0, 1.5), rng.gauss(0, 1.5))
-        for _ in range(80):
-            gx, gy = ev(fx, x, y), ev(fy, x, y)
-            if abs(gx) + abs(gy) < 1e-13:
-                break
-            a, b, c, d = ev(fxx, x, y), ev(fxy, x, y), ev(fyx, x, y), ev(fyy, x, y)
-            det = a * d - b * c
-            if abs(det) < 1e-14:
-                break
-            dx = (d * gx - b * gy) / det
-            dy = (-c * gx + a * gy) / det
-            step = 1.0
-            while step > 1e-3:
-                nx, ny = x - step * dx, y - step * dy
-                if abs(ev(fx, nx, ny)) + abs(ev(fy, nx, ny)) <= \
-                   abs(gx) + abs(gy):
-                    break
-                step /= 2
-            x, y = x - step * dx, y - step * dy
-        else:
-            continue
-        if abs(ev(fx, x, y)) + abs(ev(fy, x, y)) > 1e-10:
-            continue
-        hess = ev(fxx, x, y) * ev(fyy, x, y) - ev(fxy, x, y) * ev(fyx, x, y)
-        if abs(hess) < 1e-8:
-            continue  # degenerate critical point: the parameter is not generic
-        if all(abs(x - px) + abs(y - py) > TOL_POINT for px, py, _ in found):
-            found.append((x, y, ev(f, x, y)))
-        if len(found) == cls.mu:
-            break
+    rows = ([complex(rng.gauss(0, 1.5), rng.gauss(0, 1.5)) for _ in xv]
+            for _ in range(starts))
+    # a degenerate critical point means the parameter is not generic
+    found = _distinct_zeros(
+        G, J, rows, cls.mu, TOL_POINT, deflate=True,
+        accept=lambda Z: np.abs(np.linalg.det(J(Z))) >= 1e-8)
     if len(found) != cls.mu:
         raise IncompleteFiber(
             f"found {len(found)} of {cls.mu} critical points; "
             "retry with more starts or a more generic parameter")
-    values = tuple(v for _, _, v in found)
+    values = tuple(complex(f.eval_complex({**fixed, "x0": x, "x1": y}))
+                   for x, y in found)
     return CriticalData(values, _maybe_good_order(values))
 
 
@@ -254,8 +197,8 @@ def _maybe_good_order(values):
 
 @lru_cache(maxsize=None)
 def _symbolic_ll(mu):
-    """Coefficient polynomials c_k(t) of the exact configuration polynomial
-    for the chain family with symbolic parameters, plus their Jacobian."""
+    """Parameter names and coefficient polynomials c_k(t) of the exact
+    configuration polynomial for the chain family."""
     cls = sing_class(f"A{mu}")
     tv = cls.tvars
     f = unfolding(cls).with_vars(("x0", "y") + tv)
@@ -269,8 +212,7 @@ def _symbolic_ll(mu):
         ck = res.coeff_of("y", k)
         ck = MultiPoly(ck.vars, {e: c / c0 for e, c in ck.terms.items()})
         coeffs.append(ck)
-    jac = [[c.partial(tn) for tn in tv] for c in coeffs]
-    return tv, coeffs, jac
+    return tv, coeffs
 
 
 @dataclass
@@ -281,14 +223,19 @@ class FiberCount:
     solutions: tuple
 
 
-def _newton_rows(G, J, starts):
+def _newton_rows(G, J, starts, deflate=()):
     """Newton's method on every row of starts at once.
 
     G maps an (n, m) array of points to the (n, m) residuals, J to the
     (n, m, m) Jacobians.  A row converges when max|g| < 1e-11 and is dropped
     when its Jacobian is singular or its step exceeds 1e6 in modulus; after
     120 iterations the rest are dropped.  Returns the converged mask and the
-    final points."""
+    final points.
+
+    Zeros in deflate are avoided by deflation (Farrell, Birkisson and Funke,
+    SIAM J. Sci. Comput. 37, 2015): the step d is that of Newton on M G with
+    M = prod_i (1 + 1/|x - z_i|^2), d / (1 + (d log M)(d)); the residual,
+    and so the convergence test, stays that of G."""
     T = np.array(starts, dtype=complex)
     ok = np.zeros(len(T), dtype=bool)
     live = np.arange(len(T))
@@ -311,26 +258,37 @@ def _newton_rows(G, J, starts):
                     step[i] = np.linalg.solve(jac[i], g[i])
                 except np.linalg.LinAlgError:
                     keep[i] = False
+        if len(deflate):
+            D = np.conj(T[live][:, None, :] - np.array(deflate))
+            r2 = np.sum(np.abs(D) ** 2, axis=2)
+            dr2 = 2 * np.real(D @ step[..., None])[..., 0]
+            step /= 1 - np.sum(dr2 / (r2 * (r2 + 1)), axis=1, keepdims=True)
         keep &= ~(np.max(np.abs(step), axis=1) > 1e6)
         live, step = live[keep], step[keep]
         T[live] -= step
     return ok, T
 
 
-def _ll_system(mu, p: LLPoint):
-    """Residual G and Jacobian J of the chain family's coefficient-matching
-    system c_k(t) = p_k (k < mu), each evaluated on an (n, mu) array of
-    parameter rows."""
-    tv, coeffs, jac = _symbolic_ll(mu)
-    target = np.array([complex(c) for c in p.coeffs[:mu]])
+# Starts per batched Newton call in _distinct_zeros.  A search stops after
+# the chunk that completes its count of zeros, so smaller chunks stop sooner
+# but run more iterations over a whole budget; at 128 an A3 fiber count that
+# needs all 600 starts takes about as long as one batched pass over them.
+NEWTON_CHUNK = 128
+
+
+def _poly_system(polys, names, fixed, target):
+    """Residual G and Jacobian J of the system polys = target in the
+    unknowns names, every other variable held at its value in fixed; each is
+    evaluated on an (n, len(names)) array of rows."""
+    jac = [[p.partial(v) for v in names] for p in polys]
+    target = np.asarray(target, dtype=complex)
 
     def ev(poly, T):
-        return np.broadcast_to(
-            poly.eval_complex({tn: T[:, k] for k, tn in enumerate(tv)}),
-            len(T))
+        vals = {**fixed, **dict(zip(names, T.T))}
+        return np.broadcast_to(poly.eval_complex(vals), len(T))
 
     def G(T):
-        return np.stack([ev(c, T) for c in coeffs], axis=1) - target
+        return np.stack([ev(p, T) for p in polys], axis=1) - target
 
     def J(T):
         return np.stack([np.stack([ev(d, T) for d in row], axis=1)
@@ -339,16 +297,50 @@ def _ll_system(mu, p: LLPoint):
     return G, J
 
 
+def _ll_system(mu, p: LLPoint):
+    """Residual G and Jacobian J of the chain family's coefficient-matching
+    system c_k(t) = p_k (k < mu) on rows of parameters."""
+    tv, coeffs = _symbolic_ll(mu)
+    return _poly_system(coeffs, tv, {}, p.coeffs[:mu])
+
+
+def _distinct_zeros(G, J, starts, want, tol, accept=None, deflate=False):
+    """Distinct zeros of the system (G, J) that Newton reaches from the
+    rows of starts, an iterable read NEWTON_CHUNK rows at a time.
+
+    Converged rows are taken in start order.  A row is kept when accept (a
+    mask over an array of zeros) passes it and it differs from every zero
+    kept so far by more than tol in max norm.  Stops once want zeros are
+    kept.  With deflate, once a chunk adds no zero, every later chunk runs
+    Newton deflated at the zeros kept so far."""
+    found, stalled = [], False
+    starts = iter(starts)
+    while chunk := list(itertools.islice(starts, NEWTON_CHUNK)):
+        ok, T = _newton_rows(G, J, chunk, found if stalled else ())
+        Z = T[ok]
+        if accept is not None and len(Z):
+            Z = Z[accept(Z)]
+        before = len(found)
+        for z in Z:
+            if all(np.max(np.abs(z - z0)) > tol for z0 in found):
+                found.append(z)
+                if len(found) == want:
+                    return found
+        stalled = stalled or (deflate and len(found) == before)
+    return found
+
+
 def ll_fiber_count(cls_or_label, p: LLPoint, budget=600, *, seed=5,
                    tol_cluster=TOL_DEDUP) -> FiberCount:
     """Number of parameter points mapping to the target configuration,
     located by multistart Newton on the coefficient-matching system.
 
-    Only mu = 2 and 3 are supported; the target must be square-free.  All
-    budget starts are drawn up front from random.Random(seed) and iterated
-    together; the converged ones are deduplicated in start order.  Over a
-    square-free target the A_mu fiber has exactly deg LL = (mu+1)^(mu-1)
-    points, and the saturation flag records that all of them were found."""
+    Only mu = 2 and 3 are supported; the target must be square-free.  The
+    budget starts are drawn in order from random.Random(seed) as the search
+    reaches them; the converged ones are deduplicated in start order.  Over
+    a square-free target the A_mu fiber has exactly deg LL = (mu+1)^(mu-1)
+    points: the search stops when it has found them all, and the saturation
+    flag records that it did."""
     cls = sing_class(cls_or_label)
     if cls.family != "A" or cls.mu not in (2, 3):
         raise ValueError("fiber counting is desk-scale: chain family, mu in {2, 3}")
@@ -361,15 +353,11 @@ def ll_fiber_count(cls_or_label, p: LLPoint, budget=600, *, seed=5,
     if min(abs(a - b) for a, b in itertools.combinations(sylv_roots, 2)) < 1e-5:
         raise ValueError("target has a (near-)multiple root")
     rng = random.Random(seed)
-    starts = [[complex(rng.gauss(0, 2), rng.gauss(0, 2)) for _ in range(mu)]
-              for _ in range(budget)]
-    ok, T = _newton_rows(*_ll_system(mu, p), starts)
-    sols = []
-    for s in map(int, np.flatnonzero(ok)):
-        if all(np.max(np.abs(T[s] - s0)) > tol_cluster for s0 in sols):
-            sols.append(T[s])
-    return FiberCount(count=len(sols),
-                      saturated=len(sols) == (mu + 1) ** (mu - 1),
+    starts = ([complex(rng.gauss(0, 2), rng.gauss(0, 2)) for _ in range(mu)]
+              for _ in range(budget))
+    deg = (mu + 1) ** (mu - 1)
+    sols = _distinct_zeros(*_ll_system(mu, p), starts, deg, tol_cluster)
+    return FiberCount(count=len(sols), saturated=len(sols) == deg,
                       starts=budget, solutions=tuple(tuple(v) for v in sols))
 
 
@@ -393,7 +381,8 @@ def _chain_values(mu, T, X):
 
 def _walk_values(mu, T):
     """Unpolished critical values of the chain unfolding at each row of T,
-    as lists of complex, in row order.
+    as lists of complex, in row order; the one chain-family kernel, shared
+    by the walk and critical_values_numeric.
 
     Rows go through one stacked eigenvalue call over the companion matrices
     np.roots builds; a row whose derivative has a zero constant term (which
@@ -452,6 +441,8 @@ def wall_walk_A(mu, path, steps=2000, *, tol_wall=TOL_WALL,
         raise ValueError("empty path")
     if any(len(wp) != mu for wp in waypoints):
         raise ValueError("waypoints must have mu components")
+    if not np.isfinite(waypoints).all():
+        raise ValueError("waypoints must be finite")
     if len(waypoints) == 1:
         return BraidWord(())
 

@@ -649,7 +649,8 @@ class MultiPoly:
         for expo, c in self.terms.items():
             cv = c.eval_complex() if isinstance(c, Cyclo) else complex(c)
             for v, e in zip(self.vars, expo):
-                cv *= values[v] ** e
+                if e:
+                    cv *= values[v] ** e
             acc += cv
         return acc
 

@@ -244,12 +244,21 @@ FIBER = json.dumps([[0.518, 0.0], [-0.666, 0.0]])
     ("ll-fiber", "A2", FIBER, "--tol-cluster", "0"),
     ("jacobi-dim", "A3", "--at", "0"),
     ("jacobi-dim", "E8", "--at", "2/5"),
+    ("ll-eval", "A2", "[Infinity,1]"),
+    ("ll-eval", "A2", "[NaN,1]"),
+    ("ll-fiber", "A2", "[NaN,[1,0]]"),
+    ("ll-fiber", "A2", "[[0.5,-Infinity],[1,0]]"),
+    ("wall-walk", "2", "[[NaN,0],[1,1]]"),
+    ("counts", "A1"),
+    ("stokes-count", "A1"),
 ], ids=["at-zero-denominator", "at-not-rational", "ll-eval-length",
         "ll-eval-not-json", "wall-walk-waypoint-length", "at-zero",
         "at-one", "steps-zero", "steps-negative", "walk-mu-zero",
         "tol-wall-negative", "tol-disc-nan", "tol-disc-inf", "budget-zero",
         "tol-cluster-negative", "tol-cluster-zero", "at-simple-class",
-        "at-simple-class-nonzero"])
+        "at-simple-class-nonzero", "ll-eval-infinity", "ll-eval-nan",
+        "ll-fiber-nan", "ll-fiber-infinite-imaginary-part", "wall-walk-nan",
+        "counts-below-table", "stokes-count-below-table"])
 def test_bad_input_is_usage_error(capsys, argv):
     assert main(list(argv)) == 2
     captured = capsys.readouterr()

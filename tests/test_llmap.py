@@ -8,11 +8,12 @@ import pytest
 from singlat.braid import VanishingTuple, braid_apply_word, \
     sign_canonical_stokes, stokes_of_tuple
 from singlat.lattice import StokesMatrix
-from singlat.llmap import (IncompleteFiber, LLPoint, UnfoldingPoint,
-                           _ll_system, _newton_rows, _symbolic_ll,
-                           _walk_values, critical_values_numeric,
-                           discriminant_member, good_order, ll_exact_A,
-                           ll_fiber_count, wall_walk_A)
+from singlat.llmap import (TOL_DEDUP, IncompleteFiber, LLPoint,
+                           UnfoldingPoint, _ll_system, _newton_rows,
+                           _symbolic_ll, _walk_values,
+                           critical_values_numeric, discriminant_member,
+                           good_order, ll_exact_A, ll_fiber_count,
+                           wall_walk_A)
 from singlat.singdata import weights, sing_class
 
 
@@ -73,7 +74,7 @@ class TestExactMap:
         # the exact map at t equals the symbolic coefficients evaluated at t
         rng = random.Random(37)
         for mu in (2, 3, 4):
-            tv, coeffs, _ = _symbolic_ll(mu)
+            tv, coeffs = _symbolic_ll(mu)
             for k in range(10):
                 t = [F(rng.randint(-9, 9), rng.randint(1, 6))
                      for _ in range(mu)]
@@ -158,6 +159,112 @@ class TestNumericCriticalValues:
         with pytest.raises(IncompleteFiber):
             critical_values_numeric("D4", [0, 0, 0, 0], starts=40)
 
+    # seeded tE7 parameters whose far critical point the plain multistart
+    # misses from all 400 starts; the search deflated at the points it has
+    # found reaches it
+    @pytest.mark.parametrize("t", [
+        ((-0.0249 + 0.4401j), (-0.5632 - 0.3202j), (-0.3476 + 0.1723j),
+         (0.2302 + 0.717j), (0.53 + 0.0088j), (0.0603 - 0.719j),
+         (0.7199 - 0.2537j), (-0.1971 + 0.7219j)),
+        ((0.2851 - 0.3578j), (0.1807 + 0.4583j), (0.2617 - 0.1743j),
+         (1.0842 + 0.5609j), (-0.6153 - 0.3124j), (0.1751 + 0.1805j),
+         (-0.4049 + 0.484j), (-0.6657 + 0.6869j)),
+    ])
+    def test_far_critical_point_found(self, t):
+        cd = critical_values_numeric("tE7", t, F(-3, 7))
+        assert len(cd.values) == 9 and cd.sigma is not None
+
+    @pytest.mark.parametrize("mu", [1, 2, 3, 4, 5])
+    def test_chain_values_are_a_walk_row(self, mu):
+        # the walk's kernel is the only chain-family root finder: the values
+        # equal, bit for bit, that parameter's row in a stacked walk chunk
+        rng = random.Random(59 + mu)
+        rows = [[F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(mu)]
+                for _ in range(6)]
+        rows += [[complex(rng.gauss(0, 1), rng.gauss(0, 1))
+                  for _ in range(mu)] for _ in range(6)]
+        chunk = list(_walk_values(
+            mu, np.array([[complex(v) for v in t] for t in rows])))
+        for t, walked in zip(rows, chunk):
+            alone = next(_walk_values(mu, np.array([[complex(v) for v in t]])))
+            got = critical_values_numeric(f"A{mu}", t).values
+            assert got == tuple(walked) == tuple(alone), t
+
+    # good-ordered critical values recorded from the damped scalar Newton
+    # that the batched one replaced, at the default starts and seed
+    @pytest.mark.parametrize("label,t,want", [
+        ("D4",
+         ((-0.7788 - 0.7055j), (-0.759 + 0.2128j), (0.5594 - 0.2338j),
+          (-0.0818 - 0.8027j)),
+         ((-0.7295181634454858 - 1.2348468180640282j),
+          (-1.2608058225802221 - 1.058568183948345j),
+          (-0.4781327721240826 - 0.08571159708850803j),
+          (-0.4677793331785059 - 0.08203439784148892j))),
+        ("D5",
+         ((0.0861 - 0.1065j), (0.8271 + 1.4888j), (-0.0078 - 0.3888j),
+          (-0.0145 - 0.3041j), (-0.3443 + 0.4149j)),
+         ((-0.07755690577512984 - 1.5157646388736072j),
+          (0.8131950281095857 - 1.249439765870762j),
+          (-1.2708270227182288 + 0.3423132201329258j),
+          (0.7851370674061859 + 0.38735304042470975j),
+          (0.06355833378345482 + 1.408926585565873j))),
+        ("E6",
+         ((0.0362 + 0.2703j), (-0.7208 - 0.0342j), (-0.3055 + 0.6682j),
+          (0.1672 - 0.019j), (-0.0386 + 0.2144j), (-0.2276 - 0.4629j)),
+         ((0.19978839102592005 - 0.3660504490471085j),
+          (-0.2216338551112531 - 0.007059535445635243j),
+          (0.14937147598168227 + 0.2850678232679995j),
+          (-0.02408718815262699 + 0.43379153934012327j),
+          (-0.22675294466097182 + 0.4972376099158081j),
+          (0.279642351346592 + 0.7373014312102445j))),
+        ("E8",
+         ((-0.3498 + 0.14j), (0.1425 - 0.8313j), (-0.8829 + 0.3029j),
+          (0.0543 + 0.4561j), (0.3472 - 0.0944j), (0.0789 + 0.1005j),
+          (-0.4347 - 0.8187j), (0.5404 + 0.1821j)),
+         ((-0.052167407368800676 - 0.36814360846984917j),
+          (0.26740720746690894 - 0.1984803983365746j),
+          (-0.008182108256225722 - 0.172663011814815j),
+          (-0.3893448630991759 - 0.005964155298958683j),
+          (-1.0509532080827537 + 0.005708507481240091j),
+          (-1.0222369657359296 + 0.4937783869936851j),
+          (0.0806561179318594 + 0.7971142110661193j),
+          (-0.42498717263003355 + 0.9634354181835931j))),
+        ("tE7",
+         ((-0.3546 + 0.2701j), (0.0467 + 0.4903j), (0.7125 + 0.8755j),
+          (0.1944 + 0.5876j), (-0.4636 - 0.5663j), (-0.6006 + 0.0978j),
+          (0.2844 - 0.1201j), (0.1296 + 0.4038j)),
+         ((-1.6988996068779547 - 1.8262305531494691j),
+          (0.3194825735955638 - 1.535659443312264j),
+          (-0.6517370253428372 - 1.205711291456714j),
+          (3.5522830584045897 - 0.9832999969538403j),
+          (0.3087196078969381 - 0.7612035547180217j),
+          (-0.5736884765402219 + 0.6945662280570941j),
+          (-0.2936248672586788 + 0.7742370981134141j),
+          (0.4373169876160169 + 1.19079785917433j),
+          (-0.9273053744092513 + 1.3888566169064291j))),
+        ("tE8",
+         ((-0.0322 - 0.5238j), (-0.1546 + 0.1281j), (0.5094 + 0.5173j),
+          (0.0734 + 0.5506j), (0.0334 + 0.4304j), (0.3933 + 1.0189j),
+          (-0.4109 - 0.4057j), (0.1255 + 0.9434j), (-0.2483 - 0.1009j)),
+         ((1.5962998222814857 - 2.050652861888496j),
+          (-2.7012404525298557 - 1.3550591882711682j),
+          (-1.3714533890505924 - 1.0882683197130707j),
+          (0.3374934658605985 - 0.8641913923693905j),
+          (0.4607425655087559 - 0.7631450541429623j),
+          (-0.039255765569513934 - 0.7289851260738097j),
+          (0.19321466072795873 - 0.576687783297284j),
+          (-0.09686589537954156 - 0.5746053610095633j),
+          (0.19397603905861777 - 0.5120037569207629j),
+          (-1.2369906681260743 + 1.034424011152786j))),
+    ], ids=["D4", "D5", "E6", "E8", "tE7", "tE8"])
+    def test_two_variable_values_pinned(self, label, t, want):
+        lam = F(-3, 7) if label.startswith("t") else None
+        cd = critical_values_numeric(label, t, lam)
+        got = [cd.values[k] for k in cd.sigma]
+        assert len(got) == len(want)
+        err = max(abs(a - b) for a, b in zip(got, want))
+        assert err <= 1e-12 * max(map(abs, want))
+
 
 class TestFiberCount:
     def test_a2_saturates_at_three(self):
@@ -220,7 +327,8 @@ def target_from_roots(roots):
 def scalar_newton(mu, p, start):
     """Reference: the per-start Newton loop that _newton_rows batches, on
     scalar polynomial evaluations.  The final point, or None when dropped."""
-    tv, coeffs, jac = _symbolic_ll(mu)
+    tv, coeffs = _symbolic_ll(mu)
+    jac = [[c.partial(tn) for tn in tv] for c in coeffs]
     target = np.array([complex(c) for c in p.coeffs[:mu]])
     tvec = np.array(start, dtype=complex)
     for _ in range(120):
@@ -253,6 +361,29 @@ class TestBatchedNewton:
             assert ok[k] == (ref is not None)
             if ref is not None:
                 assert np.max(np.abs(T[k] - ref)) < 1e-9
+
+    @pytest.mark.parametrize("mu,budget", [(2, 150), (2, 6), (3, 600),
+                                           (3, 120), (3, 40)])
+    def test_fiber_count_matches_one_pass(self, mu, budget):
+        # the chunked search that stops at deg LL points finds the first
+        # points, in start order, of one Newton pass over every start
+        rng = random.Random(61 + budget)
+        for _ in range(4):
+            p = target_from_roots([complex(rng.gauss(0, 1), rng.gauss(0, 1))
+                                   for _ in range(mu)])
+            draw = random.Random(5)
+            starts = [[complex(draw.gauss(0, 2), draw.gauss(0, 2))
+                       for _ in range(mu)] for _ in range(budget)]
+            ok, T = _newton_rows(*_ll_system(mu, p), starts)
+            ref = []
+            for z in T[ok]:
+                if all(np.max(np.abs(z - z0)) > TOL_DEDUP for z0 in ref):
+                    ref.append(z)
+            fc = ll_fiber_count(f"A{mu}", p, budget=budget)
+            deg = (mu + 1) ** (mu - 1)
+            assert (fc.count, fc.saturated) == (len(ref), len(ref) == deg)
+            assert fc.starts == budget
+            assert np.max(np.abs(np.array(fc.solutions) - ref)) < 1e-12
 
     def test_singular_rows_dropped_alone(self):
         # det J = 8/9 t2^2 for A2: a start with t2 = 0 has an exactly
@@ -307,6 +438,12 @@ class TestWallWalk:
     def test_meaningless_counts_rejected(self, mu, path, steps):
         with pytest.raises(ValueError, match="at least 1"):
             wall_walk_A(mu, path, steps=steps)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     complex(0.5, float("-inf"))])
+    def test_non_finite_waypoint_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            wall_walk_A(2, [[0.5, -1.0], [bad, 1.0 + 0.1j]], steps=50)
 
     # default-steps words of the per-sample walker this chunked one replaced
     @pytest.mark.parametrize("path,word", [

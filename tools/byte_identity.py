@@ -7,7 +7,10 @@ compares the two outputs byte for byte:
 
 It records the stdout and exit code of the CLI verbs whose results rest on
 the unfoldings or on the numeric llmap kernels (verify-symmetry,
-verify-kappa, jacobi-dim, ll-eval, ll-fiber, wall-walk, counts) and the
+verify-kappa, jacobi-dim, ll-eval, ll-fiber, wall-walk, counts), with
+stderr for vectors holding NaN or Infinity and for a class outside the
+count tables; a run that raises prints `-> exception <Type>` in place of
+its exit code, and the battery goes on.  It also records the
 repr of critical_values_numeric, wall_walk_A (including the default-steps
 round trip of a known-defect path) and the symbolic chain-family LL
 coefficients.  For the lattice kernels it prints, for every class and for
@@ -60,12 +63,16 @@ REJECTED_SEEDS = (
 
 def run_cli(*argv, stderr=False):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(list(argv))
-    print(f"$ singlat {' '.join(argv)}  -> exit {code}")
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = f"exit {cli.main(list(argv))}"
+    except Exception as exc:  # the failure itself is part of the output
+        status = f"exception {type(exc).__name__}"
+    print(f"$ singlat {' '.join(argv)}  -> {status}")
     print(out.getvalue(), end="")
     if stderr:
-        print(f"[stderr] {err.getvalue()}", end="")
+        for line in err.getvalue().splitlines():
+            print(f"[stderr] {line}")
 
 
 def rational_vectors(rng, mu, n):
@@ -205,8 +212,14 @@ def main():
         [[[0.3049, -0.5892], [0.5335, -0.0508], [0.7508, 0.6878]],
          [[0.6442, 2.0206], [-1.0975, 1.1077], [0.1413, 0.4755]],
          [[-1.1823, -0.74], [0.0654, 0.5675], [-0.4078, -0.0155]]]))
+    for argv in (("ll-eval", "A2", "[Infinity,1]"),
+                 ("ll-eval", "A2", "[NaN,1]"),
+                 ("ll-fiber", "A2", "[NaN,[1,0]]"),
+                 ("wall-walk", "2", "[[NaN,0],[1,1]]")):
+        run_cli(*argv, stderr=True)
     for label in ALL_LABELS:
         run_cli("counts", label)
+    run_cli("counts", "A1", stderr=True)
     for label in ("A3", "A4", "D4", "D5", "E6", "E8"):
         mu = int(label[1:])
         t = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
@@ -225,7 +238,9 @@ def main():
     show("wall_walk_A defect round trip", llmap.wall_walk_A, 3,
          DEFECT_PATH + DEFECT_PATH[-2::-1])
     for mu in (2, 3, 4):
-        tv, coeffs, jac = llmap._symbolic_ll(mu)
+        # older versions return the Jacobian as a third entry
+        tv, coeffs = llmap._symbolic_ll(mu)[:2]
+        jac = [[c.partial(tn) for tn in tv] for c in coeffs]
         print(f"_symbolic_ll {mu}: {tv!r} {coeffs!r} {jac!r}")
     lattice_outputs(random.Random(20261019))
     algebra_outputs(random.Random(20261020))
