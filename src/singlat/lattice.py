@@ -18,7 +18,7 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .polyalg import bareiss
+from .polyalg import MultiPoly, bareiss
 
 
 # ---------------------------------------------------------------------------
@@ -85,22 +85,26 @@ def unit_upper_inverse(s):
 
 
 def char_poly(m):
-    """Characteristic polynomial det(y*Id - M), ascending integer coefficients.
+    """Characteristic polynomial det(y*Id - M), ascending coefficients.
 
-    Faddeev-LeVerrier on Python ints: c_k = -tr(M A_k) / k is exact for an
-    integer matrix.  A non-integer entry raises TypeError.
+    Faddeev-LeVerrier: c_k = -tr(M A_k) / k is exact for a matrix over Z
+    or over a polynomial ring Z[t].  Entries are ints or MultiPolys, and
+    `//` is the exact division for both, as in `bareiss`; any other entry
+    (a Fraction, say) raises TypeError.
     """
-    mm = tuple(tuple(operator.index(x) for x in row) for row in m)
+    mm = tuple(tuple(x if isinstance(x, MultiPoly) else operator.index(x)
+                     for x in row) for row in m)
     n = len(mm)
     cs = [1]  # y^n + cs[1] y^{n-1} + ... + cs[n]
     a = mm
     for k in range(1, n + 1):
-        ck, rem = divmod(-sum(a[i][i] for i in range(n)), k)
-        if rem:
+        tr = -sum(a[i][i] for i in range(n))
+        ck = tr // k
+        if ck * k != tr:
             raise ArithmeticError("characteristic polynomial not integral")
         cs.append(ck)
         if k < n:
-            shifted = tuple(tuple(a[i][j] + (ck if i == j else 0)
+            shifted = tuple(tuple(a[i][j] + ck if i == j else a[i][j]
                                   for j in range(n)) for i in range(n))
             a = mat_mul(mm, shifted)
     return tuple(reversed(cs))  # ascending: entry k is the coefficient of y^k

@@ -1,8 +1,13 @@
 """Critical-value configuration maps at desk scale.
 
 For the one-variable chain family the map sending unfolding parameters to
-the monic polynomial with the critical values as roots is computed exactly
-through a resultant; discriminant membership is exact as well.  Numeric
+the monic polynomial with the critical values as roots is computed exactly.
+By Stickelberger's theorem that polynomial, prod_i (y - f(x_i)) over the
+critical points x_i counted with multiplicity, is the characteristic
+polynomial of multiplication by f in Q[x]/(f'): one integer (or, for the
+symbolic map, Z[t]) Faddeev-LeVerrier pass after clearing denominators.
+Discriminant membership is exact as well, a Bareiss rank test of the
+Sylvester matrix of the polynomial and its derivative over Z.  Numeric
 companions: critical values for small two-variable families and fiber
 counts over generic targets for mu = 2, 3, both by one batched multistart
 Newton, and a wall walker that tracks the good ordering of the critical
@@ -14,6 +19,7 @@ critical values come from the walker's stacked eigenvalue kernel.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,7 +28,8 @@ from functools import lru_cache
 import numpy as np
 
 from .braid import BraidWord
-from .polyalg import MultiPoly, resultant
+from .lattice import char_poly
+from .polyalg import MultiPoly, bareiss, sylvester
 from .singdata import SingularityClass, sing_class, unfolding
 
 F = Fraction
@@ -60,10 +67,6 @@ class LLPoint:
     def degree(self):
         return len(self.coeffs) - 1
 
-    def as_poly(self, var="y"):
-        return MultiPoly((var,), {(k,): F(c) for k, c in enumerate(self.coeffs)
-                                  if c})
-
     def roots(self):
         return _polished_roots([complex(c) for c in self.coeffs])
 
@@ -94,33 +97,78 @@ class IncompleteFiber(RuntimeError):
 # exact chain-family map
 # ---------------------------------------------------------------------------
 
+def _config_coeffs(mu, t):
+    """Coefficients c_0, ..., c_(mu-1) of the configuration polynomial
+    y^mu + sum_k c_k y^k = prod_i (y - f(x_i)) of the chain family
+    f = x^(mu+1) + t_1 + t_2 x + ... + t_mu x^(mu-1), the product over the
+    mu critical points x_i of f counted with multiplicity.
+
+    The entries of t are Fractions, or MultiPolys in the parameter names
+    for the symbolic map.  By Stickelberger's theorem (Cox, Little and
+    O'Shea, Using Algebraic Geometry, ch. 4) the product is the
+    characteristic polynomial of multiplication by f in Q[x]/(f'), where f
+    equals its remainder r = sum_j (mu+2-j)/(mu+1) t_j x^(j-1) modulo the
+    monic g = f'/(mu+1).  Column j of the matrix is r x^j mod g.  Scaling
+    by the common denominator d of the entries gives a matrix over Z or
+    Z[t]; its characteristic polynomial has coefficient k equal to
+    d^(mu-k) c_k."""
+    zero = t[0] * 0
+    # g = x^mu + sum_i g_i x^i: g_i = (i+1)/(mu+1) t_(i+2), and g_(mu-1) = 0
+    g = [F(i + 1, mu + 1) * t[i + 1] for i in range(mu - 1)] + [zero]
+    col = [F(mu + 1 - i, mu + 1) * t[i] for i in range(mu)]
+    cols = [col]
+    for _ in range(mu - 1):
+        top = col[-1]
+        col = [zero] + col[:-1]
+        if top:
+            col = [c - top * gi for c, gi in zip(col, g)]
+        cols.append(col)
+    rows = list(zip(*cols))
+    d = math.lcm(*(_denominator(x) for row in rows for x in row))
+    cp = char_poly([[_integral(x * d) for x in row] for row in rows])
+    return [c * F(1, d ** (mu - k)) for k, c in enumerate(cp[:mu])]
+
+
+def _denominator(x):
+    if isinstance(x, MultiPoly):
+        return math.lcm(*(c.denominator for c in x.terms.values()))
+    return x.denominator
+
+
+def _integral(x):
+    return x if isinstance(x, MultiPoly) else x.numerator
+
+
 def ll_exact_A(mu, t) -> LLPoint:
-    """Exact configuration polynomial prod_j (y - u_j) for the chain family
-    x^(mu+1) + t_1 + t_2 x + ... + t_mu x^(mu-1), via the resultant of the
-    x-derivative with y - F, normalized monic."""
+    """Exact configuration polynomial prod_i (y - f(x_i)) for the chain
+    family f = x^(mu+1) + t_1 + t_2 x + ... + t_mu x^(mu-1), the product
+    over the critical points x_i counted with multiplicity: its roots are
+    the critical values.  It is the characteristic polynomial of
+    multiplication by f in Q[x]/(f') (Stickelberger; see `_config_coeffs`),
+    computed over Z after clearing denominators; equal to the monic
+    Res_x(f', y - f)."""
+    if mu < 1:
+        raise ValueError(f"mu must be at least 1, got {mu}")
     if len(t) != mu:
         raise ValueError(f"need {mu} parameters")
-    cls = sing_class(f"A{mu}")
-    f = unfolding(cls).subst({tn: F(v) for tn, v in zip(cls.tvars, t)})
-    y_minus_f = MultiPoly.var("y", ("x0", "y")) - f
-    res = resultant(f.partial("x0"), y_minus_f, "x0")
-    coeffs = [F(0)] * (mu + 1)
-    for expo, c in res.terms.items():
-        coeffs[expo[res.vars.index("y")]] = c
-    lead = coeffs[mu]
-    if not lead:
-        raise ArithmeticError("configuration polynomial degenerated")
-    return LLPoint(tuple(c / lead for c in coeffs))
+    coeffs = _config_coeffs(mu, [F(v) for v in t])
+    return LLPoint(tuple(coeffs) + (F(1),))
 
 
 def discriminant_member(p: LLPoint) -> bool:
-    """True iff the polynomial has a multiple root (vanishing discriminant),
-    decided exactly through the resultant with the derivative."""
-    poly = p.as_poly()
-    if poly.degree("y") < 1:
+    """True iff the polynomial has a multiple root, i.e. shares a root with
+    its derivative.  Decided exactly: p is scaled to integer coefficients,
+    and the Sylvester matrix of p and p' is singular (`polyalg.bareiss`
+    over Z) iff their resultant, the discriminant up to a nonzero factor,
+    vanishes."""
+    cs = [F(c) for c in p.coeffs]
+    if len(cs) < 2:
         return False
+    d = math.lcm(*(c.denominator for c in cs))
+    a = [(c * d).numerator for c in cs]
     # monic of degree >= 1, so the derivative is not zero
-    return resultant(poly, poly.partial("y"), "y").is_zero
+    da = [k * a[k] for k in range(1, len(a))]
+    return bareiss(sylvester(a, da))[1] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +201,14 @@ def critical_values_numeric(cls_or_label, t, lam=None, *, starts=400,
     Two-variable families: multistart Newton on the gradient; requires a
     generic parameter (exactly mu distinct nondegenerate critical points)
     and raises IncompleteFiber when the start budget does not locate all of
-    them."""
+    them.  t must hold one entry per unfolding parameter, and an elliptic
+    class needs lam; otherwise ValueError."""
     cls = sing_class(cls_or_label)
+    if len(t) != len(cls.tvars):
+        raise ValueError(f"{cls.label} needs {len(cls.tvars)} parameters, "
+                         f"got {len(t)}")
+    if cls.is_elliptic and lam is None:
+        raise ValueError(f"{cls.label} needs the family parameter lam")
     if cls.family == "A":
         T = np.array([[complex(v) for v in t]])
         values = tuple(next(_walk_values(cls.mu, T)))
@@ -197,22 +251,12 @@ def _maybe_good_order(values):
 
 @lru_cache(maxsize=None)
 def _symbolic_ll(mu):
-    """Parameter names and coefficient polynomials c_k(t) of the exact
-    configuration polynomial for the chain family."""
-    cls = sing_class(f"A{mu}")
-    tv = cls.tvars
-    f = unfolding(cls).with_vars(("x0", "y") + tv)
-    res = resultant(f.partial("x0"), MultiPoly.var("y", f.vars) - f, "x0")
-    lead = res.coeff_of("y", mu)
-    (e0, c0), = lead.terms.items()
-    if any(e0):
-        raise ArithmeticError("leading coefficient is not constant")
-    coeffs = []
-    for k in range(mu):
-        ck = res.coeff_of("y", k)
-        ck = MultiPoly(ck.vars, {e: c / c0 for e, c in ck.terms.items()})
-        coeffs.append(ck)
-    return tv, coeffs
+    """Parameter names and coefficient polynomials c_k(t), k < mu, of the
+    exact configuration polynomial for the chain family: `_config_coeffs`
+    with the parameters as variables, so the characteristic polynomial is
+    taken over Z[t]."""
+    tv = sing_class(f"A{mu}").tvars
+    return tv, _config_coeffs(mu, [MultiPoly.var(tn, tv) for tn in tv])
 
 
 @dataclass

@@ -5,8 +5,9 @@ cyclotomic extensions of Q (for i and the primitive 8th root of unity).
 MultiPoly is a sparse Laurent polynomial in named variables over either
 domain; the domains only need +, -, *, / and a truthiness test, so they mix
 freely through Python's operator coercion.  `bareiss` is the one exact rank
-and determinant routine, over Z and over polynomial rings: the resultant,
-the Milnor-lattice determinants and the graded Jacobi ranks all call it.  A
+and determinant routine, over Z and over polynomial rings: the resultant
+and the discriminant test (on one Sylvester matrix builder), the
+Milnor-lattice determinants and the graded Jacobi ranks all call it.  A
 symbolic family parameter stays a polynomial variable, and a rank over
 Q(la) is an elimination over Q[la].
 """
@@ -771,20 +772,16 @@ def parse_poly(text, vars):
 # resultants and graded linear algebra
 # ---------------------------------------------------------------------------
 
-def bareiss(rows):
-    """Rank and determinant of a matrix over Z or a polynomial ring, by
-    fraction-free (Bareiss) elimination; Bareiss, Math. Comp. 22 (1968).
-
-    Entries are ints or MultiPolys, and `//` is exact division for both.
-    Every entry after a step is a minor of the input, so the division by
-    the previous pivot is exact.  A step rewrites only the entries right of
-    the pivot column; those left of it are never read again.  The
-    determinant is 0 unless the matrix is square of full rank."""
+def _pivot_columns(rows):
+    """Pivot columns and determinant of fraction-free (Bareiss) elimination
+    on rows; see `bareiss`.  The columns are found left to right, so the
+    number of pivots among the first k columns is their rank."""
     rows = [list(row) for row in rows]
     n = len(rows)
     cols = len(rows[0]) if rows else 0
-    sign, prev, rank = 1, 1, 0
+    sign, prev, pivots = 1, 1, []
     for c in range(cols):
+        rank = len(pivots)
         piv = next((i for i in range(rank, n) if rows[i][c]), None)
         if piv is None:
             continue
@@ -801,10 +798,38 @@ def bareiss(rows):
             else:
                 r[c + 1:] = [p * a // prev for a in r[c + 1:]]
         prev = p
-        rank += 1
-        if rank == n:
+        pivots.append(c)
+        if rank + 1 == n:
             break
-    return rank, sign * prev if rank == n == cols else 0
+    return pivots, sign * prev if len(pivots) == n == cols else 0
+
+
+def bareiss(rows):
+    """Rank and determinant of a matrix over Z or a polynomial ring, by
+    fraction-free (Bareiss) elimination; Bareiss, Math. Comp. 22 (1968).
+
+    Entries are ints or MultiPolys, and `//` is exact division for both.
+    Every entry after a step is a minor of the input, so the division by
+    the previous pivot is exact.  A step rewrites only the entries right of
+    the pivot column; those left of it are never read again.  The
+    determinant is 0 unless the matrix is square of full rank."""
+    pivots, det = _pivot_columns(rows)
+    return len(pivots), det
+
+
+def sylvester(pc, qc, zero=0):
+    """Sylvester matrix of p and q, given by their ascending coefficient
+    lists with nonzero last entries: deg q shifted copies of p's
+    coefficients, leading one first, then deg p shifted copies of q's.
+    Its determinant is the resultant of p and q."""
+    dp, dq = len(pc) - 1, len(qc) - 1
+    rows = []
+    for cs, copies in ((pc, dq), (qc, dp)):
+        for i in range(copies):
+            row = [zero] * (dp + dq)
+            row[i:i + len(cs)] = cs[::-1]
+            rows.append(row)
+    return rows
 
 
 def resultant(p, q, var):
@@ -825,21 +850,9 @@ def resultant(p, q, var):
         raise ValueError("resultant requires positive degree in the variable")
     pc = [p.coeff_of(var, k) for k in range(dp + 1)]
     qc = [q.coeff_of(var, k) for k in range(dq + 1)]
-    n = dp + dq
     zero = MultiPoly.zero(pc[0].vars)
-    rows = []
-    for i in range(dq):
-        row = [zero] * n
-        for k in range(dp + 1):
-            row[i + k] = pc[dp - k]
-        rows.append(row)
-    for i in range(dp):
-        row = [zero] * n
-        for k in range(dq + 1):
-            row[i + k] = qc[dq - k]
-        rows.append(row)
-    rank, det = bareiss(rows)
-    return det if rank == n else zero
+    rank, det = bareiss(sylvester(pc, qc, zero))
+    return det if rank == dp + dq else zero
 
 
 @dataclass(frozen=True)
@@ -887,32 +900,39 @@ class WeightSystem:
         return out
 
 
-def graded_piece_rank(gens, weights, q):
+def graded_piece_rank(gens, weights, q, lead=None):
     """Rank over Q, or over Q(la), of the given quasihomogeneous generators
     inside the weighted-degree-q piece of the polynomial ring.
 
-    Each generator is one row, scaled to clear its denominators.  Variables
-    outside the weight system (the family parameter la) stay in the
-    entries, so a symbolic rank over Q(la) is an elimination over Q[la]."""
+    Each generator is one column, scaled to clear its denominators.
+    Variables outside the weight system (the family parameter la) stay in
+    the entries, so a symbolic rank over Q(la) is an elimination over
+    Q[la].  With lead=k the result is the pair (rank of gens[:k], rank of
+    gens), both from one elimination: it finds its pivots column by column,
+    so the pivots among the first k columns span those generators."""
     q = Fraction(q)
     names = tuple(v for v, _ in weights.var_weights)
     basis = weights.monomial_basis(q)
     if not basis:
         if any(not g.is_zero for g in gens):
             raise ValueError("nonzero generator in an empty graded piece")
-        return 0
+        return 0 if lead is None else (0, 0)
     index = {e: k for k, e in enumerate(basis)}
-    rows = []
+    cols = []
     for g in gens:
         if g.is_zero:
             continue
         scale = math.lcm(*(c.denominator for c in g.terms.values()))
         g = (g * scale).with_vars(names + tuple(v for v in g.vars
                                                 if v not in names))
-        row = [0] * len(basis)
+        col = [0] * len(basis)
         for expo, c in g.coefficient_split(names).items():
             if weights.monomial_degree(names, expo) != q:
                 raise ValueError(f"generator not homogeneous of degree {q}")
-            row[index[expo]] = c if c.vars else c.terms[()].numerator
-        rows.append(row)
-    return bareiss(rows)[0]
+            col[index[expo]] = c if c.vars else c.terms[()].numerator
+        cols.append(col)
+    pivots, _ = _pivot_columns(list(zip(*cols)))
+    if lead is None:
+        return len(pivots)
+    lead_cols = sum(not g.is_zero for g in gens[:lead])
+    return sum(c < lead_cols for c in pivots), len(pivots)

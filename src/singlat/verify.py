@@ -120,11 +120,11 @@ def jacobi_dimension(cls_or_label, lam=None) -> int:
         if cls.is_elliptic and q == 1:
             cobasis = cobasis + [dlam]
         want = len(piece)
-        got = graded_piece_rank(gens + cobasis, wsys, q)
+        ideal, got = graded_piece_rank(gens + cobasis, wsys, q,
+                                       lead=len(gens))
         if got != want:
             raise JacobiRankError(cls.label, q, got, want)
-        free = want - graded_piece_rank(gens, wsys, q) if gens else want
-        dim += free
+        dim += want - ideal
     # degree-0 piece (the constants) is spanned by m_1 = 1
     return dim + 1
 

@@ -12,6 +12,7 @@ from singlat.lattice import (MonodromyMatrix, StokesMatrix, char_poly,
                              monodromy_product, pl_reflect, radical_rank,
                              symmetrized_form)
 from singlat.braid import VanishingTuple, braid_apply_word, BraidWord
+from singlat.polyalg import MultiPoly
 from singlat.singdata import seed_stokes, ALL_LABELS
 
 
@@ -214,6 +215,27 @@ class TestIntegerKernels:
         # (y + 1)(y^23 + 1) = 1 + y + y^23 + y^24
         m = monodromy_from_stokes(seed_stokes("D24").stokes)
         assert char_poly(m.rows) == (1, 1) + (0,) * 21 + (1, 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.lists(st.lists(st.integers(-3, 3), max_size=3), min_size=n,
+                 max_size=n), min_size=n, max_size=n)))
+    def test_polynomial_entries_match_sympy(self, rows):
+        # over Z[la]: entries are MultiPolys given by ascending coefficients
+        sympy = pytest.importorskip("sympy")
+        la, y = sympy.symbols("la y")
+        m = [[MultiPoly(("la",), {(k,): Fraction(c) for k, c in enumerate(cs)})
+              for cs in row] for row in rows]
+        cp = char_poly(m)
+        want = sympy.Matrix([[sum(c * la ** k for k, c in enumerate(cs))
+                              for cs in row] for row in rows]).charpoly(y)
+        for k, c in enumerate(cp):
+            c = c if isinstance(c, MultiPoly) else \
+                MultiPoly.const(("la",), c)
+            got = sum((sympy.Rational(v.numerator, v.denominator) * la ** e
+                       for (e,), v in c.with_vars(("la",)).terms.items()),
+                      sympy.Integer(0))
+            assert sympy.expand(got - want.coeff_monomial(y ** k)) == 0
 
     def test_non_integer_entry_rejected(self):
         with pytest.raises(TypeError):

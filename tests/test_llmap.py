@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from singlat.braid import VanishingTuple, braid_apply_word, \
     sign_canonical_stokes, stokes_of_tuple
@@ -14,7 +15,8 @@ from singlat.llmap import (TOL_DEDUP, IncompleteFiber, LLPoint,
                            critical_values_numeric, discriminant_member,
                            good_order, ll_exact_A, ll_fiber_count,
                            wall_walk_A)
-from singlat.singdata import weights, sing_class
+from singlat.polyalg import MultiPoly, resultant
+from singlat.singdata import sing_class, unfolding, weights
 
 
 def match_sets(a, b):
@@ -90,6 +92,83 @@ class TestExactMap:
         # in the discriminant iff t2 = 0 on the t1 = 0 axis
         assert discriminant_member(ll_exact_A(2, (0, 0)))
         assert not discriminant_member(ll_exact_A(2, (0, 1)))
+        # all-zero t: y^mu, a multiple root from mu = 2 on
+        for mu in range(1, 7):
+            assert discriminant_member(ll_exact_A(mu, [0] * mu)) == (mu > 1)
+
+
+def resultant_ll(mu, t):
+    """The configuration polynomial as the monic Res_x(f', y - f), a
+    construction independent of the characteristic polynomial; t holds
+    Fractions or, with t = None, the parameters stay variables."""
+    cls = sing_class(f"A{mu}")
+    f = unfolding(cls)
+    if t is not None:
+        f = f.subst({tn: F(v) for tn, v in zip(cls.tvars, t)})
+    f = f.with_vars(("x0", "y") + tuple(v for v in f.vars if v != "x0"))
+    res = resultant(f.partial("x0"), MultiPoly.var("y", f.vars) - f, "x0")
+    (_, lead), = res.coeff_of("y", mu).terms.items()
+    return [res.coeff_of("y", k) * (1 / lead) for k in range(mu + 1)]
+
+
+def poly_mul(a, b):
+    """Product of two ascending coefficient tuples."""
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+_rationals = st.one_of(st.just(F(0)), st.fractions(
+    min_value=-9, max_value=9, max_denominator=7))
+
+
+@st.composite
+def chain_parameters(draw, mus=(1, 2, 3, 4, 5, 6)):
+    mu = draw(st.sampled_from(mus))
+    return mu, draw(st.lists(_rationals, min_size=mu, max_size=mu))
+
+
+class TestCharacteristicPolynomial:
+    """The Stickelberger construction against the resultant one, and
+    discriminant membership against sympy (a test-only oracle)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(chain_parameters())
+    def test_matches_resultant(self, case):
+        mu, t = case
+        want = [c.terms.get((), F(0)) for c in resultant_ll(mu, t)]
+        assert ll_exact_A(mu, t).coeffs == tuple(want)
+
+    @pytest.mark.parametrize("mu", [1, 2, 3, 4])
+    def test_symbolic_matches_resultant(self, mu):
+        tv, coeffs = _symbolic_ll(mu)
+        want = resultant_ll(mu, None)
+        assert want[mu] == 1
+        for got, c in zip(coeffs, want):
+            assert got.vars == tv
+            assert got.terms == c.with_vars(tv).terms
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(
+        # generic monic polynomials of degree 1..6
+        st.lists(_rationals, min_size=1, max_size=6).map(
+            lambda cs: LLPoint(tuple(cs) + (F(1),))),
+        # (y - a)^2 q: always in the discriminant
+        st.tuples(_rationals, st.lists(_rationals, max_size=4)).map(
+            lambda aq: LLPoint(poly_mul((aq[0] ** 2, -2 * aq[0], F(1)),
+                                        tuple(aq[1]) + (F(1),)))),
+        # chain-family images, among them t2 = 0 and all-zero t
+        chain_parameters().map(lambda c: ll_exact_A(*c)),
+        chain_parameters((2, 3, 4, 5)).map(
+            lambda c: ll_exact_A(c[0], [c[1][0], F(0)] + c[1][2:]))))
+    def test_discriminant_matches_sympy(self, p):
+        sympy = pytest.importorskip("sympy")
+        y = sympy.Symbol("y")
+        poly = sum(sympy.Rational(c.numerator, c.denominator) * y ** k
+                   for k, c in enumerate(map(F, p.coeffs)))
+        assert discriminant_member(p) == (sympy.discriminant(poly, y) == 0)
 
 
 class TestUnfoldingPoint:
@@ -154,6 +233,18 @@ class TestNumericCriticalValues:
             "E6", [F(1, 3), F(-2, 5), F(1, 2), F(2, 7), F(-1, 4), F(3, 5)],
             starts=500)
         assert len(cd.values) == 6
+
+    @pytest.mark.parametrize("label,t,lam", [
+        ("D4", [0.1, 0.2], None),
+        ("D4", [0.1, 0.2, 0.3, 0.4, 9.9], None),
+        ("A2", [0.1], None),
+        ("A2", [0.1, 0.2, 5.0], None),
+        ("tE7", [0.1] * 7, F(-3, 7)),
+        ("tE7", [0.1] * 8, None),
+    ])
+    def test_wrong_arity_rejected(self, label, t, lam):
+        with pytest.raises(ValueError, match="parameter"):
+            critical_values_numeric(label, t, lam)
 
     def test_incomplete_fiber_detected(self):
         with pytest.raises(IncompleteFiber):

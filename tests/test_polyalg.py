@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from singlat.polyalg import (Cyclo, GAUSS, ZETA8, MultiPoly, RatFunc,
                              WeightSystem, bareiss, graded_piece_rank,
-                             parse_poly, resultant)
+                             parse_poly, resultant, sylvester)
 from singlat.singdata import ALL_LABELS, sing_class, weights
 from singlat.verify import _achievable_degrees
 
@@ -134,6 +134,12 @@ class TestResultant:
         vs = ("x",)
         assert not resultant(P("3", vs), P("5", vs), "x").is_zero
 
+    def test_sylvester_layout(self):
+        # p = 1 + 2x + 3x^2, q = 4 + 5x: one row of p, two shifted rows of q
+        assert sylvester([1, 2, 3], [4, 5]) == [[3, 2, 1],
+                                                [5, 4, 0],
+                                                [0, 5, 4]]
+
     def test_zero_input_rejected(self):
         vs = ("x",)
         with pytest.raises(ValueError):
@@ -227,6 +233,29 @@ class TestGradedRank:
         gens = [P("1/2 * x0 + 1/3 * x1", vs), P("3 * x0 + 2 * x1", vs),
                 P("1/7 * x2", vs)]
         assert graded_piece_rank(gens, self.wsys(), F(1, 3)) == 2
+
+
+_quadric_gens = st.lists(
+    st.dictionaries(st.sampled_from([(2, 0, 0), (0, 2, 0), (0, 0, 2),
+                                     (1, 1, 0), (1, 0, 1), (0, 1, 1)]),
+                    st.fractions(min_value=-5, max_value=5,
+                                 max_denominator=4), max_size=3),
+    max_size=8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_quadric_gens, st.integers(0, 8), st.booleans())
+def test_lead_rank_is_rank_of_leading_generators(terms, lead, repeat):
+    # the pair from one elimination equals two separate ranks; with repeat
+    # the later generators copy earlier ones, so the ranks often agree
+    vs = ("x0", "x1", "x2")
+    w = WeightSystem(tuple((v, F(1, 3)) for v in vs), ())
+    gens = [MultiPoly(vs, t) for t in terms]
+    if repeat:
+        gens += gens[:lead]
+    assert graded_piece_rank(gens, w, F(2, 3), lead=lead) == (
+        graded_piece_rank(gens[:lead], w, F(2, 3)),
+        graded_piece_rank(gens, w, F(2, 3)))
 
 
 @pytest.mark.parametrize("label", ALL_LABELS)

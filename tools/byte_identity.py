@@ -7,7 +7,8 @@ compares the two outputs byte for byte:
 
 It records the stdout and exit code of the CLI verbs whose results rest on
 the unfoldings or on the numeric llmap kernels (verify-symmetry,
-verify-kappa, jacobi-dim, ll-eval, ll-fiber, wall-walk, counts), with
+verify-kappa, jacobi-dim, ll-eval for A1 to A6 and on discriminant
+members, ll-fiber, wall-walk, counts), with
 stderr for vectors holding NaN or Infinity and for a class outside the
 count tables; a run that raises prints `-> exception <Type>` in place of
 its exit code, and the battery goes on.  It also records the
@@ -21,7 +22,7 @@ of I and of a braid-moved tuple, and the stdout, stderr and exit code of
 prints graded_piece_rank on seeded rational generator sets, full and
 rank-deficient, for every graded piece the Jacobi check reads in every
 class, and seeded resultants, some of pairs with a common factor.  Inputs
-are seeded, so the output is deterministic.  The battery takes about 4 s
+are seeded, so the output is deterministic.  The battery takes about 2 s
 on a 2-core host.
 """
 
@@ -45,6 +46,18 @@ DEFECT_PATH = (
     (0.9409 + 0.7478j, 0.7288 - 0.4045j, 0.4341 - 0.3422j),
     (0.2149 - 0.1355j, -0.8713 + 1.977j, 0.7238 - 2.0566j),
     (0.8936 - 1.3942j, -0.2321 - 0.5818j, -0.5345 + 0.2408j),
+)
+
+# Chain-family parameters whose configuration polynomial has a multiple
+# root.  t_2 = 0 (and t_3 = 0) gives a multiple critical point at 0; an
+# even f (t_2 = t_4 = ... = 0) has equal values at critical points +-x.
+DISCRIMINANT_MEMBERS = (
+    ["5/3", "0"],
+    ["0", "0"],
+    ["1/2", "0", "-3"],
+    ["0", "0", "0", "0"],
+    ["2", "0", "-1/3", "0", "5/7"],
+    ["-4/9", "0", "0", "3", "1/2", "-2"],
 )
 
 
@@ -195,6 +208,14 @@ def main():
     for mu in range(2, 6):
         for t in rational_vectors(rng, mu, 24):
             run_cli("ll-eval", f"A{mu}", json.dumps(t))
+    # A1 and A6 from their own generator, so the lines above keep their
+    # inputs, then discriminant members
+    extra = random.Random(20261021)
+    for mu, n in ((1, 6), (6, 12)):
+        for t in rational_vectors(extra, mu, n):
+            run_cli("ll-eval", f"A{mu}", json.dumps(t))
+    for t in DISCRIMINANT_MEMBERS:
+        run_cli("ll-eval", f"A{len(t)}", json.dumps(t))
     run_cli("ll-fiber", "A2", json.dumps(["3/7", "-2"]), "--budget", "120")
     run_cli("ll-fiber", "A3", json.dumps(["1", "-1/2", "2"]),
             "--budget", "160")
