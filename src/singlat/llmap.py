@@ -10,10 +10,13 @@ Discriminant membership is exact as well, a Bareiss rank test of the
 Sylvester matrix of the polynomial and its derivative over Z.  Numeric
 companions: critical values for small two-variable families and fiber
 counts over generic targets for mu = 2, 3, both by one batched multistart
-Newton, and a wall walker that tracks the good ordering of the critical
+Newton on a polynomial system compiled to exponent and coefficient
+matrices, and a wall walker that tracks the good ordering of the critical
 values along a path in parameter space and emits a braid letter at every
-transversal crossing of adjacent imaginary parts.  The chain-family
-critical values come from the walker's stacked eigenvalue kernel.
+transversal crossing of adjacent imaginary parts.  The walker screens
+whole chunks of path samples with array code and applies its per-sample
+step only where something can change.  The chain-family critical values
+come from the walker's stacked eigenvalue kernel.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 
 from .braid import BraidWord
 from .lattice import char_poly
-from .polyalg import MultiPoly, bareiss, sylvester
+from .polyalg import MultiPoly, bareiss, sylvester, to_complex
 from .singdata import SingularityClass, sing_class, unfolding
 
 F = Fraction
@@ -211,7 +214,7 @@ def critical_values_numeric(cls_or_label, t, lam=None, *, starts=400,
         raise ValueError(f"{cls.label} needs the family parameter lam")
     if cls.family == "A":
         T = np.array([[complex(v) for v in t]])
-        values = tuple(next(_walk_values(cls.mu, T)))
+        values = tuple(_walk_values(cls.mu, T)[0].tolist())
         return CriticalData(values, _maybe_good_order(values))
     if cls.nvars != 2:
         raise ValueError("numeric critical values cover one- and "
@@ -320,32 +323,84 @@ def _newton_rows(G, J, starts, deflate=()):
 NEWTON_CHUNK = 128
 
 
-def _poly_system(polys, names, fixed, target):
-    """Residual G and Jacobian J of the system polys = target in the
-    unknowns names, every other variable held at its value in fixed; each is
-    evaluated on an (n, len(names)) array of rows."""
-    jac = [[p.partial(v) for v in names] for p in polys]
-    target = np.asarray(target, dtype=complex)
+def _compile(polys, names, fixed):
+    """The polys and their partials in names as one exponent matrix over the
+    unknowns names and one coefficient matrix.
 
-    def ev(poly, T):
-        vals = {**fixed, **dict(zip(names, T.T))}
-        return np.broadcast_to(poly.eval_complex(vals), len(T))
+    Row r of the exponent matrix E (integer, shape (M, len(names))) is a
+    distinct monomial in the unknowns; column k of the coefficient matrix C
+    (complex, shape (M, K)) holds output k's coefficients of those
+    monomials, every other variable folded in at its value in fixed.  The
+    outputs are the polys, then the partials row by row: output
+    len(polys) + i len(names) + j is d polys[i] / d names[j]."""
+    pos = {v: i for i, v in enumerate(names)}
+    outs = list(polys) + [p.partial(v) for p in polys for v in names]
+    rows, entries = {}, []
+    for k, p in enumerate(outs):
+        for expo, c in p.terms.items():
+            cv, key = to_complex(c), [0] * len(names)
+            for v, e in zip(p.vars, expo):
+                if v in pos:
+                    if e < 0:
+                        raise ValueError(f"negative power of unknown {v}")
+                    key[pos[v]] = e
+                elif e:
+                    cv *= fixed[v] ** e
+            entries.append((rows.setdefault(tuple(key), len(rows)), k, cv))
+    E = np.array(list(rows), dtype=np.intp).reshape(len(rows), len(names))
+    C = np.zeros((len(rows), len(outs)), dtype=complex)
+    for r, k, cv in entries:
+        C[r, k] += cv
+    return E, C
+
+
+def _system(E, C, m, target):
+    """Residual G and Jacobian J of the m compiled polys (`_compile`) =
+    target, each evaluated on an (n, number of unknowns) array of rows by
+    one power table, one product over the unknowns and one matmul."""
+    nv = E.shape[1]
+    deg = E.max(initial=1)   # the table holds at least T^0 and T^1
+    var = np.arange(nv)
+    target = np.asarray(target, dtype=complex)
+    CG, CJ = np.ascontiguousarray(C[:, :m]), np.ascontiguousarray(C[:, m:])
+
+    def outputs(T, CK):
+        T = np.asarray(T, dtype=complex)
+        pw = np.empty((deg + 1, len(T), nv), dtype=complex)
+        pw[0], pw[1] = 1, T
+        for d in range(2, deg + 1):
+            np.multiply(pw[d - 1], T, out=pw[d])
+        # pw[E, :, var] has shape (monomials, unknowns, rows)
+        return np.dot(pw[E, :, var].prod(axis=1).T, CK)
 
     def G(T):
-        return np.stack([ev(p, T) for p in polys], axis=1) - target
+        return outputs(T, CG) - target
 
     def J(T):
-        return np.stack([np.stack([ev(d, T) for d in row], axis=1)
-                         for row in jac], axis=1)
+        return outputs(T, CJ).reshape(-1, m, nv)
 
     return G, J
 
 
+def _poly_system(polys, names, fixed, target):
+    """Residual G and Jacobian J of the system polys = target in the
+    unknowns names, every other variable held at its value in fixed; each is
+    evaluated on an (n, len(names)) array of rows.  Both are compiled once,
+    into one exponent matrix (`_compile`)."""
+    return _system(*_compile(polys, names, fixed), len(polys), target)
+
+
+@lru_cache(maxsize=None)
+def _ll_compiled(mu):
+    tv, coeffs = _symbolic_ll(mu)
+    return _compile(coeffs, tv, {})
+
+
 def _ll_system(mu, p: LLPoint):
     """Residual G and Jacobian J of the chain family's coefficient-matching
-    system c_k(t) = p_k (k < mu) on rows of parameters."""
-    tv, coeffs = _symbolic_ll(mu)
-    return _poly_system(coeffs, tv, {}, p.coeffs[:mu])
+    system c_k(t) = p_k (k < mu) on rows of parameters; the system is
+    compiled once per mu."""
+    return _system(*_ll_compiled(mu), mu, p.coeffs[:mu])
 
 
 def _distinct_zeros(G, J, starts, want, tol, accept=None, deflate=False):
@@ -425,45 +480,118 @@ def _chain_values(mu, T, X):
 
 def _walk_values(mu, T):
     """Unpolished critical values of the chain unfolding at each row of T,
-    as lists of complex, in row order; the one chain-family kernel, shared
-    by the walk and critical_values_numeric.
+    as an (n, mu) complex array in row order; the one chain-family kernel,
+    shared by the walk and critical_values_numeric.
 
-    Rows go through one stacked eigenvalue call over the companion matrices
-    np.roots builds; a row whose derivative has a zero constant term (which
-    np.roots deflates) or a chunk the stacked call rejects goes through
-    np.roots row by row, so an error surfaces at its own row."""
+    The critical points are the eigenvalues np.roots would return, from
+    stacked eigenvalue calls over the companion matrices it builds: like
+    np.roots, a row whose derivative ends in d zero coefficients gets the
+    eigenvalues of its degree mu - d companion followed by d zeros, and
+    rows with the same d share one call.  When the stacked call rejects
+    its rows, they go through np.roots one by one, so only a row that
+    np.roots rejects raises."""
     # descending coefficients of (mu+1) x^mu + sum_j (j-1) t_j x^(j-2)
     P = np.zeros((len(T), mu + 1), dtype=complex)
     P[:, 0] = mu + 1
     for j in range(2, mu + 1):
         P[:, mu + 2 - j] += (j - 1) * T[:, j - 1]
-    deflated = P[:, -1] == 0
-    A = np.zeros((len(T), mu, mu), dtype=complex)
-    A[:, 0, :] = -P[:, 1:] / P[:, :1]
-    A[:, np.arange(1, mu), np.arange(mu - 1)] = 1
-    try:
-        X = np.linalg.eigvals(A)
-    except np.linalg.LinAlgError:
-        deflated[:] = True
-    else:
-        V = _chain_values(mu, T, X).tolist()
-    for i in range(len(T)):
-        if deflated[i]:
-            x = np.roots(P[i])[None, :]
-            yield _chain_values(mu, T[i:i + 1], x)[0].tolist()
-        else:
-            yield V[i]
+    zeros = np.cumprod(P[:, :0:-1] == 0, axis=1).sum(axis=1)
+    X = np.zeros((len(T), mu), dtype=complex)
+    for d in sorted(set(zeros.tolist()) - {mu}):   # d = mu: only zeros
+        rows, n = np.flatnonzero(zeros == d), mu - d
+        A = np.zeros((len(rows), n, n), dtype=complex)
+        A[:, 0, :] = -P[rows, 1:n + 1] / P[rows, :1]
+        A[:, np.arange(1, n), np.arange(n - 1)] = 1
+        try:
+            X[rows, :n] = np.linalg.eigvals(A)
+        except np.linalg.LinAlgError:
+            for i in rows:
+                X[i] = np.roots(P[i])
+    return _chain_values(mu, T, X)
 
 
 def _path_values(mu, waypoints, steps):
     """Critical values at the uniform samples k/steps of every segment, then
-    at the last waypoint, evaluated WALK_CHUNK samples at a time."""
+    at the last waypoint: one (n, mu) array per chunk of at most WALK_CHUNK
+    samples.  Each chunk builds only its own sample parameters, so memory
+    does not grow with steps."""
     W = np.array(waypoints, dtype=complex)
-    s = (np.arange(steps) / steps)[:, None]
     for a, b in zip(W, W[1:]):
         for k in range(0, steps, WALK_CHUNK):
-            yield from _walk_values(mu, a + s[k:k + WALK_CHUNK] * (b - a))
-    yield from _walk_values(mu, W[-1:])
+            s = np.arange(k, min(k + WALK_CHUNK, steps)) / steps
+            yield _walk_values(mu, a + s[:, None] * (b - a))
+    yield _walk_values(mu, W[-1:])
+
+
+def _walk_step(prev, vals, letters, contact, tol_wall, tol_disc):
+    """One sample of the walk, the only definition of its rules.
+
+    prev holds the tracked values of the previous sample in good order
+    (None at the first sample), vals this sample's values.  Each tracked
+    value is matched to its nearest remaining new value; the matched list
+    is bubbled back into good order, and every adjacent swap appends a
+    letter to letters, signed by the real-part order at the crossing.
+    contact counts, per adjacent pair, the consecutive samples spent within
+    tol_wall of a wall.  Returns the new tracked values."""
+    for a, b in itertools.combinations(vals, 2):
+        if abs(a - b) < tol_disc:
+            raise ValueError("hit discriminant: critical values collide")
+    if prev is None:
+        return [vals[k] for k in good_order(vals, tol=tol_wall)]
+    remaining = list(vals)
+    matched = []
+    for pv in prev:
+        k = min(range(len(remaining)), key=lambda i: abs(remaining[i] - pv))
+        matched.append(remaining.pop(k))
+    # swap on good_order's own key, a strict order, so the bubble ends
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(matched) - 1):
+            lo, hi = matched[i], matched[i + 1]
+            if lo.imag > hi.imag or (lo.imag == hi.imag and lo.real < hi.real):
+                letters.append((i + 1) if lo.real > hi.real else -(i + 1))
+                matched[i], matched[i + 1] = hi, lo
+                changed = True
+    # a single sample may kiss a wall during a transversal crossing;
+    # lingering inside the band means a tangential contact
+    for i in range(len(matched) - 1):
+        if abs(matched[i].imag - matched[i + 1].imag) < tol_wall:
+            contact[i] = contact.get(i, 0) + 1
+            if contact[i] >= 3:
+                raise ValueError(
+                    "tangential crossing: a wall contact did not resolve "
+                    "at this sample resolution; refine steps")
+        else:
+            contact[i] = 0
+    return matched
+
+
+def _still_rows(S, last, tol_wall, tol_disc):
+    """Mask of the samples of a chunk that provably leave the walk as it
+    is.  Row r of S holds sample r's values in good order; last is the
+    previous sample of row 0 in good order, or None at the walk's start.
+
+    A sample is still when every pair of its values is at least tol_disc
+    apart, its k-th value is strictly nearest to the previous sample's k-th
+    value for every k, and every adjacent imaginary gap is at least
+    tol_wall.  `_walk_step` then matches the k-th values, swaps nothing,
+    emits no letter and resets every wall contact, so its tracked values
+    are that row of S."""
+    mu = S.shape[1]
+    P = np.concatenate([S[:1] if last is None else last[None], S[:-1]])
+    i, j = np.triu_indices(mu, 1)
+    apart = (np.abs(S[:, i] - S[:, j]) >= tol_disc).all(axis=1)
+    D = np.abs(S[:, :, None] - P[:, None, :])   # D[r, new, old]
+    k = np.arange(mu)
+    own = D[:, k, k].copy()
+    D[:, k, k] = np.inf
+    nearest = (own < D.min(axis=1)).all(axis=1)
+    clear = (np.abs(np.diff(S.imag, axis=1)) >= tol_wall).all(axis=1)
+    still = apart & nearest & clear
+    if last is None:
+        still[0] = False
+    return still
 
 
 def wall_walk_A(mu, path, steps=2000, *, tol_wall=TOL_WALL,
@@ -475,7 +603,9 @@ def wall_walk_A(mu, path, steps=2000, *, tol_wall=TOL_WALL,
 
     Aborts when two critical values collide (the path hit the discriminant)
     or when a wall contact does not resolve within the sample resolution
-    (tangential crossing)."""
+    (tangential crossing).  Samples are read a chunk at a time; a sample
+    that provably changes nothing (`_still_rows`) is skipped, and every
+    other one goes through `_walk_step`."""
     if mu < 1:
         raise ValueError(f"mu must be at least 1, got {mu}")
     if steps < 1:
@@ -491,44 +621,18 @@ def wall_walk_A(mu, path, steps=2000, *, tol_wall=TOL_WALL,
         return BraidWord(())
 
     letters = []
-    prev_vals = None   # tracked values, in the good order of the previous sample
+    prev = None        # tracked values, in the good order of the last sample
     contact = {}       # adjacent pair -> consecutive samples spent on the wall
-    for vals in _path_values(mu, waypoints, steps):
-        for a, b in itertools.combinations(vals, 2):
-            if abs(a - b) < tol_disc:
-                raise ValueError("hit discriminant: critical values collide")
-        if prev_vals is None:
-            order = good_order(vals, tol=tol_wall)
-            prev_vals = [vals[k] for k in order]
-            continue
-        # continuity matching: nearest new value to each tracked one
-        remaining = list(vals)
-        matched = []
-        for pv in prev_vals:
-            k = min(range(len(remaining)), key=lambda i: abs(remaining[i] - pv))
-            matched.append(remaining.pop(k))
-        # bubble adjacent swaps in the Im-order back into good order
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(matched) - 1):
-                lo, hi = matched[i], matched[i + 1]
-                if (lo.imag > hi.imag) or \
-                   (abs(lo.imag - hi.imag) < 1e-15 and lo.real < hi.real):
-                    letters.append((i + 1) if lo.real > hi.real else -(i + 1))
-                    matched[i], matched[i + 1] = hi, lo
-                    changed = True
-        # a single sample may kiss a wall during a transversal crossing;
-        # lingering inside the band means a tangential contact
-        for i in range(len(matched) - 1):
-            gap = abs(matched[i].imag - matched[i + 1].imag)
-            if gap < tol_wall:
-                contact[i] = contact.get(i, 0) + 1
-                if contact[i] >= 3:
-                    raise ValueError(
-                        "tangential crossing: a wall contact did not resolve "
-                        "at this sample resolution; refine steps")
-            else:
-                contact[i] = 0
-        prev_vals = matched
+    last = None        # the last sample's values in good order
+    for V in _path_values(mu, waypoints, steps):
+        S = np.take_along_axis(V, np.lexsort((-V.real, V.imag)), axis=1)
+        still = _still_rows(S, last, tol_wall, tol_disc)
+        for r in np.flatnonzero(~still):
+            if r and still[r - 1]:
+                prev, contact = S[r - 1].tolist(), {}
+            prev = _walk_step(prev, V[r].tolist(), letters, contact,
+                              tol_wall, tol_disc)
+        if still[-1]:
+            prev, contact = S[-1].tolist(), {}
+        last = S[-1]
     return BraidWord(tuple(letters))

@@ -248,6 +248,11 @@ class Cyclo:
 # univariate rational functions over Q or a cyclotomic field
 # ---------------------------------------------------------------------------
 
+def to_complex(c):
+    """An exact coefficient (int, Fraction or Cyclo) as a Python complex."""
+    return c.eval_complex() if isinstance(c, Cyclo) else complex(c)
+
+
 class RatFunc:
     """num/den of univariate polynomials, gcd-reduced with monic denominator.
 
@@ -378,8 +383,7 @@ class RatFunc:
         def ev(cs):
             acc = 0j
             for c in reversed(cs):
-                cv = c.eval_complex() if isinstance(c, Cyclo) else complex(c)
-                acc = acc * value + cv
+                acc = acc * value + to_complex(c)
             return acc
 
         return ev(self.num) / ev(self.den)
@@ -648,7 +652,7 @@ class MultiPoly:
         """Numeric evaluation; values maps every variable to a complex."""
         acc = 0j
         for expo, c in self.terms.items():
-            cv = c.eval_complex() if isinstance(c, Cyclo) else complex(c)
+            cv = to_complex(c)
             for v, e in zip(self.vars, expo):
                 if e:
                     cv *= values[v] ** e

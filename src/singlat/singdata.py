@@ -20,9 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 
-from .lattice import (StokesMatrix, symmetrized_form, monodromy_from_stokes,
-                      is_connected, is_quasiunipotent, definiteness,
-                      radical_rank, tensor_rows)
+from .lattice import (StokesMatrix, symmetrized_form, is_connected,
+                      definiteness, radical_rank, tensor_rows)
 from .polyalg import MultiPoly, WeightSystem, Cyclo, GAUSS, ZETA8, parse_poly
 
 F = Fraction
@@ -591,8 +590,20 @@ def _stokes_from_upper(mu, upper):
 
 
 def validate_seed(cls: SingularityClass, s: StokesMatrix):
-    """Triangularity, entry bounds, connectivity, quasiunipotent monodromy,
-    and positive (semi)definiteness with the right radical rank."""
+    """Triangularity, entry bounds, connectivity, and positive
+    (semi)definiteness with the right radical rank.
+
+    The monodromy M = -S^{-1} S^t of a seed that passes is quasiunipotent,
+    so it is not checked here.  M is the Coxeter element s_1 ... s_mu of the
+    reflections s_k(v) = v - I(e_k, v) e_k of the form I = S + S^t.  Each
+    s_k preserves I and the lattice Z^mu, and fixes the radical R of I
+    pointwise, since I(e_k, r) = 0 for r in R.  R is a saturated
+    sublattice, and I induces a positive definite form on the free quotient
+    Z^mu / R, which the reflections preserve.  The automorphisms of a
+    lattice preserving a positive definite form make a finite group, so M
+    acts on the quotient with finite order and as the identity on R.  Its
+    characteristic polynomial is therefore (t - 1)^rank(R) times a divisor
+    of t^N - 1 for some N: a product of cyclotomic polynomials."""
     if s.mu != cls.mu:
         raise SeedError(f"{cls.label}: seed rank {s.mu} != mu {cls.mu}")
     bound = 2 if cls.is_elliptic else 1
@@ -608,8 +619,6 @@ def validate_seed(cls: SingularityClass, s: StokesMatrix):
     else:
         if kind != "positive-definite":
             raise SeedError(f"{cls.label}: form must be positive definite")
-    if not is_quasiunipotent(monodromy_from_stokes(s)):
-        raise SeedError(f"{cls.label}: monodromy is not quasiunipotent")
     return True
 
 

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -9,9 +10,10 @@ from hypothesis import given, settings, strategies as st
 from singlat.braid import VanishingTuple, braid_apply_word, \
     sign_canonical_stokes, stokes_of_tuple
 from singlat.lattice import StokesMatrix
-from singlat.llmap import (TOL_DEDUP, IncompleteFiber, LLPoint,
-                           UnfoldingPoint, _ll_system, _newton_rows,
-                           _symbolic_ll, _walk_values,
+from singlat.llmap import (TOL_DEDUP, TOL_DISC, TOL_WALL, WALK_CHUNK,
+                           IncompleteFiber, LLPoint, UnfoldingPoint,
+                           _ll_system, _newton_rows, _path_values,
+                           _poly_system, _symbolic_ll, _walk_values,
                            critical_values_numeric, discriminant_member,
                            good_order, ll_exact_A, ll_fiber_count,
                            wall_walk_A)
@@ -277,7 +279,7 @@ class TestNumericCriticalValues:
         chunk = list(_walk_values(
             mu, np.array([[complex(v) for v in t] for t in rows])))
         for t, walked in zip(rows, chunk):
-            alone = next(_walk_values(mu, np.array([[complex(v) for v in t]])))
+            alone = _walk_values(mu, np.array([[complex(v) for v in t]]))[0]
             got = critical_values_numeric(f"A{mu}", t).values
             assert got == tuple(walked) == tuple(alone), t
 
@@ -522,6 +524,55 @@ class TestWallWalk:
         with pytest.raises(ValueError, match="discriminant"):
             wall_walk_A(2, [[0.3, 1.0], [0.3, -1.0]], steps=100)
 
+    def test_tangential_crossing_abort(self):
+        # at t2 = -1 the two critical values are t1 -+ 2/3^(3/2): moving t1
+        # keeps their imaginary parts equal, so the contact never resolves
+        with pytest.raises(ValueError, match="tangential crossing"):
+            wall_walk_A(2, [[0, -1], [1j, -1]], steps=10)
+
+    def test_real_path_ends(self):
+        # real parameters give real critical values, whose imaginary parts
+        # tie up to rounding; a swap rule looser than good_order's key
+        # swapped such a pair back and forth without end
+        with pytest.raises(ValueError, match="tangential crossing"):
+            wall_walk_A(3, [[1.5, 0.1, 0.2], [-0.2, 0.8, -2.3]], steps=4)
+
+    def test_chunks_do_not_grow_with_steps(self):
+        path = [[0.5, -1.0], [-0.5, 1.0 + 0.1j]]
+        chunk = next(_path_values(2, path, 10 ** 13))
+        assert chunk.shape == (WALK_CHUNK, 2)
+        # the chunks hold the samples k/steps of each segment, in order,
+        # then the last waypoint
+        a, b = np.array(path, dtype=complex)
+        s = (np.arange(600) / 600)[:, None]
+        want = _walk_values(2, np.concatenate([a + s * (b - a), [b]]))
+        got = list(_path_values(2, path, 600))
+        assert [len(c) for c in got] == [WALK_CHUNK, WALK_CHUNK, 88, 1]
+        assert np.array_equal(np.concatenate(got), want)
+
+    @pytest.mark.parametrize("mu", [1, 2, 3, 4, 5])
+    def test_chunked_walk_matches_per_sample(self, mu):
+        # 60 seeded round trips per mu, 300 in all, at steps from 20 to 2000
+        # (20 * 100^(u^2) for uniform u); every seventh path is real, and
+        # every fifth walk widens one of the two tolerances
+        rng = random.Random(71 + mu)
+        seen = set()
+        for k in range(60):
+            steps = round(20 * 100 ** rng.random() ** 2)
+            im = 0 if k % 7 == 3 else 2
+            path = [[complex(rng.uniform(-2, 2), rng.uniform(-im, im))
+                     for _ in range(mu)] for _ in range(rng.choice((2, 3)))]
+            path += path[-2::-1]
+            tol = [{}, {"tol_disc": 0.05}, {}, {}, {"tol_wall": 0.01}][k % 5]
+            got = walk_outcome(
+                lambda: wall_walk_A(mu, path, steps, **tol).letters)
+            want = walk_outcome(lambda: per_sample_walk(mu, path, steps,
+                                                        **tol))
+            assert got == want, (path, steps, tol)
+            seen.add(type(got))
+        # both words and errors were compared
+        assert seen == ({tuple} if mu == 1 else {tuple, str})
+
     @pytest.mark.parametrize("mu,path,steps", [
         (2, [[0.5, -1.0], [-0.5, 1.0 + 0.1j]], 0),
         (2, [[0.5, -1.0], [-0.5, 1.0 + 0.1j]], -3),
@@ -612,3 +663,115 @@ class TestWallWalk:
                                        for j in range(1, mu + 1)) for x in xs]
             assert len(vals) == mu
             assert np.allclose(vals, ref, rtol=1e-12, atol=1e-12)
+
+
+def walk_outcome(walk):
+    """The word a walk returns, or the message of the ValueError it raises."""
+    try:
+        return walk()
+    except ValueError as exc:
+        return str(exc)
+
+
+def per_sample_walk(mu, path, steps, tol_wall=TOL_WALL, tol_disc=TOL_DISC):
+    """Reference: the walk's rules applied to every sample in turn, the loop
+    that the chunked walker replaced (with good_order's key as the swap
+    rule), over the same sampled values.  Returns the letters."""
+    letters, prev, contact = [], None, {}
+    for vals in (v for chunk in _path_values(mu, path, steps)
+                 for v in chunk.tolist()):
+        for a, b in itertools.combinations(vals, 2):
+            if abs(a - b) < tol_disc:
+                raise ValueError("hit discriminant: critical values collide")
+        if prev is None:
+            prev = [vals[k] for k in good_order(vals, tol=tol_wall)]
+            continue
+        remaining, matched = list(vals), []
+        for pv in prev:
+            k = min(range(len(remaining)),
+                    key=lambda i: abs(remaining[i] - pv))
+            matched.append(remaining.pop(k))
+        changed = True
+        while changed:
+            changed = False
+            for i in range(len(matched) - 1):
+                lo, hi = matched[i], matched[i + 1]
+                if lo.imag > hi.imag or (lo.imag == hi.imag and
+                                         lo.real < hi.real):
+                    letters.append(i + 1 if lo.real > hi.real else -(i + 1))
+                    matched[i], matched[i + 1] = hi, lo
+                    changed = True
+        for i in range(len(matched) - 1):
+            if abs(matched[i].imag - matched[i + 1].imag) < tol_wall:
+                contact[i] = contact.get(i, 0) + 1
+                if contact[i] >= 3:
+                    raise ValueError(
+                        "tangential crossing: a wall contact did not "
+                        "resolve at this sample resolution; refine steps")
+            else:
+                contact[i] = 0
+        prev = matched
+    return tuple(letters)
+
+
+class TestCompiledSystem:
+    """The compiled residual and Jacobian against term-by-term evaluation
+    with MultiPoly.eval_complex."""
+
+    @staticmethod
+    def assert_close(got, want):
+        want = np.asarray(want)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1, abs(want)))
+
+    def check(self, polys, names, fixed, target, G, J, rows):
+        g, jac = G(rows), J(rows)
+        assert g.shape == (len(rows), len(polys))
+        assert jac.shape == (len(rows), len(polys), len(names))
+        for r, z in enumerate(rows):
+            at = {**fixed, **dict(zip(names, z))}
+            self.assert_close(g[r], [p.eval_complex(at) - c
+                                     for p, c in zip(polys, target)])
+            self.assert_close(jac[r], [[p.partial(v).eval_complex(at)
+                                        for v in names] for p in polys])
+
+    @pytest.mark.parametrize("label", ["D4", "D5", "D6", "E6", "E7", "E8",
+                                       "tE7", "tE8"])
+    def test_two_variable_gradient(self, label):
+        rng = random.Random(83)
+        cls = sing_class(label)
+        fixed = {tn: complex(rng.gauss(0, 1), rng.gauss(0, 1))
+                 for tn in cls.tvars}
+        if cls.is_elliptic:
+            fixed["la"] = complex(F(-3, 7))
+        f = unfolding(cls)
+        names = ("x0", "x1")
+        polys = [f.partial(v) for v in names]
+        rows = np.array([[complex(rng.gauss(0, 1.5), rng.gauss(0, 1.5))
+                          for _ in names] for _ in range(40)])
+        self.check(polys, names, fixed, (0, 0),
+                   *_poly_system(polys, names, fixed, 0), rows)
+
+    def test_fixed_powers_folded(self):
+        # fixed variables at powers other than 1, negative ones included
+        vs = ("x", "a", "y")
+        polys = [MultiPoly(vs, {(2, 2, 1): F(1), (1, -1, 0): F(3),
+                                (0, 0, 1): F(-1)}),
+                 MultiPoly(vs, {(1, 3, 3): F(2, 7), (0, 1, 0): F(-1),
+                                (1, 0, 3): F(5)})]
+        rng = random.Random(97)
+        rows = np.array([[complex(rng.gauss(0, 1), rng.gauss(0, 1))
+                          for _ in range(2)] for _ in range(20)])
+        fixed = {"a": 0.7 + 0.2j}
+        self.check(polys, ("x", "y"), fixed, (1, 2j),
+                   *_poly_system(polys, ("x", "y"), fixed, (1, 2j)), rows)
+
+    @pytest.mark.parametrize("mu", [2, 3, 4])
+    def test_chain_coefficient_matching(self, mu):
+        rng = random.Random(89 + mu)
+        tv, coeffs = _symbolic_ll(mu)
+        p = target_from_roots([complex(rng.gauss(0, 1), rng.gauss(0, 1))
+                               for _ in range(mu)])
+        rows = np.array([[complex(rng.gauss(0, 2), rng.gauss(0, 2))
+                          for _ in tv] for _ in range(40)])
+        target = [complex(c) for c in p.coeffs[:mu]]
+        self.check(coeffs, tv, {}, target, *_ll_system(mu, p), rows)

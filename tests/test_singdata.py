@@ -3,13 +3,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from singlat.lattice import (StokesMatrix, coxeter_dynkin, is_connected,
-                             mat_neg, monodromy_from_stokes, tensor_rows)
+from singlat.lattice import (StokesMatrix, coxeter_dynkin, definiteness,
+                             is_connected, is_quasiunipotent, mat_identity,
+                             mat_mul, mat_neg, monodromy_from_stokes,
+                             reflection_matrix, symmetrized_form,
+                             tensor_rows)
 from singlat.polyalg import MultiPoly, parse_poly
 from singlat.singdata import (ALL_LABELS, SeedError, normal_form, seed_stokes,
                               sing_class, sym_field, symmetry_data,
                               tensor_stokes, unfolding, unfolding_monomials,
-                              weights)
+                              validate_seed, weights)
 
 
 class TestClasses:
@@ -220,6 +223,64 @@ class TestSeeds:
         (tmp_path / "e7.json").write_text(json.dumps(doc))
         with pytest.raises(SeedError):
             seed_stokes("E7", seed_dir=str(tmp_path))
+
+
+def stokes_from_upper(upper):
+    mu = len(upper) + 1
+    return StokesMatrix(tuple(
+        tuple([0] * k + [1] + (upper[k] if k < mu - 1 else []))
+        for k in range(mu)))
+
+
+# Seeds with an indefinite form and monodromy that is not quasiunipotent.
+# A4 with all six edges plain: the form 3 Id - J has eigenvalue -1.  The
+# tree T_{2,3,7} on ten nodes: its monodromy has Lehmer's polynomial as
+# characteristic polynomial.
+REJECTED_SEEDS = (
+    ("A4", [[-1, -1, -1], [-1, -1], [-1]]),
+    ("A10", [[-1 if j == i + 1 < 9 or (i, j) == (2, 9) else 0
+              for j in range(i + 1, 10)] for i in range(9)]),
+)
+
+
+class TestQuasiunipotentMonodromy:
+    """validate_seed does not check the monodromy: a seed whose form passes
+    has quasiunipotent monodromy (see its docstring).  These tests check
+    the two facts the argument rests on, and the verdict itself."""
+
+    LABELS = ALL_LABELS + ("A6", "D6", "D7", "D8")
+
+    @staticmethod
+    def coxeter_element(s):
+        i = symmetrized_form(s).rows
+        out = mat_identity(s.mu)
+        for k in range(s.mu):
+            e = tuple(int(j == k) for j in range(s.mu))
+            out = mat_mul(out, reflection_matrix(i, e))
+        return tuple(map(tuple, out))
+
+    def test_sixteen_classes(self):
+        assert len(set(self.LABELS)) == 16
+
+    @pytest.mark.parametrize("label", LABELS)
+    def test_seed_monodromy_is_coxeter_and_quasiunipotent(self, label):
+        s = seed_stokes(label).stokes
+        m = monodromy_from_stokes(s)
+        assert m.rows == self.coxeter_element(s)
+        assert is_quasiunipotent(m)
+
+    @pytest.mark.parametrize("label,upper", REJECTED_SEEDS,
+                             ids=[lab for lab, _ in REJECTED_SEEDS])
+    def test_rejected_seeds_fail_the_form_check(self, label, upper):
+        s = stokes_from_upper(upper)
+        m = monodromy_from_stokes(s)
+        assert m.rows == self.coxeter_element(s)
+        assert definiteness(symmetrized_form(s)) == "indefinite"
+        # the monodromy is not quasiunipotent, and the form check that
+        # runs without it rejects the seed
+        assert not is_quasiunipotent(m)
+        with pytest.raises(SeedError, match="positive definite"):
+            validate_seed(sing_class(label), s)
 
 
 class TestTensor:

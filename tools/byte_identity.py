@@ -13,7 +13,10 @@ stderr for vectors holding NaN or Infinity and for a class outside the
 count tables; a run that raises prints `-> exception <Type>` in place of
 its exit code, and the battery goes on.  It also records the
 repr of critical_values_numeric, wall_walk_A (including the default-steps
-round trip of a known-defect path) and the symbolic chain-family LL
+round trip of a known-defect path, twelve seeded default-steps round
+trips for mu = 2, 3, 4, and a path into the discriminant and one along a
+wall, which end in errors), the CLI walk of a real path, whose critical
+values tie on a wall (exit 1), and the symbolic chain-family LL
 coefficients.  For the lattice kernels it prints, for every class and for
 D24 and A28, the characteristic polynomials of the seed monodromy M and
 form I, definiteness, radical rank, quasiunipotency and the determinants
@@ -22,7 +25,7 @@ of I and of a braid-moved tuple, and the stdout, stderr and exit code of
 prints graded_piece_rank on seeded rational generator sets, full and
 rank-deficient, for every graded piece the Jacobi check reads in every
 class, and seeded resultants, some of pairs with a common factor.  Inputs
-are seeded, so the output is deterministic.  The battery takes about 2 s
+are seeded, so the output is deterministic.  The battery takes about 3 s
 on a 2-core host.
 """
 
@@ -258,6 +261,19 @@ def main():
         show(f"wall_walk_A {mu}", llmap.wall_walk_A, mu, path, steps=400)
     show("wall_walk_A defect round trip", llmap.wall_walk_A, 3,
          DEFECT_PATH + DEFECT_PATH[-2::-1])
+    walks = random.Random(20261022)
+    for k in range(12):
+        mu = 2 + k % 3
+        path = [[complex(walks.uniform(-2, 2), walks.uniform(-2, 2))
+                 for _ in range(mu)] for _ in range(3)]
+        show(f"wall_walk_A {mu} round trip {k}", llmap.wall_walk_A, mu,
+             path + path[-2::-1])
+    show("wall_walk_A discriminant", llmap.wall_walk_A, 2,
+         [[0.3, 1.0], [0.3, -1.0]], steps=100)
+    show("wall_walk_A tangential", llmap.wall_walk_A, 2,
+         [[0, -1], [1j, -1]], steps=10)
+    run_cli("wall-walk", "3", "[[1.5,0.1,0.2],[-0.2,0.8,-2.3]]",
+            "--steps", "4", stderr=True)
     for mu in (2, 3, 4):
         # older versions return the Jacobian as a third entry
         tv, coeffs = llmap._symbolic_ll(mu)[:2]
