@@ -30,8 +30,7 @@ form of _tree_sign_form, signs propagated along a spanning tree that
 depends only on the support pattern.  The support is sign-invariant, so
 the tree is too, and on a connected diagram the tree-edge signs fix the
 conjugating signs up to a global sign; so that form is a complete
-sign-class invariant.  The lex-minimal sign_canonical_stokes is the same
-invariant in another normal form and stays the public API.  A key is the
+sign-class invariant, and sign_canonical_stokes returns it.  A key is the
 int8 bytes of the state, or a prefixed int64 (or repr) encoding when an
 entry exceeds 127, so widths never collide and nothing overflows.  Keys
 are compared by full equality (Python set semantics), so counts are exact.
@@ -169,82 +168,15 @@ def _canon_vectors(vectors):
 
 
 def sign_canonical_stokes(s: StokesMatrix) -> StokesMatrix:
-    """Lexicographically minimal diag(e) S diag(e) with e_1 = +1.
+    """The tree sign normal form of _tree_sign_form: diag(e) S diag(e) with
+    e_0 = +1 and every edge of the support's spanning tree positive.
 
     Requires a connected diagram (otherwise per-component sign freedom would
-    make the greedy canonical form ill-defined)."""
+    leave the form ill-defined)."""
     if not is_connected(s):
         raise ValueError("sign canonicalization requires a connected diagram")
-    return StokesMatrix(_canon_stokes_rows(s.rows))
-
-
-def _canon_stokes_rows_brute(rows):
-    n = len(rows)
-    best = None
-    for bits in range(1 << (n - 1)):
-        e = [1] + [1 - 2 * ((bits >> k) & 1) for k in range(n - 1)]
-        cand = tuple(tuple(e[i] * e[j] * rows[i][j] for j in range(n))
-                     for i in range(n))
-        flat = tuple(x for r in cand for x in r)
-        if best is None or flat < best[0]:
-            best = (flat, cand)
-    return best[1]
-
-
-def _canon_stokes_rows(rows):
-    """Exact lexicographic minimum over sign conjugations, by branch and
-    bound over the row-major strictly-upper entries.  Candidate branches
-    only appear while separate diagram components are still unanchored, so
-    the live set stays tiny on connected diagrams; a blowup falls back to
-    the brute-force scan."""
-    n = len(rows)
-    if n == 1:
-        return ((1,),)
-    cands = [[1] + [0] * (n - 1)]  # 0 marks an undetermined sign
-    out = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            s = rows[i][j]
-            if s == 0:
-                continue
-            best = None
-            for e in cands:
-                ei, ej = e[i], e[j]
-                v = ei * ej * s if ei and ej else -abs(s)
-                if best is None or v < best:
-                    best = v
-            new = []
-            for e in cands:
-                ei, ej = e[i], e[j]
-                if ei and ej:
-                    if ei * ej * s == best:
-                        new.append(e)
-                elif ei:
-                    e2 = list(e)
-                    e2[j] = best // (ei * s)
-                    new.append(e2)
-                elif ej:
-                    e2 = list(e)
-                    e2[i] = best // (ej * s)
-                    new.append(e2)
-                else:
-                    e2 = list(e)
-                    e2[i], e2[j] = 1, best // s
-                    new.append(e2)
-                    e3 = list(e)
-                    e3[i], e3[j] = -1, -(best // s)
-                    new.append(e3)
-            seen = set()
-            cands = []
-            for e in new:
-                key = tuple(e)
-                if key not in seen:
-                    seen.add(key)
-                    cands.append(e)
-            if len(cands) > 64:
-                return _canon_stokes_rows_brute(rows)
-            out[i][j] = best
-    return tuple(tuple(r) for r in out)
+    rows = _tree_sign_form(np.array([s.rows], dtype=object))[0]
+    return StokesMatrix(tuple(map(tuple, rows.tolist())))
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ come from the walker's stacked eigenvalue kernel.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import random
@@ -594,6 +595,15 @@ def _still_rows(S, last, tol_wall, tol_disc):
     return still
 
 
+def check_segments(waypoints):
+    """Raise ValueError unless every difference between consecutive
+    waypoints is finite, so each segment of the path can be sampled."""
+    if not all(cmath.isfinite(y - x) for a, b in zip(waypoints, waypoints[1:])
+               for x, y in zip(a, b)):
+        raise ValueError("consecutive waypoints must have a finite "
+                         "difference")
+
+
 def wall_walk_A(mu, path, steps=2000, *, tol_wall=TOL_WALL,
                 tol_disc=TOL_DISC) -> BraidWord:
     """Track the good-ordered critical values along a piecewise-linear path
@@ -617,6 +627,7 @@ def wall_walk_A(mu, path, steps=2000, *, tol_wall=TOL_WALL,
         raise ValueError("waypoints must have mu components")
     if not np.isfinite(waypoints).all():
         raise ValueError("waypoints must be finite")
+    check_segments(waypoints)
     if len(waypoints) == 1:
         return BraidWord(())
 
@@ -625,6 +636,8 @@ def wall_walk_A(mu, path, steps=2000, *, tol_wall=TOL_WALL,
     contact = {}       # adjacent pair -> consecutive samples spent on the wall
     last = None        # the last sample's values in good order
     for V in _path_values(mu, waypoints, steps):
+        if not np.isfinite(V).all():
+            raise ValueError("critical values overflow along the path")
         S = np.take_along_axis(V, np.lexsort((-V.real, V.imag)), axis=1)
         still = _still_rows(S, last, tol_wall, tol_disc)
         for r in np.flatnonzero(~still):

@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from singlat.braid import (CHECKPOINT_FORMAT, BraidWord, VanishingTuple,
                            _apply_gen, _canon_vectors, _expand_bases,
@@ -13,7 +14,7 @@ from singlat.braid import (CHECKPOINT_FORMAT, BraidWord, VanishingTuple,
                            sign_canonical_stokes, sign_canonical_tuple,
                            stokes_of_tuple)
 from singlat.lattice import StokesMatrix, symmetrized_form
-from singlat.singdata import seed_stokes, tensor_stokes
+from singlat.singdata import ALL_LABELS, seed_stokes, tensor_stokes
 
 
 def chain(mu):
@@ -82,12 +83,13 @@ class TestStokesOfTuple:
             assert stokes_of_tuple(VanishingTuple.standard(s)).rows == s.rows
 
     def test_a2_after_move(self):
-        # the move flips the sign class: the raw Gram gives the dotted-edge
-        # representative, canonical form restores the chain
+        # the raw Gram of the moved tuple is the sign conjugate of the chain
+        # with a positive edge; both have that positive edge as normal form
         t = braid_apply(VanishingTuple.standard(chain(2)), 1)
         s = stokes_of_tuple(t)
         assert s.rows == ((1, 1), (0, 1))
-        assert sign_canonical_stokes(s).rows == ((1, -1), (0, 1))
+        assert sign_canonical_stokes(s).rows == ((1, 1), (0, 1))
+        assert sign_canonical_stokes(chain(2)).rows == ((1, 1), (0, 1))
 
     def test_triangular_on_reachable_states(self):
         rng = random.Random(8)
@@ -115,14 +117,19 @@ class TestSignCanonical:
             assert c.vectors == base
             assert sign_canonical_tuple(c).vectors == base
 
-    def test_stokes_lex_min(self):
+    def test_stokes_tree_edge_positive(self):
         assert sign_canonical_stokes(
-            StokesMatrix(((1, 1), (0, 1)))).rows == ((1, -1), (0, 1))
+            StokesMatrix(((1, -1), (0, 1)))).rows == ((1, 1), (0, 1))
 
-    def test_stokes_already_minimal(self):
-        assert sign_canonical_stokes(chain(4)).rows == chain(4).rows
+    def test_stokes_chain_edges_positive(self):
+        # the chain is its own spanning tree, so every edge turns positive
+        assert sign_canonical_stokes(chain(4)).rows == \
+            tuple(tuple(-x if i != j else x for j, x in enumerate(row))
+                  for i, row in enumerate(chain(4).rows))
 
-    def test_stokes_matches_brute_force(self):
+    def test_stokes_matches_tree_rule(self):
+        # brute force over all sign conjugates: exactly one has e_0 = +1
+        # and every edge of the lowest-index-parent spanning tree positive
         rng = random.Random(13)
         for _ in range(200):
             n = rng.randint(2, 6)
@@ -134,15 +141,16 @@ class TestSignCanonical:
                 j = rng.randrange(i + 1, n)
                 rows[i][j] = rng.choice([-2, -1, 0, 1, 2]) or rows[i][j]
             s = tuple(tuple(r) for r in rows)
-            best = None
+            tree = tree_edges(s)
+            assert len(tree) == n - 1
+            forms = []
             for eps in itertools.product((1, -1), repeat=n - 1):
                 e = (1,) + eps
                 cand = tuple(tuple(e[i] * e[j] * s[i][j] for j in range(n))
                              for i in range(n))
-                flat = tuple(x for r in cand for x in r)
-                if best is None or flat < best[0]:
-                    best = (flat, cand)
-            assert sign_canonical_stokes(StokesMatrix(s)).rows == best[1]
+                if all(cand[i][j] > 0 for i, j in tree):
+                    forms.append(cand)
+            assert [sign_canonical_stokes(StokesMatrix(s)).rows] == forms
 
     def test_stokes_orbit_property(self):
         rng = random.Random(14)
@@ -361,6 +369,34 @@ def random_signed_walk(rng, seed, steps):
                                     for j in range(n)) for i in range(n)))
 
 
+def tree_edges(rows):
+    """The spanning tree of the sign normal form, rebuilt from its rule:
+    vertex 0 first; then, round by round, every vertex not yet reached
+    that has a reached neighbour hangs from the lowest-index one.  Edges
+    are (i, j) with i < j."""
+    n = len(rows)
+    reached, edges = {0}, []
+    while len(reached) < n:
+        parents = {j: min(i for i in reached if rows[min(i, j)][max(i, j)])
+                   for j in range(n) if j not in reached
+                   and any(rows[min(i, j)][max(i, j)] for i in reached)}
+        edges += [(min(i, j), max(i, j)) for j, i in parents.items()]
+        reached |= set(parents)
+    return edges
+
+
+def lex_min_form(s):
+    """The lexicographically least of the 2^(mu-1) sign conjugates
+    diag(e) S diag(e), e_0 = +1, by brute force: a second normal form of
+    the sign class, independent of the tree rule."""
+    rows = np.array(s.rows, dtype=np.int64)
+    n = len(rows)
+    bits = (np.arange(2 ** (n - 1))[:, None] >> np.arange(n - 1)) & 1
+    e = np.hstack([np.ones((len(bits), 1), np.int64), 1 - 2 * bits])
+    flat = (e[:, :, None] * e[:, None, :] * rows).reshape(len(e), -1)
+    return tuple(flat[np.lexsort(flat.T[::-1])[0]].tolist())
+
+
 def tree_key(s):
     return _keys(_tree_sign_form(np.array([s.rows], dtype=object)))[0]
 
@@ -376,9 +412,10 @@ class TestBatchedEngine:
             # sign conjugates share the key, and the key is the class
             flip = random_signed_walk(rng, m, 0)
             assert tree_key(flip) == tree_key(m)
-        for a, b in itertools.combinations(mats, 2):
-            same = sign_canonical_stokes(a).rows == sign_canonical_stokes(b).rows
-            assert (tree_key(a) == tree_key(b)) == same
+        keyed = [(tree_key(m), sign_canonical_stokes(m), lex_min_form(m))
+                 for m in mats]
+        for (ka, fa, la), (kb, fb, lb) in itertools.combinations(keyed, 2):
+            assert (ka == kb) == (fa == fb) == (la == lb)
         # the walks reach several classes, so both outcomes are exercised
         assert len({tree_key(m) for m in mats}) > 5
 
@@ -475,3 +512,68 @@ class TestBatchedEngine:
     def test_disconnected_state_raises(self):
         with pytest.raises(AssertionError, match="disconnected"):
             _tree_sign_form(np.array([np.eye(3, dtype=np.int8)]))
+
+
+@st.composite
+def walked_tuples(draw, min_mu=2):
+    """A built-in class and a tuple a random braid word from its seed."""
+    label = draw(st.sampled_from([x for x in ALL_LABELS
+                                  if seed_stokes(x).stokes.mu >= min_mu]))
+    seed = seed_stokes(label).stokes
+    word = draw(st.lists(st.sampled_from(_generators(seed.mu)), max_size=12))
+    return braid_apply_word(VanishingTuple.standard(seed), BraidWord(word))
+
+
+def conjugate(s, e):
+    return StokesMatrix(tuple(tuple(e[i] * e[j] * x for j, x in
+                                    enumerate(row))
+                              for i, row in enumerate(s.rows)))
+
+
+class TestBraidProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(walked_tuples(min_mu=3), st.data())
+    def test_braid_relation(self, t, data):
+        k = data.draw(st.integers(1, t.mu - 2))
+        sign = data.draw(st.sampled_from((1, -1)))
+        a, b = sign * k, sign * (k + 1)
+        assert braid_apply_word(t, BraidWord((a, b, a))).vectors == \
+            braid_apply_word(t, BraidWord((b, a, b))).vectors
+
+    @settings(max_examples=40, deadline=None)
+    @given(walked_tuples(min_mu=4), st.data())
+    def test_far_generators_commute(self, t, data):
+        j = data.draw(st.integers(1, t.mu - 3))
+        k = data.draw(st.integers(j + 2, t.mu - 1))
+        j *= data.draw(st.sampled_from((1, -1)))
+        k *= data.draw(st.sampled_from((1, -1)))
+        assert braid_apply_word(t, BraidWord((j, k))).vectors == \
+            braid_apply_word(t, BraidWord((k, j))).vectors
+
+    @settings(max_examples=40, deadline=None)
+    @given(walked_tuples(), st.data())
+    def test_generator_then_inverse_is_identity(self, t, data):
+        g = data.draw(st.sampled_from(_generators(t.mu)))
+        assert braid_apply_word(t, BraidWord((g, -g))).vectors == t.vectors
+
+    @settings(max_examples=40, deadline=None)
+    @given(walked_tuples(), st.data())
+    def test_stokes_form_idempotent_and_sign_invariant(self, t, data):
+        s = stokes_of_tuple(t)
+        form = sign_canonical_stokes(s)
+        assert sign_canonical_stokes(form) == form
+        e = data.draw(st.lists(st.sampled_from((1, -1)), min_size=t.mu,
+                               max_size=t.mu))
+        assert sign_canonical_stokes(conjugate(s, e)) == form
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(ALL_LABELS), st.data())
+    def test_stokes_form_complete(self, label, data):
+        # two walks from one seed: same normal form exactly when the
+        # brute-force lex-min forms agree, that is, the same sign class
+        seed = VanishingTuple.standard(seed_stokes(label).stokes)
+        words = st.lists(st.sampled_from(_generators(seed.mu)), max_size=6)
+        a, b = (stokes_of_tuple(braid_apply_word(seed, BraidWord(
+            data.draw(words)))) for _ in range(2))
+        assert (sign_canonical_stokes(a) == sign_canonical_stokes(b)) == \
+            (lex_min_form(a) == lex_min_form(b))

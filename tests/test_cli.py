@@ -210,15 +210,65 @@ def test_output_is_byte_deterministic(capsys):
     assert first == second
 
 
+# class -> (deg LL, Stokes classes), the paper's values written out here
+# independently of the CLI's table
+SCORECARD = {
+    "A2": (3, 1), "A3": (16, 4), "A4": (125, 25), "A5": (1296, 216),
+    "D4": (162, 9), "D5": (2048, 256), "E6": (41472, 3456),
+    "E7": (1062882, 118098), "E8": (37968750, 2531250),
+    "tE6": (24800580, 76545), "tE7": (688128000, 7168000),
+    "tE8": (21374793216, 593744256),
+}
+ORBIT_RUN = {"E7": "extended", "E8": "extended", "tE6": "extended",
+             "tE7": "extended", "tE8": None}
+
+
 def test_scorecard_small(capsys, monkeypatch):
-    # restrict the orbit section so the smoke test stays fast; the real
-    # desk-scale scorecard is the acceptance suite's job
+    # restrict the orbit section to A2 and A3 so the smoke test stays fast;
+    # every degree and stokes-count entry still runs against the real
+    # table.  The desk-scale orbit runs are the acceptance suite's job.
     import singlat.cli as cli
-    monkeypatch.setattr(cli, "ORBIT_TABLE", {"A2": (3, 1), "A3": (16, 4)})
+    monkeypatch.setattr(cli, "SCORECARD_TABLE", {
+        label: (deg, stokes, "desk" if label in ("A2", "A3") else None)
+        for label, (deg, stokes, _) in cli.SCORECARD_TABLE.items()})
     code, doc = run(capsys, "scorecard")
     assert code == 0 and doc["passed"]
-    names = {e["name"] for e in doc["entries"]}
-    assert "orbit:A3:bases" in names and "degree:tE8" in names
+    assert all(e["passed"] for e in doc["entries"])
+    labels = list(SCORECARD)
+    assert [e["name"] for e in doc["entries"]][:28] == (
+        ["orbit:A2:bases", "orbit:A2:stokes", "orbit:A3:bases",
+         "orbit:A3:stokes"]
+        + [f"degree:{label}" for label in labels]
+        + [f"stokes-count:{label}" for label in labels])
+    got = {e["name"]: e.get("got") for e in doc["entries"]}
+    for label, (deg, stokes) in SCORECARD.items():
+        assert got[f"degree:{label}"] == deg
+        assert got[f"stokes-count:{label}"] == stokes
+    segre = {e["name"]: e.get("segre") for e in doc["entries"]}
+    assert segre["degree:tE8"] == 21374793216 and segre["degree:A2"] is None
+
+
+def test_scorecard_table_matches_literal():
+    import singlat.cli as cli
+    from singlat.singdata import ALL_LABELS
+    assert tuple(cli.SCORECARD_TABLE) == ALL_LABELS
+    assert cli.SCORECARD_TABLE == {
+        label: (deg, stokes, ORBIT_RUN.get(label, "desk"))
+        for label, (deg, stokes) in SCORECARD.items()}
+
+
+def test_scorecard_extended_orbit_jobs(monkeypatch):
+    # the extended run adds the extended classes' orbits, Stokes only for
+    # an elliptic class, and never one marked out of reach
+    import singlat.cli as cli
+    monkeypatch.setattr(cli, "SCORECARD_TABLE", {
+        "A2": (3, 1, "desk"), "A3": (16, 4, "extended"),
+        "tE6": (24800580, 76545, "extended"),
+        "tE8": (21374793216, 593744256, None)})
+    assert cli._orbit_jobs(False) == [("A2", "bases", 3), ("A2", "stokes", 1)]
+    assert cli._orbit_jobs(True) == [
+        ("A2", "bases", 3), ("A2", "stokes", 1), ("A3", "bases", 16),
+        ("A3", "stokes", 4), ("tE6", "stokes", 76545)]
 
 
 WALK = json.dumps([[0.5, [-1.0, 0.0]], [-0.5, [1.0, 0.1]]])
@@ -249,6 +299,10 @@ FIBER = json.dumps([[0.518, 0.0], [-0.666, 0.0]])
     ("ll-fiber", "A2", "[NaN,[1,0]]"),
     ("ll-fiber", "A2", "[[0.5,-Infinity],[1,0]]"),
     ("wall-walk", "2", "[[NaN,0],[1,1]]"),
+    ("wall-walk", "2", "[[1e308,1],[-1e308,1]]", "--steps", "10"),
+    ("wall-walk", "2", "[[0.5,1e308],[0.5,-1e308]]", "--steps", "10"),
+    ("wall-walk", "2", "[[1" + "0" * 400 + ",1],[0,1]]"),
+    ("ll-fiber", "A2", '["1e400",1]'),
     ("counts", "A1"),
     ("stokes-count", "A1"),
 ], ids=["at-zero-denominator", "at-not-rational", "ll-eval-length",
@@ -258,6 +312,8 @@ FIBER = json.dumps([[0.518, 0.0], [-0.666, 0.0]])
         "tol-cluster-negative", "tol-cluster-zero", "at-simple-class",
         "at-simple-class-nonzero", "ll-eval-infinity", "ll-eval-nan",
         "ll-fiber-nan", "ll-fiber-infinite-imaginary-part", "wall-walk-nan",
+        "wall-walk-segment-overflow-t1", "wall-walk-segment-overflow-t2",
+        "wall-walk-int-beyond-float", "ll-fiber-rational-beyond-float",
         "counts-below-table", "stokes-count-below-table"])
 def test_bad_input_is_usage_error(capsys, argv):
     assert main(list(argv)) == 2

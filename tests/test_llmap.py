@@ -587,6 +587,21 @@ class TestWallWalk:
         with pytest.raises(ValueError, match="finite"):
             wall_walk_A(2, [[0.5, -1.0], [bad, 1.0 + 0.1j]], steps=50)
 
+    @pytest.mark.parametrize("path", [[[1e308, 1], [-1e308, 1]],
+                                      [[0.5, 1e308], [0.5, -1e308]]])
+    def test_overflowing_segment_rejected(self, path):
+        # finite waypoints whose difference is not: every sample between
+        # them would be NaN or infinite
+        with pytest.raises(ValueError, match="finite difference"):
+            wall_walk_A(2, path, steps=10)
+
+    def test_overflowing_critical_values_rejected(self):
+        # t_2 = 1e308 puts the critical points near 6e153 i, and their
+        # values beyond the float range
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="overflow"):
+                wall_walk_A(2, [[0.5, 1e308], [0.5, 1e307]], steps=10)
+
     # default-steps words of the per-sample walker this chunked one replaced
     @pytest.mark.parametrize("path,word", [
         ([((0.4163 - 0.5246j), (0.3856 - 1.9582j)),

@@ -24,9 +24,13 @@ of I and of a braid-moved tuple, and the stdout, stderr and exit code of
 `orbit --seed-file` on two rejected seeds.  For the exact elimination it
 prints graded_piece_rank on seeded rational generator sets, full and
 rank-deficient, for every graded piece the Jacobi check reads in every
-class, and seeded resultants, some of pairs with a common factor.  Inputs
-are seeded, so the output is deterministic.  The battery takes about 3 s
-on a 2-core host.
+class, and seeded resultants, some of pairs with a common factor.  For
+the orbit engine it prints the `orbit` stdout less its `seconds` (count,
+visited, truncated and the BFS level profile) for every class of the
+scorecard table in both modes, each run capped at ORBIT_BUDGET classes;
+the desk-scale orbits fit under the cap and run in full.  Inputs are
+seeded, so the output is deterministic.  The battery takes about 10 s on a
+2-core host.
 """
 
 import contextlib
@@ -64,6 +68,10 @@ DISCRIMINANT_MEMBERS = (
 )
 
 
+# Classes per orbit run: above every desk-scale orbit (E6 bases, 41472),
+# a prefix of the others.
+ORBIT_BUDGET = 50000
+
 # Seed files that validation rejects, as (label, upper part).  A4 with all
 # six edges plain has the form 3*Id - J, of eigenvalue -1: indefinite.  The
 # tree T_{2,3,7} on ten nodes has Lehmer's polynomial as the characteristic
@@ -89,6 +97,22 @@ def run_cli(*argv, stderr=False):
     if stderr:
         for line in err.getvalue().splitlines():
             print(f"[stderr] {line}")
+
+
+def orbit_outputs():
+    """The orbit stdout without its timing, for every scorecard class."""
+    for label in ALL_LABELS:
+        for mode in ("bases", "stokes"):
+            argv = ["orbit", label, "--mode", mode,
+                    "--budget-states", str(ORBIT_BUDGET)]
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                status = cli.main(argv)
+            doc = json.loads(out.getvalue())
+            del doc["seconds"]
+            print(f"$ singlat {' '.join(argv)}  -> exit {status}")
+            print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
 
 
 def rational_vectors(rng, mu, n):
@@ -239,7 +263,10 @@ def main():
     for argv in (("ll-eval", "A2", "[Infinity,1]"),
                  ("ll-eval", "A2", "[NaN,1]"),
                  ("ll-fiber", "A2", "[NaN,[1,0]]"),
-                 ("wall-walk", "2", "[[NaN,0],[1,1]]")):
+                 ("wall-walk", "2", "[[NaN,0],[1,1]]"),
+                 ("wall-walk", "2", "[[1e308,1],[-1e308,1]]", "--steps", "10"),
+                 ("wall-walk", "2", "[[0.5,1e308],[0.5,-1e308]]",
+                  "--steps", "10")):
         run_cli(*argv, stderr=True)
     for label in ALL_LABELS:
         run_cli("counts", label)
@@ -281,6 +308,7 @@ def main():
         print(f"_symbolic_ll {mu}: {tv!r} {coeffs!r} {jac!r}")
     lattice_outputs(random.Random(20261019))
     algebra_outputs(random.Random(20261020))
+    orbit_outputs()
 
 
 if __name__ == "__main__":
