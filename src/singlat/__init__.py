@@ -22,8 +22,8 @@ from .degrees import (deg_ll, deg_ll_simple, deg_ll_elliptic, segre_degree,
 from .verify import (CheckOutcome, jacobi_dimension, check_unfolding_identity,
                      check_lambda_projection, check_simple_symmetry,
                      check_kappa_extension, identity_suite, jacobi_suite)
-from .llmap import (LLPoint, UnfoldingPoint, CriticalData, ll_exact_A,
-                    discriminant_member, good_order, critical_values_numeric,
-                    ll_fiber_count, wall_walk_A)
+from .llmap import (LLPoint, CriticalData, ll_exact_A, discriminant_member,
+                    good_order, critical_values_numeric, ll_fiber_count,
+                    wall_walk_A)
 
 __version__ = "0.1.0"

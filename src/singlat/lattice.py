@@ -2,8 +2,9 @@
 
 Stokes matrices, the symmetrized intersection form, monodromy,
 Picard-Lefschetz reflections and Coxeter-Dynkin diagrams, all as exact
-integer matrix computations.  The sign conventions are fixed once and
-for all at the dimension residue n = 0 mod 4, where
+integer matrix computations; definiteness and quasiunipotence are read
+off the integer characteristic polynomial.  The sign conventions are fixed
+once and for all at the dimension residue n = 0 mod 4, where
 
     I = S + S^t,   M = -S^{-1} S^t,   s_d(b) = b - I(d,b) d,
 
@@ -14,9 +15,9 @@ suspension), so no generality is lost for the counting problems.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .polyalg import MultiPoly, bareiss
 
@@ -310,67 +311,35 @@ def definiteness(i: IntersectionMatrix):
     return "indefinite"
 
 
-@lru_cache(maxsize=None)
-def cyclotomic_poly(d):
-    """Coefficients (ascending) of the d-th cyclotomic polynomial."""
-    # y^d - 1 divided by the product of all lower cyclotomic factors
-    num = [-1] + [0] * (d - 1) + [1]
-    for e in range(1, d):
-        if d % e == 0:
-            phi = cyclotomic_poly(e)
-            num = _intpoly_exact_div(num, list(phi))
-    return tuple(num)
-
-
-def _intpoly_exact_div(a, b):
-    a = list(a)
-    out = [0] * (len(a) - len(b) + 1)
-    for k in range(len(out) - 1, -1, -1):
-        c = a[len(b) - 1 + k] // b[-1]
-        out[k] = c
-        for j in range(len(b)):
-            a[k + j] -= c * b[j]
-    if any(a):
-        raise ArithmeticError("not divisible")
-    return out
-
-
-def _euler_phi(d):
-    out = d
-    p = 2
-    dd = d
-    while p * p <= dd:
-        if dd % p == 0:
-            while dd % p == 0:
-                dd //= p
-            out -= out // p
-        p += 1
-    if dd > 1:
-        out -= out // dd
-    return out
-
-
 def is_quasiunipotent(m: MonodromyMatrix) -> bool:
-    """True iff the characteristic polynomial is a product of cyclotomics.
+    """True iff every eigenvalue is a root of unity: the characteristic
+    polynomial p, of degree n, is a product of cyclotomic polynomials.
 
-    Checked by exact trial division against all Phi_d with phi(d) <= mu;
-    any cyclotomic factor of a degree-mu polynomial must be among these.
-    """
+    Exact Graeffe root squaring, p(y^2) <- (-1)^n p(y) p(-y), squares the
+    roots.  If they are roots of unity, coefficient k of every iterate is
+    at most C(n, k) in modulus, so an iterate repeats.  Otherwise p(0) = 0,
+    or by Kronecker's theorem (J. reine angew. Math. 53, 1857) a root lies
+    outside the unit disc and the iterates' coefficients grow without
+    bound; and none repeats, for p_a = p_(a+b) makes y -> y^(2^b) permute
+    the roots of p_a, which are then roots of unity."""
     rows = m.rows if isinstance(m, MonodromyMatrix) else m
-    p = list(char_poly(rows))
-    n = len(rows)
-    ds = [d for d in range(1, 4 * n * n + 7) if _euler_phi(d) <= n]
-    for d in ds:
-        phi = list(cyclotomic_poly(d))
-        while len(p) >= len(phi):
-            try:
-                q = _intpoly_exact_div(p, phi)
-            except ArithmeticError:
-                break
-            p = q
-            if p == [1]:
-                return True
-    return p == [1]
+    p = char_poly(rows)
+    n = len(p) - 1
+    if p[0] == 0:
+        return False
+    bound = [math.comb(n, k) for k in range(n + 1)]
+    sign = (-1) ** n
+    seen = set()
+    while p not in seen:
+        if any(abs(c) > b for c, b in zip(p, bound)):
+            return False
+        seen.add(p)
+        # coefficient j of p(y) p(-y) at y^(2j)
+        p = tuple(sign * sum((-1) ** k * p[k] * p[2 * j - k]
+                             for k in range(max(0, 2 * j - n),
+                                            min(2 * j, n) + 1))
+                  for j in range(n + 1))
+    return True
 
 
 def tensor_rows(a, b):

@@ -15,8 +15,11 @@ matrices, and a wall walker that tracks the good ordering of the critical
 values along a path in parameter space and emits a braid letter at every
 transversal crossing of adjacent imaginary parts.  The walker screens
 whole chunks of path samples with array code and applies its per-sample
-step only where something can change.  The chain-family critical values
-come from the walker's stacked eigenvalue kernel.
+step only where something can change.  Every root in the module comes
+from one kernel, stacked companion-matrix eigenvalues (`_companion_roots`):
+the critical points of the walk and of the chain-family critical values,
+and the roots of a configuration polynomial.  A coefficient or critical
+value beyond the float range raises ValueError.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import numpy as np
 from .braid import BraidWord
 from .lattice import char_poly
 from .polyalg import MultiPoly, bareiss, sylvester, to_complex
-from .singdata import SingularityClass, sing_class, unfolding
+from .singdata import sing_class, unfolding
 
 F = Fraction
 
@@ -44,17 +47,30 @@ TOL_WALL = 1e-9
 TOL_DISC = 1e-9
 
 
-def _polished_roots(cs):
-    """Roots of the polynomial with ascending coefficients cs: companion
-    eigenvalues (np.roots), each polished by up to four Newton steps; a root
-    where the derivative drops below 1e-14 stays where it is."""
-    p = np.array(cs[::-1], dtype=complex)
-    x = np.roots(p).astype(complex)
-    for _ in range(4):
-        d = np.polyval(np.polyder(p), x)
-        live = np.abs(d) >= 1e-14
-        x[live] -= np.polyval(p, x[live]) / d[live]
-    return x
+def _companion_roots(P):
+    """Roots of the polynomials whose descending coefficients are the rows
+    of P, as an (n, degree) complex array: the eigenvalues of each row's
+    companion matrix, from stacked eigenvalue calls.  The one root kernel
+    of this module.
+
+    Like np.roots, a row ending in d zero coefficients gets the eigenvalues
+    of its degree - d companion followed by d zeros, and rows with the same
+    d share one call.  Raises ValueError when a companion coefficient is
+    not finite."""
+    deg = P.shape[1] - 1
+    with np.errstate(all="ignore"):
+        C = -P[:, 1:] / P[:, :1]
+    if not np.isfinite(C).all():
+        raise ValueError("polynomial coefficients overflow the float range")
+    zeros = np.cumprod(P[:, :0:-1] == 0, axis=1).sum(axis=1)
+    X = np.zeros((len(P), deg), dtype=complex)
+    for d in sorted(set(zeros.tolist()) - {deg}):   # d = deg: only zeros
+        rows, n = np.flatnonzero(zeros == d), deg - d
+        A = np.zeros((len(rows), n, n), dtype=complex)
+        A[:, 0, :] = C[rows, :n]
+        A[:, np.arange(1, n), np.arange(n - 1)] = 1
+        X[rows, :n] = np.linalg.eigvals(A)
+    return X
 
 
 @dataclass(frozen=True)
@@ -72,18 +88,9 @@ class LLPoint:
         return len(self.coeffs) - 1
 
     def roots(self):
-        return _polished_roots([complex(c) for c in self.coeffs])
-
-
-@dataclass(frozen=True)
-class UnfoldingPoint:
-    cls: SingularityClass
-    t: tuple
-    lam: object = None
-
-    def __post_init__(self):
-        if self.cls.is_elliptic and self.lam in (0, 1, None):
-            raise ValueError("family parameter must avoid 0 and 1")
+        """The roots, in the order of `_companion_roots`."""
+        P = np.array([[complex(c) for c in reversed(self.coeffs)]])
+        return _companion_roots(P)[0]
 
 
 @dataclass(frozen=True)
@@ -484,31 +491,19 @@ def _walk_values(mu, T):
     as an (n, mu) complex array in row order; the one chain-family kernel,
     shared by the walk and critical_values_numeric.
 
-    The critical points are the eigenvalues np.roots would return, from
-    stacked eigenvalue calls over the companion matrices it builds: like
-    np.roots, a row whose derivative ends in d zero coefficients gets the
-    eigenvalues of its degree mu - d companion followed by d zeros, and
-    rows with the same d share one call.  When the stacked call rejects
-    its rows, they go through np.roots one by one, so only a row that
-    np.roots rejects raises."""
-    # descending coefficients of (mu+1) x^mu + sum_j (j-1) t_j x^(j-2)
-    P = np.zeros((len(T), mu + 1), dtype=complex)
-    P[:, 0] = mu + 1
-    for j in range(2, mu + 1):
-        P[:, mu + 2 - j] += (j - 1) * T[:, j - 1]
-    zeros = np.cumprod(P[:, :0:-1] == 0, axis=1).sum(axis=1)
-    X = np.zeros((len(T), mu), dtype=complex)
-    for d in sorted(set(zeros.tolist()) - {mu}):   # d = mu: only zeros
-        rows, n = np.flatnonzero(zeros == d), mu - d
-        A = np.zeros((len(rows), n, n), dtype=complex)
-        A[:, 0, :] = -P[rows, 1:n + 1] / P[rows, :1]
-        A[:, np.arange(1, n), np.arange(n - 1)] = 1
-        try:
-            X[rows, :n] = np.linalg.eigvals(A)
-        except np.linalg.LinAlgError:
-            for i in rows:
-                X[i] = np.roots(P[i])
-    return _chain_values(mu, T, X)
+    The critical points are the `_companion_roots` of the derivative.
+    Evaluated with numpy's floating-point warnings off: a coefficient or a
+    critical value beyond the float range raises ValueError instead."""
+    with np.errstate(all="ignore"):
+        # descending coefficients of (mu+1) x^mu + sum_j (j-1) t_j x^(j-2)
+        P = np.zeros((len(T), mu + 1), dtype=complex)
+        P[:, 0] = mu + 1
+        for j in range(2, mu + 1):
+            P[:, mu + 2 - j] += (j - 1) * T[:, j - 1]
+        V = _chain_values(mu, T, _companion_roots(P))
+    if not np.isfinite(V).all():
+        raise ValueError("critical values overflow the float range")
+    return V
 
 
 def _path_values(mu, waypoints, steps):
@@ -636,8 +631,6 @@ def wall_walk_A(mu, path, steps=2000, *, tol_wall=TOL_WALL,
     contact = {}       # adjacent pair -> consecutive samples spent on the wall
     last = None        # the last sample's values in good order
     for V in _path_values(mu, waypoints, steps):
-        if not np.isfinite(V).all():
-            raise ValueError("critical values overflow along the path")
         S = np.take_along_axis(V, np.lexsort((-V.real, V.imag)), axis=1)
         still = _still_rows(S, last, tol_wall, tol_disc)
         for r in np.flatnonzero(~still):

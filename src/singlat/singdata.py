@@ -15,8 +15,9 @@ the finite orbits are certified by the braid-orbit counts.
 from __future__ import annotations
 
 import json
+import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
 
@@ -166,40 +167,33 @@ def unfolding(cls: SingularityClass) -> MultiPoly:
     return out
 
 
+# Variable weights of the exceptional classes, in variable order.
+VAR_WEIGHTS = {"E6": (F(1, 4), F(1, 3)), "E7": (F(2, 9), F(1, 3)),
+               "E8": (F(1, 5), F(1, 3)), "tE6": (F(1, 3),) * 3,
+               "tE7": (F(1, 4), F(1, 4)), "tE8": (F(1, 6), F(1, 3))}
+
+
+@lru_cache(maxsize=None)
 def weights(cls: SingularityClass) -> WeightSystem:
-    """Variable weights, parameter weights deg_w t_j, Coxeter number (ADE)
-    and the elliptic common-denominator d."""
+    """The variable weights w, for which the normal form has degree 1, and
+    what follows from them: the parameter weights deg_w t_j = 1 - deg_w m_j
+    of the unfolding monomials m_j, the Coxeter number 2 / min_j deg_w t_j
+    (ADE), and the elliptic common denominator d of the parameter weights.
+    Built once per class and shared; a WeightSystem is immutable."""
     mu = cls.mu
     if cls.family == "A":
-        vw = (("x0", F(1, mu + 1)),)
-        tw = [F(1)] + [F(mu + 2 - j, mu + 1) for j in range(2, mu + 1)]
-        return WeightSystem(vw, tuple(tw), coxeter_number=mu + 1)
-    if cls.family == "D":
-        vw = (("x0", F(1, mu - 1)), ("x1", F(mu - 2, 2 * (mu - 1))))
-        tw = [F(1), F(mu, 2 * (mu - 1))] + \
-             [F(mu - 1 - k, mu - 1) for k in range(1, mu - 1)]
-        return WeightSystem(vw, tuple(tw), coxeter_number=2 * (mu - 1))
-    fixed = {
-        "E6": ((("x0", F(1, 4)), ("x1", F(1, 3))),
-               (F(1), F(3, 4), F(2, 3), F(1, 2), F(5, 12), F(1, 6)), 12, None),
-        "E7": ((("x0", F(2, 9)), ("x1", F(1, 3))),
-               (F(1), F(7, 9), F(2, 3), F(5, 9), F(4, 9), F(1, 3), F(1, 9)),
-               18, None),
-        "E8": ((("x0", F(1, 5)), ("x1", F(1, 3))),
-               (F(1), F(4, 5), F(2, 3), F(3, 5), F(7, 15), F(2, 5), F(4, 15),
-                F(1, 15)), 30, None),
-        "tE6": ((("x0", F(1, 3)), ("x1", F(1, 3)), ("x2", F(1, 3))),
-                (F(1), F(2, 3), F(2, 3), F(2, 3), F(1, 3), F(1, 3), F(1, 3)),
-                None, 3),
-        "tE7": ((("x0", F(1, 4)), ("x1", F(1, 4))),
-                (F(1), F(3, 4), F(3, 4), F(1, 2), F(1, 2), F(1, 2), F(1, 4),
-                 F(1, 4)), None, 4),
-        "tE8": ((("x0", F(1, 6)), ("x1", F(1, 3))),
-                (F(1), F(5, 6), F(2, 3), F(2, 3), F(1, 2), F(1, 2), F(1, 3),
-                 F(1, 3), F(1, 6)), None, 6),
-    }
-    vw, tw, cox, d = fixed[cls.label]
-    return WeightSystem(vw, tw, coxeter_number=cox, cone_d=d)
+        vw = (F(1, mu + 1),)
+    elif cls.family == "D":
+        vw = (F(1, mu - 1), F(mu - 2, 2 * (mu - 1)))
+    else:
+        vw = VAR_WEIGHTS[cls.label]
+    vw = tuple(zip(cls.xvars, vw))
+    degree = WeightSystem(vw, ()).poly_degree
+    tw = tuple(F(1) - degree(m) for m in unfolding_monomials(cls))
+    if cls.is_elliptic:
+        return WeightSystem(vw, tw,
+                            cone_d=math.lcm(*(t.denominator for t in tw)))
+    return WeightSystem(vw, tw, coxeter_number=int(2 / min(tw)))
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +209,8 @@ class SymmetryDatum:
     psi            stored parameter map components t_j -> expression;
                    for partially printed maps only the printed parts,
                    with `exclusions` naming the t-variables the unprinted
-                   remainder of each component must avoid
+                   remainder of each component must avoid (empty when
+                   every component is printed)
     lam_image      'inv' (la -> 1/la) or 'one-minus' (la -> 1-la)
     root_order     m with la realized as nu^m for 'inv' (minimal power
                    clearing the printed fractional exponents); 1 for
@@ -223,8 +218,6 @@ class SymmetryDatum:
                    Both realisations embed the parameter ring injectively
                    (see sym_field), so the tables hold exactly when they
                    hold over the family parameter
-    cyclo          cyclotomic field adjoined (None, GAUSS or ZETA8)
-    printed        'full' if every component is printed, else 'partial'
     """
     label: str
     phi: dict
@@ -232,9 +225,7 @@ class SymmetryDatum:
     psi: dict
     lam_image: str
     root_order: int
-    cyclo: object
-    printed: str = "full"
-    exclusions: dict = None
+    exclusions: dict = field(default_factory=dict)
 
 
 def sym_field(lam_image, m=1):
@@ -291,7 +282,7 @@ def _d_family_symmetries(cls):
     phi2 = {"x0": parse_poly("x0", xv), "x1": parse_poly("- x1", xv)}
     psi2 = {f"t{j}": (parse_poly(f"- t{j}" if j == 2 else f"t{j}", cls.tvars))
             for j in range(1, cls.mu + 1)}
-    out.append(SymmetryDatum("phi2", phi2, {}, psi2, "id", 1, None))
+    out.append(SymmetryDatum("phi2", phi2, {}, psi2, "id", 1))
     if cls.mu == 4:
         i_ = Cyclo.gen(GAUSS)
         # phi3(x) = (-x0/2 - i x1/2, 3i x0/2 + x1/2)
@@ -300,8 +291,8 @@ def _d_family_symmetries(cls):
             "x1": _poly({(1, 0): F(3, 2) * i_, (0, 1): F(1, 2)}, xv),
         }
         # Phi3 shifts by multiples of t4; the tabulated x1-shift is i/4 * t4
-        # (the unique ansatz making the identity close, cf. the derivation
-        # in verify.check_simple_symmetry).
+        # (the unique ansatz making the identity close, as
+        # verify.check_unfolding_identity checks).
         vs = xv + ("t4",)
         psi_shift3 = {
             "x0": _poly({(1, 0, 0): 1, (0, 0, 1): F(-1, 4)}, vs),
@@ -317,7 +308,7 @@ def _d_family_symmetries(cls):
                          (0, 0, 0, 2): F(3, 8)}, tv),
             "t4": _poly({(0, 0, 0, 1): 1}, tv),
         }
-        out.append(SymmetryDatum("phi3", phi3, psi_shift3, psi3, "id", 1, GAUSS))
+        out.append(SymmetryDatum("phi3", phi3, psi_shift3, psi3, "id", 1))
     return out
 
 
@@ -337,8 +328,7 @@ def _te6_symmetry(which):
                "x2": _poly({(0, 0, 1): half}, xv)}
         scale = {1: 1, 2: la ** -1, 3: 1, 4: half, 5: la ** -2, 6: la ** -1,
                  7: half}
-        return SymmetryDatum("psi2", phi, {}, _scalings(tv, scale), "inv", m,
-                             None)
+        return SymmetryDatum("psi2", phi, {}, _scalings(tv, scale), "inv", m)
     i_ = Cyclo.gen(GAUSS)
     phi = {"x0": _poly({(1, 0, 0): -1}, xv),
            "x1": _poly({(0, 1, 0): 1, (1, 0, 0): -1}, xv),
@@ -360,7 +350,7 @@ def _te6_symmetry(which):
         "t6": _poly({e(0, 0, 0, 0, 0, 1, 0): -1}, tv),
         "t7": _poly({e(0, 0, 0, 0, 0, 0, 1): i_}, tv),
     }
-    return SymmetryDatum("psi3", phi, shift, psi, "one-minus", 1, GAUSS)
+    return SymmetryDatum("psi3", phi, shift, psi, "one-minus", 1)
 
 
 def _te7_symmetry(which):
@@ -372,8 +362,7 @@ def _te7_symmetry(which):
         phi = {"x0": _poly({(1, 0): q ** -3}, xv), "x1": _poly({(0, 1): q}, xv)}
         scale = {1: 1, 2: q ** -3, 3: q, 4: q ** -6,
                  5: q ** -2, 6: q ** 2, 7: q ** -5, 8: q ** -1}
-        return SymmetryDatum("psi2", phi, {}, _scalings(tv, scale), "inv", m,
-                             None)
+        return SymmetryDatum("psi2", phi, {}, _scalings(tv, scale), "inv", m)
     xi = Cyclo.gen(ZETA8)
     _, la = sym_field("one-minus")
     A = (1 - la) ** -1                      # 1/(1-la), the generator a
@@ -414,7 +403,7 @@ def _te7_symmetry(which):
         "t7": _poly({e(t7=1): x3 * A * (la - 3), e(t8=1): -2 * x3 * A}, tv),
         "t8": _poly({e(t7=1): 3 * x3 * A, e(t8=1): x3 * A * (2 + la)}, tv),
     }
-    return SymmetryDatum("psi3", phi, shift, psi, "one-minus", 1, ZETA8)
+    return SymmetryDatum("psi3", phi, shift, psi, "one-minus", 1)
 
 
 def _te8_symmetry(which):
@@ -426,8 +415,7 @@ def _te8_symmetry(which):
         phi = {"x0": _poly({(1, 0): h ** -1}, xv), "x1": _poly({(0, 1): 1}, xv)}
         scale = {1: 1, 2: h ** -1, 3: la ** -1, 4: 1, 5: h ** -3,
                  6: h ** -1, 7: la ** -1, 8: 1, 9: h ** -1}
-        return SymmetryDatum("psi2", phi, {}, _scalings(tv, scale), "inv", m,
-                             None)
+        return SymmetryDatum("psi2", phi, {}, _scalings(tv, scale), "inv", m)
     i_ = Cyclo.gen(GAUSS)
     _, la = sym_field("one-minus")
     A = (1 - la) ** -1             # 1/(1-la)
@@ -474,8 +462,7 @@ def _te8_symmetry(which):
                   "t4": ("t1", "t2", "t3", "t4", "t5"),
                   "t5": ("t1", "t2", "t3", "t4", "t5", "t6"),
                   "t6": ("t1", "t2", "t3", "t4", "t5", "t6")}
-    return SymmetryDatum("psi3", phi, shift, psi, "one-minus", 1, GAUSS,
-                         printed="partial", exclusions=exclusions)
+    return SymmetryDatum("psi3", phi, shift, psi, "one-minus", 1, exclusions)
 
 
 # ---------------------------------------------------------------------------

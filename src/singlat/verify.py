@@ -199,7 +199,7 @@ def check_unfolding_identity(cls_or_label, which: str) -> CheckOutcome:
     details = []
     for tname, got in computed.items():
         want = datum.psi[tname]
-        if datum.printed == "partial" and tname in (datum.exclusions or {}):
+        if tname in datum.exclusions:
             diff = got - want
             remainder = diff.coefficient_split(cls.tvars)
             banned = [cls.tvars.index(t) for t in datum.exclusions[tname]]
@@ -232,33 +232,20 @@ def check_lambda_projection(cls_or_label, which: str) -> CheckOutcome:
 
 
 def check_simple_symmetry(cls_or_label) -> CheckOutcome:
-    """The D-family identities: the sign flip phi2 fixes the unfolding up
-    to t_2 -> -t_2 for every D_mu, and for D_4 the order-3 coordinate
-    change phi3 with its tabulated shift reproduces the tabulated
-    parameter map."""
+    """The D-family identities, each by `check_unfolding_identity`: the
+    sign flip phi2 for every D_mu, and for D_4 also the order-3 coordinate
+    change phi3 with its tabulated shift.  One outcome, named after all of
+    them (D4:phi2+phi3, D5:phi2), carrying the first failure."""
     cls = sing_class(cls_or_label)
     if cls.family != "D":
         raise ValueError("check_simple_symmetry covers the D families")
-    data = {d.label: d for d in symmetry_data(cls)}
-    xv, tv = cls.xvars, cls.tvars
-    allv = xv + tv
-    F_full = unfolding(cls)
-    # phi2: F(phi2(x), psi2(t)) = F(x, t)
-    d2 = data["phi2"]
-    sub = {v: d2.phi[v].with_vars(allv) for v in xv}
-    sub.update({t: d2.psi[t].with_vars(allv) for t in tv})
-    diff = F_full.subst(sub) - F_full
-    if not diff.is_zero:
-        return CheckOutcome(f"{cls.label}:phi2", False, diff)
-    if cls.mu != 4:
-        return CheckOutcome(f"{cls.label}:phi2", True)
-    # phi3 (D4 only): F(Psi3(phi3(x), t), t) = F(x, psi3(t))
-    d3 = data["phi3"]
-    lhs = F_full.subst(_composed_substitution(cls, d3))
-    rhs = F_full.subst({t: d3.psi[t].with_vars(allv) for t in tv})
-    diff = lhs - rhs
-    ok = diff.is_zero
-    return CheckOutcome(f"{cls.label}:phi2+phi3", ok, None if ok else diff)
+    data = symmetry_data(cls)
+    name = f"{cls.label}:" + "+".join(d.label for d in data)
+    for d in data:
+        out = check_unfolding_identity(cls, d.label)
+        if not out:
+            return CheckOutcome(name, False, out.witness, out.detail)
+    return CheckOutcome(name, True)
 
 
 # ---------------------------------------------------------------------------

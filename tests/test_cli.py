@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import pytest
 
@@ -320,6 +321,24 @@ def test_bad_input_is_usage_error(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error:" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("path", [
+    "[[0,0,1e308],[0,0,1e307]]",       # a derivative coefficient overflows
+    "[[0.5,1e308],[0.5,1e307]]",       # the critical values overflow
+], ids=["mu3-coefficient", "mu2-values"])
+def test_walk_overflow_is_one_error_line(capsys, path):
+    # finite waypoints with a finite difference, so not a usage error: the
+    # walk fails (exit 1) with singlat's own message and no numpy warning
+    mu = str(len(json.loads(path)[0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["wall-walk", mu, path, "--steps", "10"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    assert "overflow" in lines[0] and "NaN" not in lines[0]
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "x"])

@@ -142,9 +142,77 @@ class TestQuasiunipotent:
         assert is_quasiunipotent(m)
 
     def test_all_seed_monodromies(self):
-        for label in ALL_LABELS:
+        for label in ALL_LABELS + ("A6", "D6", "D7", "D8"):
             m = monodromy_from_stokes(seed_stokes(label).stokes)
             assert is_quasiunipotent(m), label
+            assert sympy_quasiunipotent(m.rows), label
+
+    def test_zero_eigenvalue_rejected(self):
+        assert not is_quasiunipotent(((0, 1), (0, 0)))
+
+
+# Lehmer's polynomial, of the smallest known Mahler measure above 1
+LEHMER = (1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1)
+
+
+def companion(p):
+    """Integer companion matrix of the monic polynomial with ascending
+    coefficients p, whose characteristic polynomial is p."""
+    n = len(p) - 1
+    return tuple(tuple(-p[i] if j == n - 1 else int(i == j + 1)
+                       for j in range(n)) for i in range(n))
+
+
+def sympy_quasiunipotent(rows):
+    """The oracle: sympy factors the characteristic polynomial (char_poly,
+    itself checked against sympy in TestIntegerKernels) and finds every
+    irreducible factor cyclotomic."""
+    sympy = pytest.importorskip("sympy")
+    cp = sympy.Poly(char_poly(rows)[::-1], sympy.Symbol("y"))
+    return all(f.is_cyclotomic for f, _ in cp.factor_list()[1])
+
+
+@st.composite
+def cyclotomic_products(draw):
+    """Ascending coefficients of a product of cyclotomic polynomials
+    Phi_d (d <= 30) of degree at most 12; about a third have one
+    coefficient below the leading one moved by +-1."""
+    sympy = pytest.importorskip("sympy")
+    y = sympy.Symbol("y")
+    p = sympy.Poly(1, y)
+    for d in draw(st.lists(st.integers(1, 30), min_size=1, max_size=4)):
+        phi = sympy.Poly(sympy.cyclotomic_poly(d, y), y)
+        if p.degree() + phi.degree() <= 12:
+            p = p * phi
+    cs = [int(c) for c in reversed(p.all_coeffs())]
+    if len(cs) > 1 and draw(st.integers(0, 2)) == 0:
+        cs[draw(st.integers(0, len(cs) - 2))] += draw(st.sampled_from((-1, 1)))
+    return tuple(cs)
+
+
+class TestQuasiunipotentOracle:
+    """is_quasiunipotent against sympy's factorisation, a test-only
+    oracle."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+        min_size=n, max_size=n)))
+    def test_integer_matrices(self, rows):
+        rows = tuple(map(tuple, rows))
+        assert is_quasiunipotent(rows) == sympy_quasiunipotent(rows)
+
+    @settings(max_examples=30, deadline=None)
+    @given(cyclotomic_products())
+    def test_companions_of_cyclotomic_products(self, p):
+        m = companion(p)
+        assert char_poly(m) == p
+        assert is_quasiunipotent(m) == sympy_quasiunipotent(m)
+
+    def test_lehmer(self):
+        m = companion(LEHMER)
+        assert not sympy_quasiunipotent(m)
+        assert not is_quasiunipotent(m)
 
 
 class TestRadicalAndDefiniteness:

@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import random
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
@@ -11,9 +12,9 @@ from singlat.braid import VanishingTuple, braid_apply_word, \
     sign_canonical_stokes, stokes_of_tuple
 from singlat.lattice import StokesMatrix
 from singlat.llmap import (TOL_DEDUP, TOL_DISC, TOL_WALL, WALK_CHUNK,
-                           IncompleteFiber, LLPoint, UnfoldingPoint,
-                           _ll_system, _newton_rows, _path_values,
-                           _poly_system, _symbolic_ll, _walk_values,
+                           IncompleteFiber, LLPoint, _ll_system,
+                           _newton_rows, _path_values, _poly_system,
+                           _symbolic_ll, _walk_values,
                            critical_values_numeric, discriminant_member,
                            good_order, ll_exact_A, ll_fiber_count,
                            wall_walk_A)
@@ -173,15 +174,25 @@ class TestCharacteristicPolynomial:
         assert discriminant_member(p) == (sympy.discriminant(poly, y) == 0)
 
 
-class TestUnfoldingPoint:
-    def test_elliptic_needs_valid_parameter(self):
-        cls = sing_class("tE6")
-        with pytest.raises(ValueError):
-            UnfoldingPoint(cls, (F(1),) * 7, lam=F(1))
-        UnfoldingPoint(cls, (F(1),) * 7, lam=F(1, 2))  # fine
+class TestRoots:
+    @pytest.mark.parametrize("coeffs", [
+        (F(-6), F(11), F(-6), F(1)),          # (y - 1)(y - 2)(y - 3)
+        (F(0), F(0), F(2), F(-3), F(1)),     # y^2 (y - 1)(y - 2)
+        (F(0), F(1)),
+        (F(1),),
+    ])
+    def test_match_np_roots(self, coeffs):
+        # the companion kernel deflates trailing zeros as np.roots does
+        got = LLPoint(coeffs).roots()
+        want = np.roots([complex(c) for c in reversed(coeffs)])
+        assert len(got) == len(want) == len(coeffs) - 1
+        assert match_sets(got, want) < 1e-12
 
-    def test_simple_has_no_parameter(self):
-        UnfoldingPoint(sing_class("A3"), (F(0), F(1), F(2)))
+    def test_non_finite_coefficient_raises(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflow"):
+                LLPoint((complex("inf"), 0, 1)).roots()
 
 
 class TestGoodOrder:
@@ -220,6 +231,17 @@ class TestGoodOrder:
 
 
 class TestNumericCriticalValues:
+    @pytest.mark.parametrize("t", [
+        [0.5, 1e308],        # finite coefficients, values beyond the range
+        [0.0, 0.0, 1e308],   # the derivative's coefficient 2 t_3 overflows
+    ])
+    def test_overflow_raises_without_warnings(self, t):
+        # one ValueError from the kernel, and no numpy warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflow"):
+                critical_values_numeric(f"A{len(t)}", t)
+
     def test_a2_hand_solved(self):
         cd = critical_values_numeric("A2", [0, -3])
         vs = sorted(cd.values, key=lambda z: z.real)

@@ -165,6 +165,89 @@ class TestCyclo:
         assert (z ** 2) * (z ** 2) == -1  # zeta8^2 is a square root of -1
 
 
+# ---------------------------------------------------------------------------
+# resultants and cyclotomic arithmetic against sympy, a test-only oracle
+# ---------------------------------------------------------------------------
+
+_small_fracs = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+_RES_VARS = ("x", "a", "b")
+
+
+@st.composite
+def _res_polys(draw):
+    """Polynomials in x of degree 1 to 3 with coefficients in Q[a, b]."""
+    deg = draw(st.integers(1, 3))
+    terms = {(k, i, j): draw(_small_fracs)
+             for k in range(deg) for i in range(2) for j in range(2)
+             if draw(st.booleans())}
+    terms[(deg, draw(st.integers(0, 1)), 0)] = draw(
+        _small_fracs.filter(bool))
+    return MultiPoly(_RES_VARS, terms)
+
+
+def _to_sympy(p):
+    sympy = pytest.importorskip("sympy")
+    syms = sympy.symbols(p.vars)
+    out = sympy.Integer(0)
+    for expo, c in p.terms.items():
+        term = sympy.Rational(c.numerator, c.denominator)
+        for v, e in zip(syms, expo):
+            term *= v ** e
+        out += term
+    return out
+
+
+class TestSympyOracle:
+    @settings(max_examples=20, deadline=None)
+    @given(_res_polys(), _res_polys(), st.booleans())
+    def test_resultant(self, p, q, common):
+        sympy = pytest.importorskip("sympy")
+        if common:   # a shared factor x - a: the resultant vanishes
+            shared = P("x - a", _RES_VARS)
+            p, q = p * shared, q * shared
+        got = resultant(p, q, "x")
+        # larger degree first, by Res(p, q) = (-1)^(deg p deg q) Res(q, p):
+        # sympy 1.14 has the opposite sign for a linear p and a cubic q
+        dp, dq = p.degree("x"), q.degree("x")
+        sp, sq, x = _to_sympy(p), _to_sympy(q), sympy.Symbol("x")
+        want = sympy.resultant(sp, sq, x) if dp >= dq else \
+            (-1) ** (dp * dq) * sympy.resultant(sq, sp, x)
+        assert sympy.expand(_to_sympy(got) - want) == 0
+        if common:
+            assert got.is_zero
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from((GAUSS, ZETA8)), st.data())
+    def test_cyclo_arithmetic(self, field, data):
+        sympy = pytest.importorskip("sympy")
+        z = sympy.Symbol("z")
+        d = field.degree
+        m = sympy.Poly([int(c) for c in reversed(field.min_poly)], z,
+                       domain="QQ")
+        elems = [data.draw(st.lists(_small_fracs, min_size=d, max_size=d))
+                 for _ in range(2)]
+        a, b = (Cyclo(field, cs) for cs in elems)
+        sa, sb = (sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                              for c in reversed(cs)], z, domain="QQ")
+                  for cs in elems)
+
+        def same(x, poly):
+            cs = poly.rem(m).all_coeffs()[::-1]
+            cs = [F(int(c.p), int(c.q)) for c in cs] + [F(0)] * (d - len(cs))
+            assert x.coeffs == tuple(cs)
+
+        same(a + b, sa + sb)
+        same(a * b, sa * sb)
+        n = data.draw(st.integers(-3, 6))
+        if a:
+            inv = sympy.Poly(sympy.invert(sa.as_expr(), m.as_expr(), z), z,
+                             domain="QQ")
+            same(a.inv(), inv)
+            same(a ** n, inv ** -n if n < 0 else sa ** n)
+        elif n >= 0:
+            same(a ** n, sa ** n)
+
+
 class TestRatFunc:
     def test_field_inverse(self):
         la = RatFunc.gen("la")

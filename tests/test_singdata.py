@@ -8,7 +8,7 @@ from singlat.lattice import (StokesMatrix, coxeter_dynkin, definiteness,
                              mat_mul, mat_neg, monodromy_from_stokes,
                              reflection_matrix, symmetrized_form,
                              tensor_rows)
-from singlat.polyalg import MultiPoly, parse_poly
+from singlat.polyalg import GAUSS, Cyclo, MultiPoly, parse_poly
 from singlat.singdata import (ALL_LABELS, SeedError, normal_form, seed_stokes,
                               sing_class, sym_field, symmetry_data,
                               tensor_stokes, unfolding, unfolding_monomials,
@@ -88,12 +88,34 @@ class TestUnfoldings:
         ms = unfolding_monomials(sing_class("tE6"))
         assert ms[-1] == parse_poly("x1*x2", ("x0", "x1", "x2"))
 
+    # deg_w t_j for every class, written out: weights derives them from
+    # the unfolding monomials, so this table is the independent oracle
+    T_WEIGHTS = {
+        "A2": (1, F(2, 3)),
+        "A3": (1, F(3, 4), F(1, 2)),
+        "A4": (1, F(4, 5), F(3, 5), F(2, 5)),
+        "A5": (1, F(5, 6), F(2, 3), F(1, 2), F(1, 3)),
+        "D4": (1, F(2, 3), F(2, 3), F(1, 3)),
+        "D5": (1, F(5, 8), F(3, 4), F(1, 2), F(1, 4)),
+        "E6": (1, F(3, 4), F(2, 3), F(1, 2), F(5, 12), F(1, 6)),
+        "E7": (1, F(7, 9), F(2, 3), F(5, 9), F(4, 9), F(1, 3), F(1, 9)),
+        "E8": (1, F(4, 5), F(2, 3), F(3, 5), F(7, 15), F(2, 5), F(4, 15),
+               F(1, 15)),
+        "tE6": (1, F(2, 3), F(2, 3), F(2, 3), F(1, 3), F(1, 3), F(1, 3)),
+        "tE7": (1, F(3, 4), F(3, 4), F(1, 2), F(1, 2), F(1, 2), F(1, 4),
+                F(1, 4)),
+        "tE8": (1, F(5, 6), F(2, 3), F(2, 3), F(1, 2), F(1, 2), F(1, 3),
+                F(1, 3), F(1, 6)),
+    }
+
     def test_degree_pairing(self):
-        for label in ALL_LABELS:
+        assert set(self.T_WEIGHTS) == set(ALL_LABELS)
+        for label, want in self.T_WEIGHTS.items():
             cls = sing_class(label)
             w = weights(cls)
+            assert w.t_weights == want, label
             for j, m in enumerate(unfolding_monomials(cls), start=1):
-                assert w.poly_degree(m) == 1 - w.t_weights[j - 1], (label, j)
+                assert w.poly_degree(m) == 1 - want[j - 1], (label, j)
 
 
 class TestWeights:
@@ -117,6 +139,19 @@ class TestWeights:
         assert weights(sing_class("D6")).coxeter_number == 10
         assert weights(sing_class("E8")).coxeter_number == 30
 
+    def test_derived_invariants(self):
+        for label, h in (("A1", 2), ("A6", 7), ("A9", 10), ("D4", 6),
+                         ("D7", 12), ("D9", 16), ("E6", 12), ("E7", 18)):
+            w = weights(sing_class(label))
+            assert w.coxeter_number == h and w.cone_d is None, label
+        for label, d in (("tE6", 3), ("tE7", 4), ("tE8", 6)):
+            w = weights(sing_class(label))
+            assert w.cone_d == d and w.coxeter_number is None, label
+
+    def test_weights_are_cached(self):
+        cls = sing_class("E7")
+        assert weights(cls) is weights(cls)
+
 
 class TestSymmetryData:
     def test_te6_psi2_scales_t5(self):
@@ -137,7 +172,11 @@ class TestSymmetryData:
     def test_d4_has_phi3_over_gauss(self):
         data = {d.label: d for d in symmetry_data(sing_class("D4"))}
         assert set(data) == {"phi2", "phi3"}
-        assert data["phi3"].cyclo is not None
+        # phi3 has Gaussian coefficients: x0 -> -x0/2 - i x1/2
+        assert data["phi3"].phi["x0"].terms[(0, 1)] == \
+            Cyclo(GAUSS, [0, F(-1, 2)])
+        assert all(isinstance(c, F) for v in data["phi2"].phi.values()
+                   for c in v.terms.values())
 
     def test_one_minus_realisation(self):
         # la = 1 - a^-1 with a = 1/(1 - la): 1 - la is the monomial a^-1
@@ -170,8 +209,9 @@ class TestSymmetryData:
 
     def test_te8_partial_print(self):
         data = {d.label: d for d in symmetry_data(sing_class("tE8"))}
-        assert data["psi3"].printed == "partial"
+        # a partially printed map is one with exclusions
         assert "t1" in data["psi3"].exclusions
+        assert data["psi2"].exclusions == {}
 
 
 class TestSeeds:

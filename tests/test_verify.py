@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from singlat import verify
 from singlat.polyalg import MultiPoly
 from singlat.singdata import sing_class, symmetry_data
 from singlat.verify import (JacobiRankError, check_kappa_extension,
@@ -132,7 +133,20 @@ class TestSimpleSymmetries:
 
     def test_d4_full(self):
         out = check_simple_symmetry("D4")
-        assert out.passed
+        assert out.passed and out.name == "D4:phi2+phi3"
+
+    @pytest.mark.parametrize("label,which", [("D4", "phi2"), ("D4", "phi3"),
+                                             ("D6", "phi2")])
+    def test_failure_keeps_the_outcome_name(self, monkeypatch, label, which):
+        # a broken parameter map fails through check_unfolding_identity,
+        # and the outcome keeps the name of the whole D-family check
+        def broken(cls):
+            return [dataclasses.replace(d, psi={**d.psi, "t1": -d.psi["t1"]})
+                    if d.label == which else d for d in symmetry_data(cls)]
+        monkeypatch.setattr(verify, "symmetry_data", broken)
+        out = check_simple_symmetry(label)
+        assert not out.passed and out.witness is not None
+        assert out.name == ("D4:phi2+phi3" if label == "D4" else "D6:phi2")
 
     def test_d4_sign_flipped_shift_fails(self):
         cls = sing_class("D4")

@@ -16,13 +16,16 @@ repr of critical_values_numeric, wall_walk_A (including the default-steps
 round trip of a known-defect path, twelve seeded default-steps round
 trips for mu = 2, 3, 4, and a path into the discriminant and one along a
 wall, which end in errors), the CLI walk of a real path, whose critical
-values tie on a wall (exit 1), and the symbolic chain-family LL
-coefficients.  For the lattice kernels it prints, for every class and for
-D24 and A28, the characteristic polynomials of the seed monodromy M and
-form I, definiteness, radical rank, quasiunipotency and the determinants
-of I and of a braid-moved tuple, and the stdout, stderr and exit code of
-`orbit --seed-file` on two rejected seeds.  For the exact elimination it
-prints graded_piece_rank on seeded rational generator sets, full and
+values tie on a wall (exit 1), a mu = 3 walk and an A2 critical-value
+call whose numbers overflow the float range, and the symbolic
+chain-family LL coefficients.  For the lattice kernels it prints, for
+every class and for D24 and A28, the characteristic polynomials of the
+seed monodromy M and form I, definiteness, radical rank, quasiunipotency
+and the determinants of I and of a braid-moved tuple, the stdout, stderr
+and exit code of `orbit --seed-file` on two rejected seeds, and
+quasiunipotency of seeded companion matrices of cyclotomic products,
+perturbed or not, and of Lehmer's polynomial.  For the exact elimination
+it prints graded_piece_rank on seeded rational generator sets, full and
 rank-deficient, for every graded piece the Jacobi check reads in every
 class, and seeded resultants, some of pairs with a common factor.  For
 the orbit engine it prints the `orbit` stdout less its `seconds` (count,
@@ -179,6 +182,44 @@ def rejected_seeds():
         run_cli("orbit", label, "--seed-file", ".", stderr=True)
 
 
+def poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def companion(p):
+    """Integer companion matrix of the monic ascending coefficients p."""
+    n = len(p) - 1
+    return tuple(tuple(-p[i] if j == n - 1 else int(i == j + 1)
+                       for j in range(n)) for i in range(n))
+
+
+def quasiunipotent_outputs(rng):
+    """is_quasiunipotent on companion matrices of products of cyclotomic
+    polynomials, one coefficient of every other one moved by +-1, and of
+    Lehmer's polynomial.  The factors are y^d - 1, y^d + 1 and their
+    quotients by y - 1 and y + 1, all products of cyclotomics."""
+    for k in range(40):
+        p = [1]
+        while len(p) < 10:
+            d, sign = rng.randint(1, 6), rng.choice((1, -1))
+            factor = [-sign] + [0] * (d - 1) + [1]    # y^d - sign
+            if (sign == 1 or d % 2) and rng.random() < 0.5:
+                # divided by y - sign, which then divides y^d - sign
+                factor = [sign ** (d - 1 - i) for i in range(d)]
+            p = poly_mul(p, factor)
+        if k % 2:
+            p[rng.randrange(len(p) - 1)] += rng.choice((1, -1))
+        print(f"quasiunipotent {tuple(p)}: "
+              f"{lattice.is_quasiunipotent(companion(p))}")
+    lehmer = (1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1)
+    print(f"quasiunipotent Lehmer: "
+          f"{lattice.is_quasiunipotent(companion(lehmer))}")
+
+
 def rational(rng):
     return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
 
@@ -268,6 +309,10 @@ def main():
                  ("wall-walk", "2", "[[0.5,1e308],[0.5,-1e308]]",
                   "--steps", "10")):
         run_cli(*argv, stderr=True)
+    # finite waypoints whose derivative coefficient 2 t_3 overflows
+    run_cli("wall-walk", "3", "[[0,0,1e308],[0,0,1e307]]", stderr=True)
+    show("critical_values_numeric A2 overflow",
+         llmap.critical_values_numeric, "A2", [0.5, 1e308])
     for label in ALL_LABELS:
         run_cli("counts", label)
     run_cli("counts", "A1", stderr=True)
@@ -307,6 +352,7 @@ def main():
         jac = [[c.partial(tn) for tn in tv] for c in coeffs]
         print(f"_symbolic_ll {mu}: {tv!r} {coeffs!r} {jac!r}")
     lattice_outputs(random.Random(20261019))
+    quasiunipotent_outputs(random.Random(20261023))
     algebra_outputs(random.Random(20261020))
     orbit_outputs()
 
