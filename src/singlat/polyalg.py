@@ -4,17 +4,19 @@ Everything here is exact: coefficients are Fractions or elements of small
 cyclotomic extensions of Q (for i and the primitive 8th root of unity).
 MultiPoly is a sparse Laurent polynomial in named variables over either
 domain; the domains only need +, -, *, / and a truthiness test, so they mix
-freely through Python's operator coercion.  `bareiss` is the one exact rank
-and determinant routine, over Z and over polynomial rings: the resultant
-and the discriminant test (on one Sylvester matrix builder), the
-Milnor-lattice determinants and the graded Jacobi ranks all call it.  A
-symbolic family parameter stays a polynomial variable, and a rank over
-Q(la) is an elimination over Q[la].
+freely through Python's operator coercion.  Fraction-free (Bareiss)
+elimination, `_pivot_columns`, is the one exact rank and determinant
+routine: the resultant and the discriminant test (on one Sylvester matrix
+builder), the Milnor-lattice determinants and the graded Jacobi ranks all
+run it.  Only the resultant runs it on polynomial entries.  A graded rank
+over Q(la) is an elimination over Z at one integer value of la where no
+nonzero minor vanishes (`GradedPiece.ranks`).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -812,7 +814,8 @@ def bareiss(rows):
     """Rank and determinant of a matrix over Z or a polynomial ring, by
     fraction-free (Bareiss) elimination; Bareiss, Math. Comp. 22 (1968).
 
-    Entries are ints or MultiPolys, and `//` is exact division for both.
+    Entries are ints or MultiPolys (the resultant's Sylvester matrices),
+    and `//` is exact division for both.
     Every entry after a step is a minor of the input, so the division by
     the previous pivot is exact.  A step rewrites only the entries right of
     the pivot column; those left of it are never read again.  The
@@ -885,58 +888,148 @@ class WeightSystem:
             return degs.pop()
         return None
 
+    def integer_weights(self):
+        """(D, W): the common denominator D of the variable weights and the
+        integer weights W_i = D w_i, so a monomial of degree q has integer
+        scaled degree D q."""
+        den = math.lcm(*(w.denominator for _, w in self.var_weights))
+        return den, tuple(int(w * den) for _, w in self.var_weights)
+
     def monomial_basis(self, q):
-        """All exponent tuples over the weighted variables of degree q."""
-        names = [v for v, _ in self.var_weights]
-        weights = [w for _, w in self.var_weights]
+        """All exponent tuples over the weighted variables of degree q, in
+        lexicographic order; the recursion runs on the integer weights."""
+        den, ws = self.integer_weights()
+        total = Fraction(q) * den
+        if total.denominator != 1:
+            return []
         out = []
 
         def rec(i, acc, remaining):
-            if i == len(names):
+            if i == len(ws):
                 if remaining == 0:
-                    out.append(tuple(acc))
+                    out.append(acc)
                 return
-            w = weights[i]
-            for e in range(int(remaining / w) + 1):
-                rec(i + 1, acc + [e], remaining - w * e)
+            w = ws[i]
+            for e in range(remaining // w + 1):
+                rec(i + 1, acc + (e,), remaining - w * e)
 
-        rec(0, [], Fraction(q))
+        rec(0, (), total.numerator)
         return out
+
+
+@dataclass(frozen=True)
+class GradedPiece:
+    """Generators of one graded piece as an integer matrix over Z[la].
+
+    rows      one row per basis monomial of the piece, one entry per
+              nonzero generator: the ascending integer coefficients of a
+              polynomial in the one variable la outside the weight system,
+              padded to length degree + 1; each generator is scaled once
+              to clear its denominators
+    lead      the number of those columns from the leading generators
+    degree    the largest la-degree d of an entry
+    bound     B = prod over rows of max(1, sum of the entries' 1-norms)
+
+    `ranks` evaluates the entries at an integer point and ranks the
+    result with `_pivot_columns`; see its docstring for why that rank is
+    the rank over Q(la)."""
+    rows: tuple
+    lead: int
+    degree: int
+    bound: int
+
+    @property
+    def want(self):
+        """The dimension of the piece."""
+        return len(self.rows)
+
+    def ranks(self, lam=None):
+        """(rank of the leading columns, rank of all columns), over Q(la)
+        for lam = None and at la = lam otherwise.
+
+        At lam = a/b an entry sum_k c_k la^k becomes sum_k c_k a^k b^(d-k),
+        which scales the whole matrix by b^d and leaves every rank alone.
+
+        Over Q(la) the entries are evaluated at the integer a = B + 2.  A
+        minor is a sum over permutations of products of one entry per row,
+        and the 1-norm is submultiplicative, so every coefficient of every
+        minor is at most B in modulus.  A nonzero minor has an integer
+        leading coefficient, so by Cauchy's bound each of its roots has
+        modulus at most 1 + B < a: no nonzero minor vanishes at a, and the
+        rank of every column prefix at a is its rank over Q(la).
+
+        One elimination gives both ranks: `_pivot_columns` finds the pivots
+        column by column, so the pivots among the first `lead` columns span
+        those columns."""
+        d = self.degree
+        if lam is None:
+            a, b = self.bound + 2, 1
+        else:
+            lam = Fraction(lam)
+            a, b = lam.numerator, lam.denominator
+        powers = [a ** k * b ** (d - k) for k in range(d + 1)]
+        rows = [[sum(map(operator.mul, e, powers)) for e in row]
+                for row in self.rows]
+        pivots, _ = _pivot_columns(rows)
+        return sum(c < self.lead for c in pivots), len(pivots)
+
+
+def graded_columns(gens, weights, q, lead=None):
+    """The GradedPiece of quasihomogeneous generators in the weighted-degree
+    q piece of the polynomial ring, with `lead` the number of leading
+    generators (all of them for None); zero generators are dropped.
+
+    The generators may hold one variable outside the weight system (the
+    family parameter la) between them, and no more; a column with negative
+    powers of it is multiplied by the power of la that clears them, a
+    unit of Q(la).  A generator with a term outside the piece raises
+    ValueError."""
+    q = Fraction(q)
+    names = tuple(v for v, _ in weights.var_weights)
+    index = {e: k for k, e in enumerate(weights.monomial_basis(q))}
+    param = None
+    cols = []
+    for g in gens:
+        if g.is_zero:
+            continue
+        pos = [g.vars.index(v) if v in g.vars else None for v in names]
+        used = [i for i, v in enumerate(g.vars) if v not in names
+                and any(e[i] for e in g.terms)]
+        for i in used:
+            if param not in (None, g.vars[i]):
+                raise ValueError("generators hold more than one variable "
+                                 "outside the weight system")
+            param = g.vars[i]
+        scale = math.lcm(*(c.denominator for c in g.terms.values()))
+        col = {}
+        for expo, c in g.terms.items():
+            row = index.get(tuple(0 if p is None else expo[p] for p in pos))
+            if row is None:
+                raise ValueError(f"generator not homogeneous of degree {q}")
+            k = expo[used[0]] if used else 0
+            col[row, k] = int(c * scale)
+        shift = min(0, *(k for _, k in col))
+        cols.append({(r, k - shift): c for (r, k), c in col.items()})
+    degree = max((k for col in cols for _, k in col), default=0)
+    rows = [[[0] * (degree + 1) for _ in cols] for _ in index]
+    for j, col in enumerate(cols):
+        for (r, k), c in col.items():
+            rows[r][j][k] = c
+    rows = tuple(tuple(tuple(e) for e in row) for row in rows)
+    bound = math.prod(max(1, sum(abs(c) for e in row for c in e))
+                      for row in rows)
+    lead_cols = sum(not g.is_zero for g in gens[:lead])
+    return GradedPiece(rows, lead_cols, degree, bound)
 
 
 def graded_piece_rank(gens, weights, q, lead=None):
     """Rank over Q, or over Q(la), of the given quasihomogeneous generators
     inside the weighted-degree-q piece of the polynomial ring.
 
-    Each generator is one column, scaled to clear its denominators.
-    Variables outside the weight system (the family parameter la) stay in
-    the entries, so a symbolic rank over Q(la) is an elimination over
-    Q[la].  With lead=k the result is the pair (rank of gens[:k], rank of
-    gens), both from one elimination: it finds its pivots column by column,
-    so the pivots among the first k columns span those generators."""
-    q = Fraction(q)
-    names = tuple(v for v, _ in weights.var_weights)
-    basis = weights.monomial_basis(q)
-    if not basis:
-        if any(not g.is_zero for g in gens):
-            raise ValueError("nonzero generator in an empty graded piece")
-        return 0 if lead is None else (0, 0)
-    index = {e: k for k, e in enumerate(basis)}
-    cols = []
-    for g in gens:
-        if g.is_zero:
-            continue
-        scale = math.lcm(*(c.denominator for c in g.terms.values()))
-        g = (g * scale).with_vars(names + tuple(v for v in g.vars
-                                                if v not in names))
-        col = [0] * len(basis)
-        for expo, c in g.coefficient_split(names).items():
-            if weights.monomial_degree(names, expo) != q:
-                raise ValueError(f"generator not homogeneous of degree {q}")
-            col[index[expo]] = c if c.vars else c.terms[()].numerator
-        cols.append(col)
-    pivots, _ = _pivot_columns(list(zip(*cols)))
-    if lead is None:
-        return len(pivots)
-    lead_cols = sum(not g.is_zero for g in gens[:lead])
-    return sum(c < lead_cols for c in pivots), len(pivots)
+    Two steps: `graded_columns` builds the integer matrix over Z[la] (at
+    most one variable, la, outside the weight system), and
+    `GradedPiece.ranks` ranks it by integer Bareiss elimination at a point
+    where no nonzero minor vanishes.  With lead=k the result is the pair
+    (rank of gens[:k], rank of gens), both from one elimination."""
+    ideal, rank = graded_columns(gens, weights, q, lead).ranks()
+    return rank if lead is None else (ideal, rank)

@@ -20,11 +20,13 @@ Three families of checks, all exact:
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from .polyalg import MultiPoly, graded_piece_rank, parse_poly
+from .polyalg import MultiPoly, graded_columns, parse_poly
 from .singdata import (sing_class, normal_form, weights, unfolding_monomials,
                        unfolding, symmetry_data, sym_field)
 
@@ -54,25 +56,56 @@ class JacobiRankError(ArithmeticError):
 # ---------------------------------------------------------------------------
 
 def _achievable_degrees(wsys, qmax):
-    """All weighted degrees q in (0, qmax] realized by monomials."""
+    """All weighted degrees q in (0, qmax] realized by monomials, found on
+    the integer weights of `WeightSystem.integer_weights`."""
+    den, ws = wsys.integer_weights()
+    top = math.floor(qmax * den)
     degs = set()
-    names = [v for v, _ in wsys.var_weights]
-    ws = [w for _, w in wsys.var_weights]
 
     def rec(i, acc):
-        if acc > qmax:
-            return
         if i == len(ws):
             if acc > 0:
                 degs.add(acc)
             return
-        e = 0
-        while acc + ws[i] * e <= qmax:
+        for e in range((top - acc) // ws[i] + 1):
             rec(i + 1, acc + ws[i] * e)
-            e += 1
 
-    rec(0, F(0))
-    return sorted(degs)
+    rec(0, 0)
+    return [F(k, den) for k in sorted(degs)]
+
+
+@lru_cache(maxsize=None)
+def _jacobi_plan(cls):
+    """The graded pieces `jacobi_dimension` ranks, built once per class:
+    (q, GradedPiece) for every achievable degree q up to 1 + max_i w_i.
+
+    The columns of a piece are the partial derivatives times the monomials
+    of complementary degree (the leading columns), then the unfolding
+    monomials of degree q and (elliptic, q = 1) the la-derivative of f;
+    la stays a variable, so every entry is an integer polynomial in la of
+    degree at most 1.  Only the structure is cached: the ranks are taken
+    on every call."""
+    wsys = weights(cls)
+    f = normal_form(cls)
+    xv = cls.xvars
+    partials = [f.partial(v) for v in xv]
+    pdeg = [wsys.poly_degree(p) for p in partials]
+    if any(d is None for d in pdeg):
+        raise ArithmeticError("partials are not quasihomogeneous")
+    monos = unfolding_monomials(cls)
+    mdeg = [wsys.poly_degree(m) for m in monos]
+    qmax = 1 + max(w for _, w in wsys.var_weights)
+    plan = []
+    for q in _achievable_degrees(wsys, qmax):
+        gens = [MultiPoly(xv, {e: F(1)}) * p
+                for p, d in zip(partials, pdeg) if q >= d
+                for e in wsys.monomial_basis(q - d)]
+        cobasis = [m for m, d in zip(monos, mdeg) if d == q]
+        if cls.is_elliptic and q == 1:
+            cobasis.append(f.partial("la"))
+        plan.append((q, graded_columns(gens + cobasis, wsys, q,
+                                       lead=len(gens))))
+    return tuple(plan)
 
 
 def jacobi_dimension(cls_or_label, lam=None) -> int:
@@ -83,48 +116,26 @@ def jacobi_dimension(cls_or_label, lam=None) -> int:
     monomials of degree q and (elliptic, q = 1) the la-derivative must span
     the piece; by induction on the degree this pins the dimension to mu.
 
-    lam = None runs the elliptic families symbolically: la stays a
-    polynomial variable of weight 0 and the ranks are taken over Q(la).  A
+    lam = None runs the elliptic families symbolically: the ranks are taken
+    over Q(la), by one integer elimination at a point where no nonzero
+    minor of the piece vanishes (see `polyalg.GradedPiece.ranks`).  A
     Fraction outside {0, 1} evaluates there.  ADE classes ignore lam.
+    The pieces come from `_jacobi_plan`, built once per class; every call
+    evaluates and ranks them.
     """
     cls = sing_class(cls_or_label)
-    wsys = weights(cls)
-    f = normal_form(cls)
-    xv = cls.xvars
-    dlam = f.partial("la") if cls.is_elliptic else None
-    if cls.is_elliptic and lam is not None:
+    if not cls.is_elliptic:
+        lam = None
+    elif lam is not None:
         lam = F(lam)
         if lam in (0, 1):
             raise ValueError("family parameter must avoid 0 and 1")
-        dlam = dlam.subst({"la": lam})
-        f = f.subst({"la": lam})
-    partials = [f.partial(v) for v in xv]
-    pdeg = [wsys.poly_degree(p) for p in partials]
-    if any(d is None for d in pdeg):
-        raise ArithmeticError("partials are not quasihomogeneous")
-    monos = unfolding_monomials(cls)
-    mdeg = [wsys.poly_degree(m) for m in monos]
-    qmax = 1 + max(w for _, w in wsys.var_weights)
     dim = 0
-    for q in _achievable_degrees(wsys, qmax):
-        piece = wsys.monomial_basis(q)
-        gens = []
-        for p, d in zip(partials, pdeg):
-            shift = q - d
-            if shift < 0:
-                continue
-            for e in wsys.monomial_basis(shift):
-                mono = MultiPoly(xv, {e: F(1)})
-                gens.append(mono * p)
-        cobasis = [m for m, d in zip(monos, mdeg) if d == q]
-        if cls.is_elliptic and q == 1:
-            cobasis = cobasis + [dlam]
-        want = len(piece)
-        ideal, got = graded_piece_rank(gens + cobasis, wsys, q,
-                                       lead=len(gens))
-        if got != want:
-            raise JacobiRankError(cls.label, q, got, want)
-        dim += want - ideal
+    for q, piece in _jacobi_plan(cls):
+        ideal, got = piece.ranks(lam)
+        if got != piece.want:
+            raise JacobiRankError(cls.label, q, got, piece.want)
+        dim += piece.want - ideal
     # degree-0 piece (the constants) is spanned by m_1 = 1
     return dim + 1
 
@@ -182,9 +193,13 @@ def check_unfolding_identity(cls_or_label, which: str) -> CheckOutcome:
     data = {d.label: d for d in symmetry_data(cls)}
     if which not in data:
         raise ValueError(f"{cls.label} has no stored symmetry {which!r}")
-    datum = data[which]
+    return _check_unfolding(cls, data[which])
+
+
+def _check_unfolding(cls, datum) -> CheckOutcome:
+    """`check_unfolding_identity` on one symmetry datum of cls."""
     F_full, f_target = _lift_unfolding(cls, datum)
-    name = f"{cls.label}:{which}"
+    name = f"{cls.label}:{datum.label}"
     lhs = F_full.subst(_composed_substitution(cls, datum))
     split = lhs.coefficient_split(cls.xvars)
     residual = lhs - f_target
@@ -221,13 +236,18 @@ def check_lambda_projection(cls_or_label, which: str) -> CheckOutcome:
     la' = 1/la (psi2) or 1 - la (psi3), exactly in the datum's Laurent
     ring."""
     cls = sing_class(cls_or_label)
-    datum = {d.label: d for d in symmetry_data(cls)}[which]
+    return _check_projection(cls, {d.label: d for d in
+                                   symmetry_data(cls)}[which])
+
+
+def _check_projection(cls, datum) -> CheckOutcome:
+    """`check_lambda_projection` on one symmetry datum of cls."""
     f_target, la = _lambda_target(cls, datum)
     f = normal_form(cls).subst({"la": la})
     lhs = f.subst({v: datum.phi[v] for v in cls.xvars})
     diff = lhs - f_target.with_vars(lhs.vars)
     ok = diff.is_zero
-    return CheckOutcome(f"{cls.label}:{which}:la-projection", ok,
+    return CheckOutcome(f"{cls.label}:{datum.label}:la-projection", ok,
                         None if ok else diff)
 
 
@@ -242,7 +262,7 @@ def check_simple_symmetry(cls_or_label) -> CheckOutcome:
     data = symmetry_data(cls)
     name = f"{cls.label}:" + "+".join(d.label for d in data)
     for d in data:
-        out = check_unfolding_identity(cls, d.label)
+        out = _check_unfolding(cls, d)
         if not out:
             return CheckOutcome(name, False, out.witness, out.detail)
     return CheckOutcome(name, True)
@@ -364,9 +384,10 @@ def identity_suite(labels=("D4", "D5", "tE6", "tE7", "tE8")) -> list:
         if cls.family == "D":
             out.append(check_simple_symmetry(cls))
             continue
+        data = {d.label: d for d in symmetry_data(cls)}
         for which in ("psi2", "psi3"):
-            out.append(check_lambda_projection(cls, which))
-            out.append(check_unfolding_identity(cls, which))
+            out.append(_check_projection(cls, data[which]))
+            out.append(_check_unfolding(cls, data[which]))
         out.append(check_kappa_extension(cls))
     return out
 

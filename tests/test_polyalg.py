@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -6,9 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from singlat.polyalg import (Cyclo, GAUSS, ZETA8, MultiPoly, RatFunc,
-                             WeightSystem, bareiss, graded_piece_rank,
-                             parse_poly, resultant, sylvester)
-from singlat.singdata import ALL_LABELS, sing_class, weights
+                             WeightSystem, bareiss, graded_columns,
+                             graded_piece_rank, parse_poly, resultant,
+                             sylvester)
+from singlat.singdata import sing_class, weights
 from singlat.verify import _achievable_degrees
 
 
@@ -341,17 +343,28 @@ def test_lead_rank_is_rank_of_leading_generators(terms, lead, repeat):
         graded_piece_rank(gens, w, F(2, 3)))
 
 
-@pytest.mark.parametrize("label", ALL_LABELS)
+JACOBI_LABELS = ("A2", "A3", "A4", "A5", "A6", "D4", "D5", "D6", "D7", "D8",
+                 "E6", "E7", "E8", "tE6", "tE7", "tE8")
+
+
+@pytest.mark.parametrize("label", JACOBI_LABELS)
 def test_monomial_basis_is_the_degree_filtered_box(label):
-    # every piece the Jacobi check reads: the degrees q and the shifts
-    # q - deg(partial) are achievable degrees up to 1 + max weight
+    # both enumerations against the box of all exponents up to qmax, with
+    # degrees in Fractions: the achievable degrees, and the basis at every
+    # q <= qmax with half the common denominator's step, so half of them
+    # are no monomial's degree
     wsys = weights(sing_class(label))
     names = [v for v, _ in wsys.var_weights]
     ws = [w for _, w in wsys.var_weights]
     qmax = 1 + max(ws)
-    for q in [F(0)] + _achievable_degrees(wsys, qmax):
-        box = itertools.product(*(range(int(q / w) + 1) for w in ws))
-        want = [e for e in box if wsys.monomial_degree(names, e) == q]
+    box = list(itertools.product(*(range(int(qmax / w) + 1) for w in ws)))
+    degree = {e: wsys.monomial_degree(names, e) for e in box}
+    assert _achievable_degrees(wsys, qmax) == sorted(
+        {d for d in degree.values() if 0 < d <= qmax})
+    den = 2 * math.lcm(*(w.denominator for w in ws))
+    for k in range(int(qmax * den) + 1):
+        q = F(k, den)
+        want = [e for e in box if degree[e] == q]
         assert wsys.monomial_basis(q) == want, (label, q)
 
 
@@ -442,3 +455,104 @@ def test_bareiss_over_z_la_matches_sympy(case):
     sympy = pytest.importorskip("sympy")
     la = sympy.Symbol("la")
     _check_bareiss(*case, sympy.ZZ[la], sympy.QQ.frac_field(la))
+
+
+# ---------------------------------------------------------------------------
+# graded ranks over Q(la), taken at one integer point, against bareiss on
+# the polynomial entries (the resultants' elimination, an independent path)
+# ---------------------------------------------------------------------------
+
+def _zla_upto(degree):
+    return st.lists(st.integers(-4, 4), max_size=degree + 1).map(
+        lambda cs: MultiPoly(("la",), {(k,): F(c) for k, c in enumerate(cs)}))
+
+
+_zla3, _zla1 = _zla_upto(3), _zla_upto(1)
+
+
+@st.composite
+def _zla_case(draw):
+    """Up to 7 columns of length n <= 6 over Z[la] and a rational lam.  A
+    column is random (entries of degree <= 3) or a Z[la]-combination of
+    earlier ones, and the last may be such a combination plus (la - lam)
+    times a random column, independent over Q(la) but not at la = lam."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    lam = draw(st.fractions(min_value=-9, max_value=9, max_denominator=9))
+    zero = MultiPoly.zero(("la",))
+
+    def combination():
+        coef = [draw(_zla1) for _ in cols]
+        return [sum((c * col[i] for c, col in zip(coef, cols)), zero)
+                for i in range(n)]
+
+    cols = []
+    for _ in range(m):
+        if cols and draw(st.booleans()):
+            cols.append(combination())
+        else:
+            cols.append([draw(_zla3) for _ in range(n)])
+    if draw(st.booleans()):
+        factor = MultiPoly(("la",), {(1,): F(lam.denominator),
+                                     (0,): F(-lam.numerator)})
+        cols.append([c + factor * draw(_zla3) for c in combination()])
+    return cols, lam
+
+
+def _generators(cols):
+    """Column j as the generator sum_i cols[j][i] x_i of degree 1, in a
+    weight system of len(column) variables of weight 1."""
+    xs = tuple(f"x{i}" for i in range(len(cols[0])))
+    vs = xs + ("la",)
+    w = WeightSystem(tuple((x, F(1)) for x in xs), ())
+    gens = [sum((e.with_vars(vs) * MultiPoly.var(x, vs)
+                 for x, e in zip(xs, col)), MultiPoly.zero(vs))
+            for col in cols]
+    return gens, w
+
+
+def _oracle_rank(cols):
+    rows = [list(r) for r in zip(*cols)] if cols else [[]]
+    return bareiss(rows)[0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_zla_case())
+def test_rank_at_the_certified_point_is_the_rank_over_q_la(case):
+    cols, lam = case
+    gens, w = _generators(cols)
+    full = _oracle_rank(cols)
+    assert graded_piece_rank(gens, w, 1) == full
+    for k in range(len(cols) + 1):
+        assert graded_piece_rank(gens, w, 1, lead=k) == (
+            _oracle_rank(cols[:k]), full)
+    # at la = lam: the rank of the evaluated generators, which hold no la
+    piece = graded_columns(gens, w, 1, lead=len(gens) // 2)
+    at = [g.subst({"la": lam}) for g in gens]
+    assert piece.ranks(lam) == graded_piece_rank(at, w, 1,
+                                                 lead=len(gens) // 2)
+
+
+@pytest.mark.parametrize("text,rank", [
+    ([["la - 2"]], 1),
+    ([["la", "2"], ["2", "la"]], 2),              # det la^2 - 4
+    ([["la - 11", "1"], ["1", "la - 11"]], 2),    # det (la - 10)(la - 12)
+    ([["la^2 - 4", "la - 2"], ["la + 2", "1"]], 1),
+    ([["la^3 - la", "0"], ["0", "la^2 + la"]], 2),
+    ([["la^-1", "1"], ["1", "la"]], 1),           # Laurent columns
+    ([["la^-2", "1"], ["1", "la"]], 2),
+])
+def test_minors_vanishing_at_small_integers(text, rank):
+    cols = [[P(e, ("la",)) for e in col] for col in zip(*text)]
+    gens, w = _generators(cols)
+    assert graded_piece_rank(gens, w, 1) == rank == _oracle_rank(cols)
+
+
+def test_two_outside_variables_are_rejected():
+    w = WeightSystem((("x0", F(1)), ("x1", F(1))), ())
+    vs = ("x0", "x1", "la", "mu")
+    with pytest.raises(ValueError):
+        graded_piece_rank([P("la * mu * x0 + x1", vs)], w, 1)
+    with pytest.raises(ValueError):
+        graded_piece_rank([P("la * x0", vs), P("mu * x1", vs)], w, 1)
+    # a variable that is listed but never occurs does not count
+    assert graded_piece_rank([P("la * x0", vs), P("x1", vs)], w, 1) == 2

@@ -31,9 +31,13 @@ class, and seeded resultants, some of pairs with a common factor.  For
 the orbit engine it prints the `orbit` stdout less its `seconds` (count,
 visited, truncated and the BFS level profile) for every class of the
 scorecard table in both modes, each run capped at ORBIT_BUDGET classes;
-the desk-scale orbits fit under the cap and run in full.  Inputs are
-seeded, so the output is deterministic.  The battery takes about 10 s on a
-2-core host.
+the desk-scale orbits fit under the cap and run in full.  Last come the
+Jacobi dimensions: `jacobi-dim` of 16 classes symbolically, tE6, tE7 and
+tE8 at 12 seeded parameters each (of either sign, of height near 10^30,
+and 1 +- 10^-20), and graded_piece_rank on seeded generator sets over
+Q[la], full and rank-deficient, with a seeded number of leading
+generators.  Inputs are seeded, so the output is deterministic.  The
+battery takes about 10 s on a 2-core host.
 """
 
 import contextlib
@@ -44,7 +48,7 @@ import random
 import tempfile
 from fractions import Fraction
 
-from singlat import cli, lattice, llmap
+from singlat import cli, lattice, llmap, verify
 from singlat.braid import BraidWord, VanishingTuple, braid_apply_word
 from singlat.polyalg import MultiPoly, graded_piece_rank, resultant
 from singlat.singdata import ALL_LABELS, seed_stokes, sing_class, weights
@@ -70,6 +74,10 @@ DISCRIMINANT_MEMBERS = (
     ["-4/9", "0", "0", "3", "1/2", "-2"],
 )
 
+
+# The classes whose Jacobi dimension the battery prints symbolically.
+JACOBI_LABELS = ("A2", "A3", "A4", "A5", "A6", "D4", "D5", "D6", "D7", "D8",
+                 "E6", "E7", "E8", "tE6", "tE7", "tE8")
 
 # Classes per orbit run: above every desk-scale orbit (E6 bases, 41472),
 # a prefix of the others.
@@ -265,6 +273,54 @@ def algebra_outputs(rng):
         show(f"resultant {k}", lambda: resultant(p, q, "x").format())
 
 
+def jacobi_outputs(rng):
+    """Jacobi dimensions of every class symbolically, and of the elliptic
+    classes at seeded parameters: small ones of either sign, heights near
+    10^30 and 1 +- 10^-20; then graded ranks of generator sets over Q[la],
+    full and rank-deficient, in every piece the Jacobi check reads."""
+    for label in JACOBI_LABELS:
+        run_cli("jacobi-dim", label)
+    tiny = Fraction(1, 10 ** 20)
+    for label in ("tE6", "tE7", "tE8"):
+        lams = [Fraction(rng.choice((1, -1)) * rng.randint(1, 99),
+                         rng.randint(1, 99)) for _ in range(7)]
+        lams += [-Fraction(rng.randint(2, 9), rng.randint(11, 19)),
+                 Fraction(10 ** 30 + rng.randint(1, 99), rng.randint(2, 9)),
+                 Fraction(rng.randint(2, 9), 10 ** 30 + rng.randint(1, 99)),
+                 1 + tiny, 1 - tiny]
+        for lam in lams:
+            show(f"jacobi_dimension {label} at {lam}",
+                 verify.jacobi_dimension, label, lam)
+    for label in ALL_LABELS:
+        wsys = weights(sing_class(label))
+        names = tuple(v for v, _ in wsys.var_weights)
+        vs = names + ("la",)
+        qmax = 1 + max(w for _, w in wsys.var_weights)
+
+        def coefficient():
+            return MultiPoly(vs, {(0,) * len(names) + (k,): rational(rng)
+                                  for k in range(rng.randint(1, 3))})
+
+        def support(basis):
+            return [e for e in basis if rng.random() < 0.7] or basis[:1]
+
+        for q in _achievable_degrees(wsys, qmax):
+            basis = wsys.monomial_basis(q)
+            for deficient in (False, True):
+                k = rng.randint(1, len(basis) - 1) if deficient and \
+                    len(basis) > 1 else rng.randint(1, len(basis) + 1)
+                gens = [sum((MultiPoly(vs, {e + (0,): Fraction(1)})
+                             * coefficient() for e in support(basis)),
+                            MultiPoly.zero(vs)) for _ in range(k)]
+                if deficient:
+                    gens += [sum((g * coefficient() for g in gens),
+                                 MultiPoly.zero(vs))
+                             for _ in range(rng.randint(1, 3))]
+                show(f"graded_piece_rank over Q(la) {label} q={q} "
+                     f"gens={len(gens)}", graded_piece_rank, gens, wsys, q,
+                     lead=rng.randint(0, len(gens)))
+
+
 def main():
     rng = random.Random(20261018)
     for label in ("D4", "D5", "D6", "D7", "D8", "tE6", "tE7", "tE8"):
@@ -355,6 +411,7 @@ def main():
     quasiunipotent_outputs(random.Random(20261023))
     algebra_outputs(random.Random(20261020))
     orbit_outputs()
+    jacobi_outputs(random.Random(20261024))
 
 
 if __name__ == "__main__":
