@@ -124,14 +124,11 @@ def cmd_counts(args):
 
 def cmd_verify_symmetry(args):
     cls = _parse_class(args.cls)
-    outcomes = []
     if cls.family == "D":
-        outcomes.append(verify.check_simple_symmetry(cls))
+        outcomes = [verify.check_simple_symmetry(cls)]
     elif cls.is_elliptic:
-        which = [args.which] if args.which else ["psi2", "psi3"]
-        for w in which:
-            outcomes.append(verify.check_lambda_projection(cls, w))
-            outcomes.append(verify.check_unfolding_identity(cls, w))
+        outcomes = verify.elliptic_symmetry_checks(
+            cls, [args.which] if args.which else ["psi2", "psi3"])
     else:
         raise _Usage(f"{cls.label} carries no tabulated symmetry data")
     return _report_outcomes(outcomes)
@@ -246,9 +243,13 @@ def cmd_wall_walk(args):
         llmap.check_segments(waypoints)
     except ValueError as exc:
         raise _Usage(str(exc))
-    word = llmap.wall_walk_A(args.mu, waypoints, steps=args.steps,
-                             tol_wall=args.tol_wall, tol_disc=args.tol_disc)
+    word, stats = llmap._walk(args.mu, waypoints, args.steps, args.tol_wall,
+                              args.tol_disc)
     _emit({"mu": args.mu, "word": list(word.letters)})
+    sep = stats.min_separation
+    _info(json.dumps({"samples": stats.samples, "bisected": stats.bisected,
+                      "min_separation": sep if math.isfinite(sep) else None},
+                     sort_keys=True, separators=(",", ":")))
     return EXIT_OK
 
 
@@ -417,7 +418,10 @@ def build_parser():
             help="braid word emitted along a parameter path")
     p.add_argument("mu", type=_positive_int)
     p.add_argument("path", help="JSON list of waypoints (lists of [re, im])")
-    p.add_argument("--steps", type=_positive_int, default=2000)
+    p.add_argument("--steps", type=_positive_int, default=64,
+                   help="uniform samples each segment starts from; the "
+                        "walk bisects wherever the critical values move too "
+                        "far between samples (default: %(default)s)")
     p.add_argument("--tol-wall", type=_positive_float, default=llmap.TOL_WALL)
     p.add_argument("--tol-disc", type=_positive_float, default=llmap.TOL_DISC)
 

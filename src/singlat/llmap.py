@@ -13,13 +13,18 @@ counts over generic targets for mu = 2, 3, both by one batched multistart
 Newton on a polynomial system compiled to exponent and coefficient
 matrices, and a wall walker that tracks the good ordering of the critical
 values along a path in parameter space and emits a braid letter at every
-transversal crossing of adjacent imaginary parts.  The walker screens
-whole chunks of path samples with array code and applies its per-sample
-step only where something can change.  Every root in the module comes
-from one kernel, stacked companion-matrix eigenvalues (`_companion_roots`):
-the critical points of the walk and of the chain-family critical values,
-and the roots of a configuration polynomial.  A coefficient or critical
-value beyond the float range raises ValueError.
+transversal crossing of adjacent imaginary parts.  The walker samples
+each segment adaptively: from a uniform grid it bisects every interval
+in which a critical value moves half the separation of the values, or
+the sign or order of its letters is uncertain, in the spirit of the
+certified tracking of Beltran and Leykin (Exp. Math. 21, 2012).  It
+screens whole chunks of the samples with array code and applies its
+per-sample step only where something can change.  Every root in the
+module comes from one kernel, stacked companion-matrix eigenvalues
+(`_companion_roots`): the critical points of the walk and of the
+chain-family critical values, and the roots of a configuration
+polynomial.  A coefficient or critical value beyond the float range
+raises ValueError.
 """
 
 from __future__ import annotations
@@ -476,6 +481,23 @@ def ll_fiber_count(cls_or_label, p: LLPoint, budget=600, *, seed=5,
 # call; bounds the walk's working memory whatever the step count.
 WALK_CHUNK = 256
 
+# The shortest interval, as a fraction of its segment, that the walk
+# bisects: an interval that still fails the step test at this length is
+# taken to cross the discriminant.
+WALK_FLOOR = 2.0 ** -40
+
+_COLLIDE = "hit discriminant: critical values collide"
+
+
+@dataclass
+class WalkStats:
+    """What a walk evaluated: the path samples whose critical values were
+    computed, the intervals bisected, and the smallest distance between
+    two critical values at any sample (inf for mu = 1)."""
+    samples: int = 0
+    bisected: int = 0
+    min_separation: float = math.inf
+
 
 def _chain_values(mu, T, X):
     """Critical values x^(mu+1) + sum_j t_j x^(j-1) at the critical points X
@@ -506,17 +528,139 @@ def _walk_values(mu, T):
     return V
 
 
-def _path_values(mu, waypoints, steps):
-    """Critical values at the uniform samples k/steps of every segment, then
-    at the last waypoint: one (n, mu) array per chunk of at most WALK_CHUNK
-    samples.  Each chunk builds only its own sample parameters, so memory
-    does not grow with steps."""
+@lru_cache(maxsize=None)
+def _pairs(mu):
+    """Index arrays i, j of the pairs i < j of mu values, read-only."""
+    i, j = np.triu_indices(mu, 1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
+def _separations(V):
+    """Smallest distance between two critical values in each row of V (inf
+    when a row holds a single value)."""
+    i, j = _pairs(V.shape[1])
+    return np.abs(V[:, i] - V[:, j]).min(axis=1, initial=np.inf)
+
+
+def _steps_ok(L, R, sep_l, sep_r, tol_wall):
+    """Mask of the intervals (L[r], R[r]) between path samples that pass the
+    step test.
+
+    Under nearest matching every critical value must move less than half
+    the smaller of the two ends' separations; then the matching is a
+    bijection, and it is the one `_walk_step` makes.  The sign of every
+    letter is then certain too: a pair whose good-order key (imaginary
+    part ascending, real part descending) flips keeps its real-part order,
+    since flipping both orders would change the pair's difference by at
+    least its length, more than the two moves allow.  And at most one pair
+    may flip with imaginary parts at least tol_wall apart at both ends, so
+    the order of the letters is certain; a flip inside that band is a wall
+    contact, which `_walk_step` judges."""
+    n, mu = L.shape
+    D = np.abs(R[:, None, :] - L[:, :, None])   # D[r, old, new]
+    ok = D.min(axis=2).max(axis=1) < 0.5 * np.minimum(sep_l, sep_r)
+    r = np.arange(n)[:, None]
+    order = np.lexsort((-L.real, L.imag))
+    A = L[r, order]
+    B = R[r, D.argmin(axis=2)[r, order]]
+    i, j = _pairs(mu)
+    lo, hi = B[:, i], B[:, j]
+    flip = (lo.imag > hi.imag) | ((lo.imag == hi.imag) & (lo.real < hi.real))
+    crossing = flip & (np.abs(A[:, i].imag - A[:, j].imag) >= tol_wall) & \
+        (np.abs(lo.imag - hi.imag) >= tol_wall)
+    return ok & (crossing.sum(axis=1) <= 1)
+
+
+def _sample(mu, a, b, s, stats):
+    """Critical values and separations at the points a + s (b - a) of a
+    segment (b itself at s = 1), evaluated WALK_CHUNK rows at a time."""
+    T = a + s[:, None] * (b - a)
+    T[s == 1] = b
+    V = np.concatenate([_walk_values(mu, T[k:k + WALK_CHUNK])
+                        for k in range(0, len(T), WALK_CHUNK)])
+    sep = _separations(V)
+    stats.samples += len(s)
+    stats.min_separation = min(stats.min_separation, float(sep.min()))
+    return V, sep
+
+
+def _refine(mu, a, b, s, V, sep, tol_wall, tol_disc, stats):
+    """Bisect the intervals between consecutive samples s of the segment
+    from a to b until each passes `_steps_ok`; return the samples, their
+    values and separations, and whether the path hit the discriminant.
+
+    Each round evaluates the midpoints of all failing intervals in one
+    stacked call.  The path hits the discriminant at the first sample whose
+    separation is below tol_disc, and at the right end of the first
+    failing interval shorter than WALK_FLOOR: the samples end there, and
+    that last one is not part of the walk."""
+    ok = _steps_ok(V[:-1], V[1:], sep[:-1], sep[1:], tol_wall)
+    hit = False
+    while True:
+        low = sep < tol_disc
+        if low.any():
+            n = int(np.argmax(low)) + 1
+            s, V, sep, ok, hit = s[:n], V[:n], sep[:n], ok[:n - 1], True
+        bad = np.flatnonzero(~ok)
+        short = s[bad + 1] - s[bad] < WALK_FLOOR
+        if short.any():
+            n = int(bad[np.argmax(short)]) + 2
+            s, V, sep, ok, hit = s[:n], V[:n], sep[:n], ok[:n - 1], True
+            ok[-1] = True
+            bad = bad[bad < n - 2]
+        if not len(bad):
+            return s, V, sep, hit
+        mid = (s[bad] + s[bad + 1]) / 2
+        Vm, sepm = _sample(mu, a, b, mid, stats)
+        stats.bisected += len(bad)
+        # the midpoint of interval bad[k] lands at index bad[k] + k + 1
+        at = bad + np.arange(1, len(bad) + 1)
+        s = np.insert(s, bad + 1, mid)
+        V = np.insert(V, bad + 1, Vm, axis=0)
+        sep = np.insert(sep, bad + 1, sepm)
+        ok = np.insert(ok, bad + 1, False)
+        new = np.concatenate([at - 1, at])
+        ok[new] = _steps_ok(V[new], V[new + 1], sep[new], sep[new + 1],
+                            tol_wall)
+
+
+def _path_values(mu, waypoints, steps, tol_wall=TOL_WALL, tol_disc=TOL_DISC,
+                 stats=None):
+    """Critical values at adaptive samples of the piecewise-linear path, one
+    (n, mu) array per chunk of at most WALK_CHUNK samples, in path order:
+    the first waypoint, then each segment's samples after its start, the
+    last one its end.
+
+    Each segment starts from the uniform samples k/steps and bisects every
+    interval between adjacent samples that fails the step test
+    (`_steps_ok`), WALK_CHUNK initial intervals at a time, so memory does
+    not grow with steps.  A sample whose critical values are closer than
+    tol_disc, or an interval that still fails at WALK_FLOOR of its
+    segment, means the path hit the discriminant: the samples before it
+    are yielded, then ValueError is raised.  stats, a WalkStats, counts
+    what was evaluated."""
+    stats = WalkStats() if stats is None else stats
     W = np.array(waypoints, dtype=complex)
+    V, sep = _sample(mu, W[0], W[0], np.zeros(1), stats)   # the start
+    if sep[0] < tol_disc:
+        raise ValueError(_COLLIDE)
+    yield V
     for a, b in zip(W, W[1:]):
+        s0 = 0.0
         for k in range(0, steps, WALK_CHUNK):
-            s = np.arange(k, min(k + WALK_CHUNK, steps)) / steps
-            yield _walk_values(mu, a + s[:, None] * (b - a))
-    yield _walk_values(mu, W[-1:])
+            s = np.arange(k + 1, min(k + WALK_CHUNK, steps) + 1) / steps
+            Vs, seps = _sample(mu, a, b, s, stats)
+            s, V, sep, hit = _refine(mu, a, b, np.concatenate([[s0], s]),
+                                     np.concatenate([V[-1:], Vs]),
+                                     np.concatenate([sep[-1:], seps]),
+                                     tol_wall, tol_disc, stats)
+            end = len(s) - hit
+            for r in range(1, end, WALK_CHUNK):
+                yield V[r:min(r + WALK_CHUNK, end)]
+            if hit:
+                raise ValueError(_COLLIDE)
+            s0 = s[-1]
 
 
 def _walk_step(prev, vals, letters, contact, tol_wall, tol_disc):
@@ -531,7 +675,7 @@ def _walk_step(prev, vals, letters, contact, tol_wall, tol_disc):
     tol_wall of a wall.  Returns the new tracked values."""
     for a, b in itertools.combinations(vals, 2):
         if abs(a - b) < tol_disc:
-            raise ValueError("hit discriminant: critical values collide")
+            raise ValueError(_COLLIDE)
     if prev is None:
         return [vals[k] for k in good_order(vals, tol=tol_wall)]
     remaining = list(vals)
@@ -599,18 +743,29 @@ def check_segments(waypoints):
                          "difference")
 
 
-def wall_walk_A(mu, path, steps=2000, *, tol_wall=TOL_WALL,
+def wall_walk_A(mu, path, steps=64, *, tol_wall=TOL_WALL,
                 tol_disc=TOL_DISC) -> BraidWord:
     """Track the good-ordered critical values along a piecewise-linear path
     of parameter vectors; emit one braid letter per transversal crossing of
     adjacent imaginary parts.  The letter sign comes from the real-part
     order at the crossing.
 
-    Aborts when two critical values collide (the path hit the discriminant)
-    or when a wall contact does not resolve within the sample resolution
-    (tangential crossing).  Samples are read a chunk at a time; a sample
-    that provably changes nothing (`_still_rows`) is skipped, and every
-    other one goes through `_walk_step`."""
+    Each segment is sampled adaptively (`_path_values`): from a uniform
+    grid of steps samples, every interval is bisected until each critical
+    value moves less than half the smallest separation at its ends and at
+    most one pair of values crosses a wall, so the matching of values and
+    the sign and order of the letters are certain (`_steps_ok`).
+    Aborts when two critical values collide or an interval cannot be
+    resolved above WALK_FLOOR (the path hit the discriminant), or when a
+    wall contact does not resolve within the sample resolution (tangential
+    crossing).  Samples are read a chunk at a time; a sample that provably
+    changes nothing (`_still_rows`) is skipped, and every other one goes
+    through `_walk_step`."""
+    return _walk(mu, path, steps, tol_wall, tol_disc)[0]
+
+
+def _walk(mu, path, steps, tol_wall, tol_disc):
+    """`wall_walk_A`'s word, and the WalkStats of its sampling."""
     if mu < 1:
         raise ValueError(f"mu must be at least 1, got {mu}")
     if steps < 1:
@@ -623,14 +778,15 @@ def wall_walk_A(mu, path, steps=2000, *, tol_wall=TOL_WALL,
     if not np.isfinite(waypoints).all():
         raise ValueError("waypoints must be finite")
     check_segments(waypoints)
+    stats = WalkStats()
     if len(waypoints) == 1:
-        return BraidWord(())
+        return BraidWord(()), stats
 
     letters = []
     prev = None        # tracked values, in the good order of the last sample
     contact = {}       # adjacent pair -> consecutive samples spent on the wall
     last = None        # the last sample's values in good order
-    for V in _path_values(mu, waypoints, steps):
+    for V in _path_values(mu, waypoints, steps, tol_wall, tol_disc, stats):
         S = np.take_along_axis(V, np.lexsort((-V.real, V.imag)), axis=1)
         still = _still_rows(S, last, tol_wall, tol_disc)
         for r in np.flatnonzero(~still):
@@ -641,4 +797,4 @@ def wall_walk_A(mu, path, steps=2000, *, tol_wall=TOL_WALL,
         if still[-1]:
             prev, contact = S[-1].tolist(), {}
         last = S[-1]
-    return BraidWord(tuple(letters))
+    return BraidWord(tuple(letters)), stats

@@ -251,6 +251,18 @@ def _check_projection(cls, datum) -> CheckOutcome:
                         None if ok else diff)
 
 
+def elliptic_symmetry_checks(cls_or_label, which=("psi2", "psi3")) -> list:
+    """The la-projection and the unfolding identity of each named symmetry
+    of an elliptic class, in that order, as CheckOutcomes; the class's
+    symmetry data is built once."""
+    cls = sing_class(cls_or_label)
+    data = {d.label: d for d in symmetry_data(cls)}
+    out = []
+    for w in which:
+        out += [_check_projection(cls, data[w]), _check_unfolding(cls, data[w])]
+    return out
+
+
 def check_simple_symmetry(cls_or_label) -> CheckOutcome:
     """The D-family identities, each by `check_unfolding_identity`: the
     sign flip phi2 for every D_mu, and for D_4 also the order-3 coordinate
@@ -384,10 +396,7 @@ def identity_suite(labels=("D4", "D5", "tE6", "tE7", "tE8")) -> list:
         if cls.family == "D":
             out.append(check_simple_symmetry(cls))
             continue
-        data = {d.label: d for d in symmetry_data(cls)}
-        for which in ("psi2", "psi3"):
-            out.append(_check_projection(cls, data[which]))
-            out.append(_check_unfolding(cls, data[which]))
+        out += elliptic_symmetry_checks(cls)
         out.append(check_kappa_extension(cls))
     return out
 

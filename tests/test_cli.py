@@ -1,9 +1,11 @@
 import json
+import math
 import os
 import warnings
 
 import pytest
 
+from singlat import verify
 from singlat.cli import main
 from singlat.singdata import seed_stokes, sing_class
 
@@ -155,6 +157,18 @@ class TestCountsAndChecks:
         code, doc = run(capsys, "verify-symmetry", "D4")
         assert code == 0 and doc["all_passed"]
 
+    def test_verify_symmetry_builds_data_once(self, capsys, monkeypatch):
+        # both identities of both symmetries from one symmetry_data(tE7)
+        calls = []
+        real = verify.symmetry_data
+        monkeypatch.setattr(verify, "symmetry_data",
+                            lambda cls: calls.append(cls) or real(cls))
+        code, doc = run(capsys, "verify-symmetry", "tE7")
+        assert code == 0 and doc["all_passed"] and len(calls) == 1
+        assert [c["name"] for c in doc["checks"]] == [
+            "tE7:psi2:la-projection", "tE7:psi2", "tE7:psi3:la-projection",
+            "tE7:psi3"]
+
     def test_verify_kappa(self, capsys):
         code, doc = run(capsys, "verify-kappa", "tE7")
         assert code == 0 and doc["all_passed"]
@@ -188,6 +202,24 @@ class TestLLCommands:
         path = json.dumps([[0.5, [-1.0, 0.0]]])
         code, doc = run(capsys, "wall-walk", "2", path, "--steps", "20")
         assert code == 0 and doc["word"] == []
+
+    def test_wall_walk_reports_sampling(self, capsys):
+        # one JSON line on stderr: the samples evaluated, the intervals
+        # bisected and the smallest separation of critical values seen;
+        # stdout holds the word alone
+        angles = [k * math.pi / 4 for k in range(9)]
+        loop = [[[0.3, 0], [math.cos(a), math.sin(a)]] for a in angles]
+        assert main(["wall-walk", "2", json.dumps(loop)]) == 0
+        out, err = capsys.readouterr()
+        assert json.loads(out) == {"mu": 2, "word": [1, 1, 1]}
+        stats = json.loads(err)
+        assert sorted(stats) == ["bisected", "min_separation", "samples"]
+        assert stats["samples"] >= 8 * 64 + 1
+        assert stats["samples"] == 8 * 64 + 1 + stats["bisected"]
+        assert 0 < stats["min_separation"] < 1
+        assert main(["wall-walk", "1", "[[0.5], [[0, 1]]]"]) == 0
+        out, err = capsys.readouterr()
+        assert json.loads(err)["min_separation"] is None
 
     def test_diagram(self, capsys):
         code = main(["diagram", "A3"])

@@ -8,13 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from singlat.braid import VanishingTuple, braid_apply_word, \
-    sign_canonical_stokes, stokes_of_tuple
+from singlat import llmap
+from singlat.braid import VanishingTuple, braid_apply, braid_apply_word, \
+    sign_canonical_stokes, sign_canonical_tuple, stokes_of_tuple
 from singlat.lattice import StokesMatrix
 from singlat.llmap import (TOL_DEDUP, TOL_DISC, TOL_WALL, WALK_CHUNK,
                            IncompleteFiber, LLPoint, _ll_system,
                            _newton_rows, _path_values, _poly_system,
-                           _symbolic_ll, _walk_values,
+                           _separations, _steps_ok, _symbolic_ll,
+                           _walk_values,
                            critical_values_numeric, discriminant_member,
                            good_order, ll_exact_A, ll_fiber_count,
                            wall_walk_A)
@@ -559,18 +561,76 @@ class TestWallWalk:
         with pytest.raises(ValueError, match="tangential crossing"):
             wall_walk_A(3, [[1.5, 0.1, 0.2], [-0.2, 0.8, -2.3]], steps=4)
 
-    def test_chunks_do_not_grow_with_steps(self):
-        path = [[0.5, -1.0], [-0.5, 1.0 + 0.1j]]
-        chunk = next(_path_values(2, path, 10 ** 13))
-        assert chunk.shape == (WALK_CHUNK, 2)
-        # the chunks hold the samples k/steps of each segment, in order,
-        # then the last waypoint
-        a, b = np.array(path, dtype=complex)
-        s = (np.arange(600) / 600)[:, None]
-        want = _walk_values(2, np.concatenate([a + s * (b - a), [b]]))
-        got = list(_path_values(2, path, 600))
-        assert [len(c) for c in got] == [WALK_CHUNK, WALK_CHUNK, 88, 1]
-        assert np.array_equal(np.concatenate(got), want)
+    def test_chunks_do_not_grow_with_steps(self, monkeypatch):
+        # every stacked evaluation and every chunk holds at most WALK_CHUNK
+        # samples, however many steps a segment starts from
+        path = [[0.5, -1.0 + 0.5j], [-0.5, 1.0 + 0.1j]]
+        sizes = []
+
+        class Enough(Exception):
+            pass
+
+        def spy(mu, T):
+            sizes.append(len(T))
+            if len(sizes) == 6:
+                raise Enough
+            return _walk_values(mu, T)
+
+        monkeypatch.setattr(llmap, "_walk_values", spy)
+        with pytest.raises(Enough):
+            wall_walk_A(2, path, steps=10 ** 13)
+        assert max(sizes) == WALK_CHUNK
+        monkeypatch.undo()
+        chunks = _path_values(2, path, 10 ** 13)
+        assert [len(next(chunks)) for _ in range(3)] == [1, WALK_CHUNK,
+                                                         WALK_CHUNK]
+
+    def test_step_test(self):
+        L = np.array([[0, 1 + 0.1j, 5 + 3j, 6 + 3.1j]])
+
+        def passes(right, left=L):
+            R = np.array([right])
+            return bool(_steps_ok(left, R, _separations(left),
+                                  _separations(R), TOL_WALL)[0])
+
+        assert _separations(L)[0] == abs(1 + 0.1j)
+        assert passes([0.1j, 1 + 0.1j, 5 + 3j, 6 + 3.1j])
+        # a value moves half the separation: the matching is not certain
+        assert not passes([0.51, 1 + 0.1j, 5 + 3j, 6 + 3.1j])
+        # one pair crosses a wall
+        assert passes([0.2j, 1 + 0.05j, 5 + 3j, 6 + 3.1j])
+        # two pairs cross: the order of their letters is not certain
+        assert not passes([0.2j, 1 + 0.05j, 5 + 3.2j, 6 + 3.05j])
+        # a flip inside the wall band is a contact, not a crossing
+        band = np.array([[0, 1 + 0.1j, 5 + 3j, complex(6, 3 + 1e-12)]])
+        assert passes([0.2j, 1 + 0.05j, complex(5, 3 + 2e-12), 6 + 3j], band)
+
+    @pytest.mark.parametrize("mu,path,steps", [
+        (2, [[0.5, -1.0], [-0.5, 1.0 + 0.1j]], 600),
+        (3, [(0.9409 + 0.7478j, 0.7288 - 0.4045j, 0.4341 - 0.3422j),
+             (0.2149 - 0.1355j, -0.8713 + 1.977j, 0.7238 - 2.0566j),
+             (0.8936 - 1.3942j, -0.2321 - 0.5818j, -0.5345 + 0.2408j)], 64),
+        (4, [[0.3, -1j, 0.2, 1.1], [-0.4, 1.0, -0.3j, 0.5],
+             [0.1j, 0.7, 1.2, -0.8]], 300)])
+    def test_adaptive_samples(self, mu, path, steps):
+        # the samples are the first waypoint, then each segment's uniform
+        # samples k/steps (the last one its end) in order, with midpoints
+        # inserted until every interval passes the step test
+        got = np.concatenate(list(_path_values(mu, path, steps)))
+        W = np.array(path, dtype=complex)
+        grid = [W[:1]]
+        for a, b in zip(W, W[1:]):
+            T = a + (np.arange(1, steps + 1) / steps)[:, None] * (b - a)
+            T[-1] = b
+            grid.append(T)
+        want = _walk_values(mu, np.concatenate(grid))
+        rows = [tuple(v) for v in got.tolist()]
+        at = [rows.index(tuple(v)) for v in want.tolist()]
+        assert at == sorted(at) and at[0] == 0 and at[-1] == len(rows) - 1
+        assert all(step_ok(x, y) for x, y in zip(rows, rows[1:]))
+        if mu == 3:
+            # the defect path's close approach needs bisection
+            assert len(rows) > len(want)
 
     @pytest.mark.parametrize("mu", [1, 2, 3, 4, 5])
     def test_chunked_walk_matches_per_sample(self, mu):
@@ -624,7 +684,8 @@ class TestWallWalk:
             with pytest.raises(ValueError, match="overflow"):
                 wall_walk_A(2, [[0.5, 1e308], [0.5, 1e307]], steps=10)
 
-    # default-steps words of the per-sample walker this chunked one replaced
+    # default-steps words, each also the word of a fine uniform walk: 2000
+    # steps for all but the fourth, whose close approach needs 200000
     @pytest.mark.parametrize("path,word", [
         ([((0.4163 - 0.5246j), (0.3856 - 1.9582j)),
           ((-1.2549 - 0.0183j), (0.5282 + 0.4691j)),
@@ -638,7 +699,7 @@ class TestWallWalk:
         ([((1.234 + 0.2532j), (-0.5 - 2.098j), (0.2828 + 0.1983j)),
           ((-0.2864 - 1.072j), (0.401 + 2.9293j), (-1.1822 + 0.1983j)),
           ((0.7201 - 0.7798j), (0.5374 + 1.5729j), (1.2325 - 0.4227j))],
-         (-1, -2, 1, 1, 1, -1, 1, 1, -2)),
+         (-1, -2, -1, -1, -2)),
         ([((0.3049 - 0.5892j), (0.5335 - 0.0508j), (0.7508 + 0.6878j)),
           ((0.6442 + 2.0206j), (-1.0975 + 1.1077j), (0.1413 + 0.4755j)),
           ((-1.1823 - 0.74j), (0.0654 + 0.5675j), (-0.4078 - 0.0155j))],
@@ -671,16 +732,73 @@ class TestWallWalk:
         assert wall_walk_A(len(path[0]), path).letters == word
 
     def test_defect_round_trip_pinned(self):
-        # A null-homotopic mu = 3 round trip whose default-steps word has
-        # exponent sum -8, not 0 (the benchmark's known-defect walk).  A
-        # certified walker is expected to change this word.
+        # A null-homotopic mu = 3 round trip (the benchmark's known-defect
+        # walk) whose segment 0 passes within 1.65e-5 of the discriminant:
+        # the word of 1024000 uniform steps, freely reducing to ()
         p = [(0.9409 + 0.7478j, 0.7288 - 0.4045j, 0.4341 - 0.3422j),
              (0.2149 - 0.1355j, -0.8713 + 1.977j, 0.7238 - 2.0566j),
              (0.8936 - 1.3942j, -0.2321 - 0.5818j, -0.5345 + 0.2408j)]
         word = wall_walk_A(3, p + p[-2::-1]).letters
-        assert word == (-1, -1, -1, -1, 1, -1, -1, -1, -1, -1,
-                        2, 1, 2, 1, 2, -2, -1, -2, -1, -2)
-        assert sum(1 if x > 0 else -1 for x in word) == -8
+        assert word == (1, 2, 1, 2, 1, 2, -2, -1, -2, -1, -2, -1)
+        assert free_reduce(word) == ()
+
+    # analytic benchmark paths (seeds 9 and 18, A2; seed 40, A3) whose
+    # round trips 2000 uniform steps walk to words of exponent sum 13, -10
+    # and -3
+    BENCH_PATHS = [
+        [(0.8012 + 0.1756j, 1.5158 - 0.5572j),
+         (-1.2993 - 1.0449j, -0.8511 + 0.3049j),
+         (0.2356 + 0.6407j, -0.6105 + 0.403j)],
+        [(0.0775 + 0.6553j, 0.7186 - 0.1474j),
+         (-0.5711 + 0.2817j, -0.4091 - 0.6242j),
+         (-0.1192 - 0.2387j, 0.2524 + 0.3684j)],
+        [(0.5578 - 0.0789j, 0.3404 + 0.2449j, -0.1994 - 0.3002j),
+         (-1.3689 - 0.1872j, 0.2191 - 0.7934j, 0.5414 - 1.376j),
+         (1.6923 + 0.0634j, -0.938 - 0.0124j, 0.6133 - 0.5131j)]]
+
+    def test_round_trips_reduce_to_empty(self):
+        # a retraced path p, then p reversed, is null-homotopic: its word
+        # freely reduces to the empty word (30 seeded paths, mu = 2, 3, 4,
+        # waypoints as the analytic benchmark draws them)
+        rng = random.Random(20261018)
+        paths = [[[complex(round(rng.gauss(0, 1), 4),
+                           round(rng.gauss(0, 1), 4)) for _ in range(mu)]
+                  for _ in range(3)] for mu in (2, 3, 4) for _ in range(10)]
+        for path in self.BENCH_PATHS + paths:
+            word = wall_walk_A(len(path[0]), path + path[-2::-1]).letters
+            assert word and free_reduce(word) == (), (path, word)
+
+    def test_loops_fix_a_common_basis(self):
+        # a closed loop at t0 fixes the distinguished basis of t0's Stokes
+        # region: the words of seeded loops at one mu = 3 base point share
+        # a fixed class among the 16 sign classes of A3 bases, while most
+        # words move some class
+        start = sign_canonical_tuple(
+            VanishingTuple.standard(StokesMatrix.chain(3)))
+        classes, todo = {start}, [start]
+        while todo:
+            t = todo.pop()
+            for g in (1, -1, 2, -2):
+                u = sign_canonical_tuple(braid_apply(t, g))
+                if u not in classes:
+                    classes.add(u)
+                    todo.append(u)
+        assert len(classes) == 16
+        rng = random.Random(20261025)
+
+        def point():
+            return tuple(complex(round(rng.gauss(0, 1), 4),
+                                 round(rng.gauss(0, 1), 4)) for _ in range(3))
+
+        t0, common, moving = point(), set(classes), 0
+        for _ in range(8):
+            loop = [t0] + [point() for _ in range(rng.choice((2, 3)))] + [t0]
+            word = wall_walk_A(3, loop)
+            fixed = {c for c in classes
+                     if sign_canonical_tuple(braid_apply_word(c, word)) == c}
+            moving += fixed != classes
+            common &= fixed
+        assert common and moving >= 4
 
     @pytest.mark.parametrize("mu", [1, 2, 3, 4, 5])
     def test_stacked_values_match_np_roots(self, mu):
@@ -710,12 +828,50 @@ def walk_outcome(walk):
         return str(exc)
 
 
+def free_reduce(letters):
+    """The letters with every adjacent pair g, -g cancelled."""
+    out = []
+    for g in letters:
+        if out and out[-1] == -g:
+            out.pop()
+        else:
+            out.append(g)
+    return tuple(out)
+
+
+def step_ok(left, right, tol_wall=TOL_WALL):
+    """Reference step test on the values at the two ends of an interval:
+    each value's nearest value at the right end is less than half the
+    smaller end's separation away, every pair whose good-order key flips
+    keeps its real-part order (which the walker does not test, as the
+    first condition implies it), and at most one pair flips with imaginary
+    parts at least tol_wall apart at both ends."""
+    sep = min(abs(x - y) for v in (left, right)
+              for x, y in itertools.combinations(v, 2))
+    near = [min(right, key=lambda y: abs(y - x)) for x in left]
+    if max(abs(y - x) for x, y in zip(left, near)) >= sep / 2:
+        return False
+    order = sorted(range(len(left)),
+                   key=lambda k: (left[k].imag, -left[k].real))
+    crossings = 0
+    for i, j in itertools.combinations(order, 2):
+        lo, hi = near[i], near[j]
+        if (lo.imag, -lo.real) > (hi.imag, -hi.real):
+            if (left[i].real > left[j].real) != (lo.real > hi.real):
+                return False
+            crossings += min(abs(left[i].imag - left[j].imag),
+                             abs(lo.imag - hi.imag)) >= tol_wall
+    return crossings <= 1
+
+
 def per_sample_walk(mu, path, steps, tol_wall=TOL_WALL, tol_disc=TOL_DISC):
-    """Reference: the walk's rules applied to every sample in turn, the loop
-    that the chunked walker replaced (with good_order's key as the swap
-    rule), over the same sampled values.  Returns the letters."""
+    """Reference: the walk's rules applied to every adaptive sample in
+    turn, the loop that the chunked walker replaced (with good_order's key
+    as the swap rule), over the same sampled values.  Returns the
+    letters."""
     letters, prev, contact = [], None, {}
-    for vals in (v for chunk in _path_values(mu, path, steps)
+    for vals in (v for chunk in _path_values(mu, path, steps, tol_wall,
+                                                    tol_disc)
                  for v in chunk.tolist()):
         for a, b in itertools.combinations(vals, 2):
             if abs(a - b) < tol_disc:

@@ -13,12 +13,13 @@ stderr for vectors holding NaN or Infinity and for a class outside the
 count tables; a run that raises prints `-> exception <Type>` in place of
 its exit code, and the battery goes on.  It also records the
 repr of critical_values_numeric, wall_walk_A (including the default-steps
-round trip of a known-defect path, twelve seeded default-steps round
-trips for mu = 2, 3, 4, and a path into the discriminant and one along a
-wall, which end in errors), the CLI walk of a real path, whose critical
-values tie on a wall (exit 1), a mu = 3 walk and an A2 critical-value
-call whose numbers overflow the float range, and the symbolic
-chain-family LL coefficients.  For the lattice kernels it prints, for
+round trip of a path that passes within 1.65e-5 of the discriminant,
+twelve seeded default-steps round trips for mu = 2, 3, 4, the round trips
+of three analytic benchmark paths, and a path into the discriminant and
+one along a wall, which end in errors), the CLI walk of a real path,
+whose critical values tie on a wall (exit 1), a mu = 3 walk and an A2
+critical-value call whose numbers overflow the float range, and the
+symbolic chain-family LL coefficients.  For the lattice kernels it prints, for
 every class and for D24 and A28, the characteristic polynomials of the
 seed monodromy M and form I, definiteness, radical rank, quasiunipotency
 and the determinants of I and of a braid-moved tuple, the stdout, stderr
@@ -54,12 +55,28 @@ from singlat.polyalg import MultiPoly, graded_piece_rank, resultant
 from singlat.singdata import ALL_LABELS, seed_stokes, sing_class, weights
 from singlat.verify import _achievable_degrees
 
-# A null-homotopic mu = 3 path whose default-steps round trip returns a
-# braid with exponent sum -8 (the benchmark's known-defect walk).
+# A mu = 3 path whose first segment passes within 1.65e-5 of the
+# discriminant (the benchmark's known-defect walk): 2000 uniform steps gave
+# its round trip a word of exponent sum -8, and the adaptive walk gives the
+# word of 1024000 uniform steps, which freely reduces to the empty word.
 DEFECT_PATH = (
     (0.9409 + 0.7478j, 0.7288 - 0.4045j, 0.4341 - 0.3422j),
     (0.2149 - 0.1355j, -0.8713 + 1.977j, 0.7238 - 2.0566j),
     (0.8936 - 1.3942j, -0.2321 - 0.5818j, -0.5345 + 0.2408j),
+)
+
+# Analytic benchmark walks (seeds 9 and 18, A2; seed 40, A3) whose round
+# trips 2000 uniform steps walked to words of exponent sum 13, -10 and -3.
+BENCH_PATHS = (
+    ((0.8012 + 0.1756j, 1.5158 - 0.5572j),
+     (-1.2993 - 1.0449j, -0.8511 + 0.3049j),
+     (0.2356 + 0.6407j, -0.6105 + 0.403j)),
+    ((0.0775 + 0.6553j, 0.7186 - 0.1474j),
+     (-0.5711 + 0.2817j, -0.4091 - 0.6242j),
+     (-0.1192 - 0.2387j, 0.2524 + 0.3684j)),
+    ((0.5578 - 0.0789j, 0.3404 + 0.2449j, -0.1994 - 0.3002j),
+     (-1.3689 - 0.1872j, 0.2191 - 0.7934j, 0.5414 - 1.376j),
+     (1.6923 + 0.0634j, -0.938 - 0.0124j, 0.6133 - 0.5131j)),
 )
 
 # Chain-family parameters whose configuration polynomial has a multiple
@@ -396,6 +413,9 @@ def main():
                  for _ in range(mu)] for _ in range(3)]
         show(f"wall_walk_A {mu} round trip {k}", llmap.wall_walk_A, mu,
              path + path[-2::-1])
+    for k, path in enumerate(BENCH_PATHS):
+        show(f"wall_walk_A benchmark round trip {k}", llmap.wall_walk_A,
+             len(path[0]), path + path[-2::-1])
     show("wall_walk_A discriminant", llmap.wall_walk_A, 2,
          [[0.3, 1.0], [0.3, -1.0]], steps=100)
     show("wall_walk_A tangential", llmap.wall_walk_A, 2,
