@@ -181,13 +181,20 @@ def _json(text):
         raise _Usage(f"not JSON: {text!r} ({exc})")
 
 
+def _not_bool(v):
+    if isinstance(v, bool):
+        raise TypeError(f"{json.dumps(v)} is not a number")
+    return v
+
+
 def _parse_vec(raw, n):
     """n finite numbers from a decoded JSON list: [re, im] pairs become
     complex, strings rational; other numbers stay as they are (`v + 0`
-    rejects null and objects)."""
+    rejects null and objects, `_not_bool` true and false)."""
     try:
-        out = [complex(*v) if isinstance(v, list) else
-               Fraction(v) if isinstance(v, str) else v + 0 for v in raw]
+        out = [complex(*map(_not_bool, v)) if isinstance(v, list) else
+               Fraction(v) if isinstance(v, str) else _not_bool(v) + 0
+               for v in raw]
     except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise _Usage(f"bad vector {raw!r}: {exc}")
     if not all(cmath.isfinite(v) for v in out
@@ -222,6 +229,8 @@ def cmd_ll_eval(args):
 
 def cmd_ll_fiber(args):
     cls = _parse_class(args.cls)
+    if cls.label not in ("A2", "A3"):
+        raise _Usage("fiber counting covers A2 and A3")
     target = _complex_vec(_json(args.p), cls.mu) + [1.0]
     fc = llmap.ll_fiber_count(cls, llmap.LLPoint(tuple(target)),
                               budget=args.budget,

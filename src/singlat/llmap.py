@@ -7,24 +7,24 @@ critical points x_i counted with multiplicity, is the characteristic
 polynomial of multiplication by f in Q[x]/(f'): one integer (or, for the
 symbolic map, Z[t]) Faddeev-LeVerrier pass after clearing denominators.
 Discriminant membership is exact as well, a Bareiss rank test of the
-Sylvester matrix of the polynomial and its derivative over Z.  Numeric
-companions: critical values for small two-variable families and fiber
-counts over generic targets for mu = 2, 3, both by one batched multistart
-Newton on a polynomial system compiled to exponent and coefficient
-matrices, and a wall walker that tracks the good ordering of the critical
-values along a path in parameter space and emits a braid letter at every
-transversal crossing of adjacent imaginary parts.  The walker samples
-each segment adaptively: from a uniform grid it bisects every interval
-in which a critical value moves half the separation of the values, or
-the sign or order of its letters is uncertain, in the spirit of the
-certified tracking of Beltran and Leykin (Exp. Math. 21, 2012).  It
-screens whole chunks of the samples with array code and applies its
-per-sample step only where something can change.  Every root in the
-module comes from one kernel, stacked companion-matrix eigenvalues
-(`_companion_roots`): the critical points of the walk and of the
-chain-family critical values, and the roots of a configuration
-polynomial.  A coefficient or critical value beyond the float range
-raises ValueError.
+Sylvester matrix of the polynomial and its derivative over Z.  By the
+same theorem (Cox, Little and O'Shea, Using Algebraic Geometry, ch. 2
+section 4) the critical values of every other class are the eigenvalues
+of multiplication by the unfolding F on its Jacobi algebra, a matrix that
+one least-squares solve gives.  Numeric companions: fiber counts over
+generic targets for mu = 2, 3, by one batched multistart Newton on a
+polynomial system compiled to exponent and coefficient matrices, and a
+wall walker that tracks the good ordering of the critical values along a
+path in parameter space and emits a braid letter at every transversal
+crossing of adjacent imaginary parts.  The walker samples each segment
+adaptively: from a uniform grid it bisects every interval in which a
+critical value moves half the separation of the values, or the sign or
+order of its letters is uncertain, in the spirit of the certified
+tracking of Beltran and Leykin (Exp. Math. 21, 2012).  It screens whole
+chunks of the samples with array code and applies its per-sample step
+only where something can change.  The chain-family roots come from
+stacked companion-matrix eigenvalues (`_companion_roots`).  A coefficient
+or critical value beyond the float range raises ValueError.
 """
 
 from __future__ import annotations
@@ -42,14 +42,16 @@ import numpy as np
 from .braid import BraidWord
 from .lattice import char_poly
 from .polyalg import MultiPoly, bareiss, sylvester, to_complex
-from .singdata import sing_class, unfolding
+from .singdata import (normal_form, sing_class, unfolding,
+                       unfolding_monomials, weights)
 
 F = Fraction
 
 TOL_DEDUP = 1e-6
-TOL_POINT = 1e-8
 TOL_WALL = 1e-9
 TOL_DISC = 1e-9
+
+_OVERFLOW = "critical values overflow the float range"
 
 
 def _companion_roots(P):
@@ -100,13 +102,9 @@ class LLPoint:
 
 @dataclass(frozen=True)
 class CriticalData:
-    values: tuple   # critical values, with multiplicity, in input order
+    values: tuple   # critical values, with multiplicity, in kernel order
     sigma: tuple    # good permutation (values[sigma[0]], ... is good-ordered),
                     # or None when the parameter sits on a Stokes wall
-
-
-class IncompleteFiber(RuntimeError):
-    """Fewer critical points than the global Milnor number were located."""
 
 
 # ---------------------------------------------------------------------------
@@ -208,57 +206,92 @@ def good_order(values, tol=TOL_WALL):
 # numeric critical values
 # ---------------------------------------------------------------------------
 
-def critical_values_numeric(cls_or_label, t, lam=None, *, starts=400,
-                            seed=11) -> CriticalData:
-    """Critical values of the unfolding at the given parameters.
-
-    Chain family: one row of the wall walker's kernel (`_walk_values`), so a
-    walk and this function return the same floats at the same parameter.
-    Two-variable families: multistart Newton on the gradient; requires a
-    generic parameter (exactly mu distinct nondegenerate critical points)
-    and raises IncompleteFiber when the start budget does not locate all of
-    them.  t must hold one entry per unfolding parameter, and an elliptic
-    class needs lam; otherwise ValueError."""
+def critical_values_numeric(cls_or_label, t, lam=None) -> CriticalData:
+    """Critical values of the unfolding at t, with multiplicity, in kernel
+    order: a row of the walk's kernel (`_walk_values`) for the chain family,
+    else the eigenvalues of multiplication by F on the Jacobi algebra
+    (`_multiplication_values`), degenerate t included.  t needs one entry
+    per parameter, an elliptic class a lam outside {0, 1}: else ValueError."""
     cls = sing_class(cls_or_label)
     if len(t) != len(cls.tvars):
         raise ValueError(f"{cls.label} needs {len(cls.tvars)} parameters, "
                          f"got {len(t)}")
-    if cls.is_elliptic and lam is None:
-        raise ValueError(f"{cls.label} needs the family parameter lam")
-    if cls.family == "A":
-        T = np.array([[complex(v) for v in t]])
-        values = tuple(_walk_values(cls.mu, T)[0].tolist())
-        return CriticalData(values, _maybe_good_order(values))
-    if cls.nvars != 2:
-        raise ValueError("numeric critical values cover one- and "
-                         "two-variable families")
-    f = unfolding(cls)
-    fixed = {tn: complex(v) for tn, v in zip(cls.tvars, t)}
-    if cls.is_elliptic:
-        fixed["la"] = complex(lam)
-    xv = ("x0", "x1")
-    G, J = _poly_system([f.partial(v) for v in xv], xv, fixed, 0)
-    rng = random.Random(seed)
-    rows = ([complex(rng.gauss(0, 1.5), rng.gauss(0, 1.5)) for _ in xv]
-            for _ in range(starts))
-    # a degenerate critical point means the parameter is not generic
-    found = _distinct_zeros(
-        G, J, rows, cls.mu, TOL_POINT, deflate=True,
-        accept=lambda Z: np.abs(np.linalg.det(J(Z))) >= 1e-8)
-    if len(found) != cls.mu:
-        raise IncompleteFiber(
-            f"found {len(found)} of {cls.mu} critical points; "
-            "retry with more starts or a more generic parameter")
-    values = tuple(complex(f.eval_complex({**fixed, "x0": x, "x1": y}))
-                   for x, y in found)
-    return CriticalData(values, _maybe_good_order(values))
-
-
-def _maybe_good_order(values):
+    if cls.is_elliptic and (lam is None or complex(lam) in (0, 1)):
+        raise ValueError(f"{cls.label} needs a family parameter lam "
+                         "outside {0, 1}")
+    T = np.array([[complex(v) for v in t]])
+    values = tuple((_walk_values(cls.mu, T)[0] if cls.family == "A" else
+                    _multiplication_values(cls, T[0], lam)).tolist())
     try:
-        return good_order(values)
-    except ValueError:
-        return None
+        return CriticalData(values, good_order(values))
+    except ValueError:   # the parameter sits on a Stokes wall
+        return CriticalData(values, None)
+
+
+@lru_cache(maxsize=None)
+def _multiplication_plan(cls):
+    """The truncated Macaulay system of multiplication by F on Q[x]/(d_x F)
+    (Telen, Mourrain and Van Barel, SIAM J. Matrix Anal. Appl. 39, 2018),
+    built once per class: stacked real arrays A, B, with A[k], B[k] the
+    coefficients of p_k in p = (1, t, la), and the floats d_j = deg t_j.
+    The basis b is m_1..m_mu, or m_1..m_(mu-1) and df/dla for an elliptic
+    class.  With t_j of weight 1 - deg m_j > 0, F is homogeneous of degree
+    1 in (x, t), so F b_i = sum_k c_k d_k F + sum_j M_ji b_j has a solution
+    with deg c_k <= D - (1 - w_k), D = 1 + max deg b_j.  Columns: x^a d_k F
+    for those x^a, then the b_j; rows: the x-monomials of degree at most D;
+    right-hand sides: F b_i."""
+    wsys, Fu, nx = weights(cls), unfolding(cls), cls.nvars
+    basis = unfolding_monomials(cls)   # variables start with x, as in Fu
+    if cls.is_elliptic:
+        basis.append(normal_form(cls).partial("la"))
+    D = 1 + max(wsys.poly_degree(b) for b in basis)
+    monos = {q: wsys.monomial_basis(q)
+             for q in [0] + wsys.achievable_degrees(D)}
+    row = {e: r for r, e in enumerate(e for es in monos.values() for e in es)}
+    cols = [(a, Fu.partial(v)) for v, w in wsys.var_weights
+            for q, es in monos.items() if q <= D - 1 + w for a in es]
+    cols += [((0,) * nx, b) for b in basis]
+    A = np.zeros((len(Fu.vars) - nx + 1, len(row), len(cols)))
+    B = np.zeros(A.shape[:2] + (len(basis),))
+    for out, polys in ((A, cols), (B, [((0,) * nx, Fu * b) for b in basis])):
+        for k, (a, poly) in enumerate(polys):
+            for expo, c in poly.terms.items():
+                x = tuple(i + j for i, j in zip(a, expo[:nx]))
+                par = expo[nx:]   # F is affine in (t, la)
+                at = par.index(1) + 1 if any(par) else 0
+                out[at, row[x], k] += float(c)
+    d = np.array([float(w) for w in wsys.t_weights])
+    A.flags.writeable = B.flags.writeable = d.flags.writeable = False
+    return A, B, d
+
+
+def _multiplication_values(cls, t, lam):
+    """Eigenvalues of the matrix M of multiplication by F at (t, lam), the
+    critical values with multiplicity.  M is the b-part of one least-squares
+    solve of `_multiplication_plan`, unique as the null space holds only
+    syzygies of the d_k F columns.  By Euler's relation the values at t are
+    s times those at t / s^d; the monomial basis is well conditioned where
+    the largest is about 1, so s is first max_j |t_j|^(1/d_j), then the
+    largest value found.  A value that is not finite raises ValueError."""
+    A, B, d = _multiplication_plan(cls)
+    la = [complex(lam)] if cls.is_elliptic else []
+    with np.errstate(all="ignore"):
+        lt = np.log(t)   # t / s^d is exp(lt - d ls), also where s^d is not
+        ls = np.nan_to_num(np.max(lt.real / d), neginf=0.0)   # t = 0: s = 1
+        for _ in range(2):
+            p = np.concatenate([[1], np.exp(lt - d * ls), la])
+            # einsum's own loop: np.tensordot's BLAS call can stall for ms
+            X = np.linalg.lstsq(_finite(np.einsum("k,kij->ij", p, A)),
+                                _finite(np.einsum("k,kij->ij", p, B)))[0]
+            V = _finite(np.linalg.eigvals(_finite(X[-B.shape[2]:])))
+            s, ls = np.exp(ls), ls + np.log(np.abs(V).max() or 1.0)
+        return _finite(s * V)
+
+
+def _finite(X):
+    if not np.isfinite(X).all():
+        raise ValueError(_OVERFLOW)
+    return X
 
 
 # ---------------------------------------------------------------------------
@@ -283,19 +316,14 @@ class FiberCount:
     solutions: tuple
 
 
-def _newton_rows(G, J, starts, deflate=()):
+def _newton_rows(G, J, starts):
     """Newton's method on every row of starts at once.
 
     G maps an (n, m) array of points to the (n, m) residuals, J to the
     (n, m, m) Jacobians.  A row converges when max|g| < 1e-11 and is dropped
     when its Jacobian is singular or its step exceeds 1e6 in modulus; after
     120 iterations the rest are dropped.  Returns the converged mask and the
-    final points.
-
-    Zeros in deflate are avoided by deflation (Farrell, Birkisson and Funke,
-    SIAM J. Sci. Comput. 37, 2015): the step d is that of Newton on M G with
-    M = prod_i (1 + 1/|x - z_i|^2), d / (1 + (d log M)(d)); the residual,
-    and so the convergence test, stays that of G."""
+    final points."""
     T = np.array(starts, dtype=complex)
     ok = np.zeros(len(T), dtype=bool)
     live = np.arange(len(T))
@@ -318,11 +346,6 @@ def _newton_rows(G, J, starts, deflate=()):
                     step[i] = np.linalg.solve(jac[i], g[i])
                 except np.linalg.LinAlgError:
                     keep[i] = False
-        if len(deflate):
-            D = np.conj(T[live][:, None, :] - np.array(deflate))
-            r2 = np.sum(np.abs(D) ** 2, axis=2)
-            dr2 = 2 * np.real(D @ step[..., None])[..., 0]
-            step /= 1 - np.sum(dr2 / (r2 * (r2 + 1)), axis=1, keepdims=True)
         keep &= ~(np.max(np.abs(step), axis=1) > 1e6)
         live, step = live[keep], step[keep]
         T[live] -= step
@@ -395,14 +418,6 @@ def _system(E, C, m, target):
     return G, J
 
 
-def _poly_system(polys, names, fixed, target):
-    """Residual G and Jacobian J of the system polys = target in the
-    unknowns names, every other variable held at its value in fixed; each is
-    evaluated on an (n, len(names)) array of rows.  Both are compiled once,
-    into one exponent matrix (`_compile`)."""
-    return _system(*_compile(polys, names, fixed), len(polys), target)
-
-
 @lru_cache(maxsize=None)
 def _ll_compiled(mu):
     tv, coeffs = _symbolic_ll(mu)
@@ -416,29 +431,22 @@ def _ll_system(mu, p: LLPoint):
     return _system(*_ll_compiled(mu), mu, p.coeffs[:mu])
 
 
-def _distinct_zeros(G, J, starts, want, tol, accept=None, deflate=False):
+def _distinct_zeros(G, J, starts, want, tol):
     """Distinct zeros of the system (G, J) that Newton reaches from the
     rows of starts, an iterable read NEWTON_CHUNK rows at a time.
 
-    Converged rows are taken in start order.  A row is kept when accept (a
-    mask over an array of zeros) passes it and it differs from every zero
-    kept so far by more than tol in max norm.  Stops once want zeros are
-    kept.  With deflate, once a chunk adds no zero, every later chunk runs
-    Newton deflated at the zeros kept so far."""
-    found, stalled = [], False
+    Converged rows are taken in start order.  A row is kept when it differs
+    from every zero kept so far by more than tol in max norm.  Stops once
+    want zeros are kept."""
+    found = []
     starts = iter(starts)
     while chunk := list(itertools.islice(starts, NEWTON_CHUNK)):
-        ok, T = _newton_rows(G, J, chunk, found if stalled else ())
-        Z = T[ok]
-        if accept is not None and len(Z):
-            Z = Z[accept(Z)]
-        before = len(found)
-        for z in Z:
+        ok, T = _newton_rows(G, J, chunk)
+        for z in T[ok]:
             if all(np.max(np.abs(z - z0)) > tol for z0 in found):
                 found.append(z)
                 if len(found) == want:
                     return found
-        stalled = stalled or (deflate and len(found) == before)
     return found
 
 
@@ -499,15 +507,6 @@ class WalkStats:
     min_separation: float = math.inf
 
 
-def _chain_values(mu, T, X):
-    """Critical values x^(mu+1) + sum_j t_j x^(j-1) at the critical points X
-    (shape (n, mu)) of the parameter rows T."""
-    acc = 0
-    for j in range(1, mu + 1):
-        acc = acc + T[:, j - 1, None] * X ** (j - 1)
-    return X ** (mu + 1) + acc
-
-
 def _walk_values(mu, T):
     """Unpolished critical values of the chain unfolding at each row of T,
     as an (n, mu) complex array in row order; the one chain-family kernel,
@@ -522,10 +521,10 @@ def _walk_values(mu, T):
         P[:, 0] = mu + 1
         for j in range(2, mu + 1):
             P[:, mu + 2 - j] += (j - 1) * T[:, j - 1]
-        V = _chain_values(mu, T, _companion_roots(P))
-    if not np.isfinite(V).all():
-        raise ValueError("critical values overflow the float range")
-    return V
+        X = _companion_roots(P)   # the values x^(mu+1) + sum_j t_j x^(j-1)
+        V = X ** (mu + 1) + sum(T[:, j - 1, None] * X ** (j - 1)
+                                for j in range(1, mu + 1))
+    return _finite(V)
 
 
 @lru_cache(maxsize=None)

@@ -895,6 +895,24 @@ class WeightSystem:
         den = math.lcm(*(w.denominator for _, w in self.var_weights))
         return den, tuple(int(w * den) for _, w in self.var_weights)
 
+    def achievable_degrees(self, qmax):
+        """All weighted degrees q in (0, qmax] of monomials in the weighted
+        variables, ascending; the recursion runs on the integer weights."""
+        den, ws = self.integer_weights()
+        top = math.floor(qmax * den)
+        degs = set()
+
+        def rec(i, acc):
+            if i == len(ws):
+                if acc > 0:
+                    degs.add(acc)
+                return
+            for e in range((top - acc) // ws[i] + 1):
+                rec(i + 1, acc + ws[i] * e)
+
+        rec(0, 0)
+        return [Fraction(k, den) for k in sorted(degs)]
+
     def monomial_basis(self, q):
         """All exponent tuples over the weighted variables of degree q, in
         lexicographic order; the recursion runs on the integer weights."""

@@ -20,7 +20,6 @@ Three families of checks, all exact:
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,25 +54,6 @@ class JacobiRankError(ArithmeticError):
 # Jacobi dimension
 # ---------------------------------------------------------------------------
 
-def _achievable_degrees(wsys, qmax):
-    """All weighted degrees q in (0, qmax] realized by monomials, found on
-    the integer weights of `WeightSystem.integer_weights`."""
-    den, ws = wsys.integer_weights()
-    top = math.floor(qmax * den)
-    degs = set()
-
-    def rec(i, acc):
-        if i == len(ws):
-            if acc > 0:
-                degs.add(acc)
-            return
-        for e in range((top - acc) // ws[i] + 1):
-            rec(i + 1, acc + ws[i] * e)
-
-    rec(0, 0)
-    return [F(k, den) for k in sorted(degs)]
-
-
 @lru_cache(maxsize=None)
 def _jacobi_plan(cls):
     """The graded pieces `jacobi_dimension` ranks, built once per class:
@@ -96,7 +76,7 @@ def _jacobi_plan(cls):
     mdeg = [wsys.poly_degree(m) for m in monos]
     qmax = 1 + max(w for _, w in wsys.var_weights)
     plan = []
-    for q in _achievable_degrees(wsys, qmax):
+    for q in wsys.achievable_degrees(qmax):
         gens = [MultiPoly(xv, {e: F(1)}) * p
                 for p, d in zip(partials, pdeg) if q >= d
                 for e in wsys.monomial_basis(q - d)]

@@ -338,6 +338,11 @@ FIBER = json.dumps([[0.518, 0.0], [-0.666, 0.0]])
     ("ll-fiber", "A2", '["1e400",1]'),
     ("counts", "A1"),
     ("stokes-count", "A1"),
+    ("ll-eval", "A2", "[true,1]"),
+    ("ll-fiber", "A2", "[[0.5,0],false]"),
+    ("wall-walk", "2", "[[0.5,[true,0]],[1,1]]"),
+    ("ll-fiber", "A5", '[0.1,0.2,0.3,0.4,0.5]'),
+    ("ll-fiber", "D4", '[0.1,0.2,0.3,0.4]'),
 ], ids=["at-zero-denominator", "at-not-rational", "ll-eval-length",
         "ll-eval-not-json", "wall-walk-waypoint-length", "at-zero",
         "at-one", "steps-zero", "steps-negative", "walk-mu-zero",
@@ -347,7 +352,9 @@ FIBER = json.dumps([[0.518, 0.0], [-0.666, 0.0]])
         "ll-fiber-nan", "ll-fiber-infinite-imaginary-part", "wall-walk-nan",
         "wall-walk-segment-overflow-t1", "wall-walk-segment-overflow-t2",
         "wall-walk-int-beyond-float", "ll-fiber-rational-beyond-float",
-        "counts-below-table", "stokes-count-below-table"])
+        "counts-below-table", "stokes-count-below-table", "ll-eval-boolean",
+        "ll-fiber-boolean", "wall-walk-boolean-in-pair", "ll-fiber-A5",
+        "ll-fiber-D4"])
 def test_bad_input_is_usage_error(capsys, argv):
     assert main(list(argv)) == 2
     captured = capsys.readouterr()

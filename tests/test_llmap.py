@@ -13,15 +13,15 @@ from singlat.braid import VanishingTuple, braid_apply, braid_apply_word, \
     sign_canonical_stokes, sign_canonical_tuple, stokes_of_tuple
 from singlat.lattice import StokesMatrix
 from singlat.llmap import (TOL_DEDUP, TOL_DISC, TOL_WALL, WALK_CHUNK,
-                           IncompleteFiber, LLPoint, _ll_system,
-                           _newton_rows, _path_values, _poly_system,
-                           _separations, _steps_ok, _symbolic_ll,
-                           _walk_values,
+                           LLPoint, _compile, _ll_system, _newton_rows,
+                           _path_values, _separations, _steps_ok,
+                           _symbolic_ll, _system, _walk_values,
                            critical_values_numeric, discriminant_member,
                            good_order, ll_exact_A, ll_fiber_count,
                            wall_walk_A)
 from singlat.polyalg import MultiPoly, resultant
-from singlat.singdata import sing_class, unfolding, weights
+from singlat.singdata import (sing_class, unfolding, unfolding_monomials,
+                              weights)
 
 
 def match_sets(a, b):
@@ -233,16 +233,18 @@ class TestGoodOrder:
 
 
 class TestNumericCriticalValues:
-    @pytest.mark.parametrize("t", [
-        [0.5, 1e308],        # finite coefficients, values beyond the range
-        [0.0, 0.0, 1e308],   # the derivative's coefficient 2 t_3 overflows
+    @pytest.mark.parametrize("label,t", [
+        ("A2", [0.5, 1e308]),        # finite coefficients, values beyond
+        ("A3", [0.0, 0.0, 1e308]),   # the derivative's 2 t_3 overflows
+        ("E6", [0, 0, 0, 0, 0, 1e308]),
+        ("tE8", [0] * 8 + [1e308]),
     ])
-    def test_overflow_raises_without_warnings(self, t):
+    def test_overflow_raises_without_warnings(self, label, t):
         # one ValueError from the kernel, and no numpy warning on the way
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="overflow"):
-                critical_values_numeric(f"A{len(t)}", t)
+                critical_values_numeric(label, t, F(2, 5))
 
     def test_a2_hand_solved(self):
         cd = critical_values_numeric("A2", [0, -3])
@@ -251,13 +253,12 @@ class TestNumericCriticalValues:
 
     def test_d4_count(self):
         cd = critical_values_numeric(
-            "D4", [F(1, 3), F(-2, 5), F(1, 2), F(2, 7)], starts=300)
+            "D4", [F(1, 3), F(-2, 5), F(1, 2), F(2, 7)])
         assert len(cd.values) == 4
 
     def test_e6_count(self):
         cd = critical_values_numeric(
-            "E6", [F(1, 3), F(-2, 5), F(1, 2), F(2, 7), F(-1, 4), F(3, 5)],
-            starts=500)
+            "E6", [F(1, 3), F(-2, 5), F(1, 2), F(2, 7), F(-1, 4), F(3, 5)])
         assert len(cd.values) == 6
 
     @pytest.mark.parametrize("label,t,lam", [
@@ -267,18 +268,64 @@ class TestNumericCriticalValues:
         ("A2", [0.1, 0.2, 5.0], None),
         ("tE7", [0.1] * 7, F(-3, 7)),
         ("tE7", [0.1] * 8, None),
+        ("tE6", [0.1] * 7, 0),
+        ("tE8", [0.1] * 9, F(1)),
     ])
     def test_wrong_arity_rejected(self, label, t, lam):
         with pytest.raises(ValueError, match="parameter"):
             critical_values_numeric(label, t, lam)
 
-    def test_incomplete_fiber_detected(self):
-        with pytest.raises(IncompleteFiber):
-            critical_values_numeric("D4", [0, 0, 0, 0], starts=40)
+    @pytest.mark.parametrize("label,t,want", [
+        ("D4", [0, 0, 0, 0], 0),          # the singularity itself
+        ("E6", [5, 0, 0, 0, 0, 0], 5),    # f + 5: one critical point, mu = 6
+    ])
+    def test_degenerate_parameters(self, label, t, want):
+        # defined at every parameter: mu values with multiplicity, no order
+        cd = critical_values_numeric(label, t)
+        assert len(cd.values) == sing_class(label).mu and cd.sigma is None
+        assert all(abs(v - want) < 1e-9 for v in cd.values), cd.values
 
-    # seeded tE7 parameters whose far critical point the plain multistart
-    # misses from all 400 starts; the search deflated at the points it has
-    # found reaches it
+    @pytest.mark.parametrize("label,a,b", [("E6", 3, 2), ("E8", 4, 2)])
+    def test_separated_variables(self, label, a, b):
+        # with the mixed monomials' parameters at 0, F is
+        # g(x0) + h(x1) + t1 for chain unfoldings g of A_a and h of A_b,
+        # so the values are the pairwise sums of their chain values
+        rng = random.Random(67 + a)
+        expos = [next(iter(m.terms))
+                 for m in unfolding_monomials(sing_class(label))]
+        for _ in range(5):
+            t = {e: 0 if all(e) else complex(rng.gauss(0, 1), rng.gauss(0, 1))
+                 for e in expos}
+            ga = [0] + [t[k, 0] for k in range(1, a)]
+            hb = [t[0, 0], t[0, 1]]
+            want = [u + v for u in _walk_values(a, np.array([ga]))[0]
+                    for v in _walk_values(b, np.array([hb]))[0]]
+            got = critical_values_numeric(label, [t[e] for e in expos]).values
+            scale = max(map(abs, want))
+            assert match_sets(want, got) <= 1e-12 * scale, t
+
+    @pytest.mark.parametrize("label", ["D4", "D5", "E6", "E7", "E8", "tE6",
+                                       "tE7", "tE8"])
+    def test_seeded_rational_parameters(self, label):
+        # mu finite values at every seeded input, and Euler's relation: at
+        # s^deg t the critical values are s times those at t.  The bound is
+        # relative to the largest value; inputs with one value 10^6 times
+        # the others agree to a few 1e-9.
+        cls = sing_class(label)
+        rng = random.Random(71)
+        deg = weights(cls).t_weights
+        for _ in range(25):
+            t = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in deg]
+            got = critical_values_numeric(label, t, F(2, 5)).values
+            assert len(got) == cls.mu and all(map(cmath.isfinite, got))
+            scaled = critical_values_numeric(
+                label, [v * 2 ** float(d) for v, d in zip(t, deg)],
+                F(2, 5)).values
+            scale = max(map(abs, got))
+            assert match_sets([2 * v for v in got], scaled) <= 1e-7 * scale
+
+    # seeded tE7 parameters with a far critical point, which a multistart
+    # Newton from gauss(0, 1.5) starts misses
     @pytest.mark.parametrize("t", [
         ((-0.0249 + 0.4401j), (-0.5632 - 0.3202j), (-0.3476 + 0.1723j),
          (0.2302 + 0.717j), (0.53 + 0.0088j), (0.0603 - 0.719j),
@@ -307,8 +354,8 @@ class TestNumericCriticalValues:
             got = critical_values_numeric(f"A{mu}", t).values
             assert got == tuple(walked) == tuple(alone), t
 
-    # good-ordered critical values recorded from the damped scalar Newton
-    # that the batched one replaced, at the default starts and seed
+    # good-ordered critical values recorded from a damped scalar Newton
+    # multistart
     @pytest.mark.parametrize("label,t,want", [
         ("D4",
          ((-0.7788 - 0.7055j), (-0.759 + 0.2128j), (0.5594 - 0.2338j),
@@ -942,7 +989,7 @@ class TestCompiledSystem:
         rows = np.array([[complex(rng.gauss(0, 1.5), rng.gauss(0, 1.5))
                           for _ in names] for _ in range(40)])
         self.check(polys, names, fixed, (0, 0),
-                   *_poly_system(polys, names, fixed, 0), rows)
+                   *_system(*_compile(polys, names, fixed), 2, 0), rows)
 
     def test_fixed_powers_folded(self):
         # fixed variables at powers other than 1, negative ones included
@@ -956,7 +1003,8 @@ class TestCompiledSystem:
                           for _ in range(2)] for _ in range(20)])
         fixed = {"a": 0.7 + 0.2j}
         self.check(polys, ("x", "y"), fixed, (1, 2j),
-                   *_poly_system(polys, ("x", "y"), fixed, (1, 2j)), rows)
+                   *_system(*_compile(polys, ("x", "y"), fixed), 2, (1, 2j)),
+                   rows)
 
     @pytest.mark.parametrize("mu", [2, 3, 4])
     def test_chain_coefficient_matching(self, mu):

@@ -11,7 +11,6 @@ from singlat.polyalg import (Cyclo, GAUSS, ZETA8, MultiPoly, RatFunc,
                              graded_piece_rank, parse_poly, resultant,
                              sylvester)
 from singlat.singdata import sing_class, weights
-from singlat.verify import _achievable_degrees
 
 
 def P(text, vars):
@@ -359,7 +358,7 @@ def test_monomial_basis_is_the_degree_filtered_box(label):
     qmax = 1 + max(ws)
     box = list(itertools.product(*(range(int(qmax / w) + 1) for w in ws)))
     degree = {e: wsys.monomial_degree(names, e) for e in box}
-    assert _achievable_degrees(wsys, qmax) == sorted(
+    assert wsys.achievable_degrees(qmax) == sorted(
         {d for d in degree.values() if 0 < d <= qmax})
     den = 2 * math.lcm(*(w.denominator for w in ws))
     for k in range(int(qmax * den) + 1):

@@ -53,7 +53,6 @@ from singlat import cli, lattice, llmap, verify
 from singlat.braid import BraidWord, VanishingTuple, braid_apply_word
 from singlat.polyalg import MultiPoly, graded_piece_rank, resultant
 from singlat.singdata import ALL_LABELS, seed_stokes, sing_class, weights
-from singlat.verify import _achievable_degrees
 
 # A mu = 3 path whose first segment passes within 1.65e-5 of the
 # discriminant (the benchmark's known-defect walk): 2000 uniform steps gave
@@ -262,7 +261,7 @@ def algebra_outputs(rng):
         wsys = weights(sing_class(label))
         names = tuple(v for v, _ in wsys.var_weights)
         qmax = 1 + max(w for _, w in wsys.var_weights)
-        for q in _achievable_degrees(wsys, qmax):
+        for q in wsys.achievable_degrees(qmax):
             basis = wsys.monomial_basis(q)
             for deficient in (False, True):
                 k = rng.randint(1, len(basis) - 1) if deficient and \
@@ -321,7 +320,7 @@ def jacobi_outputs(rng):
         def support(basis):
             return [e for e in basis if rng.random() < 0.7] or basis[:1]
 
-        for q in _achievable_degrees(wsys, qmax):
+        for q in wsys.achievable_degrees(qmax):
             basis = wsys.monomial_basis(q)
             for deficient in (False, True):
                 k = rng.randint(1, len(basis) - 1) if deficient and \
@@ -400,6 +399,11 @@ def main():
              for _ in range(mu - 1)]
         show(f"critical_values_numeric {label}",
              llmap.critical_values_numeric, label, t, Fraction(-3, 7))
+    # its own draw, so every line after it keeps its inputs
+    te6 = random.Random(20261025)
+    show("critical_values_numeric tE6", llmap.critical_values_numeric, "tE6",
+         [complex(te6.uniform(-1, 1), te6.uniform(-1, 1)) for _ in range(7)],
+         Fraction(-3, 7))
     for mu in (2, 3, 4):
         path = [[complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
                  for _ in range(mu)] for _ in range(3)]
