@@ -281,7 +281,8 @@ def test_criterion_9_property_suites():
         rows = np.array(seed_stokes(label).stokes.rows, dtype=np.int64)
         mu = len(rows)
         for _ in range(400):
-            rows = _stokes_moves(rows[None])[0, rng.randrange(2 * (mu - 1))]
+            rows = _stokes_moves(rows[:, :, None])[
+                :, :, rng.randrange(2 * (mu - 1)), 0]
             assert np.abs(rows).max() <= bound
     # seed validation: definiteness and radical ranks
     for label in ("A5", "D5", "E7", "E8"):

@@ -259,7 +259,7 @@ class TestOrbits:
             rows = np.array(s.rows, dtype=np.int64)
             for _ in range(300):
                 k = rng.randrange(2 * (s.mu - 1))
-                rows = _stokes_moves(rows[None])[0, k]
+                rows = _stokes_moves(rows[:, :, None])[:, :, k, 0]
                 assert np.abs(rows).max() <= bound
 
     def test_budget_equal_to_orbit_size(self):
@@ -397,8 +397,34 @@ def lex_min_form(s):
     return tuple(flat[np.lexsort(flat.T[::-1])[0]].tolist())
 
 
+def engine_of(seed, mode):
+    """mu, the batched expansion and the start state of an orbit run."""
+    if mode == "stokes":
+        start = np.array([sign_canonical_stokes(seed).rows], dtype=object)
+        return seed.mu, _expand_stokes, _narrow(start)
+    form = symmetrized_form(seed).rows
+    return (seed.mu, lambda x: _expand_bases(x, form),
+            np.eye(seed.mu, dtype=np.int8)[None])
+
+
+def all_classes(expand, start):
+    """Every state of the orbit of start, in FIFO order."""
+    levels, seen = [start], set(_keys(start))
+    while True:
+        cands = expand(levels[-1])
+        new = []
+        for j, key in enumerate(_keys(cands)):
+            if key not in seen:
+                seen.add(key)
+                new.append(j)
+        if not new:
+            return np.concatenate(levels)
+        levels.append(_narrow(cands[new]))
+
+
 def tree_key(s):
-    return _keys(_tree_sign_form(np.array([s.rows], dtype=object)))[0]
+    return _keys(_tree_sign_form(
+        np.array(s.rows, dtype=object)[:, :, None]).transpose(2, 0, 1))[0]
 
 
 class TestBatchedEngine:
@@ -425,7 +451,8 @@ class TestBatchedEngine:
         seed = seed_stokes(label).stokes
         mats = [random_signed_walk(rng, seed, rng.randint(0, 10))
                 for _ in range(25)]
-        moved = _stokes_moves(np.array([m.rows for m in mats], np.int16))
+        moved = _stokes_moves(np.array([m.rows for m in mats], np.int16)
+                              .transpose(1, 2, 0)).transpose(3, 2, 0, 1)
         gens = _generators(seed.mu)
         for m, row in zip(mats, moved):
             std = VanishingTuple.standard(m)
@@ -468,8 +495,8 @@ class TestBatchedEngine:
                 want = stokes_of_tuple(braid_apply(std, g))
                 assert tree_key(want) == _keys(got[k:k + 1])[0]
                 assert got[k].tolist() == \
-                    [list(r) for r in _tree_sign_form(
-                        np.array([want.rows], dtype=object))[0]]
+                    [list(r) for r in _tree_sign_form(np.array(
+                        want.rows, dtype=object)[:, :, None])[:, :, 0]]
                 k += 1
 
     @pytest.mark.parametrize("big", [2, 5, 6, 127, 2 ** 20, 2 ** 31])
@@ -511,7 +538,61 @@ class TestBatchedEngine:
 
     def test_disconnected_state_raises(self):
         with pytest.raises(AssertionError, match="disconnected"):
-            _tree_sign_form(np.array([np.eye(3, dtype=np.int8)]))
+            _tree_sign_form(np.eye(3, dtype=np.int8)[:, :, None])
+
+    @pytest.mark.parametrize("label, mode, size", [("D5", "stokes", 256),
+                                                   ("E6", "stokes", 3456),
+                                                   ("A5", "bases", 1296)])
+    def test_moves_undone_by_inverse(self, label, mode, size):
+        # the class graph is undirected: on every class of the orbit, each
+        # generator move followed by its inverse returns the class's key
+        seed = seed_stokes(label).stokes
+        n, expand, start = engine_of(seed, mode)
+        gens = _generators(n)
+        inverse = [gens.index(-g) for g in gens]
+        states = all_classes(expand, start)
+        assert len(states) == size == orbit_enumerate(seed, mode).class_count
+        for lo in range(0, size, 512):
+            x = states[lo:lo + 512]
+            back = expand(expand(x)).reshape(len(x), len(gens), len(gens),
+                                             n, n)
+            back = back[:, np.arange(len(gens)), inverse]
+            assert _keys(back.reshape(-1, n, n)) == \
+                [k for k in _keys(x) for _ in gens]
+
+    @pytest.mark.parametrize("big, width", [(2 ** 10, np.int64),
+                                            (2 ** 31, object)])
+    @pytest.mark.parametrize("mode", ["stokes", "bases"])
+    def test_batch_independent(self, mode, big, width):
+        # a mixed batch expands to the concatenated single-state
+        # expansions: walked states of several classes, which alone run
+        # at int16, with one state in the middle whose entry big makes the
+        # whole batch run at int64 or in Python ints
+        rng = random.Random(big)
+        seed = seed_stokes("E6").stokes
+        n, expand, _ = engine_of(seed, mode)
+        if mode == "stokes":
+            states = [sign_canonical_stokes(random_signed_walk(
+                rng, seed, rng.randint(0, 12))).rows for _ in range(9)]
+            wide = [list(r) for r in states[4]]
+            wide[0][1] = big
+            states[4] = sign_canonical_stokes(
+                StokesMatrix(tuple(map(tuple, wide)))).rows
+        else:
+            states = [_canon_vectors(braid_apply_word(
+                VanishingTuple.standard(seed),
+                random_word(rng, n, rng.randint(0, 15))).vectors)
+                for _ in range(9)]
+            wide = [list(v) for v in states[4]]
+            wide[2][0] = big
+            states[4] = _canon_vectors([tuple(v) for v in wide])
+        batch = _narrow(np.array(states, dtype=object))
+        assert len(set(_keys(batch))) > 5
+        got = expand(batch)
+        assert got.dtype == width
+        alone = [expand(_narrow(np.array([s], dtype=object))).tolist()
+                 for s in states]
+        assert got.tolist() == sum(alone, [])
 
 
 @st.composite
