@@ -29,7 +29,13 @@ per-row cost (on an E6 chunk of 1820 candidates, nb * e[:, None, :] in
 int8 takes 81 us in that layout and 3.8 us over the batch).  The chunk
 is transposed once on the way in and once on the way out, where the
 candidates are laid out state-major, generator-minor, which numbers the
-classes exactly as a FIFO queue would.
+classes exactly as a FIFO queue would.  Every pairing I(v_a, v_a+1) of a
+bases chunk comes from one broadcast matmul with the form, and both sign
+rules (a moved vector's first nonzero coordinate, a Stokes vertex's
+lowest-index signed neighbour) read the first nonzero entry of a
+{-1, 0, 1} row as the sign of its dot product with the one cached
+weighting _pow3 = (3^(mu-1), ..., 3, 1): no gather, one product and one
+sum over the batch.
 
 Keys: a bases state is normalized so that each vector's first nonzero
 coordinate is positive; a Stokes state is put in the tree sign normal
@@ -231,8 +237,11 @@ def _generators(n):
 @functools.lru_cache(maxsize=None)
 def _move_tables(n):
     """Index arrays of the generators: the pair (i, i+1) a generator mixes,
-    the slot t that receives the combination, the other slot, the row
-    permutation swapping i and i+1, and the upper triangle of a matrix.
+    the slot t that receives the combination, the other slot and the row
+    permutation swapping i and i+1; then the boolean mask of a matrix's
+    lower triangle with its diagonal, and the identity's entries under
+    that mask, shaped (K, 1, 1) to compare with a masked (mu, mu, G, B)
+    batch.
 
     +k (i = k-1): (v_i, v_{i+1}) -> (v_{i+1}, v_i - c v_{i+1}), t = i+1
     -k          : (v_i, v_{i+1}) -> (v_{i+1} - c v_i, v_i),     t = i
@@ -245,8 +254,21 @@ def _move_tables(n):
     perm = np.tile(np.arange(n), (len(gens), 1))
     perm[np.arange(len(gens)), i] = i + 1
     perm[np.arange(len(gens)), i + 1] = i
-    return _frozen(np.arange(len(gens)), i, t, 2 * i + 1 - t, perm,
-                   *np.triu_indices(n))
+    lower = np.tri(n, dtype=bool)
+    unit = np.eye(n, dtype=np.int8)[lower][:, None, None]
+    return _frozen(np.arange(len(gens)), i, t, 2 * i + 1 - t, perm, lower,
+                   unit)
+
+
+@functools.lru_cache(maxsize=None)
+def _pow3(n):
+    """The column (3^(n-1), ..., 3, 1), shape (n, 1), read-only.  For w in
+    {-1, 0, 1}^n along the first axis, sign(w . pow3) is the sign of w's
+    first nonzero entry: each power of 3 outweighs the sum of all smaller
+    ones, and the dot product stays below 3^n / 2, which the dtype holds."""
+    pow3, = _frozen(np.array([[3 ** k] for k in range(n - 1, -1, -1)],
+                             dtype=_work_dtype(3 ** n // 2)))
+    return pow3
 
 
 def _frozen(*arrays):
@@ -280,13 +302,13 @@ def _stokes_moves(x):
     step multiplies by 1 + M), which the caller must fit into x.dtype.
     Raises unless every result is unit upper triangular, as the Stokes
     matrix of a distinguished basis is."""
-    gi, i, t, other, perm, lo_i, lo_j = _move_tables(x.shape[0])
+    gi, i, t, other, perm, lower, unit = _move_tables(x.shape[0])
     c = x[i, i + 1]                                   # (G, B)
     r = x[perm.T]                                     # r[:, g]: P S, unmixed
     r[t, gi] = x[other] - c[:, None] * x[t]
     y = r[:, gi[None, :], perm.T]                     # y[:, :, g]: P S P^t
     y[:, t, gi] = r[:, gi, other] - c * r[:, gi, t]
-    if np.any(y[lo_j, lo_i] != (lo_i == lo_j)[:, None, None]):
+    if np.any(y[lower] != unit):
         raise AssertionError("tuple is not distinguished-shaped")
     return y
 
@@ -296,19 +318,22 @@ def _bases_moves(x, form):
 
     Batch-minor: x has shape (mu, mu, B), vector a of tuple k in
     x[a, :, k]; form is the intersection form of the seed in x.dtype, and
-    every pairing I(v_a, v_a+1) of the batch comes from one tensordot with
-    it.  The result (G, mu, mu, B) holds in [g, :, :, k] the tuple k moved
-    by generator g, again sign canonical: only the combined slot t can
-    change sign.  With |x| <= M and |form| <= F, |c| <= mu^2 F M^2 bounds
-    every partial sum of the pairing and the new slot stays within
+    every pairing I(v_a, v_a+1) of the batch comes from one broadcast
+    matmul with it.  The result (G, mu, mu, B) holds in [g, :, :, k] the
+    tuple k moved by generator g, again sign canonical: only the combined
+    slot t can change sign, and its first nonzero coordinate has the sign
+    of sign(v) . _pow3.  With |x| <= M and |form| <= F, |c| <= mu^2 F M^2
+    bounds every partial sum of the pairing and the new slot stays within
     M + mu^2 F M^3; the caller must fit that into x.dtype."""
-    gi, i, t, other, perm, _, _ = _move_tables(x.shape[0])
-    fx = np.tensordot(form, x[1:], axes=([1], [1]))  # fx[:, a]: F v_a+1
-    pair = (x[:-1] * fx.transpose(1, 0, 2)).sum(axis=1, dtype=x.dtype)
+    n = x.shape[0]
+    gi, i, t, other, perm, _, _ = _move_tables(n)
+    fx = np.matmul(form, x[1:])                       # fx[a]: F v_a+1
+    pair = (x[:-1] * fx).sum(axis=1, dtype=x.dtype)
     y = x[perm]
     row = x[other] - pair[i][:, None] * x[t]          # (G, mu, B)
-    lead = np.take_along_axis(row, (row != 0).argmax(axis=1)[:, None], 1)
-    y[gi, t] = np.where(lead < 0, -row, row)
+    pow3 = _pow3(n)
+    lead = (np.sign(row) * pow3).sum(axis=1, dtype=pow3.dtype)     # (G, B)
+    y[gi, t] = np.where(lead[:, None] < 0, -row, row)
     return y
 
 
@@ -333,11 +358,8 @@ def _tree_sign_form(s):
     sg = np.sign(s).astype(np.int8)
     nb = sg + sg.transpose(1, 0, 2)                   # edge signs, symmetric
     # w[j, i] = e_i sign(S_ij) lies in {-1, 0, 1} off the diagonal, so its
-    # lowest-index nonzero entry is the sign of w[j] . (3^(n-1), ..., 3, 1):
-    # each power of 3 outweighs the sum of all smaller ones, and the dot
-    # product stays below 3^n / 2
-    pow3 = np.array([[3 ** k] for k in range(n - 1, -1, -1)],
-                    dtype=_work_dtype(3 ** n // 2))
+    # lowest-index nonzero entry is the sign of w[j] . _pow3(n)
+    pow3 = _pow3(n)
     e = np.zeros(s.shape[1:], np.int8)
     e[0] = 1
     for _ in range(n - 1):
@@ -449,8 +471,9 @@ def orbit_enumerate(seed: StokesMatrix, mode: str = "bases", *,
         def expand(x):
             return _expand_bases(x, form)
     else:
-        start = _narrow(np.array([sign_canonical_stokes(seed).rows],
-                                 dtype=object))
+        # the seed is connected, so this is sign_canonical_stokes(seed)
+        start = _tree_sign_form(_narrow(np.array(seed.rows, dtype=object))
+                                [:, :, None])[None, :, :, 0]
         expand = _expand_stokes
 
     g_count = 2 * (n - 1)

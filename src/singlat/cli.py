@@ -187,12 +187,20 @@ def _not_bool(v):
     return v
 
 
+def _pair(v):
+    """A decoded JSON [re, im] pair as a complex number."""
+    if len(v) != 2:
+        raise ValueError(f"{json.dumps(v)} is not a [re, im] pair")
+    return complex(*map(_not_bool, v))
+
+
 def _parse_vec(raw, n):
     """n finite numbers from a decoded JSON list: [re, im] pairs become
     complex, strings rational; other numbers stay as they are (`v + 0`
-    rejects null and objects, `_not_bool` true and false)."""
+    rejects null and objects, `_not_bool` true and false, `_pair` lists
+    of any other length)."""
     try:
-        out = [complex(*map(_not_bool, v)) if isinstance(v, list) else
+        out = [_pair(v) if isinstance(v, list) else
                Fraction(v) if isinstance(v, str) else _not_bool(v) + 0
                for v in raw]
     except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from singlat.braid import (CHECKPOINT_FORMAT, BraidWord, VanishingTuple,
                            _apply_gen, _canon_vectors, _expand_bases,
                            _expand_stokes, _generators, _keys, _narrow,
-                           _stokes_moves, _tree_sign_form, braid_apply,
+                           _pow3, _stokes_moves, _tree_sign_form, braid_apply,
                            braid_apply_word, orbit_enumerate,
                            sign_canonical_stokes, sign_canonical_tuple,
                            stokes_of_tuple)
@@ -460,19 +460,38 @@ class TestBatchedEngine:
                 assert got.tolist() == [list(r) for r in stokes_of_tuple(
                     braid_apply(std, g)).rows]
 
-    @pytest.mark.parametrize("label", ["A5", "D5", "E6", "tE6"])
-    def test_bases_step_matches_scalar(self, label):
+    @pytest.mark.parametrize("big, width", [(3, np.int16),
+                                            (2 ** 10, np.int64),
+                                            (2 ** 31, object)])
+    @pytest.mark.parametrize("label", ["A5", "D5", "E6", "tE6", "tE7",
+                                       "tE8"])
+    def test_bases_step_matches_scalar(self, label, big, width):
         rng = random.Random(23)
         seed = seed_stokes(label).stokes
+        n = seed.mu
         i_rows = symmetrized_form(seed).rows
         states = [_canon_vectors(braid_apply_word(
             VanishingTuple.standard(seed),
-            random_word(rng, seed.mu, rng.randint(0, 15))).vectors)
+            random_word(rng, n, rng.randint(0, 15))).vectors)
             for _ in range(25)]
-        got = _expand_bases(np.array(states, np.int8), i_rows)
-        want = [_canon_vectors(_apply_gen(v, i_rows, g)) for v in states
-                for g in _generators(seed.mu)]
-        assert [tuple(map(tuple, x)) for x in got.tolist()] == want
+        # crafted tuples supported on the last coordinates, so the moved
+        # slot's first nonzero coordinate comes late: on a v_a = a e_n
+        # tuple the pairing is 2ab and the moved slot a (1 - 2b^2) e_n
+        # leads with a negative last coordinate
+        zeros = (0,) * (n - 1)
+        states.append(tuple(zeros + (big if a == 0 else rng.randint(1, 3),)
+                            for a in range(n)))
+        for _ in range(6):
+            states.append(_canon_vectors([
+                zeros[1:] + (rng.randint(-big, big), rng.randint(-big, big))
+                for _ in range(n)]))
+        moved = [_apply_gen(v, i_rows, g) for v in states
+                 for g in _generators(n)]
+        assert any(v[:-1] == zeros and v[-1] < 0 for m in moved for v in m)
+        got = _expand_bases(_narrow(np.array(states, dtype=object)), i_rows)
+        assert got.dtype == width
+        assert [tuple(map(tuple, x)) for x in got.tolist()] == \
+            [_canon_vectors(m) for m in moved]
 
     @pytest.mark.parametrize("big", [31, 32, 127, 128, 2 ** 20, 2 ** 31,
                                      2 ** 40])
@@ -535,6 +554,39 @@ class TestBatchedEngine:
         # a narrow key never equals a wide one
         assert _keys(np.stack([base]))[0] != _keys(
             np.stack([base * 128]))[0]
+
+    def test_stokes_moves_reject_non_distinguished(self):
+        # one bad matrix anywhere in a batch raises: a nonzero below the
+        # diagonal, or a diagonal entry other than 1
+        rng = random.Random(24)
+        seed = seed_stokes("D5").stokes
+        good = [random_signed_walk(rng, seed, rng.randint(0, 8)).rows
+                for _ in range(5)]
+        batch = np.array(good, np.int16).transpose(1, 2, 0)
+        assert _stokes_moves(batch).shape == (5, 5, 8, 5)
+        for entry in ((4, 0), (3, 2), (2, 2), (0, 0)):
+            bad = batch.copy()
+            bad[entry + (2,)] = 2
+            with pytest.raises(AssertionError, match="distinguished"):
+                _stokes_moves(bad)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_pow3_reads_first_nonzero_sign(self, n):
+        pow3 = _pow3(n)
+        assert pow3.shape == (n, 1) and not pow3.flags.writeable
+        w = np.array(list(itertools.product((-1, 0, 1), repeat=n)),
+                     np.int8).T
+        got = np.sign((w * pow3).sum(axis=0, dtype=pow3.dtype))
+        want = [next((x for x in col if x), 0) for col in w.T.tolist()]
+        assert got.tolist() == want
+
+    def test_pow3_extremes_fit(self):
+        pow3 = _pow3(10)
+        top = sum(3 ** k for k in range(10))
+        assert np.iinfo(pow3.dtype).max >= top
+        for e in (1, -1):
+            ones = np.full((10, 1), e, np.int8)
+            assert (ones * pow3).sum(axis=0, dtype=pow3.dtype)[0] == e * top
 
     def test_disconnected_state_raises(self):
         with pytest.raises(AssertionError, match="disconnected"):

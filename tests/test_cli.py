@@ -343,6 +343,9 @@ FIBER = json.dumps([[0.518, 0.0], [-0.666, 0.0]])
     ("wall-walk", "2", "[[0.5,[true,0]],[1,1]]"),
     ("ll-fiber", "A5", '[0.1,0.2,0.3,0.4,0.5]'),
     ("ll-fiber", "D4", '[0.1,0.2,0.3,0.4]'),
+    ("ll-fiber", "A2", "[[],[1,0]]"),
+    ("ll-fiber", "A2", "[[3],[1,0]]"),
+    ("wall-walk", "2", '[[["1+2j"],1],[1,1]]'),
 ], ids=["at-zero-denominator", "at-not-rational", "ll-eval-length",
         "ll-eval-not-json", "wall-walk-waypoint-length", "at-zero",
         "at-one", "steps-zero", "steps-negative", "walk-mu-zero",
@@ -354,7 +357,8 @@ FIBER = json.dumps([[0.518, 0.0], [-0.666, 0.0]])
         "wall-walk-int-beyond-float", "ll-fiber-rational-beyond-float",
         "counts-below-table", "stokes-count-below-table", "ll-eval-boolean",
         "ll-fiber-boolean", "wall-walk-boolean-in-pair", "ll-fiber-A5",
-        "ll-fiber-D4"])
+        "ll-fiber-D4", "ll-fiber-empty-pair", "ll-fiber-one-number-pair",
+        "wall-walk-one-string-pair"])
 def test_bad_input_is_usage_error(capsys, argv):
     assert main(list(argv)) == 2
     captured = capsys.readouterr()
