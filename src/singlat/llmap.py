@@ -316,45 +316,61 @@ class FiberCount:
     solutions: tuple
 
 
-def _newton_rows(G, J, starts):
-    """Newton's method on every row of starts at once.
+def _newton_steps(G, J, starts):
+    """Newton's method on every row of starts at once, as a generator.
 
     G maps an (n, m) array of points to the (n, m) residuals, J to the
     (n, m, m) Jacobians.  A row converges when max|g| < 1e-11 and is dropped
-    when its Jacobian is singular or its step exceeds 1e6 in modulus; after
-    120 iterations the rest are dropped.  Returns the converged mask and the
-    final points."""
+    when its Jacobian is singular or its step is not finite or exceeds 1e6
+    in modulus; after 120 iterations the rest are dropped.  After each
+    iteration in which rows converge it yields their start indices and
+    points, in start order.  numpy's floating-point warnings are off inside
+    each iteration (a start near the float range overflows, and its row is
+    dropped), but not across the yield."""
     T = np.array(starts, dtype=complex)
-    ok = np.zeros(len(T), dtype=bool)
     live = np.arange(len(T))
     for _ in range(120):
-        g = G(T[live])
-        done = np.max(np.abs(g), axis=1) < 1e-11
-        ok[live[done]] = True
+        with np.errstate(all="ignore"):
+            g = G(T[live])
+            done = np.max(np.abs(g), axis=1) < 1e-11
+        if done.any():
+            yield live[done], T[live[done]]
         live, g = live[~done], g[~done]
         if not live.size:
-            break
-        jac = J(T[live])
-        keep = np.ones(len(live), dtype=bool)
-        try:
-            step = np.linalg.solve(jac, g[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            # the stacked solve fails as a whole: drop the singular rows only
-            step = np.zeros_like(g)
-            for i in range(len(live)):
-                try:
-                    step[i] = np.linalg.solve(jac[i], g[i])
-                except np.linalg.LinAlgError:
-                    keep[i] = False
-        keep &= ~(np.max(np.abs(step), axis=1) > 1e6)
-        live, step = live[keep], step[keep]
-        T[live] -= step
+            return
+        keep = np.ones(live.size, dtype=bool)
+        with np.errstate(all="ignore"):
+            jac = J(T[live])
+            try:
+                step = np.linalg.solve(jac, g[..., None])[..., 0]
+            except np.linalg.LinAlgError:
+                # the stacked solve fails as a whole: drop the singular
+                # rows only
+                step = np.zeros_like(g)
+                for i in range(live.size):
+                    try:
+                        step[i] = np.linalg.solve(jac[i], g[i])
+                    except np.linalg.LinAlgError:
+                        keep[i] = False
+            keep &= (np.abs(step) <= 1e6).all(axis=1)   # and not NaN
+            live, step = live[keep], step[keep]
+            T[live] -= step
+
+
+def _newton_rows(G, J, starts):
+    """One full `_newton_steps` pass: the converged mask and the points,
+    converged where the mask is set and the starts elsewhere."""
+    T = np.array(starts, dtype=complex)
+    ok = np.zeros(len(T), dtype=bool)
+    for idx, Z in _newton_steps(G, J, T):
+        ok[idx], T[idx] = True, Z
     return ok, T
 
 
-# Starts per batched Newton call in _distinct_zeros.  A search stops after
-# the chunk that completes its count of zeros, so smaller chunks stop sooner
-# but run more iterations over a whole budget; at 128 an A3 fiber count that
+# Starts per batched Newton call in _distinct_zeros.  The search stops at
+# the iteration that completes its count of zeros, wherever that falls in
+# a chunk, so the chunk size sets only how many starts iterate together:
+# at 128 an A2 count is done within its first chunk, and an A3 count that
 # needs all 600 starts takes about as long as one batched pass over them.
 NEWTON_CHUNK = 128
 
@@ -435,18 +451,23 @@ def _distinct_zeros(G, J, starts, want, tol):
     """Distinct zeros of the system (G, J) that Newton reaches from the
     rows of starts, an iterable read NEWTON_CHUNK rows at a time.
 
-    Converged rows are taken in start order.  A row is kept when it differs
-    from every zero kept so far by more than tol in max norm.  Stops once
-    want zeros are kept."""
+    Converged rows are taken in convergence order: chunk, then Newton
+    iteration (`_newton_steps`), then start index.  A row is kept when it
+    differs from every zero kept so far by more than tol in max norm.
+    Returns at the iteration that brings the kept zeros to want."""
     found = []
     starts = iter(starts)
     while chunk := list(itertools.islice(starts, NEWTON_CHUNK)):
-        ok, T = _newton_rows(G, J, chunk)
-        for z in T[ok]:
-            if all(np.max(np.abs(z - z0)) > tol for z0 in found):
-                found.append(z)
-                if len(found) == want:
-                    return found
+        for _, Z in _newton_steps(G, J, chunk):
+            if found:   # drop the rows within tol of a kept zero at once
+                d = np.abs(Z[:, None, :] - np.array(found)).max(axis=2)
+                Z = Z[(d > tol).all(axis=1)]
+            kept = len(found)
+            for z in Z:   # survivors: test against this iteration's zeros
+                if all(np.max(np.abs(z - z0)) > tol for z0 in found[kept:]):
+                    found.append(z)
+                    if len(found) == want:
+                        return found
     return found
 
 
@@ -457,15 +478,21 @@ def ll_fiber_count(cls_or_label, p: LLPoint, budget=600, *, seed=5,
 
     Only mu = 2 and 3 are supported; the target must be square-free.  The
     budget starts are drawn in order from random.Random(seed) as the search
-    reaches them; the converged ones are deduplicated in start order.  Over
-    a square-free target the A_mu fiber has exactly deg LL = (mu+1)^(mu-1)
-    points: the search stops when it has found them all, and the saturation
-    flag records that it did."""
+    reaches them, NEWTON_CHUNK at a time; a converged point within
+    tol_cluster (positive and finite) in max norm of one kept before is
+    dropped.  Over a square-free target the A_mu fiber has exactly
+    deg LL = (mu+1)^(mu-1) points: the search stops at the Newton iteration
+    that finds the last of them, and the saturation flag records that it
+    did.  The solutions come in convergence order (`_distinct_zeros`):
+    chunk, then iteration, then start index."""
     cls = sing_class(cls_or_label)
     if cls.family != "A" or cls.mu not in (2, 3):
         raise ValueError("fiber counting is desk-scale: chain family, mu in {2, 3}")
     if budget < 1:
         raise ValueError(f"the start budget must be at least 1, got {budget}")
+    if not (tol_cluster > 0 and math.isfinite(tol_cluster)):
+        raise ValueError("the cluster tolerance must be positive and finite, "
+                         f"got {tol_cluster}")
     mu = cls.mu
     if p.degree != mu:
         raise ValueError("target degree mismatch")

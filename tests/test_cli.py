@@ -384,6 +384,17 @@ def test_walk_overflow_is_one_error_line(capsys, path):
     assert "overflow" in lines[0] and "NaN" not in lines[0]
 
 
+def test_fiber_overflow_is_one_warning_line(capsys):
+    # a finite target whose Newton iterates overflow: every start is
+    # dropped (exit 3, count 0) without a numpy warning on stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["ll-fiber", "A2", "[1e308, 1e308]"]) == 3
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["count"] == 0
+    assert captured.err == "warning: count did not saturate; partial result\n"
+
+
 @pytest.mark.parametrize("value", ["0", "-1", "x"])
 def test_bad_jobs_rejected_at_parse(value):
     # parsing only: no scorecard and no worker process is started

@@ -459,6 +459,14 @@ class TestFiberCount:
         with pytest.raises(ValueError, match="budget"):
             ll_fiber_count("A2", target_from_roots((1, -1)), budget=budget)
 
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_bad_cluster_tolerance_rejected(self, tol):
+        # a tolerance that is not positive would keep one point three times
+        # over and report a saturated count; NaN would keep only the first
+        with pytest.raises(ValueError, match="cluster tolerance"):
+            ll_fiber_count("A2", target_from_roots((0.5, -1)), budget=150,
+                           tol_cluster=tol)
+
     # (count, len(solutions)) of the per-start Newton loop this batched one
     # replaced, at the same seeded targets and budgets; saturated iff the
     # count is deg LL = (mu+1)^(mu-1)
@@ -486,6 +494,13 @@ class TestFiberCount:
 
 def target_from_roots(roots):
     return LLPoint(tuple(complex(c) for c in reversed(np.poly(roots))))
+
+
+def seed5_starts(mu, budget):
+    """The starts ll_fiber_count draws at its default seed."""
+    draw = random.Random(5)
+    return [[complex(draw.gauss(0, 2), draw.gauss(0, 2)) for _ in range(mu)]
+            for _ in range(budget)]
 
 
 def scalar_newton(mu, p, start):
@@ -529,16 +544,15 @@ class TestBatchedNewton:
     @pytest.mark.parametrize("mu,budget", [(2, 150), (2, 6), (3, 600),
                                            (3, 120), (3, 40)])
     def test_fiber_count_matches_one_pass(self, mu, budget):
-        # the chunked search that stops at deg LL points finds the first
-        # points, in start order, of one Newton pass over every start
+        # the chunked search that stops at the iteration completing deg LL
+        # points finds the points of one Newton pass over every start,
+        # deduplicated in start order; it lists them in convergence order,
+        # so the two are compared as sets
         rng = random.Random(61 + budget)
         for _ in range(4):
             p = target_from_roots([complex(rng.gauss(0, 1), rng.gauss(0, 1))
                                    for _ in range(mu)])
-            draw = random.Random(5)
-            starts = [[complex(draw.gauss(0, 2), draw.gauss(0, 2))
-                       for _ in range(mu)] for _ in range(budget)]
-            ok, T = _newton_rows(*_ll_system(mu, p), starts)
+            ok, T = _newton_rows(*_ll_system(mu, p), seed5_starts(mu, budget))
             ref = []
             for z in T[ok]:
                 if all(np.max(np.abs(z - z0)) > TOL_DEDUP for z0 in ref):
@@ -547,7 +561,45 @@ class TestBatchedNewton:
             deg = (mu + 1) ** (mu - 1)
             assert (fc.count, fc.saturated) == (len(ref), len(ref) == deg)
             assert fc.starts == budget
-            assert np.max(np.abs(np.array(fc.solutions) - ref)) < 1e-12
+            near = np.abs(np.array(fc.solutions)[:, None, :]
+                          - np.array(ref)).max(axis=2) < 1e-9
+            assert (near.sum(axis=1) == 1).all()
+            assert (near.sum(axis=0) == 1).all()
+
+    def test_search_stops_at_completing_iteration(self, monkeypatch):
+        # one Newton iteration is one call to G: the search that completes
+        # an A2 fiber in its first chunk iterates less than a full pass
+        calls = []
+        system = llmap._ll_system
+
+        def counted(mu, p):
+            G, J = system(mu, p)
+            return (lambda T: calls.append(len(T)) or G(T)), J
+
+        monkeypatch.setattr(llmap, "_ll_system", counted)
+        rng = random.Random(67)
+        for _ in range(5):
+            p = target_from_roots([complex(rng.gauss(0, 1), rng.gauss(0, 1))
+                                   for _ in range(2)])
+            calls.clear()
+            assert ll_fiber_count("A2", p, budget=150).saturated
+            search = len(calls)
+            calls.clear()
+            _newton_rows(*counted(2, p), seed5_starts(2, 150))
+            assert search < len(calls)
+
+    def test_non_finite_steps_dropped(self):
+        # over a target near the float range every first step is NaN or
+        # beyond 1e6: each row is dropped there, not carried to the
+        # iteration cap, and numpy warns of nothing
+        calls = []
+        G, J = _ll_system(2, LLPoint((1e308 + 0j, 1e308 + 0j, 1)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ok, _ = _newton_rows(lambda T: calls.append(len(T)) or G(T), J,
+                                 seed5_starts(2, 128))
+        assert not ok.any()
+        assert calls[0] == 128 and sum(calls[1:]) == 0
 
     def test_singular_rows_dropped_alone(self):
         # det J = 8/9 t2^2 for A2: a start with t2 = 0 has an exactly

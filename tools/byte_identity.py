@@ -37,7 +37,10 @@ Jacobi dimensions: `jacobi-dim` of 16 classes symbolically, tE6, tE7 and
 tE8 at 12 seeded parameters each (of either sign, of height near 10^30,
 and 1 +- 10^-20), and graded_piece_rank on seeded generator sets over
 Q[la], full and rank-deficient, with a seeded number of leading
-generators.  Inputs are seeded, so the output is deterministic.  The
+generators, and after them `ll-fiber` over seeded square-free targets:
+eight A2 targets at the benchmark's budget of 150 starts, four A3 targets
+at the default budget, and one A3 target at 40 starts, whose count does
+not saturate (exit 3).  Inputs are seeded, so the output is deterministic.  The
 battery takes about 10 s on a 2-core host.
 """
 
@@ -337,6 +340,33 @@ def jacobi_outputs(rng):
                      lead=rng.randint(0, len(gens)))
 
 
+def fiber_target(roots):
+    """The ll-fiber argument for the monic polynomial with these roots: its
+    coefficients below the leading one, ascending, as [re, im] pairs."""
+    c = [1]
+    for r in roots:
+        c = [0] + c
+        for i in range(len(c) - 1):
+            c[i] -= r * c[i + 1]
+    return json.dumps([[complex(x).real, complex(x).imag] for x in c[:-1]])
+
+
+def fiber_outputs(rng):
+    """ll-fiber over seeded targets whose roots lie at least 0.2 apart."""
+    def roots(mu):
+        while True:
+            r = [complex(round(rng.gauss(0, 1), 4), round(rng.gauss(0, 1), 4))
+                 for _ in range(mu)]
+            if min(abs(a - b) for i, a in enumerate(r) for b in r[:i]) > 0.2:
+                return r
+
+    for _ in range(8):
+        run_cli("ll-fiber", "A2", fiber_target(roots(2)), "--budget", "150")
+    for _ in range(4):
+        run_cli("ll-fiber", "A3", fiber_target(roots(3)))
+    run_cli("ll-fiber", "A3", fiber_target(roots(3)), "--budget", "40")
+
+
 def main():
     rng = random.Random(20261018)
     for label in ("D4", "D5", "D6", "D7", "D8", "tE6", "tE7", "tE8"):
@@ -436,6 +466,7 @@ def main():
     algebra_outputs(random.Random(20261020))
     orbit_outputs()
     jacobi_outputs(random.Random(20261024))
+    fiber_outputs(random.Random(20261026))
 
 
 if __name__ == "__main__":
