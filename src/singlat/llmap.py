@@ -41,9 +41,8 @@ import numpy as np
 
 from .braid import BraidWord
 from .lattice import char_poly
-from .polyalg import MultiPoly, bareiss, sylvester, to_complex
-from .singdata import (normal_form, sing_class, unfolding,
-                       unfolding_monomials, weights)
+from .polyalg import MultiPoly, bareiss, macaulay, sylvester, to_complex
+from .singdata import jacobi_system, sing_class, unfolding, weights
 
 F = Fraction
 
@@ -119,7 +118,7 @@ def _config_coeffs(mu, t):
 
     The entries of t are Fractions, or MultiPolys in the parameter names
     for the symbolic map.  By Stickelberger's theorem (Cox, Little and
-    O'Shea, Using Algebraic Geometry, ch. 4) the product is the
+    O'Shea, Using Algebraic Geometry, ch. 2 section 4) the product is the
     characteristic polynomial of multiplication by f in Q[x]/(f'), where f
     equals its remainder r = sum_j (mu+2-j)/(mu+1) t_j x^(j-1) modulo the
     monic g = f'/(mu+1).  Column j of the matrix is r x^j mod g.  Scaling
@@ -232,34 +231,28 @@ def critical_values_numeric(cls_or_label, t, lam=None) -> CriticalData:
 def _multiplication_plan(cls):
     """The truncated Macaulay system of multiplication by F on Q[x]/(d_x F)
     (Telen, Mourrain and Van Barel, SIAM J. Matrix Anal. Appl. 39, 2018),
-    built once per class: stacked real arrays A, B, with A[k], B[k] the
-    coefficients of p_k in p = (1, t, la), and the floats d_j = deg t_j.
-    The basis b is m_1..m_mu, or m_1..m_(mu-1) and df/dla for an elliptic
-    class.  With t_j of weight 1 - deg m_j > 0, F is homogeneous of degree
-    1 in (x, t), so F b_i = sum_k c_k d_k F + sum_j M_ji b_j has a solution
-    with deg c_k <= D - (1 - w_k), D = 1 + max deg b_j.  Columns: x^a d_k F
-    for those x^a, then the b_j; rows: the x-monomials of degree at most D;
-    right-hand sides: F b_i."""
-    wsys, Fu, nx = weights(cls), unfolding(cls), cls.nvars
-    basis = unfolding_monomials(cls)   # variables start with x, as in Fu
-    if cls.is_elliptic:
-        basis.append(normal_form(cls).partial("la"))
-    D = 1 + max(wsys.poly_degree(b) for b in basis)
-    monos = {q: wsys.monomial_basis(q)
-             for q in [0] + wsys.achievable_degrees(D)}
-    row = {e: r for r, e in enumerate(e for es in monos.values() for e in es)}
-    cols = [(a, Fu.partial(v)) for v, w in wsys.var_weights
-            for q, es in monos.items() if q <= D - 1 + w for a in es]
-    cols += [((0,) * nx, b) for b in basis]
-    A = np.zeros((len(Fu.vars) - nx + 1, len(row), len(cols)))
+    the float view of `singdata.jacobi_system`, built once per class:
+    stacked real arrays A, B, with A[k], B[k] the coefficients of p_k in
+    p = (1, t, la), and the floats d_j = deg t_j.  With t_j of weight
+    1 - deg b_j > 0, F is homogeneous of degree 1 in (x, t), so
+    F b_i = sum_k c_k d_k F + sum_j M_ji b_j has a solution with
+    deg c_k <= D - (1 - w_k), D = 1 + max deg b_j.  A keeps the columns and
+    rows of degree at most D, and B holds the F b_i in the same rows."""
+    wsys, Fu = weights(cls), unfolding(cls)
+    basis, degrees, _, entries = jacobi_system(cls)
+    D = 1 + max(degrees[-len(basis):])
+    rows, rhs = macaulay([((0,) * cls.nvars, Fu * b) for b in basis], wsys, D)
+    at = {((v, 1),): k for k, v in enumerate(Fu.vars[cls.nvars:], 1)}
+    at[()] = 0   # F is affine in (t, la)
+    keep = {j: k for k, j in enumerate(
+        j for j, q in enumerate(degrees) if q <= D)}
+    A = np.zeros((len(at), len(rows), len(keep)))
     B = np.zeros(A.shape[:2] + (len(basis),))
-    for out, polys in ((A, cols), (B, [((0,) * nx, Fu * b) for b in basis])):
-        for k, (a, poly) in enumerate(polys):
-            for expo, c in poly.terms.items():
-                x = tuple(i + j for i, j in zip(a, expo[:nx]))
-                par = expo[nx:]   # F is affine in (t, la)
-                at = par.index(1) + 1 if any(par) else 0
-                out[at, row[x], k] += float(c)
+    for out, ents, cols in ((A, entries, keep), (B, rhs, range(len(basis)))):
+        for key, block in ents.items():
+            for (r, j), c in block.items():
+                if j in cols:
+                    out[at[key], r, cols[j]] = float(c)
     d = np.array([float(w) for w in wsys.t_weights])
     A.flags.writeable = B.flags.writeable = d.flags.writeable = False
     return A, B, d

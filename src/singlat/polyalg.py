@@ -4,13 +4,14 @@ Everything here is exact: coefficients are Fractions or elements of small
 cyclotomic extensions of Q (for i and the primitive 8th root of unity).
 MultiPoly is a sparse Laurent polynomial in named variables over either
 domain; the domains only need +, -, *, / and a truthiness test, so they mix
-freely through Python's operator coercion.  Fraction-free (Bareiss)
-elimination, `_pivot_columns`, is the one exact rank and determinant
-routine: the resultant and the discriminant test (on one Sylvester matrix
-builder), the Milnor-lattice determinants and the graded Jacobi ranks all
-run it.  Only the resultant runs it on polynomial entries.  A graded rank
-over Q(la) is an elimination over Z at one integer value of la where no
-nonzero minor vanishes (`GradedPiece.ranks`).
+freely through Python's operator coercion.  `macaulay` is the one weighted
+Macaulay compiler, and a graded piece is one block of it (`graded_block`).
+Fraction-free (Bareiss) elimination, `_pivot_columns`, is the one exact
+rank and determinant routine: the resultant and the discriminant test (on
+one Sylvester matrix builder), the Milnor-lattice determinants and the
+graded Jacobi ranks all run it, the resultant alone on polynomial
+entries.  A graded rank over Q(la) is an elimination over Z at one
+integer value of la where no nonzero minor vanishes (`GradedPiece.ranks`).
 """
 
 from __future__ import annotations
@@ -870,16 +871,11 @@ class WeightSystem:
     coxeter_number: int = None  # ADE only
     cone_d: int = None          # common denominator used on the elliptic side
 
-    def weight_of(self, name):
-        """The weight of a variable; one outside the system (the family
-        parameter la) has weight 0."""
-        for v, w in self.var_weights:
-            if v == name:
-                return w
-        return 0
-
     def monomial_degree(self, vars, expo):
-        return sum(self.weight_of(v) * e for v, e in zip(vars, expo) if e)
+        """A variable outside the system (the family parameter la) has
+        weight 0."""
+        w = dict(self.var_weights)
+        return sum(w.get(v, 0) * e for v, e in zip(vars, expo) if e)
 
     def poly_degree(self, poly):
         """Weighted degree if quasihomogeneous, else None."""
@@ -888,63 +884,42 @@ class WeightSystem:
             return degs.pop()
         return None
 
-    def integer_weights(self):
-        """(D, W): the common denominator D of the variable weights and the
-        integer weights W_i = D w_i, so a monomial of degree q has integer
-        scaled degree D q."""
+    def monomials(self, top):
+        """All exponent tuples over the weighted variables of degree at most
+        top, each with its degree, ordered by degree and then
+        lexicographically; the product runs on the weights scaled to
+        integers by their common denominator."""
         den = math.lcm(*(w.denominator for _, w in self.var_weights))
-        return den, tuple(int(w * den) for _, w in self.var_weights)
+        total = math.floor(top * den)
+        out = [((), 0)]
+        for w in [int(w * den) for _, w in self.var_weights]:
+            out = [(e + (k,), s + w * k) for e, s in out
+                   for k in range((total - s) // w + 1)]
+        out.sort(key=lambda es: es[1])   # stable: lexicographic within
+        degree = [Fraction(s, den) for s in range(total + 1)]
+        return [(e, degree[s]) for e, s in out]
 
     def achievable_degrees(self, qmax):
         """All weighted degrees q in (0, qmax] of monomials in the weighted
-        variables, ascending; the recursion runs on the integer weights."""
-        den, ws = self.integer_weights()
-        top = math.floor(qmax * den)
-        degs = set()
-
-        def rec(i, acc):
-            if i == len(ws):
-                if acc > 0:
-                    degs.add(acc)
-                return
-            for e in range((top - acc) // ws[i] + 1):
-                rec(i + 1, acc + ws[i] * e)
-
-        rec(0, 0)
-        return [Fraction(k, den) for k in sorted(degs)]
+        variables, ascending."""
+        return sorted({q for _, q in self.monomials(qmax) if q > 0})
 
     def monomial_basis(self, q):
         """All exponent tuples over the weighted variables of degree q, in
-        lexicographic order; the recursion runs on the integer weights."""
-        den, ws = self.integer_weights()
-        total = Fraction(q) * den
-        if total.denominator != 1:
-            return []
-        out = []
-
-        def rec(i, acc, remaining):
-            if i == len(ws):
-                if remaining == 0:
-                    out.append(acc)
-                return
-            w = ws[i]
-            for e in range(remaining // w + 1):
-                rec(i + 1, acc + (e,), remaining - w * e)
-
-        rec(0, (), total.numerator)
-        return out
+        lexicographic order."""
+        return [e for e, d in self.monomials(q) if d == q]
 
 
 @dataclass(frozen=True)
 class GradedPiece:
-    """Generators of one graded piece as an integer matrix over Z[la].
+    """One graded piece of a Macaulay matrix as an integer matrix over Z[la].
 
     rows      one row per basis monomial of the piece, one entry per
-              nonzero generator: the ascending integer coefficients of a
-              polynomial in the one variable la outside the weight system,
-              padded to length degree + 1; each generator is scaled once
-              to clear its denominators
-    lead      the number of those columns from the leading generators
+              column: the ascending integer coefficients of a polynomial
+              in the one variable la outside the weight system, padded to
+              length degree + 1; each column is scaled once to clear its
+              denominators
+    lead      the number of leading columns (`graded_block`)
     degree    the largest la-degree d of an entry
     bound     B = prod over rows of max(1, sum of the entries' 1-norms)
 
@@ -992,62 +967,80 @@ class GradedPiece:
         return sum(c < self.lead for c in pivots), len(pivots)
 
 
+def macaulay(columns, weights, top):
+    """The exact weighted Macaulay matrix of columns (a, g), each standing
+    for x^a g with a an exponent tuple over the weighted variables and g a
+    MultiPoly.  Its rows are the monomials of degree at most top in the
+    order of `WeightSystem.monomials`, so the rows up to any lower degree
+    are a prefix; a term outside them raises ValueError.  Returns (index,
+    entries): index maps each row's exponent tuple to its position, and
+    entries maps each monomial in the variables outside the weight system,
+    as its (name, exponent) pairs with nonzero exponent, to the
+    coefficients {(row, column): c} of the terms that carry it."""
+    index = {e: r for r, (e, _) in enumerate(weights.monomials(top))}
+    entries = {}
+    for j, (a, g) in enumerate(columns):
+        for expo, c in g.terms.items():
+            x = dict(zip(g.vars, expo))   # popped down to the outside ones
+            row = index.get(tuple(e + x.pop(v, 0) for e, (v, _)
+                                  in zip(a, weights.var_weights)))
+            if row is None:
+                raise ValueError(f"a term outside the degrees <= {top}")
+            key = tuple((v, e) for v, e in x.items() if e)
+            entries.setdefault(key, {})[row, j] = c
+    return index, entries
+
+
+def graded_block(entries, rows, cols, lead):
+    """The GradedPiece of the block (rows, cols) of `macaulay`'s entries,
+    in at most one variable la outside the weight system, with lead the
+    number of leading columns.  A column is scaled once to clear its
+    denominators and its negative powers of la, a unit of Q(la); an entry
+    of a column outside the rows raises ValueError."""
+    if len({v for key in entries for v, _ in key}) > 1:
+        raise ValueError("more than one variable outside the weight system")
+    rpos, cpos = ({x: i for i, x in enumerate(xs)} for xs in (rows, cols))
+    cells = [{} for _ in cols]   # (row, power of la) -> c, per column
+    for key, block in entries.items():
+        for (r, j), c in block.items():
+            if j in cpos:
+                if r not in rpos:
+                    raise ValueError("a column outside the block's degree")
+                cells[cpos[j]][rpos[r], key[0][1] if key else 0] = c
+    for j, cell in enumerate(cells):   # clear denominators and 1/la
+        scale = math.lcm(*(c.denominator for c in cell.values()))
+        shift = min(0, *(k for _, k in cell))
+        cells[j] = {(i, k - shift): int(c * scale)
+                    for (i, k), c in cell.items()}
+    degree = max((k for cell in cells for _, k in cell), default=0)
+    grid = tuple(tuple(tuple(cell.get((i, k), 0) for k in range(degree + 1))
+                       for cell in cells) for i in range(len(rows)))
+    bound = math.prod(max(1, sum(abs(c) for e in row for c in e))
+                      for row in grid)
+    return GradedPiece(grid, lead, degree, bound)
+
+
 def graded_columns(gens, weights, q, lead=None):
     """The GradedPiece of quasihomogeneous generators in the weighted-degree
-    q piece of the polynomial ring, with `lead` the number of leading
-    generators (all of them for None); zero generators are dropped.
-
-    The generators may hold one variable outside the weight system (the
-    family parameter la) between them, and no more; a column with negative
-    powers of it is multiplied by the power of la that clears them, a
-    unit of Q(la).  A generator with a term outside the piece raises
-    ValueError."""
-    q = Fraction(q)
-    names = tuple(v for v, _ in weights.var_weights)
-    index = {e: k for k, e in enumerate(weights.monomial_basis(q))}
-    param = None
-    cols = []
-    for g in gens:
-        if g.is_zero:
-            continue
-        pos = [g.vars.index(v) if v in g.vars else None for v in names]
-        used = [i for i, v in enumerate(g.vars) if v not in names
-                and any(e[i] for e in g.terms)]
-        for i in used:
-            if param not in (None, g.vars[i]):
-                raise ValueError("generators hold more than one variable "
-                                 "outside the weight system")
-            param = g.vars[i]
-        scale = math.lcm(*(c.denominator for c in g.terms.values()))
-        col = {}
-        for expo, c in g.terms.items():
-            row = index.get(tuple(0 if p is None else expo[p] for p in pos))
-            if row is None:
-                raise ValueError(f"generator not homogeneous of degree {q}")
-            k = expo[used[0]] if used else 0
-            col[row, k] = int(c * scale)
-        shift = min(0, *(k for _, k in col))
-        cols.append({(r, k - shift): c for (r, k), c in col.items()})
-    degree = max((k for col in cols for _, k in col), default=0)
-    rows = [[[0] * (degree + 1) for _ in cols] for _ in index]
-    for j, col in enumerate(cols):
-        for (r, k), c in col.items():
-            rows[r][j][k] = c
-    rows = tuple(tuple(tuple(e) for e in row) for row in rows)
-    bound = math.prod(max(1, sum(abs(c) for e in row for c in e))
-                      for row in rows)
-    lead_cols = sum(not g.is_zero for g in gens[:lead])
-    return GradedPiece(rows, lead_cols, degree, bound)
+    q piece of the polynomial ring, the degree-q block (`graded_block`) of
+    their `macaulay` matrix, with `lead` the number of leading generators
+    (all of them for None).  Zero generators are dropped.  The generators
+    may hold one variable outside the weight system (the family parameter
+    la) between them, and no more; a column with negative powers of it is
+    multiplied by the power of la that clears them, a unit of Q(la), and a
+    term outside the piece raises ValueError."""
+    lead = sum(not g.is_zero for g in gens[:lead])
+    gens = [g for g in gens if not g.is_zero]
+    index, entries = macaulay([((0,) * len(weights.var_weights), g)
+                               for g in gens], weights, q)
+    rows = [index[e] for e in weights.monomial_basis(q)]
+    return graded_block(entries, rows, range(len(gens)), lead)
 
 
 def graded_piece_rank(gens, weights, q, lead=None):
     """Rank over Q, or over Q(la), of the given quasihomogeneous generators
-    inside the weighted-degree-q piece of the polynomial ring.
-
-    Two steps: `graded_columns` builds the integer matrix over Z[la] (at
-    most one variable, la, outside the weight system), and
-    `GradedPiece.ranks` ranks it by integer Bareiss elimination at a point
-    where no nonzero minor vanishes.  With lead=k the result is the pair
-    (rank of gens[:k], rank of gens), both from one elimination."""
+    inside the weighted-degree-q piece of the polynomial ring, by
+    `graded_columns` and `GradedPiece.ranks`.  With lead=k the result is
+    the pair (rank of gens[:k], rank of gens), both from one elimination."""
     ideal, rank = graded_columns(gens, weights, q, lead).ranks()
     return rank if lead is None else (ideal, rank)

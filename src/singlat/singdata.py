@@ -23,7 +23,8 @@ from functools import lru_cache, reduce
 
 from .lattice import (StokesMatrix, symmetrized_form, is_connected,
                       definiteness, radical_rank, tensor_rows)
-from .polyalg import MultiPoly, WeightSystem, Cyclo, GAUSS, ZETA8, parse_poly
+from .polyalg import (MultiPoly, WeightSystem, Cyclo, GAUSS, ZETA8, macaulay,
+                      parse_poly)
 
 F = Fraction
 
@@ -194,6 +195,29 @@ def weights(cls: SingularityClass) -> WeightSystem:
         return WeightSystem(vw, tw,
                             cone_d=math.lcm(*(t.denominator for t in tw)))
     return WeightSystem(vw, tw, coxeter_number=int(2 / min(tw)))
+
+
+@lru_cache(maxsize=None)
+def jacobi_system(cls: SingularityClass):
+    """The Macaulay system of the Jacobi algebra Q[x]/(d_x F), compiled once
+    per class by `polyalg.macaulay`; `verify._jacobi_plan` and
+    `llmap._multiplication_plan` are its views.  The basis b is m_1..m_mu,
+    or m_1..m_(mu-1) and df/dla for an elliptic class.  The columns are
+    x^a d_k F for every x^a of degree at most top - 1 + w_k, then the b_j,
+    with top = 1 + max(deg b_j, w_k).  Returns (basis, degrees, index,
+    entries), degrees[j] the degree of column j at t = 0."""
+    wsys, Fu = weights(cls), unfolding(cls)
+    basis = unfolding_monomials(cls)
+    if cls.is_elliptic:
+        basis.append(normal_form(cls).partial("la"))
+    bdeg = [wsys.poly_degree(b) for b in basis]
+    top = 1 + max(*bdeg, *(w for _, w in wsys.var_weights))
+    dF = {v: Fu.partial(v) for v, _ in wsys.var_weights}
+    cols = [(a, dF[v], q + 1 - w) for v, w in wsys.var_weights
+            for a, q in wsys.monomials(top - 1 + w)]
+    cols += [((0,) * cls.nvars, b, d) for b, d in zip(basis, bdeg)]
+    return (tuple(basis), tuple(d for *_, d in cols),
+            *macaulay([(a, g) for a, g, _ in cols], wsys, top))
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .polyalg import MultiPoly, graded_columns, parse_poly
-from .singdata import (sing_class, normal_form, weights, unfolding_monomials,
-                       unfolding, symmetry_data, sym_field)
+from .polyalg import MultiPoly, graded_block, parse_poly
+from .singdata import (jacobi_system, normal_form, sing_class, sym_field,
+                       symmetry_data, unfolding, unfolding_monomials, weights)
 
 F = Fraction
 
@@ -57,34 +57,22 @@ class JacobiRankError(ArithmeticError):
 @lru_cache(maxsize=None)
 def _jacobi_plan(cls):
     """The graded pieces `jacobi_dimension` ranks, built once per class:
-    (q, GradedPiece) for every achievable degree q up to 1 + max_i w_i.
+    (q, GradedPiece) for every achievable degree q up to 1 + max_i w_i, the
+    t = 0 diagonal block of `singdata.jacobi_system` at q, in (1, la).
 
-    The columns of a piece are the partial derivatives times the monomials
-    of complementary degree (the leading columns), then the unfolding
+    The partial columns x^a d_k f of degree q lead, then come the unfolding
     monomials of degree q and (elliptic, q = 1) the la-derivative of f;
-    la stays a variable, so every entry is an integer polynomial in la of
-    degree at most 1.  Only the structure is cached: the ranks are taken
-    on every call."""
+    every entry is an integer polynomial in la of degree at most 1.  Only
+    the structure is cached: the ranks are taken on every call."""
     wsys = weights(cls)
-    f = normal_form(cls)
-    xv = cls.xvars
-    partials = [f.partial(v) for v in xv]
-    pdeg = [wsys.poly_degree(p) for p in partials]
-    if any(d is None for d in pdeg):
-        raise ArithmeticError("partials are not quasihomogeneous")
-    monos = unfolding_monomials(cls)
-    mdeg = [wsys.poly_degree(m) for m in monos]
-    qmax = 1 + max(w for _, w in wsys.var_weights)
+    basis, degrees, index, entries = jacobi_system(cls)
+    at_t0 = {k: v for k, v in entries.items() if k in ((), (("la", 1),))}
     plan = []
-    for q in wsys.achievable_degrees(qmax):
-        gens = [MultiPoly(xv, {e: F(1)}) * p
-                for p, d in zip(partials, pdeg) if q >= d
-                for e in wsys.monomial_basis(q - d)]
-        cobasis = [m for m, d in zip(monos, mdeg) if d == q]
-        if cls.is_elliptic and q == 1:
-            cobasis.append(f.partial("la"))
-        plan.append((q, graded_columns(gens + cobasis, wsys, q,
-                                       lead=len(gens))))
+    for q in wsys.achievable_degrees(1 + max(w for _, w in wsys.var_weights)):
+        cols = [j for j, d in enumerate(degrees) if d == q]
+        rows = [index[e] for e in wsys.monomial_basis(q)]
+        lead = sum(j < len(degrees) - len(basis) for j in cols)
+        plan.append((q, graded_block(at_t0, rows, cols, lead)))
     return tuple(plan)
 
 

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from singlat.polyalg import (Cyclo, GAUSS, ZETA8, MultiPoly, RatFunc,
                              WeightSystem, bareiss, graded_columns,
-                             graded_piece_rank, parse_poly, resultant,
-                             sylvester)
+                             graded_piece_rank, macaulay, parse_poly,
+                             resultant, sylvester)
 from singlat.singdata import sing_class, weights
 
 
@@ -340,6 +340,31 @@ def test_lead_rank_is_rank_of_leading_generators(terms, lead, repeat):
     assert graded_piece_rank(gens, w, F(2, 3), lead=lead) == (
         graded_piece_rank(gens[:lead], w, F(2, 3)),
         graded_piece_rank(gens, w, F(2, 3)))
+
+
+class TestMacaulay:
+    w = WeightSystem((("x0", F(1, 3)), ("x1", F(1, 2))), ())
+    vs = ("x0", "x1", "t", "la")
+
+    def test_rows_and_outside_groups(self):
+        g = P("x0^2 + t * x0 + la * x1 - 1/2 * la^-1", self.vs)
+        index, entries = macaulay([((1, 0), g), ((0, 0), g)], self.w, 1)
+        # rows by degree, then in monomial_basis order
+        assert list(index) == [e for q in [0, *self.w.achievable_degrees(1)]
+                               for e in self.w.monomial_basis(q)]
+        r, half = index.__getitem__, F(-1, 2)
+        assert entries == {
+            (): {(r((3, 0)), 0): 1, (r((2, 0)), 1): 1},
+            (("t", 1),): {(r((2, 0)), 0): 1, (r((1, 0)), 1): 1},
+            (("la", 1),): {(r((1, 1)), 0): 1, (r((0, 1)), 1): 1},
+            (("la", -1),): {(r((1, 0)), 0): half, (r((0, 0)), 1): half},
+        }
+
+    def test_terms_outside_the_rows_are_rejected(self):
+        with pytest.raises(ValueError):   # x0^4 has degree 4/3
+            macaulay([((2, 0), P("x0^2", self.vs))], self.w, 1)
+        with pytest.raises(ValueError):   # a negative weighted exponent
+            macaulay([((0, 0), P("x0^-1 * x1", self.vs))], self.w, 1)
 
 
 JACOBI_LABELS = ("A2", "A3", "A4", "A5", "A6", "D4", "D5", "D6", "D7", "D8",

@@ -3,9 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from singlat import verify
-from singlat.polyalg import MultiPoly
-from singlat.singdata import sing_class, symmetry_data
+from singlat import singdata, verify
+from singlat.polyalg import MultiPoly, graded_columns
+from singlat.singdata import sing_class, symmetry_data, weights
 from singlat.verify import (JacobiRankError, check_kappa_extension,
                             check_lambda_projection, check_simple_symmetry,
                             check_unfolding_identity, identity_suite,
@@ -15,11 +15,18 @@ from singlat.verify import (JacobiRankError, check_kappa_extension,
 
 @pytest.fixture
 def cold_plans():
-    # jacobi_dimension caches its graded pieces per class; a test that
-    # patches what they are built from starts and ends with an empty cache
-    verify._jacobi_plan.cache_clear()
+    # jacobi_dimension's graded pieces are views of singdata.jacobi_system,
+    # which is cached per class like the unfolding and the weights it is
+    # built from; a test that patches singdata.unfolding_monomials starts
+    # and ends with all four caches empty, so nothing built under the
+    # patch outlives it
+    caches = (verify._jacobi_plan, singdata.jacobi_system,
+              singdata.unfolding, singdata.weights)
+    for c in caches:
+        c.cache_clear()
     yield
-    verify._jacobi_plan.cache_clear()
+    for c in caches:
+        c.cache_clear()
 
 
 class TestJacobiDimension:
@@ -50,19 +57,28 @@ class TestJacobiDimension:
         with pytest.raises(ValueError):
             jacobi_dimension("tE6", F(1))
 
+    @pytest.mark.parametrize("label", ["A1", "A2", "D4", "E8", "tE6"])
+    def test_checked_pieces_are_the_achievable_degrees(self, label):
+        # every achievable degree up to 1 + max w is checked, including
+        # A1's q = 3/2 above the multiplication view's cut at D = 1
+        cls = sing_class(label)
+        wsys = weights(cls)
+        qmax = 1 + max(w for _, w in wsys.var_weights)
+        assert [q for q, _ in verify._jacobi_plan(cls)] == \
+            wsys.achievable_degrees(qmax)
+
     def test_rank_deficiency_names_the_degree(self, monkeypatch, cold_plans):
         # dropping an unfolding monomial leaves its graded piece unspanned
         # and the failure reports that degree
-        import singlat.verify as V
-        real = V.unfolding_monomials
+        real = singdata.unfolding_monomials
 
         def crippled(cls):
             ms = real(cls)
             return ms[:1] + ms[2:]   # drop m_2 = x0
 
-        monkeypatch.setattr(V, "unfolding_monomials", crippled)
+        monkeypatch.setattr(singdata, "unfolding_monomials", crippled)
         with pytest.raises(JacobiRankError) as err:
-            V.jacobi_dimension("A3")
+            jacobi_dimension("A3")
         assert err.value.q == F(1, 4)   # the weight of x0 in the quartic
 
     def test_symbolic_rank_deficiency_on_an_elliptic_class(self, monkeypatch,
@@ -70,15 +86,33 @@ class TestJacobiDimension:
         # at q = 3/4 the two partials of the tE7 quartic (la-dependent) and
         # the cobasis monomials x0^2*x1, x0*x1^2 span the four cubics; with
         # x0*x1^2 dropped the rank over Q(la) is 3
-        import singlat.verify as V
-        real = V.unfolding_monomials
-        monkeypatch.setattr(V, "unfolding_monomials",
+        real = singdata.unfolding_monomials
+        monkeypatch.setattr(singdata, "unfolding_monomials",
                             lambda cls: real(cls)[:-1])
         assert real(sing_class("tE7"))[-1] == MultiPoly(("x0", "x1"),
                                                         {(1, 2): F(1)})
         with pytest.raises(JacobiRankError, match="rank 3, needs 4") as err:
-            V.jacobi_dimension("tE7")
+            jacobi_dimension("tE7")
         assert err.value.q == F(3, 4)
+
+
+@pytest.mark.parametrize("label", ["A1", "A4", "D5", "E7", "tE6", "tE8"])
+def test_pieces_are_the_generator_products(label):
+    # each piece, a block of the compiled system, equals the graded piece of
+    # the generators built as MultiPoly products: x^e d_k f of degree q,
+    # then the unfolding monomials of degree q and (q = 1) df/dla
+    cls = sing_class(label)
+    wsys, f = weights(cls), singdata.normal_form(cls)
+    for q, piece in verify._jacobi_plan(cls):
+        gens = [MultiPoly(cls.xvars, {e: F(1)}) * f.partial(v)
+                for v, w in wsys.var_weights if q >= 1 - w
+                for e in wsys.monomial_basis(q - 1 + w)]
+        cobasis = [m for m in singdata.unfolding_monomials(cls)
+                   if wsys.poly_degree(m) == q]
+        if cls.is_elliptic and q == 1:
+            cobasis.append(f.partial("la"))
+        assert piece == graded_columns(gens + cobasis, wsys, q,
+                                       lead=len(gens)), q
 
 
 class TestUnfoldingIdentities:

@@ -434,6 +434,13 @@ def main():
     show("critical_values_numeric tE6", llmap.critical_values_numeric, "tE6",
          [complex(te6.uniform(-1, 1), te6.uniform(-1, 1)) for _ in range(7)],
          Fraction(-3, 7))
+    # D6-D8 and E7, from their own draw too
+    simple = random.Random(20261027)
+    for label in ("D6", "D7", "D8", "E7"):
+        t = [complex(simple.uniform(-1, 1), simple.uniform(-1, 1))
+             for _ in range(int(label[1:]))]
+        show(f"critical_values_numeric {label}",
+             llmap.critical_values_numeric, label, t)
     for mu in (2, 3, 4):
         path = [[complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
                  for _ in range(mu)] for _ in range(3)]
