@@ -100,8 +100,6 @@ class SegreInputs:
     a: tuple        # cone weights upstairs, mu-2 integers
     b: tuple        # cone weights downstairs, mu-1 integers
     degC_over_degp: dict  # k -> -deg C_(k) / deg p, a positive rational
-    d: int
-    c: int
 
 
 def segre_degree(a, b, degc) -> Fraction:
@@ -135,8 +133,6 @@ LAMBDA_ORDERS = {
     },
 }
 
-ELLIPTIC_C = {"tE6": 3, "tE7": 2, "tE8": 3}
-
 
 def cone_weights(cls_or_label) -> SegreInputs:
     """a = d * (deg_w t_{mu-1} .. t_2), b = d * (2 .. mu)."""
@@ -149,8 +145,7 @@ def cone_weights(cls_or_label) -> SegreInputs:
     if any(d * t != int(d * t) for t in w.t_weights[1:]):
         raise ArithmeticError("cone denominator does not clear the weights")
     b = tuple(d * k for k in range(2, cls.mu + 1))
-    return SegreInputs(cls.label, a, b, degC_from_lambda_orders(cls), d,
-                       ELLIPTIC_C[cls.label])
+    return SegreInputs(cls.label, a, b, degC_from_lambda_orders(cls))
 
 
 def degC_from_lambda_orders(cls_or_label) -> dict:

@@ -20,11 +20,12 @@ crossing of adjacent imaginary parts.  The walker samples each segment
 adaptively: from a uniform grid it bisects every interval in which a
 critical value moves half the separation of the values, or the sign or
 order of its letters is uncertain, in the spirit of the certified
-tracking of Beltran and Leykin (Exp. Math. 21, 2012).  It screens whole
-chunks of the samples with array code and applies its per-sample step
-only where something can change.  The chain-family roots come from
-stacked companion-matrix eigenvalues (`_companion_roots`).  A coefficient
-or critical value beyond the float range raises ValueError.
+tracking of Beltran and Leykin (Exp. Math. 21, 2012).  It matches whole
+chunks of the samples to their predecessors with the step test's own
+array matching, and applies its per-sample step only to the samples
+whose matched values leave good order or touch a wall.  The chain-family
+roots come from stacked companion-matrix eigenvalues (`_companion_roots`).
+A coefficient or critical value beyond the float range raises ValueError.
 """
 
 from __future__ import annotations
@@ -562,31 +563,43 @@ def _separations(V):
     return np.abs(V[:, i] - V[:, j]).min(axis=1, initial=np.inf)
 
 
+def _inverted(lo, hi):
+    """Whether the pair lo, hi of critical values (complex numbers or
+    arrays of them) is out of good order: good_order's key, imaginary part
+    ascending and real part descending, is strict."""
+    return (lo.imag > hi.imag) | ((lo.imag == hi.imag) & (lo.real < hi.real))
+
+
+def _matched(L, R):
+    """Nearest matching across the intervals (L[r], R[r]) between path
+    samples, the one matching of the walk: row r of the first array holds
+    L[r]'s values in good order, and the same row of the second the value
+    of R[r] nearest to each of them."""
+    D = np.abs(R[:, None, :] - L[:, :, None])   # D[r, old, new]
+    r = np.arange(len(L))[:, None]
+    order = np.lexsort((-L.real, L.imag))
+    return L[r, order], R[r, D.argmin(axis=2)[r, order]]
+
+
 def _steps_ok(L, R, sep_l, sep_r, tol_wall):
     """Mask of the intervals (L[r], R[r]) between path samples that pass the
     step test.
 
-    Under nearest matching every critical value must move less than half
-    the smaller of the two ends' separations; then the matching is a
-    bijection, and it is the one `_walk_step` makes.  The sign of every
-    letter is then certain too: a pair whose good-order key (imaginary
-    part ascending, real part descending) flips keeps its real-part order,
+    Under the nearest matching (`_matched`) every critical value must move
+    less than half the smaller of the two ends' separations; then the
+    matching is a bijection.  The sign of every letter is then certain
+    too: a pair whose good-order key flips keeps its real-part order,
     since flipping both orders would change the pair's difference by at
     least its length, more than the two moves allow.  And at most one pair
     may flip with imaginary parts at least tol_wall apart at both ends, so
     the order of the letters is certain; a flip inside that band is a wall
     contact, which `_walk_step` judges."""
-    n, mu = L.shape
-    D = np.abs(R[:, None, :] - L[:, :, None])   # D[r, old, new]
-    ok = D.min(axis=2).max(axis=1) < 0.5 * np.minimum(sep_l, sep_r)
-    r = np.arange(n)[:, None]
-    order = np.lexsort((-L.real, L.imag))
-    A = L[r, order]
-    B = R[r, D.argmin(axis=2)[r, order]]
-    i, j = _pairs(mu)
+    A, B = _matched(L, R)
+    ok = np.abs(B - A).max(axis=1) < 0.5 * np.minimum(sep_l, sep_r)
+    i, j = _pairs(L.shape[1])
     lo, hi = B[:, i], B[:, j]
-    flip = (lo.imag > hi.imag) | ((lo.imag == hi.imag) & (lo.real < hi.real))
-    crossing = flip & (np.abs(A[:, i].imag - A[:, j].imag) >= tol_wall) & \
+    crossing = _inverted(lo, hi) & \
+        (np.abs(A[:, i].imag - A[:, j].imag) >= tol_wall) & \
         (np.abs(lo.imag - hi.imag) >= tol_wall)
     return ok & (crossing.sum(axis=1) <= 1)
 
@@ -682,33 +695,21 @@ def _path_values(mu, waypoints, steps, tol_wall=TOL_WALL, tol_disc=TOL_DISC,
             s0 = s[-1]
 
 
-def _walk_step(prev, vals, letters, contact, tol_wall, tol_disc):
-    """One sample of the walk, the only definition of its rules.
+def _walk_step(matched, letters, contact, tol_wall):
+    """One sample of the walk that may change it, the only definition of
+    its rules.
 
-    prev holds the tracked values of the previous sample in good order
-    (None at the first sample), vals this sample's values.  Each tracked
-    value is matched to its nearest remaining new value; the matched list
-    is bubbled back into good order, and every adjacent swap appends a
-    letter to letters, signed by the real-part order at the crossing.
-    contact counts, per adjacent pair, the consecutive samples spent within
-    tol_wall of a wall.  Returns the new tracked values."""
-    for a, b in itertools.combinations(vals, 2):
-        if abs(a - b) < tol_disc:
-            raise ValueError(_COLLIDE)
-    if prev is None:
-        return [vals[k] for k in good_order(vals, tol=tol_wall)]
-    remaining = list(vals)
-    matched = []
-    for pv in prev:
-        k = min(range(len(remaining)), key=lambda i: abs(remaining[i] - pv))
-        matched.append(remaining.pop(k))
-    # swap on good_order's own key, a strict order, so the bubble ends
+    matched holds the sample's values matched to the previous sample's
+    values in good order (`_matched`).  The list is bubbled into good
+    order, and every adjacent swap appends a letter to letters, signed by
+    the real-part order at the crossing.  contact counts, per adjacent
+    pair, the consecutive samples spent within tol_wall of a wall."""
     changed = True
-    while changed:
+    while changed:   # good_order's key is a strict order, so the bubble ends
         changed = False
         for i in range(len(matched) - 1):
             lo, hi = matched[i], matched[i + 1]
-            if lo.imag > hi.imag or (lo.imag == hi.imag and lo.real < hi.real):
+            if _inverted(lo, hi):
                 letters.append((i + 1) if lo.real > hi.real else -(i + 1))
                 matched[i], matched[i + 1] = hi, lo
                 changed = True
@@ -723,34 +724,6 @@ def _walk_step(prev, vals, letters, contact, tol_wall, tol_disc):
                     "at this sample resolution; refine steps")
         else:
             contact[i] = 0
-    return matched
-
-
-def _still_rows(S, last, tol_wall, tol_disc):
-    """Mask of the samples of a chunk that provably leave the walk as it
-    is.  Row r of S holds sample r's values in good order; last is the
-    previous sample of row 0 in good order, or None at the walk's start.
-
-    A sample is still when every pair of its values is at least tol_disc
-    apart, its k-th value is strictly nearest to the previous sample's k-th
-    value for every k, and every adjacent imaginary gap is at least
-    tol_wall.  `_walk_step` then matches the k-th values, swaps nothing,
-    emits no letter and resets every wall contact, so its tracked values
-    are that row of S."""
-    mu = S.shape[1]
-    P = np.concatenate([S[:1] if last is None else last[None], S[:-1]])
-    i, j = np.triu_indices(mu, 1)
-    apart = (np.abs(S[:, i] - S[:, j]) >= tol_disc).all(axis=1)
-    D = np.abs(S[:, :, None] - P[:, None, :])   # D[r, new, old]
-    k = np.arange(mu)
-    own = D[:, k, k].copy()
-    D[:, k, k] = np.inf
-    nearest = (own < D.min(axis=1)).all(axis=1)
-    clear = (np.abs(np.diff(S.imag, axis=1)) >= tol_wall).all(axis=1)
-    still = apart & nearest & clear
-    if last is None:
-        still[0] = False
-    return still
 
 
 def check_segments(waypoints):
@@ -777,9 +750,11 @@ def wall_walk_A(mu, path, steps=64, *, tol_wall=TOL_WALL,
     Aborts when two critical values collide or an interval cannot be
     resolved above WALK_FLOOR (the path hit the discriminant), or when a
     wall contact does not resolve within the sample resolution (tangential
-    crossing).  Samples are read a chunk at a time; a sample that provably
-    changes nothing (`_still_rows`) is skipped, and every other one goes
-    through `_walk_step`."""
+    crossing).  Samples are read a chunk at a time and matched to their
+    predecessors in one array call (`_matched`); a still sample, whose
+    matched values are in good order with every adjacent imaginary gap at
+    least tol_wall, changes nothing, and every other one goes through
+    `_walk_step`."""
     return _walk(mu, path, steps, tol_wall, tol_disc)[0]
 
 
@@ -801,19 +776,21 @@ def _walk(mu, path, steps, tol_wall, tol_disc):
     if len(waypoints) == 1:
         return BraidWord(()), stats
 
-    letters = []
-    prev = None        # tracked values, in the good order of the last sample
-    contact = {}       # adjacent pair -> consecutive samples spent on the wall
-    last = None        # the last sample's values in good order
+    letters, contact = [], {}   # contact: adjacent pair -> samples on the wall
+    prev = None                 # the previous sample's values
     for V in _path_values(mu, waypoints, steps, tol_wall, tol_disc, stats):
-        S = np.take_along_axis(V, np.lexsort((-V.real, V.imag)), axis=1)
-        still = _still_rows(S, last, tol_wall, tol_disc)
-        for r in np.flatnonzero(~still):
-            if r and still[r - 1]:
-                prev, contact = S[r - 1].tolist(), {}
-            prev = _walk_step(prev, V[r].tolist(), letters, contact,
-                              tol_wall, tol_disc)
-        if still[-1]:
-            prev, contact = S[-1].tolist(), {}
-        last = S[-1]
+        if prev is None:   # the start, alone in its chunk: raises on a wall
+            good_order(V[0].tolist(), tol=tol_wall)
+        else:
+            B = _matched(np.concatenate([prev, V[:-1]]), V)[1]
+            lo, hi = B[:, :-1], B[:, 1:]
+            still = ~_inverted(lo, hi).any(axis=1) & \
+                (np.abs(hi.imag - lo.imag) >= tol_wall).all(axis=1)
+            for r in np.flatnonzero(~still):
+                if r and still[r - 1]:
+                    contact = {}
+                _walk_step(B[r].tolist(), letters, contact, tol_wall)
+            if still[-1]:
+                contact = {}
+        prev = V[-1:]
     return BraidWord(tuple(letters)), stats

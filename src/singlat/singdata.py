@@ -28,9 +28,6 @@ from .polyalg import (MultiPoly, WeightSystem, Cyclo, GAUSS, ZETA8, macaulay,
 
 F = Fraction
 
-SIMPLE_LABELS = ("E6", "E7", "E8")
-ELLIPTIC_LABELS = ("tE6", "tE7", "tE8")
-
 
 @dataclass(frozen=True)
 class SingularityClass:

@@ -627,6 +627,11 @@ class TestWallWalk:
         assert wall_walk_A(2, [[0.5, -1.0]], steps=10).letters == ()
         assert wall_walk_A(3, [[0.5, -1.0, 0.25], [0.5, -1.0, 0.25]],
                            steps=50).letters == ()
+        # a walk that starts inside the wall band: at t = (0, -3) the two
+        # values are real, and the start sample counts as no wall contact
+        path = [[0, -3], [0, -3 + 1j]]
+        assert wall_walk_A(2, path, 16, tol_wall=0.3).letters == () == \
+            per_sample_walk(2, path, 16, tol_wall=0.3)
 
     def test_a2_loop_acts_trivially_mod_sign(self):
         loop = [[0.3, cmath.exp(2j * cmath.pi * k / 8)] for k in range(9)]
