@@ -4,8 +4,12 @@ Everything here is exact: coefficients are Fractions or elements of small
 cyclotomic extensions of Q (for i and the primitive 8th root of unity).
 MultiPoly is a sparse Laurent polynomial in named variables over either
 domain; the domains only need +, -, *, / and a truthiness test, so they mix
-freely through Python's operator coercion.  `macaulay` is the one weighted
-Macaulay compiler, and a graded piece is one block of it (`graded_block`).
+freely through Python's operator coercion.  Cyclo and MultiPoly each keep
+an invariant (see their docstrings) that the public constructor checks
+and establishes for outside data; the arithmetic produces only values that
+hold it and stores them through the private `_raw`, without a re-check.
+`macaulay` is the one weighted Macaulay compiler, and a graded piece is
+one block of it (`graded_block`).
 Fraction-free (Bareiss) elimination, `_pivot_columns`, is the one exact
 rank and determinant routine: the resultant and the discriminant test (on
 one Sylvester matrix builder), the Milnor-lattice determinants and the
@@ -114,7 +118,15 @@ def _poly_gcd(a, b):
 
 
 class Cyclo:
-    """Element of a CycloField, stored as a reduced polynomial in the root."""
+    """Element of a CycloField, stored as a reduced polynomial in the root.
+
+    Invariant: coeffs is a tuple of exactly field.degree Fractions.  The
+    public constructor establishes it from any sequence of ints and
+    Fractions, reducing modulo the minimal polynomial.  Negation, + and -
+    build tuples that already hold it and store them with `_raw`,
+    unchecked, and so does * with an int or a Fraction: such an operand
+    acts on the coefficients directly.  A product of two elements is
+    reduced by the public constructor."""
 
     __slots__ = ("field", "coeffs")
 
@@ -128,6 +140,15 @@ class Cyclo:
         self.field = field
         self.coeffs = tuple(cs[:d])
 
+    @classmethod
+    def _raw(cls, field, coeffs):
+        """The element with coeffs, a tuple of field.degree Fractions,
+        stored unchecked."""
+        z = object.__new__(cls)
+        z.field = field
+        z.coeffs = coeffs
+        return z
+
     @staticmethod
     def _reduce(field, cs):
         m = list(field.min_poly)
@@ -135,9 +156,10 @@ class Cyclo:
         cs = list(cs)
         for k in range(len(cs) - 1, d - 1, -1):
             c = cs[k]
-            if c:
-                for j in range(d + 1):
-                    cs[k - d + j] = cs[k - d + j] - c * m[j]
+            if c:   # z^d = -(m_0 + ... + m_(d-1) z^(d-1)); cs[k] is dropped
+                for j in range(d):
+                    if m[j]:
+                        cs[k - d + j] = cs[k - d + j] - c * m[j]
         return cs[:d]
 
     @classmethod
@@ -170,13 +192,16 @@ class Cyclo:
         return hash((self.field.name, self.coeffs))
 
     def __neg__(self):
-        return Cyclo(self.field, [-c for c in self.coeffs])
+        return Cyclo._raw(self.field, tuple(-c for c in self.coeffs))
 
     def __add__(self, other):
+        cs = self.coeffs
+        if isinstance(other, (int, Fraction)):
+            return Cyclo._raw(self.field, (cs[0] + other,) + cs[1:])
         o = self._co(other)
         if o is None:
             return NotImplemented
-        return Cyclo(self.field, [a + b for a, b in zip(self.coeffs, o.coeffs)])
+        return Cyclo._raw(self.field, tuple(map(operator.add, cs, o.coeffs)))
 
     __radd__ = __add__
 
@@ -184,12 +209,16 @@ class Cyclo:
         o = self._co(other)
         if o is None:
             return NotImplemented
-        return Cyclo(self.field, [a - b for a, b in zip(self.coeffs, o.coeffs)])
+        return Cyclo._raw(self.field,
+                          tuple(map(operator.sub, self.coeffs, o.coeffs)))
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return Cyclo._raw(self.field,
+                              tuple(c * other for c in self.coeffs))
         o = self._co(other)
         if o is None:
             return NotImplemented
@@ -421,6 +450,12 @@ class MultiPoly:
 
     Coefficients live in any exact domain supporting +,-,*,/ and bool().
     Binary operations align variable sets by name automatically.
+
+    Invariant: vars is a tuple, and terms maps tuples of len(vars) ints to
+    nonzero coefficients.  The public constructor establishes it: it
+    raises on an exponent of the wrong length, converts exponents to int
+    tuples and drops zero coefficients.  The arithmetic builds its results
+    from terms that already hold it and stores them with `_raw`, unchecked.
     """
 
     __slots__ = ("vars", "terms")
@@ -435,16 +470,26 @@ class MultiPoly:
                 clean[tuple(int(e) for e in expo)] = c
         self.terms = clean
 
+    @classmethod
+    def _raw(cls, vars, terms):
+        """The polynomial with vars, a tuple, and terms, a dict that holds
+        the invariant for it, stored unchecked."""
+        p = object.__new__(cls)
+        p.vars = vars
+        p.terms = terms
+        return p
+
     # -- constructors -------------------------------------------------------
     @classmethod
     def zero(cls, vars=()):
-        return cls(vars, {})
+        return cls._raw(tuple(vars), {})
 
     @classmethod
     def const(cls, vars, c):
+        vars = tuple(vars)
         if isinstance(c, int):
             c = Fraction(c)
-        return cls(vars, {(0,) * len(vars): c})
+        return cls._raw(vars, {(0,) * len(vars): c} if c else {})
 
     @classmethod
     def var(cls, name, vars=None):
@@ -470,7 +515,7 @@ class MultiPoly:
             for k, e in enumerate(expo):
                 ne[idx[k]] = e
             terms[tuple(ne)] = c
-        return MultiPoly(newvars, terms)
+        return MultiPoly._raw(newvars, terms)
 
     @staticmethod
     def _aligned(a, b):
@@ -483,8 +528,7 @@ class MultiPoly:
         if isinstance(other, MultiPoly):
             return other
         if isinstance(other, (int, Fraction, Cyclo)):
-            c = Fraction(other) if isinstance(other, int) else other
-            return MultiPoly(self.vars, {(0,) * len(self.vars): c})
+            return MultiPoly.const(self.vars, other)
         return None
 
     # -- ring operations ----------------------------------------------------
@@ -503,7 +547,8 @@ class MultiPoly:
         return a.terms == b.terms
 
     def __neg__(self):
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._raw(self.vars,
+                              {e: -c for e, c in self.terms.items()})
 
     def __add__(self, other):
         o = self._co(other)
@@ -520,7 +565,7 @@ class MultiPoly:
                     del terms[e]
             else:
                 terms[e] = c
-        return MultiPoly(a.vars, terms)
+        return MultiPoly._raw(a.vars, terms)
 
     __radd__ = __add__
 
@@ -541,7 +586,7 @@ class MultiPoly:
         terms = {}
         for e1, c1 in a.terms.items():
             for e2, c2 in b.terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
+                e = tuple(map(operator.add, e1, e2))
                 c = c1 * c2
                 if e in terms:
                     s = terms[e] + c
@@ -551,7 +596,7 @@ class MultiPoly:
                         del terms[e]
                 elif c:
                     terms[e] = c
-        return MultiPoly(a.vars, terms)
+        return MultiPoly._raw(a.vars, terms)
 
     __rmul__ = __mul__
 
@@ -571,7 +616,7 @@ class MultiPoly:
         if len(self.terms) != 1:
             raise ValueError("only single-term polynomials are invertible")
         (expo, c), = self.terms.items()
-        return MultiPoly(self.vars, {tuple(-e for e in expo): 1 / c})
+        return MultiPoly._raw(self.vars, {tuple(-e for e in expo): 1 / c})
 
     # -- calculus / substitution ---------------------------------------------
     def partial(self, name):
@@ -584,7 +629,7 @@ class MultiPoly:
             ne = list(expo)
             ne[i] = e - 1
             terms[tuple(ne)] = c * e
-        return MultiPoly(self.vars, terms)
+        return MultiPoly._raw(self.vars, terms)
 
     def subst(self, mapping):
         """Simultaneous substitution name -> MultiPoly or scalar.  Terms are
@@ -598,6 +643,7 @@ class MultiPoly:
         out_vars = [self.vars[i] for i in keep]
         for img in images:
             out_vars += [u for u in img.vars if u not in out_vars]
+        out_vars = tuple(out_vars)
         images = [img.with_vars(out_vars) for img in images]
         tail = (0,) * (len(out_vars) - len(keep))
         groups = {}
@@ -607,7 +653,7 @@ class MultiPoly:
         powers = {}
         out = MultiPoly.zero(out_vars)
         for key, terms in groups.items():
-            part = MultiPoly(out_vars, terms)
+            part = MultiPoly._raw(out_vars, terms)
             for k, e in enumerate(key):
                 if e:
                     if (k, e) not in powers:
@@ -627,7 +673,7 @@ class MultiPoly:
             eon = tuple(expo[i] for i in idx_on)
             ere = tuple(expo[i] for i in idx_rest)
             out.setdefault(eon, {})[ere] = c
-        return {eon: MultiPoly(rest, t) for eon, t in out.items()}
+        return {eon: MultiPoly._raw(rest, t) for eon, t in out.items()}
 
     def degree(self, name):
         i = self.vars.index(name)
@@ -649,7 +695,7 @@ class MultiPoly:
         for expo, c in self.terms.items():
             if expo[i] == power:
                 terms[tuple(e for k, e in enumerate(expo) if k != i)] = c
-        return MultiPoly(rest, terms)
+        return MultiPoly._raw(rest, terms)
 
     def eval_complex(self, values):
         """Numeric evaluation; values maps every variable to a complex."""
@@ -677,8 +723,8 @@ class MultiPoly:
             return a
         if len(b.terms) == 1:  # a unit of the Laurent ring
             (be, bc), = b.terms.items()
-            return MultiPoly(a.vars, {tuple(x - y for x, y in zip(e, be)):
-                                      c / bc for e, c in a.terms.items()})
+            return MultiPoly._raw(a.vars, {tuple(map(operator.sub, e, be)):
+                                           c / bc for e, c in a.terms.items()})
         floor = [min(x) - min(y) for x, y in zip(zip(*a.terms), zip(*b.terms))]
         quo = {}
         rem = dict(a.terms)
@@ -700,7 +746,7 @@ class MultiPoly:
                     del rem[e]
             if lead in rem:
                 raise ArithmeticError("not exactly divisible")
-        return MultiPoly(a.vars, quo)
+        return MultiPoly._raw(a.vars, quo)
 
     __floordiv__ = exact_div  # the exact division step of `bareiss`
 

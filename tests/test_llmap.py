@@ -13,15 +13,16 @@ from singlat.braid import VanishingTuple, braid_apply, braid_apply_word, \
     sign_canonical_stokes, sign_canonical_tuple, stokes_of_tuple
 from singlat.lattice import StokesMatrix
 from singlat.llmap import (TOL_DEDUP, TOL_DISC, TOL_WALL, WALK_CHUNK,
-                           LLPoint, _compile, _ll_system, _newton_rows,
-                           _path_values, _separations, _steps_ok,
-                           _symbolic_ll, _system, _walk_values,
+                           LLPoint, _compile, _ll_system,
+                           _multiplication_plan, _newton_rows, _path_values,
+                           _separations, _steps_ok, _symbolic_ll, _system,
+                           _walk_values,
                            critical_values_numeric, discriminant_member,
                            good_order, ll_exact_A, ll_fiber_count,
                            wall_walk_A)
-from singlat.polyalg import MultiPoly, resultant
-from singlat.singdata import (sing_class, unfolding, unfolding_monomials,
-                              weights)
+from singlat.polyalg import MultiPoly, macaulay, resultant
+from singlat.singdata import (jacobi_system, sing_class, unfolding,
+                              unfolding_monomials, weights)
 
 
 def match_sets(a, b):
@@ -303,6 +304,34 @@ class TestNumericCriticalValues:
             got = critical_values_numeric(label, [t[e] for e in expos]).values
             scale = max(map(abs, want))
             assert match_sets(want, got) <= 1e-12 * scale, t
+
+    @pytest.mark.parametrize("label", [
+        "A2", "A3", "A4", "A5", "A6", "D4", "D5", "D6", "D7", "D8", "E6",
+        "E7", "E8", "tE6", "tE7", "tE8"])
+    def test_multiplication_plan_matches_products(self, label):
+        # the plan takes a monic monomial b = x^a as the column (a, F);
+        # built with every F b multiplied out, its A, B and d are the same
+        cls = sing_class(label)
+        wsys, Fu = weights(cls), unfolding(cls)
+        basis, degrees, _, entries = jacobi_system(cls)
+        D = 1 + max(degrees[-len(basis):])
+        _, rhs = macaulay([((0,) * cls.nvars, Fu * b) for b in basis],
+                          wsys, D)
+        at = {((v, 1),): k for k, v in enumerate(Fu.vars[cls.nvars:], 1)}
+        at[()] = 0
+        keep = {j: k for k, j in enumerate(
+            j for j, q in enumerate(degrees) if q <= D)}
+        A, B, d = _multiplication_plan(cls)
+        want_A, want_B = np.zeros(A.shape), np.zeros(B.shape)
+        for out, ents, cols in ((want_A, entries, keep),
+                                (want_B, rhs, range(len(basis)))):
+            for key, block in ents.items():
+                for (r, j), c in block.items():
+                    if j in cols:
+                        out[at[key], r, cols[j]] = float(c)
+        assert B.shape == (len(at), A.shape[1], len(basis))
+        assert np.array_equal(A, want_A) and np.array_equal(B, want_B)
+        assert np.array_equal(d, [float(w) for w in wsys.t_weights])
 
     @pytest.mark.parametrize("label", ["D4", "D5", "E6", "E7", "E8", "tE6",
                                        "tE7", "tE8"])

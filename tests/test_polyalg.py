@@ -147,6 +147,11 @@ class TestResultant:
             resultant(P("0", vs), P("0", vs), "x")
 
 
+# ints and Fractions, 0 and negative values among them
+_operands = st.one_of(st.integers(-5, 5), st.just(F(0)), st.fractions(
+    min_value=-9, max_value=9, max_denominator=7))
+
+
 class TestCyclo:
     def test_gauss(self):
         i = Cyclo.gen(GAUSS)
@@ -164,6 +169,107 @@ class TestCyclo:
         assert z ** 4 == -1
         assert z ** 8 == 1
         assert (z ** 2) * (z ** 2) == -1  # zeta8^2 is a square root of -1
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from((GAUSS, ZETA8)), st.data())
+    def test_rational_operands(self, field, data):
+        # + and * with an int or a Fraction give what the operand as a
+        # Cyclo gives, in field.degree Fractions
+        d = field.degree
+        z = Cyclo(field, data.draw(st.lists(_operands, max_size=d)))
+        r = data.draw(_operands)
+        rc = Cyclo(field, [r])
+        for got, want in ((z * r, z * rc), (r * z, rc * z),
+                          (z + r, z + rc), (r + z, rc + z),
+                          (z - r, z - rc), (r - z, rc - z), (-z, 0 - z)):
+            assert got == want and got.coeffs == want.coeffs
+            assert len(got.coeffs) == d
+            assert all(type(c) is F for c in got.coeffs)
+        # a rational result still equals its Fraction and hashes like it
+        q = Cyclo(field, [z.coeffs[0]])
+        for got, want in ((q * r, z.coeffs[0] * r), (r + q, z.coeffs[0] + r)):
+            assert got == F(want) and hash(got) == hash(F(want))
+        g = Cyclo.gen(field)
+        assert g ** d * r == -r and hash(g ** d * r) == hash(F(-r))
+
+
+# ---------------------------------------------------------------------------
+# the MultiPoly invariant: vars a tuple, terms int-tuple exponents of length
+# len(vars) to nonzero coefficients, on every result of the arithmetic
+# ---------------------------------------------------------------------------
+
+def _assert_clean(p, field):
+    assert type(p.vars) is tuple
+    for e, c in p.terms.items():
+        assert type(e) is tuple and len(e) == len(p.vars)
+        assert all(type(k) is int for k in e)
+        assert c and isinstance(c, (F, Cyclo))
+        if isinstance(c, Cyclo):
+            assert c.field is field and len(c.coeffs) == field.degree
+            assert all(type(k) is F for k in c.coeffs)
+    rebuilt = MultiPoly(p.vars, p.terms)
+    assert rebuilt == p and rebuilt.terms == p.terms
+
+
+@st.composite
+def _laurent_polys(draw, field, vars, low=-2):
+    """Laurent polynomials in vars, exponents from low to 2, with Fraction
+    coefficients, and with Cyclo ones too when field is given."""
+    coeff = st.fractions(min_value=-9, max_value=9, max_denominator=5)
+    if field is not None:
+        coeff = st.one_of(coeff, st.lists(coeff, min_size=1,
+                                          max_size=field.degree).map(
+            lambda cs: Cyclo(field, cs)))
+    expo = st.tuples(*[st.integers(low, 2)] * len(vars))
+    return MultiPoly(vars, draw(st.dictionaries(expo, coeff, max_size=4)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from((None, GAUSS, ZETA8)), st.data())
+def test_arithmetic_keeps_the_multipoly_invariant(field, data):
+    a = data.draw(_laurent_polys(field, ("x", "y")))
+    b = data.draw(_laurent_polys(field, ("y", "z")))
+    c = data.draw(_laurent_polys(field, ("x", "y")))
+    p = data.draw(_laurent_polys(field, ("x", "y", "z"), low=0))
+    x, y = MultiPoly.var("x", ("x", "y")), MultiPoly.var("y", ("x", "y"))
+    n = data.draw(st.integers(0, 3))
+    results = [a + b, a - b, a * b, b * a - a * b, a - a, a + (-a), -a,
+               (x + 1) * (x - 1), (x + y) * (x - y) - x * x + y * y,
+               a ** n, a + c, a * c, a * 0, a + F(1, 2), 3 * a, 0 + a,
+               p.subst({"x": c, "z": a}), p.subst({"y": b}),
+               p.subst({"z": F(-1, 3)}), a.subst({"x": F(2), "y": x * y}),
+               a.with_vars(("z", "y", "x", "w")), b.with_vars(("x", "y", "z"))]
+    if len(a.terms) == 1:
+        results += [a ** -n, a.inverse_monomial(), (a * b).exact_div(a)]
+    for v in ("x", "y"):
+        results += [a.partial(v), a.coeff_of(v, 1), (a * b).partial(v)]
+    results += (a * b).coefficient_split(("x",)).values()
+    results += p.coefficient_split(("y", "z")).values()
+    if field is not None:
+        i = Cyclo.gen(field)
+        results += [a * i, (x - i) * (x + i) - x * x + i * i, a * i - i * a]
+    for r in results:
+        _assert_clean(r, field)
+
+
+class TestPublicConstructor:
+    def test_exponent_length_mismatch_raises(self):
+        with pytest.raises(ValueError, match="exponent length"):
+            MultiPoly(("x", "y"), {(1,): F(1)})
+        with pytest.raises(ValueError, match="exponent length"):
+            MultiPoly(("x",), {(1, 0): F(1), (0,): F(2)})
+
+    def test_zero_coefficients_dropped(self):
+        p = MultiPoly(("x", "y"), {(1, 0): F(0), (0, 1): 0, (2, 2): F(3),
+                                   (1, 1): Cyclo(GAUSS, [0, 0])})
+        assert p.terms == {(2, 2): F(3)}
+        assert MultiPoly(("x",), {(1,): F(0)}).is_zero
+
+    def test_exponents_become_int_tuples(self):
+        p = MultiPoly(["x", "y"], {(True, F(2)): F(1)})
+        assert p.vars == ("x", "y")
+        e, = p.terms
+        assert all(type(k) is int for k in e) and e == (1, 2)
 
 
 # ---------------------------------------------------------------------------

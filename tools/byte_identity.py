@@ -41,8 +41,11 @@ Q[la], full and rank-deficient, with a seeded number of leading
 generators, and after them `ll-fiber` over seeded square-free targets:
 eight A2 targets at the benchmark's budget of 150 starts, four A3 targets
 at the default budget, and one A3 target at 40 starts, whose count does
-not saturate (exit 3).  Inputs are seeded, so the output is deterministic.  The
-battery takes about 8 s on a 2-core host.
+not saturate (exit 3).  Last of all it prints the repr of every stored
+symmetry table, phi, psi_shift and psi of each datum of D4 to D8 and tE6
+to tE8, polynomials that Cyclo and Laurent arithmetic build.  Inputs are
+seeded, so the output is deterministic.  The battery takes about 8 s on a
+2-core host.
 """
 
 import contextlib
@@ -56,7 +59,8 @@ from fractions import Fraction
 from singlat import cli, lattice, llmap, verify
 from singlat.braid import BraidWord, VanishingTuple, braid_apply_word
 from singlat.polyalg import MultiPoly, graded_piece_rank, resultant
-from singlat.singdata import ALL_LABELS, seed_stokes, sing_class, weights
+from singlat.singdata import (ALL_LABELS, seed_stokes, sing_class,
+                              symmetry_data, weights)
 
 # A mu = 3 path whose first segment passes within 1.65e-5 of the
 # discriminant (the benchmark's known-defect walk): 2000 uniform steps gave
@@ -389,6 +393,15 @@ def wide_tolerance_walks(rng):
                      llmap.wall_walk_A, mu, path + path[-2::-1], **tol)
 
 
+def symmetry_tables():
+    """The repr of each stored symmetry datum's phi, psi_shift and psi."""
+    for label in ("D4", "D5", "D6", "D7", "D8", "tE6", "tE7", "tE8"):
+        for datum in symmetry_data(sing_class(label)):
+            for part in ("phi", "psi_shift", "psi"):
+                print(f"symmetry_data {label} {datum.label} {part}: "
+                      f"{getattr(datum, part)!r}")
+
+
 def main():
     rng = random.Random(20261018)
     for label in ("D4", "D5", "D6", "D7", "D8", "tE6", "tE7", "tE8"):
@@ -497,6 +510,7 @@ def main():
     orbit_outputs()
     jacobi_outputs(random.Random(20261024))
     fiber_outputs(random.Random(20261026))
+    symmetry_tables()
 
 
 if __name__ == "__main__":
