@@ -53,17 +53,6 @@ def _positive_int(text):
     return value
 
 
-def _positive_float(text):
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(
-            f"must be positive and finite, got {text!r}")
-    return value
-
-
 def _fraction(text):
     try:
         return Fraction(text)
@@ -241,8 +230,7 @@ def cmd_ll_fiber(args):
         raise _Usage("fiber counting covers A2 and A3")
     target = _complex_vec(_json(args.p), cls.mu) + [1.0]
     fc = llmap.ll_fiber_count(cls, llmap.LLPoint(tuple(target)),
-                              budget=args.budget,
-                              tol_cluster=args.tol_cluster)
+                              budget=args.budget)
     _emit({"class": cls.label, "count": fc.count, "saturated": fc.saturated,
            "starts": fc.starts})
     if not fc.saturated:
@@ -260,8 +248,7 @@ def cmd_wall_walk(args):
         llmap.check_segments(waypoints)
     except ValueError as exc:
         raise _Usage(str(exc))
-    word, stats = llmap._walk(args.mu, waypoints, args.steps, args.tol_wall,
-                              args.tol_disc)
+    word, stats = llmap._walk(args.mu, waypoints, args.steps)
     _emit({"mu": args.mu, "word": list(word.letters)})
     sep = stats.min_separation
     _info(json.dumps({"samples": stats.samples, "bisected": stats.bisected,
@@ -428,8 +415,6 @@ def build_parser():
     p.add_argument("cls")
     p.add_argument("p", help="JSON list of the mu non-leading coefficients")
     p.add_argument("--budget", type=_positive_int, default=600)
-    p.add_argument("--tol-cluster", type=_positive_float,
-                   default=llmap.TOL_DEDUP)
 
     p = add("wall-walk", cmd_wall_walk,
             help="braid word emitted along a parameter path")
@@ -439,8 +424,6 @@ def build_parser():
                    help="uniform samples each segment starts from; the "
                         "walk bisects wherever the critical values move too "
                         "far between samples (default: %(default)s)")
-    p.add_argument("--tol-wall", type=_positive_float, default=llmap.TOL_WALL)
-    p.add_argument("--tol-disc", type=_positive_float, default=llmap.TOL_DISC)
 
     p = add("diagram", cmd_diagram, help="seed diagram in DOT format")
     p.add_argument("cls")

@@ -41,6 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from .braid import BraidWord
+from .degrees import deg_ll_simple
 from .lattice import char_poly
 from .polyalg import MultiPoly, bareiss, macaulay, sylvester, to_complex
 from .singdata import jacobi_system, sing_class, unfolding, weights
@@ -189,15 +190,15 @@ def discriminant_member(p: LLPoint) -> bool:
 # good ordering
 # ---------------------------------------------------------------------------
 
-def good_order(values, tol=TOL_WALL):
+def good_order(values):
     """Permutation sigma ordering the values by imaginary part ascending,
     ties broken by real part descending.  A pair equal in both parts
-    (within tol) cannot be ordered: that parameter sits on a wall."""
+    (within TOL_WALL) cannot be ordered: that parameter sits on a wall."""
     idx = sorted(range(len(values)),
                  key=lambda k: (values[k].imag, -values[k].real))
     for a, b in zip(idx, idx[1:]):
-        if abs(values[a].imag - values[b].imag) < tol and \
-           abs(values[a].real - values[b].real) < tol:
+        if abs(values[a].imag - values[b].imag) < TOL_WALL and \
+           abs(values[a].real - values[b].real) < TOL_WALL:
             raise ValueError("on a Stokes wall: values collide within tolerance")
     return tuple(idx)
 
@@ -374,16 +375,16 @@ def _newton_rows(G, J, starts):
 NEWTON_CHUNK = 128
 
 
-def _compile(polys, names, fixed):
+def _compile(polys, names):
     """The polys and their partials in names as one exponent matrix over the
-    unknowns names and one coefficient matrix.
+    unknowns names and one coefficient matrix; every variable of the polys
+    is an unknown.
 
     Row r of the exponent matrix E (integer, shape (M, len(names))) is a
     distinct monomial in the unknowns; column k of the coefficient matrix C
     (complex, shape (M, K)) holds output k's coefficients of those
-    monomials, every other variable folded in at its value in fixed.  The
-    outputs are the polys, then the partials row by row: output
-    len(polys) + i len(names) + j is d polys[i] / d names[j]."""
+    monomials.  The outputs are the polys, then the partials row by row:
+    output len(polys) + i len(names) + j is d polys[i] / d names[j]."""
     pos = {v: i for i, v in enumerate(names)}
     outs = list(polys) + [p.partial(v) for p in polys for v in names]
     rows, entries = {}, []
@@ -391,12 +392,9 @@ def _compile(polys, names, fixed):
         for expo, c in p.terms.items():
             cv, key = to_complex(c), [0] * len(names)
             for v, e in zip(p.vars, expo):
-                if v in pos:
-                    if e < 0:
-                        raise ValueError(f"negative power of unknown {v}")
-                    key[pos[v]] = e
-                elif e:
-                    cv *= fixed[v] ** e
+                if e < 0:
+                    raise ValueError(f"negative power of unknown {v}")
+                key[pos[v]] = e
             entries.append((rows.setdefault(tuple(key), len(rows)), k, cv))
     E = np.array(list(rows), dtype=np.intp).reshape(len(rows), len(names))
     C = np.zeros((len(rows), len(outs)), dtype=complex)
@@ -436,7 +434,7 @@ def _system(E, C, m, target):
 @lru_cache(maxsize=None)
 def _ll_compiled(mu):
     tv, coeffs = _symbolic_ll(mu)
-    return _compile(coeffs, tv, {})
+    return _compile(coeffs, tv)
 
 
 def _ll_system(mu, p: LLPoint):
@@ -446,52 +444,50 @@ def _ll_system(mu, p: LLPoint):
     return _system(*_ll_compiled(mu), mu, p.coeffs[:mu])
 
 
-def _distinct_zeros(G, J, starts, want, tol):
+def _distinct_zeros(G, J, starts, want):
     """Distinct zeros of the system (G, J) that Newton reaches from the
     rows of starts, an iterable read NEWTON_CHUNK rows at a time.
 
     Converged rows are taken in convergence order: chunk, then Newton
     iteration (`_newton_steps`), then start index.  A row is kept when it
-    differs from every zero kept so far by more than tol in max norm.
-    Returns at the iteration that brings the kept zeros to want."""
+    differs from every zero kept so far by more than TOL_DEDUP in max
+    norm.  Returns at the iteration that brings the kept zeros to want."""
     found = []
     starts = iter(starts)
     while chunk := list(itertools.islice(starts, NEWTON_CHUNK)):
         for _, Z in _newton_steps(G, J, chunk):
-            if found:   # drop the rows within tol of a kept zero at once
+            if found:   # drop the rows within TOL_DEDUP of a kept zero
                 d = np.abs(Z[:, None, :] - np.array(found)).max(axis=2)
-                Z = Z[(d > tol).all(axis=1)]
+                Z = Z[(d > TOL_DEDUP).all(axis=1)]
             kept = len(found)
             for z in Z:   # survivors: test against this iteration's zeros
-                if all(np.max(np.abs(z - z0)) > tol for z0 in found[kept:]):
+                if all(np.max(np.abs(z - z0)) > TOL_DEDUP
+                       for z0 in found[kept:]):
                     found.append(z)
                     if len(found) == want:
                         return found
     return found
 
 
-def ll_fiber_count(cls_or_label, p: LLPoint, budget=600, *, seed=5,
-                   tol_cluster=TOL_DEDUP) -> FiberCount:
+def ll_fiber_count(cls_or_label, p: LLPoint, budget=600, *,
+                   seed=5) -> FiberCount:
     """Number of parameter points mapping to the target configuration,
     located by multistart Newton on the coefficient-matching system.
 
     Only mu = 2 and 3 are supported; the target must be square-free.  The
     budget starts are drawn in order from random.Random(seed) as the search
     reaches them, NEWTON_CHUNK at a time; a converged point within
-    tol_cluster (positive and finite) in max norm of one kept before is
-    dropped.  Over a square-free target the A_mu fiber has exactly
-    deg LL = (mu+1)^(mu-1) points: the search stops at the Newton iteration
-    that finds the last of them, and the saturation flag records that it
-    did.  The solutions come in convergence order (`_distinct_zeros`):
-    chunk, then iteration, then start index."""
+    TOL_DEDUP, a constant, in max norm of one kept before is dropped.
+    Over a square-free target the A_mu fiber has exactly deg LL =
+    (mu+1)^(mu-1) points (`degrees.deg_ll_simple`): the search stops at
+    the Newton iteration that finds the last of them, and the saturation
+    flag records that it did.  The solutions come in convergence order
+    (`_distinct_zeros`): chunk, then iteration, then start index."""
     cls = sing_class(cls_or_label)
     if cls.family != "A" or cls.mu not in (2, 3):
         raise ValueError("fiber counting is desk-scale: chain family, mu in {2, 3}")
     if budget < 1:
         raise ValueError(f"the start budget must be at least 1, got {budget}")
-    if not (tol_cluster > 0 and math.isfinite(tol_cluster)):
-        raise ValueError("the cluster tolerance must be positive and finite, "
-                         f"got {tol_cluster}")
     mu = cls.mu
     if p.degree != mu:
         raise ValueError("target degree mismatch")
@@ -501,8 +497,8 @@ def ll_fiber_count(cls_or_label, p: LLPoint, budget=600, *, seed=5,
     rng = random.Random(seed)
     starts = ([complex(rng.gauss(0, 2), rng.gauss(0, 2)) for _ in range(mu)]
               for _ in range(budget))
-    deg = (mu + 1) ** (mu - 1)
-    sols = _distinct_zeros(*_ll_system(mu, p), starts, deg, tol_cluster)
+    deg = deg_ll_simple(cls).deg_ll
+    sols = _distinct_zeros(*_ll_system(mu, p), starts, deg)
     return FiberCount(count=len(sols), saturated=len(sols) == deg,
                       starts=budget, solutions=tuple(tuple(v) for v in sols))
 
@@ -586,7 +582,7 @@ def _matched(L, R):
     return L[r, order], R[r, D.argmin(axis=2)[r, order]]
 
 
-def _steps_ok(L, R, sep_l, sep_r, tol_wall):
+def _steps_ok(L, R, sep_l, sep_r):
     """Mask of the intervals (L[r], R[r]) between path samples that pass the
     step test.
 
@@ -596,7 +592,7 @@ def _steps_ok(L, R, sep_l, sep_r, tol_wall):
     too: a pair whose good-order key flips keeps its real-part order,
     since flipping both orders would change the pair's difference by at
     least its length, more than the two moves allow.  And at most one pair
-    may flip with imaginary parts at least tol_wall apart at both ends, so
+    may flip with imaginary parts at least TOL_WALL apart at both ends, so
     the order of the letters is certain; a flip inside that band is a wall
     contact, which `_walk_step` judges."""
     A, B = _matched(L, R)
@@ -604,8 +600,8 @@ def _steps_ok(L, R, sep_l, sep_r, tol_wall):
     i, j = _pairs(L.shape[1])
     lo, hi = B[:, i], B[:, j]
     crossing = _inverted(lo, hi) & \
-        (np.abs(A[:, i].imag - A[:, j].imag) >= tol_wall) & \
-        (np.abs(lo.imag - hi.imag) >= tol_wall)
+        (np.abs(A[:, i].imag - A[:, j].imag) >= TOL_WALL) & \
+        (np.abs(lo.imag - hi.imag) >= TOL_WALL)
     return ok & (crossing.sum(axis=1) <= 1)
 
 
@@ -622,20 +618,20 @@ def _sample(mu, a, b, s, stats):
     return V, sep
 
 
-def _refine(mu, a, b, s, V, sep, tol_wall, tol_disc, stats):
+def _refine(mu, a, b, s, V, sep, stats):
     """Bisect the intervals between consecutive samples s of the segment
     from a to b until each passes `_steps_ok`; return the samples, their
     values and separations, and whether the path hit the discriminant.
 
     Each round evaluates the midpoints of all failing intervals in one
     stacked call.  The path hits the discriminant at the first sample whose
-    separation is below tol_disc, and at the right end of the first
+    separation is below TOL_DISC, and at the right end of the first
     failing interval shorter than WALK_FLOOR: the samples end there, and
     that last one is not part of the walk."""
-    ok = _steps_ok(V[:-1], V[1:], sep[:-1], sep[1:], tol_wall)
+    ok = _steps_ok(V[:-1], V[1:], sep[:-1], sep[1:])
     hit = False
     while True:
-        low = sep < tol_disc
+        low = sep < TOL_DISC
         if low.any():
             n = int(np.argmax(low)) + 1
             s, V, sep, ok, hit = s[:n], V[:n], sep[:n], ok[:n - 1], True
@@ -658,12 +654,10 @@ def _refine(mu, a, b, s, V, sep, tol_wall, tol_disc, stats):
         sep = np.insert(sep, bad + 1, sepm)
         ok = np.insert(ok, bad + 1, False)
         new = np.concatenate([at - 1, at])
-        ok[new] = _steps_ok(V[new], V[new + 1], sep[new], sep[new + 1],
-                            tol_wall)
+        ok[new] = _steps_ok(V[new], V[new + 1], sep[new], sep[new + 1])
 
 
-def _path_values(mu, waypoints, steps, tol_wall=TOL_WALL, tol_disc=TOL_DISC,
-                 stats=None):
+def _path_values(mu, waypoints, steps, stats=None):
     """Critical values at adaptive samples of the piecewise-linear path, one
     (n, mu) array per chunk of at most WALK_CHUNK samples, in path order:
     the first waypoint, then each segment's samples after its start, the
@@ -673,14 +667,14 @@ def _path_values(mu, waypoints, steps, tol_wall=TOL_WALL, tol_disc=TOL_DISC,
     interval between adjacent samples that fails the step test
     (`_steps_ok`), WALK_CHUNK initial intervals at a time, so memory does
     not grow with steps.  A sample whose critical values are closer than
-    tol_disc, or an interval that still fails at WALK_FLOOR of its
+    TOL_DISC, or an interval that still fails at WALK_FLOOR of its
     segment, means the path hit the discriminant: the samples before it
     are yielded, then ValueError is raised.  stats, a WalkStats, counts
     what was evaluated."""
     stats = WalkStats() if stats is None else stats
     W = np.array(waypoints, dtype=complex)
     V, sep = _sample(mu, W[0], W[0], np.zeros(1), stats)   # the start
-    if sep[0] < tol_disc:
+    if sep[0] < TOL_DISC:
         raise ValueError(_COLLIDE)
     yield V
     for a, b in zip(W, W[1:]):
@@ -690,8 +684,7 @@ def _path_values(mu, waypoints, steps, tol_wall=TOL_WALL, tol_disc=TOL_DISC,
             Vs, seps = _sample(mu, a, b, s, stats)
             s, V, sep, hit = _refine(mu, a, b, np.concatenate([[s0], s]),
                                      np.concatenate([V[-1:], Vs]),
-                                     np.concatenate([sep[-1:], seps]),
-                                     tol_wall, tol_disc, stats)
+                                     np.concatenate([sep[-1:], seps]), stats)
             end = len(s) - hit
             for r in range(1, end, WALK_CHUNK):
                 yield V[r:min(r + WALK_CHUNK, end)]
@@ -700,7 +693,7 @@ def _path_values(mu, waypoints, steps, tol_wall=TOL_WALL, tol_disc=TOL_DISC,
             s0 = s[-1]
 
 
-def _walk_step(matched, letters, contact, tol_wall):
+def _walk_step(matched, letters, contact):
     """One sample of the walk that may change it, the only definition of
     its rules.
 
@@ -708,7 +701,7 @@ def _walk_step(matched, letters, contact, tol_wall):
     values in good order (`_matched`).  The list is bubbled into good
     order, and every adjacent swap appends a letter to letters, signed by
     the real-part order at the crossing.  contact counts, per adjacent
-    pair, the consecutive samples spent within tol_wall of a wall."""
+    pair, the consecutive samples spent within TOL_WALL of a wall."""
     changed = True
     while changed:   # good_order's key is a strict order, so the bubble ends
         changed = False
@@ -721,7 +714,7 @@ def _walk_step(matched, letters, contact, tol_wall):
     # a single sample may kiss a wall during a transversal crossing;
     # lingering inside the band means a tangential contact
     for i in range(len(matched) - 1):
-        if abs(matched[i].imag - matched[i + 1].imag) < tol_wall:
+        if abs(matched[i].imag - matched[i + 1].imag) < TOL_WALL:
             contact[i] = contact.get(i, 0) + 1
             if contact[i] >= 3:
                 raise ValueError(
@@ -740,8 +733,7 @@ def check_segments(waypoints):
                          "difference")
 
 
-def wall_walk_A(mu, path, steps=64, *, tol_wall=TOL_WALL,
-                tol_disc=TOL_DISC) -> BraidWord:
+def wall_walk_A(mu, path, steps=64) -> BraidWord:
     """Track the good-ordered critical values along a piecewise-linear path
     of parameter vectors; emit one braid letter per transversal crossing of
     adjacent imaginary parts.  The letter sign comes from the real-part
@@ -752,18 +744,21 @@ def wall_walk_A(mu, path, steps=64, *, tol_wall=TOL_WALL,
     value moves less than half the smallest separation at its ends and at
     most one pair of values crosses a wall, so the matching of values and
     the sign and order of the letters are certain (`_steps_ok`).
-    Aborts when two critical values collide or an interval cannot be
-    resolved above WALK_FLOOR (the path hit the discriminant), or when a
-    wall contact does not resolve within the sample resolution (tangential
-    crossing).  Samples are read a chunk at a time and matched to their
-    predecessors in one array call (`_matched`); a still sample, whose
-    matched values are in good order with every adjacent imaginary gap at
-    least tol_wall, changes nothing, and every other one goes through
-    `_walk_step`."""
-    return _walk(mu, path, steps, tol_wall, tol_disc)[0]
+    Aborts when two critical values come closer than TOL_DISC or an
+    interval cannot be resolved above WALK_FLOOR (the path hit the
+    discriminant), or when a wall contact, an adjacent imaginary gap below
+    TOL_WALL, does not resolve within the sample resolution (tangential
+    crossing).  Both bands are absolute constants: scaling each t_j by
+    s^(deg t_j), s > 0, scales every critical value by s and keeps the
+    word, so a path can be rescaled away from them.  Samples are read a
+    chunk at a time and matched to their predecessors in one array call
+    (`_matched`); a still sample, whose matched values are in good order
+    with every adjacent imaginary gap at least TOL_WALL, changes nothing,
+    and every other one goes through `_walk_step`."""
+    return _walk(mu, path, steps)[0]
 
 
-def _walk(mu, path, steps, tol_wall, tol_disc):
+def _walk(mu, path, steps):
     """`wall_walk_A`'s word, and the WalkStats of its sampling."""
     if mu < 1:
         raise ValueError(f"mu must be at least 1, got {mu}")
@@ -783,18 +778,18 @@ def _walk(mu, path, steps, tol_wall, tol_disc):
 
     letters, contact = [], {}   # contact: adjacent pair -> samples on the wall
     prev = None                 # the previous sample's values
-    for V in _path_values(mu, waypoints, steps, tol_wall, tol_disc, stats):
+    for V in _path_values(mu, waypoints, steps, stats):
         if prev is None:   # the start, alone in its chunk: raises on a wall
-            good_order(V[0].tolist(), tol=tol_wall)
+            good_order(V[0].tolist())
         else:
             B = _matched(np.concatenate([prev, V[:-1]]), V)[1]
             lo, hi = B[:, :-1], B[:, 1:]
             still = ~_inverted(lo, hi).any(axis=1) & \
-                (np.abs(hi.imag - lo.imag) >= tol_wall).all(axis=1)
+                (np.abs(hi.imag - lo.imag) >= TOL_WALL).all(axis=1)
             for r in np.flatnonzero(~still):
                 if r and still[r - 1]:
                     contact = {}
-                _walk_step(B[r].tolist(), letters, contact, tol_wall)
+                _walk_step(B[r].tolist(), letters, contact)
             if still[-1]:
                 contact = {}
         prev = V[-1:]

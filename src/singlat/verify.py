@@ -158,10 +158,17 @@ def check_unfolding_identity(cls_or_label, which: str) -> CheckOutcome:
     to avoid the excluded parameters, and are reported in `detail`.
     """
     cls = sing_class(cls_or_label)
+    return _check_unfolding(cls, *_symmetries(cls, [which]))
+
+
+def _symmetries(cls, names):
+    """The stored symmetry data of cls with the given names, in that order,
+    from one `symmetry_data` call; an unknown name raises ValueError."""
     data = {d.label: d for d in symmetry_data(cls)}
-    if which not in data:
-        raise ValueError(f"{cls.label} has no stored symmetry {which!r}")
-    return _check_unfolding(cls, data[which])
+    for w in names:
+        if w not in data:
+            raise ValueError(f"{cls.label} has no stored symmetry {w!r}")
+    return [data[w] for w in names]
 
 
 def _check_unfolding(cls, datum) -> CheckOutcome:
@@ -202,14 +209,15 @@ def _check_unfolding(cls, datum) -> CheckOutcome:
 def check_lambda_projection(cls_or_label, which: str) -> CheckOutcome:
     """The la-component of the symmetry: f_la(phi(x)) = f_{la'}(x) with
     la' = 1/la (psi2) or 1 - la (psi3), exactly in the datum's Laurent
-    ring."""
+    ring.  A class without la, or an unknown name, raises ValueError."""
     cls = sing_class(cls_or_label)
-    return _check_projection(cls, {d.label: d for d in
-                                   symmetry_data(cls)}[which])
+    return _check_projection(cls, *_symmetries(cls, [which]))
 
 
 def _check_projection(cls, datum) -> CheckOutcome:
     """`check_lambda_projection` on one symmetry datum of cls."""
+    if not cls.is_elliptic:
+        raise ValueError(f"{cls.label} has no family parameter la")
     f_target, la = _lambda_target(cls, datum)
     f = normal_form(cls).subst({"la": la})
     lhs = f.subst({v: datum.phi[v] for v in cls.xvars})
@@ -222,12 +230,11 @@ def _check_projection(cls, datum) -> CheckOutcome:
 def elliptic_symmetry_checks(cls_or_label, which=("psi2", "psi3")) -> list:
     """The la-projection and the unfolding identity of each named symmetry
     of an elliptic class, in that order, as CheckOutcomes; the class's
-    symmetry data is built once."""
+    symmetry data is built once.  An unknown name raises ValueError."""
     cls = sing_class(cls_or_label)
-    data = {d.label: d for d in symmetry_data(cls)}
     out = []
-    for w in which:
-        out += [_check_projection(cls, data[w]), _check_unfolding(cls, data[w])]
+    for d in _symmetries(cls, which):
+        out += [_check_projection(cls, d), _check_unfolding(cls, d)]
     return out
 
 

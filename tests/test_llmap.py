@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import itertools
 import random
 import warnings
@@ -13,7 +14,7 @@ from singlat.braid import VanishingTuple, braid_apply, braid_apply_word, \
     sign_canonical_stokes, sign_canonical_tuple, stokes_of_tuple
 from singlat.lattice import StokesMatrix
 from singlat.llmap import (TOL_DEDUP, TOL_DISC, TOL_WALL, WALK_CHUNK,
-                           LLPoint, _compile, _ll_system,
+                           LLPoint, _compile, _ll_compiled, _ll_system,
                            _multiplication_plan, _newton_rows, _path_values,
                            _separations, _steps_ok, _symbolic_ll, _system,
                            _walk_values,
@@ -488,14 +489,6 @@ class TestFiberCount:
         with pytest.raises(ValueError, match="budget"):
             ll_fiber_count("A2", target_from_roots((1, -1)), budget=budget)
 
-    @pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])
-    def test_bad_cluster_tolerance_rejected(self, tol):
-        # a tolerance that is not positive would keep one point three times
-        # over and report a saturated count; NaN would keep only the first
-        with pytest.raises(ValueError, match="cluster tolerance"):
-            ll_fiber_count("A2", target_from_roots((0.5, -1)), budget=150,
-                           tol_cluster=tol)
-
     # (count, len(solutions)) of the per-start Newton loop this batched one
     # replaced, at the same seeded targets and budgets; saturated iff the
     # count is deg LL = (mu+1)^(mu-1)
@@ -657,10 +650,11 @@ class TestWallWalk:
         assert wall_walk_A(3, [[0.5, -1.0, 0.25], [0.5, -1.0, 0.25]],
                            steps=50).letters == ()
         # a walk that starts inside the wall band: at t = (0, -3) the two
-        # values are real, and the start sample counts as no wall contact
+        # values are real, -2 and 2, and the start sample counts as no wall
+        # contact
         path = [[0, -3], [0, -3 + 1j]]
-        assert wall_walk_A(2, path, 16, tol_wall=0.3).letters == () == \
-            per_sample_walk(2, path, 16, tol_wall=0.3)
+        assert wall_walk_A(2, path, 16).letters == () == \
+            per_sample_walk(2, path, 16)
 
     def test_a2_loop_acts_trivially_mod_sign(self):
         loop = [[0.3, cmath.exp(2j * cmath.pi * k / 8)] for k in range(9)]
@@ -724,7 +718,7 @@ class TestWallWalk:
         def passes(right, left=L):
             R = np.array([right])
             return bool(_steps_ok(left, R, _separations(left),
-                                  _separations(R), TOL_WALL)[0])
+                                  _separations(R))[0])
 
         assert _separations(L)[0] == abs(1 + 0.1j)
         assert passes([0.1j, 1 + 0.1j, 5 + 3j, 6 + 3.1j])
@@ -768,8 +762,7 @@ class TestWallWalk:
     @pytest.mark.parametrize("mu", [1, 2, 3, 4, 5])
     def test_chunked_walk_matches_per_sample(self, mu):
         # 60 seeded round trips per mu, 300 in all, at steps from 20 to 2000
-        # (20 * 100^(u^2) for uniform u); every seventh path is real, and
-        # every fifth walk widens one of the two tolerances
+        # (20 * 100^(u^2) for uniform u); every seventh path is real
         rng = random.Random(71 + mu)
         seen = set()
         for k in range(60):
@@ -778,12 +771,9 @@ class TestWallWalk:
             path = [[complex(rng.uniform(-2, 2), rng.uniform(-im, im))
                      for _ in range(mu)] for _ in range(rng.choice((2, 3)))]
             path += path[-2::-1]
-            tol = [{}, {"tol_disc": 0.05}, {}, {}, {"tol_wall": 0.01}][k % 5]
-            got = walk_outcome(
-                lambda: wall_walk_A(mu, path, steps, **tol).letters)
-            want = walk_outcome(lambda: per_sample_walk(mu, path, steps,
-                                                        **tol))
-            assert got == want, (path, steps, tol)
+            got = walk_outcome(lambda: wall_walk_A(mu, path, steps).letters)
+            want = walk_outcome(lambda: per_sample_walk(mu, path, steps))
+            assert got == want, (path, steps)
             seen.add(type(got))
         # both words and errors were compared
         assert seen == ({tuple} if mu == 1 else {tuple, str})
@@ -972,13 +962,13 @@ def free_reduce(letters):
     return tuple(out)
 
 
-def step_ok(left, right, tol_wall=TOL_WALL):
+def step_ok(left, right):
     """Reference step test on the values at the two ends of an interval:
     each value's nearest value at the right end is less than half the
     smaller end's separation away, every pair whose good-order key flips
     keeps its real-part order (which the walker does not test, as the
     first condition implies it), and at most one pair flips with imaginary
-    parts at least tol_wall apart at both ends."""
+    parts at least TOL_WALL apart at both ends."""
     sep = min(abs(x - y) for v in (left, right)
               for x, y in itertools.combinations(v, 2))
     near = [min(right, key=lambda y: abs(y - x)) for x in left]
@@ -993,24 +983,23 @@ def step_ok(left, right, tol_wall=TOL_WALL):
             if (left[i].real > left[j].real) != (lo.real > hi.real):
                 return False
             crossings += min(abs(left[i].imag - left[j].imag),
-                             abs(lo.imag - hi.imag)) >= tol_wall
+                             abs(lo.imag - hi.imag)) >= TOL_WALL
     return crossings <= 1
 
 
-def per_sample_walk(mu, path, steps, tol_wall=TOL_WALL, tol_disc=TOL_DISC):
+def per_sample_walk(mu, path, steps):
     """Reference: the walk's rules applied to every adaptive sample in
     turn, the loop that the chunked walker replaced (with good_order's key
     as the swap rule), over the same sampled values.  Returns the
     letters."""
     letters, prev, contact = [], None, {}
-    for vals in (v for chunk in _path_values(mu, path, steps, tol_wall,
-                                                    tol_disc)
+    for vals in (v for chunk in _path_values(mu, path, steps)
                  for v in chunk.tolist()):
         for a, b in itertools.combinations(vals, 2):
-            if abs(a - b) < tol_disc:
+            if abs(a - b) < TOL_DISC:
                 raise ValueError("hit discriminant: critical values collide")
         if prev is None:
-            prev = [vals[k] for k in good_order(vals, tol=tol_wall)]
+            prev = [vals[k] for k in good_order(vals)]
             continue
         remaining, matched = list(vals), []
         for pv in prev:
@@ -1028,7 +1017,7 @@ def per_sample_walk(mu, path, steps, tol_wall=TOL_WALL, tol_disc=TOL_DISC):
                     matched[i], matched[i + 1] = hi, lo
                     changed = True
         for i in range(len(matched) - 1):
-            if abs(matched[i].imag - matched[i + 1].imag) < tol_wall:
+            if abs(matched[i].imag - matched[i + 1].imag) < TOL_WALL:
                 contact[i] = contact.get(i, 0) + 1
                 if contact[i] >= 3:
                     raise ValueError(
@@ -1049,12 +1038,12 @@ class TestCompiledSystem:
         want = np.asarray(want)
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1, abs(want)))
 
-    def check(self, polys, names, fixed, target, G, J, rows):
+    def check(self, polys, names, target, G, J, rows):
         g, jac = G(rows), J(rows)
         assert g.shape == (len(rows), len(polys))
         assert jac.shape == (len(rows), len(polys), len(names))
         for r, z in enumerate(rows):
-            at = {**fixed, **dict(zip(names, z))}
+            at = dict(zip(names, z))
             self.assert_close(g[r], [p.eval_complex(at) - c
                                      for p, c in zip(polys, target)])
             self.assert_close(jac[r], [[p.partial(v).eval_complex(at)
@@ -1063,34 +1052,36 @@ class TestCompiledSystem:
     @pytest.mark.parametrize("label", ["D4", "D5", "D6", "E6", "E7", "E8",
                                        "tE7", "tE8"])
     def test_two_variable_gradient(self, label):
+        # the gradient of the unfolding in (x0, x1), with every variable of
+        # the unfolding, t and la included, an unknown
         rng = random.Random(83)
-        cls = sing_class(label)
-        fixed = {tn: complex(rng.gauss(0, 1), rng.gauss(0, 1))
-                 for tn in cls.tvars}
-        if cls.is_elliptic:
-            fixed["la"] = complex(F(-3, 7))
-        f = unfolding(cls)
-        names = ("x0", "x1")
-        polys = [f.partial(v) for v in names]
+        f = unfolding(sing_class(label))
+        polys = [f.partial(v) for v in ("x0", "x1")]
         rows = np.array([[complex(rng.gauss(0, 1.5), rng.gauss(0, 1.5))
-                          for _ in names] for _ in range(40)])
-        self.check(polys, names, fixed, (0, 0),
-                   *_system(*_compile(polys, names, fixed), 2, 0), rows)
+                          for _ in f.vars] for _ in range(40)])
+        self.check(polys, f.vars, (0, 0),
+                   *_system(*_compile(polys, f.vars), 2, 0), rows)
 
-    def test_fixed_powers_folded(self):
-        # fixed variables at powers other than 1, negative ones included
-        vs = ("x", "a", "y")
-        polys = [MultiPoly(vs, {(2, 2, 1): F(1), (1, -1, 0): F(3),
-                                (0, 0, 1): F(-1)}),
-                 MultiPoly(vs, {(1, 3, 3): F(2, 7), (0, 1, 0): F(-1),
-                                (1, 0, 3): F(5)})]
-        rng = random.Random(97)
-        rows = np.array([[complex(rng.gauss(0, 1), rng.gauss(0, 1))
-                          for _ in range(2)] for _ in range(20)])
-        fixed = {"a": 0.7 + 0.2j}
-        self.check(polys, ("x", "y"), fixed, (1, 2j),
-                   *_system(*_compile(polys, ("x", "y"), fixed), 2, (1, 2j)),
-                   rows)
+    def test_negative_power_rejected(self):
+        p = MultiPoly(("x", "y"), {(1, -1): F(1), (0, 2): F(3)})
+        with pytest.raises(ValueError, match="negative power"):
+            _compile([p], ("x", "y"))
+
+    # SHA-256 of the compiled chain system's exponent matrix (as <i8) and
+    # coefficient matrix (as <c16), with their shapes: pinned, since the
+    # fiber counts and solutions rest on these arrays bit for bit
+    @pytest.mark.parametrize("mu,shape,digest", [
+        (2, (5, 6), "22a7e42d3c805ed9678af7770b15db6a"
+                    "7ed3432edd6bc294954f2ac23b2ee3c2"),
+        (3, (25, 12), "8c176f6f23791bbd04c0d0db38b42535"
+                      "e7ca4da97a7548161d66615d590b7e52"),
+        (4, (118, 20), "270cc58f446f404be72388745e51daef"
+                       "09244f8953213aa7bc504d42cada82ca")])
+    def test_ll_compiled_pinned(self, mu, shape, digest):
+        E, C = _ll_compiled(mu)
+        assert E.shape == (shape[0], mu) and C.shape == shape
+        data = E.astype("<i8").tobytes() + C.astype("<c16").tobytes()
+        assert hashlib.sha256(data).hexdigest() == digest
 
     @pytest.mark.parametrize("mu", [2, 3, 4])
     def test_chain_coefficient_matching(self, mu):
@@ -1101,4 +1092,4 @@ class TestCompiledSystem:
         rows = np.array([[complex(rng.gauss(0, 2), rng.gauss(0, 2))
                           for _ in tv] for _ in range(40)])
         target = [complex(c) for c in p.coeffs[:mu]]
-        self.check(coeffs, tv, {}, target, *_ll_system(mu, p), rows)
+        self.check(coeffs, tv, target, *_ll_system(mu, p), rows)

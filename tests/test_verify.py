@@ -8,7 +8,8 @@ from singlat.polyalg import MultiPoly, graded_columns
 from singlat.singdata import sing_class, symmetry_data, weights
 from singlat.verify import (JacobiRankError, check_kappa_extension,
                             check_lambda_projection, check_simple_symmetry,
-                            check_unfolding_identity, identity_suite,
+                            check_unfolding_identity,
+                            elliptic_symmetry_checks, identity_suite,
                             jacobi_dimension, jacobi_suite,
                             _composed_substitution, _lift_unfolding)
 
@@ -164,8 +165,16 @@ class TestUnfoldingIdentities:
             assert check_lambda_projection(label, "psi3").passed
 
     def test_unknown_symmetry(self):
-        with pytest.raises(ValueError):
-            check_unfolding_identity("tE6", "psi9")
+        for check, args, message in [
+                (check_unfolding_identity, ("tE6", "psi9"), "no stored"),
+                (check_lambda_projection, ("tE6", "psi9"), "no stored"),
+                (check_lambda_projection, ("E6", "psi2"), "no stored"),
+                (elliptic_symmetry_checks, ("tE6", ["psi9"]), "no stored"),
+                (elliptic_symmetry_checks, ("D4",), "no stored"),
+                # D4 stores phi2, but has no family parameter to project
+                (check_lambda_projection, ("D4", "phi2"), "no family")]:
+            with pytest.raises(ValueError, match=message):
+                check(*args)
 
 
 class TestSimpleSymmetries:

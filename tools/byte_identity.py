@@ -16,9 +16,8 @@ repr of critical_values_numeric, wall_walk_A (including the default-steps
 round trip of a path that passes within 1.65e-5 of the discriminant,
 twelve seeded default-steps round trips for mu = 2, 3, 4, the round trips
 of three analytic benchmark paths, a path into the discriminant and one
-along a wall, which end in errors, and walks at widened tolerances: one
-that starts inside the wall band and 27 seeded round trips), the CLI
-walk of a real path, whose critical values tie on a wall (exit 1), a mu = 3 walk and an A2
+along a wall, which end in errors), the CLI walk of a real path, whose
+critical values tie on a wall (exit 1), a mu = 3 walk and an A2
 critical-value call whose numbers overflow the float range, and the
 symbolic chain-family LL coefficients.  For the lattice kernels it prints, for
 every class and for D24 and A28, the characteristic polynomials of the
@@ -372,27 +371,6 @@ def fiber_outputs(rng):
     run_cli("ll-fiber", "A3", fiber_target(roots(3)), "--budget", "40")
 
 
-# Widened walk tolerances: a wall band of 0.3 and of 1.0, and a
-# discriminant band of 0.05.
-WIDE_TOLERANCES = ({"tol_wall": 0.3}, {"tol_wall": 1.0}, {"tol_disc": 0.05})
-
-
-def wide_tolerance_walks(rng):
-    """wall_walk_A at widened tolerances: a walk that starts inside the
-    wall band, and per tolerance and mu = 2, 3, 4 three seeded round trips
-    at default steps: a complex and a real one with parameters of modulus
-    up to 2, and a complex one up to 10, whose values lie further apart."""
-    for tol in WIDE_TOLERANCES:
-        show(f"wall_walk_A start in the wall band {tol}", llmap.wall_walk_A,
-             2, [[0, -3], [0, -3 + 1j]], 16, **tol)
-        for mu in (2, 3, 4):
-            for re, im in ((2, 2), (2, 0), (10, 10)):
-                path = [[complex(rng.uniform(-re, re), rng.uniform(-im, im))
-                         for _ in range(mu)] for _ in range(3)]
-                show(f"wall_walk_A {mu} round trip re={re} im={im} {tol}",
-                     llmap.wall_walk_A, mu, path + path[-2::-1], **tol)
-
-
 def symmetry_tables():
     """The repr of each stored symmetry datum's phi, psi_shift and psi."""
     for label in ("D4", "D5", "D6", "D7", "D8", "tE6", "tE7", "tE8"):
@@ -496,7 +474,6 @@ def main():
          [[0.3, 1.0], [0.3, -1.0]], steps=100)
     show("wall_walk_A tangential", llmap.wall_walk_A, 2,
          [[0, -1], [1j, -1]], steps=10)
-    wide_tolerance_walks(random.Random(20261028))
     run_cli("wall-walk", "3", "[[1.5,0.1,0.2],[-0.2,0.8,-2.3]]",
             "--steps", "4", stderr=True)
     for mu in (2, 3, 4):
