@@ -235,6 +235,15 @@ def test_removed_flags_are_usage_errors(capsys, argv):
     assert main(list(argv)) == 2
 
 
+@pytest.mark.parametrize("command,kept", [("wall-walk", "--steps"),
+                                          ("ll-fiber", "--budget")])
+def test_help_lists_no_tolerance(capsys, command, kept):
+    # the walk's bands and the fiber's cluster radius are llmap constants
+    assert main([command, "--help"]) == 0
+    out = capsys.readouterr().out
+    assert kept in out and "--tol" not in out
+
+
 def test_output_is_byte_deterministic(capsys):
     main(["degree", "E8"])
     first = capsys.readouterr().out

@@ -165,16 +165,23 @@ class TestUnfoldingIdentities:
             assert check_lambda_projection(label, "psi3").passed
 
     def test_unknown_symmetry(self):
-        for check, args, message in [
-                (check_unfolding_identity, ("tE6", "psi9"), "no stored"),
-                (check_lambda_projection, ("tE6", "psi9"), "no stored"),
-                (check_lambda_projection, ("E6", "psi2"), "no stored"),
-                (elliptic_symmetry_checks, ("tE6", ["psi9"]), "no stored"),
-                (elliptic_symmetry_checks, ("D4",), "no stored"),
-                # D4 stores phi2, but has no family parameter to project
-                (check_lambda_projection, ("D4", "phi2"), "no family")]:
-            with pytest.raises(ValueError, match=message):
-                check(*args)
+        with pytest.raises(ValueError, match="no stored"):
+            check_unfolding_identity("tE6", "psi9")
+
+    # the other checks share check_unfolding_identity's lookup
+    @pytest.mark.parametrize("check,args,message", [
+        (check_lambda_projection, ("tE6", "psi9"), "no stored"),
+        (check_lambda_projection, ("E6", "psi2"), "no stored"),
+        (elliptic_symmetry_checks, ("tE6", ["psi9"]), "no stored"),
+        (elliptic_symmetry_checks, ("D4",), "no stored"),
+        # D4 stores phi2, but has no family parameter to project
+        (check_lambda_projection, ("D4", "phi2"), "no family")],
+        ids=["la-projection-tE6-psi9", "la-projection-E6-psi2",
+             "elliptic-checks-tE6-psi9", "elliptic-checks-D4",
+             "la-projection-D4-phi2"])
+    def test_symmetry_lookup_error(self, check, args, message):
+        with pytest.raises(ValueError, match=message):
+            check(*args)
 
 
 class TestSimpleSymmetries:
