@@ -77,9 +77,6 @@ class BraidWord:
     def inverse(self):
         return BraidWord(tuple(-g for g in reversed(self.letters)))
 
-    def __len__(self):
-        return len(self.letters)
-
 
 @dataclass(frozen=True)
 class VanishingTuple:
@@ -197,6 +194,7 @@ def sign_canonical_stokes(s: StokesMatrix) -> StokesMatrix:
 # ---------------------------------------------------------------------------
 
 CHECKPOINT_FORMAT = 2          # 1 was the lex-min keyed, state-by-state engine
+CHECKPOINT_EVERY = 250_000     # expanded states between checkpoint saves
 _CHUNK_ELEMENTS = 2 ** 16      # candidate entries computed per numpy pass
 _INT8_MAX = 127
 _INT16_MAX = 2 ** 15 - 1
@@ -435,8 +433,8 @@ def _narrow(states):
 
 
 def orbit_enumerate(seed: StokesMatrix, mode: str = "bases", *,
-                    max_states: int = None, checkpoint: str = None,
-                    checkpoint_every: int = 250_000) -> OrbitReport:
+                    max_states: int = None,
+                    checkpoint: str = None) -> OrbitReport:
     """Breadth-first closure under all signed braid generators.
 
     bases  : states are sign-canonical tuples over the fixed seed.
@@ -452,7 +450,9 @@ def orbit_enumerate(seed: StokesMatrix, mode: str = "bases", *,
     more classes than the budget keeps them and stops, truncated, at the
     first new class.  levels holds the sphere sizes of the orbit graph,
     which no choice of canonical form changes; a truncated run reports the
-    classes found per level.
+    classes found per level.  With a checkpoint path, a run resumes from
+    the search state saved there, and saves it after every CHECKPOINT_EVERY
+    expanded states and when the budget stops it.
     """
     if mode not in ("bases", "stokes"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -518,7 +518,7 @@ def orbit_enumerate(seed: StokesMatrix, mode: str = "bases", *,
             break
         level = level[len(x):]
         expanded += len(x)
-        if checkpoint and expanded - saved_at >= checkpoint_every:
+        if checkpoint and expanded - saved_at >= CHECKPOINT_EVERY:
             save()
             saved_at = expanded
 

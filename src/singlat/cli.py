@@ -113,13 +113,10 @@ def cmd_counts(args):
 
 def cmd_verify_symmetry(args):
     cls = _parse_class(args.cls)
-    if cls.family == "D":
-        outcomes = [verify.check_simple_symmetry(cls)]
-    elif cls.is_elliptic:
-        outcomes = verify.elliptic_symmetry_checks(
-            cls, [args.which] if args.which else ["psi2", "psi3"])
-    else:
-        raise _Usage(f"{cls.label} carries no tabulated symmetry data")
+    try:
+        outcomes = verify.symmetry_checks(cls, args.which)
+    except ValueError as exc:
+        raise _Usage(str(exc))
     return _report_outcomes(outcomes)
 
 
@@ -347,7 +344,7 @@ def cmd_scorecard(args):
     for o in verify.identity_suite():
         entries.append(_check_entry(o))
     _info("jacobi dimensions ...")
-    for o in verify.jacobi_suite(samples=2):
+    for o in verify.jacobi_suite():
         entries.append(_check_entry(o))
     ok = all(e["passed"] for e in entries)
     doc = {"passed": ok, "entries": entries,

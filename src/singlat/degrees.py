@@ -185,14 +185,12 @@ def deg_ll_via_segre(cls_or_label) -> int:
 # ---------------------------------------------------------------------------
 
 def u1_size(p, q, r) -> int:
-    """|{(a,b,c) in Z/p x Z/q x Z/r : a/p + b/q + c/r = 0 mod Z}|."""
-    count = 0
-    for a in range(p):
-        for b in range(q):
-            for c in range(r):
-                if (F(a, p) + F(b, q) + F(c, r)) % 1 == 0:
-                    count += 1
-    return count
+    """|{(a,b,c) in Z/p x Z/q x Z/r : a/p + b/q + c/r = 0 mod Z}|, counted
+    in integers: a/p + b/q + c/r is an integer iff
+    a qr + b pr + c pq = 0 mod pqr."""
+    n = p * q * r
+    return sum((a * q * r + b * p * r + c * p * q) % n == 0
+               for a in range(p) for b in range(q) for c in range(r))
 
 
 U_DATA = {  # (p, q, r), |U2|

@@ -54,18 +54,6 @@ def form_pair(i_rows, a, b):
                for x, row in zip(a, i_rows))
 
 
-def mat_pow(m, k):
-    n = len(m)
-    out = mat_identity(n)
-    base = m
-    while k:
-        if k & 1:
-            out = mat_mul(out, base)
-        base = mat_mul(base, base)
-        k >>= 1
-    return out
-
-
 def mat_det(m):
     """Exact integer determinant."""
     return bareiss([[operator.index(x) for x in row] for row in m])[1]
@@ -111,12 +99,12 @@ def char_poly(m):
     return tuple(reversed(cs))  # ascending: entry k is the coefficient of y^k
 
 
-def matrix_order(m, cap=720):
-    """Multiplicative order of an integer matrix, or None if above cap."""
+def matrix_order(m):
+    """Multiplicative order of an integer matrix, or None if above 720."""
     n = len(m)
     ident = mat_identity(n)
     p = m
-    for k in range(1, cap + 1):
+    for k in range(1, 721):
         if p == ident:
             return k
         p = mat_mul(p, m)
@@ -234,27 +222,20 @@ def pl_reflect(i: IntersectionMatrix, delta, b):
     return tuple(x - pairing * d for x, d in zip(b, delta))
 
 
-def reflection_matrix(i_rows, delta):
-    """Matrix of s_delta acting on column vectors."""
-    n = len(delta)
-    if form_pair(i_rows, delta, delta) != 2:
-        raise ValueError("reflection vector must have self-pairing 2")
-    d_rows = [sum(r * x for r, x in zip(row, delta)) for row in i_rows]
-    return tuple(tuple((1 if r == c else 0) - delta[r] * d_rows[c]
-                       for c in range(n)) for r in range(n))
-
-
 def monodromy_product(t) -> MonodromyMatrix:
-    """Composite s_{d_1} o ... o s_{d_mu} of the tuple's reflections.
+    """Composite s_{d_1} o ... o s_{d_mu} of the tuple's reflections
+    (`pl_reflect`): column j is the image of the j-th basis vector under
+    s_{d_mu} first and s_{d_1} last.
 
     Accepts any object with .vectors and .seed (a VanishingTuple).
     """
     i_rows = symmetrized_form(t.seed).rows
-    n = len(i_rows)
-    acc = mat_identity(n)
-    for v in t.vectors:
-        acc = mat_mul(acc, reflection_matrix(i_rows, v))
-    return MonodromyMatrix(acc)
+    cols = []
+    for b in mat_identity(len(i_rows)):
+        for d in reversed(t.vectors):
+            b = pl_reflect(i_rows, d, b)
+        cols.append(b)
+    return MonodromyMatrix(mat_transpose(cols))
 
 
 def coxeter_dynkin(s: StokesMatrix) -> DiagramGraph:

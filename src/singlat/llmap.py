@@ -469,20 +469,20 @@ def _distinct_zeros(G, J, starts, want):
     return found
 
 
-def ll_fiber_count(cls_or_label, p: LLPoint, budget=600, *,
-                   seed=5) -> FiberCount:
+def ll_fiber_count(cls_or_label, p: LLPoint, budget=600) -> FiberCount:
     """Number of parameter points mapping to the target configuration,
     located by multistart Newton on the coefficient-matching system.
 
     Only mu = 2 and 3 are supported; the target must be square-free.  The
-    budget starts are drawn in order from random.Random(seed) as the search
-    reaches them, NEWTON_CHUNK at a time; a converged point within
-    TOL_DEDUP, a constant, in max norm of one kept before is dropped.
-    Over a square-free target the A_mu fiber has exactly deg LL =
-    (mu+1)^(mu-1) points (`degrees.deg_ll_simple`): the search stops at
-    the Newton iteration that finds the last of them, and the saturation
-    flag records that it did.  The solutions come in convergence order
-    (`_distinct_zeros`): chunk, then iteration, then start index."""
+    budget starts are drawn in order from random.Random(5), the same
+    stream on every call, as the search reaches them, NEWTON_CHUNK at a
+    time; a converged point within TOL_DEDUP, a constant, in max norm of
+    one kept before is dropped.  Over a square-free target the A_mu
+    fiber has exactly deg LL = (mu+1)^(mu-1) points
+    (`degrees.deg_ll_simple`): the search stops at the Newton iteration
+    that finds the last of them, and the saturation flag records that it
+    did.  The solutions come in convergence order (`_distinct_zeros`):
+    chunk, then iteration, then start index."""
     cls = sing_class(cls_or_label)
     if cls.family != "A" or cls.mu not in (2, 3):
         raise ValueError("fiber counting is desk-scale: chain family, mu in {2, 3}")
@@ -494,7 +494,7 @@ def ll_fiber_count(cls_or_label, p: LLPoint, budget=600, *,
     sylv_roots = p.roots()
     if min(abs(a - b) for a, b in itertools.combinations(sylv_roots, 2)) < 1e-5:
         raise ValueError("target has a (near-)multiple root")
-    rng = random.Random(seed)
+    rng = random.Random(5)
     starts = ([complex(rng.gauss(0, 2), rng.gauss(0, 2)) for _ in range(mu)]
               for _ in range(budget))
     deg = deg_ll_simple(cls).deg_ll
@@ -657,7 +657,7 @@ def _refine(mu, a, b, s, V, sep, stats):
         ok[new] = _steps_ok(V[new], V[new + 1], sep[new], sep[new + 1])
 
 
-def _path_values(mu, waypoints, steps, stats=None):
+def _path_values(mu, waypoints, steps, stats):
     """Critical values at adaptive samples of the piecewise-linear path, one
     (n, mu) array per chunk of at most WALK_CHUNK samples, in path order:
     the first waypoint, then each segment's samples after its start, the
@@ -671,7 +671,6 @@ def _path_values(mu, waypoints, steps, stats=None):
     segment, means the path hit the discriminant: the samples before it
     are yielded, then ValueError is raised.  stats, a WalkStats, counts
     what was evaluated."""
-    stats = WalkStats() if stats is None else stats
     W = np.array(waypoints, dtype=complex)
     V, sep = _sample(mu, W[0], W[0], np.zeros(1), stats)   # the start
     if sep[0] < TOL_DISC:

@@ -36,7 +36,6 @@ class SingularityClass:
     mu: int
     label: str
     nvars: int           # minimal n+1
-    modality: str        # simple | simple-elliptic
 
     @property
     def xvars(self):
@@ -44,7 +43,8 @@ class SingularityClass:
 
     @property
     def is_elliptic(self):
-        return self.modality == "simple-elliptic"
+        """True for the simple elliptic families tE6, tE7, tE8."""
+        return self.family == "tE"
 
     @property
     def n_unfolding(self):
@@ -71,23 +71,23 @@ def sing_class(label) -> SingularityClass:
             raise ValueError(f"unknown elliptic class {label!r}")
         mu = {6: 8, 7: 9, 8: 10}[k]
         nvars = {6: 3, 7: 2, 8: 2}[k]
-        return SingularityClass("tE", mu, f"tE{k}", nvars, "simple-elliptic")
+        return SingularityClass("tE", mu, f"tE{k}", nvars)
     fam = label[0]
     if fam == "A":
         mu = int(label[1:])
         if mu < 1:
             raise ValueError("A family needs mu >= 1")
-        return SingularityClass("A", mu, label, 1, "simple")
+        return SingularityClass("A", mu, label, 1)
     if fam == "D":
         mu = int(label[1:])
         if mu < 4:
             raise ValueError("D family needs mu >= 4")
-        return SingularityClass("D", mu, label, 2, "simple")
+        return SingularityClass("D", mu, label, 2)
     if fam == "E":
         mu = int(label[1:])
         if mu not in (6, 7, 8):
             raise ValueError(f"unknown class {label!r}")
-        return SingularityClass("E", mu, label, 2, "simple")
+        return SingularityClass("E", mu, label, 2)
     raise ValueError(f"unknown class {label!r}")
 
 

@@ -227,13 +227,25 @@ def _check_projection(cls, datum) -> CheckOutcome:
                         None if ok else diff)
 
 
-def elliptic_symmetry_checks(cls_or_label, which=("psi2", "psi3")) -> list:
-    """The la-projection and the unfolding identity of each named symmetry
-    of an elliptic class, in that order, as CheckOutcomes; the class's
-    symmetry data is built once.  An unknown name raises ValueError."""
+def symmetry_checks(cls_or_label, which=None) -> list:
+    """The stored symmetry identities of a class, as CheckOutcomes, the one
+    place that maps a class to its checks.
+
+    A D class gives the one `check_simple_symmetry` outcome.  An elliptic
+    class gives the la-projection and the unfolding identity of psi2 and
+    psi3, or of the one symmetry which names, in that order, from one
+    build of its symmetry data.  A class with no tabulated symmetry data
+    (A, E), which on a D class, or an unknown name raises ValueError."""
     cls = sing_class(cls_or_label)
+    if cls.family == "D":
+        if which is not None:
+            raise ValueError(f"{cls.label}'s symmetries are checked "
+                             f"together; {which!r} names none of them")
+        return [check_simple_symmetry(cls)]
+    if not cls.is_elliptic:
+        raise ValueError(f"{cls.label} carries no tabulated symmetry data")
     out = []
-    for d in _symmetries(cls, which):
+    for d in _symmetries(cls, ["psi2", "psi3"] if which is None else [which]):
         out += [_check_projection(cls, d), _check_unfolding(cls, d)]
     return out
 
@@ -363,33 +375,34 @@ def check_kappa_extension(cls_or_label) -> CheckOutcome:
 # suite helpers
 # ---------------------------------------------------------------------------
 
-def identity_suite(labels=("D4", "D5", "tE6", "tE7", "tE8")) -> list:
-    """Every stored symmetry and extension identity, as CheckOutcomes."""
+def identity_suite() -> list:
+    """Every stored symmetry and extension identity, as CheckOutcomes: the
+    `symmetry_checks` of D4, D5, tE6, tE7 and tE8, each elliptic class
+    followed by its `check_kappa_extension`."""
     out = []
-    for lab in labels:
+    for lab in ("D4", "D5", "tE6", "tE7", "tE8"):
         cls = sing_class(lab)
-        if cls.family == "D":
-            out.append(check_simple_symmetry(cls))
-            continue
-        out += elliptic_symmetry_checks(cls)
-        out.append(check_kappa_extension(cls))
+        out += symmetry_checks(cls)
+        if cls.is_elliptic:
+            out.append(check_kappa_extension(cls))
     return out
 
 
-def jacobi_suite(labels=None, samples=5, seed=20240229) -> list:
-    """Jacobi dimensions, symbolically and at random rational parameters."""
-    labels = labels or ("A2", "A3", "A5", "D4", "D5", "E6", "E7", "E8",
-                        "tE6", "tE7", "tE8")
-    rng = random.Random(seed)
+def jacobi_suite() -> list:
+    """Jacobi dimensions of A2, A3, A5, D4, D5, E6, E7, E8 and the elliptic
+    classes, symbolically, and for each elliptic class also at two random
+    rational la from random.Random(20240229)."""
+    rng = random.Random(20240229)
     out = []
-    for lab in labels:
+    for lab in ("A2", "A3", "A5", "D4", "D5", "E6", "E7", "E8",
+                "tE6", "tE7", "tE8"):
         cls = sing_class(lab)
         dim = jacobi_dimension(cls)
         ok = dim == cls.mu
         out.append(CheckOutcome(f"{lab}:jacobi-dim", ok,
                                 None, f"symbolic dimension {dim}"))
         if cls.is_elliptic:
-            for _ in range(samples):
+            for _ in range(2):
                 lam = F(rng.randint(2, 60), rng.randint(61, 120))
                 dim = jacobi_dimension(cls, lam)
                 out.append(CheckOutcome(f"{lab}:jacobi-dim@{lam}",

@@ -230,7 +230,7 @@ def test_criterion_8_ll_exactness_and_fibers():
             if discriminant_member(tgt):
                 continue
             p = LLPoint(tuple(complex(c) for c in tgt.coeffs[:-1]) + (1,))
-            fc = ll_fiber_count(f"A{mu}", p, budget=budget, seed=trial)
+            fc = ll_fiber_count(f"A{mu}", p, budget=budget)
             assert fc.count == expect and fc.saturated, (mu, trial, fc.count)
     elapsed = time.monotonic() - t0
     assert elapsed < 300.0, f"budget exceeded: {elapsed:.1f}s"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from singlat import braid
 from singlat.braid import (CHECKPOINT_FORMAT, BraidWord, VanishingTuple,
                            _apply_gen, _canon_vectors, _expand_bases,
                            _expand_stokes, _generators, _keys, _narrow,
@@ -216,21 +217,39 @@ class TestOrbits:
         d1.pop("seconds"), d2.pop("seconds")
         assert d1 == d2
 
-    def test_checkpoint_resume(self, tmp_path):
+    def test_checkpoint_resume(self, tmp_path, monkeypatch):
+        # a run with no budget dies right after its first save, so that
+        # save came from the interval; the next run resumes from it
+        class Killed(Exception):
+            pass
+
         ck = str(tmp_path / "orbit.ck")
-        partial = orbit_enumerate(chain(4), "bases", max_states=40,
-                                  checkpoint=ck, checkpoint_every=10)
-        assert partial.truncated
+        save, saved_at = braid._save_checkpoint, []
+
+        def save_then_die(path, doc):
+            save(path, doc)
+            saved_at.append(doc["expanded"])
+            raise Killed
+
+        monkeypatch.setattr(braid, "CHECKPOINT_EVERY", 10)
+        monkeypatch.setattr(braid, "_save_checkpoint", save_then_die)
+        with pytest.raises(Killed):
+            orbit_enumerate(chain(4), "bases", checkpoint=ck)
+        assert 10 <= saved_at[0] < 125
+        monkeypatch.setattr(braid, "_save_checkpoint", save)
         resumed = orbit_enumerate(chain(4), "bases", checkpoint=ck)
+        full = orbit_enumerate(chain(4), "bases")
         assert not resumed.truncated
-        assert resumed.class_count == 125
+        assert (resumed.class_count, resumed.levels) == (125, full.levels)
+        assert resumed.states_visited == full.states_visited == 125
 
     @pytest.mark.parametrize("budget", [{"max_states": 20},
                                         {"max_states": 1}])
-    def test_resume_over_budget_truncates(self, tmp_path, budget):
+    def test_resume_over_budget_truncates(self, tmp_path, monkeypatch,
+                                          budget):
         ck = str(tmp_path / "orbit.ck")
-        orbit_enumerate(chain(5), "bases", max_states=50,
-                        checkpoint=ck, checkpoint_every=7)
+        monkeypatch.setattr(braid, "CHECKPOINT_EVERY", 7)
+        orbit_enumerate(chain(5), "bases", max_states=50, checkpoint=ck)
         resumed = orbit_enumerate(chain(5), "bases", checkpoint=ck, **budget)
         assert resumed.truncated
         assert resumed.class_count == 50 == sum(resumed.levels)
@@ -244,9 +263,8 @@ class TestOrbits:
         assert rep.truncated and 0 < rep.states_visited < 100
 
     def test_checkpoint_mismatch_rejected(self, tmp_path):
-        ck = str(tmp_path / "orbit.ck")
-        orbit_enumerate(chain(4), "bases", max_states=40,
-                        checkpoint=ck, checkpoint_every=10)
+        ck = str(tmp_path / "orbit.ck")   # written when the budget stops
+        orbit_enumerate(chain(4), "bases", max_states=40, checkpoint=ck)
         with pytest.raises(ValueError, match="mismatch"):
             orbit_enumerate(chain(4), "stokes", checkpoint=ck)
         with pytest.raises(ValueError, match="mismatch"):
@@ -323,11 +341,12 @@ class TestOrbits:
             level = nxt
         assert orbit_enumerate(seed, mode).levels == tuple(sizes)
 
-    def test_checkpoint_resume_keeps_levels(self, tmp_path):
+    def test_checkpoint_resume_keeps_levels(self, tmp_path, monkeypatch):
         ck = str(tmp_path / "orbit.ck")
         full = orbit_enumerate(chain(5), "stokes")
+        monkeypatch.setattr(braid, "CHECKPOINT_EVERY", 7)
         partial = orbit_enumerate(chain(5), "stokes", max_states=50,
-                                  checkpoint=ck, checkpoint_every=7)
+                                  checkpoint=ck)
         assert sum(partial.levels) == 50
         resumed = orbit_enumerate(chain(5), "stokes", checkpoint=ck)
         assert resumed.levels == full.levels
@@ -349,10 +368,11 @@ class TestOrbits:
         with pytest.raises(ValueError, match="format"):
             orbit_enumerate(seed, "stokes", checkpoint=str(ck))
 
-    def test_checkpoint_written_atomically(self, tmp_path):
+    def test_checkpoint_written_atomically(self, tmp_path, monkeypatch):
         ck = tmp_path / "orbit.ck"
+        monkeypatch.setattr(braid, "CHECKPOINT_EVERY", 5)
         orbit_enumerate(chain(5), "bases", max_states=300,
-                        checkpoint=str(ck), checkpoint_every=5)
+                        checkpoint=str(ck))
         assert [p.name for p in tmp_path.iterdir()] == ["orbit.ck"]
         assert pickle.loads(ck.read_bytes())["format"] == CHECKPOINT_FORMAT
 

@@ -353,6 +353,8 @@ FIBER = json.dumps([[0.518, 0.0], [-0.666, 0.0]])
     ("ll-fiber", "A2", "[[],[1,0]]"),
     ("ll-fiber", "A2", "[[3],[1,0]]"),
     ("wall-walk", "2", '[[["1+2j"],1],[1,1]]'),
+    ("verify-symmetry", "D4", "--which", "psi3"),
+    ("verify-symmetry", "A3"),
 ], ids=["at-zero-denominator", "at-not-rational", "ll-eval-length",
         "ll-eval-not-json", "wall-walk-waypoint-length", "at-zero",
         "at-one", "steps-zero", "steps-negative", "walk-mu-zero",
@@ -365,7 +367,8 @@ FIBER = json.dumps([[0.518, 0.0], [-0.666, 0.0]])
         "counts-below-table", "stokes-count-below-table", "ll-eval-boolean",
         "ll-fiber-boolean", "wall-walk-boolean-in-pair", "ll-fiber-A5",
         "ll-fiber-D4", "ll-fiber-empty-pair", "ll-fiber-one-number-pair",
-        "wall-walk-one-string-pair"])
+        "wall-walk-one-string-pair", "which-on-D-class",
+        "verify-symmetry-A3"])
 def test_bad_input_is_usage_error(capsys, argv):
     assert main(list(argv)) == 2
     captured = capsys.readouterr()

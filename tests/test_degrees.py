@@ -86,6 +86,19 @@ class TestGroupData:
         assert u1_size(4, 4, 2) == 8
         assert u1_size(6, 3, 2) == 6
 
+    def test_u1_size_matches_fraction_count(self):
+        # reference: the triples whose Fraction sum a/p + b/q + c/r is an
+        # integer
+        def by_fractions(p, q, r):
+            return sum((F(a, p) + F(b, q) + F(c, r)) % 1 == 0
+                       for a in range(p) for b in range(q) for c in range(r))
+
+        sizes = range(1, 7)
+        for p in sizes:
+            for q in sizes:
+                for r in sizes:
+                    assert u1_size(p, q, r) == by_fractions(p, q, r), (p, q, r)
+
     def test_quotient_degree_te6_is_324_not_326(self):
         # 6 * 9 * 6 = 324; the cross-check 24800580 / 324 = 76545 pins the
         # printed 326 as an arithmetic slip

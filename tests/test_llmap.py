@@ -14,10 +14,10 @@ from singlat.braid import VanishingTuple, braid_apply, braid_apply_word, \
     sign_canonical_stokes, sign_canonical_tuple, stokes_of_tuple
 from singlat.lattice import StokesMatrix
 from singlat.llmap import (TOL_DEDUP, TOL_DISC, TOL_WALL, WALK_CHUNK,
-                           LLPoint, _compile, _ll_compiled, _ll_system,
-                           _multiplication_plan, _newton_rows, _path_values,
-                           _separations, _steps_ok, _symbolic_ll, _system,
-                           _walk_values,
+                           LLPoint, WalkStats, _compile, _ll_compiled,
+                           _ll_system, _multiplication_plan, _newton_rows,
+                           _path_values, _separations, _steps_ok,
+                           _symbolic_ll, _system, _walk_values,
                            critical_values_numeric, discriminant_member,
                            good_order, ll_exact_A, ll_fiber_count,
                            wall_walk_A)
@@ -708,7 +708,7 @@ class TestWallWalk:
             wall_walk_A(2, path, steps=10 ** 13)
         assert max(sizes) == WALK_CHUNK
         monkeypatch.undo()
-        chunks = _path_values(2, path, 10 ** 13)
+        chunks = _path_values(2, path, 10 ** 13, WalkStats())
         assert [len(next(chunks)) for _ in range(3)] == [1, WALK_CHUNK,
                                                          WALK_CHUNK]
 
@@ -743,7 +743,8 @@ class TestWallWalk:
         # the samples are the first waypoint, then each segment's uniform
         # samples k/steps (the last one its end) in order, with midpoints
         # inserted until every interval passes the step test
-        got = np.concatenate(list(_path_values(mu, path, steps)))
+        got = np.concatenate(list(_path_values(mu, path, steps,
+                                               WalkStats())))
         W = np.array(path, dtype=complex)
         grid = [W[:1]]
         for a, b in zip(W, W[1:]):
@@ -993,7 +994,7 @@ def per_sample_walk(mu, path, steps):
     as the swap rule), over the same sampled values.  Returns the
     letters."""
     letters, prev, contact = [], None, {}
-    for vals in (v for chunk in _path_values(mu, path, steps)
+    for vals in (v for chunk in _path_values(mu, path, steps, WalkStats())
                  for v in chunk.tolist()):
         for a, b in itertools.combinations(vals, 2):
             if abs(a - b) < TOL_DISC:

@@ -3,11 +3,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from singlat.braid import VanishingTuple
 from singlat.lattice import (StokesMatrix, coxeter_dynkin, definiteness,
-                             is_connected, is_quasiunipotent, mat_identity,
-                             mat_mul, mat_neg, monodromy_from_stokes,
-                             reflection_matrix, symmetrized_form,
-                             tensor_rows)
+                             is_connected, is_quasiunipotent, mat_neg,
+                             monodromy_from_stokes, monodromy_product,
+                             symmetrized_form, tensor_rows)
 from singlat.polyalg import GAUSS, Cyclo, MultiPoly, parse_poly
 from singlat.singdata import (ALL_LABELS, SeedError, normal_form, seed_stokes,
                               sing_class, sym_field, symmetry_data,
@@ -292,12 +292,8 @@ class TestQuasiunipotentMonodromy:
 
     @staticmethod
     def coxeter_element(s):
-        i = symmetrized_form(s).rows
-        out = mat_identity(s.mu)
-        for k in range(s.mu):
-            e = tuple(int(j == k) for j in range(s.mu))
-            out = mat_mul(out, reflection_matrix(i, e))
-        return tuple(map(tuple, out))
+        # the product of the reflections in the seed's own basis
+        return monodromy_product(VanishingTuple.standard(s)).rows
 
     def test_sixteen_classes(self):
         assert len(set(self.LABELS)) == 16

@@ -8,9 +8,8 @@ from singlat.polyalg import MultiPoly, graded_columns
 from singlat.singdata import sing_class, symmetry_data, weights
 from singlat.verify import (JacobiRankError, check_kappa_extension,
                             check_lambda_projection, check_simple_symmetry,
-                            check_unfolding_identity,
-                            elliptic_symmetry_checks, identity_suite,
-                            jacobi_dimension, jacobi_suite,
+                            check_unfolding_identity, identity_suite,
+                            jacobi_dimension, jacobi_suite, symmetry_checks,
                             _composed_substitution, _lift_unfolding)
 
 
@@ -172,13 +171,15 @@ class TestUnfoldingIdentities:
     @pytest.mark.parametrize("check,args,message", [
         (check_lambda_projection, ("tE6", "psi9"), "no stored"),
         (check_lambda_projection, ("E6", "psi2"), "no stored"),
-        (elliptic_symmetry_checks, ("tE6", ["psi9"]), "no stored"),
-        (elliptic_symmetry_checks, ("D4",), "no stored"),
+        (symmetry_checks, ("tE6", "psi9"), "no stored"),
+        # the D-family symmetries are one check; none of them is psi3
+        (symmetry_checks, ("D4", "psi3"), "checked together"),
+        (symmetry_checks, ("A3",), "no tabulated"),
         # D4 stores phi2, but has no family parameter to project
         (check_lambda_projection, ("D4", "phi2"), "no family")],
         ids=["la-projection-tE6-psi9", "la-projection-E6-psi2",
-             "elliptic-checks-tE6-psi9", "elliptic-checks-D4",
-             "la-projection-D4-phi2"])
+             "symmetry-checks-tE6-psi9", "symmetry-checks-D4-psi3",
+             "symmetry-checks-A3", "la-projection-D4-phi2"])
     def test_symmetry_lookup_error(self, check, args, message):
         with pytest.raises(ValueError, match=message):
             check(*args)
@@ -254,6 +255,17 @@ class TestSuites:
         outcomes = identity_suite()
         assert outcomes and all(o.passed for o in outcomes)
 
+    @pytest.mark.parametrize("label,which,names", [
+        ("D5", None, ["D5:phi2"]),
+        ("tE6", "psi3", ["tE6:psi3:la-projection", "tE6:psi3"])])
+    def test_symmetry_checks_dispatch(self, label, which, names):
+        outcomes = symmetry_checks(label, which)
+        assert [o.name for o in outcomes] == names
+        assert all(o.passed for o in outcomes)
+
     def test_jacobi_suite_green(self):
-        outcomes = jacobi_suite(labels=("A3", "D4", "tE6"), samples=2)
-        assert outcomes and all(o.passed for o in outcomes)
+        # the scorecard's plan: every class symbolically, and each
+        # elliptic class also at two seeded rational la
+        outcomes = jacobi_suite()
+        assert len(outcomes) == 8 + 3 * 3
+        assert all(o.passed for o in outcomes)
