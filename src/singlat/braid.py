@@ -14,17 +14,18 @@ Orbit enumeration is a deterministic breadth-first closure over all
 2(mu-1) signed generators, with states canonicalized modulo the sign group
 before deduplication.
 
-Engine: the search is level-synchronous.  A BFS level is one integer array
-of shape (B, mu, mu), stored as int8 while its entries fit.  A generator
+Engine: the search is level-synchronous.  A BFS level is one integer
+array, stored as int8 while its entries fit: (B, mu, mu) tuples of vectors
+in bases mode, (B, m) packed Stokes matrices in Stokes mode.  A generator
 acting on slots i, i+1 is one batched row (bases) or row-and-column
 (Stokes, S' = P S P^t) recombination with a per-state multiplier c; every
 generator is applied to a chunk of about 2^16 candidate entries in one
 numpy pass, in int16, int64 or Python ints as a bound on the result
 entries requires, so arithmetic is exact at every width.  The kernels
 (_stokes_moves, _bases_moves, _tree_sign_form) work batch-minor, on
-arrays (mu, mu, B) whose last, contiguous axis is the batch: numpy runs
-every broadcast and reduction as an inner loop over that last axis, and
-on (B, mu, mu) each inner loop would be a row of length mu with its
+arrays whose last, contiguous axis is the batch: numpy runs every
+broadcast and reduction as an inner loop over that last axis, and with
+the batch first each inner loop would be a row of length mu with its
 per-row cost (on an E6 chunk of 1820 candidates, nb * e[:, None, :] in
 int8 takes 81 us in that layout and 3.8 us over the batch).  The chunk
 is transposed once on the way in and once on the way out, where the
@@ -37,16 +38,33 @@ lowest-index signed neighbour) read the first nonzero entry of a
 weighting _pow3 = (3^(mu-1), ..., 3, 1): no gather, one product and one
 sum over the batch.
 
+Packed Stokes states: a Stokes matrix is unit upper triangular, so only
+its m = mu(mu-1)/2 strict upper entries vary, and a Stokes state is that
+triangle in np.triu_indices(mu, 1) order, batch-minor (m, B) inside the
+kernels.  A move is two gathers over the extended rows (u; 0; 1): with
+P = P0 + c P1, P0 the swap of slots i and i+1 and P1 = -E_tt, the c^2
+term of P S P^t lies on the diagonal, so every new upper entry is
+S[sigma a, sigma b] - c S[p, q] for index tables built once per mu
+(_stokes_tables; a lower entry reads the 0 row, a diagonal one the 1 row).
+The full P S P^t of a unit upper triangular S is unit upper triangular
+again, so a packed state cannot leave the distinguished shape and the
+kernel has nothing to check; the shape is checked where a matrix enters,
+in StokesMatrix and stokes_of_tuple.  _tree_sign_form reads the symmetric
+neighbour signs from the packed signs and writes packed, C-ordered
+results.
+
 Keys: a bases state is normalized so that each vector's first nonzero
 coordinate is positive; a Stokes state is put in the tree sign normal
 form of _tree_sign_form, signs propagated along a spanning tree that
 depends only on the support pattern.  The support is sign-invariant, so
 the tree is too, and on a connected diagram the tree-edge signs fix the
 conjugating signs up to a global sign; so that form is a complete
-sign-class invariant, and sign_canonical_stokes returns it.  A key is the
-int8 bytes of the state, or a prefixed int64 (or repr) encoding when an
-entry exceeds 127, so widths never collide and nothing overflows.  Keys
-are compared by full equality (Python set semantics), so counts are exact.
+sign-class invariant, and sign_canonical_stokes (which packs, normalizes
+and unpacks) returns it.  A key is the int8 bytes of the state (mu^2 bytes
+for a tuple, m for a Stokes matrix), or a prefixed int64 (or repr)
+encoding when an entry exceeds 127, so widths never collide and nothing
+overflows.  Keys are compared by full equality (Python set semantics), so
+counts are exact.
 
 Budgets are exact: a run stopped by max_states reports exactly that many
 classes, the first ones in FIFO order, and is truncated only if the orbit
@@ -57,6 +75,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 import pickle
 import tempfile
@@ -185,15 +204,14 @@ def sign_canonical_stokes(s: StokesMatrix) -> StokesMatrix:
     leave the form ill-defined)."""
     if not is_connected(s):
         raise ValueError("sign canonicalization requires a connected diagram")
-    rows = _tree_sign_form(np.array(s.rows, dtype=object)[:, :, None])
-    return StokesMatrix(tuple(map(tuple, rows[:, :, 0].tolist())))
+    return _unpack(_tree_sign_form(_pack(s))[:, 0])
 
 
 # ---------------------------------------------------------------------------
 # orbit enumeration
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_FORMAT = 2          # 1 was the lex-min keyed, state-by-state engine
+CHECKPOINT_FORMAT = 3          # 2 held full mu x mu Stokes states and keys
 CHECKPOINT_EVERY = 250_000     # expanded states between checkpoint saves
 _CHUNK_ELEMENTS = 2 ** 16      # candidate entries computed per numpy pass
 _INT8_MAX = 127
@@ -236,10 +254,7 @@ def _generators(n):
 def _move_tables(n):
     """Index arrays of the generators: the pair (i, i+1) a generator mixes,
     the slot t that receives the combination, the other slot and the row
-    permutation swapping i and i+1; then the boolean mask of a matrix's
-    lower triangle with its diagonal, and the identity's entries under
-    that mask, shaped (K, 1, 1) to compare with a masked (mu, mu, G, B)
-    batch.
+    permutation swapping i and i+1.
 
     +k (i = k-1): (v_i, v_{i+1}) -> (v_{i+1}, v_i - c v_{i+1}), t = i+1
     -k          : (v_i, v_{i+1}) -> (v_{i+1} - c v_i, v_i),     t = i
@@ -252,10 +267,53 @@ def _move_tables(n):
     perm = np.tile(np.arange(n), (len(gens), 1))
     perm[np.arange(len(gens)), i] = i + 1
     perm[np.arange(len(gens)), i + 1] = i
-    lower = np.tri(n, dtype=bool)
-    unit = np.eye(n, dtype=np.int8)[lower][:, None, None]
-    return _frozen(np.arange(len(gens)), i, t, 2 * i + 1 - t, perm, lower,
-                   unit)
+    return _frozen(np.arange(len(gens)), i, t, 2 * i + 1 - t, perm)
+
+
+@functools.lru_cache(maxsize=None)
+def _stokes_tables(n):
+    """Index arrays of the packed Stokes kernels, read-only.
+
+    A packed state u holds the m = n(n-1)/2 strict upper entries of a unit
+    upper triangular S in np.triu_indices(n, 1) order: entry q is S[a[q],
+    b[q]].  The kernels read u extended by two rows, (u; 0; 1), so that
+    index m reads 0 and index m + 1 reads 1, and pos[a, b] is the index of
+    S[a, b] in that extension (lower entries m, the diagonal m + 1).
+    Returns a, b, pos; then the move gathers src, cross (shape (m, G)) and
+    the index cpos (G,) of c = S[i, i+1] for _stokes_moves; then sym
+    (n, n), the index of the edge (j, i) in either order, with the
+    diagonal at the zero row, for _tree_sign_form."""
+    _, i, t, _, perm = _move_tables(n)
+    a, b = np.triu_indices(n, 1)
+    m = len(a)
+    pos = np.full((n, n), m, np.intp)
+    pos[a, b] = np.arange(m)
+    np.fill_diagonal(pos, m + 1)
+    sa, sb = perm.T[a], perm.T[b]                     # sigma(a), sigma(b)
+    cross = np.where(a[:, None] == t, pos[t, sb],
+                     np.where(b[:, None] == t, pos[sa, t], m))
+    sym = np.minimum(pos, pos.T)
+    np.fill_diagonal(sym, m)
+    return _frozen(a, b, pos, pos[sa, sb], cross, pos[i, i + 1], sym)
+
+
+def _mu_of(m):
+    """mu of a packed Stokes state of m = mu(mu-1)/2 entries."""
+    return (1 + math.isqrt(1 + 8 * m)) // 2
+
+
+def _pack(s: StokesMatrix):
+    """The strict upper triangle of s as a packed batch of one, (m, 1)."""
+    a, b = _stokes_tables(s.mu)[:2]
+    return np.array(s.rows, dtype=object)[a, b][:, None]
+
+
+def _unpack(u):
+    """The Stokes matrix of a packed state u, shape (m,)."""
+    ext = u.tolist() + [0, 1]
+    pos = _stokes_tables(_mu_of(len(u)))[2]
+    return StokesMatrix(tuple(tuple(ext[k] for k in row)
+                              for row in pos.tolist()))
 
 
 @functools.lru_cache(maxsize=None)
@@ -286,29 +344,33 @@ def _work_dtype(bound):
 
 
 def _stokes_moves(x):
-    """Every generator move of a batch of Stokes matrices.
+    """Every generator move of a batch of packed Stokes matrices.
 
-    Batch-minor, like every orbit kernel: x has shape (mu, mu, B), matrix k
-    in x[:, :, k], and the result (mu, mu, G, B) holds in [:, :, g, k] the
-    matrix S' = P S P^t of generator g (in _generators order) on matrix k,
-    already in the layout _tree_sign_form reads.  P is the identity
-    with the (i, i+1) block [[0, 1], [1, -c]] (+k) or [[-c, 1], [1, 0]]
-    (-k) and c = S[i, i+1].  This is the tuple-local step: the moved
-    standard basis only touches slots i, i+1, and the reflection data is a
-    function of S alone, so the matrix is its own seed.  Entries grow to at
-    most M (1 + M)^2 for |S| <= M (the row step gives M + M^2, the column
-    step multiplies by 1 + M), which the caller must fit into x.dtype.
-    Raises unless every result is unit upper triangular, as the Stokes
-    matrix of a distinguished basis is."""
-    gi, i, t, other, perm, lower, unit = _move_tables(x.shape[0])
-    c = x[i, i + 1]                                   # (G, B)
-    r = x[perm.T]                                     # r[:, g]: P S, unmixed
-    r[t, gi] = x[other] - c[:, None] * x[t]
-    y = r[:, gi[None, :], perm.T]                     # y[:, :, g]: P S P^t
-    y[:, t, gi] = r[:, gi, other] - c * r[:, gi, t]
-    if np.any(y[lower] != unit):
-        raise AssertionError("tuple is not distinguished-shaped")
-    return y
+    Batch-minor, like every orbit kernel: x has shape (m, B), the packed
+    matrix k in x[:, k], and the result (m, G, B), C-ordered, holds in
+    [:, g, k] the packed S' = P S P^t of generator g (in _generators
+    order) on matrix k, the layout _tree_sign_form reads.  P is the
+    identity with the (i, i+1) block [[0, 1], [1, -c]] (+k) or
+    [[-c, 1], [1, 0]] (-k), c = S[i, i+1], so P = P0 + c P1 with P0 the
+    swap sigma of i and i+1 and P1 = -E_tt.  Then
+
+        P S P^t = P0 S P0^t - c (E_tt S P0^t + P0 S E_tt) + c^2 S_tt E_tt
+
+    and the c^2 term lies on the diagonal, so every new upper entry is
+    S[sigma a, sigma b] - c S[p, q], with (p, q) = (t, sigma b) in row t,
+    (sigma a, t) in column t and a zero elsewhere: two gathers of
+    _stokes_tables over (x; 0; 1).  This is the tuple-local step: the
+    moved standard basis only touches slots i, i+1, and the reflection data
+    is a function of S alone, so the matrix is its own seed.  Entries stay
+    within M (1 + M)^2 for |S| <= M, which the caller must fit into
+    x.dtype."""
+    m, b = x.shape
+    _, _, _, src, cross, cpos, _ = _stokes_tables(_mu_of(m))
+    ext = np.empty((m + 2, b), x.dtype)
+    ext[:m] = x
+    ext[m] = 0
+    ext[m + 1] = 1
+    return ext[src] - ext[cpos] * ext[cross]
 
 
 def _bases_moves(x, form):
@@ -324,7 +386,7 @@ def _bases_moves(x, form):
     bounds every partial sum of the pairing and the new slot stays within
     M + mu^2 F M^3; the caller must fit that into x.dtype."""
     n = x.shape[0]
-    gi, i, t, other, perm, _, _ = _move_tables(n)
+    gi, i, t, other, perm = _move_tables(n)
     fx = np.matmul(form, x[1:])                       # fx[a]: F v_a+1
     pair = (x[:-1] * fx).sum(axis=1, dtype=x.dtype)
     y = x[perm]
@@ -335,10 +397,11 @@ def _bases_moves(x, form):
     return y
 
 
-def _tree_sign_form(s):
-    """Sign normal form diag(e) S diag(e) of a batch (mu, mu, N) of Stokes
-    matrices with connected diagrams, batch-minor: each round is one
-    product and one sum over arrays whose last axis is the batch.
+def _tree_sign_form(u):
+    """Sign normal form diag(e) S diag(e) of a batch (m, N) of packed
+    Stokes matrices with connected diagrams, batch-minor: each round is one
+    product and one sum over arrays whose last axis is the batch.  The
+    result is packed and C-ordered.
 
     e_0 = +1; then, at most mu-1 times, every vertex j still unsigned that
     has a signed neighbour gets e_j = e_i sign(S_ij), i its lowest-index
@@ -352,33 +415,37 @@ def _tree_sign_form(s):
     sign classes.  Conversely equal forms E S E = E' S' E' make S' the sign
     conjugate (E E') S (E E').  On a disconnected diagram some vertex stays
     unsigned; that raises, since the form would no longer be complete."""
-    n = s.shape[0]
-    sg = np.sign(s).astype(np.int8)
-    nb = sg + sg.transpose(1, 0, 2)                   # edge signs, symmetric
-    # w[j, i] = e_i sign(S_ij) lies in {-1, 0, 1} off the diagonal, so its
-    # lowest-index nonzero entry is the sign of w[j] . _pow3(n)
+    m, k = u.shape
+    n = _mu_of(m)
+    a, b, _, _, _, _, sym = _stokes_tables(n)
+    sg = np.zeros((m + 1, k), np.int8)
+    sg[:m] = np.sign(u)
+    nb = sg[sym]                                      # edge signs, symmetric
+    # nb[j, i] e_i lies in {-1, 0, 1}, so its lowest-index nonzero entry
+    # is the sign of its dot product with _pow3(n)
     pow3 = _pow3(n)
-    e = np.zeros(s.shape[1:], np.int8)
+    e = np.zeros((n, k), np.int8)
     e[0] = 1
     for _ in range(n - 1):
-        if e.all():
+        unsigned = e == 0
+        if not unsigned.any():
             break
         dot = (nb * (e * pow3)[None]).sum(axis=1, dtype=pow3.dtype)
-        e = np.where(e != 0, e, np.sign(dot).astype(np.int8))
+        np.copyto(e, np.sign(dot), casting="unsafe", where=unsigned)
     if not e.all():
         raise AssertionError("orbit reached a disconnected diagram")
-    return s * (e[:, None] * e[None])
+    return u * (e[a] * e[b])
 
 
 def _expand_stokes(x):
-    """Tree sign normal forms of every move of the Stokes matrices x, as
-    one (B * G, mu, mu) batch in FIFO order, computed exactly."""
-    b, n = x.shape[:2]
-    m = int(np.abs(x).max())
-    xt = x.transpose(1, 2, 0).astype(_work_dtype(m * (1 + m) ** 2),
-                                     order="C")
-    y = _tree_sign_form(_stokes_moves(xt).reshape(n, n, -1))
-    return y.reshape(n, n, -1, b).transpose(3, 2, 0, 1).reshape(-1, n, n)
+    """Tree sign normal forms of every move of the packed Stokes matrices
+    x, (B, m), as one (B * G, m) batch in FIFO order, computed exactly."""
+    b, m = x.shape
+    g = 2 * (_mu_of(m) - 1)
+    top = int(np.abs(x).max(initial=0))
+    y = _stokes_moves(x.T.astype(_work_dtype(top * (1 + top) ** 2)))
+    y = _tree_sign_form(y.reshape(m, g * b))
+    return y.reshape(m, g, b).transpose(2, 1, 0).reshape(b * g, m)
 
 
 @functools.lru_cache(maxsize=None)
@@ -405,9 +472,11 @@ def _expand_bases(x, form_rows):
 def _keys(states):
     """Dedup keys of a batch of canonical states: the int8 bytes when every
     entry of the state has absolute value <= 127, else b"W" and the int64
-    bytes, else b"P" and the repr; the three kinds never compare equal."""
-    if not len(states):
-        return []
+    bytes, else b"P" and the repr; the three kinds never compare equal.
+    States without entries (the packed Stokes matrix of mu = 1) key as
+    b""."""
+    if not states.size:
+        return [b""] * len(states)
     flat = states.reshape(len(states), -1)
     if -_INT8_MAX <= flat.min() and flat.max() <= _INT8_MAX:
         rows = np.ascontiguousarray(flat, dtype=np.int8)
@@ -426,7 +495,7 @@ def _wide_key(v):
 
 def _narrow(states):
     """Store states as int8 when they fit, else int64, else Python ints."""
-    m = int(np.abs(states).max())
+    m = int(np.abs(states).max(initial=0))
     if m <= _INT8_MAX:
         return states.astype(np.int8)
     return states.astype(np.int64 if m <= _INT64_MAX else object)
@@ -438,8 +507,9 @@ def orbit_enumerate(seed: StokesMatrix, mode: str = "bases", *,
     """Breadth-first closure under all signed braid generators.
 
     bases  : states are sign-canonical tuples over the fixed seed.
-    stokes : states are tree sign normal forms of Stokes matrices;
-             transitions treat the current matrix as its own seed.
+    stokes : states are tree sign normal forms of Stokes matrices, packed
+             to their strict upper triangles; transitions treat the
+             current matrix as its own seed.
 
     The search is level-synchronous: each level is one array and a chunk of
     it is expanded by all generators in one numpy pass, in entries wide
@@ -472,8 +542,7 @@ def orbit_enumerate(seed: StokesMatrix, mode: str = "bases", *,
             return _expand_bases(x, form)
     else:
         # the seed is connected, so this is sign_canonical_stokes(seed)
-        start = _tree_sign_form(_narrow(np.array(seed.rows, dtype=object))
-                                [:, :, None])[None, :, :, 0]
+        start = _narrow(_tree_sign_form(_pack(seed)).T)
         expand = _expand_stokes
 
     g_count = 2 * (n - 1)

@@ -469,6 +469,12 @@ def _distinct_zeros(G, J, starts, want):
     return found
 
 
+@lru_cache(maxsize=None)
+def _deg_ll(cls):
+    """deg LL of an ADE class as an int, built once per class."""
+    return deg_ll_simple(cls).deg_ll
+
+
 def ll_fiber_count(cls_or_label, p: LLPoint, budget=600) -> FiberCount:
     """Number of parameter points mapping to the target configuration,
     located by multistart Newton on the coefficient-matching system.
@@ -497,7 +503,7 @@ def ll_fiber_count(cls_or_label, p: LLPoint, budget=600) -> FiberCount:
     rng = random.Random(5)
     starts = ([complex(rng.gauss(0, 2), rng.gauss(0, 2)) for _ in range(mu)]
               for _ in range(budget))
-    deg = deg_ll_simple(cls).deg_ll
+    deg = _deg_ll(cls)
     sols = _distinct_zeros(*_ll_system(mu, p), starts, deg)
     return FiberCount(count=len(sols), saturated=len(sols) == deg,
                       starts=budget, solutions=tuple(tuple(v) for v in sols))

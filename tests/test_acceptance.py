@@ -276,14 +276,15 @@ def test_criterion_9_property_suites():
         m = monodromy_from_stokes(seed_stokes(f"A{mu}").stokes)
         assert matrix_order(m.rows) == mu + 1
     # entry bounds on reachable Stokes matrices
-    from singlat.braid import _stokes_moves
+    # (packed strict upper triangles: the unit diagonal and the zero lower
+    # triangle are within every bound)
+    from singlat.braid import _pack, _stokes_moves
     for label, bound in (("E6", 1), ("tE6", 2)):
-        rows = np.array(seed_stokes(label).stokes.rows, dtype=np.int64)
-        mu = len(rows)
+        seed = seed_stokes(label).stokes
+        u = _pack(seed).astype(np.int64)
         for _ in range(400):
-            rows = _stokes_moves(rows[:, :, None])[
-                :, :, rng.randrange(2 * (mu - 1)), 0]
-            assert np.abs(rows).max() <= bound
+            u = _stokes_moves(u)[:, rng.randrange(2 * (seed.mu - 1))]
+            assert np.abs(u).max() <= bound
     # seed validation: definiteness and radical ranks
     for label in ("A5", "D5", "E7", "E8"):
         i = symmetrized_form(seed_stokes(label).stokes)

@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 from singlat import braid
 from singlat.braid import (CHECKPOINT_FORMAT, BraidWord, VanishingTuple,
                            _apply_gen, _canon_vectors, _expand_bases,
-                           _expand_stokes, _generators, _keys, _narrow,
-                           _pow3, _stokes_moves, _tree_sign_form, braid_apply,
+                           _expand_stokes, _generators, _keys, _narrow, _pack,
+                           _pow3, _stokes_moves, _tree_sign_form, _unpack,
+                           _work_dtype, braid_apply,
                            braid_apply_word, orbit_enumerate,
                            sign_canonical_stokes, sign_canonical_tuple,
                            stokes_of_tuple)
@@ -274,11 +275,13 @@ class TestOrbits:
         rng = random.Random(15)
         for label, bound in (("A4", 1), ("tE6", 2)):
             s = seed_stokes(label).stokes
-            rows = np.array(s.rows, dtype=np.int64)
+            # packed: the diagonal 1 and the zero lower entries are within
+            # every bound
+            u = _pack(s).astype(np.int64)
             for _ in range(300):
                 k = rng.randrange(2 * (s.mu - 1))
-                rows = _stokes_moves(rows[:, :, None])[:, :, k, 0]
-                assert np.abs(rows).max() <= bound
+                u = _stokes_moves(u)[:, k]
+                assert np.abs(u).max() <= bound
 
     def test_budget_equal_to_orbit_size(self):
         # an orbit exactly the size of the budget is complete
@@ -368,6 +371,19 @@ class TestOrbits:
         with pytest.raises(ValueError, match="format"):
             orbit_enumerate(seed, "stokes", checkpoint=str(ck))
 
+    def test_checkpoint_format_2_rejected(self, tmp_path):
+        # the layout of the full-matrix engine: mu x mu Stokes states and
+        # keys of mu^2 bytes
+        ck = tmp_path / "orbit.ck"
+        seed = chain(4)
+        start = np.array([sign_canonical_stokes(seed).rows], np.int8)
+        ck.write_bytes(pickle.dumps({
+            "format": 2, "mode": "stokes", "seed": seed.rows,
+            "visited": set(_keys(start)), "frontier": start, "next": [],
+            "levels": [1], "expanded": 0}))
+        with pytest.raises(ValueError, match="not in checkpoint format 3"):
+            orbit_enumerate(seed, "stokes", checkpoint=str(ck))
+
     def test_checkpoint_written_atomically(self, tmp_path, monkeypatch):
         ck = tmp_path / "orbit.ck"
         monkeypatch.setattr(braid, "CHECKPOINT_EVERY", 5)
@@ -417,11 +433,16 @@ def lex_min_form(s):
     return tuple(flat[np.lexsort(flat.T[::-1])[0]].tolist())
 
 
+def packed(mats):
+    """The packed states of Stokes matrices, one per row, object entries."""
+    return np.hstack([_pack(m) for m in mats]).T
+
+
 def engine_of(seed, mode):
     """mu, the batched expansion and the start state of an orbit run."""
     if mode == "stokes":
-        start = np.array([sign_canonical_stokes(seed).rows], dtype=object)
-        return seed.mu, _expand_stokes, _narrow(start)
+        return seed.mu, _expand_stokes, _narrow(packed([
+            sign_canonical_stokes(seed)]))
     form = symmetrized_form(seed).rows
     return (seed.mu, lambda x: _expand_bases(x, form),
             np.eye(seed.mu, dtype=np.int8)[None])
@@ -443,8 +464,7 @@ def all_classes(expand, start):
 
 
 def tree_key(s):
-    return _keys(_tree_sign_form(
-        np.array(s.rows, dtype=object)[:, :, None]).transpose(2, 0, 1))[0]
+    return _keys(_tree_sign_form(_pack(s)).T)[0]
 
 
 class TestBatchedEngine:
@@ -471,14 +491,13 @@ class TestBatchedEngine:
         seed = seed_stokes(label).stokes
         mats = [random_signed_walk(rng, seed, rng.randint(0, 10))
                 for _ in range(25)]
-        moved = _stokes_moves(np.array([m.rows for m in mats], np.int16)
-                              .transpose(1, 2, 0)).transpose(3, 2, 0, 1)
+        moved = _stokes_moves(packed(mats).T.astype(np.int16)) \
+            .transpose(2, 1, 0)
         gens = _generators(seed.mu)
         for m, row in zip(mats, moved):
             std = VanishingTuple.standard(m)
             for g, got in zip(gens, row):
-                assert got.tolist() == [list(r) for r in stokes_of_tuple(
-                    braid_apply(std, g)).rows]
+                assert _unpack(got) == stokes_of_tuple(braid_apply(std, g))
 
     @pytest.mark.parametrize("big, width", [(3, np.int16),
                                             (2 ** 10, np.int64),
@@ -525,8 +544,7 @@ class TestBatchedEngine:
                      for j in range(n)] for i in range(n)]
             rows[0][1] = big
             mats.append(StokesMatrix(tuple(map(tuple, rows))))
-        states = np.array([m.rows for m in mats], dtype=object)
-        got = _expand_stokes(_narrow(states))
+        got = _expand_stokes(_narrow(packed(mats)))
         k = 0
         for m in mats:
             std = VanishingTuple.standard(m)
@@ -534,8 +552,7 @@ class TestBatchedEngine:
                 want = stokes_of_tuple(braid_apply(std, g))
                 assert tree_key(want) == _keys(got[k:k + 1])[0]
                 assert got[k].tolist() == \
-                    [list(r) for r in _tree_sign_form(np.array(
-                        want.rows, dtype=object)[:, :, None])[:, :, 0]]
+                    _tree_sign_form(_pack(want))[:, 0].tolist()
                 k += 1
 
     @pytest.mark.parametrize("big", [2, 5, 6, 127, 2 ** 20, 2 ** 31])
@@ -575,20 +592,42 @@ class TestBatchedEngine:
         assert _keys(np.stack([base]))[0] != _keys(
             np.stack([base * 128]))[0]
 
-    def test_stokes_moves_reject_non_distinguished(self):
-        # one bad matrix anywhere in a batch raises: a nonzero below the
-        # diagonal, or a diagonal entry other than 1
-        rng = random.Random(24)
-        seed = seed_stokes("D5").stokes
-        good = [random_signed_walk(rng, seed, rng.randint(0, 8)).rows
-                for _ in range(5)]
-        batch = np.array(good, np.int16).transpose(1, 2, 0)
-        assert _stokes_moves(batch).shape == (5, 5, 8, 5)
-        for entry in ((4, 0), (3, 2), (2, 2), (0, 0)):
-            bad = batch.copy()
-            bad[entry + (2,)] = 2
-            with pytest.raises(AssertionError, match="distinguished"):
-                _stokes_moves(bad)
+    @pytest.mark.parametrize("big, width", [(3, np.int16),
+                                            (127, np.int64),
+                                            (128, np.int64),
+                                            (2 ** 20, np.int64),
+                                            (2 ** 31, object),
+                                            (2 ** 40, object)])
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_stokes_moves_are_the_packed_conjugation(self, n, big, width):
+        # for every generator, the full P S P^t of a unit upper triangular
+        # S is unit upper triangular again, so its strict upper triangle is
+        # the whole state, and that triangle is the packed kernel's output
+        rng = random.Random(big * 10 + n)
+        mats = []
+        for _ in range(5):
+            rows = [[int(i == j) if j <= i else
+                     rng.choice((1, -1)) * rng.randint(0, big)
+                     for j in range(n)] for i in range(n)]
+            rows[0][1] = big
+            mats.append(rows)
+        assert _work_dtype(big * (1 + big) ** 2) == width
+        got = _stokes_moves(packed(
+            [StokesMatrix(tuple(map(tuple, r))) for r in mats]).T
+            .astype(width))
+        assert got.dtype == width and got.shape == (n * (n - 1) // 2,
+                                                    2 * (n - 1), len(mats))
+        upper = np.triu_indices(n, 1)
+        for g, gen in enumerate(_generators(n)):
+            i = abs(gen) - 1
+            for k, rows in enumerate(mats):
+                c = rows[i][i + 1]
+                p = np.eye(n, dtype=object)
+                p[i:i + 2, i:i + 2] = [[0, 1], [1, -c]] if gen > 0 else \
+                    [[-c, 1], [1, 0]]
+                full = p.dot(np.array(rows, dtype=object)).dot(p.T)
+                assert (np.tril(full) == np.eye(n, dtype=object)).all()
+                assert got[:, g, k].tolist() == full[upper].tolist()
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_pow3_reads_first_nonzero_sign(self, n):
@@ -610,7 +649,7 @@ class TestBatchedEngine:
 
     def test_disconnected_state_raises(self):
         with pytest.raises(AssertionError, match="disconnected"):
-            _tree_sign_form(np.eye(3, dtype=np.int8)[:, :, None])
+            _tree_sign_form(np.zeros((3, 1), np.int8))
 
     @pytest.mark.parametrize("label, mode, size", [("D5", "stokes", 256),
                                                    ("E6", "stokes", 3456),
@@ -626,10 +665,10 @@ class TestBatchedEngine:
         assert len(states) == size == orbit_enumerate(seed, mode).class_count
         for lo in range(0, size, 512):
             x = states[lo:lo + 512]
-            back = expand(expand(x)).reshape(len(x), len(gens), len(gens),
-                                             n, n)
+            back = expand(expand(x)).reshape(
+                (len(x), len(gens), len(gens)) + x.shape[1:])
             back = back[:, np.arange(len(gens)), inverse]
-            assert _keys(back.reshape(-1, n, n)) == \
+            assert _keys(back.reshape((-1,) + x.shape[1:])) == \
                 [k for k in _keys(x) for _ in gens]
 
     @pytest.mark.parametrize("big, width", [(2 ** 10, np.int64),
@@ -644,12 +683,13 @@ class TestBatchedEngine:
         seed = seed_stokes("E6").stokes
         n, expand, _ = engine_of(seed, mode)
         if mode == "stokes":
-            states = [sign_canonical_stokes(random_signed_walk(
-                rng, seed, rng.randint(0, 12))).rows for _ in range(9)]
-            wide = [list(r) for r in states[4]]
+            mats = [sign_canonical_stokes(random_signed_walk(
+                rng, seed, rng.randint(0, 12))) for _ in range(9)]
+            wide = [list(r) for r in mats[4].rows]
             wide[0][1] = big
-            states[4] = sign_canonical_stokes(
-                StokesMatrix(tuple(map(tuple, wide)))).rows
+            mats[4] = sign_canonical_stokes(
+                StokesMatrix(tuple(map(tuple, wide))))
+            states = list(packed(mats))
         else:
             states = [_canon_vectors(braid_apply_word(
                 VanishingTuple.standard(seed),

@@ -1,8 +1,10 @@
 import json
 import math
 import os
+import pickle
 import warnings
 
+import numpy as np
 import pytest
 
 from singlat import verify
@@ -81,6 +83,20 @@ class TestOrbitCommand:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert captured.err.startswith("error:")
+
+    def test_format_2_checkpoint_fails(self, capsys, tmp_path):
+        # a checkpoint of the full-matrix Stokes engine, keyed by mu^2 bytes
+        seed = seed_stokes("A3").stokes
+        ck = tmp_path / "orbit.ck"
+        ck.write_bytes(pickle.dumps({
+            "format": 2, "mode": "stokes", "seed": seed.rows,
+            "visited": {bytes(9)}, "frontier": np.eye(3, dtype=np.int8)[None],
+            "next": [], "levels": [1], "expanded": 0}))
+        code = main(["orbit", "A3", "--mode", "stokes", "--checkpoint",
+                     str(ck)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "not in checkpoint format 3" in captured.err
 
     def test_resume_over_budget_exits_truncated(self, capsys, tmp_path):
         ck = str(tmp_path / "orbit.ck")

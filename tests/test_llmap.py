@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from singlat import llmap
 from singlat.braid import VanishingTuple, braid_apply, braid_apply_word, \
     sign_canonical_stokes, sign_canonical_tuple, stokes_of_tuple
+from singlat.degrees import deg_ll_simple, gz_order
 from singlat.lattice import StokesMatrix
 from singlat.llmap import (TOL_DEDUP, TOL_DISC, TOL_WALL, WALK_CHUNK,
                            LLPoint, WalkStats, _compile, _ll_compiled,
@@ -476,6 +477,25 @@ class TestFiberCount:
         fc = ll_fiber_count("A3", p, budget=800)
         assert fc.count == 16 and fc.saturated
 
+    def test_degree_read_once_per_class(self, monkeypatch):
+        # the saturation target deg LL is an int built once per class; no
+        # count shares a DegreeBreakdown
+        calls = []
+
+        def counted(cls):
+            calls.append(cls.label)
+            return deg_ll_simple(cls)
+        monkeypatch.setattr(llmap, "deg_ll_simple", counted)
+        llmap._deg_ll.cache_clear()
+        targets = {"A2": target_from_roots((1, -1)),
+                   "A3": target_from_roots((1, -1, 2))}
+        for label in ("A2", "A3", "A2", "A3"):
+            ll_fiber_count(label, targets[label], budget=20)
+        assert calls == ["A2", "A3"]
+        assert [llmap._deg_ll(sing_class(x)) for x in ("A2", "A3")] == [3, 16]
+        assert type(llmap._deg_ll(sing_class("A2"))) is int
+        llmap._deg_ll.cache_clear()
+
     def test_double_root_flagged(self):
         with pytest.raises(ValueError):
             ll_fiber_count("A2", LLPoint((0j, 0j, 1)), budget=10)
@@ -896,7 +916,9 @@ class TestWallWalk:
         # a closed loop at t0 fixes the distinguished basis of t0's Stokes
         # region: the words of seeded loops at one mu = 3 base point share
         # a fixed class among the 16 sign classes of A3 bases, while most
-        # words move some class
+        # words move some class.  The common fixed set is one whole fiber
+        # of the map to Stokes matrices mod signs, whose fibers are the
+        # G_Z / +-1 orbits, of |G_Z| / 2 = 4 classes for A3
         start = sign_canonical_tuple(
             VanishingTuple.standard(StokesMatrix.chain(3)))
         classes, todo = {start}, [start]
@@ -923,6 +945,12 @@ class TestWallWalk:
             moving += fixed != classes
             common &= fixed
         assert common and moving >= 4
+
+        def stokes(c):
+            return sign_canonical_stokes(stokes_of_tuple(c))
+        region = stokes(next(iter(common)))
+        assert common == {c for c in classes if stokes(c) == region}
+        assert len(common) == gz_order("A3") // 2 == 4
 
     @pytest.mark.parametrize("mu", [1, 2, 3, 4, 5])
     def test_stacked_values_match_np_roots(self, mu):
