@@ -13,7 +13,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import braid, degrees, lattice, llmap, singdata, verify
@@ -331,6 +330,7 @@ def cmd_scorecard(args):
     entries = []
     orbit_jobs = _orbit_jobs(args.extended)
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
         workers = min(args.jobs, os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_orbit_entry, *job) for job in orbit_jobs]

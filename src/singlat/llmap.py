@@ -5,7 +5,8 @@ the monic polynomial with the critical values as roots is computed exactly.
 By Stickelberger's theorem that polynomial, prod_i (y - f(x_i)) over the
 critical points x_i counted with multiplicity, is the characteristic
 polynomial of multiplication by f in Q[x]/(f'): one integer (or, for the
-symbolic map, Z[t]) Faddeev-LeVerrier pass after clearing denominators.
+symbolic map, Z[t]) Faddeev-LeVerrier pass after the weighted C*-scaling
+of the parameters that makes the matrix integral (`_config_coeffs`).
 Discriminant membership is exact as well, a Bareiss rank test of the
 Sylvester matrix of the polynomial and its derivative over Z.  By the
 same theorem (Cox, Little and O'Shea, Using Algebraic Geometry, ch. 2
@@ -112,25 +113,33 @@ class CriticalData:
 # exact chain-family map
 # ---------------------------------------------------------------------------
 
-def _config_coeffs(mu, t):
+def _config_coeffs(mu, n, d):
     """Coefficients c_0, ..., c_(mu-1) of the configuration polynomial
     y^mu + sum_k c_k y^k = prod_i (y - f(x_i)) of the chain family
-    f = x^(mu+1) + t_1 + t_2 x + ... + t_mu x^(mu-1), the product over the
-    mu critical points x_i of f counted with multiplicity.
+    f = x^(mu+1) + t_1 + t_2 x + ... + t_mu x^(mu-1) at t = n / d, the
+    product over the mu critical points x_i of f counted with multiplicity.
 
-    The entries of t are Fractions, or MultiPolys in the parameter names
-    for the symbolic map.  By Stickelberger's theorem (Cox, Little and
-    O'Shea, Using Algebraic Geometry, ch. 2 section 4) the product is the
-    characteristic polynomial of multiplication by f in Q[x]/(f'), where f
-    equals its remainder r = sum_j (mu+2-j)/(mu+1) t_j x^(j-1) modulo the
-    monic g = f'/(mu+1).  Column j of the matrix is r x^j mod g.  Scaling
-    by the common denominator d of the entries gives a matrix over Z or
-    Z[t]; its characteristic polynomial has coefficient k equal to
-    d^(mu-k) c_k."""
-    zero = t[0] * 0
-    # g = x^mu + sum_i g_i x^i: g_i = (i+1)/(mu+1) t_(i+2), and g_(mu-1) = 0
-    g = [F(i + 1, mu + 1) * t[i + 1] for i in range(mu - 1)] + [zero]
-    col = [F(mu + 1 - i, mu + 1) * t[i] for i in range(mu)]
+    The entries of n are ints over the common denominator d, or MultiPolys
+    in the parameter names over d = 1 for the symbolic map.  By
+    Stickelberger's theorem (Cox, Little and O'Shea, Using Algebraic
+    Geometry, ch. 2 section 4) the product is the characteristic polynomial
+    of multiplication by f in Q[x]/(f'), where f equals its remainder
+    r = sum_j (mu+2-j)/(mu+1) t_j x^(j-1) modulo the monic g = f'/(mu+1);
+    column j of the matrix is r x^j mod g.
+
+    f is weighted homogeneous, x of weight 1 and t_j of weight mu+2-j, so
+    c_k has weight (mu+1)(mu-k): scaling t_j by s^(mu+2-j) scales every
+    critical value by s^(mu+1) and c_k by s^((mu+1)(mu-k)).  At
+    s = (mu+1) d the scaled g_i = (i+1) s^(mu-1-i) n_(i+2) and
+    r_i = (mu+1-i) s^(mu-i) n_(i+1) are integral, and so is every column,
+    as g is monic: the matrix is over Z or Z[t], and coefficient k of its
+    characteristic polynomial is divided by s^((mu+1)(mu-k)) once."""
+    s = (mu + 1) * d
+    zero = n[0] * 0
+    # g = x^mu + sum_i g_i x^i, with g_(mu-1) = 0
+    g = [(i + 1) * s ** (mu - 1 - i) * n[i + 1]
+         for i in range(mu - 1)] + [zero]
+    col = [(mu + 1 - i) * s ** (mu - i) * n[i] for i in range(mu)]
     cols = [col]
     for _ in range(mu - 1):
         top = col[-1]
@@ -138,20 +147,9 @@ def _config_coeffs(mu, t):
         if top:
             col = [c - top * gi for c, gi in zip(col, g)]
         cols.append(col)
-    rows = list(zip(*cols))
-    d = math.lcm(*(_denominator(x) for row in rows for x in row))
-    cp = char_poly([[_integral(x * d) for x in row] for row in rows])
-    return [c * F(1, d ** (mu - k)) for k, c in enumerate(cp[:mu])]
-
-
-def _denominator(x):
-    if isinstance(x, MultiPoly):
-        return math.lcm(*(c.denominator for c in x.terms.values()))
-    return x.denominator
-
-
-def _integral(x):
-    return x if isinstance(x, MultiPoly) else x.numerator
+    cp = char_poly(list(zip(*cols)))
+    return [c * F(1, s ** ((mu + 1) * (mu - k)))
+            for k, c in enumerate(cp[:mu])]
 
 
 def ll_exact_A(mu, t) -> LLPoint:
@@ -160,13 +158,18 @@ def ll_exact_A(mu, t) -> LLPoint:
     over the critical points x_i counted with multiplicity: its roots are
     the critical values.  It is the characteristic polynomial of
     multiplication by f in Q[x]/(f') (Stickelberger; see `_config_coeffs`),
-    computed over Z after clearing denominators; equal to the monic
-    Res_x(f', y - f)."""
+    computed over Z: the weighted C*-scaling t_j -> s^(mu+2-j) t_j,
+    s = (mu+1) lcm(denominators of t), makes the matrix integral and
+    multiplies c_k, of weight (mu+1)(mu-k), by s^((mu+1)(mu-k)).  Equal to
+    the monic Res_x(f', y - f)."""
     if mu < 1:
         raise ValueError(f"mu must be at least 1, got {mu}")
     if len(t) != mu:
         raise ValueError(f"need {mu} parameters")
-    coeffs = _config_coeffs(mu, [F(v) for v in t])
+    t = [F(v) for v in t]
+    d = math.lcm(*(v.denominator for v in t))
+    coeffs = _config_coeffs(mu, [v.numerator * (d // v.denominator)
+                                 for v in t], d)
     return LLPoint(tuple(coeffs) + (F(1),))
 
 
@@ -302,10 +305,10 @@ def _finite(X):
 def _symbolic_ll(mu):
     """Parameter names and coefficient polynomials c_k(t), k < mu, of the
     exact configuration polynomial for the chain family: `_config_coeffs`
-    with the parameters as variables, so the characteristic polynomial is
-    taken over Z[t]."""
+    with the parameters as variables over d = 1, so the characteristic
+    polynomial is taken over Z[t] after scaling t_j by (mu+1)^(mu+2-j)."""
     tv = sing_class(f"A{mu}").tvars
-    return tv, _config_coeffs(mu, [MultiPoly.var(tn, tv) for tn in tv])
+    return tv, _config_coeffs(mu, [MultiPoly.var(tn, tv) for tn in tv], 1)
 
 
 @dataclass
@@ -444,17 +447,40 @@ def _ll_system(mu, p: LLPoint):
     return _system(*_ll_compiled(mu), mu, p.coeffs[:mu])
 
 
-def _distinct_zeros(G, J, starts, want):
+# mu -> (the random.Random(5) that drew it, the start table drawn so far)
+_STARTS = {}
+
+
+def _start_table(mu, n):
+    """The first n starts of mu's fiber start stream as a read-only (n, mu)
+    complex array: start r is mu complex(gauss(0, 2), gauss(0, 2)) from
+    random.Random(5), drawn once per process.  The table grows by whole
+    NEWTON_CHUNK blocks, continuing the saved generator, only when n
+    reaches past it."""
+    rng, table = _STARTS.get(mu) or (random.Random(5),
+                                     np.zeros((0, mu), complex))
+    if n > len(table):
+        m = -(-n // NEWTON_CHUNK) * NEWTON_CHUNK - len(table)
+        # real and imaginary parts alternate, so the floats view as complex
+        new = np.array([rng.gauss(0, 2) for _ in range(2 * mu * m)])
+        table = np.concatenate([table, new.view(complex).reshape(m, mu)])
+        table.flags.writeable = False
+        _STARTS[mu] = rng, table
+    return table[:n]
+
+
+def _distinct_zeros(G, J, mu, budget, want):
     """Distinct zeros of the system (G, J) that Newton reaches from the
-    rows of starts, an iterable read NEWTON_CHUNK rows at a time.
+    first budget rows of mu's start table (`_start_table`), sliced
+    NEWTON_CHUNK rows at a time.
 
     Converged rows are taken in convergence order: chunk, then Newton
     iteration (`_newton_steps`), then start index.  A row is kept when it
     differs from every zero kept so far by more than TOL_DEDUP in max
     norm.  Returns at the iteration that brings the kept zeros to want."""
     found = []
-    starts = iter(starts)
-    while chunk := list(itertools.islice(starts, NEWTON_CHUNK)):
+    for k in range(0, budget, NEWTON_CHUNK):
+        chunk = _start_table(mu, min(k + NEWTON_CHUNK, budget))[k:]
         for _, Z in _newton_steps(G, J, chunk):
             if found:   # drop the rows within TOL_DEDUP of a kept zero
                 d = np.abs(Z[:, None, :] - np.array(found)).max(axis=2)
@@ -480,15 +506,19 @@ def ll_fiber_count(cls_or_label, p: LLPoint, budget=600) -> FiberCount:
     located by multistart Newton on the coefficient-matching system.
 
     Only mu = 2 and 3 are supported; the target must be square-free.  The
-    budget starts are drawn in order from random.Random(5), the same
-    stream on every call, as the search reaches them, NEWTON_CHUNK at a
-    time; a converged point within TOL_DEDUP, a constant, in max norm of
-    one kept before is dropped.  Over a square-free target the A_mu
-    fiber has exactly deg LL = (mu+1)^(mu-1) points
-    (`degrees.deg_ll_simple`): the search stops at the Newton iteration
-    that finds the last of them, and the saturation flag records that it
-    did.  The solutions come in convergence order (`_distinct_zeros`):
-    chunk, then iteration, then start index."""
+    starts are the first budget rows of one stream per mu, drawn from
+    random.Random(5) once per process (`_start_table`), read NEWTON_CHUNK
+    at a time as the search reaches them; a converged point within
+    TOL_DEDUP, a constant, in max norm of one kept before is dropped.
+    Over a square-free target the A_mu fiber has exactly
+    deg LL = (mu+1)^(mu-1) points (`degrees.deg_ll_simple`): the map is
+    finite (Looijenga) and weighted homogeneous, c_k of weight
+    (mu+1)(mu-k) in the t_j of weight mu+2-j, so the count is the
+    weighted Bezout number prod_k (mu+1)(mu-k) / prod_j (mu+2-j).  The
+    search stops at the Newton iteration that finds the last of them, and
+    the saturation flag records that it did.  The solutions come in
+    convergence order (`_distinct_zeros`): chunk, then iteration, then
+    start index."""
     cls = sing_class(cls_or_label)
     if cls.family != "A" or cls.mu not in (2, 3):
         raise ValueError("fiber counting is desk-scale: chain family, mu in {2, 3}")
@@ -500,11 +530,8 @@ def ll_fiber_count(cls_or_label, p: LLPoint, budget=600) -> FiberCount:
     sylv_roots = p.roots()
     if min(abs(a - b) for a, b in itertools.combinations(sylv_roots, 2)) < 1e-5:
         raise ValueError("target has a (near-)multiple root")
-    rng = random.Random(5)
-    starts = ([complex(rng.gauss(0, 2), rng.gauss(0, 2)) for _ in range(mu)]
-              for _ in range(budget))
     deg = _deg_ll(cls)
-    sols = _distinct_zeros(*_ll_system(mu, p), starts, deg)
+    sols = _distinct_zeros(*_ll_system(mu, p), mu, budget, deg)
     return FiberCount(count=len(sols), saturated=len(sols) == deg,
                       starts=budget, solutions=tuple(tuple(v) for v in sols))
 

@@ -13,12 +13,12 @@ from singlat import llmap
 from singlat.braid import VanishingTuple, braid_apply, braid_apply_word, \
     sign_canonical_stokes, sign_canonical_tuple, stokes_of_tuple
 from singlat.degrees import deg_ll_simple, gz_order
-from singlat.lattice import StokesMatrix
+from singlat.lattice import StokesMatrix, char_poly
 from singlat.llmap import (TOL_DEDUP, TOL_DISC, TOL_WALL, WALK_CHUNK,
                            LLPoint, WalkStats, _compile, _ll_compiled,
                            _ll_system, _multiplication_plan, _newton_rows,
-                           _path_values, _separations, _steps_ok,
-                           _symbolic_ll, _system, _walk_values,
+                           _path_values, _separations, _start_table,
+                           _steps_ok, _symbolic_ll, _system, _walk_values,
                            critical_values_numeric, discriminant_member,
                            good_order, ll_exact_A, ll_fiber_count,
                            wall_walk_A)
@@ -177,6 +177,66 @@ class TestCharacteristicPolynomial:
         poly = sum(sympy.Rational(c.numerator, c.denominator) * y ** k
                    for k, c in enumerate(map(F, p.coeffs)))
         assert discriminant_member(p) == (sympy.discriminant(poly, y) == 0)
+
+    @pytest.mark.parametrize("mu", [1, 2, 3, 4, 5, 6])
+    def test_matches_sympy_resultant(self, mu):
+        # the integer kernel against sympy's monic Res_x(f', y - f), on
+        # seeded rationals among them zero, negative and large-denominator
+        # parameters
+        sympy = pytest.importorskip("sympy")
+        x, y = sympy.symbols("x y")
+        rng = random.Random(71 + mu)
+        pool = [F(0), F(-3), F(1, 10 ** 6 + 3), F(-7, 10 ** 6 + 3),
+                F(10 ** 9 + 7, 13), F(-5, 8)]
+        for k in range(4):
+            t = [rng.choice(pool) if k % 2 else
+                 F(rng.randint(-40, 40), rng.randint(1, 10 ** 4))
+                 for _ in range(mu)]
+            f = x ** (mu + 1) + sum(sympy.Rational(v.numerator, v.denominator)
+                                    * x ** j for j, v in enumerate(t))
+            res = sympy.Poly(sympy.resultant(sympy.diff(f, x), y - f, x), y)
+            want = [F(int(c.p), int(c.q))
+                    for c in reversed(res.monic().all_coeffs())]
+            assert ll_exact_A(mu, t).coeffs == tuple(want), t
+
+    @settings(max_examples=60, deadline=None)
+    @given(chain_parameters(), st.fractions(min_value=-5, max_value=5,
+                                            max_denominator=9)
+           .filter(lambda s: s != 0))
+    def test_weighted_scaling(self, case, s):
+        # t_j of weight mu+2-j: c_k, of weight (mu+1)(mu-k), scales by
+        # s^((mu+1)(mu-k)), and so the discriminant is kept
+        mu, t = case
+        p = ll_exact_A(mu, t)
+        q = ll_exact_A(mu, [v * s ** (mu + 2 - j) for j, v in enumerate(t, 1)])
+        assert q.coeffs == tuple(c * s ** ((mu + 1) * (mu - k))
+                                 for k, c in enumerate(p.coeffs))
+        assert discriminant_member(q) == discriminant_member(p)
+
+    def test_kernel_matrices_integral(self, monkeypatch):
+        # the weighted scaling leaves char_poly nothing but ints and
+        # integer-coefficient MultiPolys
+        seen = []
+
+        def recording(m):
+            seen.append(m)
+            return char_poly(m)
+
+        monkeypatch.setattr(llmap, "char_poly", recording)
+        rng = random.Random(73)
+        for mu in range(1, 7):
+            for _ in range(5):
+                ll_exact_A(mu, [F(rng.randint(-9, 9), rng.choice(
+                    [1, 4, 9, 10 ** 6 + 3])) for _ in range(mu)])
+        for mu in range(1, 5):
+            _symbolic_ll.__wrapped__(mu)
+        assert len(seen) == 6 * 5 + 4
+        for m in seen:
+            for x in itertools.chain.from_iterable(m):
+                if isinstance(x, MultiPoly):
+                    assert all(F(c).denominator == 1 for c in x.terms.values())
+                else:
+                    assert type(x) is int
 
 
 class TestRoots:
@@ -629,6 +689,37 @@ class TestBatchedNewton:
             calls.clear()
             _newton_rows(*counted(2, p), seed5_starts(2, 150))
             assert search < len(calls)
+
+    @pytest.mark.parametrize("mu", [2, 3])
+    def test_start_table_is_the_stream(self, mu, monkeypatch):
+        # a fresh table, then one extended past it, hold the stream's
+        # starts bit for bit, and neither can be written
+        monkeypatch.setattr(llmap, "_STARTS", {})
+        for n in (150, 600):
+            table = _start_table(mu, n)
+            assert table.shape == (n, mu)
+            assert np.array_equal(table, np.array(seed5_starts(mu, n)))
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 0
+
+    def test_second_count_draws_nothing(self, monkeypatch):
+        draws = []
+        gauss = random.Random.gauss
+
+        def counted(self, *a):
+            draws.append(1)
+            return gauss(self, *a)
+
+        monkeypatch.setattr(llmap, "_STARTS", {})
+        monkeypatch.setattr(random.Random, "gauss", counted)
+        rng = random.Random(79)
+        for k in range(3):
+            p = target_from_roots([complex(rng.random(), rng.random())
+                                   for _ in range(3)])
+            draws.clear()
+            assert ll_fiber_count("A3", p, budget=600).count == 16
+            assert (len(draws) > 0) == (k == 0)
 
     def test_non_finite_steps_dropped(self):
         # over a target near the float range every first step is NaN or
