@@ -19,10 +19,12 @@ array, stored as int8 while its entries fit: (B, mu, mu) tuples of vectors
 in bases mode, (B, m) packed Stokes matrices in Stokes mode.  A generator
 acting on slots i, i+1 is one batched row (bases) or row-and-column
 (Stokes, S' = P S P^t) recombination with a per-state multiplier c; every
-generator is applied to a chunk of about 2^16 candidate entries in one
-numpy pass, in int16, int64 or Python ints as a bound on the result
-entries requires, so arithmetic is exact at every width.  The kernels
-(_stokes_moves, _bases_moves, _tree_sign_form) work batch-minor, on
+generator is applied to a chunk of states in one numpy pass, in int16,
+int64 or Python ints as a bound on the result entries requires, so
+arithmetic is exact at every width.  Chunks are sized at mu^2 entries per
+candidate: about 2^16 candidate entries in bases mode, and about 2^15 in
+Stokes mode, whose packed candidates hold m < mu^2/2 entries each.  The
+kernels (_stokes_moves, _bases_moves, _tree_sign_form) work batch-minor, on
 arrays whose last, contiguous axis is the batch: numpy runs every
 broadcast and reduction as an inner loop over that last axis, and with
 the batch first each inner loop would be a row of length mu with its
@@ -213,7 +215,9 @@ def sign_canonical_stokes(s: StokesMatrix) -> StokesMatrix:
 
 CHECKPOINT_FORMAT = 3          # 2 held full mu x mu Stokes states and keys
 CHECKPOINT_EVERY = 250_000     # expanded states between checkpoint saves
-_CHUNK_ELEMENTS = 2 ** 16      # candidate entries computed per numpy pass
+_CHUNK_ELEMENTS = 2 ** 16      # per numpy pass, counting mu^2 per
+                               # candidate: a bases chunk's entries; a
+                               # packed Stokes chunk holds about 2^15
 _INT8_MAX = 127
 _INT16_MAX = 2 ** 15 - 1
 _INT64_MAX = 2 ** 63 - 1

@@ -20,6 +20,7 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
+from types import MappingProxyType
 
 from .lattice import (StokesMatrix, symmetrized_form, is_connected,
                       definiteness, radical_rank, tensor_rows)
@@ -223,9 +224,13 @@ def jacobi_system(cls: SingularityClass):
 
 @dataclass(frozen=True)
 class SymmetryDatum:
-    """One tabulated unfolding symmetry.
+    """One tabulated unfolding symmetry, immutable: the four mapping fields
+    are read-only views (types.MappingProxyType) of copies of what the
+    constructor, or dataclasses.replace, was given.  So `symmetry_data`
+    builds each class's data once per process and shares it read-only;
+    `verify` re-derives every identity from it on every call.
 
-    phi            coordinate change on x (dict var -> MultiPoly)
+    phi            coordinate change on x (var -> MultiPoly)
     psi_shift      the accompanying shift Psi on x, may involve (t, la)
     psi            stored parameter map components t_j -> expression;
                    for partially printed maps only the printed parts,
@@ -247,6 +252,11 @@ class SymmetryDatum:
     lam_image: str
     root_order: int
     exclusions: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        for name in ("phi", "psi_shift", "psi", "exclusions"):
+            object.__setattr__(self, name,
+                               MappingProxyType(dict(getattr(self, name))))
 
 
 def sym_field(lam_image, m=1):
@@ -287,14 +297,22 @@ def _scalings(tv, scale):
             for j, t in enumerate(tv, start=1)}
 
 
-def symmetry_data(cls: SingularityClass):
-    """The tabulated morphism data; D families carry phi2 (and phi3 for D4),
-    elliptic families carry psi2 and psi3."""
+@lru_cache(maxsize=None)
+def symmetry_data(cls: SingularityClass) -> tuple:
+    """The tabulated morphism data, a tuple of SymmetryDatum; D families
+    carry phi2 (and phi3 for D4), elliptic families carry psi2 and psi3,
+    the other classes none.
+
+    Built from Cyclo and Laurent arithmetic once per class per process and
+    shared read-only: the tuple and its data are immutable.  Only the
+    tables are cached; `verify` re-derives every identity from them on
+    every call."""
     if cls.family == "D":
         return _d_family_symmetries(cls)
     if cls.is_elliptic:
-        return [_elliptic_symmetry(cls, "psi2"), _elliptic_symmetry(cls, "psi3")]
-    return []
+        return (_elliptic_symmetry(cls, "psi2"),
+                _elliptic_symmetry(cls, "psi3"))
+    return ()
 
 
 def _d_family_symmetries(cls):
@@ -330,7 +348,7 @@ def _d_family_symmetries(cls):
             "t4": _poly({(0, 0, 0, 1): 1}, tv),
         }
         out.append(SymmetryDatum("phi3", phi3, psi_shift3, psi3, "id", 1))
-    return out
+    return tuple(out)
 
 
 def _elliptic_symmetry(cls, which):

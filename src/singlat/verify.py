@@ -24,6 +24,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 from .polyalg import MultiPoly, graded_block, parse_poly
 from .singdata import (jacobi_system, normal_form, sing_class, sym_field,
@@ -234,7 +235,7 @@ def symmetry_checks(cls_or_label, which=None) -> list:
     A D class gives the one `check_simple_symmetry` outcome.  An elliptic
     class gives the la-projection and the unfolding identity of psi2 and
     psi3, or of the one symmetry which names, in that order, from one
-    build of its symmetry data.  A class with no tabulated symmetry data
+    `symmetry_data` call.  A class with no tabulated symmetry data
     (A, E), which on a D class, or an unknown name raises ValueError."""
     cls = sing_class(cls_or_label)
     if cls.family == "D":
@@ -271,9 +272,16 @@ def check_simple_symmetry(cls_or_label) -> CheckOutcome:
 # extension to kappa = 0
 # ---------------------------------------------------------------------------
 
-# rho maps (t_j -> polynomial in s, kappa), the x0 rescale exponent, the
-# cover degree c, the auxiliary y definitions and the extended form.
+@lru_cache(maxsize=None)
 def _kappa_data(cls):
+    """(rho, x0_scale, c, ydefs, ext, vs, yv) of an elliptic class: rho maps
+    t_j to a polynomial in (s, kappa), x0_scale is the x0 rescale exponent,
+    c the cover degree, ydefs the auxiliary y definitions, ext the extended
+    form, over the variables vs and, for ext, yv.
+
+    Parsed once per class per process and shared read-only: rho and ydefs
+    are types.MappingProxyType views.  Only the tables are cached;
+    `check_kappa_extension` pulls back and compares on every call."""
     xv = cls.xvars
     sv = tuple(f"s{j}" for j in range(1, cls.mu))
     vs = xv + sv + ("ka",)
@@ -341,7 +349,8 @@ def _kappa_data(cls):
             vs + yv)
     else:
         raise ValueError("kappa extension is defined for the elliptic classes")
-    return rho, x0_scale, c, ydefs, ext, vs, yv
+    return (MappingProxyType(rho), x0_scale, c, MappingProxyType(ydefs), ext,
+            vs, yv)
 
 
 def _mono(vs, name, e):

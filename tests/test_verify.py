@@ -10,7 +10,11 @@ from singlat.verify import (JacobiRankError, check_kappa_extension,
                             check_lambda_projection, check_simple_symmetry,
                             check_unfolding_identity, identity_suite,
                             jacobi_dimension, jacobi_suite, symmetry_checks,
-                            _composed_substitution, _lift_unfolding)
+                            _check_unfolding, _composed_substitution,
+                            _kappa_data, _lift_unfolding)
+
+SYMMETRY_LABELS = ("D4", "D5", "D6", "D7", "D8", "tE6", "tE7", "tE8")
+ELLIPTIC_LABELS = ("tE6", "tE7", "tE8")
 
 
 @pytest.fixture
@@ -134,12 +138,9 @@ class TestUnfoldingIdentities:
         real = V.symmetry_data
 
         def dropped(cls):
-            out = real(cls)
-            for k, d in enumerate(out):
-                if d.label == "psi3":
-                    psi = dict(d.psi, t1=MultiPoly.zero(cls.tvars))
-                    out[k] = dataclasses.replace(d, psi=psi)
-            return out
+            return tuple(dataclasses.replace(
+                d, psi=dict(d.psi, t1=MultiPoly.zero(cls.tvars)))
+                if d.label == "psi3" else d for d in real(cls))
 
         monkeypatch.setattr(V, "symmetry_data", dropped)
         out = V.check_unfolding_identity("tE8", "psi3")
@@ -235,8 +236,7 @@ class TestKappaExtension:
     def test_kappa_zero_specialization_is_polynomial(self):
         # the stored extended forms have no negative powers, so setting
         # s = 0 and kappa = 0 stays polynomial
-        from singlat.verify import _kappa_data
-        for label in ("tE6", "tE7", "tE8"):
+        for label in ELLIPTIC_LABELS:
             cls = sing_class(label)
             rho, x0s, c, ydefs, ext, vs, yv = _kappa_data(cls)
             assert ext.min_degree("ka") >= 0
@@ -248,6 +248,65 @@ class TestKappaExtension:
     def test_simple_rejected(self):
         with pytest.raises(ValueError):
             check_kappa_extension("E6")
+
+
+class TestSharedTables:
+    """symmetry_data and _kappa_data build each class's tables once per
+    process; the shared tables are read-only, and no check changes them."""
+
+    @pytest.mark.parametrize("label", SYMMETRY_LABELS)
+    def test_symmetry_data_is_built_once(self, label):
+        cls = sing_class(label)
+        assert symmetry_data(cls) is symmetry_data(cls)
+
+    @pytest.mark.parametrize("label", ELLIPTIC_LABELS)
+    def test_kappa_data_is_built_once(self, label):
+        cls = sing_class(label)
+        assert _kappa_data(cls) is _kappa_data(cls)
+
+    @pytest.mark.parametrize("label", SYMMETRY_LABELS)
+    def test_symmetry_data_is_read_only(self, label):
+        data = symmetry_data(sing_class(label))
+        assert isinstance(data, tuple)
+        with pytest.raises(TypeError):
+            data[0] = data[-1]
+        for d in data:
+            for part in ("phi", "psi_shift", "psi", "exclusions"):
+                with pytest.raises(TypeError):
+                    getattr(d, part)["t1"] = None
+
+    def test_replaced_datum_copies_its_mappings(self):
+        datum = symmetry_data(sing_class("D5"))[0]
+        psi = dict(datum.psi)
+        copy = dataclasses.replace(datum, psi=psi)
+        psi["t1"] = -psi["t1"]
+        assert copy.psi == datum.psi
+        with pytest.raises(TypeError):
+            copy.psi["t1"] = psi["t1"]
+
+    @pytest.mark.parametrize("label", ELLIPTIC_LABELS)
+    def test_kappa_data_is_read_only(self, label):
+        rho, _, _, ydefs, *_ = _kappa_data(sing_class(label))
+        for table in (rho, ydefs):
+            with pytest.raises(TypeError):
+                table["t1"] = None
+
+    def test_checks_leave_the_tables_unchanged(self):
+        assert all(identity_suite())
+        # a perturbed copy of a cached datum fails, on its own data
+        cls = sing_class("tE6")
+        datum = {d.label: d for d in symmetry_data(cls)}["psi3"]
+        bad = dataclasses.replace(datum,
+                                  psi={**datum.psi, "t1": -datum.psi["t1"]})
+        assert not _check_unfolding(cls, bad)
+        assert _check_unfolding(cls, datum)
+        for label in SYMMETRY_LABELS:
+            cls = sing_class(label)
+            assert repr(symmetry_data(cls)) == \
+                repr(symmetry_data.__wrapped__(cls))
+        for label in ELLIPTIC_LABELS:
+            cls = sing_class(label)
+            assert repr(_kappa_data(cls)) == repr(_kappa_data.__wrapped__(cls))
 
 
 class TestSuites:

@@ -42,9 +42,20 @@ eight A2 targets at the benchmark's budget of 150 starts, four A3 targets
 at the default budget, and one A3 target at 40 starts, whose count does
 not saturate (exit 3).  Last of all it prints the repr of every stored
 symmetry table, phi, psi_shift and psi of each datum of D4 to D8 and tE6
-to tE8, polynomials that Cyclo and Laurent arithmetic build.  Inputs are
-seeded, so the output is deterministic.  The battery takes about 8 s on a
-2-core host.
+to tE8, polynomials that Cyclo and Laurent arithmetic build.  These 36
+lines print `dict(...)` of the datum's read-only views, so they keep their
+bytes; since `symmetry_data` builds each class's tables once per process,
+they show the shared tables after every check above has read them.  Inputs
+are seeded, so the output is deterministic.  The battery takes about 6 s
+on a 2-core host.
+
+tests/golden/byte_identity.txt holds this output after a `# numpy <version>`
+header line, and tests/test_golden.py compares the two byte for byte.  A
+change that moves a line regenerates the file and names each moved line:
+
+    { python -c "import numpy; print('# numpy', numpy.__version__)"
+      PYTHONPATH=src python tools/byte_identity.py
+    } > tests/golden/byte_identity.txt
 """
 
 import contextlib
@@ -372,12 +383,13 @@ def fiber_outputs(rng):
 
 
 def symmetry_tables():
-    """The repr of each stored symmetry datum's phi, psi_shift and psi."""
+    """The repr of each stored symmetry datum's phi, psi_shift and psi, as
+    a dict: the datum holds read-only views of it."""
     for label in ("D4", "D5", "D6", "D7", "D8", "tE6", "tE7", "tE8"):
         for datum in symmetry_data(sing_class(label)):
             for part in ("phi", "psi_shift", "psi"):
                 print(f"symmetry_data {label} {datum.label} {part}: "
-                      f"{getattr(datum, part)!r}")
+                      f"{dict(getattr(datum, part))!r}")
 
 
 def main():
