@@ -87,7 +87,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import (StokesMatrix, symmetrized_form, mat_det, is_connected,
-                      form_pair)
+                      form_pair, mat_mul, mat_neg, mat_transpose)
 
 
 @dataclass(frozen=True)
@@ -169,20 +169,12 @@ def stokes_of_tuple(t: VanishingTuple) -> StokesMatrix:
 
 
 def _stokes_rows_of_vectors(vectors, seed_rows):
-    n = len(seed_rows)
-    # L = -S^t, lower triangular with diagonal -1
-    l_rows = tuple(tuple(-seed_rows[j][i] for j in range(n)) for i in range(n))
-    lv = [tuple(sum(r * y for r, y in zip(row, v)) for row in l_rows)
-          for v in vectors]  # lv[j] = L . v_j  (column pairing vector)
-    g = [[sum(x * y for x, y in zip(vectors[a], lv[b])) for b in range(n)]
-         for a in range(n)]
-    for a in range(n):
-        if g[a][a] != -1:
-            raise AssertionError("tuple is not distinguished-shaped")
-        for b in range(a + 1, n):
-            if g[a][b] != 0:
-                raise AssertionError("tuple is not distinguished-shaped")
-    return tuple(tuple(-g[j][i] for j in range(n)) for i in range(n))
+    # G = V L V^t with L = -S^t, lower triangular with diagonal -1
+    g = mat_mul(mat_mul(vectors, mat_neg(mat_transpose(seed_rows))),
+                mat_transpose(vectors))
+    if any(row[a] != -1 or any(row[a + 1:]) for a, row in enumerate(g)):
+        raise AssertionError("tuple is not distinguished-shaped")
+    return mat_neg(mat_transpose(g))
 
 
 def sign_canonical_tuple(t: VanishingTuple) -> VanishingTuple:

@@ -242,16 +242,11 @@ def _multiplication_plan(cls):
     1 - deg b_j > 0, F is homogeneous of degree 1 in (x, t), so
     F b_i = sum_k c_k d_k F + sum_j M_ji b_j has a solution with
     deg c_k <= D - (1 - w_k), D = 1 + max deg b_j.  A keeps the columns and
-    rows of degree at most D, and B holds the F b_i in the same rows.  A
-    monic monomial b = x^a, as every b but df/dla is, enters B as the
-    column (a, F); only df/dla is multiplied out."""
+    rows of degree at most D, and B holds the F b_i in the same rows."""
     wsys, Fu = weights(cls), unfolding(cls)
     basis, degrees, _, entries = jacobi_system(cls)
     D = 1 + max(degrees[-len(basis):])
-    rows, rhs = macaulay([(a, Fu) if b.vars == cls.xvars and b.terms == {a: 1}
-                          else ((0,) * cls.nvars, Fu * b)
-                          for b in basis for a in [next(iter(b.terms))]],
-                         wsys, D)
+    rows, rhs = macaulay([((0,) * cls.nvars, Fu * b) for b in basis], wsys, D)
     at = {((v, 1),): k for k, v in enumerate(Fu.vars[cls.nvars:], 1)}
     at[()] = 0   # F is affine in (t, la)
     keep = {j: k for k, j in enumerate(

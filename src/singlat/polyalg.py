@@ -4,7 +4,8 @@ Everything here is exact: coefficients are Fractions or elements of small
 cyclotomic extensions of Q (for i and the primitive 8th root of unity).
 MultiPoly is a sparse Laurent polynomial in named variables over either
 domain; the domains only need +, -, *, / and a truthiness test, so they mix
-freely through Python's operator coercion.  Cyclo and MultiPoly each keep
+freely through Python's operator coercion.  Cyclo, RatFunc and MultiPoly
+derive -, / and ** from one base, `_Ring`.  Cyclo and MultiPoly each keep
 an invariant (see their docstrings) that the public constructor checks
 and establishes for outside data; the arithmetic produces only values that
 hold it and stores them through the private `_raw`, without a re-check.
@@ -117,12 +118,58 @@ def _poly_gcd(a, b):
     return a
 
 
-class Cyclo:
+class _Ring:
+    """The operators -, / and ** of Cyclo, RatFunc and MultiPoly, derived
+    from each type's primitives: `_co` (an operand as the type, or None for
+    a foreign one: NotImplemented), negation, +, *, `inv` and `_one`.
+    x / y is x * y.inv(); a negative power is a power of the inverse."""
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        o = self._co(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        o = self._co(other)
+        if o is None:
+            return NotImplemented
+        return -(self - o)
+
+    def __truediv__(self, other):
+        o = self._co(other)
+        if o is None:
+            return NotImplemented
+        return self * o.inv()
+
+    def __rtruediv__(self, other):
+        o = self._co(other)
+        if o is None:
+            return NotImplemented
+        return o * self.inv()
+
+    def __pow__(self, n):
+        if not isinstance(n, int):
+            return NotImplemented
+        base, n = (self, n) if n >= 0 else (self.inv(), -n)
+        out = self._one()
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
+        return out
+
+
+class Cyclo(_Ring):
     """Element of a CycloField, stored as a reduced polynomial in the root.
 
     Invariant: coeffs is a tuple of exactly field.degree Fractions.  The
     public constructor establishes it from any sequence of ints and
-    Fractions, reducing modulo the minimal polynomial.  Negation, + and -
+    Fractions, reducing modulo the minimal polynomial.  Negation and +
     build tuples that already hold it and store them with `_raw`,
     unchecked, and so does * with an int or a Fraction: such an operand
     acts on the coefficients directly.  A product of two elements is
@@ -205,16 +252,6 @@ class Cyclo:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        o = self._co(other)
-        if o is None:
-            return NotImplemented
-        return Cyclo._raw(self.field,
-                          tuple(map(operator.sub, self.coeffs, o.coeffs)))
-
-    def __rsub__(self, other):
-        return -(self - other)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return Cyclo._raw(self.field,
@@ -240,27 +277,8 @@ class Cyclo:
         c = r0[0]
         return Cyclo(self.field, [x / c for x in s0])
 
-    def __truediv__(self, other):
-        o = self._co(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inv()
-
-    def __rtruediv__(self, other):
-        o = self._co(other)
-        return o * self.inv()
-
-    def __pow__(self, n):
-        if n < 0:
-            return self.inv() ** (-n)
-        out = Cyclo(self.field, [1])
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+    def _one(self):
+        return Cyclo(self.field, [1])
 
     def eval_complex(self):
         z = self.field.root
@@ -285,11 +303,12 @@ def to_complex(c):
     return c.eval_complex() if isinstance(c, Cyclo) else complex(c)
 
 
-class RatFunc:
+class RatFunc(_Ring):
     """num/den of univariate polynomials, gcd-reduced with monic denominator.
 
     No singlat computation uses it.  It and `_poly_gcd` are kept only for
-    the `polyalg.ratfunc_ops` probe of the benchmark."""
+    the `polyalg.ratfunc_ops` probe of the benchmark, and go with that
+    probe (ROADMAP.md, the benchmark item)."""
 
     __slots__ = ("var", "num", "den")
 
@@ -366,15 +385,6 @@ class RatFunc:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        o = self._co(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
     def __mul__(self, other):
         o = self._co(other)
         if o is None:
@@ -389,27 +399,8 @@ class RatFunc:
             raise ZeroDivisionError("inverse of zero rational function")
         return RatFunc(self.var, self.den, self.num)
 
-    def __truediv__(self, other):
-        o = self._co(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inv()
-
-    def __rtruediv__(self, other):
-        o = self._co(other)
-        return o * self.inv()
-
-    def __pow__(self, n):
-        if n < 0:
-            return self.inv() ** (-n)
-        out = RatFunc(self.var, [self._one_like(self.den[-1])], normalize=False)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+    def _one(self):
+        return RatFunc(self.var, self.den[-1:], normalize=False)  # den monic
 
     def eval_complex(self, value):
         def ev(cs):
@@ -445,11 +436,12 @@ def _grlex_key(expo):
     return (sum(expo), expo)
 
 
-class MultiPoly:
+class MultiPoly(_Ring):
     """Sparse polynomial in named variables; exponents may be negative.
 
     Coefficients live in any exact domain supporting +,-,*,/ and bool().
-    Binary operations align variable sets by name automatically.
+    Binary operations align variable sets by name automatically.  p / q
+    is p * q.inv(), so q must be a monomial; `exact_div` takes any divisor.
 
     Invariant: vars is a tuple, and terms maps tuples of len(vars) ints to
     nonzero coefficients.  The public constructor establishes it: it
@@ -569,15 +561,6 @@ class MultiPoly:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        o = self._co(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
     def __mul__(self, other):
         o = self._co(other)
         if o is None:
@@ -600,19 +583,11 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse_monomial() ** (-n)
-        out = MultiPoly.const(self.vars, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+    def _one(self):
+        return MultiPoly.const(self.vars, 1)
 
-    def inverse_monomial(self):
+    def inv(self):
+        """The inverse of a monomial; any other polynomial raises ValueError."""
         if len(self.terms) != 1:
             raise ValueError("only single-term polynomials are invertible")
         (expo, c), = self.terms.items()

@@ -88,14 +88,15 @@ def jacobi_dimension(cls_or_label, lam=None) -> int:
     lam = None runs the elliptic families symbolically: the ranks are taken
     over Q(la), by one integer elimination at a point where no nonzero
     minor of the piece vanishes (see `polyalg.GradedPiece.ranks`).  A
-    Fraction outside {0, 1} evaluates there.  ADE classes ignore lam.
+    Fraction outside {0, 1} evaluates there.  An ADE class has no lam, and
+    a lam given for one raises ValueError.
     The pieces come from `_jacobi_plan`, built once per class; every call
     evaluates and ranks them.
     """
     cls = sing_class(cls_or_label)
-    if not cls.is_elliptic:
-        lam = None
-    elif lam is not None:
+    if lam is not None:
+        if not cls.is_elliptic:
+            raise ValueError(f"{cls.label} has no family parameter")
         lam = F(lam)
         if lam in (0, 1):
             raise ValueError("family parameter must avoid 0 and 1")

@@ -371,8 +371,7 @@ class TestNumericCriticalValues:
         "A2", "A3", "A4", "A5", "A6", "D4", "D5", "D6", "D7", "D8", "E6",
         "E7", "E8", "tE6", "tE7", "tE8"])
     def test_multiplication_plan_matches_products(self, label):
-        # the plan takes a monic monomial b = x^a as the column (a, F);
-        # built with every F b multiplied out, its A, B and d are the same
+        # built here with every F b multiplied out, A, B and d are the plan's
         cls = sing_class(label)
         wsys, Fu = weights(cls), unfolding(cls)
         basis, degrees, _, entries = jacobi_system(cls)
@@ -394,6 +393,24 @@ class TestNumericCriticalValues:
         assert B.shape == (len(at), A.shape[1], len(basis))
         assert np.array_equal(A, want_A) and np.array_equal(B, want_B)
         assert np.array_equal(d, [float(w) for w in wsys.t_weights])
+
+    @pytest.mark.parametrize("label", ["A3", "D4", "D5", "E6", "E7", "E8",
+                                       "tE6", "tE7", "tE8"])
+    def test_monomial_columns_equal_their_products(self, label):
+        # a monic monomial b = x^a taken as the column (a, F) has the exact
+        # macaulay entries of the multiplied-out column F b that the plan
+        # uses, so the one column rule leaves the float plan as it was
+        cls = sing_class(label)
+        wsys, Fu = weights(cls), unfolding(cls)
+        basis, degrees, _, _ = jacobi_system(cls)
+        D = 1 + max(degrees[-len(basis):])
+        zero = (0,) * cls.nvars
+        shifted = [(a, Fu) if b.vars == cls.xvars and b.terms == {a: 1}
+                   else (zero, Fu * b)
+                   for b in basis for a in [next(iter(b.terms))]]
+        assert sum(a != zero for a, _ in shifted) >= len(basis) - 2
+        assert macaulay(shifted, wsys, D) == \
+            macaulay([(zero, Fu * b) for b in basis], wsys, D)
 
     @pytest.mark.parametrize("label", ["D4", "D5", "E6", "E7", "E8", "tE6",
                                        "tE7", "tE8"])

@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction as F
 
@@ -240,7 +242,7 @@ def test_arithmetic_keeps_the_multipoly_invariant(field, data):
                p.subst({"z": F(-1, 3)}), a.subst({"x": F(2), "y": x * y}),
                a.with_vars(("z", "y", "x", "w")), b.with_vars(("x", "y", "z"))]
     if len(a.terms) == 1:
-        results += [a ** -n, a.inverse_monomial(), (a * b).exact_div(a)]
+        results += [a ** -n, a.inv(), (a * b).exact_div(a)]
     for v in ("x", "y"):
         results += [a.partial(v), a.coeff_of(v, 1), (a * b).partial(v)]
     results += (a * b).coefficient_split(("x",)).values()
@@ -385,6 +387,83 @@ class TestRatFunc:
         nu = RatFunc("nu", [0 * one, one], [one], normalize=False)
         assert nu ** 1 == nu
         assert hash(nu ** 1) == hash(nu)
+
+
+# ---------------------------------------------------------------------------
+# -, / and ** derived once in _Ring, for every exact type
+# ---------------------------------------------------------------------------
+
+def _ring_elements(rng):
+    """A seeded nonzero element of each exact type, and a MultiPoly
+    monomial (the one MultiPoly a negative power or a divisor may be)."""
+    def frac():
+        return F(rng.randint(-9, 9) or 1, rng.randint(1, 5))
+
+    xy = ("x", "y")
+    la = RatFunc.gen("la")
+    return {
+        "gauss": Cyclo(GAUSS, [frac(), frac()]),
+        "zeta8": Cyclo(ZETA8, [frac() for _ in range(4)]),
+        "ratfunc": (la - frac()) / (la * la + frac() * la + 1),
+        "multipoly": MultiPoly(xy, {(rng.randint(-2, 2), rng.randint(-2, 2)):
+                                    frac() for _ in range(3)}),
+        "monomial": MultiPoly(xy, {(rng.randint(-2, 2), rng.randint(-2, 2)):
+                                   Cyclo(GAUSS, [frac(), frac()])}),
+    }
+
+
+_SAMPLES = _ring_elements(random.Random(8))
+_DERIVED = {"-": operator.sub, "/": operator.truediv, "**": operator.pow}
+
+
+@pytest.mark.parametrize("kind", ["gauss", "zeta8", "ratfunc", "multipoly"])
+@pytest.mark.parametrize("sym", sorted(_DERIVED))
+@pytest.mark.parametrize("foreign", ["x", 1.5])
+def test_foreign_operand_raises_type_error(kind, sym, foreign):
+    # on either side, the error names the operator and both operand types
+    # in the order written
+    a = _SAMPLES[kind]
+    for left, right in ((a, foreign), (foreign, a)):
+        with pytest.raises(TypeError) as err:
+            _DERIVED[sym](left, right)
+        msg = str(err.value)
+        assert msg.startswith(f"unsupported operand type(s) for {sym}")
+        assert msg.endswith(f"'{type(left).__name__}' and "
+                            f"'{type(right).__name__}'")
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_power_is_repeated_multiplication(seed):
+    for kind, a in _ring_elements(random.Random(seed)).items():
+        for n in range(-4, 7):
+            if n < 0 and kind == "multipoly" and len(a.terms) > 1:
+                with pytest.raises(ValueError):
+                    a ** n
+                continue
+            got = a ** n
+            assert type(got) is type(a)
+            if n == 0:
+                assert got == 1
+            elif n > 0:
+                assert got == functools.reduce(operator.mul, [a] * n)
+            else:
+                assert got * functools.reduce(operator.mul, [a] * -n) == 1
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_division_by_a_monomial(seed):
+    els = _ring_elements(random.Random(seed))
+    p, m = els["multipoly"], els["monomial"]
+    assert 1 / m == m ** -1 == m.inv()
+    assert p / m == p.exact_div(m)
+    assert (p / m) * m == p and F(2, 3) / m * m == F(2, 3)
+    for a in ("gauss", "zeta8", "ratfunc"):
+        assert els[a] / els[a] == 1 and 1 / els[a] * els[a] == 1
+    if len(p.terms) > 1:
+        with pytest.raises(ValueError, match="single-term"):
+            m / p
+    with pytest.raises(ValueError, match="single-term"):
+        p / (MultiPoly.var("x", ("x", "y")) + 1)
 
 
 class TestGradedRank:

@@ -61,6 +61,12 @@ class TestJacobiDimension:
         with pytest.raises(ValueError):
             jacobi_dimension("tE6", F(1))
 
+    @pytest.mark.parametrize("lam", ["junk", F(1, 2), F(1)])
+    def test_parameter_on_an_ade_class_raises(self, lam):
+        # an ADE class has no family parameter, so no lam is silently dropped
+        with pytest.raises(ValueError, match="D4 has no family parameter"):
+            jacobi_dimension("D4", lam)
+
     @pytest.mark.parametrize("label", ["A1", "A2", "D4", "E8", "tE6"])
     def test_checked_pieces_are_the_achievable_degrees(self, label):
         # every achievable degree up to 1 + max w is checked, including
