@@ -35,9 +35,10 @@ class _Usage(Exception):
     pass
 
 
-def _parse_class(label):
+def _usage(fn, *args):
+    """fn(*args), with a ValueError turned into a usage error."""
     try:
-        return singdata.sing_class(label)
+        return fn(*args)
     except ValueError as exc:
         raise _Usage(str(exc))
 
@@ -60,7 +61,7 @@ def _fraction(text):
 
 
 def cmd_orbit(args):
-    cls = _parse_class(args.cls)
+    cls = _usage(singdata.sing_class, args.cls)
     rec = singdata.seed_stokes(cls, seed_dir=args.seed_file)
     budget_states = args.budget_states
     if cls.is_elliptic and args.mode == "bases" and budget_states is None:
@@ -70,31 +71,22 @@ def cmd_orbit(args):
     report = braid.orbit_enumerate(
         rec.stokes, args.mode, max_states=budget_states,
         checkpoint=args.checkpoint)
-    doc = json.loads(report.to_json(label=cls.label))
-    _emit(doc)
+    print(report.to_json(label=cls.label))
     _info(f"{cls.label} {args.mode}: {report.class_count} classes "
           f"({report.states_visited} expanded, {report.wall_clock:.1f}s"
           f"{', truncated' if report.truncated else ''})")
     return EXIT_TRUNCATED if report.truncated else EXIT_OK
 
 
-def _tabulated(count, cls):
-    """count(cls); a class outside the count tables is a usage error."""
-    try:
-        return count(cls)
-    except ValueError as exc:
-        raise _Usage(str(exc))
-
-
 def cmd_stokes_count(args):
-    cls = _parse_class(args.cls)
+    cls = _usage(singdata.sing_class, args.cls)
     _emit({"class": cls.label,
-           "stokes_classes": _tabulated(degrees.stokes_class_count, cls)})
+           "stokes_classes": _usage(degrees.stokes_class_count, cls)})
     return EXIT_OK
 
 
 def cmd_degree(args):
-    cls = _parse_class(args.cls)
+    cls = _usage(singdata.sing_class, args.cls)
     doc = degrees.deg_ll(cls).as_doc()
     if cls.is_elliptic:
         doc["deg_ll_segre"] = degrees.deg_ll_via_segre(cls)
@@ -105,29 +97,25 @@ def cmd_degree(args):
 
 
 def cmd_counts(args):
-    cls = _parse_class(args.cls)
-    _emit(_tabulated(degrees.counts_row, cls))
+    cls = _usage(singdata.sing_class, args.cls)
+    _emit(_usage(degrees.counts_row, cls))
     return EXIT_OK
 
 
 def cmd_verify_symmetry(args):
-    cls = _parse_class(args.cls)
-    try:
-        outcomes = verify.symmetry_checks(cls, args.which)
-    except ValueError as exc:
-        raise _Usage(str(exc))
-    return _report_outcomes(outcomes)
+    cls = _usage(singdata.sing_class, args.cls)
+    return _report_outcomes(_usage(verify.symmetry_checks, cls, args.which))
 
 
 def cmd_verify_kappa(args):
-    cls = _parse_class(args.cls)
+    cls = _usage(singdata.sing_class, args.cls)
     if not cls.is_elliptic:
         raise _Usage("the kappa extension concerns the elliptic classes")
     return _report_outcomes([verify.check_kappa_extension(cls)])
 
 
 def cmd_jacobi_dim(args):
-    cls = _parse_class(args.cls)
+    cls = _usage(singdata.sing_class, args.cls)
     lam = args.at
     if lam is not None and not cls.is_elliptic:
         raise _Usage("--at applies to the simple elliptic classes only")
@@ -183,7 +171,9 @@ def _parse_vec(raw, n):
     """n finite numbers from a decoded JSON list: [re, im] pairs become
     complex, strings rational; other numbers stay as they are (`v + 0`
     rejects null and objects, `_not_bool` true and false, `_pair` lists
-    of any other length)."""
+    of any other length).  Any value but a list is a usage error."""
+    if not isinstance(raw, list):
+        raise _Usage(f"not a JSON list: {raw!r}")
     try:
         out = [_pair(v) if isinstance(v, list) else
                Fraction(v) if isinstance(v, str) else _not_bool(v) + 0
@@ -208,7 +198,7 @@ def _complex_vec(raw, n):
 
 
 def cmd_ll_eval(args):
-    cls = _parse_class(args.cls)
+    cls = _usage(singdata.sing_class, args.cls)
     if cls.family != "A":
         raise _Usage("exact evaluation covers the A family")
     t = _parse_vec(_json(args.t), cls.mu)
@@ -221,7 +211,7 @@ def cmd_ll_eval(args):
 
 
 def cmd_ll_fiber(args):
-    cls = _parse_class(args.cls)
+    cls = _usage(singdata.sing_class, args.cls)
     if cls.label not in ("A2", "A3"):
         raise _Usage("fiber counting covers A2 and A3")
     target = _complex_vec(_json(args.p), cls.mu) + [1.0]
@@ -240,10 +230,7 @@ def cmd_wall_walk(args):
     if not isinstance(path, list) or not path:
         raise _Usage("the path must be a non-empty JSON list of waypoints")
     waypoints = [_complex_vec(wp, args.mu) for wp in path]
-    try:
-        llmap.check_segments(waypoints)
-    except ValueError as exc:
-        raise _Usage(str(exc))
+    _usage(llmap.check_segments, waypoints)
     word, stats = llmap._walk(args.mu, waypoints, args.steps)
     _emit({"mu": args.mu, "word": list(word.letters)})
     sep = stats.min_separation
@@ -254,7 +241,7 @@ def cmd_wall_walk(args):
 
 
 def cmd_diagram(args):
-    cls = _parse_class(args.cls)
+    cls = _usage(singdata.sing_class, args.cls)
     rec = singdata.seed_stokes(cls)
     print(lattice.coxeter_dynkin(rec.stokes).to_dot())
     return EXIT_OK

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -57,38 +58,55 @@ class SingularityClass:
         return tuple(f"t{j}" for j in range(1, self.n_unfolding + 1))
 
 
+# The six exceptional classes, their one table: mu, the variable weights
+# in variable order (nvars is their number), the normal form, over (x, la)
+# for tE, and the unfolding monomials m_1 .. m_mu, or m_1 .. m_(mu-1).
+_EXCEPTIONAL = {
+    "E6": (6, (F(1, 4), F(1, 3)), "x0^4 + x1^3",
+           ("1", "x0", "x1", "x0^2", "x0 * x1", "x0^2 * x1")),
+    "E7": (7, (F(2, 9), F(1, 3)), "x0^3 * x1 + x1^3",
+           ("1", "x0", "x1", "x0^2", "x0 * x1", "x0^3", "x0^4")),
+    "E8": (8, (F(1, 5), F(1, 3)), "x0^5 + x1^3",
+           ("1", "x0", "x1", "x0^2", "x0 * x1", "x0^3", "x0^2 * x1",
+            "x0^3 * x1")),
+    # x1 (x1 - x0) (x1 - la x0) - x0 x2^2
+    "tE6": (8, (F(1, 3),) * 3,
+            "x1^3 - x0 * x1^2 - la * x0 * x1^2 + la * x0^2 * x1 - x0 * x2^2",
+            ("1", "x0", "x1", "x2", "x0^2", "x0 * x1", "x1 * x2")),
+    # x0 x1 (x1 - x0) (x1 - la x0)
+    "tE7": (9, (F(1, 4), F(1, 4)),
+            "x0 * x1^3 - x0^2 * x1^2 - la * x0^2 * x1^2 + la * x0^3 * x1",
+            ("1", "x0", "x1", "x0^2", "x0 * x1", "x1^2", "x0^2 * x1",
+             "x0 * x1^2")),
+    # x1 (x1 - x0^2) (x1 - la x0^2)
+    "tE8": (10, (F(1, 6), F(1, 3)),
+            "x1^3 - x0^2 * x1^2 - la * x0^2 * x1^2 + la * x0^4 * x1",
+            ("1", "x0", "x0^2", "x1", "x0^3", "x0 * x1", "x0^2 * x1", "x1^2",
+             "x0 * x1^2")),
+}
+
+_ALIASES = {"Ẽ6": "tE6", "Ẽ7": "tE7", "Ẽ8": "tE8",
+            "E~6": "tE6", "E~7": "tE7", "E~8": "tE8"}
+
+
 def sing_class(label) -> SingularityClass:
-    """Parse a class label: A<mu>, D<mu>, E6..E8, tE6..tE8.  A
-    SingularityClass comes back unchanged."""
+    """The class of a label; a SingularityClass comes back unchanged.
+
+    The label, stripped of surrounding white space, is E6, E7, E8, tE6,
+    tE7, tE8 (or an alias Ẽ6, E~6, ...), A<mu> with mu >= 1 or D<mu> with
+    mu >= 4, mu in ASCII digits without a leading zero.  Anything else
+    raises ValueError, so the label of the class is canonical and
+    sing_class(c.label) == c."""
     if isinstance(label, SingularityClass):
         return label
     label = str(label).strip()
-    alias = {"Ẽ6": "tE6", "Ẽ7": "tE7", "Ẽ8": "tE8",
-             "E~6": "tE6", "E~7": "tE7", "E~8": "tE8"}
-    label = alias.get(label, label)
-    if label.startswith("tE"):
-        k = int(label[2:])
-        if k not in (6, 7, 8):
-            raise ValueError(f"unknown elliptic class {label!r}")
-        mu = {6: 8, 7: 9, 8: 10}[k]
-        nvars = {6: 3, 7: 2, 8: 2}[k]
-        return SingularityClass("tE", mu, f"tE{k}", nvars)
-    fam = label[0]
-    if fam == "A":
-        mu = int(label[1:])
-        if mu < 1:
-            raise ValueError("A family needs mu >= 1")
-        return SingularityClass("A", mu, label, 1)
-    if fam == "D":
-        mu = int(label[1:])
-        if mu < 4:
-            raise ValueError("D family needs mu >= 4")
-        return SingularityClass("D", mu, label, 2)
-    if fam == "E":
-        mu = int(label[1:])
-        if mu not in (6, 7, 8):
-            raise ValueError(f"unknown class {label!r}")
-        return SingularityClass("E", mu, label, 2)
+    label = _ALIASES.get(label, label)
+    if label in _EXCEPTIONAL:
+        mu, vw, _, _ = _EXCEPTIONAL[label]
+        return SingularityClass(label[:-1], mu, label, len(vw))
+    m = re.fullmatch(r"([AD])([1-9][0-9]*)", label)
+    if m and int(m[2]) >= (1 if m[1] == "A" else 4):
+        return SingularityClass(m[1], int(m[2]), label, 1 if m[1] == "A" else 2)
     raise ValueError(f"unknown class {label!r}")
 
 
@@ -109,46 +127,18 @@ def normal_form(cls: SingularityClass) -> MultiPoly:
         return parse_poly(f"x0^{cls.mu + 1}", xv)
     if cls.family == "D":
         return parse_poly(f"x0^{cls.mu - 1} + x0 * x1^2", xv)
-    if cls.family == "E":
-        return parse_poly({6: "x0^4 + x1^3",
-                           7: "x0^3 * x1 + x1^3",
-                           8: "x0^5 + x1^3"}[cls.mu], xv)
-    vs = xv + ("la",)
-    if cls.label == "tE6":
-        # x1 (x1 - x0) (x1 - la x0) - x0 x2^2
-        return parse_poly(
-            "x1^3 - x0 * x1^2 - la * x0 * x1^2 + la * x0^2 * x1 - x0 * x2^2",
-            vs)
-    if cls.label == "tE7":
-        # x0 x1 (x1 - x0) (x1 - la x0)
-        return parse_poly(
-            "x0 * x1^3 - x0^2 * x1^2 - la * x0^2 * x1^2 + la * x0^3 * x1", vs)
-    # tE8: x1 (x1 - x0^2) (x1 - la x0^2)
-    return parse_poly(
-        "x1^3 - x0^2 * x1^2 - la * x0^2 * x1^2 + la * x0^4 * x1", vs)
+    return parse_poly(_EXCEPTIONAL[cls.label][2],
+                      xv + (("la",) if cls.is_elliptic else ()))
 
 
 def unfolding_monomials(cls: SingularityClass):
     """The tabulated monomials m_1 .. m_mu (ADE) or m_1 .. m_{mu-1}."""
-    table = {
-        "A": lambda mu: ["1"] + [f"x0^{k}" for k in range(1, mu)],
-        "D": lambda mu: ["1", "x1", "x0"] + [f"x0^{k}" for k in range(2, mu - 1)],
-    }
-    fixed = {
-        "E6": ["1", "x0", "x1", "x0^2", "x0 * x1", "x0^2 * x1"],
-        "E7": ["1", "x0", "x1", "x0^2", "x0 * x1", "x0^3", "x0^4"],
-        "E8": ["1", "x0", "x1", "x0^2", "x0 * x1", "x0^3", "x0^2 * x1",
-               "x0^3 * x1"],
-        "tE6": ["1", "x0", "x1", "x2", "x0^2", "x0 * x1", "x1 * x2"],
-        "tE7": ["1", "x0", "x1", "x0^2", "x0 * x1", "x1^2", "x0^2 * x1",
-                "x0 * x1^2"],
-        "tE8": ["1", "x0", "x0^2", "x1", "x0^3", "x0 * x1", "x0^2 * x1",
-                "x1^2", "x0 * x1^2"],
-    }
-    if cls.label in fixed:
-        texts = fixed[cls.label]
+    if cls.family == "A":
+        texts = ["1"] + [f"x0^{k}" for k in range(1, cls.mu)]
+    elif cls.family == "D":
+        texts = ["1", "x1", "x0"] + [f"x0^{k}" for k in range(2, cls.mu - 1)]
     else:
-        texts = table[cls.family](cls.mu)
+        texts = _EXCEPTIONAL[cls.label][3]
     return [parse_poly(t, cls.xvars) for t in texts]
 
 
@@ -166,12 +156,6 @@ def unfolding(cls: SingularityClass) -> MultiPoly:
     return out
 
 
-# Variable weights of the exceptional classes, in variable order.
-VAR_WEIGHTS = {"E6": (F(1, 4), F(1, 3)), "E7": (F(2, 9), F(1, 3)),
-               "E8": (F(1, 5), F(1, 3)), "tE6": (F(1, 3),) * 3,
-               "tE7": (F(1, 4), F(1, 4)), "tE8": (F(1, 6), F(1, 3))}
-
-
 @lru_cache(maxsize=None)
 def weights(cls: SingularityClass) -> WeightSystem:
     """The variable weights w, for which the normal form has degree 1, and
@@ -185,7 +169,7 @@ def weights(cls: SingularityClass) -> WeightSystem:
     elif cls.family == "D":
         vw = (F(1, mu - 1), F(mu - 2, 2 * (mu - 1)))
     else:
-        vw = VAR_WEIGHTS[cls.label]
+        vw = _EXCEPTIONAL[cls.label][1]
     vw = tuple(zip(cls.xvars, vw))
     degree = WeightSystem(vw, ()).poly_degree
     tw = tuple(F(1) - degree(m) for m in unfolding_monomials(cls))

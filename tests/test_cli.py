@@ -371,6 +371,18 @@ FIBER = json.dumps([[0.518, 0.0], [-0.666, 0.0]])
     ("wall-walk", "2", '[[["1+2j"],1],[1,1]]'),
     ("verify-symmetry", "D4", "--which", "psi3"),
     ("verify-symmetry", "A3"),
+    ("ll-eval", "A2", '"12"'),
+    ("ll-eval", "A2", '{"1":0,"2":0}'),
+    ("ll-fiber", "A2", '{"0.5":0,"1":0}'),
+    ("wall-walk", "2", '[{"1":0,"2":0},[3,4]]'),
+    ("counts", "E 6"),
+    ("counts", "E06"),
+    ("counts", ""),
+    ("orbit", "E 6", "--mode", "stokes"),
+    ("jacobi-dim", "E 7"),
+    ("counts", "A+3"),
+    ("counts", "D 4"),
+    ("counts", "A٣"),
 ], ids=["at-zero-denominator", "at-not-rational", "ll-eval-length",
         "ll-eval-not-json", "wall-walk-waypoint-length", "at-zero",
         "at-one", "steps-zero", "steps-negative", "walk-mu-zero",
@@ -384,7 +396,11 @@ FIBER = json.dumps([[0.518, 0.0], [-0.666, 0.0]])
         "ll-fiber-boolean", "wall-walk-boolean-in-pair", "ll-fiber-A5",
         "ll-fiber-D4", "ll-fiber-empty-pair", "ll-fiber-one-number-pair",
         "wall-walk-one-string-pair", "which-on-D-class",
-        "verify-symmetry-A3"])
+        "verify-symmetry-A3", "ll-eval-string", "ll-eval-object",
+        "ll-fiber-object", "wall-walk-object-waypoint", "counts-inner-space",
+        "counts-leading-zero", "counts-empty-label", "orbit-inner-space",
+        "jacobi-dim-inner-space", "counts-sign", "counts-D-inner-space",
+        "counts-non-ascii-digit"])
 def test_bad_input_is_usage_error(capsys, argv):
     assert main(list(argv)) == 2
     captured = capsys.readouterr()

@@ -23,8 +23,8 @@ from singlat.llmap import (TOL_DEDUP, TOL_DISC, TOL_WALL, WALK_CHUNK,
                            good_order, ll_exact_A, ll_fiber_count,
                            wall_walk_A)
 from singlat.polyalg import MultiPoly, macaulay, resultant
-from singlat.singdata import (jacobi_system, sing_class, unfolding,
-                              unfolding_monomials, weights)
+from singlat.singdata import (jacobi_system, normal_form, sing_class,
+                              unfolding, unfolding_monomials, weights)
 
 
 def match_sets(a, b):
@@ -371,26 +371,46 @@ class TestNumericCriticalValues:
         "A2", "A3", "A4", "A5", "A6", "D4", "D5", "D6", "D7", "D8", "E6",
         "E7", "E8", "tE6", "tE7", "tE8"])
     def test_multiplication_plan_matches_products(self, label):
-        # built here with every F b multiplied out, A, B and d are the plan's
+        # A and d are the plan's views of jacobi_system.  B is built here
+        # from sympy's expansion of each F b_i: a term c x^a p goes to the
+        # row of x^a among weights(cls).monomials(D) and the slab of its
+        # factor p, one of 1, t_1, .., la in that order
+        sympy = pytest.importorskip("sympy")
         cls = sing_class(label)
-        wsys, Fu = weights(cls), unfolding(cls)
+        wsys = weights(cls)
         basis, degrees, _, entries = jacobi_system(cls)
-        D = 1 + max(degrees[-len(basis):])
-        _, rhs = macaulay([((0,) * cls.nvars, Fu * b) for b in basis],
-                          wsys, D)
-        at = {((v, 1),): k for k, v in enumerate(Fu.vars[cls.nvars:], 1)}
+        x = sympy.symbols(cls.xvars)
+        p = sympy.symbols(cls.tvars + (("la",) if cls.is_elliptic else ()))
+
+        def sym(m):
+            syms = [sympy.Symbol(v) for v in m.vars]
+            return sum(sympy.Rational(c.numerator, c.denominator)
+                       * sympy.prod([s ** e for s, e in zip(syms, expo)])
+                       for expo, c in m.terms.items())
+
+        f = sym(normal_form(cls))
+        ms = [sym(m) for m in unfolding_monomials(cls)]
+        Fs = f + sum(t * m for t, m in zip(p, ms))
+        bs = ms + ([sympy.diff(f, p[-1])] if cls.is_elliptic else [])
+        D = 1 + max(wsys.poly_degree(b) for b in basis)
+        row = {e: r for r, (e, _) in enumerate(wsys.monomials(D))}
+        want_B = np.zeros((1 + len(p), len(row), len(bs)))
+        for i, b in enumerate(bs):
+            terms = sympy.Poly(sympy.expand(Fs * b), *x, *p).terms()
+            for expo, c in terms:
+                a, e = expo[:len(x)], expo[len(x):]
+                assert sum(e) <= 1   # F b is affine in (t, la)
+                want_B[e.index(1) + 1 if sum(e) else 0, row[a], i] = float(c)
+        at = {((str(v), 1),): k for k, v in enumerate(p, 1)}
         at[()] = 0
         keep = {j: k for k, j in enumerate(
             j for j, q in enumerate(degrees) if q <= D)}
         A, B, d = _multiplication_plan(cls)
-        want_A, want_B = np.zeros(A.shape), np.zeros(B.shape)
-        for out, ents, cols in ((want_A, entries, keep),
-                                (want_B, rhs, range(len(basis)))):
-            for key, block in ents.items():
-                for (r, j), c in block.items():
-                    if j in cols:
-                        out[at[key], r, cols[j]] = float(c)
-        assert B.shape == (len(at), A.shape[1], len(basis))
+        want_A = np.zeros(A.shape)
+        for key, block in entries.items():
+            for (r, j), c in block.items():
+                if j in keep:
+                    want_A[at[key], r, keep[j]] = float(c)
         assert np.array_equal(A, want_A) and np.array_equal(B, want_B)
         assert np.array_equal(d, [float(w) for w in wsys.t_weights])
 

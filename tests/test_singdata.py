@@ -27,9 +27,24 @@ class TestClasses:
         assert sing_class("E~6").label == "tE6"
 
     def test_invalid(self):
-        for bad in ("A0", "D3", "E5", "tE9", "Q7"):
+        for bad in ("A0", "D3", "E5", "tE9", "Q7", "", " ", "E 6", "E06",
+                    "D04", "A03", "tE06", "A+3", "A 3", "A٣", "A1_0", "E9"):
             with pytest.raises(ValueError):
                 sing_class(bad)
+
+    @pytest.mark.parametrize("text, label", [
+        *((x, x) for x in ALL_LABELS + ("A1", "A12", "D12")),
+        (" D4 ", "D4"), ("Ẽ6", "tE6"), ("Ẽ7", "tE7"), ("Ẽ8", "tE8"),
+        ("E~6", "tE6"), ("E~7", "tE7"), ("E~8", "tE8")])
+    def test_label_round_trip(self, text, label):
+        # the label is canonical, and parsing it gives the class back
+        c = sing_class(text)
+        assert c.label == label
+        assert sing_class(c.label) == c and sing_class(c) is c
+
+    def test_spellings_share_the_cached_tables(self):
+        assert symmetry_data(sing_class(" D4 ")) is \
+            symmetry_data(sing_class("D4"))
 
 
 class TestNormalForms:
