@@ -51,9 +51,9 @@ S[sigma a, sigma b] - c S[p, q] for index tables built once per mu
 The full P S P^t of a unit upper triangular S is unit upper triangular
 again, so a packed state cannot leave the distinguished shape and the
 kernel has nothing to check; the shape is checked where a matrix enters,
-in StokesMatrix and stokes_of_tuple.  _tree_sign_form reads the symmetric
-neighbour signs from the packed signs and writes packed, C-ordered
-results.
+in StokesMatrix and stokes_of_tuple.  _sign_rounds reads the symmetric
+neighbour signs from the packed signs, and _tree_sign_form writes packed,
+C-ordered results.
 
 Keys: a bases state is normalized so that each vector's first nonzero
 coordinate is positive; a Stokes state is put in the tree sign normal
@@ -62,7 +62,12 @@ depends only on the support pattern.  The support is sign-invariant, so
 the tree is too, and on a connected diagram the tree-edge signs fix the
 conjugating signs up to a global sign; so that form is a complete
 sign-class invariant, and sign_canonical_stokes (which packs, normalizes
-and unpacks) returns it.  A key is the int8 bytes of the state (mu^2 bytes
+and unpacks) returns it.  The conjugating signs are a function of the m
+entry signs alone, computed by the rounds of _sign_rounds; for m <= 10
+(mu <= 5) they are the rounds tabulated once per process over all 3^m
+sign patterns (_sign_table) and read by one gather.  The table takes 3^m
+mu bytes, 295 KB at m = 10 but 86 MB at m = 15, so E6 and larger run the
+rounds.  A key is the int8 bytes of the state (mu^2 bytes
 for a tuple, m for a Stokes matrix), or a prefixed int64 (or repr)
 encoding when an entry exceeds 127, so widths never collide and nothing
 overflows.  Keys are compared by full equality (Python set semantics), so
@@ -78,6 +83,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 import os
 import pickle
 import tempfile
@@ -210,6 +216,11 @@ CHECKPOINT_EVERY = 250_000     # expanded states between checkpoint saves
 _CHUNK_ELEMENTS = 2 ** 16      # per numpy pass, counting mu^2 per
                                # candidate: a bases chunk's entries; a
                                # packed Stokes chunk holds about 2^15
+_SIGN_TABLE_MAX_M = 10         # _sign_table(m) holds 3^m * mu int8 bytes:
+                               # 295 KB at m = 10 (mu = 5), but 86 MB at
+                               # m = 15 (mu = 6), so larger m keeps the rounds
+_SIGN_TABLE_SLICE = 2048       # sign patterns per _sign_rounds call while
+                               # _sign_table is built
 _INT8_MAX = 127
 _INT16_MAX = 2 ** 15 - 1
 _INT64_MAX = 2 ** 63 - 1
@@ -278,7 +289,7 @@ def _stokes_tables(n):
     Returns a, b, pos; then the move gathers src, cross (shape (m, G)) and
     the index cpos (G,) of c = S[i, i+1] for _stokes_moves; then sym
     (n, n), the index of the edge (j, i) in either order, with the
-    diagonal at the zero row, for _tree_sign_form."""
+    diagonal at the zero row, for _sign_rounds."""
     _, i, t, _, perm = _move_tables(n)
     a, b = np.triu_indices(n, 1)
     m = len(a)
@@ -395,28 +406,55 @@ def _bases_moves(x, form):
 
 def _tree_sign_form(u):
     """Sign normal form diag(e) S diag(e) of a batch (m, N) of packed
-    Stokes matrices with connected diagrams, batch-minor: each round is one
-    product and one sum over arrays whose last axis is the batch.  The
-    result is packed and C-ordered.
+    Stokes matrices with connected diagrams, batch-minor.  The result is
+    packed and C-ordered.
+
+    e depends on the signs of the m entries alone, and _sign_rounds
+    defines it.  For m <= _SIGN_TABLE_MAX_M (mu <= 5) it is read from
+    _sign_table, those rounds tabulated over all 3^m sign patterns, by one
+    gather at the base-3 code of each state's signs; a larger m runs the
+    rounds, since the table would take 3^m mu bytes (86 MB at m = 15).  The
+    signs are read as int8, so int8, int16, int64 and object batches all
+    take the same path.  On a disconnected diagram some vertex stays
+    unsigned; that raises, since the form would no longer be complete."""
+    m = len(u)
+    a, b = _stokes_tables(_mu_of(m))[:2]
+    sg = np.sign(u).astype(np.int8)
+    if m <= _SIGN_TABLE_MAX_M:
+        # sum_q (s_q + 1) 3^q, as sum_q s_q 3^q plus (3^m - 1) / 2
+        table, weights = _sign_table(m)
+        e = table.take((sg * weights).sum(axis=0, dtype=weights.dtype)
+                       + table.shape[1] // 2, axis=1)
+    else:
+        e = _sign_rounds(sg)
+    if not e.all():
+        raise AssertionError("orbit reached a disconnected diagram")
+    return u * (e[a] * e[b])
+
+
+def _sign_rounds(sg):
+    """The conjugating signs e, (mu, N) int8, of the tree sign normal form
+    of packed Stokes matrices whose entry signs are sg, (m, N) int8.
+    Batch-minor: each round is one product and one sum over arrays whose
+    last axis is the batch.
 
     e_0 = +1; then, at most mu-1 times, every vertex j still unsigned that
     has a signed neighbour gets e_j = e_i sign(S_ij), i its lowest-index
     signed neighbour (S_ij read from the upper triangle).  The rounds, and
-    so the spanning tree of parents i, depend on the support of S alone.
+    so the spanning tree of parents i, depend on the support of S alone; a
+    vertex no round reaches (a disconnected diagram) keeps e_j = 0.
 
     Complete sign-class invariant: conjugating by D = diag(d) keeps the
     support, hence the tree, and turns every edge sign sign(S_ij) into
     d_i d_j sign(S_ij); by induction along the tree the new signs are
     e'_j = d_0 d_j e_j, so E' (D S D) E' = E S E and the form is constant on
     sign classes.  Conversely equal forms E S E = E' S' E' make S' the sign
-    conjugate (E E') S (E E').  On a disconnected diagram some vertex stays
-    unsigned; that raises, since the form would no longer be complete."""
-    m, k = u.shape
+    conjugate (E E') S (E E')."""
+    m, k = sg.shape
     n = _mu_of(m)
-    a, b, _, _, _, _, sym = _stokes_tables(n)
-    sg = np.zeros((m + 1, k), np.int8)
-    sg[:m] = np.sign(u)
-    nb = sg[sym]                                      # edge signs, symmetric
+    ext = np.zeros((m + 1, k), np.int8)
+    ext[:m] = sg
+    nb = ext[_stokes_tables(n)[6]]                    # edge signs, symmetric
     # nb[j, i] e_i lies in {-1, 0, 1}, so its lowest-index nonzero entry
     # is the sign of its dot product with _pow3(n)
     pow3 = _pow3(n)
@@ -428,9 +466,29 @@ def _tree_sign_form(u):
             break
         dot = (nb * (e * pow3)[None]).sum(axis=1, dtype=pow3.dtype)
         np.copyto(e, np.sign(dot), casting="unsafe", where=unsigned)
-    if not e.all():
-        raise AssertionError("orbit reached a disconnected diagram")
-    return u * (e[a] * e[b])
+    return e
+
+
+@functools.lru_cache(maxsize=None)
+def _sign_table(m):
+    """_sign_rounds tabulated over the 3^m sign patterns of m packed
+    entries, read-only, and the code weights 3^q, (m, 1) int32.  Column
+    sum_q (s_q + 1) 3^q of the table, (mu, 3^m) int8, is the e of the signs
+    s; the zeros the rounds leave on a disconnected pattern mark it, and
+    _tree_sign_form rejects them.  The rounds stay the one definition of
+    the form: the table is built from them, over slices of
+    _SIGN_TABLE_SLICE patterns, so that their temporaries stay small: in
+    one piece, building the m = 10 table peaks near 8 MB."""
+    n = _mu_of(m)
+    size = 3 ** m
+    weights = 3 ** np.arange(m, dtype=np.int32)[:, None]
+    table = np.empty((n, size), np.int8)
+    for lo in range(0, size, _SIGN_TABLE_SLICE):
+        codes = np.arange(lo, min(size, lo + _SIGN_TABLE_SLICE),
+                          dtype=np.int32)
+        table[:, lo:lo + len(codes)] = _sign_rounds(
+            (codes // weights % 3 - 1).astype(np.int8))
+    return _frozen(table, weights)
 
 
 def _expand_stokes(x):
@@ -524,8 +582,13 @@ def orbit_enumerate(seed: StokesMatrix, mode: str = "bases", *,
         raise ValueError(f"unknown mode {mode!r}")
     if not is_connected(seed):
         raise ValueError("orbit enumeration requires a connected seed diagram")
-    if max_states is not None and max_states < 1:
-        raise ValueError("max_states must be at least 1")
+    if max_states is not None:
+        if isinstance(max_states, bool) or \
+                not isinstance(max_states, numbers.Integral):
+            raise ValueError(f"max_states must be an integer, not "
+                             f"{max_states!r}")
+        if max_states < 1:
+            raise ValueError("max_states must be at least 1")
     n = seed.mu
     t0 = time.monotonic()
     limit = float("inf") if max_states is None else max_states
@@ -537,8 +600,9 @@ def orbit_enumerate(seed: StokesMatrix, mode: str = "bases", *,
         def expand(x):
             return _expand_bases(x, form)
     else:
-        # the seed is connected, so this is sign_canonical_stokes(seed)
-        start = _narrow(_tree_sign_form(_pack(seed)).T)
+        # the seed is connected, so this is sign_canonical_stokes(seed),
+        # narrowed first: a sign flip keeps every entry's width
+        start = _tree_sign_form(_narrow(_pack(seed))).T
         expand = _expand_stokes
 
     g_count = 2 * (n - 1)

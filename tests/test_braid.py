@@ -1,17 +1,19 @@
 import itertools
 import pickle
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from singlat import braid
-from singlat.braid import (CHECKPOINT_FORMAT, BraidWord, VanishingTuple,
-                           _apply_gen, _canon_vectors, _expand_bases,
-                           _expand_stokes, _generators, _keys, _narrow, _pack,
-                           _pow3, _stokes_moves, _tree_sign_form, _unpack,
-                           _work_dtype, braid_apply,
+from singlat.braid import (CHECKPOINT_FORMAT, _SIGN_TABLE_MAX_M, BraidWord,
+                           VanishingTuple, _apply_gen, _canon_vectors,
+                           _expand_bases, _expand_stokes, _generators, _keys,
+                           _mu_of, _narrow, _pack, _pow3, _sign_rounds,
+                           _sign_table, _stokes_moves, _stokes_tables,
+                           _tree_sign_form, _unpack, _work_dtype, braid_apply,
                            braid_apply_word, orbit_enumerate,
                            sign_canonical_stokes, sign_canonical_tuple,
                            stokes_of_tuple)
@@ -306,6 +308,13 @@ class TestOrbits:
         for budget in (0, -5):
             with pytest.raises(ValueError, match="at least 1"):
                 orbit_enumerate(chain(3), "stokes", max_states=budget)
+        for budget in (2.5, 3.0, True, False, "3"):
+            with pytest.raises(ValueError, match="an integer"):
+                orbit_enumerate(seed_stokes("A4").stokes, "stokes",
+                                max_states=budget)
+        rep = orbit_enumerate(seed_stokes("A4").stokes, "stokes",
+                              max_states=np.int64(3))
+        assert (rep.class_count, rep.truncated) == (3, True)
 
     @pytest.mark.parametrize("label", ["A4", "D4"])
     @pytest.mark.parametrize("mode", ["bases", "stokes"])
@@ -533,10 +542,11 @@ class TestBatchedEngine:
             [_canon_vectors(m) for m in moved]
 
     @pytest.mark.parametrize("big", [31, 32, 127, 128, 2 ** 20, 2 ** 31,
-                                     2 ** 40])
-    def test_stokes_widths_exact(self, big):
+                                     2 ** 40, 2 ** 70])
+    def test_stokes_widths_exact(self, big, monkeypatch):
         rng = random.Random(big)
         n = 5
+        a, b = _stokes_tables(n)[:2]
         mats = []
         for _ in range(6):
             rows = [[int(i == j) if j <= i else
@@ -544,15 +554,21 @@ class TestBatchedEngine:
                      for j in range(n)] for i in range(n)]
             rows[0][1] = big
             mats.append(StokesMatrix(tuple(map(tuple, rows))))
-        got = _expand_stokes(_narrow(packed(mats)))
+        start = _narrow(packed(mats))
+        assert (start.dtype == object) == (big > 2 ** 63)
+        # mu = 5 reads the table at every width: the rounds are out of
+        # reach of the kernel, and only this test's reference runs them
+        _sign_table(n * (n - 1) // 2)
+        monkeypatch.setattr(braid, "_sign_rounds", None)
+        got = _expand_stokes(start)
         k = 0
         for m in mats:
             std = VanishingTuple.standard(m)
             for g in _generators(n):
-                want = stokes_of_tuple(braid_apply(std, g))
-                assert tree_key(want) == _keys(got[k:k + 1])[0]
-                assert got[k].tolist() == \
-                    _tree_sign_form(_pack(want))[:, 0].tolist()
+                want = _pack(stokes_of_tuple(braid_apply(std, g)))
+                e = _sign_rounds(np.sign(want).astype(np.int8))
+                assert got[k].tolist() == (want * (e[a] * e[b]))[:, 0].tolist()
+                assert _keys(_tree_sign_form(want).T) == _keys(got[k:k + 1])
                 k += 1
 
     @pytest.mark.parametrize("big", [2, 5, 6, 127, 2 ** 20, 2 ** 31])
@@ -650,6 +666,62 @@ class TestBatchedEngine:
     def test_disconnected_state_raises(self):
         with pytest.raises(AssertionError, match="disconnected"):
             _tree_sign_form(np.zeros((3, 1), np.int8))
+        with pytest.raises(AssertionError, match="disconnected"):
+            _tree_sign_form(np.zeros((15, 1), np.int8))
+
+    @staticmethod
+    def sign_patterns(m):
+        """All 3^m sign patterns as an (m, 3^m) batch, and the code
+        sum_q (s_q + 1) 3^q of each."""
+        pats = list(itertools.product((-1, 0, 1), repeat=m))
+        codes = [sum((s + 1) * 3 ** q for q, s in enumerate(p))
+                 for p in pats]
+        return np.array(pats, np.int8).reshape(3 ** m, m).T, codes
+
+    @pytest.mark.parametrize("m", [0, 1, 3, 6, 10])
+    def test_sign_table_is_the_rounds(self, m):
+        pats, codes = self.sign_patterns(m)
+        table, weights = _sign_table(m)
+        assert table.shape == (_mu_of(m), 3 ** m) and weights.shape == (m, 1)
+        assert not table.flags.writeable and not weights.flags.writeable
+        e = _sign_rounds(pats)
+        assert (table[:, codes] == e).all()
+        connected = e.all(axis=0)
+        a, b = _stokes_tables(_mu_of(m))[:2]
+        u = pats[:, connected]
+        assert (_tree_sign_form(u) == u * (e[a] * e[b])[:, connected]).all()
+
+    def test_sign_table_rejects_every_disconnected_pattern(self):
+        pats, _ = self.sign_patterns(10)
+        cut = pats[:, ~_sign_rounds(pats).all(axis=0)]
+        assert cut.shape == (10, 3801)
+        for col in cut.T:
+            with pytest.raises(AssertionError, match="disconnected"):
+                _tree_sign_form(col[:, None])
+
+    def test_sign_code_fits(self):
+        m = _SIGN_TABLE_MAX_M
+        table, weights = _sign_table(m)
+        top = 3 ** m - 1                              # the all-+1 code
+        assert 2 * int(weights.sum()) == top == table.shape[1] - 1
+        assert np.iinfo(weights.dtype).max >= top
+        ones = np.ones((m, 1), np.int8)
+        assert _tree_sign_form(ones).tolist() == ones.tolist()
+        assert table[:, top].tolist() == [1] * _mu_of(m)
+
+    def test_sign_table_build_stays_small(self):
+        # the rounds run over slices of patterns: in one piece, building
+        # the m = 10 table peaks near 8 MB; the index caches are filled
+        # first, so only the build itself is traced
+        _stokes_tables(5)
+        _pow3(5)
+        tracemalloc.start()
+        try:
+            _sign_table.__wrapped__(10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     @pytest.mark.parametrize("label, mode, size", [("D5", "stokes", 256),
                                                    ("E6", "stokes", 3456),
