@@ -14,9 +14,17 @@ Orbit enumeration is a deterministic breadth-first closure over all
 2(mu-1) signed generators, with states canonicalized modulo the sign group
 before deduplication.
 
-Engine: the search is level-synchronous.  A BFS level is one integer
-array, stored as int8 while its entries fit: (B, mu, mu) tuples of vectors
-in bases mode, (B, m) packed Stokes matrices in Stokes mode.  A generator
+Engine: the search is level-synchronous, and each run uses one of three
+engines, fixed by its mode and seed (_engine).  A bases run over a
+positive definite form, that is from any simple (ADE) seed, runs on root
+indices: a state is the (B, mu) tuple of indices of its vectors in the
+root list of lattice.roots, uint8 while N <= 256 roots, and a move is one
+lookup in its reflection table (_expand_roots).  Every vector of the
+orbit is a root, up to sign, so this covers the whole orbit.  Every other
+bases run, from an elliptic seed whose root set is infinite, runs on
+vectors, and a Stokes run on packed Stokes matrices.  There a BFS level is
+one integer array, stored as int8 while its entries fit: (B, mu, mu)
+tuples of vectors, or (B, m) packed Stokes matrices.  A generator
 acting on slots i, i+1 is one batched row (bases) or row-and-column
 (Stokes, S' = P S P^t) recombination with a per-state multiplier c; every
 generator is applied to a chunk of states in one numpy pass, in int16,
@@ -56,7 +64,9 @@ neighbour signs from the packed signs, and _tree_sign_form writes packed,
 C-ordered results.
 
 Keys: a bases state is normalized so that each vector's first nonzero
-coordinate is positive; a Stokes state is put in the tree sign normal
+coordinate is positive; on root indices the table's roots already are, so
+an index tuple is its own key, the bytes of its mu indices, and needs no
+width check; a Stokes state is put in the tree sign normal
 form of _tree_sign_form, signs propagated along a spanning tree that
 depends only on the support pattern.  The support is sign-invariant, so
 the tree is too, and on a connected diagram the tree-edge signs fix the
@@ -67,7 +77,7 @@ entry signs alone, computed by the rounds of _sign_rounds; for m <= 10
 (mu <= 5) they are the rounds tabulated once per process over all 3^m
 sign patterns (_sign_table) and read by one gather.  The table takes 3^m
 mu bytes, 295 KB at m = 10 but 86 MB at m = 15, so E6 and larger run the
-rounds.  A key is the int8 bytes of the state (mu^2 bytes
+rounds.  A vector or Stokes key is the int8 bytes of the state (mu^2 bytes
 for a tuple, m for a Stokes matrix), or a prefixed int64 (or repr)
 encoding when an entry exceeds 127, so widths never collide and nothing
 overflows.  Keys are compared by full equality (Python set semantics), so
@@ -81,11 +91,11 @@ is larger.
 from __future__ import annotations
 
 import functools
+import io
 import json
 import math
 import numbers
 import os
-import pickle
 import tempfile
 import time
 from dataclasses import dataclass
@@ -93,7 +103,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import (StokesMatrix, symmetrized_form, mat_det, is_connected,
-                      form_pair, mat_mul, mat_neg, mat_transpose)
+                      form_pair, mat_mul, mat_neg, mat_transpose, roots,
+                      row_keys)
 
 
 @dataclass(frozen=True)
@@ -211,7 +222,9 @@ def sign_canonical_stokes(s: StokesMatrix) -> StokesMatrix:
 # orbit enumeration
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_FORMAT = 3          # 2 held full mu x mu Stokes states and keys
+CHECKPOINT_FORMAT = 4          # 3 was a pickle; 2 held full mu x mu Stokes
+                               # states and keys
+_CHECKPOINT_MAGIC = b"singlat checkpoint\n"
 CHECKPOINT_EVERY = 250_000     # expanded states between checkpoint saves
 _CHUNK_ELEMENTS = 2 ** 16      # per numpy pass, counting mu^2 per
                                # candidate: a bases chunk's entries; a
@@ -523,6 +536,22 @@ def _expand_bases(x, form_rows):
     return y.transpose(3, 0, 1, 2).reshape(-1, n, n)
 
 
+def _expand_roots(x, table):
+    """Every move of the root-index tuples x, (B, mu), as one (B * G, mu)
+    batch in FIFO order, read from the reflection table of lattice.roots.
+
+    By _move_tables every generator swaps slots i, i+1 and puts
+    old[other] - I(old[t], old[other]) old[t] = s_old[t](old[other]) into
+    slot t; on indices up to sign that is table[x[t], x[other]].  The
+    vector engine makes the new slot sign canonical, as the table's roots
+    are, so V[result] is exactly _expand_bases on V[x]; an index stays
+    below N, so no width can overflow."""
+    gi, _, t, other, perm = _move_tables(x.shape[1])
+    y = x[:, perm]
+    y[:, gi, t] = table[x[:, t], x[:, other]]
+    return y.reshape(-1, x.shape[1])
+
+
 def _keys(states):
     """Dedup keys of a batch of canonical states: the int8 bytes when every
     entry of the state has absolute value <= 127, else b"W" and the int64
@@ -533,8 +562,7 @@ def _keys(states):
         return [b""] * len(states)
     flat = states.reshape(len(states), -1)
     if -_INT8_MAX <= flat.min() and flat.max() <= _INT8_MAX:
-        rows = np.ascontiguousarray(flat, dtype=np.int8)
-        return rows.view(np.dtype((np.void, flat.shape[1]))).ravel().tolist()
+        return row_keys(np.ascontiguousarray(flat, dtype=np.int8))
     return [_wide_key(v) for v in flat]
 
 
@@ -555,12 +583,38 @@ def _narrow(states):
     return states.astype(np.int64 if m <= _INT64_MAX else object)
 
 
+def _engine(seed, mode):
+    """How one orbit run stores and moves its states: the start level, the
+    batched expansion, the key function, the store applied to new classes,
+    and the number N of roots when states are root indices (else None).
+
+    A bases run over a positive definite form (every simple class) runs on
+    root indices; any other bases run (the elliptic classes, whose root set
+    is infinite) runs on vectors.  The seed is connected, so the Stokes
+    start is sign_canonical_stokes(seed), narrowed first: a sign flip keeps
+    every entry's width."""
+    if mode == "stokes":
+        return (_tree_sign_form(_narrow(_pack(seed))).T, _expand_stokes,
+                _keys, _narrow, None)
+    form = symmetrized_form(seed).rows
+    tables = roots(form)
+    if tables is None:
+        return (np.eye(seed.mu, dtype=np.int8)[None],
+                functools.partial(_expand_bases, form_rows=form), _keys,
+                _narrow, None)
+    refl = tables[1]
+    return (np.arange(seed.mu, dtype=refl.dtype)[None],
+            functools.partial(_expand_roots, table=refl), row_keys,
+            np.asarray, len(refl))
+
+
 def orbit_enumerate(seed: StokesMatrix, mode: str = "bases", *,
                     max_states: int = None,
                     checkpoint: str = None) -> OrbitReport:
     """Breadth-first closure under all signed braid generators.
 
-    bases  : states are sign-canonical tuples over the fixed seed.
+    bases  : states are sign-canonical tuples over the fixed seed, held as
+             root indices when the seed's form is positive definite.
     stokes : states are tree sign normal forms of Stokes matrices, packed
              to their strict upper triangles; transitions treat the
              current matrix as its own seed.
@@ -593,24 +647,14 @@ def orbit_enumerate(seed: StokesMatrix, mode: str = "bases", *,
     t0 = time.monotonic()
     limit = float("inf") if max_states is None else max_states
 
-    if mode == "bases":
-        form = symmetrized_form(seed).rows
-        start = np.eye(n, dtype=np.int8)[None]
-
-        def expand(x):
-            return _expand_bases(x, form)
-    else:
-        # the seed is connected, so this is sign_canonical_stokes(seed),
-        # narrowed first: a sign flip keeps every entry's width
-        start = _tree_sign_form(_narrow(_pack(seed))).T
-        expand = _expand_stokes
-
+    start, expand, keys, store, n_roots = _engine(seed, mode)
     g_count = 2 * (n - 1)
     chunk = max(1, _CHUNK_ELEMENTS // (max(1, g_count) * n * n))
     level, nxt, levels, expanded = start, [], [1], 0
-    visited = set(_keys(start))
+    visited = set(keys(start))
     if checkpoint:
-        resumed = _load_checkpoint(checkpoint, mode, seed.rows)
+        resumed = _load_checkpoint(checkpoint, mode, seed.rows, start,
+                                   n_roots)
         if resumed is not None:
             visited, level, nxt, levels, expanded = resumed
 
@@ -630,7 +674,7 @@ def orbit_enumerate(seed: StokesMatrix, mode: str = "bases", *,
         cands = expand(x)
         room = limit - len(visited)
         new = []
-        for j, key in enumerate(_keys(cands)):
+        for j, key in enumerate(keys(cands)):
             if key not in visited:
                 if len(new) >= room:
                     truncated = True
@@ -638,7 +682,7 @@ def orbit_enumerate(seed: StokesMatrix, mode: str = "bases", *,
                 visited.add(key)
                 new.append(j)
         if new:
-            nxt.append(_narrow(cands[new]))
+            nxt.append(store(cands[new]))
         if truncated:
             # the state in progress stays in the frontier: a resumed run
             # expands it again and finds its remaining classes in order
@@ -662,16 +706,55 @@ def orbit_enumerate(seed: StokesMatrix, mode: str = "bases", *,
 
 
 def _save_checkpoint(path, doc):
-    """Pickle doc to a temporary file beside path, then rename it over
-    path, so a reader sees the old checkpoint or the new one, never a
-    partial write."""
+    """Write the search state doc to a temporary file beside path, fsync
+    it, then rename it over path, so a reader sees the old checkpoint or
+    the new one, never a partial write.
+
+    The file is _CHECKPOINT_MAGIC, a line with the SHA-256 of the next
+    one, one line of JSON manifest (format, mode, seed rows, levels,
+    expanded, and the name, dtype, shape, byte size and SHA-256 of every
+    array) and the arrays' bytes in manifest order: .npy bytes of np.save,
+    or JSON text for an object array of Python ints.  So every byte after
+    the magic is under a hash.  The arrays are the frontier, the next level
+    in one array, and the visited keys as uint8 rows, one array per key
+    length."""
+    arrays = [("frontier", doc["frontier"])]
+    if doc["next"]:
+        arrays.append(("next", np.concatenate(doc["next"])))
+    by_length = {}
+    for key in doc["visited"]:
+        by_length.setdefault(len(key), []).append(key)
+    arrays += [(f"visited{width}",
+                np.frombuffer(b"".join(keys), np.uint8)
+                .reshape(len(keys), width))
+               for width, keys in sorted(by_length.items())]
+    entries, blobs = [], []
+    for name, a in arrays:
+        if a.dtype == object:
+            blob = json.dumps(a.tolist(), separators=(",", ":")).encode()
+        else:
+            buf = io.BytesIO()
+            np.save(buf, a, allow_pickle=False)
+            blob = buf.getvalue()
+        entries.append({"name": name, "dtype": a.dtype.str, "shape":
+                        list(a.shape), "size": len(blob),
+                        "sha256": _sha256(blob)})
+        blobs.append(blob)
+    manifest = json.dumps({
+        "format": doc["format"], "mode": doc["mode"], "seed": doc["seed"],
+        "levels": doc["levels"], "expanded": doc["expanded"],
+        "arrays": entries}, sort_keys=True).encode()
     try:
         fd, tmp = tempfile.mkstemp(
             dir=os.path.dirname(os.path.abspath(path)),
             prefix=os.path.basename(path) + ".", suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
-                pickle.dump(doc, fh, protocol=4)
+                fh.write(_CHECKPOINT_MAGIC)
+                fh.write(_sha256(manifest).encode())
+                fh.write(b"\n" + manifest + b"\n")
+                for blob in blobs:
+                    fh.write(blob)
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, path)
@@ -682,10 +765,13 @@ def _save_checkpoint(path, doc):
         raise ValueError(f"cannot write checkpoint {path}: {exc}") from None
 
 
-def _load_checkpoint(path, mode, seed_rows):
-    """The saved search state, or None when path is missing or empty.
-    Anything unreadable, of another format, or of another run raises
-    ValueError."""
+def _load_checkpoint(path, mode, seed_rows, start, n_roots):
+    """The saved search state (visited, frontier, next, levels, expanded),
+    or None when path is missing or empty.  start is the run's start
+    level: saved states must have its shape per state and, on root
+    indices, its dtype and indices below n_roots.  Anything unreadable, of
+    another format, or of another run raises ValueError; no byte of the
+    file is unpickled."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -695,21 +781,115 @@ def _load_checkpoint(path, mode, seed_rows):
         raise ValueError(f"cannot read checkpoint {path}: {exc}") from None
     if not data:
         return None
-    try:
-        doc = pickle.loads(data)
-    except (pickle.UnpicklingError, EOFError, AttributeError, ImportError,
-            IndexError, KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"checkpoint {path} is corrupt: {exc!r}") from None
-    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
+    if data.startswith(b"\x80"):
+        # the pickle protocol opcode that format 3 files begin with
         raise ValueError(f"checkpoint {path} is not in checkpoint format "
-                         f"{CHECKPOINT_FORMAT} (written by an older engine "
-                         "or not a singlat checkpoint)")
-    if doc.get("mode") != mode or doc.get("seed") != seed_rows:
+                         f"{CHECKPOINT_FORMAT}: it begins as a pickle does "
+                         "(formats 3 and older were pickles) and is not "
+                         "loaded")
+    if not data.startswith(_CHECKPOINT_MAGIC):
+        raise ValueError(f"checkpoint {path} is corrupt or not a singlat "
+                         "checkpoint")
+    digest, _, rest = data[len(_CHECKPOINT_MAGIC):].partition(b"\n")
+    head, _, body = rest.partition(b"\n")
+    if _sha256(head).encode() != digest:
+        raise ValueError(f"checkpoint {path} is corrupt: the manifest does "
+                         "not match its SHA-256")
+    try:
+        manifest = json.loads(head)
+        fmt = manifest["format"]
+    except (ValueError, TypeError, KeyError, RecursionError) as exc:
+        raise ValueError(f"checkpoint {path} is corrupt: unreadable "
+                         f"manifest ({exc})") from None
+    if fmt != CHECKPOINT_FORMAT:
+        raise ValueError(f"checkpoint {path} is not in checkpoint format "
+                         f"{CHECKPOINT_FORMAT}")
+    if manifest.get("mode") != mode or \
+            manifest.get("seed") != [list(r) for r in seed_rows]:
         raise ValueError("checkpoint belongs to a different run "
                          "(mode or seed mismatch)")
     try:
-        return (doc["visited"], doc["frontier"], doc["next"], doc["levels"],
-                doc["expanded"])
-    except KeyError as exc:
-        raise ValueError(f"checkpoint {path} is corrupt: missing {exc}") \
-            from None
+        arrays = _checkpoint_arrays(manifest["arrays"], body)
+        levels, expanded = manifest["levels"], manifest["expanded"]
+        if not _is_int_list(levels) or not _is_int_list([expanded]):
+            raise ValueError("levels and expanded must be integers")
+        visited = set()
+        for name, a in arrays.items():
+            if name.startswith("visited"):
+                if a.dtype != np.uint8 or a.ndim != 2:
+                    raise ValueError(f"{name} is not a uint8 table")
+                visited.update(row_keys(a))
+        states = [arrays["frontier"]] + \
+            ([arrays["next"]] if "next" in arrays else [])
+        for a in states:
+            _check_states(a, start, n_roots, mode)
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+        raise ValueError(f"checkpoint {path} is corrupt: {exc}") from None
+    return visited, states[0], states[1:], list(levels), expanded
+
+
+def _checkpoint_arrays(entries, body):
+    """The arrays of a checkpoint manifest, read from body and checked
+    against each entry's size, SHA-256, dtype and shape."""
+    arrays, offset = {}, 0
+    for entry in entries:
+        name, size = entry["name"], entry["size"]
+        if type(name) is not str or not _is_int_list([size]):
+            raise ValueError(f"bad name or size {name!r}, {size!r}")
+        blob = body[offset:offset + size]
+        offset += size
+        if len(blob) != size or _sha256(blob) != entry["sha256"]:
+            raise ValueError(f"{name} is truncated or does not match its "
+                             "SHA-256")
+        if entry["dtype"] == "|O":
+            a = np.array(json.loads(blob), dtype=object)
+            if not all(type(v) is int for v in a.flat):
+                raise ValueError(f"{name} holds values that are not integers")
+        else:
+            try:
+                a = np.lib.format.read_array(io.BytesIO(blob),
+                                             allow_pickle=False)
+            except (OSError, EOFError, SyntaxError) as exc:
+                raise ValueError(f"{name} is not a .npy array ({exc})") \
+                    from None
+        if a.dtype.str != entry["dtype"] or list(a.shape) != entry["shape"]:
+            raise ValueError(f"{name} does not have its recorded dtype and "
+                             "shape")
+        arrays[name] = a
+    if offset != len(body):
+        raise ValueError("trailing bytes after the last array")
+    return arrays
+
+
+def _check_states(a, start, n_roots, mode):
+    """Raise ValueError unless a is a level of the run that starts at
+    start: its shape per state, integer entries, on root indices start's
+    dtype and indices below n_roots, and Stokes states in the tree sign
+    normal form, which a disconnected diagram has none of."""
+    if a.shape[1:] != start.shape[1:] or \
+            (a.dtype != object and a.dtype.kind not in "iu"):
+        raise ValueError("saved states do not fit this run")
+    if n_roots is not None and (a.dtype != start.dtype or
+                                (a.size and int(a.max()) >= n_roots)):
+        raise ValueError("saved root indices do not fit this run")
+    if mode == "stokes" and len(a):
+        try:
+            canonical = np.array_equal(_tree_sign_form(a.T).T, a)
+        except AssertionError:
+            canonical = False
+        if not canonical:
+            raise ValueError("saved Stokes states are not sign normal forms "
+                             "of connected diagrams")
+
+
+def _sha256(data):
+    """The SHA-256 hex digest of data.  hashlib is imported here, not with
+    the module: it maps libcrypto, about 3 MB of RSS that a run without a
+    checkpoint never needs."""
+    import hashlib
+    return hashlib.sha256(data).hexdigest()
+
+
+def _is_int_list(values):
+    return isinstance(values, list) and \
+        all(type(v) is int and v >= 0 for v in values)

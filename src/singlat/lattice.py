@@ -3,7 +3,9 @@
 Stokes matrices, the symmetrized intersection form, monodromy,
 Picard-Lefschetz reflections and Coxeter-Dynkin diagrams, all as exact
 integer matrix computations; definiteness and quasiunipotence are read
-off the integer characteristic polynomial.  The sign conventions are fixed
+off the integer characteristic polynomial.  A positive definite form has
+finitely many roots, tabulated once per form together with their
+reflections (`roots`).  The sign conventions are fixed
 once and for all at the dimension residue n = 0 mod 4, where
 
     I = S + S^t,   M = -S^{-1} S^t,   s_d(b) = b - I(d,b) d,
@@ -15,9 +17,12 @@ suspension), so no generality is lost for the counting problems.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
+
+import numpy as np
 
 from .polyalg import MultiPoly, bareiss
 
@@ -290,6 +295,77 @@ def definiteness(i: IntersectionMatrix):
     if all(e >= 0 for e in es):
         return "positive-semidefinite"
     return "indefinite"
+
+
+@functools.lru_cache(maxsize=None)
+def roots(form_rows):
+    """The roots of a positive definite form, up to sign, and their
+    reflection table; None for a form that is not positive definite.
+
+    form_rows is an intersection form I (diagonal 2) in the basis e_0, ...,
+    e_(mu-1) as a tuple of row tuples.  Returns read-only arrays V, R:
+
+    * V, (N, mu) int64: the closure of the basis under the reflections
+      s_(e_i), every vector made sign canonical (first nonzero coordinate
+      positive), with V[k] = e_k for k < mu.  The s_(e_i) generate the
+      group W of the reflections in all of V, so V holds one of +-v for
+      every v in the W-orbit of the basis: every vanishing cycle of a
+      distinguished basis that the braid group reaches from e.  A positive
+      definite form has finitely many vectors with I(v, v) = 2, so the
+      closure ends; for any other form (the elliptic classes, whose root
+      set is infinite) there is no table.
+    * R, (N, N): R[a, b] is the index of s_(V[a])(V[b]) = V[b] - I(V[a],
+      V[b]) V[a] up to sign, in the narrowest unsigned dtype that holds
+      N - 1 (uint8 up to N = 256).
+
+    Definiteness is Sylvester's criterion, every leading principal minor
+    positive, tested from the full determinant down: that one is 0 for
+    the elliptic forms, whose radical has rank 2.  The test and the tables
+    are computed once per form."""
+    n = len(form_rows)
+    if not all(bareiss([row[:k] for row in form_rows[:k]])[1] > 0
+               for k in range(n, 0, -1)):
+        return None
+    form = np.array(form_rows, dtype=np.int64)
+    eye = np.eye(n, dtype=np.int64)
+    index = {key: k for k, key in enumerate(row_keys(eye))}
+    found = frontier = eye
+    while len(frontier):
+        # s_(e_i)(v) = v - I(e_i, v) e_i for every i and every new v
+        moved = _sign_canonical((frontier[None] - (frontier @ form).T[
+            :, :, None] * eye[:, None]).reshape(-1, n))
+        new = []
+        for j, key in enumerate(row_keys(moved)):
+            if key not in index:
+                index[key] = len(index)
+                new.append(j)
+        frontier = moved[new]
+        found = np.concatenate([found, frontier])
+    size = len(found)
+    pair = found @ form @ found.T
+    moved = found[None] - pair[:, :, None] * found[:, None]
+    table = np.array([index[key] for key in row_keys(
+        _sign_canonical(moved.reshape(-1, n)))],
+        np.min_scalar_type(size - 1)).reshape(size, size)
+    found.flags.writeable = table.flags.writeable = False
+    return found, table
+
+
+def row_keys(a):
+    """The bytes of each row of the 2-D array a, as a list: hashable keys
+    that are equal exactly when the rows are, for arrays of one dtype."""
+    a = np.ascontiguousarray(a)
+    if not a.shape[1]:
+        return [b""] * len(a)
+    return a.view(np.dtype((np.void, a.itemsize * a.shape[1]))).ravel() \
+        .tolist()
+
+
+def _sign_canonical(rows):
+    """The nonzero integer rows, each times the sign of its first nonzero
+    entry."""
+    lead = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
+    return rows * np.sign(lead)[:, None]
 
 
 def is_quasiunipotent(m: MonodromyMatrix) -> bool:

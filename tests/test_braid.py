@@ -1,4 +1,5 @@
 import itertools
+import json
 import pickle
 import random
 import tracemalloc
@@ -10,14 +11,16 @@ from hypothesis import given, settings, strategies as st
 from singlat import braid
 from singlat.braid import (CHECKPOINT_FORMAT, _SIGN_TABLE_MAX_M, BraidWord,
                            VanishingTuple, _apply_gen, _canon_vectors,
-                           _expand_bases, _expand_stokes, _generators, _keys,
-                           _mu_of, _narrow, _pack, _pow3, _sign_rounds,
-                           _sign_table, _stokes_moves, _stokes_tables,
+                           _engine, _expand_bases, _expand_roots,
+                           _expand_stokes, _generators, _keys,
+                           _load_checkpoint, _mu_of, _narrow, _pack, _pow3,
+                           _sign_rounds, _sign_table, _stokes_moves,
+                           _stokes_tables,
                            _tree_sign_form, _unpack, _work_dtype, braid_apply,
                            braid_apply_word, orbit_enumerate,
                            sign_canonical_stokes, sign_canonical_tuple,
                            stokes_of_tuple)
-from singlat.lattice import StokesMatrix, symmetrized_form
+from singlat.lattice import StokesMatrix, roots, row_keys, symmetrized_form
 from singlat.singdata import ALL_LABELS, seed_stokes, tensor_stokes
 
 
@@ -29,6 +32,11 @@ def random_word(rng, mu, length):
     return BraidWord(tuple(rng.choice([s * k for k in range(1, mu)
                                        for s in (1, -1)])
                            for _ in range(length)))
+
+
+def manifest(path):
+    """The JSON manifest of a checkpoint file, its third line."""
+    return json.loads(path.read_bytes().split(b"\n")[2])
 
 
 class TestBraidAction:
@@ -214,7 +222,6 @@ class TestOrbits:
     def test_report_json_deterministic(self):
         r1 = orbit_enumerate(chain(3), "stokes")
         r2 = orbit_enumerate(chain(3), "stokes")
-        import json
         d1 = json.loads(r1.to_json(label="A3"))
         d2 = json.loads(r2.to_json(label="A3"))
         d1.pop("seconds"), d2.pop("seconds")
@@ -366,8 +373,12 @@ class TestOrbits:
 
     def test_checkpoint_garbage_rejected(self, tmp_path):
         ck = tmp_path / "orbit.ck"
-        ck.write_bytes(b"\x80\x04garbage, not a pickle")
+        ck.write_bytes(b"garbage, not a checkpoint")
         with pytest.raises(ValueError, match="corrupt"):
+            orbit_enumerate(chain(4), "bases", checkpoint=str(ck))
+        # refused by its leading pickle opcode, never unpickled
+        ck.write_bytes(b"\x80\x04garbage, not a pickle")
+        with pytest.raises(ValueError, match="not in checkpoint format 4"):
             orbit_enumerate(chain(4), "bases", checkpoint=str(ck))
 
     def test_checkpoint_old_format_rejected(self, tmp_path):
@@ -390,7 +401,7 @@ class TestOrbits:
             "format": 2, "mode": "stokes", "seed": seed.rows,
             "visited": set(_keys(start)), "frontier": start, "next": [],
             "levels": [1], "expanded": 0}))
-        with pytest.raises(ValueError, match="not in checkpoint format 3"):
+        with pytest.raises(ValueError, match="not in checkpoint format 4"):
             orbit_enumerate(seed, "stokes", checkpoint=str(ck))
 
     def test_checkpoint_written_atomically(self, tmp_path, monkeypatch):
@@ -399,7 +410,7 @@ class TestOrbits:
         orbit_enumerate(chain(5), "bases", max_states=300,
                         checkpoint=str(ck))
         assert [p.name for p in tmp_path.iterdir()] == ["orbit.ck"]
-        assert pickle.loads(ck.read_bytes())["format"] == CHECKPOINT_FORMAT
+        assert manifest(ck)["format"] == CHECKPOINT_FORMAT == 4
 
 
 def random_signed_walk(rng, seed, steps):
@@ -793,6 +804,180 @@ def conjugate(s, e):
     return StokesMatrix(tuple(tuple(e[i] * e[j] * x for j, x in
                                     enumerate(row))
                               for i, row in enumerate(s.rows)))
+
+
+def moved_seed(label, rng, steps=12):
+    """The Stokes matrix of the class seed moved by a random braid word."""
+    seed = seed_stokes(label).stokes
+    return stokes_of_tuple(braid_apply_word(
+        VanishingTuple.standard(seed),
+        random_word(rng, seed.mu, rng.randint(1, steps)) if seed.mu > 1
+        else BraidWord(())))
+
+
+def saved_classes(path, seed):
+    """The classes a bases checkpoint holds, as a set of vector tuples."""
+    start, _, keys, _, n_roots = _engine(seed, "bases")
+    visited = _load_checkpoint(path, "bases", seed.rows, start, n_roots)[0]
+    if n_roots is None:
+        return {tuple(map(tuple, np.frombuffer(k, np.int8).reshape(
+            seed.mu, seed.mu).tolist())) for k in visited}
+    v = roots(symmetrized_form(seed).rows)[0]
+    return {tuple(map(tuple, v[np.frombuffer(k, start.dtype)].tolist()))
+            for k in visited}
+
+
+class TestRootEngine:
+    @pytest.mark.parametrize("label", [f"A{n}" for n in range(1, 9)] +
+                             [f"D{n}" for n in range(4, 9)] + ["E6"])
+    def test_moves_match_vector_engine(self, label):
+        # chunk by chunk along the index engine's own search, the vectors
+        # of the index candidates are the vector engine's candidates on
+        # the same states, in the same order
+        rng = random.Random(label)
+        for seed in (seed_stokes(label).stokes, moved_seed(label, rng)):
+            form = symmetrized_form(seed).rows
+            v, r = roots(form)
+            start, _, _, _, n_roots = _engine(seed, "bases")
+            assert n_roots == len(v) and start.dtype == r.dtype
+            level, seen, checked = start, set(row_keys(start)), 0
+            while len(level) and checked < 3000:
+                for lo in range(0, len(level), 97):
+                    x = level[lo:lo + 97]
+                    got = _expand_roots(x, r)
+                    want = _expand_bases(_narrow(v[x]), form)
+                    assert np.array_equal(v[got], want)
+                    checked += len(got)
+                cands = _expand_roots(level, r)
+                new = [j for j, k in enumerate(row_keys(cands))
+                       if not (k in seen or seen.add(k))]
+                level = cands[new]
+
+    @pytest.mark.parametrize("label, budget", [("E6", 500), ("D6", 500),
+                                               ("A5", 97), ("A23", 2000)])
+    def test_budget_keeps_vector_engine_classes(self, label, budget,
+                                                tmp_path, monkeypatch):
+        # the first classes of a budgeted run, read back from the
+        # checkpoint the budget stop writes, are the vector engine's; A23
+        # has 276 roots, so uint16 indices and keys of 2 mu bytes
+        seed = moved_seed(label, random.Random(budget))
+        got = {}
+        for engine in ("roots", "vectors"):
+            if engine == "vectors":
+                monkeypatch.setattr(braid, "roots", lambda form: None)
+            ck = tmp_path / engine
+            rep = orbit_enumerate(seed, "bases", max_states=budget,
+                                  checkpoint=str(ck))
+            assert rep.truncated and rep.class_count == budget
+            got[engine] = (rep.levels, rep.states_visited,
+                           saved_classes(ck, seed))
+        assert got["roots"] == got["vectors"]
+        assert len(got["roots"][2]) == budget
+
+    @pytest.mark.extended
+    def test_e7_matches_vector_engine(self, monkeypatch):
+        seed = seed_stokes("E7").stokes
+        rep = orbit_enumerate(seed, "bases")
+        monkeypatch.setattr(braid, "roots", lambda form: None)
+        ref = orbit_enumerate(seed, "bases")
+        assert rep.class_count == ref.class_count == 1062882
+        assert rep.levels == ref.levels and len(rep.levels) == 26
+
+
+class TestCheckpointFormat:
+    @pytest.mark.parametrize("label, mode, engine, budget", [
+        ("A5", "stokes", None, 60), ("D5", "stokes", None, 90),
+        ("E6", "stokes", None, 1000),
+        ("A5", "bases", "roots", 400), ("D5", "bases", "roots", 2000),
+        ("E6", "bases", "roots", 9000),
+        ("A5", "bases", "vectors", 400), ("D5", "bases", "vectors", 2000),
+        ("E6", "bases", "vectors", 9000)])
+    def test_resume_matches_uninterrupted(self, tmp_path, monkeypatch, label,
+                                          mode, engine, budget):
+        if engine == "vectors":
+            monkeypatch.setattr(braid, "roots", lambda form: None)
+        seed = seed_stokes(label).stokes
+        full = orbit_enumerate(seed, mode)
+        ck = str(tmp_path / "orbit.ck")
+        partial = orbit_enumerate(seed, mode, max_states=budget,
+                                  checkpoint=ck)
+        assert partial.truncated and partial.class_count == budget
+        resumed = orbit_enumerate(seed, mode, checkpoint=ck)
+        assert not resumed.truncated
+        assert (resumed.class_count, resumed.levels,
+                resumed.states_visited) == \
+            (full.class_count, full.levels, full.states_visited)
+
+    @staticmethod
+    def written(tmp_path, mode="bases", budget=30):
+        ck = tmp_path / "orbit.ck"
+        orbit_enumerate(chain(4), mode, max_states=budget, checkpoint=str(ck))
+        return ck, ck.read_bytes()
+
+    def test_every_damaged_byte_rejected(self, tmp_path):
+        # each byte is the magic or under a SHA-256, so no single flipped
+        # bit and no truncation goes unnoticed
+        mode = "bases"
+        ck, data = self.written(tmp_path, mode, 20)
+        seed = chain(4)
+        start, _, _, _, n_roots = _engine(seed, mode)
+        assert _load_checkpoint(str(ck), mode, seed.rows, start, n_roots)
+        for k in range(len(data)):
+            for damaged in (data[:k],
+                            data[:k] + bytes([data[k] ^ 1]) + data[k + 1:]):
+                if not damaged:
+                    continue          # an empty file starts afresh
+                ck.write_bytes(damaged)
+                with pytest.raises(ValueError, match="corrupt|format 4"):
+                    _load_checkpoint(str(ck), mode, seed.rows, start,
+                                     n_roots)
+
+    def test_layout(self, tmp_path):
+        ck, data = self.written(tmp_path)
+        doc = manifest(ck)
+        assert data.startswith(b"singlat checkpoint\n")
+        assert (doc["format"], doc["mode"]) == (4, "bases")
+        assert doc["seed"] == [list(r) for r in chain(4).rows]
+        names = [(a["name"], a["dtype"], a["shape"]) for a in doc["arrays"]]
+        # the finished levels, and the level in progress in one array
+        assert doc["levels"] == [1, 6, 16]
+        assert names[:2] == [("frontier", "|u1", names[0][2]),
+                             ("next", "|u1", [7, 4])]
+        assert names[2:] == [("visited4", "|u1", [30, 4])]
+        assert b"pickle" not in data and b"\x80\x04" not in data
+
+    def test_states_checked_on_load(self, tmp_path):
+        # a file whose hashes match but whose states no run can hold: a
+        # Stokes state of a disconnected diagram, one not in sign normal
+        # form, and a root index past the last root
+        seed = chain(3)
+        ck = str(tmp_path / "orbit.ck")
+        for mode, state in (("stokes", [0, 0, 0]), ("stokes", [-1, 0, -1]),
+                            ("bases", [0, 1, 6])):
+            start, _, _, _, n_roots = _engine(seed, mode)
+            braid._save_checkpoint(ck, {
+                "format": 4, "mode": mode, "seed": seed.rows,
+                "visited": set(), "frontier": np.array([state], start.dtype),
+                "next": [], "levels": [1], "expanded": 0})
+            with pytest.raises(ValueError, match="corrupt"):
+                orbit_enumerate(seed, mode, checkpoint=ck)
+
+    def test_wide_entries_saved_as_json(self, tmp_path):
+        # states beyond int64 are object arrays, saved as JSON text and
+        # read back as Python ints; the form is indefinite, so the states
+        # are vectors
+        big = 2 ** 70
+        seed = StokesMatrix(((1, big), (0, 1)))
+        ck = tmp_path / "orbit.ck"
+        rep = orbit_enumerate(seed, "bases", max_states=3,
+                              checkpoint=str(ck))
+        assert rep.truncated
+        assert manifest(ck)["arrays"][0]["dtype"] == "|O"
+        start, _, _, _, n_roots = _engine(seed, "bases")
+        visited, frontier, _, _, _ = _load_checkpoint(
+            str(ck), "bases", seed.rows, start, n_roots)
+        assert frontier.dtype == object and big in map(abs, frontier.flat)
+        assert set(_keys(frontier)) < visited and len(visited) == 3
 
 
 class TestBraidProperties:

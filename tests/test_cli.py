@@ -96,7 +96,42 @@ class TestOrbitCommand:
                      str(ck)])
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
-        assert "not in checkpoint format 3" in captured.err
+        assert "not in checkpoint format 4" in captured.err
+
+    def test_crafted_pickle_is_never_loaded(self, capsys, tmp_path):
+        # a format-3-style pickle whose __reduce__ would create a marker
+        # file: it is refused by its leading bytes, so nothing runs
+        marker = tmp_path / "marker"
+
+        class Crafted:
+            def __reduce__(self):
+                return open, (str(marker), "w")
+
+        ck = tmp_path / "evil.ckpt"
+        ck.write_bytes(pickle.dumps(Crafted(), protocol=4))
+        code = main(["orbit", "A3", "--mode", "bases", "--checkpoint",
+                     str(ck)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "not in checkpoint format 4" in captured.err
+        assert not marker.exists()
+
+    @pytest.mark.parametrize("damage", ["truncate", "flip"])
+    def test_damaged_checkpoint_fails(self, capsys, tmp_path, damage):
+        ck = tmp_path / "orbit.ck"
+        code, _ = run(capsys, "orbit", "D5", "--checkpoint", str(ck),
+                      "--budget-states", "300")
+        assert code == 3
+        data = ck.read_bytes()
+        k = len(data) // 2
+        ck.write_bytes(data[:k] if damage == "truncate" else
+                       data[:k] + bytes([data[k] ^ 0x10]) + data[k + 1:])
+        code = main(["orbit", "D5", "--checkpoint", str(ck)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "corrupt" in lines[0]
 
     def test_resume_over_budget_exits_truncated(self, capsys, tmp_path):
         ck = str(tmp_path / "orbit.ck")

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,8 +9,10 @@ from singlat.lattice import (MonodromyMatrix, StokesMatrix, char_poly,
                              coxeter_dynkin, definiteness, is_connected,
                              is_quasiunipotent, mat_det, matrix_order,
                              monodromy_from_stokes, monodromy_product,
-                             pl_reflect, radical_rank, symmetrized_form)
-from singlat.braid import VanishingTuple, braid_apply_word, BraidWord
+                             pl_reflect, radical_rank, roots,
+                             symmetrized_form)
+from singlat.braid import (VanishingTuple, braid_apply_word, BraidWord,
+                           _canon_vectors, _generators, stokes_of_tuple)
 from singlat.polyalg import MultiPoly
 from singlat.singdata import seed_stokes, ALL_LABELS
 
@@ -98,6 +101,99 @@ class TestReflection:
         i = symmetrized_form(StokesMatrix.identity(2))
         with pytest.raises(ValueError):
             pl_reflect(i, (1, 1), (0, 1))  # self-pairing 4
+
+
+def root_count(label):
+    """N, the number of roots up to sign: n(n+1)/2 for A_n, n(n-1) for
+    D_n, and 36, 63, 120 for E6, E7, E8."""
+    n = int(label[1:])
+    return {"A": n * (n + 1) // 2, "D": n * (n - 1)}.get(
+        label[0], {6: 36, 7: 63, 8: 120}.get(n))
+
+
+ROOT_LABELS = [f"A{n}" for n in range(1, 9)] + \
+    [f"D{n}" for n in range(4, 9)] + ["E6", "E7", "E8"]
+
+
+def moved_forms(label, count, rng):
+    """The class seed's form and the forms of count seeds a random braid
+    word away from it."""
+    seed = seed_stokes(label).stokes
+    forms = [symmetrized_form(seed).rows]
+    gens = _generators(seed.mu)
+    for _ in range(count if gens else 0):
+        word = BraidWord(tuple(rng.choice(gens)
+                               for _ in range(rng.randint(1, 12))))
+        moved = stokes_of_tuple(braid_apply_word(
+            VanishingTuple.standard(seed), word))
+        forms.append(symmetrized_form(moved).rows)
+    return forms
+
+
+class TestRoots:
+    @pytest.mark.parametrize("label", ROOT_LABELS)
+    def test_tables(self, label):
+        rng = random.Random(label)
+        for form in moved_forms(label, 3, rng):
+            v, r = roots(form)
+            n, size = len(form), root_count(label)
+            assert v.shape == (size, n) and r.shape == (size, size)
+            assert not v.flags.writeable and not r.flags.writeable
+            assert r.dtype == np.uint8
+            # the basis first, every vector sign canonical and a root
+            assert v[:n].tolist() == np.eye(n, dtype=int).tolist()
+            assert [tuple(x) for x in v.tolist()] == \
+                list(_canon_vectors(tuple(x) for x in v.tolist()))
+            f = np.array(form)
+            assert (np.einsum("ai,ij,aj->a", v, f, v) == 2).all()
+            assert len({tuple(x) for x in v.tolist()}) == size
+            # R is the reflection table: an involution in b, fixing a
+            idx = np.arange(size)
+            assert (r[idx, idx] == idx).all()
+            assert (r[idx[:, None], r] == idx[None, :]).all()
+            for a, b in rng.choices(list(np.ndindex(size, size)), k=10):
+                moved = pl_reflect(form, tuple(v[a].tolist()),
+                                   tuple(v[b].tolist()))
+                assert _canon_vectors([moved])[0] == \
+                    tuple(v[r[a, b]].tolist())
+
+    @pytest.mark.parametrize("label", ["tE6", "tE7", "tE8"])
+    def test_none_for_elliptic(self, label):
+        for form in moved_forms(label, 2, random.Random(label)):
+            assert roots(form) is None
+
+    def test_definite_exactly_when_char_poly_says(self):
+        # Sylvester's criterion in roots against definiteness, on random
+        # forms with diagonal 2, indefinite ones of positive determinant
+        # among them
+        rng = random.Random(31)
+        kinds = set()
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            upper = {(i, j): rng.choice((-2, -1, -1, 0, 0, 0, 1, 1))
+                     for i in range(n) for j in range(i + 1, n)}
+            form = tuple(tuple(2 if i == j else upper[min(i, j), max(i, j)]
+                               for j in range(n)) for i in range(n))
+            kind = definiteness(form)
+            kinds.add((kind, mat_det(form) > 0))
+            assert (roots(form) is not None) == (kind == "positive-definite")
+        assert ("indefinite", True) in kinds and \
+            ("positive-definite", True) in kinds
+
+    def test_index_width(self):
+        # uint8 while every index fits, up to N = 256 roots
+        for mu, size, width in ((21, 231, np.uint8), (22, 253, np.uint8),
+                                (23, 276, np.uint16)):
+            v, r = roots(symmetrized_form(chain(mu)).rows)
+            assert (len(v), r.dtype) == (size, width)
+            assert int(r.max()) == size - 1
+
+    def test_disconnected_form(self):
+        # 2 Id: the roots are the basis alone, each its own reflection's
+        # fixed point up to sign and orthogonal to the others
+        v, r = roots(symmetrized_form(StokesMatrix.identity(3)).rows)
+        assert v.tolist() == np.eye(3, dtype=int).tolist()
+        assert r.tolist() == [[0, 1, 2]] * 3
 
 
 class TestDiagram:
