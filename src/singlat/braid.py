@@ -16,12 +16,14 @@ before deduplication.
 
 Engine: the search is level-synchronous, and each run uses one of three
 engines, fixed by its mode and seed (_engine).  A bases run over a
-positive definite form, that is from any simple (ADE) seed, runs on root
+positive definite form with at most lattice.ROOT_TABLE_MAX = 512 roots up
+to sign, that is from a simple (ADE) seed up to A31 and D16, runs on root
 indices: a state is the (B, mu) tuple of indices of its vectors in the
 root list of lattice.roots, uint8 while N <= 256 roots, and a move is one
 lookup in its reflection table (_expand_roots).  Every vector of the
 orbit is a root, up to sign, so this covers the whole orbit.  Every other
-bases run, from an elliptic seed whose root set is infinite, runs on
+bases run, from a larger simple seed (whose table would cost N^2 mu to
+build) or an elliptic seed (whose root set is infinite), runs on
 vectors, and a Stokes run on packed Stokes matrices.  There a BFS level is
 one integer array, stored as int8 while its entries fit: (B, mu, mu)
 tuples of vectors, or (B, m) packed Stokes matrices.  A generator
@@ -588,9 +590,10 @@ def _engine(seed, mode):
     batched expansion, the key function, the store applied to new classes,
     and the number N of roots when states are root indices (else None).
 
-    A bases run over a positive definite form (every simple class) runs on
-    root indices; any other bases run (the elliptic classes, whose root set
-    is infinite) runs on vectors.  The seed is connected, so the Stokes
+    A bases run over a form that lattice.roots tabulates (a simple class
+    with at most ROOT_TABLE_MAX roots) runs on root indices; any other
+    bases run (a larger simple class, or an elliptic one, whose root set is
+    infinite) runs on vectors.  The seed is connected, so the Stokes
     start is sign_canonical_stokes(seed), narrowed first: a sign flip keeps
     every entry's width."""
     if mode == "stokes":
@@ -614,7 +617,7 @@ def orbit_enumerate(seed: StokesMatrix, mode: str = "bases", *,
     """Breadth-first closure under all signed braid generators.
 
     bases  : states are sign-canonical tuples over the fixed seed, held as
-             root indices when the seed's form is positive definite.
+             root indices when lattice.roots tabulates the seed's form.
     stokes : states are tree sign normal forms of Stokes matrices, packed
              to their strict upper triangles; transitions treat the
              current matrix as its own seed.
@@ -846,12 +849,7 @@ def _checkpoint_arrays(entries, body):
             if not all(type(v) is int for v in a.flat):
                 raise ValueError(f"{name} holds values that are not integers")
         else:
-            try:
-                a = np.lib.format.read_array(io.BytesIO(blob),
-                                             allow_pickle=False)
-            except (OSError, EOFError, SyntaxError) as exc:
-                raise ValueError(f"{name} is not a .npy array ({exc})") \
-                    from None
+            a = _read_npy(name, blob)
         if a.dtype.str != entry["dtype"] or list(a.shape) != entry["shape"]:
             raise ValueError(f"{name} does not have its recorded dtype and "
                              "shape")
@@ -859,6 +857,24 @@ def _checkpoint_arrays(entries, body):
     if offset != len(body):
         raise ValueError("trailing bytes after the last array")
     return arrays
+
+
+def _read_npy(name, blob):
+    """The array of the .npy bytes blob.  The header's shape and dtype must
+    account for the blob's length exactly before anything is allocated:
+    the blob's hash is the file's own, so a header claiming 2^45 entries
+    would otherwise reach np.empty and end in MemoryError."""
+    fh = io.BytesIO(blob)
+    read_header = {(1, 0): np.lib.format.read_array_header_1_0,
+                   (2, 0): np.lib.format.read_array_header_2_0}
+    try:
+        shape, _, dtype = read_header[np.lib.format.read_magic(fh)](fh)
+        if dtype.hasobject or fh.tell() + math.prod(shape) * \
+                dtype.itemsize != len(blob):
+            raise ValueError("its header does not match its length")
+        return np.lib.format.read_array(io.BytesIO(blob), allow_pickle=False)
+    except (KeyError, OSError, EOFError, SyntaxError, ValueError) as exc:
+        raise ValueError(f"{name} is not a .npy array ({exc})") from None
 
 
 def _check_states(a, start, n_roots, mode):

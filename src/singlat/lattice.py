@@ -2,10 +2,11 @@
 
 Stokes matrices, the symmetrized intersection form, monodromy,
 Picard-Lefschetz reflections and Coxeter-Dynkin diagrams, all as exact
-integer matrix computations; definiteness and quasiunipotence are read
-off the integer characteristic polynomial.  A positive definite form has
-finitely many roots, tabulated once per form together with their
-reflections (`roots`).  The sign conventions are fixed
+integer matrix computations; definiteness is read off one exact
+elimination, and quasiunipotence off the integer characteristic
+polynomial.  A positive definite form has finitely many roots, tabulated
+once per form together with their reflections (`roots`) when there are
+at most ROOT_TABLE_MAX of them.  The sign conventions are fixed
 once and for all at the dimension residue n = 0 mod 4, where
 
     I = S + S^t,   M = -S^{-1} S^t,   s_d(b) = b - I(d,b) d,
@@ -282,25 +283,51 @@ def radical_rank(i: IntersectionMatrix) -> int:
 def definiteness(i: IntersectionMatrix):
     """'positive-definite', 'positive-semidefinite' or 'indefinite'.
 
-    Exact: a real symmetric matrix is psd iff all the signed characteristic
-    coefficients e_k are >= 0, and pd iff they are all > 0.
+    Exact, by symmetric fraction-free (Bareiss) elimination, one O(mu^3)
+    pass.  A positive pivot is eliminated.  A zero pivot must head a zero
+    row, as every 2 x 2 principal minor of a psd form is >= 0, and is then
+    dropped; a zero pivot with a nonzero row, or a negative pivot, makes
+    the form indefinite.  Every entry after a step is the minor of the
+    pivots kept so far and its own row and column (Sylvester's identity),
+    so a pivot has the sign of the Schur complement's diagonal entry; the
+    form is positive definite iff no pivot is dropped.
     """
     rows = i.rows if isinstance(i, IntersectionMatrix) else i
-    cp = char_poly(rows)  # ascending
-    n = len(rows)
-    # char_poly = sum cp[k] y^k ; e_k = (-1)^k cp[n-k]
-    es = [(-1) ** k * cp[n - k] for k in range(1, n + 1)]
-    if all(e > 0 for e in es):
-        return "positive-definite"
-    if all(e >= 0 for e in es):
-        return "positive-semidefinite"
-    return "indefinite"
+    a = [[operator.index(x) for x in row] for row in rows]
+    prev, kind = 1, "positive-definite"
+    for k, top in enumerate(a):
+        p = top[k]
+        if p < 0 or (p == 0 and any(top[k + 1:])):
+            return "indefinite"
+        if p == 0:
+            kind = "positive-semidefinite"
+            continue
+        for r in a[k + 1:]:
+            f = r[k]
+            r[k + 1:] = [(p * x - f * y) // prev
+                         for x, y in zip(r[k + 1:], top[k + 1:])]
+        prev = p
+    return kind
+
+
+# Most roots, up to sign, that lattice.roots tabulates.  The reflection
+# table has N^2 entries, each one reflection of a mu-vector and one dict
+# lookup, so its cost grows as N^2 mu; at 512 (A31, D16 and every smaller
+# simple class, E8 with 120 among them) it is at most a few hundred
+# thousand entries, built in well under a second.  A larger positive
+# definite form (A100 has 5050 roots) is only ever run under a budget,
+# where the table would cost far more than the run.
+ROOT_TABLE_MAX = 512
+
+# Entries of one temporary (rows, mu) block while roots are reflected.
+_ROOT_BLOCK = 1 << 18
 
 
 @functools.lru_cache(maxsize=None)
 def roots(form_rows):
     """The roots of a positive definite form, up to sign, and their
-    reflection table; None for a form that is not positive definite.
+    reflection table; None for a form that is not positive definite or
+    has more than ROOT_TABLE_MAX roots up to sign.
 
     form_rows is an intersection form I (diagonal 2) in the basis e_0, ...,
     e_(mu-1) as a tuple of row tuples.  Returns read-only arrays V, R:
@@ -318,35 +345,42 @@ def roots(form_rows):
       V[b]) V[a] up to sign, in the narrowest unsigned dtype that holds
       N - 1 (uint8 up to N = 256).
 
-    Definiteness is Sylvester's criterion, every leading principal minor
-    positive, tested from the full determinant down: that one is 0 for
-    the elliptic forms, whose radical has rank 2.  The test and the tables
-    are computed once per form."""
-    n = len(form_rows)
-    if not all(bareiss([row[:k] for row in form_rows[:k]])[1] > 0
-               for k in range(n, 0, -1)):
+    Every temporary array holds at most about _ROOT_BLOCK entries (or one
+    row of R), so a large form costs no more memory than its tables.  The
+    definiteness test and the tables are computed once per form."""
+    if definiteness(form_rows) != "positive-definite":
         return None
+    n = len(form_rows)
     form = np.array(form_rows, dtype=np.int64)
     eye = np.eye(n, dtype=np.int64)
     index = {key: k for k, key in enumerate(row_keys(eye))}
-    found = frontier = eye
+    found, frontier = [eye], eye
+    step = max(1, _ROOT_BLOCK // n ** 2)
     while len(frontier):
-        # s_(e_i)(v) = v - I(e_i, v) e_i for every i and every new v
-        moved = _sign_canonical((frontier[None] - (frontier @ form).T[
-            :, :, None] * eye[:, None]).reshape(-1, n))
         new = []
-        for j, key in enumerate(row_keys(moved)):
-            if key not in index:
-                index[key] = len(index)
-                new.append(j)
-        frontier = moved[new]
-        found = np.concatenate([found, frontier])
+        for lo in range(0, len(frontier), step):
+            block = frontier[lo:lo + step]
+            # s_(e_i)(v) = v - I(e_i, v) e_i for every i and every new v
+            moved = _sign_canonical((block[None] - (block @ form).T[
+                :, :, None] * eye[:, None]).reshape(-1, n))
+            for j, key in enumerate(row_keys(moved)):
+                if key not in index:
+                    index[key] = len(index)
+                    new.append(moved[j])
+            if len(index) > ROOT_TABLE_MAX:
+                return None
+        frontier = np.array(new, dtype=np.int64).reshape(-1, n)
+        found.append(frontier)
+    found = np.concatenate(found)
     size = len(found)
+    table = np.empty((size, size), np.min_scalar_type(size - 1))
     pair = found @ form @ found.T
-    moved = found[None] - pair[:, :, None] * found[:, None]
-    table = np.array([index[key] for key in row_keys(
-        _sign_canonical(moved.reshape(-1, n)))],
-        np.min_scalar_type(size - 1)).reshape(size, size)
+    step = max(1, _ROOT_BLOCK // (size * n))
+    for lo in range(0, size, step):
+        moved = found[None] - pair[lo:lo + step, :, None] * \
+            found[lo:lo + step, None]
+        table[lo:lo + step] = np.array([index[key] for key in row_keys(
+            _sign_canonical(moved.reshape(-1, n)))]).reshape(-1, size)
     found.flags.writeable = table.flags.writeable = False
     return found, table
 

@@ -1,3 +1,5 @@
+import hashlib
+import io
 import itertools
 import json
 import pickle
@@ -874,6 +876,24 @@ class TestRootEngine:
         assert got["roots"] == got["vectors"]
         assert len(got["roots"][2]) == budget
 
+    @pytest.mark.parametrize("label", ["A100", "D100"])
+    def test_large_seed_budget_stays_small(self, label):
+        # A100 has 5050 roots up to sign and D100 9900, past
+        # ROOT_TABLE_MAX: a budgeted run takes the vector engine, and
+        # neither the definiteness test nor the root closure, which stops
+        # at the cap, allocates more than a few MB on the way
+        seed = seed_stokes(label).stokes
+        roots.cache_clear()
+        tracemalloc.start()
+        try:
+            rep = orbit_enumerate(seed, "bases", max_states=100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.truncated and rep.class_count == 100
+        assert _engine(seed, "bases")[4] is None
+        assert peak < 32 * 2 ** 20
+
     @pytest.mark.extended
     def test_e7_matches_vector_engine(self, monkeypatch):
         seed = seed_stokes("E7").stokes
@@ -961,6 +981,31 @@ class TestCheckpointFormat:
                 "next": [], "levels": [1], "expanded": 0})
             with pytest.raises(ValueError, match="corrupt"):
                 orbit_enumerate(seed, mode, checkpoint=ck)
+
+    @pytest.mark.parametrize("shape", [(2 ** 45, 4), (1, 4), (3, 4)])
+    def test_npy_header_checked_against_length(self, tmp_path, shape):
+        # every hash matches, but the frontier's .npy header claims 2^45
+        # states, or fewer or more than the 8 bytes that follow it: the
+        # header is checked against the blob's length before an array of
+        # its shape is allocated
+        seed = chain(4)
+        header = io.BytesIO()
+        np.lib.format.write_array_header_1_0(header, {
+            "descr": "|u1", "fortran_order": False, "shape": shape})
+        blob = header.getvalue() + bytes(8)
+        head = json.dumps({
+            "format": 4, "mode": "bases", "levels": [1], "expanded": 0,
+            "seed": [list(r) for r in seed.rows],
+            "arrays": [{"name": "frontier", "dtype": "|u1",
+                        "shape": list(shape), "size": len(blob),
+                        "sha256": hashlib.sha256(blob).hexdigest()}]},
+            sort_keys=True).encode()
+        ck = tmp_path / "orbit.ck"
+        ck.write_bytes(b"singlat checkpoint\n" +
+                       hashlib.sha256(head).hexdigest().encode() + b"\n" +
+                       head + b"\n" + blob)
+        with pytest.raises(ValueError, match="corrupt.*not a .npy array"):
+            orbit_enumerate(seed, "bases", checkpoint=str(ck))
 
     def test_wide_entries_saved_as_json(self, tmp_path):
         # states beyond int64 are object arrays, saved as JSON text and

@@ -10,7 +10,7 @@ from singlat.lattice import (MonodromyMatrix, StokesMatrix, char_poly,
                              is_quasiunipotent, mat_det, matrix_order,
                              monodromy_from_stokes, monodromy_product,
                              pl_reflect, radical_rank, roots,
-                             symmetrized_form)
+                             symmetrized_form, ROOT_TABLE_MAX)
 from singlat.braid import (VanishingTuple, braid_apply_word, BraidWord,
                            _canon_vectors, _generators, stokes_of_tuple)
 from singlat.polyalg import MultiPoly
@@ -162,23 +162,14 @@ class TestRoots:
         for form in moved_forms(label, 2, random.Random(label)):
             assert roots(form) is None
 
-    def test_definite_exactly_when_char_poly_says(self):
-        # Sylvester's criterion in roots against definiteness, on random
-        # forms with diagonal 2, indefinite ones of positive determinant
-        # among them
-        rng = random.Random(31)
-        kinds = set()
-        for _ in range(300):
-            n = rng.randint(1, 5)
-            upper = {(i, j): rng.choice((-2, -1, -1, 0, 0, 0, 1, 1))
-                     for i in range(n) for j in range(i + 1, n)}
-            form = tuple(tuple(2 if i == j else upper[min(i, j), max(i, j)]
-                               for j in range(n)) for i in range(n))
-            kind = definiteness(form)
-            kinds.add((kind, mat_det(form) > 0))
-            assert (roots(form) is not None) == (kind == "positive-definite")
-        assert ("indefinite", True) in kinds and \
-            ("positive-definite", True) in kinds
+    def test_table_size_cap(self):
+        # A31 has 496 roots, A32 528: past ROOT_TABLE_MAX there is no table,
+        # and the closure stops as soon as it finds one root too many
+        assert ROOT_TABLE_MAX == 512
+        v, r = roots(symmetrized_form(chain(31)).rows)
+        assert (len(v), r.dtype) == (496, np.uint16)
+        for seed in (chain(32), chain(100), seed_stokes("D100").stokes):
+            assert roots(symmetrized_form(seed).rows) is None
 
     def test_index_width(self):
         # uint8 while every index fits, up to N = 256 roots
@@ -324,6 +315,28 @@ class TestRadicalAndDefiniteness:
     def test_double_identity(self):
         i = symmetrized_form(StokesMatrix.identity(4))
         assert radical_rank(i) == 0
+
+    def test_matches_eigenvalues(self):
+        # random forms with diagonal 2 and small entries, indefinite ones
+        # of positive determinant among them, against the signs of their
+        # float eigenvalues; an integer matrix this small has no nonzero
+        # eigenvalue within 1e-6 of 0
+        rng = random.Random(31)
+        kinds = set()
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            upper = {(i, j): rng.choice((-2, -1, -1, 0, 0, 0, 1, 1))
+                     for i in range(n) for j in range(i + 1, n)}
+            form = tuple(tuple(2 if i == j else upper[min(i, j), max(i, j)]
+                               for j in range(n)) for i in range(n))
+            ev = np.linalg.eigvalsh(np.array(form, dtype=float))
+            want = ("positive-definite" if ev.min() > 1e-6 else
+                    "positive-semidefinite" if ev.min() > -1e-6 else
+                    "indefinite")
+            assert definiteness(form) == want, form
+            kinds.add((want, mat_det(form) > 0))
+        assert {("indefinite", True), ("positive-definite", True),
+                ("positive-semidefinite", False)} <= kinds
 
 
 @st.composite
