@@ -14,19 +14,24 @@ Orbit enumeration is a deterministic breadth-first closure over all
 2(mu-1) signed generators, with states canonicalized modulo the sign group
 before deduplication.
 
-Engine: the search is level-synchronous, and each run uses one of three
+Engine: the search is level-synchronous, and each run uses one of four
 engines, fixed by its mode and seed (_engine).  A bases run over a
 positive definite form with at most lattice.ROOT_TABLE_MAX = 512 roots up
 to sign, that is from a simple (ADE) seed up to A31 and D16, runs on root
 indices: a state is the (B, mu) tuple of indices of its vectors in the
 root list of lattice.roots, uint8 while N <= 256 roots, and a move is one
 lookup in its reflection table (_expand_roots).  Every vector of the
-orbit is a root, up to sign, so this covers the whole orbit.  Every other
-bases run, from a larger simple seed (whose table would cost N^2 mu to
-build) or an elliptic seed (whose root set is infinite), runs on
-vectors, and a Stokes run on packed Stokes matrices.  There a BFS level is
-one integer array, stored as int8 while its entries fit: (B, mu, mu)
-tuples of vectors, or (B, m) packed Stokes matrices.  A generator
+orbit is a root, up to sign, so this covers the whole orbit.  A Stokes
+run over a positive definite form with m = mu(mu-1)/2 <= 10 packed
+entries, that is from A1-A5, D4 or D5, runs on codes: a state is the
+uint16 base-3 code of its packed tree sign normal form, and a move is one
+row of a move table (_CodeTable).  Every other bases run, from a larger
+simple seed (whose table would cost N^2 mu to build) or an elliptic seed
+(whose root set is infinite), runs on vectors, and every other Stokes run
+(E6 and larger, or an indefinite or semidefinite seed) on packed Stokes
+matrices.  There a BFS level is one integer array, stored as int8 while
+its entries fit: (B, mu, mu) tuples of vectors, or (B, m) packed Stokes
+matrices.  A generator
 acting on slots i, i+1 is one batched row (bases) or row-and-column
 (Stokes, S' = P S P^t) recombination with a per-state multiplier c; every
 generator is applied to a chunk of states in one numpy pass, in int16,
@@ -75,15 +80,27 @@ the tree is too, and on a connected diagram the tree-edge signs fix the
 conjugating signs up to a global sign; so that form is a complete
 sign-class invariant, and sign_canonical_stokes (which packs, normalizes
 and unpacks) returns it.  The conjugating signs are a function of the m
-entry signs alone, computed by the rounds of _sign_rounds; for m <= 10
-(mu <= 5) they are the rounds tabulated once per process over all 3^m
-sign patterns (_sign_table) and read by one gather.  The table takes 3^m
-mu bytes, 295 KB at m = 10 but 86 MB at m = 15, so E6 and larger run the
-rounds.  A vector or Stokes key is the int8 bytes of the state (mu^2 bytes
-for a tuple, m for a Stokes matrix), or a prefixed int64 (or repr)
-encoding when an entry exceeds 127, so widths never collide and nothing
-overflows.  Keys are compared by full equality (Python set semantics), so
-counts are exact.
+entry signs alone, computed by the rounds of _sign_rounds, the one
+definition of the form.  A vector or packed Stokes key is the int8 bytes
+of the state (mu^2 bytes for a tuple, m for a Stokes matrix), or a
+prefixed int64 (or repr) encoding when an entry exceeds 127, so widths
+never collide and nothing overflows; a code's key is its two bytes.  Keys
+are compared by full equality (Python set semantics), so counts are
+exact.
+
+Codes: over a positive definite form every Stokes entry S_ij, i < j, is
+the pairing I(v_i, v_j) of two roots of a basis, which are distinct and
+not opposite, so by Cauchy-Schwarz |I(v_i, v_j)| < sqrt(I(v_i, v_i)
+I(v_j, v_j)) = 2 and the entry lies in {-1, 0, 1}.  A packed state u is
+then the code sum_q (u_q + 1) 3^q, below 3^10 = 59049 for m <= 10, and
+the code is a bijection on {-1, 0, 1}^m, so its two bytes are the key.
+Row c of the move table holds the codes of the tree sign forms of the
+moves of the state of code c, in _generators order; a row is filled, by
+_stokes_moves and the rounds, the first time its state is expanded, and
+kept for the life of the process.  An expansion is then one gather,
+rows[slot[x]].ravel(), state-major and generator-minor, as FIFO order
+requires.  The rounds canonicalise a run's start, and run on every
+packed (m > 10 or not positive definite) chunk.
 
 Budgets are exact: a run stopped by max_states reports exactly that many
 classes, the first ones in FIFO order, and is truncated only if the orbit
@@ -99,14 +116,15 @@ import math
 import numbers
 import os
 import tempfile
+import threading
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .lattice import (StokesMatrix, symmetrized_form, mat_det, is_connected,
-                      form_pair, mat_mul, mat_neg, mat_transpose, roots,
-                      row_keys)
+                      definiteness, form_pair, mat_mul, mat_neg,
+                      mat_transpose, roots, row_keys)
 
 
 @dataclass(frozen=True)
@@ -231,11 +249,8 @@ CHECKPOINT_EVERY = 250_000     # expanded states between checkpoint saves
 _CHUNK_ELEMENTS = 2 ** 16      # per numpy pass, counting mu^2 per
                                # candidate: a bases chunk's entries; a
                                # packed Stokes chunk holds about 2^15
-_SIGN_TABLE_MAX_M = 10         # _sign_table(m) holds 3^m * mu int8 bytes:
-                               # 295 KB at m = 10 (mu = 5), but 86 MB at
-                               # m = 15 (mu = 6), so larger m keeps the rounds
-_SIGN_TABLE_SLICE = 2048       # sign patterns per _sign_rounds call while
-                               # _sign_table is built
+_CODE_MAX_M = 10               # Stokes codes of m <= 10 entries are
+                               # below 3^10 = 59049 and fit uint16
 _INT8_MAX = 127
 _INT16_MAX = 2 ** 15 - 1
 _INT64_MAX = 2 ** 63 - 1
@@ -425,23 +440,12 @@ def _tree_sign_form(u):
     packed and C-ordered.
 
     e depends on the signs of the m entries alone, and _sign_rounds
-    defines it.  For m <= _SIGN_TABLE_MAX_M (mu <= 5) it is read from
-    _sign_table, those rounds tabulated over all 3^m sign patterns, by one
-    gather at the base-3 code of each state's signs; a larger m runs the
-    rounds, since the table would take 3^m mu bytes (86 MB at m = 15).  The
-    signs are read as int8, so int8, int16, int64 and object batches all
-    take the same path.  On a disconnected diagram some vertex stays
-    unsigned; that raises, since the form would no longer be complete."""
-    m = len(u)
-    a, b = _stokes_tables(_mu_of(m))[:2]
-    sg = np.sign(u).astype(np.int8)
-    if m <= _SIGN_TABLE_MAX_M:
-        # sum_q (s_q + 1) 3^q, as sum_q s_q 3^q plus (3^m - 1) / 2
-        table, weights = _sign_table(m)
-        e = table.take((sg * weights).sum(axis=0, dtype=weights.dtype)
-                       + table.shape[1] // 2, axis=1)
-    else:
-        e = _sign_rounds(sg)
+    computes it.  The signs are read as int8, so int8, int16, int64 and
+    object batches all take the same path.  On a disconnected diagram some
+    vertex stays unsigned; that raises, since the form would no longer be
+    complete."""
+    a, b = _stokes_tables(_mu_of(len(u)))[:2]
+    e = _sign_rounds(np.sign(u).astype(np.int8))
     if not e.all():
         raise AssertionError("orbit reached a disconnected diagram")
     return u * (e[a] * e[b])
@@ -484,28 +488,6 @@ def _sign_rounds(sg):
     return e
 
 
-@functools.lru_cache(maxsize=None)
-def _sign_table(m):
-    """_sign_rounds tabulated over the 3^m sign patterns of m packed
-    entries, read-only, and the code weights 3^q, (m, 1) int32.  Column
-    sum_q (s_q + 1) 3^q of the table, (mu, 3^m) int8, is the e of the signs
-    s; the zeros the rounds leave on a disconnected pattern mark it, and
-    _tree_sign_form rejects them.  The rounds stay the one definition of
-    the form: the table is built from them, over slices of
-    _SIGN_TABLE_SLICE patterns, so that their temporaries stay small: in
-    one piece, building the m = 10 table peaks near 8 MB."""
-    n = _mu_of(m)
-    size = 3 ** m
-    weights = 3 ** np.arange(m, dtype=np.int32)[:, None]
-    table = np.empty((n, size), np.int8)
-    for lo in range(0, size, _SIGN_TABLE_SLICE):
-        codes = np.arange(lo, min(size, lo + _SIGN_TABLE_SLICE),
-                          dtype=np.int32)
-        table[:, lo:lo + len(codes)] = _sign_rounds(
-            (codes // weights % 3 - 1).astype(np.int8))
-    return _frozen(table, weights)
-
-
 def _expand_stokes(x):
     """Tree sign normal forms of every move of the packed Stokes matrices
     x, (B, m), as one (B * G, m) batch in FIFO order, computed exactly."""
@@ -515,6 +497,95 @@ def _expand_stokes(x):
     y = _stokes_moves(x.T.astype(_work_dtype(top * (1 + top) ** 2)))
     y = _tree_sign_form(y.reshape(m, g * b))
     return y.reshape(m, g, b).transpose(2, 1, 0).reshape(b * g, m)
+
+
+@functools.lru_cache(maxsize=None)
+def _code_weights(m):
+    """The column (1, 3, ..., 3^(m-1)), shape (m, 1) int32, read-only: the
+    weights of the base-3 code of a packed state with entries in
+    {-1, 0, 1}."""
+    w, = _frozen(3 ** np.arange(m, dtype=np.int32)[:, None])
+    return w
+
+
+def _encode(u):
+    """The codes sum_q (u_q + 1) 3^q, (N,) uint16, of a batch u, (m, N),
+    of packed states with entries in {-1, 0, 1}, m <= _CODE_MAX_M."""
+    w = _code_weights(len(u))
+    return ((u + 1) * w).sum(axis=0, dtype=np.int32).astype(np.uint16)
+
+
+def _decode(codes, m):
+    """The packed states, (m, N) int8, of the codes (N,): _encode's
+    inverse."""
+    return (codes // _code_weights(m) % 3 - 1).astype(np.int8)
+
+
+def _code_keys(codes):
+    """Dedup keys of Stokes codes: the two bytes of each code."""
+    return row_keys(codes[:, None])
+
+
+class _CodeTable:
+    """The move table of the Stokes code engine for one m, filled on
+    demand and kept for the life of the process.
+
+    Row r of rows holds, for every generator in _generators order, the code
+    of the tree sign normal form of that move of one state; slot[c] is the
+    row of the state of code c, or 0 while that row is unfilled (rows[0]
+    is a placeholder), so T[x] = rows[slot[x]].  slot is 3^m uint16 zeros
+    (118 KB at m = 10), and rows grows by doubling, one row per expanded
+    class: a process that runs every A5 and D5 orbit holds 472 rows of 8
+    codes, where a dense table would hold 3^10.  rows grows, so rows are
+    filled under a lock."""
+
+    def __init__(self, m):
+        self.m = m
+        self.slot = np.zeros(3 ** m, np.uint16)
+        self.rows = np.zeros((16, 2 * (_mu_of(m) - 1)), np.uint16)
+        self.filled = 1
+        self.lock = threading.Lock()
+
+    def expand(self, x):
+        """Every move of the codes x, (B,), as one (B * G,) batch of codes
+        in FIFO order, filling the missing rows first."""
+        at = self.slot[x]
+        if not at.all():
+            self.fill(x[at == 0])
+            at = self.slot[x]
+        return self.rows[at].ravel()
+
+    def fill(self, codes):
+        """Fill the rows of the codes in one batch: decode, _stokes_moves,
+        then the rounds of _tree_sign_form.  A positive definite form keeps
+        every entry in {-1, 0, 1} and every diagram connected; a move that
+        does not raises AssertionError."""
+        with self.lock:
+            # distinct codes that no other thread filled meanwhile; a set,
+            # for np.unique imports numpy.ma, about 10 ms and 1 MB of RSS
+            codes = np.array(sorted(set(codes.tolist())), np.uint16)
+            codes = codes[self.slot[codes] == 0]
+            k, m = len(codes), self.m
+            y = _stokes_moves(_decode(codes, m))
+            g = y.shape[1]
+            if np.abs(y).max(initial=0) > 1:
+                raise AssertionError("a Stokes entry left {-1, 0, 1}")
+            rows = _encode(_tree_sign_form(y.reshape(m, g * k)))
+            lo, hi = self.filled, self.filled + k
+            if hi > len(self.rows):
+                grown = np.zeros((max(hi, 2 * len(self.rows)), g), np.uint16)
+                grown[:lo] = self.rows[:lo]
+                self.rows = grown
+            self.rows[lo:hi] = rows.reshape(g, k).T
+            self.filled = hi
+            # the slots last: a reader that sees a row number finds its row
+            self.slot[codes] = np.arange(lo, hi)
+
+
+@functools.lru_cache(maxsize=None)
+def _code_table(m):
+    """The process's move table for Stokes codes of m packed entries."""
+    return _CodeTable(m)
 
 
 @functools.lru_cache(maxsize=None)
@@ -588,27 +659,38 @@ def _narrow(states):
 def _engine(seed, mode):
     """How one orbit run stores and moves its states: the start level, the
     batched expansion, the key function, the store applied to new classes,
-    and the number N of roots when states are root indices (else None).
+    and the check that a saved level fits the run (_check_states).
 
     A bases run over a form that lattice.roots tabulates (a simple class
     with at most ROOT_TABLE_MAX roots) runs on root indices; any other
     bases run (a larger simple class, or an elliptic one, whose root set is
     infinite) runs on vectors.  The seed is connected, so the Stokes
     start is sign_canonical_stokes(seed), narrowed first: a sign flip keeps
-    every entry's width."""
+    every entry's width.  A Stokes run with m <= _CODE_MAX_M packed entries
+    over a positive definite form, whose entries stay in {-1, 0, 1}, runs
+    on the codes of _CodeTable; any other Stokes run on packed states."""
     if mode == "stokes":
-        return (_tree_sign_form(_narrow(_pack(seed))).T, _expand_stokes,
-                _keys, _narrow, None)
+        start = _tree_sign_form(_narrow(_pack(seed)))
+        m = len(start)
+        if m <= _CODE_MAX_M and definiteness(
+                symmetrized_form(seed).rows) == "positive-definite":
+            start = _encode(start)
+            return (start, _code_table(m).expand, _code_keys, np.asarray,
+                    functools.partial(_check_states, start=start,
+                                      bound=3 ** m, m=m))
+        return (start.T, _expand_stokes, _keys, _narrow,
+                functools.partial(_check_states, start=start.T, m=m))
     form = symmetrized_form(seed).rows
     tables = roots(form)
     if tables is None:
-        return (np.eye(seed.mu, dtype=np.int8)[None],
-                functools.partial(_expand_bases, form_rows=form), _keys,
-                _narrow, None)
+        start = np.eye(seed.mu, dtype=np.int8)[None]
+        return (start, functools.partial(_expand_bases, form_rows=form),
+                _keys, _narrow, functools.partial(_check_states, start=start))
     refl = tables[1]
-    return (np.arange(seed.mu, dtype=refl.dtype)[None],
-            functools.partial(_expand_roots, table=refl), row_keys,
-            np.asarray, len(refl))
+    start = np.arange(seed.mu, dtype=refl.dtype)[None]
+    return (start, functools.partial(_expand_roots, table=refl), row_keys,
+            np.asarray, functools.partial(_check_states, start=start,
+                                          bound=len(refl)))
 
 
 def orbit_enumerate(seed: StokesMatrix, mode: str = "bases", *,
@@ -619,8 +701,9 @@ def orbit_enumerate(seed: StokesMatrix, mode: str = "bases", *,
     bases  : states are sign-canonical tuples over the fixed seed, held as
              root indices when lattice.roots tabulates the seed's form.
     stokes : states are tree sign normal forms of Stokes matrices, packed
-             to their strict upper triangles; transitions treat the
-             current matrix as its own seed.
+             to their strict upper triangles, held as base-3 codes when
+             mu <= 5 and the seed's form is positive definite;
+             transitions treat the current matrix as its own seed.
 
     The search is level-synchronous: each level is one array and a chunk of
     it is expanded by all generators in one numpy pass, in entries wide
@@ -650,14 +733,13 @@ def orbit_enumerate(seed: StokesMatrix, mode: str = "bases", *,
     t0 = time.monotonic()
     limit = float("inf") if max_states is None else max_states
 
-    start, expand, keys, store, n_roots = _engine(seed, mode)
+    start, expand, keys, store, check = _engine(seed, mode)
     g_count = 2 * (n - 1)
     chunk = max(1, _CHUNK_ELEMENTS // (max(1, g_count) * n * n))
     level, nxt, levels, expanded = start, [], [1], 0
     visited = set(keys(start))
     if checkpoint:
-        resumed = _load_checkpoint(checkpoint, mode, seed.rows, start,
-                                   n_roots)
+        resumed = _load_checkpoint(checkpoint, mode, seed.rows, check)
         if resumed is not None:
             visited, level, nxt, levels, expanded = resumed
 
@@ -768,13 +850,11 @@ def _save_checkpoint(path, doc):
         raise ValueError(f"cannot write checkpoint {path}: {exc}") from None
 
 
-def _load_checkpoint(path, mode, seed_rows, start, n_roots):
+def _load_checkpoint(path, mode, seed_rows, check):
     """The saved search state (visited, frontier, next, levels, expanded),
-    or None when path is missing or empty.  start is the run's start
-    level: saved states must have its shape per state and, on root
-    indices, its dtype and indices below n_roots.  Anything unreadable, of
-    another format, or of another run raises ValueError; no byte of the
-    file is unpickled."""
+    or None when path is missing or empty.  check is the run's check of a
+    saved level, from _engine.  Anything unreadable, of another format, or
+    of another run raises ValueError; no byte of the file is unpickled."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -825,7 +905,7 @@ def _load_checkpoint(path, mode, seed_rows, start, n_roots):
         states = [arrays["frontier"]] + \
             ([arrays["next"]] if "next" in arrays else [])
         for a in states:
-            _check_states(a, start, n_roots, mode)
+            check(a)
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ValueError(f"checkpoint {path} is corrupt: {exc}") from None
     return visited, states[0], states[1:], list(levels), expanded
@@ -877,20 +957,23 @@ def _read_npy(name, blob):
         raise ValueError(f"{name} is not a .npy array ({exc})") from None
 
 
-def _check_states(a, start, n_roots, mode):
+def _check_states(a, start, bound=None, m=None):
     """Raise ValueError unless a is a level of the run that starts at
-    start: its shape per state, integer entries, on root indices start's
-    dtype and indices below n_roots, and Stokes states in the tree sign
-    normal form, which a disconnected diagram has none of."""
+    start: its shape per state and integer entries; on root indices or
+    Stokes codes, start's dtype and values below bound; and for a Stokes
+    run of m packed entries, states in the tree sign normal form, which a
+    disconnected diagram has none of."""
     if a.shape[1:] != start.shape[1:] or \
             (a.dtype != object and a.dtype.kind not in "iu"):
         raise ValueError("saved states do not fit this run")
-    if n_roots is not None and (a.dtype != start.dtype or
-                                (a.size and int(a.max()) >= n_roots)):
-        raise ValueError("saved root indices do not fit this run")
-    if mode == "stokes" and len(a):
+    if bound is not None and (a.dtype != start.dtype or
+                              (a.size and int(a.max()) >= bound)):
+        raise ValueError("saved root indices or Stokes codes do not fit "
+                         "this run")
+    if m is not None and len(a):
+        u = _decode(a, m) if a.ndim == 1 else a.T
         try:
-            canonical = np.array_equal(_tree_sign_form(a.T).T, a)
+            canonical = np.array_equal(_tree_sign_form(u), u)
         except AssertionError:
             canonical = False
         if not canonical:

@@ -4,6 +4,8 @@ import itertools
 import json
 import pickle
 import random
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -11,14 +13,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from singlat import braid
-from singlat.braid import (CHECKPOINT_FORMAT, _SIGN_TABLE_MAX_M, BraidWord,
+from singlat.braid import (CHECKPOINT_FORMAT, _CODE_MAX_M, BraidWord,
                            VanishingTuple, _apply_gen, _canon_vectors,
-                           _engine, _expand_bases, _expand_roots,
-                           _expand_stokes, _generators, _keys,
-                           _load_checkpoint, _mu_of, _narrow, _pack, _pow3,
-                           _sign_rounds, _sign_table, _stokes_moves,
-                           _stokes_tables,
-                           _tree_sign_form, _unpack, _work_dtype, braid_apply,
+                           _code_table, _decode, _encode, _engine,
+                           _expand_bases, _expand_roots, _expand_stokes,
+                           _generators, _keys, _load_checkpoint, _mu_of,
+                           _narrow, _pack, _pow3, _sign_rounds,
+                           _stokes_moves, _stokes_tables, _tree_sign_form,
+                           _unpack, _work_dtype, braid_apply,
                            braid_apply_word, orbit_enumerate,
                            sign_canonical_stokes, sign_canonical_tuple,
                            stokes_of_tuple)
@@ -556,7 +558,7 @@ class TestBatchedEngine:
 
     @pytest.mark.parametrize("big", [31, 32, 127, 128, 2 ** 20, 2 ** 31,
                                      2 ** 40, 2 ** 70])
-    def test_stokes_widths_exact(self, big, monkeypatch):
+    def test_stokes_widths_exact(self, big):
         rng = random.Random(big)
         n = 5
         a, b = _stokes_tables(n)[:2]
@@ -569,10 +571,8 @@ class TestBatchedEngine:
             mats.append(StokesMatrix(tuple(map(tuple, rows))))
         start = _narrow(packed(mats))
         assert (start.dtype == object) == (big > 2 ** 63)
-        # mu = 5 reads the table at every width: the rounds are out of
-        # reach of the kernel, and only this test's reference runs them
-        _sign_table(n * (n - 1) // 2)
-        monkeypatch.setattr(braid, "_sign_rounds", None)
+        # these seeds are not positive definite, so an orbit run would
+        # take the packed engine, and its rounds, at every width
         got = _expand_stokes(start)
         k = 0
         for m in mats:
@@ -692,19 +692,17 @@ class TestBatchedEngine:
         return np.array(pats, np.int8).reshape(3 ** m, m).T, codes
 
     @pytest.mark.parametrize("m", [0, 1, 3, 6, 10])
-    def test_sign_table_is_the_rounds(self, m):
+    def test_codes_round_trip(self, m):
+        # the code is a bijection of {-1, 0, 1}^m onto range(3^m)
         pats, codes = self.sign_patterns(m)
-        table, weights = _sign_table(m)
-        assert table.shape == (_mu_of(m), 3 ** m) and weights.shape == (m, 1)
-        assert not table.flags.writeable and not weights.flags.writeable
-        e = _sign_rounds(pats)
-        assert (table[:, codes] == e).all()
-        connected = e.all(axis=0)
-        a, b = _stokes_tables(_mu_of(m))[:2]
-        u = pats[:, connected]
-        assert (_tree_sign_form(u) == u * (e[a] * e[b])[:, connected]).all()
+        got = _encode(pats)
+        assert got.dtype == np.uint16 and got.tolist() == codes
+        assert sorted(codes) == list(range(3 ** m))
+        assert np.array_equal(_decode(got, m), pats)
 
-    def test_sign_table_rejects_every_disconnected_pattern(self):
+    def test_sign_rounds_rejects_every_disconnected_pattern(self):
+        # the rounds leave a vertex unsigned on exactly the disconnected
+        # patterns, and the form refuses each of them
         pats, _ = self.sign_patterns(10)
         cut = pats[:, ~_sign_rounds(pats).all(axis=0)]
         assert cut.shape == (10, 3801)
@@ -713,28 +711,15 @@ class TestBatchedEngine:
                 _tree_sign_form(col[:, None])
 
     def test_sign_code_fits(self):
-        m = _SIGN_TABLE_MAX_M
-        table, weights = _sign_table(m)
+        m = _CODE_MAX_M
         top = 3 ** m - 1                              # the all-+1 code
-        assert 2 * int(weights.sum()) == top == table.shape[1] - 1
-        assert np.iinfo(weights.dtype).max >= top
+        assert np.iinfo(np.uint16).max >= top
         ones = np.ones((m, 1), np.int8)
         assert _tree_sign_form(ones).tolist() == ones.tolist()
-        assert table[:, top].tolist() == [1] * _mu_of(m)
-
-    def test_sign_table_build_stays_small(self):
-        # the rounds run over slices of patterns: in one piece, building
-        # the m = 10 table peaks near 8 MB; the index caches are filled
-        # first, so only the build itself is traced
-        _stokes_tables(5)
-        _pow3(5)
-        tracemalloc.start()
-        try:
-            _sign_table.__wrapped__(10)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 ** 20
+        assert _encode(ones).tolist() == [top]
+        assert _encode(-ones).tolist() == [0]
+        assert _decode(np.array([top], np.uint16), m).tolist() == \
+            ones.tolist()
 
     @pytest.mark.parametrize("label, mode, size", [("D5", "stokes", 256),
                                                    ("E6", "stokes", 3456),
@@ -819,9 +804,9 @@ def moved_seed(label, rng, steps=12):
 
 def saved_classes(path, seed):
     """The classes a bases checkpoint holds, as a set of vector tuples."""
-    start, _, _, _, n_roots = _engine(seed, "bases")
-    visited = _load_checkpoint(path, "bases", seed.rows, start, n_roots)[0]
-    if n_roots is None:
+    start, _, _, _, check = _engine(seed, "bases")
+    visited = _load_checkpoint(path, "bases", seed.rows, check)[0]
+    if start.ndim == 3:
         return {tuple(map(tuple, np.frombuffer(k, np.int8).reshape(
             seed.mu, seed.mu).tolist())) for k in visited}
     v = roots(symmetrized_form(seed).rows)[0]
@@ -840,8 +825,9 @@ class TestRootEngine:
         for seed in (seed_stokes(label).stokes, moved_seed(label, rng)):
             form = symmetrized_form(seed).rows
             v, r = roots(form)
-            start, _, _, _, n_roots = _engine(seed, "bases")
-            assert n_roots == len(v) and start.dtype == r.dtype
+            start, _, _, _, check = _engine(seed, "bases")
+            assert check.keywords["bound"] == len(v) and \
+                start.dtype == r.dtype
             level, seen, checked = start, set(row_keys(start)), 0
             while len(level) and checked < 3000:
                 for lo in range(0, len(level), 97):
@@ -891,7 +877,7 @@ class TestRootEngine:
         finally:
             tracemalloc.stop()
         assert rep.truncated and rep.class_count == 100
-        assert _engine(seed, "bases")[4] is None
+        assert _engine(seed, "bases")[0].shape == (1, seed.mu, seed.mu)
         assert peak < 32 * 2 ** 20
 
     @pytest.mark.extended
@@ -902,6 +888,166 @@ class TestRootEngine:
         ref = orbit_enumerate(seed, "bases")
         assert rep.class_count == ref.class_count == 1062882
         assert rep.levels == ref.levels and len(rep.levels) == 26
+
+
+def code_rows(m):
+    """The filled codes of the m-entry move table and their rows."""
+    table = _code_table(m)
+    codes = np.flatnonzero(table.slot).astype(np.uint16)
+    return codes, table.rows[table.slot[codes]]
+
+
+def packed_keys(visited, m):
+    """The keys of the packed engine for the code keys visited."""
+    codes = np.frombuffer(b"".join(visited), np.uint16)
+    return set(_keys(_decode(codes, m).T))
+
+
+SMALL_CLASSES = ["A1", "A2", "A3", "A4", "A5", "D4", "D5"]
+
+
+class TestCodeEngine:
+    @pytest.fixture(scope="class", autouse=True)
+    def filled(self):
+        """Full Stokes orbits of every small class from moved seeds, so
+        every row of their orbits is filled."""
+        rng = random.Random(31)
+        for label in SMALL_CLASSES:
+            for seed in (seed_stokes(label).stokes, moved_seed(label, rng)):
+                start = _engine(seed, "stokes")[0]
+                assert start.dtype == np.uint16 and start.shape == (1,)
+                rep = orbit_enumerate(seed, "stokes")
+                assert rep.class_count == {"A1": 1, "A2": 1, "A3": 4,
+                                           "A4": 25, "A5": 216, "D4": 9,
+                                           "D5": 256}[label]
+
+    @pytest.mark.parametrize("m", [0, 1, 3, 6, 10])
+    def test_rows_are_the_moves(self, m):
+        # each row, decoded, is the tree sign form of each move of its
+        # state, recomputed one state and one move at a time in int64
+        codes, rows = code_rows(m)
+        assert len(codes) == _code_table(m).filled - 1
+        assert len(codes) == {0: 1, 1: 1, 3: 4, 6: 34, 10: 472}[m]
+        for c, row in zip(codes, rows):
+            u = _decode(c[None], m).astype(np.int64)
+            moves = _stokes_moves(u)
+            for g, got in enumerate(row):
+                want = _tree_sign_form(moves[:, g])
+                assert _decode(got[None], m).tolist() == want.tolist()
+
+    @pytest.mark.parametrize("m", [1, 3, 6, 10])
+    def test_rows_undone_by_inverse(self, m):
+        # T[T[c, +k], -k] = c on every filled row: the class graph is
+        # undirected
+        table = _code_table(m)
+        codes, rows = code_rows(m)
+        gens = _generators(_mu_of(m))
+        inverse = [gens.index(-g) for g in gens]
+        assert table.slot[rows].all()
+        back = table.rows[table.slot[rows], inverse]
+        assert (back == codes[:, None]).all()
+
+    @pytest.mark.parametrize("label, budget", [("A5", 60), ("A5", 150),
+                                               ("D5", 90), ("D5", 200)])
+    def test_budget_keeps_packed_engine_classes(self, label, budget,
+                                                tmp_path, monkeypatch):
+        # the first classes of a budgeted run, read back from the
+        # checkpoint its budget stop writes, are the packed engine's
+        seed = moved_seed(label, random.Random(budget))
+        got = {}
+        for engine in ("codes", "packed"):
+            if engine == "packed":
+                monkeypatch.setattr(braid, "_CODE_MAX_M", -1)
+            ck = tmp_path / engine
+            rep = orbit_enumerate(seed, "stokes", max_states=budget,
+                                  checkpoint=str(ck))
+            assert rep.truncated and rep.class_count == budget
+            check = _engine(seed, "stokes")[4]
+            visited = _load_checkpoint(str(ck), "stokes", seed.rows,
+                                       check)[0]
+            if engine == "codes":
+                visited = packed_keys(visited, 10)
+            got[engine] = rep.levels, rep.states_visited, visited
+        assert got["codes"] == got["packed"]
+
+    @pytest.mark.parametrize("label", ["A1", "A2"])
+    def test_smallest_classes(self, label, tmp_path):
+        # m = 0 and m = 1: a table without generators, and one with a
+        # single state and its two moves
+        seed = seed_stokes(label).stokes
+        ck = str(tmp_path / "orbit.ck")
+        rep = orbit_enumerate(seed, "stokes", max_states=1, checkpoint=ck)
+        assert (rep.class_count, rep.truncated, rep.levels) == (1, False,
+                                                                (1,))
+        rep = orbit_enumerate(seed, "stokes", checkpoint=ck)
+        assert (rep.class_count, rep.truncated, rep.levels) == (1, False,
+                                                                (1,))
+        m = seed.mu * (seed.mu - 1) // 2
+        assert _code_table(m).rows.shape[1] == 2 * (seed.mu - 1)
+
+    def test_indefinite_seed_runs_packed(self):
+        # every entry -1 at mu = 5: I = 3 - J has the eigenvalue -2, the
+        # entries leave {-1, 0, 1}, and the run holds packed states
+        seed = StokesMatrix(tuple(tuple(1 if i == j else -1 if j > i else 0
+                                        for j in range(5))
+                                  for i in range(5)))
+        start = _engine(seed, "stokes")[0]
+        assert start.shape == (1, 10) and start.dtype == np.int8
+        assert np.abs(_expand_stokes(start)).max() == 2
+        rep = orbit_enumerate(seed, "stokes", max_states=300)
+        assert rep.truncated and rep.class_count == 300
+        # the affine A2 seed is semidefinite, and runs packed too
+        affine = StokesMatrix(((1, -1, -1), (0, 1, -1), (0, 0, 1)))
+        assert _engine(affine, "stokes")[0].shape == (1, 3)
+
+    def test_threads_share_one_table(self):
+        # more threads than cores fill one cold table at once, switching
+        # every microsecond: each run counts its orbit, every code is
+        # filled once (a lost or doubled fill would leave filled rows
+        # without a slot), and the rows equal a single-threaded fill's
+        rng = random.Random(33)
+        seeds = [moved_seed(label, rng) for label in ("A5", "D5") * 3]
+        want = [orbit_enumerate(s, "stokes").class_count for s in seeds]
+        codes, rows = code_rows(10)
+        _code_table.cache_clear()
+        got, interval = [None] * len(seeds), sys.getswitchinterval()
+
+        def run(k):
+            got[k] = orbit_enumerate(seeds[k], "stokes").class_count
+
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(k,))
+                       for k in range(len(seeds))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want == [216, 256] * 3
+        table = _code_table(10)
+        assert np.count_nonzero(table.slot) == table.filled - 1 == len(codes)
+        assert np.array_equal(table.rows[table.slot[codes]], rows)
+
+    def test_cold_d5_run_stays_small(self):
+        # a fresh table: the zeroed 3^10 slots (118 KB) and 257 rows of
+        # 8 codes; the index caches are filled first, so only the run and
+        # its table fill are traced
+        seed = seed_stokes("D5").stokes
+        _stokes_tables(5)
+        _pow3(5)
+        _code_table.cache_clear()
+        tracemalloc.start()
+        try:
+            rep = orbit_enumerate(seed, "stokes")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.class_count == 256
+        assert _code_table(10).filled == 257
+        assert peak < 2 ** 19
 
 
 class TestCheckpointFormat:
@@ -941,8 +1087,8 @@ class TestCheckpointFormat:
         # bit and no truncation goes unnoticed
         ck, data = self.written(tmp_path, 20)
         seed = chain(4)
-        start, _, _, _, n_roots = _engine(seed, "bases")
-        assert _load_checkpoint(str(ck), "bases", seed.rows, start, n_roots)
+        check = _engine(seed, "bases")[4]
+        assert _load_checkpoint(str(ck), "bases", seed.rows, check)
         for k in range(len(data)):
             for damaged in (data[:k],
                             data[:k] + bytes([data[k] ^ 1]) + data[k + 1:]):
@@ -950,8 +1096,7 @@ class TestCheckpointFormat:
                     continue          # an empty file starts afresh
                 ck.write_bytes(damaged)
                 with pytest.raises(ValueError, match="corrupt|format 4"):
-                    _load_checkpoint(str(ck), "bases", seed.rows, start,
-                                     n_roots)
+                    _load_checkpoint(str(ck), "bases", seed.rows, check)
 
     def test_layout(self, tmp_path):
         ck, data = self.written(tmp_path, 30)
@@ -966,21 +1111,55 @@ class TestCheckpointFormat:
                              ("next", "|u1", [7, 4])]
         assert names[2:] == [("visited4", "|u1", [30, 4])]
 
+    def test_code_run_layout(self, tmp_path):
+        # a code run saves its levels as uint16 codes and its keys as
+        # rows of the codes' two bytes
+        ck = tmp_path / "orbit.ck"
+        seed = seed_stokes("D5").stokes
+        orbit_enumerate(seed, "stokes", max_states=90, checkpoint=str(ck))
+        doc = manifest(ck)
+        names = [(a["name"], a["dtype"], a["shape"]) for a in doc["arrays"]]
+        assert sum(doc["levels"]) + names[1][2][0] == 90
+        assert [n[:2] for n in names] == [("frontier", "<u2"),
+                                          ("next", "<u2"),
+                                          ("visited2", "|u1")]
+        assert len(names[0][2]) == len(names[1][2]) == 1
+        assert names[2][2] == [90, 2]
+
     def test_states_checked_on_load(self, tmp_path):
         # a file whose hashes match but whose states no run can hold: a
         # Stokes state of a disconnected diagram, one not in sign normal
-        # form, and a root index past the last root
-        seed = chain(3)
+        # form, a root index past the last root; and on codes (A3 Stokes,
+        # m = 3) those two states' codes 13 and 3, a code past 3^3, and
+        # codes of another dtype or as packed int8 rows.  The affine A2
+        # seed is semidefinite, so its Stokes run holds packed states.
+        a3 = chain(3)
+        affine = StokesMatrix(((1, -1, -1), (0, 1, -1), (0, 0, 1)))
         ck = str(tmp_path / "orbit.ck")
-        for mode, state in (("stokes", [0, 0, 0]), ("stokes", [-1, 0, -1]),
-                            ("bases", [0, 1, 6])):
-            start, _, _, _, n_roots = _engine(seed, mode)
+        start = _engine(a3, "stokes")[0]
+        assert start.dtype == np.uint16 and start.shape == (1,)
+        assert _engine(affine, "stokes")[0].shape == (1, 3)
+        for seed, mode, frontier in (
+                (affine, "stokes", np.array([[0, 0, 0]], np.int8)),
+                (affine, "stokes", np.array([[-1, 0, -1]], np.int8)),
+                (a3, "bases", np.array([[0, 1, 6]], np.uint8)),
+                (a3, "stokes", np.array([13], np.uint16)),
+                (a3, "stokes", np.array([3], np.uint16)),
+                (a3, "stokes", np.array([27], np.uint16)),
+                (a3, "stokes", start.astype(np.uint8)),
+                (a3, "stokes", _decode(start, 3).T)):
             braid._save_checkpoint(ck, {
                 "format": 4, "mode": mode, "seed": seed.rows,
-                "visited": set(), "frontier": np.array([state], start.dtype),
+                "visited": set(), "frontier": frontier,
                 "next": [], "levels": [1], "expanded": 0})
             with pytest.raises(ValueError, match="corrupt"):
                 orbit_enumerate(seed, mode, checkpoint=ck)
+        # the start code itself is a level the run can hold
+        braid._save_checkpoint(ck, {
+            "format": 4, "mode": "stokes", "seed": a3.rows,
+            "visited": set(braid._code_keys(start)), "frontier": start,
+            "next": [], "levels": [1], "expanded": 0})
+        assert orbit_enumerate(a3, "stokes", checkpoint=ck).class_count == 4
 
     @pytest.mark.parametrize("shape", [(2 ** 45, 4), (1, 4), (3, 4)])
     def test_npy_header_checked_against_length(self, tmp_path, shape):
@@ -1018,9 +1197,8 @@ class TestCheckpointFormat:
                               checkpoint=str(ck))
         assert rep.truncated
         assert manifest(ck)["arrays"][0]["dtype"] == "|O"
-        start, _, _, _, n_roots = _engine(seed, "bases")
         visited, frontier, _, _, _ = _load_checkpoint(
-            str(ck), "bases", seed.rows, start, n_roots)
+            str(ck), "bases", seed.rows, _engine(seed, "bases")[4])
         assert frontier.dtype == object and big in map(abs, frontier.flat)
         assert set(_keys(frontier)) < visited and len(visited) == 3
 
@@ -1072,3 +1250,20 @@ class TestBraidProperties:
             data.draw(words)))) for _ in range(2))
         assert (sign_canonical_stokes(a) == sign_canonical_stokes(b)) == \
             (lex_min_form(a) == lex_min_form(b))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["A4", "A5", "D4", "D5"]), st.data())
+    def test_code_table_follows_the_braid_action(self, label, data):
+        # a word followed through the move table from the seed's code
+        # lands on the public sign normal form of the word's Stokes matrix
+        seed = seed_stokes(label).stokes
+        gens = _generators(seed.mu)
+        word = data.draw(st.lists(st.sampled_from(gens), max_size=14))
+        m = seed.mu * (seed.mu - 1) // 2
+        code = _engine(seed, "stokes")[0]
+        for g in word:
+            k = gens.index(g)
+            code = _code_table(m).expand(code)[k:k + 1]
+        want = sign_canonical_stokes(stokes_of_tuple(braid_apply_word(
+            VanishingTuple.standard(seed), BraidWord(tuple(word)))))
+        assert _unpack(_decode(code, m)[:, 0]) == want

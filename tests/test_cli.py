@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from singlat import verify
+from singlat import braid, verify
 from singlat.cli import main
 from singlat.singdata import seed_stokes, sing_class
 
@@ -97,6 +97,28 @@ class TestOrbitCommand:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert "not in checkpoint format 4" in captured.err
+
+    def test_packed_stokes_checkpoint_fails(self, capsys, tmp_path,
+                                            monkeypatch):
+        # a format-4 D5 Stokes file written before D5 ran on codes: int8
+        # (B, 10) packed states and 10-byte keys.  It does not fit a code
+        # run, and is refused rather than resumed under other keys.
+        ck = tmp_path / "orbit.ck"
+        with monkeypatch.context() as patch:
+            patch.setattr(braid, "_CODE_MAX_M", -1)
+            code, _ = run(capsys, "orbit", "D5", "--mode", "stokes",
+                          "--checkpoint", str(ck), "--budget-states", "90")
+        assert code == 3
+        arrays = json.loads(ck.read_bytes().split(b"\n")[2])["arrays"]
+        assert arrays[0]["dtype"] == "|i1" and arrays[0]["shape"][1] == 10
+        assert arrays[-1]["name"] == "visited10"
+        code = main(["orbit", "D5", "--mode", "stokes", "--checkpoint",
+                     str(ck)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "corrupt" in lines[0]
 
     def test_crafted_pickle_is_never_loaded(self, capsys, tmp_path):
         # a format-3-style pickle whose __reduce__ would create a marker
