@@ -406,7 +406,8 @@ def build_parser():
     p.add_argument("path", help="JSON list of waypoints (lists of [re, im])")
     p.add_argument("--steps", type=_positive_int, default=64,
                    help="uniform samples each segment starts from; the "
-                        "walk bisects wherever the critical values move too "
+                        "walk bisects wherever a critical value strays from "
+                        "its predicted motion or a pair of values turns too "
                         "far between samples (default: %(default)s)")
 
     p = add("diagram", cmd_diagram, help="seed diagram in DOT format")

@@ -18,10 +18,15 @@ polynomial system compiled to exponent and coefficient matrices, and a
 wall walker that tracks the good ordering of the critical values along a
 path in parameter space and emits a braid letter at every transversal
 crossing of adjacent imaginary parts.  The walker samples each segment
-adaptively: from a uniform grid it bisects every interval in which a
-critical value moves half the separation of the values, or the sign or
-order of its letters is uncertain, in the spirit of the certified
-tracking of Beltran and Leykin (Exp. Math. 21, 2012).  It matches whole
+adaptively, with the predictor step of path tracking in the spirit of
+the certified tracking of Beltran and Leykin (Exp. Math. 21, 2012): the
+velocity of each critical value along a segment is exact, as f' vanishes
+at the critical points, so each sample is matched to the Euler
+predictions of its predecessor's values.  From a uniform grid the walker
+bisects every interval in which a value strays half the separation from
+its prediction, a pair's difference moves half its length, or the order
+of the letters is uncertain; a close pair that moves fast together, as
+near a fold, does not force steps of its separation.  It matches whole
 chunks of the samples to their predecessors with the step test's own
 array matching, and applies its per-sample step only to the samples
 whose matched values leave good order or touch a wall.  The chain-family
@@ -34,6 +39,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import numbers
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -557,10 +563,11 @@ class WalkStats:
     min_separation: float = math.inf
 
 
-def _walk_values(mu, T):
-    """Unpolished critical values of the chain unfolding at each row of T,
-    as an (n, mu) complex array in row order; the one chain-family kernel,
-    shared by the walk and critical_values_numeric.
+def _walk_points(mu, T):
+    """Critical points and unpolished critical values of the chain
+    unfolding at each row of T, as two (n, mu) complex arrays in row order,
+    the values in the points' order; the one chain-family kernel, shared
+    by the walk and critical_values_numeric.
 
     The critical points are the `_companion_roots` of the derivative.
     Evaluated with numpy's floating-point warnings off: a coefficient or a
@@ -574,7 +581,24 @@ def _walk_values(mu, T):
         X = _companion_roots(P)   # the values x^(mu+1) + sum_j t_j x^(j-1)
         V = X ** (mu + 1) + sum(T[:, j - 1, None] * X ** (j - 1)
                                 for j in range(1, mu + 1))
-    return _finite(V)
+    return X, _finite(V)
+
+
+def _walk_values(mu, T):
+    """The critical values of `_walk_points`."""
+    return _walk_points(mu, T)[1]
+
+
+def _velocities(X, d):
+    """Derivatives of the critical values along the direction d in
+    parameter space, at the critical points X (one row per sample): as
+    f'(x_k) = 0, dv_k = sum_j x_k^(j-1) d_j.  A derivative beyond the float
+    range raises ValueError."""
+    dV = np.zeros_like(X)
+    with np.errstate(all="ignore"):
+        for c in d[::-1]:   # Horner, from d_mu x^(mu-1) down
+            dV = dV * X + c
+    return _finite(dV)
 
 
 @lru_cache(maxsize=None)
@@ -599,122 +623,172 @@ def _inverted(lo, hi):
     return (lo.imag > hi.imag) | ((lo.imag == hi.imag) & (lo.real < hi.real))
 
 
-def _matched(L, R):
-    """Nearest matching across the intervals (L[r], R[r]) between path
-    samples, the one matching of the walk: row r of the first array holds
-    L[r]'s values in good order, and the same row of the second the value
-    of R[r] nearest to each of them."""
-    D = np.abs(R[:, None, :] - L[:, :, None])   # D[r, old, new]
-    r = np.arange(len(L))[:, None]
-    order = np.lexsort((-L.real, L.imag))
-    return L[r, order], R[r, D.argmin(axis=2)[r, order]]
+def _matched(R, P):
+    """The one matching of the walk across intervals between path samples:
+    for each row r, the index in R[r] of the value nearest to each
+    prediction in P[r], the Euler predictions at R[r]'s point of the values
+    at the interval's left end."""
+    return np.abs(R[:, None, :] - P[:, :, None]).argmin(axis=2)
 
 
-def _steps_ok(L, R, sep_l, sep_r):
+def _steps_ok(L, R, P, Q, sep_l, sep_r):
     """Mask of the intervals (L[r], R[r]) between path samples that pass the
-    step test.
+    step test.  P[r] holds the forward Euler predictions of L[r]'s values
+    at R[r]'s point, Q[r] the backward ones of R[r]'s values at L[r]'s
+    point, along the values' velocities.
 
-    Under the nearest matching (`_matched`) every critical value must move
-    less than half the smaller of the two ends' separations; then the
-    matching is a bijection.  The sign of every letter is then certain
-    too: a pair whose good-order key flips keeps its real-part order,
-    since flipping both orders would change the pair's difference by at
-    least its length, more than the two moves allow.  And at most one pair
-    may flip with imaginary parts at least TOL_WALL apart at both ends, so
-    the order of the letters is certain; a flip inside that band is a wall
-    contact, which `_walk_step` judges."""
-    A, B = _matched(L, R)
-    ok = np.abs(B - A).max(axis=1) < 0.5 * np.minimum(sep_l, sep_r)
+    Under the matching of `_matched`, of each value of L to the value B of
+    R nearest to its prediction, three conditions must hold.
+    1. Every B lies within half of R's separation of its forward
+       prediction, and every value of L within half of L's separation of
+       its B's backward prediction.  The discs of that radius about one
+       end's values are disjoint, so no two values of L can share a B:
+       both would lie within half of L's separation of that B's backward
+       prediction.  So the matching is a bijection, and it follows the
+       values' motion.
+    2. Every pair's difference moves by less than half its smaller length
+       at the two ends.  So it turns by less than 30 degrees, and a pair
+       whose good-order key flips keeps its real-part order: flipping both
+       orders moves the difference by at least its length.  The sign of
+       every letter is certain.
+    3. At most one pair flips its imaginary order with imaginary parts at
+       least TOL_WALL apart at both ends, so the order of the letters is
+       certain; a flip inside that band is a wall contact, which
+       `_walk_step` judges.
+    No condition bounds how far a pair moves together, so two close values
+    that move fast side by side, as near a fold, pass in steps of the
+    scale of their motion, not of their separation."""
+    r = np.arange(len(L))[:, None]
+    near = _matched(R, P)
+    B = R[r, near]
+    ok = (np.abs(B - P).max(axis=1) < 0.5 * sep_r) & \
+        (np.abs(L - Q[r, near]).max(axis=1) < 0.5 * sep_l)
     i, j = _pairs(L.shape[1])
-    lo, hi = B[:, i], B[:, j]
-    crossing = _inverted(lo, hi) & \
-        (np.abs(A[:, i].imag - A[:, j].imag) >= TOL_WALL) & \
-        (np.abs(lo.imag - hi.imag) >= TOL_WALL)
+    dA, dB = L[:, i] - L[:, j], B[:, i] - B[:, j]
+    ok &= (np.abs(dB - dA) <
+           0.5 * np.minimum(np.abs(dA), np.abs(dB))).all(axis=1)
+    # with both imaginary gaps nonzero, the good-order key of a pair flips
+    # where the sign of its difference's imaginary part does
+    crossing = ((dA.imag > 0) != (dB.imag > 0)) & \
+        (np.abs(dA.imag) >= TOL_WALL) & (np.abs(dB.imag) >= TOL_WALL)
     return ok & (crossing.sum(axis=1) <= 1)
 
 
+def _intervals_ok(s, V, dV, sep, k):
+    """`_steps_ok` on the intervals k, from sample k to sample k + 1, of the
+    samples s of a segment with values V, velocities dV and separations
+    sep."""
+    h = (s[k + 1] - s[k])[:, None]
+    L, R = V[k], V[k + 1]
+    return _steps_ok(L, R, L + h * dV[k], R - h * dV[k + 1],
+                     sep[k], sep[k + 1])
+
+
 def _sample(mu, a, b, s, stats):
-    """Critical values and separations at the points a + s (b - a) of a
-    segment (b itself at s = 1), evaluated WALK_CHUNK rows at a time."""
+    """Critical points, values, velocities d/ds and separations at the
+    points a + s (b - a) of a segment (b itself at s = 1), evaluated
+    WALK_CHUNK rows at a time."""
     T = a + s[:, None] * (b - a)
     T[s == 1] = b
-    V = np.concatenate([_walk_values(mu, T[k:k + WALK_CHUNK])
-                        for k in range(0, len(T), WALK_CHUNK)])
+    X, V = (np.concatenate(z) for z in zip(*(
+        _walk_points(mu, T[k:k + WALK_CHUNK])
+        for k in range(0, len(T), WALK_CHUNK))))
     sep = _separations(V)
     stats.samples += len(s)
     stats.min_separation = min(stats.min_separation, float(sep.min()))
-    return V, sep
+    return X, V, _velocities(X, b - a), sep
 
 
-def _refine(mu, a, b, s, V, sep, stats):
+def _merged(x, y, old, at):
+    """The rows of x at the places old (a mask) and those of y at the
+    indices at, of one array."""
+    out = np.empty((len(old),) + x.shape[1:], dtype=x.dtype)
+    out[old], out[at] = x, y
+    return out
+
+
+def _refine(mu, a, b, s, V, dV, sep, stats):
     """Bisect the intervals between consecutive samples s of the segment
     from a to b until each passes `_steps_ok`; return the samples, their
-    values and separations, and whether the path hit the discriminant.
+    values, velocities and separations, and whether the path hit the
+    discriminant.
 
     Each round evaluates the midpoints of all failing intervals in one
     stacked call.  The path hits the discriminant at the first sample whose
     separation is below TOL_DISC, and at the right end of the first
     failing interval shorter than WALK_FLOOR: the samples end there, and
     that last one is not part of the walk."""
-    ok = _steps_ok(V[:-1], V[1:], sep[:-1], sep[1:])
+    ok = _intervals_ok(s, V, dV, sep, np.arange(len(s) - 1))
     hit = False
     while True:
         low = sep < TOL_DISC
         if low.any():
             n = int(np.argmax(low)) + 1
-            s, V, sep, ok, hit = s[:n], V[:n], sep[:n], ok[:n - 1], True
+            s, V, dV, sep, ok = s[:n], V[:n], dV[:n], sep[:n], ok[:n - 1]
+            hit = True
         bad = np.flatnonzero(~ok)
         short = s[bad + 1] - s[bad] < WALK_FLOOR
         if short.any():
             n = int(bad[np.argmax(short)]) + 2
-            s, V, sep, ok, hit = s[:n], V[:n], sep[:n], ok[:n - 1], True
-            ok[-1] = True
+            s, V, dV, sep, ok = s[:n], V[:n], dV[:n], sep[:n], ok[:n - 1]
+            hit, ok[-1] = True, True
             bad = bad[bad < n - 2]
         if not len(bad):
-            return s, V, sep, hit
+            return s, V, dV, sep, hit
         mid = (s[bad] + s[bad + 1]) / 2
-        Vm, sepm = _sample(mu, a, b, mid, stats)
+        _, Vm, dVm, sepm = _sample(mu, a, b, mid, stats)
         stats.bisected += len(bad)
         # the midpoint of interval bad[k] lands at index bad[k] + k + 1
         at = bad + np.arange(1, len(bad) + 1)
-        s = np.insert(s, bad + 1, mid)
-        V = np.insert(V, bad + 1, Vm, axis=0)
-        sep = np.insert(sep, bad + 1, sepm)
-        ok = np.insert(ok, bad + 1, False)
+        old = np.ones(len(s) + len(bad), dtype=bool)
+        old[at] = False
+        s, V, dV, sep = (_merged(x, y, old, at) for x, y in (
+            (s, mid), (V, Vm), (dV, dVm), (sep, sepm)))
+        ok = _merged(ok, False, old[:-1], at)   # one entry per interval
         new = np.concatenate([at - 1, at])
-        ok[new] = _steps_ok(V[new], V[new + 1], sep[new], sep[new + 1])
+        ok[new] = _intervals_ok(s, V, dV, sep, new)
 
 
 def _path_values(mu, waypoints, steps, stats):
-    """Critical values at adaptive samples of the piecewise-linear path, one
-    (n, mu) array per chunk of at most WALK_CHUNK samples, in path order:
-    the first waypoint, then each segment's samples after its start, the
-    last one its end.
+    """Critical values at adaptive samples of the piecewise-linear path,
+    with the predictions they are matched to, in path order: one pair
+    (V, P) of (n, mu) arrays per chunk of at most WALK_CHUNK samples.  The
+    first chunk is the first waypoint alone, with P None; then come each
+    segment's samples after its start, the last one its end.  Row r of P
+    holds the forward predictions at sample r of the previous sample's
+    values, in that sample's order, the ones `_steps_ok` matched.
 
     Each segment starts from the uniform samples k/steps and bisects every
     interval between adjacent samples that fails the step test
     (`_steps_ok`), WALK_CHUNK initial intervals at a time, so memory does
-    not grow with steps.  A sample whose critical values are closer than
-    TOL_DISC, or an interval that still fails at WALK_FLOOR of its
-    segment, means the path hit the discriminant: the samples before it
-    are yielded, then ValueError is raised.  stats, a WalkStats, counts
-    what was evaluated."""
+    not grow with steps.  The critical points of each segment's end are
+    kept, so the velocities at the next segment's start cost no eigenvalue
+    call.  A sample whose critical values are closer than TOL_DISC, or an
+    interval that still fails at WALK_FLOOR of its segment, means the path
+    hit the discriminant: the samples before it are yielded, then
+    ValueError is raised.  stats, a WalkStats, counts what was
+    evaluated."""
     W = np.array(waypoints, dtype=complex)
-    V, sep = _sample(mu, W[0], W[0], np.zeros(1), stats)   # the start
+    X, V, dV, sep = _sample(mu, W[0], W[0], np.zeros(1), stats)   # the start
     if sep[0] < TOL_DISC:
         raise ValueError(_COLLIDE)
-    yield V
+    yield V, None
     for a, b in zip(W, W[1:]):
-        s0 = 0.0
+        s0, dV = 0.0, _velocities(X[-1:], b - a)
         for k in range(0, steps, WALK_CHUNK):
             s = np.arange(k + 1, min(k + WALK_CHUNK, steps) + 1) / steps
-            Vs, seps = _sample(mu, a, b, s, stats)
-            s, V, sep, hit = _refine(mu, a, b, np.concatenate([[s0], s]),
-                                     np.concatenate([V[-1:], Vs]),
-                                     np.concatenate([sep[-1:], seps]), stats)
+            X, Vs, dVs, seps = _sample(mu, a, b, s, stats)
+            s, V, dV, sep, hit = _refine(
+                mu, a, b, np.concatenate([[s0], s]),
+                np.concatenate([V[-1:], Vs]), np.concatenate([dV[-1:], dVs]),
+                np.concatenate([sep[-1:], seps]), stats)
+            # bit for bit the predictions _intervals_ok matched
+            h = np.diff(s)[:, None]
+            P = V[:-1] + h * dV[:-1]
             end = len(s) - hit
             for r in range(1, end, WALK_CHUNK):
-                yield V[r:min(r + WALK_CHUNK, end)]
+                stop = min(r + WALK_CHUNK, end)
+                yield V[r:stop], P[r - 1:stop - 1]
             if hit:
                 raise ValueError(_COLLIDE)
             s0 = s[-1]
@@ -767,10 +841,22 @@ def wall_walk_A(mu, path, steps=64) -> BraidWord:
     order at the crossing.
 
     Each segment is sampled adaptively (`_path_values`): from a uniform
-    grid of steps samples, every interval is bisected until each critical
-    value moves less than half the smallest separation at its ends and at
-    most one pair of values crosses a wall, so the matching of values and
-    the sign and order of the letters are certain (`_steps_ok`).
+    grid of steps samples, a positive integer, every interval is bisected
+    until it passes the step test (`_steps_ok`).  The values at each end
+    are predicted at the other by an Euler step along their exact
+    velocities, and the values of the right end are matched to the
+    nearest predictions of the left end's values.  The test asks
+    1. each value to lie within half its end's separation of its
+       prediction, both forward and backward, so the matching is a
+       bijection;
+    2. each pair's difference to move by less than half its smaller
+       length at the two ends, so it turns by less than 30 degrees and a
+       pair that crosses a wall keeps its real-part order: the sign of
+       every letter is certain;
+    3. at most one pair to cross a wall with imaginary gaps of at least
+       TOL_WALL at both ends, so the order of the letters is certain.
+    A close pair that moves fast together passes in steps of its motion,
+    not of its separation.
     Aborts when two critical values come closer than TOL_DISC or an
     interval cannot be resolved above WALK_FLOOR (the path hit the
     discriminant), or when a wall contact, an adjacent imaginary gap below
@@ -778,10 +864,12 @@ def wall_walk_A(mu, path, steps=64) -> BraidWord:
     crossing).  Both bands are absolute constants: scaling each t_j by
     s^(deg t_j), s > 0, scales every critical value by s and keeps the
     word, so a path can be rescaled away from them.  Samples are read a
-    chunk at a time and matched to their predecessors in one array call
-    (`_matched`); a still sample, whose matched values are in good order
-    with every adjacent imaginary gap at least TOL_WALL, changes nothing,
-    and every other one goes through `_walk_step`."""
+    chunk at a time and matched to their predecessors' predictions in one
+    array call (`_matched`), the step test's own matching; a still sample,
+    whose matched values are in good order with every adjacent imaginary
+    gap at least TOL_WALL, changes nothing, and every other one goes
+    through `_walk_step`.  A steps that is not an integer (a bool
+    included) or is below 1 raises ValueError."""
     return _walk(mu, path, steps)[0]
 
 
@@ -789,6 +877,8 @@ def _walk(mu, path, steps):
     """`wall_walk_A`'s word, and the WalkStats of its sampling."""
     if mu < 1:
         raise ValueError(f"mu must be at least 1, got {mu}")
+    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
+        raise ValueError(f"steps must be an integer, not {steps!r}")
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
     waypoints = [tuple(complex(c) for c in wp) for wp in path]
@@ -805,11 +895,15 @@ def _walk(mu, path, steps):
 
     letters, contact = [], {}   # contact: adjacent pair -> samples on the wall
     prev = None                 # the previous sample's values
-    for V in _path_values(mu, waypoints, steps, stats):
+    for V, P in _path_values(mu, waypoints, steps, stats):
         if prev is None:   # the start, alone in its chunk: raises on a wall
             good_order(V[0].tolist())
         else:
-            B = _matched(np.concatenate([prev, V[:-1]]), V)[1]
+            L = np.concatenate([prev, V[:-1]])
+            r = np.arange(len(V))[:, None]
+            # each sample's values matched to its predecessor's, in the
+            # predecessor's good order
+            B = V[r, _matched(V, P)[r, np.lexsort((-L.real, L.imag))]]
             lo, hi = B[:, :-1], B[:, 1:]
             still = ~_inverted(lo, hi).any(axis=1) & \
                 (np.abs(hi.imag - lo.imag) >= TOL_WALL).all(axis=1)

@@ -16,9 +16,10 @@ from singlat.degrees import deg_ll_simple, gz_order
 from singlat.lattice import StokesMatrix, char_poly
 from singlat.llmap import (TOL_DEDUP, TOL_DISC, TOL_WALL, WALK_CHUNK,
                            LLPoint, WalkStats, _compile, _ll_compiled,
-                           _ll_system, _multiplication_plan, _newton_rows,
-                           _path_values, _separations, _start_table,
-                           _steps_ok, _symbolic_ll, _system, _walk_values,
+                           _ll_system, _matched, _multiplication_plan,
+                           _newton_rows, _path_values, _separations,
+                           _start_table, _steps_ok, _symbolic_ll, _system,
+                           _velocities, _walk, _walk_points, _walk_values,
                            critical_values_numeric, discriminant_member,
                            good_order, ll_exact_A, ll_fiber_count,
                            wall_walk_A)
@@ -838,7 +839,8 @@ class TestWallWalk:
 
     def test_chunks_do_not_grow_with_steps(self, monkeypatch):
         # every stacked evaluation and every chunk holds at most WALK_CHUNK
-        # samples, however many steps a segment starts from
+        # samples, however many steps a segment starts from; each chunk
+        # comes with one prediction per sample, the start with none
         path = [[0.5, -1.0 + 0.5j], [-0.5, 1.0 + 0.1j]]
         sizes = []
 
@@ -849,25 +851,32 @@ class TestWallWalk:
             sizes.append(len(T))
             if len(sizes) == 6:
                 raise Enough
-            return _walk_values(mu, T)
+            return _walk_points(mu, T)
 
-        monkeypatch.setattr(llmap, "_walk_values", spy)
+        monkeypatch.setattr(llmap, "_walk_points", spy)
         with pytest.raises(Enough):
             wall_walk_A(2, path, steps=10 ** 13)
         assert max(sizes) == WALK_CHUNK
         monkeypatch.undo()
         chunks = _path_values(2, path, 10 ** 13, WalkStats())
-        assert [len(next(chunks)) for _ in range(3)] == [1, WALK_CHUNK,
-                                                         WALK_CHUNK]
+        V, P = next(chunks)
+        assert len(V) == 1 and P is None
+        for _ in range(2):
+            V, P = next(chunks)
+            assert V.shape == P.shape == (WALK_CHUNK, 2)
 
     def test_step_test(self):
         L = np.array([[0, 1 + 0.1j, 5 + 3j, 6 + 3.1j]])
 
-        def passes(right, left=L):
+        def passes(right, left=L, move=0, back=None):
+            # move: the shift of each value that the velocities at the left
+            # end predict, back: the one at the right end (move unless given)
             R = np.array([right])
-            return bool(_steps_ok(left, R, _separations(left),
-                                  _separations(R))[0])
+            back = move if back is None else back
+            return bool(_steps_ok(left, R, left + move, R - back,
+                                  _separations(left), _separations(R))[0])
 
+        # at zero velocity the test is the old absolute one
         assert _separations(L)[0] == abs(1 + 0.1j)
         assert passes([0.1j, 1 + 0.1j, 5 + 3j, 6 + 3.1j])
         # a value moves half the separation: the matching is not certain
@@ -880,6 +889,57 @@ class TestWallWalk:
         band = np.array([[0, 1 + 0.1j, 5 + 3j, complex(6, 3 + 1e-12)]])
         assert passes([0.2j, 1 + 0.05j, complex(5, 3 + 2e-12), 6 + 3j], band)
 
+        # a close pair, 1e-3 apart, that moves 0.1 (a hundred separations)
+        # as the velocities predict: its difference barely changes
+        near = np.array([[0, 1e-3 + 1e-4j, 5 + 3j, 6 + 3.1j]])
+        go = np.array([0.1 + 0.05j, 0.1 + 0.05j, 0, 0])
+        moved = (near + go)[0] + [2e-5j, -1e-5, 0, 0]
+        assert passes(moved, near, go)
+        # the same interval without the prediction fails the old rule
+        assert not passes(moved, near)
+        # the pair turned by a half turn, each value where the velocities
+        # predict it: the matching is certain, but not the letter's sign
+        c, d = 0.05 + 0.05j, 1e-3 + 1e-4j
+        half = np.array([c + d / 2, c - d / 2, 5 + 3j, 6 + 3.1j])
+        assert not passes(half, near, half - near)
+        # the pair's difference lands in the opposite quadrant (both orders
+        # flip), a turn of about 107 degrees, again as predicted
+        flip = np.array([c + 2e-4 + 1e-3j, c, 5 + 3j, 6 + 3.1j])
+        assert not passes(flip, near, flip - near)
+        # the pair turned by 20 degrees across the horizontal: one crossing,
+        # of certain sign
+        turn = np.array([c, c + d * cmath.exp(-0.35j), 5 + 3j, 6 + 3.1j])
+        assert passes(turn, near, turn - near)
+        # two values predicted onto the same value: not a bijection
+        two = np.array([[0j, 1]])
+        assert not passes([0.5, 3], two, np.array([0.5, -0.5]))
+        # a shift passes only when the velocities at both ends predict it
+        # within half the separation
+        far = np.array([[0j, 10]])
+        assert passes([0.6, 10.6], far, 0.6)
+        assert not passes([0.6, 10.6], far, 6j, 0.6)
+        assert not passes([0.6, 10.6], far, 0.6, 6j)
+
+    def test_velocities_are_derivatives(self):
+        # dv_k = sum_j x_k^(j-1) d_j at the critical points, against a
+        # central difference of the values along d
+        rng = random.Random(83)
+        for mu in (1, 2, 3, 4, 5):
+            T = np.array([[complex(rng.gauss(0, 1), rng.gauss(0, 1))
+                           for _ in range(mu)] for _ in range(8)])
+            d = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1))
+                          for _ in range(mu)])
+            X, V = _walk_points(mu, T)
+            dV = _velocities(X, d)
+            eps = 1e-6
+            up, down = _walk_values(mu, T + eps * d), \
+                _walk_values(mu, T - eps * d)
+            for v, dv, u, w in zip(V, dV, up, down):
+                for k in range(mu):
+                    fd = (u[np.argmin(abs(u - v[k]))] -
+                          w[np.argmin(abs(w - v[k]))]) / (2 * eps)
+                    assert abs(fd - dv[k]) < 1e-6 * max(1, abs(dv[k]))
+
     @pytest.mark.parametrize("mu,path,steps", [
         (2, [[0.5, -1.0], [-0.5, 1.0 + 0.1j]], 600),
         (3, [(0.9409 + 0.7478j, 0.7288 - 0.4045j, 0.4341 - 0.3422j),
@@ -887,12 +947,13 @@ class TestWallWalk:
              (0.8936 - 1.3942j, -0.2321 - 0.5818j, -0.5345 + 0.2408j)], 64),
         (4, [[0.3, -1j, 0.2, 1.1], [-0.4, 1.0, -0.3j, 0.5],
              [0.1j, 0.7, 1.2, -0.8]], 300)])
-    def test_adaptive_samples(self, mu, path, steps):
+    def test_adaptive_samples(self, mu, path, steps, monkeypatch):
         # the samples are the first waypoint, then each segment's uniform
         # samples k/steps (the last one its end) in order, with midpoints
         # inserted until every interval passes the step test
-        got = np.concatenate(list(_path_values(mu, path, steps,
-                                               WalkStats())))
+        refined = spy_refine(monkeypatch)
+        chunks = list(_path_values(mu, path, steps, WalkStats()))
+        got = np.concatenate([V for V, _ in chunks])
         W = np.array(path, dtype=complex)
         grid = [W[:1]]
         for a, b in zip(W, W[1:]):
@@ -903,7 +964,18 @@ class TestWallWalk:
         rows = [tuple(v) for v in got.tolist()]
         at = [rows.index(tuple(v)) for v in want.tolist()]
         assert at == sorted(at) and at[0] == 0 and at[-1] == len(rows) - 1
-        assert all(step_ok(x, y) for x, y in zip(rows, rows[1:]))
+        # the refined samples are the yielded ones, and each yielded
+        # prediction is its predecessor's Euler step
+        assert np.array_equal(np.concatenate([V[1:] for _, _, s, V, dV
+                                              in refined]), got[1:])
+        preds = np.concatenate([V[:-1] + np.diff(s)[:, None] * dV[:-1]
+                                for _, _, s, V, dV in refined])
+        assert np.array_equal(np.concatenate([P for _, P in chunks[1:]]),
+                              preds)
+        for _, _, s, V, dV in refined:
+            assert all(step_ok(V[k].tolist(), dV[k].tolist(),
+                               V[k + 1].tolist(), dV[k + 1].tolist(),
+                               s[k + 1] - s[k]) for k in range(len(s) - 1))
         if mu == 3:
             # the defect path's close approach needs bisection
             assert len(rows) > len(want)
@@ -934,6 +1006,20 @@ class TestWallWalk:
     def test_meaningless_counts_rejected(self, mu, path, steps):
         with pytest.raises(ValueError, match="at least 1"):
             wall_walk_A(mu, path, steps=steps)
+
+    @pytest.mark.parametrize("steps", [True, False, 2.5, 8.0, "8", None])
+    def test_steps_must_be_an_integer(self, steps):
+        # a bool, a float or a string is no step count, even when it
+        # compares or converts like one
+        path = [[0.5, -1.0], [-0.5, 1.0 + 0.1j]]
+        with pytest.raises(ValueError, match="steps must be an integer"):
+            wall_walk_A(2, path, steps=steps)
+        with pytest.raises(ValueError, match="steps must be an integer"):
+            _walk(2, path, steps)
+
+    def test_numpy_integer_steps(self):
+        path = [[0.5, -1.0], [-0.5, 1.0 + 0.1j]]
+        assert wall_walk_A(2, path, np.int64(16)) == wall_walk_A(2, path, 16)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
                                      complex(0.5, float("-inf"))])
@@ -1003,16 +1089,24 @@ class TestWallWalk:
     def test_words_pinned(self, path, word):
         assert wall_walk_A(len(path[0]), path).letters == word
 
+    # the benchmark's known-defect path, whose segment 0 passes within
+    # 1.65e-5 of the discriminant
+    DEFECT_PATH = [(0.9409 + 0.7478j, 0.7288 - 0.4045j, 0.4341 - 0.3422j),
+                   (0.2149 - 0.1355j, -0.8713 + 1.977j, 0.7238 - 2.0566j),
+                   (0.8936 - 1.3942j, -0.2321 - 0.5818j, -0.5345 + 0.2408j)]
+
     def test_defect_round_trip_pinned(self):
         # A null-homotopic mu = 3 round trip (the benchmark's known-defect
-        # walk) whose segment 0 passes within 1.65e-5 of the discriminant:
-        # the word of 1024000 uniform steps, freely reducing to ()
-        p = [(0.9409 + 0.7478j, 0.7288 - 0.4045j, 0.4341 - 0.3422j),
-             (0.2149 - 0.1355j, -0.8713 + 1.977j, 0.7238 - 2.0566j),
-             (0.8936 - 1.3942j, -0.2321 - 0.5818j, -0.5345 + 0.2408j)]
+        # walk): the word of 1024000 uniform steps, freely reducing to ()
+        p = self.DEFECT_PATH
         word = wall_walk_A(3, p + p[-2::-1]).letters
         assert word == (1, 2, 1, 2, 1, 2, -2, -1, -2, -1, -2, -1)
         assert free_reduce(word) == ()
+        # near the fold the close pair moves as the velocities predict, so
+        # the walk does not bisect down to its separation (the absolute
+        # rule took 1127 samples)
+        stats = _walk(3, p + p[-2::-1], 64)[1]
+        assert stats.samples <= 500
 
     # analytic benchmark paths (seeds 9 and 18, A2; seed 40, A3) whose
     # round trips 2000 uniform steps walk to words of exponent sum 13, -10
@@ -1039,6 +1133,28 @@ class TestWallWalk:
         for path in self.BENCH_PATHS + paths:
             word = wall_walk_A(len(path[0]), path + path[-2::-1]).letters
             assert word and free_reduce(word) == (), (path, word)
+
+    def test_predicted_matching_is_the_bisected_one(self, monkeypatch):
+        # on every accepted interval of the defect and benchmark round trips
+        # whose separation is below 1e-2, the matching to the predictions
+        # equals the composed nearest matchings of a bisection under the
+        # absolute rule, where no value moves half the separation
+        refined = spy_refine(monkeypatch)
+        checked = 0
+        for path in [self.DEFECT_PATH] + self.BENCH_PATHS:
+            mu = len(path[0])
+            del refined[:]
+            _walk(mu, path + path[-2::-1], 64)
+            for a, b, s, V, dV in refined:
+                sep = _separations(V)
+                for k in np.flatnonzero(np.minimum(sep[:-1], sep[1:]) < 1e-2):
+                    predicted = _matched(V[k + 1:k + 2], V[k:k + 1] + (
+                        s[k + 1] - s[k]) * dV[k:k + 1])[0]
+                    want = bisected_matching(mu, a, b, s[k], s[k + 1],
+                                             V[k], V[k + 1])
+                    assert (predicted == want).all(), (path, s[k])
+                    checked += 1
+        assert checked >= 250
 
     def test_loops_fix_a_common_basis(self):
         # a closed loop at t0 fixes the distinguished basis of t0's Stokes
@@ -1119,22 +1235,51 @@ def free_reduce(letters):
     return tuple(out)
 
 
-def step_ok(left, right):
-    """Reference step test on the values at the two ends of an interval:
-    each value's nearest value at the right end is less than half the
-    smaller end's separation away, every pair whose good-order key flips
-    keeps its real-part order (which the walker does not test, as the
-    first condition implies it), and at most one pair flips with imaginary
-    parts at least TOL_WALL apart at both ends."""
-    sep = min(abs(x - y) for v in (left, right)
-              for x, y in itertools.combinations(v, 2))
-    near = [min(right, key=lambda y: abs(y - x)) for x in left]
-    if max(abs(y - x) for x, y in zip(left, near)) >= sep / 2:
-        return False
+def spy_refine(monkeypatch):
+    """Record each chunk of segment samples that `_refine` returns in the
+    walks that follow: the segment's ends a, b and the refined samples s,
+    values V and velocities dV."""
+    refined, refine = [], llmap._refine
+
+    def spy(mu, a, b, *args):
+        out = refine(mu, a, b, *args)
+        refined.append((a, b) + out[:3])
+        return out
+
+    monkeypatch.setattr(llmap, "_refine", spy)
+    return refined
+
+
+def step_ok(left, dleft, right, dright, h):
+    """Reference step test on an interval of length h between samples with
+    values left and right and velocities dleft and dright, one value at a
+    time: each left value's Euler prediction left + h dleft has its nearest
+    right value within half the right end's separation, and that value's
+    backward prediction lies within half the left end's separation of the
+    left value; the difference of every pair of matched values moves by
+    less than half the smaller of its lengths at the two ends; every pair
+    whose good-order key flips keeps its real-part order (which the walker
+    does not test, as the pair condition implies it); and at most one pair
+    flips with imaginary parts at least TOL_WALL apart at both ends."""
+    def half_sep(v):
+        return min((abs(x - y) for x, y in itertools.combinations(v, 2)),
+                   default=float("inf")) / 2
+
+    near = []
+    for x, dx in zip(left, dleft):
+        p = x + h * dx
+        k = min(range(len(right)), key=lambda k: abs(right[k] - p))
+        if abs(right[k] - p) >= half_sep(right) or \
+                abs(right[k] - h * dright[k] - x) >= half_sep(left):
+            return False
+        near.append(right[k])
     order = sorted(range(len(left)),
                    key=lambda k: (left[k].imag, -left[k].real))
     crossings = 0
     for i, j in itertools.combinations(order, 2):
+        before, after = left[i] - left[j], near[i] - near[j]
+        if abs(after - before) >= min(abs(before), abs(after)) / 2:
+            return False
         lo, hi = near[i], near[j]
         if (lo.imag, -lo.real) > (hi.imag, -hi.real):
             if (left[i].real > left[j].real) != (lo.real > hi.real):
@@ -1144,24 +1289,46 @@ def step_ok(left, right):
     return crossings <= 1
 
 
+def bisected_matching(mu, a, b, s0, s1, L, R):
+    """The matching of the values L at a + s0 (b - a) to the values R at
+    a + s1 (b - a), as the index in R of each value of L: the nearest
+    matching where every value moves less than half the smaller separation
+    of the two ends (the absolute step rule of the first adaptive walker),
+    else the composed matchings of the two halves of the interval."""
+    sep = min(abs(x - y) for v in (L, R)
+              for x, y in itertools.combinations(v, 2))
+    near = np.abs(R[None, :] - L[:, None]).argmin(axis=1)
+    if np.abs(R[near] - L).max() < sep / 2:
+        return near
+    assert s1 - s0 > 2.0 ** -50
+    m = (s0 + s1) / 2
+    M = _walk_values(mu, (a + m * (b - a))[None])[0]
+    first = bisected_matching(mu, a, b, s0, m, L, M)
+    return bisected_matching(mu, a, b, m, s1, M, R)[first]
+
+
 def per_sample_walk(mu, path, steps):
     """Reference: the walk's rules applied to every adaptive sample in
     turn, the loop that the chunked walker replaced (with good_order's key
-    as the swap rule), over the same sampled values.  Returns the
+    as the swap rule), over the same sampled values, each previous value
+    matched greedily to the value nearest to its prediction.  Returns the
     letters."""
     letters, prev, contact = [], None, {}
-    for vals in (v for chunk in _path_values(mu, path, steps, WalkStats())
-                 for v in chunk.tolist()):
+    for vals, pred in ((v, p) for V, P in _path_values(mu, path, steps,
+                                                       WalkStats())
+                       for v, p in zip(V.tolist(), [None] * len(V)
+                                       if P is None else P.tolist())):
         for a, b in itertools.combinations(vals, 2):
             if abs(a - b) < TOL_DISC:
                 raise ValueError("hit discriminant: critical values collide")
         if prev is None:
-            prev = [vals[k] for k in good_order(vals)]
+            prev, raw = [vals[k] for k in good_order(vals)], vals
             continue
         remaining, matched = list(vals), []
-        for pv in prev:
+        for pv in prev:   # the prediction of pv, by its place in its sample
+            p = pred[raw.index(pv)]
             k = min(range(len(remaining)),
-                    key=lambda i: abs(remaining[i] - pv))
+                    key=lambda i: abs(remaining[i] - p))
             matched.append(remaining.pop(k))
         changed = True
         while changed:
@@ -1182,7 +1349,7 @@ def per_sample_walk(mu, path, steps):
                         "resolve at this sample resolution; refine steps")
             else:
                 contact[i] = 0
-        prev = matched
+        prev, raw = matched, vals
     return tuple(letters)
 
 
