@@ -105,12 +105,15 @@ packed (m > 10 or not positive definite) chunk.
 Budgets are exact: a run stopped by max_states reports exactly that many
 classes, the first ones in FIFO order, and is truncated only if the orbit
 is larger.
+
+Checkpoints (format 5, _save_checkpoint) are one file under one SHA-256:
+a JSON manifest, then the raw bytes of the arrays it describes.  Loading
+unpickles nothing and checks what it resumes (_load_checkpoint).
 """
 
 from __future__ import annotations
 
 import functools
-import io
 import json
 import math
 import numbers
@@ -242,9 +245,9 @@ def sign_canonical_stokes(s: StokesMatrix) -> StokesMatrix:
 # orbit enumeration
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_FORMAT = 4          # 3 was a pickle; 2 held full mu x mu Stokes
-                               # states and keys
-_CHECKPOINT_MAGIC = b"singlat checkpoint\n"
+CHECKPOINT_FORMAT = 5          # 4 nested .npy files; 3 was a pickle; 2
+                               # held full mu x mu Stokes states and keys
+_CHECKPOINT_MAGIC = f"singlat checkpoint {CHECKPOINT_FORMAT}".encode()
 CHECKPOINT_EVERY = 250_000     # expanded states between checkpoint saves
 _CHUNK_ELEMENTS = 2 ** 16      # per numpy pass, counting mu^2 per
                                # candidate: a bases chunk's entries; a
@@ -269,12 +272,13 @@ class OrbitReport:
     levels: tuple = ()
 
     def to_json(self, label=None):
+        """The report as one line of JSON with sorted keys.  wall_clock is
+        left out, so the same run prints the same bytes."""
         doc = {
             "mode": self.mode,
             "count": self.class_count,
             "visited": self.states_visited,
             "truncated": self.truncated,
-            "seconds": round(self.wall_clock, 3),
             "levels": list(self.levels),
         }
         if label is not None:
@@ -659,7 +663,7 @@ def _narrow(states):
 def _engine(seed, mode):
     """How one orbit run stores and moves its states: the start level, the
     batched expansion, the key function, the store applied to new classes,
-    and the check that a saved level fits the run (_check_states).
+    and the check that saved states fit the run (_check_states).
 
     A bases run over a form that lattice.roots tabulates (a simple class
     with at most ROOT_TABLE_MAX roots) runs on root indices; any other
@@ -677,20 +681,23 @@ def _engine(seed, mode):
             start = _encode(start)
             return (start, _code_table(m).expand, _code_keys, np.asarray,
                     functools.partial(_check_states, start=start,
-                                      bound=3 ** m, m=m))
+                                      keys=_code_keys, bound=3 ** m, m=m))
         return (start.T, _expand_stokes, _keys, _narrow,
-                functools.partial(_check_states, start=start.T, m=m))
+                functools.partial(_check_states, start=start.T, keys=_keys,
+                                  m=m))
     form = symmetrized_form(seed).rows
     tables = roots(form)
     if tables is None:
         start = np.eye(seed.mu, dtype=np.int8)[None]
         return (start, functools.partial(_expand_bases, form_rows=form),
-                _keys, _narrow, functools.partial(_check_states, start=start))
-    refl = tables[1]
+                _keys, _narrow, functools.partial(
+                    _check_states, start=start, keys=_keys, seed=seed.rows))
+    vectors, refl = tables
     start = np.arange(seed.mu, dtype=refl.dtype)[None]
     return (start, functools.partial(_expand_roots, table=refl), row_keys,
-            np.asarray, functools.partial(_check_states, start=start,
-                                          bound=len(refl)))
+            np.asarray, functools.partial(
+                _check_states, start=start, keys=row_keys, bound=len(refl),
+                seed=seed.rows, vectors=vectors))
 
 
 def orbit_enumerate(seed: StokesMatrix, mode: str = "bases", *,
@@ -745,9 +752,9 @@ def orbit_enumerate(seed: StokesMatrix, mode: str = "bases", *,
 
     def save():
         _save_checkpoint(checkpoint, {
-            "format": CHECKPOINT_FORMAT, "mode": mode, "seed": seed.rows,
-            "visited": visited, "frontier": level, "next": nxt,
-            "levels": levels, "expanded": expanded})
+            "mode": mode, "seed": seed.rows, "visited": visited,
+            "pending": np.concatenate([level] + nxt), "levels": levels,
+            "expanded": expanded})
 
     truncated = False
     saved_at = expanded
@@ -795,49 +802,46 @@ def _save_checkpoint(path, doc):
     it, then rename it over path, so a reader sees the old checkpoint or
     the new one, never a partial write.
 
-    The file is _CHECKPOINT_MAGIC, a line with the SHA-256 of the next
-    one, one line of JSON manifest (format, mode, seed rows, levels,
-    expanded, and the name, dtype, shape, byte size and SHA-256 of every
-    array) and the arrays' bytes in manifest order: .npy bytes of np.save,
-    or JSON text for an object array of Python ints.  So every byte after
-    the magic is under a hash.  The arrays are the frontier, the next level
-    in one array, and the visited keys as uint8 rows, one array per key
-    length."""
-    arrays = [("frontier", doc["frontier"])]
-    if doc["next"]:
-        arrays.append(("next", np.concatenate(doc["next"])))
+    The file is the line _CHECKPOINT_MAGIC, which names the format, a line
+    with the SHA-256 of everything after it, one line of JSON manifest
+    (mode, seed rows, levels, expanded, and the name, dtype, shape and byte
+    size of every array), then the arrays' bytes in manifest order: the
+    C-order bytes of an integer array, or the JSON list of the entries of
+    an object array of Python ints.  So every byte after the magic is
+    under the one hash, and the manifest is the only description of each
+    array.  The arrays are pending, the unexpanded classes in FIFO order
+    (the rest of the current level, then the next level), and the visited
+    keys as uint8 rows, one array per key length."""
     by_length = {}
     for key in doc["visited"]:
         by_length.setdefault(len(key), []).append(key)
-    arrays += [(f"visited{width}",
-                np.frombuffer(b"".join(keys), np.uint8)
-                .reshape(len(keys), width))
-               for width, keys in sorted(by_length.items())]
+    arrays = [("pending", doc["pending"])] + [
+        (f"visited{width}", np.frombuffer(b"".join(keys), np.uint8)
+         .reshape(len(keys), width))
+        for width, keys in sorted(by_length.items())]
     entries, blobs = [], []
     for name, a in arrays:
         if a.dtype == object:
-            blob = json.dumps(a.tolist(), separators=(",", ":")).encode()
+            blob = json.dumps(a.ravel().tolist(),
+                              separators=(",", ":")).encode()
         else:
-            buf = io.BytesIO()
-            np.save(buf, a, allow_pickle=False)
-            blob = buf.getvalue()
-        entries.append({"name": name, "dtype": a.dtype.str, "shape":
-                        list(a.shape), "size": len(blob),
-                        "sha256": _sha256(blob)})
+            blob = np.ascontiguousarray(a).tobytes()
+        entries.append({"name": name, "dtype": a.dtype.str,
+                        "shape": list(a.shape), "size": len(blob)})
         blobs.append(blob)
     manifest = json.dumps({
-        "format": doc["format"], "mode": doc["mode"], "seed": doc["seed"],
-        "levels": doc["levels"], "expanded": doc["expanded"],
-        "arrays": entries}, sort_keys=True).encode()
+        "mode": doc["mode"], "seed": doc["seed"], "levels": doc["levels"],
+        "expanded": doc["expanded"], "arrays": entries},
+        sort_keys=True).encode()
+    digest = _sha256(manifest + b"\n", *blobs)
     try:
         fd, tmp = tempfile.mkstemp(
             dir=os.path.dirname(os.path.abspath(path)),
             prefix=os.path.basename(path) + ".", suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
-                fh.write(_CHECKPOINT_MAGIC)
-                fh.write(_sha256(manifest).encode())
-                fh.write(b"\n" + manifest + b"\n")
+                fh.write(b"%s\n%s\n%s\n" % (_CHECKPOINT_MAGIC,
+                                             digest.encode(), manifest))
                 for blob in blobs:
                     fh.write(blob)
                 fh.flush()
@@ -852,9 +856,16 @@ def _save_checkpoint(path, doc):
 
 def _load_checkpoint(path, mode, seed_rows, check):
     """The saved search state (visited, frontier, next, levels, expanded),
-    or None when path is missing or empty.  check is the run's check of a
-    saved level, from _engine.  Anything unreadable, of another format, or
-    of another run raises ValueError; no byte of the file is unpickled."""
+    or None when path is missing or empty; next is a list of at most one
+    array.  check is the run's check of saved states, from _engine.
+
+    Loading checks what it resumes: levels start with the seed's level of
+    1, the first sum(levels) - expanded pending classes are the rest of
+    the current level, visited holds exactly the classes of the levels and
+    of the next level, and check accepts the pending states and finds each
+    of their keys in visited.  Anything unreadable, of another format, of
+    another run or inconsistent raises ValueError; no byte of the file is
+    unpickled."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -864,31 +875,31 @@ def _load_checkpoint(path, mode, seed_rows, check):
         raise ValueError(f"cannot read checkpoint {path}: {exc}") from None
     if not data:
         return None
-    if data.startswith(b"\x80"):
-        # the pickle protocol opcode that format 3 files begin with
-        raise ValueError(f"checkpoint {path} is not in checkpoint format "
-                         f"{CHECKPOINT_FORMAT}: it begins as a pickle does "
-                         "(formats 3 and older were pickles) and is not "
-                         "loaded")
-    if not data.startswith(_CHECKPOINT_MAGIC):
+    magic, _, rest = data.partition(b"\n")
+    if magic != _CHECKPOINT_MAGIC:
+        if data.startswith(b"\x80"):
+            # the pickle protocol opcode that format 3 files begin with
+            raise ValueError(f"checkpoint {path} is not in checkpoint format "
+                             f"{CHECKPOINT_FORMAT}: it begins as a pickle "
+                             "does (formats 3 and older were pickles) and is "
+                             "not loaded")
+        if magic.startswith(b"singlat checkpoint"):
+            raise ValueError(f"checkpoint {path} is not in checkpoint format "
+                             f"{CHECKPOINT_FORMAT}")
         raise ValueError(f"checkpoint {path} is corrupt or not a singlat "
                          "checkpoint")
-    digest, _, rest = data[len(_CHECKPOINT_MAGIC):].partition(b"\n")
+    digest, _, rest = rest.partition(b"\n")
+    if _sha256(rest).encode() != digest:
+        raise ValueError(f"checkpoint {path} is corrupt: it does not match "
+                         "its SHA-256")
     head, _, body = rest.partition(b"\n")
-    if _sha256(head).encode() != digest:
-        raise ValueError(f"checkpoint {path} is corrupt: the manifest does "
-                         "not match its SHA-256")
     try:
         manifest = json.loads(head)
-        fmt = manifest["format"]
-    except (ValueError, TypeError, KeyError, RecursionError) as exc:
+        run = manifest.get("mode"), manifest.get("seed")
+    except (ValueError, AttributeError, RecursionError) as exc:
         raise ValueError(f"checkpoint {path} is corrupt: unreadable "
                          f"manifest ({exc})") from None
-    if fmt != CHECKPOINT_FORMAT:
-        raise ValueError(f"checkpoint {path} is not in checkpoint format "
-                         f"{CHECKPOINT_FORMAT}")
-    if manifest.get("mode") != mode or \
-            manifest.get("seed") != [list(r) for r in seed_rows]:
+    if run != (mode, [list(r) for r in seed_rows]):
         raise ValueError("checkpoint belongs to a different run "
                          "(mode or seed mismatch)")
     try:
@@ -902,67 +913,68 @@ def _load_checkpoint(path, mode, seed_rows, check):
                 if a.dtype != np.uint8 or a.ndim != 2:
                     raise ValueError(f"{name} is not a uint8 table")
                 visited.update(row_keys(a))
-        states = [arrays["frontier"]] + \
-            ([arrays["next"]] if "next" in arrays else [])
-        for a in states:
-            check(a)
+        pending = arrays["pending"]
+        split = sum(levels) - expanded      # unexpanded in the current level
+        if levels[:1] != [1] or not 0 <= split <= len(pending):
+            raise ValueError("levels, expanded and pending do not agree")
+        if len(visited) != expanded + len(pending):
+            raise ValueError("visited does not hold exactly the classes of "
+                             "the levels and of the next level")
+        check(pending, visited)
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ValueError(f"checkpoint {path} is corrupt: {exc}") from None
-    return visited, states[0], states[1:], list(levels), expanded
+    nxt = pending[split:]
+    return visited, pending[:split], [nxt] if len(nxt) else [], \
+        list(levels), expanded
 
 
 def _checkpoint_arrays(entries, body):
-    """The arrays of a checkpoint manifest, read from body and checked
-    against each entry's size, SHA-256, dtype and shape."""
+    """The arrays of a checkpoint manifest, read from body.  The manifest's
+    dtype and shape must account for each array's byte size before
+    anything is read, so no claimed shape allocates anything: an integer
+    array (dtype kind i or u) is np.frombuffer over exactly prod(shape)
+    itemsize bytes, and an object array is a flat JSON list of
+    prod(shape) Python ints."""
     arrays, offset = {}, 0
     for entry in entries:
-        name, size = entry["name"], entry["size"]
-        if type(name) is not str or not _is_int_list([size]):
-            raise ValueError(f"bad name or size {name!r}, {size!r}")
+        name, size, shape = entry["name"], entry["size"], entry["shape"]
+        if type(name) is not str or not _is_int_list([size]) or \
+                not _is_int_list(shape):
+            raise ValueError(f"bad name, size or shape of {name!r}")
         blob = body[offset:offset + size]
         offset += size
-        if len(blob) != size or _sha256(blob) != entry["sha256"]:
-            raise ValueError(f"{name} is truncated or does not match its "
-                             "SHA-256")
+        count = math.prod(shape)
         if entry["dtype"] == "|O":
-            a = np.array(json.loads(blob), dtype=object)
-            if not all(type(v) is int for v in a.flat):
-                raise ValueError(f"{name} holds values that are not integers")
+            flat = json.loads(blob)
+            if type(flat) is not list or len(flat) != count or \
+                    not all(type(v) is int for v in flat):
+                raise ValueError(f"{name} is not a list of {count} integers")
+            a = np.array(flat, dtype=object).reshape(shape)
         else:
-            a = _read_npy(name, blob)
-        if a.dtype.str != entry["dtype"] or list(a.shape) != entry["shape"]:
-            raise ValueError(f"{name} does not have its recorded dtype and "
-                             "shape")
+            dtype = np.dtype(entry["dtype"])
+            if dtype.kind not in "iu" or count * dtype.itemsize != size:
+                raise ValueError(f"{name} does not have its recorded dtype, "
+                                 "shape and size")
+            a = np.frombuffer(blob, dtype).reshape(shape)
         arrays[name] = a
     if offset != len(body):
         raise ValueError("trailing bytes after the last array")
     return arrays
 
 
-def _read_npy(name, blob):
-    """The array of the .npy bytes blob.  The header's shape and dtype must
-    account for the blob's length exactly before anything is allocated:
-    the blob's hash is the file's own, so a header claiming 2^45 entries
-    would otherwise reach np.empty and end in MemoryError."""
-    fh = io.BytesIO(blob)
-    read_header = {(1, 0): np.lib.format.read_array_header_1_0,
-                   (2, 0): np.lib.format.read_array_header_2_0}
-    try:
-        shape, _, dtype = read_header[np.lib.format.read_magic(fh)](fh)
-        if dtype.hasobject or fh.tell() + math.prod(shape) * \
-                dtype.itemsize != len(blob):
-            raise ValueError("its header does not match its length")
-        return np.lib.format.read_array(io.BytesIO(blob), allow_pickle=False)
-    except (KeyError, OSError, EOFError, SyntaxError, ValueError) as exc:
-        raise ValueError(f"{name} is not a .npy array ({exc})") from None
+def _check_states(a, visited, start, keys, bound=None, m=None, seed=None,
+                  vectors=None):
+    """Raise ValueError unless a holds states of the run that starts at
+    start, each with its key (by keys) in visited.
 
-
-def _check_states(a, start, bound=None, m=None):
-    """Raise ValueError unless a is a level of the run that starts at
-    start: its shape per state and integer entries; on root indices or
-    Stokes codes, start's dtype and values below bound; and for a Stokes
-    run of m packed entries, states in the tree sign normal form, which a
-    disconnected diagram has none of."""
+    Every run checks the shape per state and integer entries; on root
+    indices or Stokes codes, start's dtype and values below bound.  A
+    Stokes run of m packed entries checks that the states are tree sign
+    normal forms, which a disconnected diagram has none of.  A bases run
+    from the seed rows seed checks that the states are sign-canonical
+    distinguished bases (_check_bases), of the root vectors vectors[a] on
+    root indices.  The forms are checked in chunks of about _CHUNK_ELEMENTS
+    entries."""
     if a.shape[1:] != start.shape[1:] or \
             (a.dtype != object and a.dtype.kind not in "iu"):
         raise ValueError("saved states do not fit this run")
@@ -970,8 +982,14 @@ def _check_states(a, start, bound=None, m=None):
                               (a.size and int(a.max()) >= bound)):
         raise ValueError("saved root indices or Stokes codes do not fit "
                          "this run")
-    if m is not None and len(a):
-        u = _decode(a, m) if a.ndim == 1 else a.T
+    mu = start.shape[1] if m is None else _mu_of(m)
+    step = max(1, _CHUNK_ELEMENTS // mu ** 2)
+    for lo in range(0, len(a), step):
+        x = a[lo:lo + step]
+        if m is None:
+            _check_bases(x if vectors is None else vectors[x], seed)
+            continue
+        u = _decode(x, m) if x.ndim == 1 else x.T
         try:
             canonical = np.array_equal(_tree_sign_form(u), u)
         except AssertionError:
@@ -979,14 +997,41 @@ def _check_states(a, start, bound=None, m=None):
         if not canonical:
             raise ValueError("saved Stokes states are not sign normal forms "
                              "of connected diagrams")
+    if not visited.issuperset(keys(a)):
+        raise ValueError("the visited set lacks a saved state's key")
 
 
-def _sha256(data):
-    """The SHA-256 hex digest of data.  hashlib is imported here, not with
-    the module: it maps libcrypto, about 3 MB of RSS that a run without a
-    checkpoint never needs."""
+def _check_bases(v, seed_rows):
+    """Raise ValueError unless every tuple of the batch v, (B, mu, mu),
+    vector a of tuple k in v[k, a], is sign canonical (each vector's first
+    nonzero coordinate positive) and a distinguished basis over the seed S:
+    its Gram matrix V L V^t for the Seifert form L = -S^t lower
+    unitriangular with diagonal -1, the test of _stokes_rows_of_vectors,
+    computed exactly in a dtype that holds every partial sum."""
+    n = v.shape[1]
+    seifert = -np.array(seed_rows, dtype=object).T
+    top = int(np.abs(v).max(initial=0))
+    w = _work_dtype(n * n * int(np.abs(seifert).max()) * top * top)
+    v = v.astype(w)
+    pow3 = _pow3(n)
+    lead = np.matmul(np.sign(v).astype(pow3.dtype), pow3)
+    g = np.matmul(np.matmul(v, seifert.astype(w)), v.transpose(0, 2, 1))
+    a, b = np.triu_indices(n, 1)
+    if not ((lead > 0).all() and (g[:, a, b] == 0).all() and
+            (np.diagonal(g, axis1=1, axis2=2) == -1).all()):
+        raise ValueError("saved states are not sign-canonical "
+                         "distinguished bases")
+
+
+def _sha256(*parts):
+    """The SHA-256 hex digest of the concatenated bytes parts.  hashlib is
+    imported here, not with the module: it maps libcrypto, about 3 MB of
+    RSS that a run without a checkpoint never needs."""
     import hashlib
-    return hashlib.sha256(data).hexdigest()
+    h = hashlib.sha256()
+    for data in parts:
+        h.update(data)
+    return h.hexdigest()
 
 
 def _is_int_list(values):

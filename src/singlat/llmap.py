@@ -361,16 +361,6 @@ def _newton_steps(G, J, starts):
             T[live] -= step
 
 
-def _newton_rows(G, J, starts):
-    """One full `_newton_steps` pass: the converged mask and the points,
-    converged where the mask is set and the starts elsewhere."""
-    T = np.array(starts, dtype=complex)
-    ok = np.zeros(len(T), dtype=bool)
-    for idx, Z in _newton_steps(G, J, T):
-        ok[idx], T[idx] = True, Z
-    return ok, T
-
-
 # Starts per batched Newton call in _distinct_zeros.  The search stops at
 # the iteration that completes its count of zeros, wherever that falls in
 # a chunk, so the chunk size sets only how many starts iterate together:
@@ -519,10 +509,13 @@ def ll_fiber_count(cls_or_label, p: LLPoint, budget=600) -> FiberCount:
     search stops at the Newton iteration that finds the last of them, and
     the saturation flag records that it did.  The solutions come in
     convergence order (`_distinct_zeros`): chunk, then iteration, then
-    start index."""
+    start index.  A budget that is not an integer (a bool included) or is
+    below 1 raises ValueError."""
     cls = sing_class(cls_or_label)
     if cls.family != "A" or cls.mu not in (2, 3):
         raise ValueError("fiber counting is desk-scale: chain family, mu in {2, 3}")
+    if isinstance(budget, bool) or not isinstance(budget, numbers.Integral):
+        raise ValueError(f"budget must be an integer, not {budget!r}")
     if budget < 1:
         raise ValueError(f"the start budget must be at least 1, got {budget}")
     mu = cls.mu

@@ -1,5 +1,4 @@
 import hashlib
-import io
 import itertools
 import json
 import pickle
@@ -226,10 +225,7 @@ class TestOrbits:
     def test_report_json_deterministic(self):
         r1 = orbit_enumerate(chain(3), "stokes")
         r2 = orbit_enumerate(chain(3), "stokes")
-        d1 = json.loads(r1.to_json(label="A3"))
-        d2 = json.loads(r2.to_json(label="A3"))
-        d1.pop("seconds"), d2.pop("seconds")
-        assert d1 == d2
+        assert r1.to_json(label="A3") == r2.to_json(label="A3")
 
     def test_checkpoint_resume(self, tmp_path, monkeypatch):
         # a run with no budget dies right after its first save, so that
@@ -382,7 +378,7 @@ class TestOrbits:
             orbit_enumerate(chain(4), "bases", checkpoint=str(ck))
         # refused by its leading pickle opcode, never unpickled
         ck.write_bytes(b"\x80\x04garbage, not a pickle")
-        with pytest.raises(ValueError, match="not in checkpoint format 4"):
+        with pytest.raises(ValueError, match="not in checkpoint format 5"):
             orbit_enumerate(chain(4), "bases", checkpoint=str(ck))
 
     def test_checkpoint_old_format_rejected(self, tmp_path):
@@ -405,7 +401,7 @@ class TestOrbits:
             "format": 2, "mode": "stokes", "seed": seed.rows,
             "visited": set(_keys(start)), "frontier": start, "next": [],
             "levels": [1], "expanded": 0}))
-        with pytest.raises(ValueError, match="not in checkpoint format 4"):
+        with pytest.raises(ValueError, match="not in checkpoint format 5"):
             orbit_enumerate(seed, "stokes", checkpoint=str(ck))
 
     def test_checkpoint_written_atomically(self, tmp_path, monkeypatch):
@@ -414,7 +410,8 @@ class TestOrbits:
         orbit_enumerate(chain(5), "bases", max_states=300,
                         checkpoint=str(ck))
         assert [p.name for p in tmp_path.iterdir()] == ["orbit.ck"]
-        assert manifest(ck)["format"] == CHECKPOINT_FORMAT == 4
+        assert ck.read_bytes().startswith(b"singlat checkpoint 5\n")
+        assert CHECKPOINT_FORMAT == 5
 
 
 def random_signed_walk(rng, seed, steps):
@@ -1050,6 +1047,18 @@ class TestCodeEngine:
         assert peak < 2 ** 19
 
 
+# A4 tuples that are no sign-canonical distinguished basis: a repeated root
+# (root indices (0, 1, 2, 2), which a file once resumed to 81 classes), two
+# swapped roots, e_0 + e_1 before e_1 (roots, but a Gram matrix with a
+# nonzero upper entry), and -e_0, not sign canonical
+NOT_BASES = {
+    "repeated-root": ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 1, 0)),
+    "swapped-roots": ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)),
+    "upper-entry": ((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+    "negative-vector": ((-1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+                        (0, 0, 0, 1))}
+
+
 class TestCheckpointFormat:
     @pytest.mark.parametrize("label, mode, engine, budget", [
         ("A5", "stokes", None, 60), ("D5", "stokes", None, 90),
@@ -1095,39 +1104,45 @@ class TestCheckpointFormat:
                 if not damaged:
                     continue          # an empty file starts afresh
                 ck.write_bytes(damaged)
-                with pytest.raises(ValueError, match="corrupt|format 4"):
+                with pytest.raises(ValueError, match="corrupt|format 5"):
                     _load_checkpoint(str(ck), "bases", seed.rows, check)
 
     def test_layout(self, tmp_path):
         ck, data = self.written(tmp_path, 30)
         doc = manifest(ck)
-        assert data.startswith(b"singlat checkpoint\n")
-        assert (doc["format"], doc["mode"]) == (4, "bases")
+        magic, digest, rest = data.split(b"\n", 2)
+        # the format is named by the magic line, and one SHA-256 covers
+        # everything after the digest line
+        assert magic == b"singlat checkpoint 5" and "format" not in doc
+        assert hashlib.sha256(rest).hexdigest().encode() == digest
+        assert doc["mode"] == "bases"
         assert doc["seed"] == [list(r) for r in chain(4).rows]
         names = [(a["name"], a["dtype"], a["shape"]) for a in doc["arrays"]]
-        # the finished levels, and the level in progress in one array
-        assert doc["levels"] == [1, 6, 16]
-        assert names[:2] == [("frontier", "|u1", names[0][2]),
-                             ("next", "|u1", [7, 4])]
-        assert names[2:] == [("visited4", "|u1", [30, 4])]
+        # the unexpanded classes in one array: the 23 - 10 = 13 left of
+        # the current level, then the 7 found of the next one
+        assert (doc["levels"], doc["expanded"]) == ([1, 6, 16], 10)
+        assert names == [("pending", "|u1", [20, 4]),
+                         ("visited4", "|u1", [30, 4])]
+        # the body is the raw bytes the manifest describes, and no more
+        assert [a["size"] for a in doc["arrays"]] == [80, 120]
+        assert len(rest.split(b"\n", 1)[1]) == 200
 
     def test_code_run_layout(self, tmp_path):
-        # a code run saves its levels as uint16 codes and its keys as
-        # rows of the codes' two bytes
+        # a code run saves its pending classes as uint16 codes and its keys
+        # as rows of the codes' two bytes
         ck = tmp_path / "orbit.ck"
         seed = seed_stokes("D5").stokes
         orbit_enumerate(seed, "stokes", max_states=90, checkpoint=str(ck))
         doc = manifest(ck)
         names = [(a["name"], a["dtype"], a["shape"]) for a in doc["arrays"]]
-        assert sum(doc["levels"]) + names[1][2][0] == 90
-        assert [n[:2] for n in names] == [("frontier", "<u2"),
-                                          ("next", "<u2"),
+        assert [n[:2] for n in names] == [("pending", "<u2"),
                                           ("visited2", "|u1")]
-        assert len(names[0][2]) == len(names[1][2]) == 1
-        assert names[2][2] == [90, 2]
+        assert len(names[0][2]) == 1 and names[1][2] == [90, 2]
+        # the classes not yet expanded are those not in the saved count
+        assert doc["expanded"] + names[0][2][0] == 90
 
     def test_states_checked_on_load(self, tmp_path):
-        # a file whose hashes match but whose states no run can hold: a
+        # a file whose hash matches but whose states no run can hold: a
         # Stokes state of a disconnected diagram, one not in sign normal
         # form, a root index past the last root; and on codes (A3 Stokes,
         # m = 3) those two states' codes 13 and 3, a code past 3^3, and
@@ -1139,7 +1154,7 @@ class TestCheckpointFormat:
         start = _engine(a3, "stokes")[0]
         assert start.dtype == np.uint16 and start.shape == (1,)
         assert _engine(affine, "stokes")[0].shape == (1, 3)
-        for seed, mode, frontier in (
+        for seed, mode, pending in (
                 (affine, "stokes", np.array([[0, 0, 0]], np.int8)),
                 (affine, "stokes", np.array([[-1, 0, -1]], np.int8)),
                 (a3, "bases", np.array([[0, 1, 6]], np.uint8)),
@@ -1149,42 +1164,105 @@ class TestCheckpointFormat:
                 (a3, "stokes", start.astype(np.uint8)),
                 (a3, "stokes", _decode(start, 3).T)):
             braid._save_checkpoint(ck, {
-                "format": 4, "mode": mode, "seed": seed.rows,
-                "visited": set(), "frontier": frontier,
-                "next": [], "levels": [1], "expanded": 0})
-            with pytest.raises(ValueError, match="corrupt"):
+                "mode": mode, "seed": seed.rows, "visited": {b"key"},
+                "pending": pending, "levels": [1], "expanded": 0})
+            # refused for its state, before its key is looked up
+            with pytest.raises(ValueError, match="corrupt: saved"):
                 orbit_enumerate(seed, mode, checkpoint=ck)
         # the start code itself is a level the run can hold
         braid._save_checkpoint(ck, {
-            "format": 4, "mode": "stokes", "seed": a3.rows,
-            "visited": set(braid._code_keys(start)), "frontier": start,
-            "next": [], "levels": [1], "expanded": 0})
+            "mode": "stokes", "seed": a3.rows,
+            "visited": set(braid._code_keys(start)), "pending": start,
+            "levels": [1], "expanded": 0})
         assert orbit_enumerate(a3, "stokes", checkpoint=ck).class_count == 4
 
-    @pytest.mark.parametrize("shape", [(2 ** 45, 4), (1, 4), (3, 4)])
-    def test_npy_header_checked_against_length(self, tmp_path, shape):
-        # every hash matches, but the frontier's .npy header claims 2^45
-        # states, or fewer or more than the 8 bytes that follow it: the
-        # header is checked against the blob's length before an array of
-        # its shape is allocated
+    @pytest.mark.parametrize("dtype, shape", [
+        ("|u1", [2 ** 45, 4]), ("|u1", [1, 4]), ("|u1", [3, 4]),
+        ("<f8", [1, 1]), ("|V8", [1, 1]), ("|u1", [-2, -4])],
+        ids=["2^45-rows", "too-few-rows", "too-many-rows", "f8", "V8",
+             "negative-extent"])
+    def test_manifest_checked_against_length(self, tmp_path, dtype, shape):
+        # the hash matches, but the manifest claims 2^45 pending states,
+        # fewer or more than the 8 bytes that follow, a dtype that is not
+        # an integer, or a negative extent (whose product is 8): the
+        # claim is checked against the byte size before anything is read
         seed = chain(4)
-        header = io.BytesIO()
-        np.lib.format.write_array_header_1_0(header, {
-            "descr": "|u1", "fortran_order": False, "shape": shape})
-        blob = header.getvalue() + bytes(8)
-        head = json.dumps({
-            "format": 4, "mode": "bases", "levels": [1], "expanded": 0,
+        rest = json.dumps({
+            "mode": "bases", "levels": [1], "expanded": 0,
             "seed": [list(r) for r in seed.rows],
-            "arrays": [{"name": "frontier", "dtype": "|u1",
-                        "shape": list(shape), "size": len(blob),
-                        "sha256": hashlib.sha256(blob).hexdigest()}]},
-            sort_keys=True).encode()
+            "arrays": [{"name": "pending", "dtype": dtype, "shape": shape,
+                        "size": 8}]}, sort_keys=True).encode() + \
+            b"\n" + bytes(8)
         ck = tmp_path / "orbit.ck"
-        ck.write_bytes(b"singlat checkpoint\n" +
-                       hashlib.sha256(head).hexdigest().encode() + b"\n" +
-                       head + b"\n" + blob)
-        with pytest.raises(ValueError, match="corrupt.*not a .npy array"):
+        ck.write_bytes(b"singlat checkpoint 5\n" +
+                       hashlib.sha256(rest).hexdigest().encode() + b"\n" +
+                       rest)
+        with pytest.raises(ValueError, match="corrupt: bad .*shape|"
+                           "corrupt: pending does not have its recorded"):
             orbit_enumerate(seed, "bases", checkpoint=str(ck))
+
+    @pytest.mark.parametrize("levels, expanded, visited, reason", [
+        # the start pending, visited empty
+        ([1], 0, [], "visited does not hold exactly"),
+        # no levels; a first level of two classes; more expanded than the
+        # levels hold; a current level with more classes than pending
+        ([], 0, [(0, 1, 2, 3)], "do not agree"),
+        ([2], 0, [(0, 1, 2, 3)], "do not agree"),
+        ([1], 2, [(0, 1, 2, 3)], "do not agree"),
+        ([1, 1], 0, [(0, 1, 2, 3)], "do not agree"),
+        # a class too many; the pending class not visited
+        ([1], 0, [(0, 1, 2, 3), (3, 2, 1, 0)], "visited does not hold"),
+        ([1], 0, [(3, 2, 1, 0)], "lacks a saved state's key")],
+        ids=["nothing-visited", "no-levels", "first-level-of-2",
+             "expanded-past-levels", "level-past-pending", "class-too-many",
+             "pending-not-visited"])
+    def test_inconsistent_state_rejected(self, tmp_path, levels, expanded,
+                                         visited, reason):
+        # a hash-valid A4 bases file whose levels, expanded count, pending
+        # classes and visited set disagree; the first one used to resume
+        # to a count of 125 with levels summing to 126
+        ck = str(tmp_path / "orbit.ck")
+        seed = chain(4)
+        start = _engine(seed, "bases")[0]
+        braid._save_checkpoint(ck, {
+            "mode": "bases", "seed": seed.rows, "pending": start,
+            "visited": set(row_keys(np.array(visited, np.uint8)))
+            if visited else set(), "levels": levels, "expanded": expanded})
+        with pytest.raises(ValueError, match="corrupt: .*" + reason):
+            orbit_enumerate(seed, "bases", checkpoint=ck)
+        # the consistent file resumes to the whole orbit
+        braid._save_checkpoint(ck, {
+            "mode": "bases", "seed": seed.rows, "pending": start,
+            "visited": set(row_keys(start)), "levels": [1], "expanded": 0})
+        rep = orbit_enumerate(seed, "bases", checkpoint=ck)
+        assert (rep.class_count, sum(rep.levels)) == (125, 125)
+
+    @pytest.mark.parametrize("engine, vectors", [
+        pytest.param(engine, vectors, id=f"{engine}-{name}")
+        for name, vectors in NOT_BASES.items()
+        for engine in ("roots", "vectors")
+        if engine == "vectors" or name != "negative-vector"])
+    def test_saved_bases_are_bases(self, tmp_path, monkeypatch, engine,
+                                   vectors):
+        # a hash-valid, self-consistent A4 file whose pending tuple is not
+        # a sign-canonical distinguished basis (NOT_BASES): each is refused
+        # on root indices, where its vectors are roots, and on vectors
+        seed = chain(4)
+        if engine == "vectors":
+            monkeypatch.setattr(braid, "roots", lambda form: None)
+            pending = np.array([vectors], np.int8)
+        else:
+            table = roots(symmetrized_form(seed).rows)[0].tolist()
+            pending = np.array([[table.index(list(v)) for v in vectors]],
+                               np.uint8)
+        keys = _engine(seed, "bases")[2]
+        ck = str(tmp_path / "orbit.ck")
+        braid._save_checkpoint(ck, {
+            "mode": "bases", "seed": seed.rows, "pending": pending,
+            "visited": set(keys(pending)), "levels": [1], "expanded": 0})
+        with pytest.raises(ValueError, match="corrupt: saved states are "
+                           "not sign-canonical distinguished bases"):
+            orbit_enumerate(seed, "bases", checkpoint=ck)
 
     def test_wide_entries_saved_as_json(self, tmp_path):
         # states beyond int64 are object arrays, saved as JSON text and

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -41,6 +42,35 @@ class TestDegreeCommand:
     def test_unknown_class_is_usage_error(self, capsys):
         code = main(["degree", "Q9"])
         assert code == 2
+
+
+# A format-4 checkpoint as format 4 wrote it: the A2 bases run stopped at 1
+# class.  A magic line without a format number, the SHA-256 of the
+# manifest alone, the manifest with the format and a SHA-256 per array,
+# then one .npy file per array (the frontier and visited2, both the start
+# tuple (0, 1) of root indices).
+FORMAT_4_NPY = (b"\x93NUMPY\x01\x00v\x00{'descr': '|u1', 'fortran_order': "
+                b"False, 'shape': (1, 2), }" + b" " * 58 + b"\n\x00\x01")
+FORMAT_4_NPY_SHA256 = ("c3abf0e293d30ffd3a6fbed42cf56d5e"
+                       "d821fad57f6df732d7416b5aa9af1ec2")
+FORMAT_4_MANIFEST = (
+    b'{"arrays": [{"dtype": "|u1", "name": "frontier", "sha256": "%s", '
+    b'"shape": [1, 2], "size": 130}, {"dtype": "|u1", "name": "visited2", '
+    b'"sha256": "%s", "shape": [1, 2], "size": 130}], "expanded": 0, '
+    b'"format": 4, "levels": [1], "mode": "bases", '
+    b'"seed": [[1, -1], [0, 1]]}') % ((FORMAT_4_NPY_SHA256.encode(),) * 2)
+FORMAT_4_FILE = (b"singlat checkpoint\n"
+                 b"1b0eeb2192c860d18ab86adee5947ade"
+                 b"3e72bb755a42a9a3b43d1745e2a0d1db\n" +
+                 FORMAT_4_MANIFEST + b"\n" + FORMAT_4_NPY * 2)
+
+
+def error_lines(capsys, *argv):
+    """The exit code and stderr lines of a run that prints nothing."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return code, captured.err.splitlines()
 
 
 class TestOrbitCommand:
@@ -92,17 +122,18 @@ class TestOrbitCommand:
             "format": 2, "mode": "stokes", "seed": seed.rows,
             "visited": {bytes(9)}, "frontier": np.eye(3, dtype=np.int8)[None],
             "next": [], "levels": [1], "expanded": 0}))
-        code = main(["orbit", "A3", "--mode", "stokes", "--checkpoint",
-                     str(ck)])
-        captured = capsys.readouterr()
-        assert code == 1 and captured.out == ""
-        assert "not in checkpoint format 4" in captured.err
+        code, lines = error_lines(capsys, "orbit", "A3", "--mode", "stokes",
+                                  "--checkpoint", str(ck))
+        assert code == 1 and len(lines) == 1
+        assert lines[0].startswith("error:")
+        assert "not in checkpoint format 5" in lines[0]
 
     def test_packed_stokes_checkpoint_fails(self, capsys, tmp_path,
                                             monkeypatch):
-        # a format-4 D5 Stokes file written before D5 ran on codes: int8
-        # (B, 10) packed states and 10-byte keys.  It does not fit a code
-        # run, and is refused rather than resumed under other keys.
+        # a D5 Stokes file of the packed engine, as written before D5 ran
+        # on codes: int8 (B, 10) packed states and 10-byte keys.  It does
+        # not fit a code run, and is refused rather than resumed under
+        # other keys.
         ck = tmp_path / "orbit.ck"
         with monkeypatch.context() as patch:
             patch.setattr(braid, "_CODE_MAX_M", -1)
@@ -120,6 +151,43 @@ class TestOrbitCommand:
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert "corrupt" in lines[0]
 
+    def test_format_4_checkpoint_fails(self, capsys, tmp_path):
+        # real format-4 bytes: each hash holds, so the file is refused by
+        # its magic line as another format, not as a corrupt file
+        digest = FORMAT_4_FILE.split(b"\n")[1].decode()
+        assert hashlib.sha256(FORMAT_4_MANIFEST).hexdigest() == digest
+        assert hashlib.sha256(FORMAT_4_NPY).hexdigest() == \
+            FORMAT_4_NPY_SHA256
+        assert len(FORMAT_4_NPY) == 130
+        ck = tmp_path / "orbit.ck"
+        ck.write_bytes(FORMAT_4_FILE)
+        code, lines = error_lines(capsys, "orbit", "A2", "--mode", "bases",
+                                  "--checkpoint", str(ck))
+        assert code == 1 and len(lines) == 1
+        assert lines[0].startswith("error:")
+        assert "not in checkpoint format 5" in lines[0]
+        assert "corrupt" not in lines[0]
+
+    @pytest.mark.parametrize("crafted", ["levels", "basis"])
+    def test_inconsistent_checkpoint_fails(self, capsys, tmp_path, crafted):
+        # hash-valid A4 bases files that no run writes: levels [1] with the
+        # start pending and nothing visited (it used to resume to a count
+        # of 125 whose levels summed to 126), and the pending root-index
+        # tuple (0, 1, 2, 2) with its key visited (it used to resume to 81
+        # classes of the 125)
+        seed = seed_stokes("A4").stokes
+        pending = np.array([[0, 1, 2, 3] if crafted == "levels"
+                            else [0, 1, 2, 2]], np.uint8)
+        ck = str(tmp_path / "orbit.ck")
+        braid._save_checkpoint(ck, {
+            "mode": "bases", "seed": seed.rows, "pending": pending,
+            "visited": set() if crafted == "levels" else {pending.tobytes()},
+            "levels": [1], "expanded": 0})
+        code, lines = error_lines(capsys, "orbit", "A4", "--mode", "bases",
+                                  "--checkpoint", ck)
+        assert code == 1 and len(lines) == 1
+        assert lines[0].startswith("error:") and "corrupt" in lines[0]
+
     def test_crafted_pickle_is_never_loaded(self, capsys, tmp_path):
         # a format-3-style pickle whose __reduce__ would create a marker
         # file: it is refused by its leading bytes, so nothing runs
@@ -131,11 +199,11 @@ class TestOrbitCommand:
 
         ck = tmp_path / "evil.ckpt"
         ck.write_bytes(pickle.dumps(Crafted(), protocol=4))
-        code = main(["orbit", "A3", "--mode", "bases", "--checkpoint",
-                     str(ck)])
-        captured = capsys.readouterr()
-        assert code == 1 and captured.out == ""
-        assert "not in checkpoint format 4" in captured.err
+        code, lines = error_lines(capsys, "orbit", "A3", "--mode", "bases",
+                                  "--checkpoint", str(ck))
+        assert code == 1 and len(lines) == 1
+        assert lines[0].startswith("error:")
+        assert "not in checkpoint format 5" in lines[0]
         assert not marker.exists()
 
     @pytest.mark.parametrize("damage", ["truncate", "flip"])

@@ -17,7 +17,7 @@ from singlat.lattice import StokesMatrix, char_poly
 from singlat.llmap import (TOL_DEDUP, TOL_DISC, TOL_WALL, WALK_CHUNK,
                            LLPoint, WalkStats, _compile, _ll_compiled,
                            _ll_system, _matched, _multiplication_plan,
-                           _newton_rows, _path_values, _separations,
+                           _newton_steps, _path_values, _separations,
                            _start_table, _steps_ok, _symbolic_ll, _system,
                            _velocities, _walk, _walk_points, _walk_values,
                            critical_values_numeric, discriminant_member,
@@ -602,10 +602,16 @@ class TestFiberCount:
         with pytest.raises(ValueError):
             ll_fiber_count("A4", LLPoint((1j, 0j, 0j, 0j, 1)), budget=10)
 
-    @pytest.mark.parametrize("budget", [0, -4])
+    @pytest.mark.parametrize("budget", [0, -4, True, False, 2.5, 8.0, "8",
+                                        None])
     def test_empty_budget_rejected(self, budget):
         with pytest.raises(ValueError, match="budget"):
             ll_fiber_count("A2", target_from_roots((1, -1)), budget=budget)
+
+    def test_numpy_integer_budget(self):
+        p = target_from_roots((1, -1))
+        assert ll_fiber_count("A2", p, budget=np.int64(40)) == \
+            ll_fiber_count("A2", p, budget=40)
 
     # (count, len(solutions)) of the per-start Newton loop this batched one
     # replaced, at the same seeded targets and budgets; saturated iff the
@@ -643,8 +649,18 @@ def seed5_starts(mu, budget):
             for _ in range(budget)]
 
 
+def newton_rows(G, J, starts):
+    """One full `_newton_steps` pass: the converged mask and the points,
+    converged where the mask is set and the starts elsewhere."""
+    T = np.array(starts, dtype=complex)
+    ok = np.zeros(len(T), dtype=bool)
+    for idx, Z in _newton_steps(G, J, T):
+        ok[idx], T[idx] = True, Z
+    return ok, T
+
+
 def scalar_newton(mu, p, start):
-    """Reference: the per-start Newton loop that _newton_rows batches, on
+    """Reference: the per-start Newton loop that newton_rows batches, on
     scalar polynomial evaluations.  The final point, or None when dropped."""
     tv, coeffs = _symbolic_ll(mu)
     jac = [[c.partial(tn) for tn in tv] for c in coeffs]
@@ -674,7 +690,7 @@ class TestBatchedNewton:
                                for _ in range(mu)])
         starts = [[complex(rng.gauss(0, 2), rng.gauss(0, 2))
                    for _ in range(mu)] for _ in range(40)]
-        ok, T = _newton_rows(*_ll_system(mu, p), starts)
+        ok, T = newton_rows(*_ll_system(mu, p), starts)
         for k, start in enumerate(starts):
             ref = scalar_newton(mu, p, start)
             assert ok[k] == (ref is not None)
@@ -692,7 +708,7 @@ class TestBatchedNewton:
         for _ in range(4):
             p = target_from_roots([complex(rng.gauss(0, 1), rng.gauss(0, 1))
                                    for _ in range(mu)])
-            ok, T = _newton_rows(*_ll_system(mu, p), seed5_starts(mu, budget))
+            ok, T = newton_rows(*_ll_system(mu, p), seed5_starts(mu, budget))
             ref = []
             for z in T[ok]:
                 if all(np.max(np.abs(z - z0)) > TOL_DEDUP for z0 in ref):
@@ -725,7 +741,7 @@ class TestBatchedNewton:
             assert ll_fiber_count("A2", p, budget=150).saturated
             search = len(calls)
             calls.clear()
-            _newton_rows(*counted(2, p), seed5_starts(2, 150))
+            newton_rows(*counted(2, p), seed5_starts(2, 150))
             assert search < len(calls)
 
     @pytest.mark.parametrize("mu", [2, 3])
@@ -767,8 +783,8 @@ class TestBatchedNewton:
         G, J = _ll_system(2, LLPoint((1e308 + 0j, 1e308 + 0j, 1)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ok, _ = _newton_rows(lambda T: calls.append(len(T)) or G(T), J,
-                                 seed5_starts(2, 128))
+            ok, _ = newton_rows(lambda T: calls.append(len(T)) or G(T), J,
+                                seed5_starts(2, 128))
         assert not ok.any()
         assert calls[0] == 128 and sum(calls[1:]) == 0
 
@@ -785,8 +801,8 @@ class TestBatchedNewton:
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(J(np.array(starts)),
                             G(np.array(starts))[..., None])
-        ok, T = _newton_rows(G, J, starts)
-        ok_g, T_g = _newton_rows(G, J, generic)
+        ok, T = newton_rows(G, J, starts)
+        ok_g, T_g = newton_rows(G, J, generic)
         assert ok_g.all()
         assert not ok[1] and not ok[3]
         assert ok[[0, 2, 4]].all()

@@ -29,9 +29,9 @@ perturbed or not, and of Lehmer's polynomial.  For the exact elimination
 it prints graded_piece_rank on seeded rational generator sets, full and
 rank-deficient, for every graded piece the Jacobi check reads in every
 class, and seeded resultants, some of pairs with a common factor.  For
-the orbit engine it prints the `orbit` stdout less its `seconds` (count,
-visited, truncated and the BFS level profile) for every class of the
-scorecard table in both modes, each run capped at ORBIT_BUDGET classes;
+the orbit engine it prints the `orbit` stdout (count, visited, truncated
+and the BFS level profile) for every class of the scorecard table in
+both modes, each run capped at ORBIT_BUDGET classes;
 the desk-scale orbits fit under the cap and run in full.  Last come the
 Jacobi dimensions: `jacobi-dim` of 16 classes symbolically, tE6, tE7 and
 tE8 at 12 seeded parameters each (of either sign, of height near 10^30,
@@ -145,7 +145,7 @@ def run_cli(*argv, stderr=False):
 
 
 def orbit_outputs():
-    """The orbit stdout without its timing, for every scorecard class."""
+    """The orbit stdout, for every scorecard class."""
     for label in ALL_LABELS:
         for mode in ("bases", "stokes"):
             argv = ["orbit", label, "--mode", mode,
@@ -154,10 +154,8 @@ def orbit_outputs():
             with contextlib.redirect_stdout(out), \
                     contextlib.redirect_stderr(io.StringIO()):
                 status = cli.main(argv)
-            doc = json.loads(out.getvalue())
-            del doc["seconds"]
             print(f"$ singlat {' '.join(argv)}  -> exit {status}")
-            print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+            print(out.getvalue(), end="")
 
 
 def rational_vectors(rng, mu, n):
