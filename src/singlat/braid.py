@@ -14,46 +14,33 @@ Orbit enumeration is a deterministic breadth-first closure over all
 2(mu-1) signed generators, with states canonicalized modulo the sign group
 before deduplication.
 
-Engine: the search is level-synchronous, and each run uses one of four
-engines, fixed by its mode and seed (_engine).  A bases run over a
-positive definite form with at most lattice.ROOT_TABLE_MAX = 512 roots up
-to sign, that is from a simple (ADE) seed up to A31 and D16, runs on root
-indices: a state is the (B, mu) tuple of indices of its vectors in the
-root list of lattice.roots, uint8 while N <= 256 roots, and a move is one
-lookup in its reflection table (_expand_roots).  Every vector of the
-orbit is a root, up to sign, so this covers the whole orbit.  A Stokes
-run over a positive definite form with m = mu(mu-1)/2 <= 10 packed
-entries, that is from A1-A5, D4 or D5, runs on codes: a state is the
-uint16 base-3 code of its packed tree sign normal form, and a move is one
-row of a move table (_CodeTable).  Every other bases run, from a larger
-simple seed (whose table would cost N^2 mu to build) or an elliptic seed
-(whose root set is infinite), runs on vectors, and every other Stokes run
-(E6 and larger, or an indefinite or semidefinite seed) on packed Stokes
-matrices.  There a BFS level is one integer array, stored as int8 while
-its entries fit: (B, mu, mu) tuples of vectors, or (B, m) packed Stokes
-matrices.  A generator
-acting on slots i, i+1 is one batched row (bases) or row-and-column
-(Stokes, S' = P S P^t) recombination with a per-state multiplier c; every
-generator is applied to a chunk of states in one numpy pass, in int16,
-int64 or Python ints as a bound on the result entries requires, so
-arithmetic is exact at every width.  Chunks are sized at mu^2 entries per
-candidate: about 2^16 candidate entries in bases mode, and about 2^15 in
-Stokes mode, whose packed candidates hold m < mu^2/2 entries each.  The
-kernels (_stokes_moves, _bases_moves, _tree_sign_form) work batch-minor, on
-arrays whose last, contiguous axis is the batch: numpy runs every
-broadcast and reduction as an inner loop over that last axis, and with
-the batch first each inner loop would be a row of length mu with its
-per-row cost (on an E6 chunk of 1820 candidates, nb * e[:, None, :] in
-int8 takes 81 us in that layout and 3.8 us over the batch).  The chunk
-is transposed once on the way in and once on the way out, where the
-candidates are laid out state-major, generator-minor, which numbers the
-classes exactly as a FIFO queue would.  Every pairing I(v_a, v_a+1) of a
-bases chunk comes from one broadcast matmul with the form, and both sign
-rules (a moved vector's first nonzero coordinate, a Stokes vertex's
-lowest-index signed neighbour) read the first nonzero entry of a
-{-1, 0, 1} row as the sign of its dot product with the one cached
-weighting _pow3 = (3^(mu-1), ..., 3, 1): no gather, one product and one
-sum over the batch.
+Engine: the search is level-synchronous, and each run uses one of three
+engines, fixed by its mode and seed (_engine).  A bases run holds a state
+as the (B, mu) tuple of the indices of its vectors in the process's root
+table of the seed's form (lattice.roots), and a move is one gather from
+the table's reflections (_expand_roots), which computes and interns only
+the roots and reflections met for the first time: every vector of the
+orbit is a root up to sign, a simple seed ends with its whole table, and
+an elliptic seed holds the few roots its budget reaches.  A Stokes run
+over a positive definite form with m = mu(mu-1)/2 <= 10 packed entries
+(A1-A5, D4, D5) runs on codes: a state is the uint16 base-3 code of its
+packed tree sign normal form, and a move is one row of a move table
+(_CodeTable).  Every other Stokes run holds packed Stokes matrices, one
+(B, m) array per level, int8 while the entries fit, and applies every
+generator (S' = P S P^t) to a chunk of states in one numpy pass, in
+int16, int64 or Python ints as a bound on the entries requires, so
+arithmetic is exact at every width.  Chunks hold about 2^16 entries,
+counting mu^2 per candidate.  The packed kernels (_stokes_moves,
+_tree_sign_form) work batch-minor, on arrays whose last, contiguous axis
+is the batch: numpy runs every broadcast and reduction as an inner loop
+over that axis, and with the batch first each inner loop would be a row
+of length mu with its per-row cost (on an E6 chunk of 1820 candidates,
+nb * e[:, None, :] in int8 takes 81 us in that layout and 3.8 us over the
+batch).  Every engine lays out its candidates state-major, generator-
+minor, which numbers the classes exactly as a FIFO queue would.  The
+rounds read the first nonzero entry of a {-1, 0, 1} row as the sign of
+its dot product with the one cached weighting _pow3 = (3^(mu-1), ..., 3,
+1): no gather, one product and one sum over the batch.
 
 Packed Stokes states: a Stokes matrix is unit upper triangular, so only
 its m = mu(mu-1)/2 strict upper entries vary, and a Stokes state is that
@@ -70,23 +57,20 @@ in StokesMatrix and stokes_of_tuple.  _sign_rounds reads the symmetric
 neighbour signs from the packed signs, and _tree_sign_form writes packed,
 C-ordered results.
 
-Keys: a bases state is normalized so that each vector's first nonzero
-coordinate is positive; on root indices the table's roots already are, so
-an index tuple is its own key, the bytes of its mu indices, and needs no
-width check; a Stokes state is put in the tree sign normal
-form of _tree_sign_form, signs propagated along a spanning tree that
-depends only on the support pattern.  The support is sign-invariant, so
-the tree is too, and on a connected diagram the tree-edge signs fix the
-conjugating signs up to a global sign; so that form is a complete
-sign-class invariant, and sign_canonical_stokes (which packs, normalizes
-and unpacks) returns it.  The conjugating signs are a function of the m
-entry signs alone, computed by the rounds of _sign_rounds, the one
-definition of the form.  A vector or packed Stokes key is the int8 bytes
-of the state (mu^2 bytes for a tuple, m for a Stokes matrix), or a
-prefixed int64 (or repr) encoding when an entry exceeds 127, so widths
-never collide and nothing overflows; a code's key is its two bytes.  Keys
-are compared by full equality (Python set semantics), so counts are
-exact.
+Keys: a bases state indexes sign-canonical roots, each interned once, so
+it is its own key, the bytes of its mu indices.  A Stokes state is put in
+the tree sign normal form of _tree_sign_form, signs propagated along a
+spanning tree that depends only on the support pattern.  The support is
+sign-invariant, so the tree is too, and on a connected diagram the
+tree-edge signs fix the conjugating signs up to a global sign; so that
+form is a complete sign-class invariant, and sign_canonical_stokes (which
+packs, normalizes and unpacks) returns it.  The conjugating signs are a
+function of the m entry signs alone, computed by the rounds of
+_sign_rounds, the one definition of the form.  A packed Stokes key is the
+int8 bytes of the state's m entries, or a prefixed int64 (or repr)
+encoding when an entry exceeds 127, so widths never collide and nothing
+overflows; a code's key is its two bytes.  Keys are compared by full
+equality (Python set semantics), so counts are exact.
 
 Codes: over a positive definite form every Stokes entry S_ij, i < j, is
 the pairing I(v_i, v_j) of two roots of a basis, which are distinct and
@@ -106,9 +90,10 @@ Budgets are exact: a run stopped by max_states reports exactly that many
 classes, the first ones in FIFO order, and is truncated only if the orbit
 is larger.
 
-Checkpoints (format 5, _save_checkpoint) are one file under one SHA-256:
-a JSON manifest, then the raw bytes of the arrays it describes.  Loading
-unpickles nothing and checks what it resumes (_load_checkpoint).
+Checkpoints (format 6, _save_checkpoint) are one file under one SHA-256:
+a JSON manifest, then the raw bytes of the arrays it describes, a bases
+run's root vectors among them.  Loading unpickles nothing, checks what it
+resumes and remaps saved root indices to this process's (_load_checkpoint).
 """
 
 from __future__ import annotations
@@ -121,13 +106,14 @@ import os
 import tempfile
 import threading
 import time
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .lattice import (StokesMatrix, symmetrized_form, mat_det, is_connected,
-                      definiteness, form_pair, mat_mul, mat_neg,
-                      mat_transpose, roots, row_keys)
+                      form_pair, mat_mul, mat_neg, mat_transpose,
+                      process_cache, roots, row_keys)
 
 
 @dataclass(frozen=True)
@@ -245,8 +231,8 @@ def sign_canonical_stokes(s: StokesMatrix) -> StokesMatrix:
 # orbit enumeration
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_FORMAT = 5          # 4 nested .npy files; 3 was a pickle; 2
-                               # held full mu x mu Stokes states and keys
+CHECKPOINT_FORMAT = 6          # 5 lacked the roots its indices name; 4
+                               # nested .npy files; 3 a pickle; 2 mu x mu
 _CHECKPOINT_MAGIC = f"singlat checkpoint {CHECKPOINT_FORMAT}".encode()
 CHECKPOINT_EVERY = 250_000     # expanded states between checkpoint saves
 _CHUNK_ELEMENTS = 2 ** 16      # per numpy pass, counting mu^2 per
@@ -294,8 +280,9 @@ def _generators(n):
 @functools.lru_cache(maxsize=None)
 def _move_tables(n):
     """Index arrays of the generators: the pair (i, i+1) a generator mixes,
-    the slot t that receives the combination, the other slot and the row
-    permutation swapping i and i+1.
+    the slot t that receives the combination, t followed by the other
+    slots 2 i + 1 - t in one array, and the row permutation swapping i and
+    i+1.
 
     +k (i = k-1): (v_i, v_{i+1}) -> (v_{i+1}, v_i - c v_{i+1}), t = i+1
     -k          : (v_i, v_{i+1}) -> (v_{i+1} - c v_i, v_i),     t = i
@@ -308,7 +295,8 @@ def _move_tables(n):
     perm = np.tile(np.arange(n), (len(gens), 1))
     perm[np.arange(len(gens)), i] = i + 1
     perm[np.arange(len(gens)), i + 1] = i
-    return _frozen(np.arange(len(gens)), i, t, 2 * i + 1 - t, perm)
+    return _frozen(np.arange(len(gens)), i, t,
+                   np.concatenate([t, 2 * i + 1 - t]), perm)
 
 
 @functools.lru_cache(maxsize=None)
@@ -412,30 +400,6 @@ def _stokes_moves(x):
     ext[m] = 0
     ext[m + 1] = 1
     return ext[src] - ext[cpos] * ext[cross]
-
-
-def _bases_moves(x, form):
-    """Every generator move of a batch of sign-canonical vector tuples.
-
-    Batch-minor: x has shape (mu, mu, B), vector a of tuple k in
-    x[a, :, k]; form is the intersection form of the seed in x.dtype, and
-    every pairing I(v_a, v_a+1) of the batch comes from one broadcast
-    matmul with it.  The result (G, mu, mu, B) holds in [g, :, :, k] the
-    tuple k moved by generator g, again sign canonical: only the combined
-    slot t can change sign, and its first nonzero coordinate has the sign
-    of sign(v) . _pow3.  With |x| <= M and |form| <= F, |c| <= mu^2 F M^2
-    bounds every partial sum of the pairing and the new slot stays within
-    M + mu^2 F M^3; the caller must fit that into x.dtype."""
-    n = x.shape[0]
-    gi, i, t, other, perm = _move_tables(n)
-    fx = np.matmul(form, x[1:])                       # fx[a]: F v_a+1
-    pair = (x[:-1] * fx).sum(axis=1, dtype=x.dtype)
-    y = x[perm]
-    row = x[other] - pair[i][:, None] * x[t]          # (G, mu, B)
-    pow3 = _pow3(n)
-    lead = (np.sign(row) * pow3).sum(axis=1, dtype=pow3.dtype)     # (G, B)
-    y[gi, t] = np.where(lead[:, None] < 0, -row, row)
-    return y
 
 
 def _tree_sign_form(u):
@@ -586,55 +550,38 @@ class _CodeTable:
             self.slot[codes] = np.arange(lo, hi)
 
 
-@functools.lru_cache(maxsize=None)
+@process_cache
 def _code_table(m):
     """The process's move table for Stokes codes of m packed entries."""
     return _CodeTable(m)
 
 
-@functools.lru_cache(maxsize=None)
-def _form_table(form_rows):
-    """The intersection form as a read-only object array, and the largest
-    absolute value of its entries."""
-    form, = _frozen(np.array(form_rows, dtype=object))
-    return form, int(np.abs(form).max())
-
-
-def _expand_bases(x, form_rows):
-    """Every move of the sign-canonical tuples x over the intersection form
-    form_rows, as one (B * G, mu, mu) batch in FIFO order, computed
-    exactly."""
-    b, n = x.shape[:2]
-    form, f = _form_table(form_rows)
-    m = int(np.abs(x).max())
-    w = _work_dtype(m + n ** 2 * f * m ** 3)
-    y = _bases_moves(x.transpose(1, 2, 0).astype(w, order="C"),
-                     form.astype(w))
-    return y.transpose(3, 0, 1, 2).reshape(-1, n, n)
-
-
 def _expand_roots(x, table):
     """Every move of the root-index tuples x, (B, mu), as one (B * G, mu)
-    batch in FIFO order, read from the reflection table of lattice.roots.
-
-    By _move_tables every generator swaps slots i, i+1 and puts
-    old[other] - I(old[t], old[other]) old[t] = s_old[t](old[other]) into
-    slot t; on indices up to sign that is table[x[t], x[other]].  The
-    vector engine makes the new slot sign canonical, as the table's roots
-    are, so V[result] is exactly _expand_bases on V[x]; an index stays
-    below N, so no width can overflow."""
-    gi, _, t, other, perm = _move_tables(x.shape[1])
+    batch in FIFO order.  Every generator swaps slots i, i+1 and puts
+    s_old[t](old[other]) into slot t (_move_tables): on indices up to sign
+    table.refl[x[t], x[other]], one gather.  Only if its bytes hold the
+    sentinel's (a third of a numpy reduction's cost; a false uint16 match
+    needs an index >= 65280 and costs an idle fill) does the
+    lattice.RootTable fill the missing pairs, and the gather is redone."""
+    gi, _, t, slots, perm = _move_tables(x.shape[1])
+    pairs = x[:, slots]
+    a, b = pairs[:, :len(t)], pairs[:, len(t):]
+    moved = table.refl[a, b]
+    if table.sentinel_bytes in moved.tobytes():
+        table.fill(a, b)
+        moved = table.refl[a, b]
     y = x[:, perm]
-    y[:, gi, t] = table[x[:, t], x[:, other]]
+    y[:, gi, t] = moved
     return y.reshape(-1, x.shape[1])
 
 
 def _keys(states):
-    """Dedup keys of a batch of canonical states: the int8 bytes when every
-    entry of the state has absolute value <= 127, else b"W" and the int64
-    bytes, else b"P" and the repr; the three kinds never compare equal.
-    States without entries (the packed Stokes matrix of mu = 1) key as
-    b""."""
+    """Dedup keys of a batch of packed Stokes states: the int8 bytes when
+    every entry of the state has absolute value <= 127, else b"W" and the
+    int64 bytes, else b"P" and the repr; the three kinds never compare
+    equal.  States without entries (the packed Stokes matrix of mu = 1) key
+    as b""."""
     if not states.size:
         return [b""] * len(states)
     flat = states.reshape(len(states), -1)
@@ -653,51 +600,49 @@ def _wide_key(v):
 
 
 def _narrow(states):
-    """Store states as int8 when they fit, else int64, else Python ints."""
+    """Store packed Stokes states as int8 when they fit, else int64, else
+    Python ints."""
     m = int(np.abs(states).max(initial=0))
     if m <= _INT8_MAX:
         return states.astype(np.int8)
     return states.astype(np.int64 if m <= _INT64_MAX else object)
 
 
+_Engine = namedtuple("_Engine", "start expand keys store check table")
+
+
 def _engine(seed, mode):
     """How one orbit run stores and moves its states: the start level, the
     batched expansion, the key function, the store applied to new classes,
-    and the check that saved states fit the run (_check_states).
+    the check of a checkpoint's saved states (_check_states, _check_bases)
+    and a bases run's lattice.RootTable.
 
-    A bases run over a form that lattice.roots tabulates (a simple class
-    with at most ROOT_TABLE_MAX roots) runs on root indices; any other
-    bases run (a larger simple class, or an elliptic one, whose root set is
-    infinite) runs on vectors.  The seed is connected, so the Stokes
-    start is sign_canonical_stokes(seed), narrowed first: a sign flip keeps
-    every entry's width.  A Stokes run with m <= _CODE_MAX_M packed entries
-    over a positive definite form, whose entries stay in {-1, 0, 1}, runs
-    on the codes of _CodeTable; any other Stokes run on packed states."""
+    A bases run's table starts at e_0, ..., e_(mu-1), so its start is the
+    index tuple (0, ..., mu-1).  The seed is connected, so the Stokes start
+    is sign_canonical_stokes(seed), narrowed first: a sign flip keeps every
+    entry's width.  A Stokes run with m <= _CODE_MAX_M packed entries over
+    a positive definite form (as its root table found once), whose entries
+    stay in {-1, 0, 1}, runs on the codes of _CodeTable; any other Stokes
+    run on packed states."""
     if mode == "stokes":
         start = _tree_sign_form(_narrow(_pack(seed)))
         m = len(start)
-        if m <= _CODE_MAX_M and definiteness(
-                symmetrized_form(seed).rows) == "positive-definite":
+        if m <= _CODE_MAX_M and roots(symmetrized_form(
+                seed).rows).definiteness == "positive-definite":
             start = _encode(start)
-            return (start, _code_table(m).expand, _code_keys, np.asarray,
-                    functools.partial(_check_states, start=start,
-                                      keys=_code_keys, bound=3 ** m, m=m))
-        return (start.T, _expand_stokes, _keys, _narrow,
-                functools.partial(_check_states, start=start.T, keys=_keys,
-                                  m=m))
-    form = symmetrized_form(seed).rows
-    tables = roots(form)
-    if tables is None:
-        start = np.eye(seed.mu, dtype=np.int8)[None]
-        return (start, functools.partial(_expand_bases, form_rows=form),
-                _keys, _narrow, functools.partial(
-                    _check_states, start=start, keys=_keys, seed=seed.rows))
-    vectors, refl = tables
-    start = np.arange(seed.mu, dtype=refl.dtype)[None]
-    return (start, functools.partial(_expand_roots, table=refl), row_keys,
-            np.asarray, functools.partial(
-                _check_states, start=start, keys=row_keys, bound=len(refl),
-                seed=seed.rows, vectors=vectors))
+            return _Engine(start, _code_table(m).expand, _code_keys,
+                           np.asarray, functools.partial(
+                               _check_states, start=start, m=m,
+                               bound=3 ** m), None)
+        return _Engine(start.T, _expand_stokes, _keys, _narrow,
+                       functools.partial(_check_states, start=start.T, m=m),
+                       None)
+    table = roots(symmetrized_form(seed).rows)
+    start = np.arange(seed.mu, dtype=table.dtype)[None]
+    return _Engine(start, functools.partial(_expand_roots, table=table),
+                   row_keys, np.asarray, functools.partial(
+                       _check_bases, start=start, seed_rows=seed.rows,
+                       table=table), table)
 
 
 def orbit_enumerate(seed: StokesMatrix, mode: str = "bases", *,
@@ -706,7 +651,7 @@ def orbit_enumerate(seed: StokesMatrix, mode: str = "bases", *,
     """Breadth-first closure under all signed braid generators.
 
     bases  : states are sign-canonical tuples over the fixed seed, held as
-             root indices when lattice.roots tabulates the seed's form.
+             indices into the root table of the seed's form (lattice.roots).
     stokes : states are tree sign normal forms of Stokes matrices, packed
              to their strict upper triangles, held as base-3 codes when
              mu <= 5 and the seed's form is positive definite;
@@ -740,21 +685,24 @@ def orbit_enumerate(seed: StokesMatrix, mode: str = "bases", *,
     t0 = time.monotonic()
     limit = float("inf") if max_states is None else max_states
 
-    start, expand, keys, store, check = _engine(seed, mode)
+    engine = _engine(seed, mode)
+    expand, keys, store = engine.expand, engine.keys, engine.store
     g_count = 2 * (n - 1)
     chunk = max(1, _CHUNK_ELEMENTS // (max(1, g_count) * n * n))
-    level, nxt, levels, expanded = start, [], [1], 0
-    visited = set(keys(start))
+    level, nxt, levels, expanded = engine.start, [], [1], 0
+    visited = set(keys(level))
     if checkpoint:
-        resumed = _load_checkpoint(checkpoint, mode, seed.rows, check)
+        resumed = _load_checkpoint(checkpoint, mode, seed.rows, engine)
         if resumed is not None:
             visited, level, nxt, levels, expanded = resumed
 
     def save():
-        _save_checkpoint(checkpoint, {
-            "mode": mode, "seed": seed.rows, "visited": visited,
-            "pending": np.concatenate([level] + nxt), "levels": levels,
-            "expanded": expanded})
+        doc = {"mode": mode, "seed": seed.rows, "visited": visited,
+               "pending": np.concatenate([level] + nxt), "levels": levels,
+               "expanded": expanded}
+        if engine.table is not None:
+            doc["roots"] = engine.table.V
+        _save_checkpoint(checkpoint, doc)
 
     truncated = False
     saved_at = expanded
@@ -810,12 +758,16 @@ def _save_checkpoint(path, doc):
     an object array of Python ints.  So every byte after the magic is
     under the one hash, and the manifest is the only description of each
     array.  The arrays are pending, the unexpanded classes in FIFO order
-    (the rest of the current level, then the next level), and the visited
+    (the rest of the current level, then the next level); in bases mode
+    roots, the table's roots that the indices refer to; and the visited
     keys as uint8 rows, one array per key length."""
     by_length = {}
     for key in doc["visited"]:
         by_length.setdefault(len(key), []).append(key)
-    arrays = [("pending", doc["pending"])] + [
+    arrays = [("pending", doc["pending"])]
+    if "roots" in doc:
+        arrays.append(("roots", doc["roots"]))
+    arrays += [
         (f"visited{width}", np.frombuffer(b"".join(keys), np.uint8)
          .reshape(len(keys), width))
         for width, keys in sorted(by_length.items())]
@@ -854,18 +806,18 @@ def _save_checkpoint(path, doc):
         raise ValueError(f"cannot write checkpoint {path}: {exc}") from None
 
 
-def _load_checkpoint(path, mode, seed_rows, check):
+def _load_checkpoint(path, mode, seed_rows, engine):
     """The saved search state (visited, frontier, next, levels, expanded),
     or None when path is missing or empty; next is a list of at most one
-    array.  check is the run's check of saved states, from _engine.
+    array.  engine is the run's _Engine.
 
     Loading checks what it resumes: levels start with the seed's level of
     1, the first sum(levels) - expanded pending classes are the rest of
-    the current level, visited holds exactly the classes of the levels and
-    of the next level, and check accepts the pending states and finds each
-    of their keys in visited.  Anything unreadable, of another format, of
-    another run or inconsistent raises ValueError; no byte of the file is
-    unpickled."""
+    the current level, engine.check accepts (and remaps) the saved states,
+    visited holds exactly the classes of the levels and of the next level,
+    and each pending state's key is in visited.  Anything unreadable, of
+    another format, of another run or inconsistent raises ValueError; no
+    byte of the file is unpickled."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -907,21 +859,24 @@ def _load_checkpoint(path, mode, seed_rows, check):
         levels, expanded = manifest["levels"], manifest["expanded"]
         if not _is_int_list(levels) or not _is_int_list([expanded]):
             raise ValueError("levels and expanded must be integers")
-        visited = set()
+        rows = []
         for name, a in arrays.items():
             if name.startswith("visited"):
                 if a.dtype != np.uint8 or a.ndim != 2:
                     raise ValueError(f"{name} is not a uint8 table")
-                visited.update(row_keys(a))
+                rows.append(a)
         pending = arrays["pending"]
         split = sum(levels) - expanded      # unexpanded in the current level
         if levels[:1] != [1] or not 0 <= split <= len(pending):
             raise ValueError("levels, expanded and pending do not agree")
+        pending, visited = engine.check(pending, rows, arrays.get("roots"))
         if len(visited) != expanded + len(pending):
             raise ValueError("visited does not hold exactly the classes of "
                              "the levels and of the next level")
-        check(pending, visited)
-    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+        if not visited.issuperset(engine.keys(pending)):
+            raise ValueError("the visited set lacks a saved state's key")
+    except (KeyError, TypeError, ValueError, OverflowError,
+            RecursionError) as exc:
         raise ValueError(f"checkpoint {path} is corrupt: {exc}") from None
     nxt = pending[split:]
     return visited, pending[:split], [nxt] if len(nxt) else [], \
@@ -962,33 +917,21 @@ def _checkpoint_arrays(entries, body):
     return arrays
 
 
-def _check_states(a, visited, start, keys, bound=None, m=None, seed=None,
-                  vectors=None):
-    """Raise ValueError unless a holds states of the run that starts at
-    start, each with its key (by keys) in visited.
-
-    Every run checks the shape per state and integer entries; on root
-    indices or Stokes codes, start's dtype and values below bound.  A
-    Stokes run of m packed entries checks that the states are tree sign
-    normal forms, which a disconnected diagram has none of.  A bases run
-    from the seed rows seed checks that the states are sign-canonical
-    distinguished bases (_check_bases), of the root vectors vectors[a] on
-    root indices.  The forms are checked in chunks of about _CHUNK_ELEMENTS
-    entries."""
+def _check_states(a, rows, saved, start, m, bound=None):
+    """The saved Stokes states a and the set of the visited key rows rows
+    (saved roots: none), once a passes as states of the run of m packed
+    entries from start: its shape per state, integer entries, on codes
+    start's dtype and values below bound, and tree sign normal forms,
+    which a disconnected diagram has none of.  Else raise ValueError."""
     if a.shape[1:] != start.shape[1:] or \
             (a.dtype != object and a.dtype.kind not in "iu"):
         raise ValueError("saved states do not fit this run")
     if bound is not None and (a.dtype != start.dtype or
                               (a.size and int(a.max()) >= bound)):
-        raise ValueError("saved root indices or Stokes codes do not fit "
-                         "this run")
-    mu = start.shape[1] if m is None else _mu_of(m)
-    step = max(1, _CHUNK_ELEMENTS // mu ** 2)
+        raise ValueError("saved Stokes codes do not fit this run")
+    step = max(1, _CHUNK_ELEMENTS // _mu_of(m) ** 2)
     for lo in range(0, len(a), step):
         x = a[lo:lo + step]
-        if m is None:
-            _check_bases(x if vectors is None else vectors[x], seed)
-            continue
         u = _decode(x, m) if x.ndim == 1 else x.T
         try:
             canonical = np.array_equal(_tree_sign_form(u), u)
@@ -997,30 +940,53 @@ def _check_states(a, visited, start, keys, bound=None, m=None, seed=None,
         if not canonical:
             raise ValueError("saved Stokes states are not sign normal forms "
                              "of connected diagrams")
-    if not visited.issuperset(keys(a)):
-        raise ValueError("the visited set lacks a saved state's key")
+    return a, set().union(*map(row_keys, rows))
 
 
-def _check_bases(v, seed_rows):
-    """Raise ValueError unless every tuple of the batch v, (B, mu, mu),
-    vector a of tuple k in v[k, a], is sign canonical (each vector's first
-    nonzero coordinate positive) and a distinguished basis over the seed S:
-    its Gram matrix V L V^t for the Seifert form L = -S^t lower
-    unitriangular with diagonal -1, the test of _stokes_rows_of_vectors,
-    computed exactly in a dtype that holds every partial sum."""
-    n = v.shape[1]
+def _check_bases(a, rows, saved, start, seed_rows, table):
+    """The saved bases states a, (B, mu) indices into the saved roots
+    (N, mu), and the set of the visited key rows rows, remapped to indices
+    of this process's table; else raise ValueError.
+
+    Saved roots must be sign canonical with I(v, v) = 2, indices below N,
+    and a state a distinguished basis over the seed S: its Gram matrix
+    V L V^t for L = -S^t lower unitriangular with diagonal -1, the test of
+    _stokes_rows_of_vectors.  So the N x N pairings P = saved L saved^t
+    are computed once, exactly; their diagonal -I(v, v)/2 must be -1, and
+    every P[x_a, x_b], a < b, gathered per chunk of states, 0.  The saved
+    roots are then interned, must come out distinct, and give the index
+    map, so a table filled in another order resumes the same classes."""
+    n = start.shape[1]
+    if a.shape[1:] != start.shape[1:] or a.dtype != start.dtype:
+        raise ValueError("saved root indices do not fit this run")
+    if saved is None or saved.ndim != 2 or saved.shape[1] != n:
+        raise ValueError("saved roots do not fit this run")
+    if any(r.shape[1] != n * a.itemsize for r in rows):
+        raise ValueError("saved keys do not fit this run")
+    keys = [r.view(a.dtype) for r in rows]
+    count = len(saved)
+    if any(x.size and int(x.max()) >= count for x in [a] + keys):
+        raise ValueError("saved root indices are past the saved roots")
+    lead = saved[np.arange(count), (saved != 0).argmax(axis=1)]
     seifert = -np.array(seed_rows, dtype=object).T
-    top = int(np.abs(v).max(initial=0))
+    top = int(np.abs(saved).max(initial=0))
     w = _work_dtype(n * n * int(np.abs(seifert).max()) * top * top)
-    v = v.astype(w)
-    pow3 = _pow3(n)
-    lead = np.matmul(np.sign(v).astype(pow3.dtype), pow3)
-    g = np.matmul(np.matmul(v, seifert.astype(w)), v.transpose(0, 2, 1))
-    a, b = np.triu_indices(n, 1)
-    if not ((lead > 0).all() and (g[:, a, b] == 0).all() and
-            (np.diagonal(g, axis1=1, axis2=2) == -1).all()):
-        raise ValueError("saved states are not sign-canonical "
-                         "distinguished bases")
+    v = saved.astype(w)
+    pair = v @ seifert.astype(w) @ v.T
+    if not ((lead > 0).all() and (np.diagonal(pair) == -1).all()):
+        raise ValueError("saved roots are not sign-canonical roots")
+    upper = pair != 0
+    i, j = np.triu_indices(n, 1)
+    step = max(1, _CHUNK_ELEMENTS // n ** 2)
+    for lo in range(0, len(a), step):
+        x = a[lo:lo + step]
+        if upper[x[:, i], x[:, j]].any():
+            raise ValueError("saved states are not sign-canonical "
+                             "distinguished bases")
+    index = table.intern(saved)
+    if len(set(index.tolist())) != count:
+        raise ValueError("saved roots repeat")
+    return index[a], set().union(*(row_keys(index[x]) for x in keys))
 
 
 def _sha256(*parts):

@@ -4,9 +4,9 @@ Stokes matrices, the symmetrized intersection form, monodromy,
 Picard-Lefschetz reflections and Coxeter-Dynkin diagrams, all as exact
 integer matrix computations; definiteness is read off one exact
 elimination, and quasiunipotence off the integer characteristic
-polynomial.  A positive definite form has finitely many roots, tabulated
-once per form together with their reflections (`roots`) when there are
-at most ROOT_TABLE_MAX of them.  The sign conventions are fixed
+polynomial.  The roots of every form, up to sign, and their reflections
+are tabulated once per form and filled on demand (`roots`).  The sign
+conventions are fixed
 once and for all at the dimension residue n = 0 mod 4, where
 
     I = S + S^t,   M = -S^{-1} S^t,   s_d(b) = b - I(d,b) d,
@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -310,79 +311,110 @@ def definiteness(i: IntersectionMatrix):
     return kind
 
 
-# Most roots, up to sign, that lattice.roots tabulates.  The reflection
-# table has N^2 entries, each one reflection of a mu-vector and one dict
-# lookup, so its cost grows as N^2 mu; at 512 (A31, D16 and every smaller
-# simple class, E8 with 120 among them) it is at most a few hundred
-# thousand entries, built in well under a second.  A larger positive
-# definite form (A100 has 5050 roots) is only ever run under a budget,
-# where the table would cost far more than the run.
-ROOT_TABLE_MAX = 512
-
-# Entries of one temporary (rows, mu) block while roots are reflected.
-_ROOT_BLOCK = 1 << 18
+_INT64_MAX = 2 ** 63 - 1
 
 
-@functools.lru_cache(maxsize=None)
+class RootTable:
+    """The roots up to sign that reflections reach from the basis of the
+    intersection form form_rows (diagonal 2), and their reflections, both
+    filled on demand.
+
+    Root k is V[k], sign canonical, with V[k] = e_k for k < mu; any other
+    root is interned, keyed by its entries, when a reflection first makes
+    it.  refl[a, b] is the index of s_(V[a])(V[b]) = V[b] - I(V[a], V[b])
+    V[a] up to sign, or sentinel, the dtype's largest value, if unfilled.
+    Indices are uint8 for a positive definite form of rank <= 16 (an ADE
+    lattice, at most 240 roots up to sign: D16, E8 + E8), else uint16;
+    interning past the sentinel raises OverflowError.  Writes hold a lock;
+    V and the dense square refl are replaced when they grow (by doubling),
+    never resized in place, so a reader without the lock sees a filled
+    entry or the sentinel, and every index it reads fits the next table."""
+
+    def __init__(self, form_rows):
+        n = self.mu = len(form_rows)
+        self.definiteness = definiteness(form_rows)
+        small = self.definiteness == "positive-definite" and n <= 16
+        self.dtype = np.dtype(np.uint8 if small else np.uint16)
+        self.sentinel = int(np.iinfo(self.dtype).max)
+        self.sentinel_bytes = b"\xff" * self.dtype.itemsize
+        form = np.array(form_rows, dtype=object)
+        self.f = int(np.abs(form).max(initial=0))
+        self.form = form.astype(np.int64) if self.f <= _INT64_MAX else form
+        cap = min(self.sentinel, max(16, 2 * n))
+        self.vectors = np.zeros((cap, n), np.int64)
+        self.refl = np.full((cap, cap), self.sentinel, self.dtype)
+        self.top, self.size, self.index = 0, 0, {}   # top: max |entry|
+        self.lock = threading.RLock()
+        self.intern(np.eye(n, dtype=np.int64))
+
+    def fill(self, a, b):
+        """Fill the entries refl[a, b] of the index arrays a, b that are
+        still the sentinel.  The moved roots are computed in int64 while
+        |V| <= M and M + mu^2 F M^3 <= 2^63 - 1 (F = max |I|) bound every
+        pairing and entry, else in Python ints."""
+        with self.lock:
+            miss = self.refl[a, b] == self.sentinel
+            a, b = a[miss], b[miss]
+            va, vb, form = self.vectors[a], self.vectors[b], self.form
+            m = self.top
+            if va.dtype == object or \
+                    m + self.mu ** 2 * self.f * m ** 3 > _INT64_MAX:
+                va, vb, form = (x.astype(object) for x in (va, vb, form))
+            c = ((va @ form) * vb).sum(axis=1)
+            self.refl[a, b] = self.intern(
+                _sign_canonical(vb - c[:, None] * va))
+
+    def intern(self, rows):
+        """The indices of the sign canonical roots rows, (k, mu), interning
+        those not yet in the table."""
+        out = np.empty(len(rows), self.dtype)
+        with self.lock:
+            for j, key in enumerate(map(tuple, rows.tolist())):
+                k = self.index.get(key)
+                if k is None:
+                    k = self.size
+                    if k >= self.sentinel:
+                        raise OverflowError(f"more than {self.sentinel} roots "
+                                            f"do not fit {self.dtype} indices")
+                    if k == len(self.vectors):
+                        cap = min(2 * k, self.sentinel)
+                        grown = np.zeros((cap, self.mu), self.vectors.dtype)
+                        grown[:k] = self.vectors
+                        refl = np.full((cap, cap), self.sentinel, self.dtype)
+                        refl[:k, :k] = self.refl
+                        self.refl, self.vectors = refl, grown
+                    self.top = max(self.top, *map(abs, key))
+                    if self.top > _INT64_MAX and \
+                            self.vectors.dtype != object:
+                        self.vectors = self.vectors.astype(object)
+                    self.vectors[k] = key
+                    self.index[key] = k
+                    self.size = k + 1
+                    self.V = self.vectors[:k + 1]     # read-only roots
+                    self.V.flags.writeable = False
+                out[j] = k
+        return out
+
+
+def process_cache(build):
+    """functools.lru_cache(maxsize=None), but a miss builds under a lock:
+    threads that ask for one key at once share one value, where lru_cache
+    builds one per thread and keeps the last."""
+    cache, lock = {}, threading.Lock()
+
+    def get(key):
+        with lock:
+            if key not in cache:
+                cache[key] = build(key)
+            return cache[key]
+    get.cache_clear = cache.clear
+    return functools.update_wrapper(get, build)
+
+
+@process_cache
 def roots(form_rows):
-    """The roots of a positive definite form, up to sign, and their
-    reflection table; None for a form that is not positive definite or
-    has more than ROOT_TABLE_MAX roots up to sign.
-
-    form_rows is an intersection form I (diagonal 2) in the basis e_0, ...,
-    e_(mu-1) as a tuple of row tuples.  Returns read-only arrays V, R:
-
-    * V, (N, mu) int64: the closure of the basis under the reflections
-      s_(e_i), every vector made sign canonical (first nonzero coordinate
-      positive), with V[k] = e_k for k < mu.  The s_(e_i) generate the
-      group W of the reflections in all of V, so V holds one of +-v for
-      every v in the W-orbit of the basis: every vanishing cycle of a
-      distinguished basis that the braid group reaches from e.  A positive
-      definite form has finitely many vectors with I(v, v) = 2, so the
-      closure ends; for any other form (the elliptic classes, whose root
-      set is infinite) there is no table.
-    * R, (N, N): R[a, b] is the index of s_(V[a])(V[b]) = V[b] - I(V[a],
-      V[b]) V[a] up to sign, in the narrowest unsigned dtype that holds
-      N - 1 (uint8 up to N = 256).
-
-    Every temporary array holds at most about _ROOT_BLOCK entries (or one
-    row of R), so a large form costs no more memory than its tables.  The
-    definiteness test and the tables are computed once per form."""
-    if definiteness(form_rows) != "positive-definite":
-        return None
-    n = len(form_rows)
-    form = np.array(form_rows, dtype=np.int64)
-    eye = np.eye(n, dtype=np.int64)
-    index = {key: k for k, key in enumerate(row_keys(eye))}
-    found, frontier = [eye], eye
-    step = max(1, _ROOT_BLOCK // n ** 2)
-    while len(frontier):
-        new = []
-        for lo in range(0, len(frontier), step):
-            block = frontier[lo:lo + step]
-            # s_(e_i)(v) = v - I(e_i, v) e_i for every i and every new v
-            moved = _sign_canonical((block[None] - (block @ form).T[
-                :, :, None] * eye[:, None]).reshape(-1, n))
-            for j, key in enumerate(row_keys(moved)):
-                if key not in index:
-                    index[key] = len(index)
-                    new.append(moved[j])
-            if len(index) > ROOT_TABLE_MAX:
-                return None
-        frontier = np.array(new, dtype=np.int64).reshape(-1, n)
-        found.append(frontier)
-    found = np.concatenate(found)
-    size = len(found)
-    table = np.empty((size, size), np.min_scalar_type(size - 1))
-    pair = found @ form @ found.T
-    step = max(1, _ROOT_BLOCK // (size * n))
-    for lo in range(0, size, step):
-        moved = found[None] - pair[lo:lo + step, :, None] * \
-            found[lo:lo + step, None]
-        table[lo:lo + step] = np.array([index[key] for key in row_keys(
-            _sign_canonical(moved.reshape(-1, n)))]).reshape(-1, size)
-    found.flags.writeable = table.flags.writeable = False
-    return found, table
+    """The process's one RootTable of the form form_rows (row tuples)."""
+    return RootTable(form_rows)
 
 
 def row_keys(a):

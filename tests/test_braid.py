@@ -1,6 +1,8 @@
+import functools
 import hashlib
 import itertools
 import json
+import math
 import pickle
 import random
 import sys
@@ -15,15 +17,15 @@ from singlat import braid
 from singlat.braid import (CHECKPOINT_FORMAT, _CODE_MAX_M, BraidWord,
                            VanishingTuple, _apply_gen, _canon_vectors,
                            _code_table, _decode, _encode, _engine,
-                           _expand_bases, _expand_roots, _expand_stokes,
-                           _generators, _keys, _load_checkpoint, _mu_of,
-                           _narrow, _pack, _pow3, _sign_rounds,
-                           _stokes_moves, _stokes_tables, _tree_sign_form,
-                           _unpack, _work_dtype, braid_apply,
-                           braid_apply_word, orbit_enumerate,
+                           _expand_roots, _expand_stokes, _generators, _keys,
+                           _load_checkpoint, _mu_of, _narrow, _pack, _pow3,
+                           _sign_rounds, _stokes_moves, _stokes_tables,
+                           _tree_sign_form, _unpack, _work_dtype,
+                           braid_apply, braid_apply_word, orbit_enumerate,
                            sign_canonical_stokes, sign_canonical_tuple,
                            stokes_of_tuple)
-from singlat.lattice import StokesMatrix, roots, row_keys, symmetrized_form
+from singlat.lattice import (RootTable, StokesMatrix, roots, row_keys,
+                             symmetrized_form)
 from singlat.singdata import ALL_LABELS, seed_stokes, tensor_stokes
 
 
@@ -40,6 +42,13 @@ def random_word(rng, mu, length):
 def manifest(path):
     """The JSON manifest of a checkpoint file, its third line."""
     return json.loads(path.read_bytes().split(b"\n")[2])
+
+
+def saved_roots(path):
+    """The root vectors a bases checkpoint holds, in index order."""
+    head, body = path.read_bytes().split(b"\n", 3)[2:]
+    return braid._checkpoint_arrays(json.loads(head)["arrays"],
+                                    body)["roots"]
 
 
 class TestBraidAction:
@@ -378,7 +387,7 @@ class TestOrbits:
             orbit_enumerate(chain(4), "bases", checkpoint=str(ck))
         # refused by its leading pickle opcode, never unpickled
         ck.write_bytes(b"\x80\x04garbage, not a pickle")
-        with pytest.raises(ValueError, match="not in checkpoint format 5"):
+        with pytest.raises(ValueError, match="not in checkpoint format 6"):
             orbit_enumerate(chain(4), "bases", checkpoint=str(ck))
 
     def test_checkpoint_old_format_rejected(self, tmp_path):
@@ -401,7 +410,7 @@ class TestOrbits:
             "format": 2, "mode": "stokes", "seed": seed.rows,
             "visited": set(_keys(start)), "frontier": start, "next": [],
             "levels": [1], "expanded": 0}))
-        with pytest.raises(ValueError, match="not in checkpoint format 5"):
+        with pytest.raises(ValueError, match="not in checkpoint format 6"):
             orbit_enumerate(seed, "stokes", checkpoint=str(ck))
 
     def test_checkpoint_written_atomically(self, tmp_path, monkeypatch):
@@ -410,8 +419,8 @@ class TestOrbits:
         orbit_enumerate(chain(5), "bases", max_states=300,
                         checkpoint=str(ck))
         assert [p.name for p in tmp_path.iterdir()] == ["orbit.ck"]
-        assert ck.read_bytes().startswith(b"singlat checkpoint 5\n")
-        assert CHECKPOINT_FORMAT == 5
+        assert ck.read_bytes().startswith(b"singlat checkpoint 6\n")
+        assert CHECKPOINT_FORMAT == 6
 
 
 def random_signed_walk(rng, seed, steps):
@@ -459,14 +468,44 @@ def packed(mats):
     return np.hstack([_pack(m) for m in mats]).T
 
 
+def scalar_moves(states, form):
+    """Every move of the vector tuples states, state-major and
+    generator-minor: _apply_gen, then _canon_vectors, one state and one
+    generator at a time.  The oracle of the root engine."""
+    return [_canon_vectors(_apply_gen(tuple(map(tuple, s)), form, g))
+            for s in states for g in _generators(len(form))]
+
+
 def engine_of(seed, mode):
-    """mu, the batched expansion and the start state of an orbit run."""
+    """mu, the batched expansion and the start state of an orbit run; in
+    bases mode the scalar oracle on (B, mu, mu) vector tuples, each
+    state's moves computed once."""
     if mode == "stokes":
         return seed.mu, _expand_stokes, _narrow(packed([
             sign_canonical_stokes(seed)]))
     form = symmetrized_form(seed).rows
-    return (seed.mu, lambda x: _expand_bases(x, form),
-            np.eye(seed.mu, dtype=np.int8)[None])
+    n = seed.mu
+
+    @functools.lru_cache(maxsize=None)
+    def moves(state):
+        return scalar_moves([state], form)
+
+    def expand(x):
+        return _narrow(np.array([m for s in tuples(x) for m in moves(s)],
+                                dtype=object).reshape(-1, n, n))
+    return n, expand, np.eye(n, dtype=np.int8)[None]
+
+
+def tuples(a):
+    """The vector tuples of a (B, mu, mu) array, as tuples of tuples."""
+    return [tuple(map(tuple, t)) for t in a.tolist()]
+
+
+def interned(table, states):
+    """The root-index tuples of the vector tuples states, each vector
+    interned into table."""
+    return np.array([table.intern(np.array(s, dtype=object))
+                     for s in states], table.dtype)
 
 
 def all_classes(expand, start):
@@ -526,6 +565,13 @@ class TestBatchedEngine:
     @pytest.mark.parametrize("label", ["A5", "D5", "E6", "tE6", "tE7",
                                        "tE8"])
     def test_bases_step_matches_scalar(self, label, big, width):
+        # the root engine on tuples interned into a fresh table: walked
+        # bases, and crafted tuples supported on the last coordinates, so
+        # the moved slot's first nonzero coordinate comes late: on a
+        # v_a = a e_n tuple the pairing is 2ab and the moved slot
+        # a (1 - 2b^2) e_n leads with a negative last coordinate.  width is
+        # the exact dtype of the table's bound on the moved entries: below
+        # int64 the fill computes in int64, past it in Python ints
         rng = random.Random(23)
         seed = seed_stokes(label).stokes
         n = seed.mu
@@ -534,10 +580,6 @@ class TestBatchedEngine:
             VanishingTuple.standard(seed),
             random_word(rng, n, rng.randint(0, 15))).vectors)
             for _ in range(25)]
-        # crafted tuples supported on the last coordinates, so the moved
-        # slot's first nonzero coordinate comes late: on a v_a = a e_n
-        # tuple the pairing is 2ab and the moved slot a (1 - 2b^2) e_n
-        # leads with a negative last coordinate
         zeros = (0,) * (n - 1)
         states.append(tuple(zeros + (big if a == 0 else rng.randint(1, 3),)
                             for a in range(n)))
@@ -545,13 +587,35 @@ class TestBatchedEngine:
             states.append(_canon_vectors([
                 zeros[1:] + (rng.randint(-big, big), rng.randint(-big, big))
                 for _ in range(n)]))
-        moved = [_apply_gen(v, i_rows, g) for v in states
-                 for g in _generators(n)]
-        assert any(v[:-1] == zeros and v[-1] < 0 for m in moved for v in m)
-        got = _expand_bases(_narrow(np.array(states, dtype=object)), i_rows)
-        assert got.dtype == width
-        assert [tuple(map(tuple, x)) for x in got.tolist()] == \
-            [_canon_vectors(m) for m in moved]
+        moved = scalar_moves(states, i_rows)
+        assert any(v[:-1] == zeros and v[-1] < 0
+                   for m in (_apply_gen(s, i_rows, g) for s in states
+                             for g in _generators(n)) for v in m)
+        table = RootTable(i_rows)
+        x = interned(table, states)
+        top = table.top
+        assert top == max(abs(c) for t in states for v in t for c in v)
+        assert _work_dtype(top + n ** 2 * table.f * top ** 3) == width
+        got = _expand_roots(x, table)
+        assert (table.V.dtype == object) == (width is object)
+        assert tuples(table.V[got]) == moved
+
+    @pytest.mark.parametrize("big", [2, 5, 6, 127, 2 ** 20, 2 ** 31])
+    def test_bases_widths_exact(self, big):
+        # tuples of random vectors with entries up to big, interned into a
+        # fresh table, move as the scalar oracle moves them
+        rng = random.Random(big)
+        seed = seed_stokes("D5").stokes
+        i_rows = symmetrized_form(seed).rows
+        states = []
+        for _ in range(6):
+            vs = [[rng.randint(-big, big) for _ in range(5)]
+                  for _ in range(5)]
+            vs[2][0] = big
+            states.append(_canon_vectors([tuple(v) for v in vs]))
+        table = RootTable(i_rows)
+        got = _expand_roots(interned(table, states), table)
+        assert tuples(table.V[got]) == scalar_moves(states, i_rows)
 
     @pytest.mark.parametrize("big", [31, 32, 127, 128, 2 ** 20, 2 ** 31,
                                      2 ** 40, 2 ** 70])
@@ -580,22 +644,6 @@ class TestBatchedEngine:
                 assert got[k].tolist() == (want * (e[a] * e[b]))[:, 0].tolist()
                 assert _keys(_tree_sign_form(want).T) == _keys(got[k:k + 1])
                 k += 1
-
-    @pytest.mark.parametrize("big", [2, 5, 6, 127, 2 ** 20, 2 ** 31])
-    def test_bases_widths_exact(self, big):
-        rng = random.Random(big)
-        seed = seed_stokes("D5").stokes
-        i_rows = symmetrized_form(seed).rows
-        states = []
-        for _ in range(6):
-            vs = [[rng.randint(-big, big) for _ in range(5)]
-                  for _ in range(5)]
-            vs[2][0] = big
-            states.append(_canon_vectors([tuple(v) for v in vs]))
-        got = _expand_bases(_narrow(np.array(states, dtype=object)), i_rows)
-        want = [_canon_vectors(_apply_gen(v, i_rows, g)) for v in states
-                for g in _generators(5)]
-        assert [tuple(map(tuple, x)) for x in got.tolist()] == want
 
     def test_key_widths(self):
         n = 3
@@ -745,10 +793,11 @@ class TestBatchedEngine:
         # a mixed batch expands to the concatenated single-state
         # expansions: walked states of several classes, which alone run
         # at int16, with one state in the middle whose entry big makes the
-        # whole batch run at int64 or in Python ints
+        # whole batch run at int64 or in Python ints.  On root indices the
+        # batch fills one fresh table and the single states another, and
+        # the vectors of the moves agree
         rng = random.Random(big)
         seed = seed_stokes("E6").stokes
-        n, expand, _ = engine_of(seed, mode)
         if mode == "stokes":
             mats = [sign_canonical_stokes(random_signed_walk(
                 rng, seed, rng.randint(0, 12))) for _ in range(9)]
@@ -757,21 +806,33 @@ class TestBatchedEngine:
             mats[4] = sign_canonical_stokes(
                 StokesMatrix(tuple(map(tuple, wide))))
             states = list(packed(mats))
-        else:
-            states = [_canon_vectors(braid_apply_word(
-                VanishingTuple.standard(seed),
-                random_word(rng, n, rng.randint(0, 15))).vectors)
-                for _ in range(9)]
-            wide = [list(v) for v in states[4]]
-            wide[2][0] = big
-            states[4] = _canon_vectors([tuple(v) for v in wide])
-        batch = _narrow(np.array(states, dtype=object))
-        assert len(set(_keys(batch))) > 5
-        got = expand(batch)
-        assert got.dtype == width
-        alone = [expand(_narrow(np.array([s], dtype=object))).tolist()
-                 for s in states]
-        assert got.tolist() == sum(alone, [])
+            batch = _narrow(np.array(states, dtype=object))
+            assert len(set(_keys(batch))) > 5
+            got = _expand_stokes(batch)
+            assert got.dtype == width
+            alone = [_expand_stokes(_narrow(np.array([s], dtype=object)))
+                     .tolist() for s in states]
+            assert got.tolist() == sum(alone, [])
+            return
+        i_rows = symmetrized_form(seed).rows
+        states = [_canon_vectors(braid_apply_word(
+            VanishingTuple.standard(seed),
+            random_word(rng, seed.mu, rng.randint(0, 15))).vectors)
+            for _ in range(9)]
+        wide = [list(v) for v in states[4]]
+        wide[2][0] = big
+        states[4] = _canon_vectors([tuple(v) for v in wide])
+        assert len(set(states)) > 5
+        batch, single = RootTable(i_rows), RootTable(i_rows)
+        x = interned(batch, states)
+        top = batch.top
+        assert _work_dtype(top + 36 * batch.f * top ** 3) == width
+        got = _expand_roots(x, batch)
+        alone = []
+        for s in states:
+            moved = _expand_roots(interned(single, [s]), single)
+            alone += tuples(single.V[moved])
+        assert tuples(batch.V[got]) == alone
 
 
 @st.composite
@@ -801,70 +862,165 @@ def moved_seed(label, rng, steps=12):
 
 def saved_classes(path, seed):
     """The classes a bases checkpoint holds, as a set of vector tuples."""
-    start, _, _, _, check = _engine(seed, "bases")
-    visited = _load_checkpoint(path, "bases", seed.rows, check)[0]
-    if start.ndim == 3:
-        return {tuple(map(tuple, np.frombuffer(k, np.int8).reshape(
-            seed.mu, seed.mu).tolist())) for k in visited}
-    v = roots(symmetrized_form(seed).rows)[0]
-    return {tuple(map(tuple, v[np.frombuffer(k, start.dtype)].tolist()))
-            for k in visited}
+    engine = _engine(seed, "bases")
+    visited = _load_checkpoint(path, "bases", seed.rows, engine)[0]
+    v = engine.table.V
+    return {tuple(map(tuple, v[np.frombuffer(k, engine.start.dtype)]
+                      .tolist())) for k in visited}
+
+
+def scalar_prefix(seed, budget):
+    """levels, expanded states and classes of a FIFO search on vector
+    tuples by the scalar oracle, stopped at budget classes as
+    orbit_enumerate stops."""
+    form = symmetrized_form(seed).rows
+    start = _canon_vectors(VanishingTuple.standard(seed).vectors)
+    seen, level, levels, expanded = {start}, [start], [1], 0
+    while level:
+        nxt = []
+        for state in level:
+            for moved in scalar_moves([state], form):
+                if moved not in seen:
+                    if len(seen) == budget:
+                        return levels + [len(nxt)], expanded, seen
+                    seen.add(moved)
+                    nxt.append(moved)
+            expanded += 1
+        if nxt:
+            levels.append(len(nxt))
+        level = nxt
+    return levels, expanded, seen
+
+
+ELLIPTIC = ["tE6", "tE7", "tE8"]
 
 
 class TestRootEngine:
     @pytest.mark.parametrize("label", [f"A{n}" for n in range(1, 9)] +
-                             [f"D{n}" for n in range(4, 9)] + ["E6"])
+                             [f"D{n}" for n in range(4, 9)] + ["E6"] +
+                             ELLIPTIC)
     def test_moves_match_vector_engine(self, label):
         # chunk by chunk along the index engine's own search, the vectors
-        # of the index candidates are the vector engine's candidates on
-        # the same states, in the same order
+        # of the index candidates are the scalar oracle's moves of the same
+        # states, in the same order, from the class seed and a moved seed
+        # (a moved seed only for the elliptic classes, whose orbits are
+        # infinite)
         rng = random.Random(label)
-        for seed in (seed_stokes(label).stokes, moved_seed(label, rng)):
+        seeds = [moved_seed(label, rng)]
+        if label not in ELLIPTIC:
+            seeds.insert(0, seed_stokes(label).stokes)
+        for seed in seeds:
             form = symmetrized_form(seed).rows
-            v, r = roots(form)
-            start, _, _, _, check = _engine(seed, "bases")
-            assert check.keywords["bound"] == len(v) and \
-                start.dtype == r.dtype
-            level, seen, checked = start, set(row_keys(start)), 0
-            while len(level) and checked < 3000:
-                for lo in range(0, len(level), 97):
+            engine = _engine(seed, "bases")
+            table = engine.table
+            assert engine.start.dtype == table.dtype
+            level, seen, checked = engine.start, set(row_keys(engine.start)), 0
+            while len(level) and checked < 1000:
+                for lo in range(0, min(len(level), 1000), 97):
                     x = level[lo:lo + 97]
-                    got = _expand_roots(x, r)
-                    want = _expand_bases(_narrow(v[x]), form)
-                    assert np.array_equal(v[got], want)
+                    got = _expand_roots(x, table)
+                    v = table.V
+                    assert tuples(v[got]) == scalar_moves(v[x].tolist(), form)
                     checked += len(got)
-                cands = _expand_roots(level, r)
+                cands = _expand_roots(level, table)
                 new = [j for j, k in enumerate(row_keys(cands))
                        if not (k in seen or seen.add(k))]
                 level = cands[new]
 
+    @pytest.mark.parametrize("label", ["A5", "D5", "E6"] + ELLIPTIC)
+    def test_root_moves_undone_by_inverse(self, label):
+        # the class graph is undirected on root indices: for every class
+        # of the A5, D5 and E6 orbits and of the first 3000 tE6-tE8
+        # classes, the inverse generator of each move returns its parent
+        seed = seed_stokes(label).stokes
+        engine = _engine(seed, "bases")
+        gens = _generators(seed.mu)
+        inverse = [gens.index(-g) for g in gens]
+        limit = 3000 if label in ELLIPTIC else math.inf
+        level, seen, states = engine.start, set(row_keys(engine.start)), []
+        while len(level) and len(seen) < limit:
+            states.append(level)
+            cands = engine.expand(level)
+            new = [j for j, k in enumerate(row_keys(cands))
+                   if not (k in seen or seen.add(k))]
+            level = cands[new]
+        states = np.concatenate(states)
+        if label not in ELLIPTIC:
+            assert len(states) == orbit_enumerate(seed, "bases").class_count
+        for lo in range(0, len(states), 512):
+            x = states[lo:lo + 512]
+            back = engine.expand(engine.expand(x)).reshape(
+                len(x), len(gens), len(gens), seed.mu)
+            back = back[:, np.arange(len(gens)), inverse]
+            assert (back == x[:, None]).all()
+
     @pytest.mark.parametrize("label, budget", [("E6", 500), ("D6", 500),
                                                ("A5", 97), ("A23", 2000)])
     def test_budget_keeps_vector_engine_classes(self, label, budget,
-                                                tmp_path, monkeypatch):
+                                                tmp_path):
         # the first classes of a budgeted run, read back from the
-        # checkpoint the budget stop writes, are the vector engine's; A23
-        # has 276 roots, so uint16 indices and keys of 2 mu bytes
+        # checkpoint the budget stop writes, are those of a FIFO search on
+        # vector tuples by the scalar oracle; A23 has rank 23, so uint16
+        # indices and keys of 2 mu bytes
         seed = moved_seed(label, random.Random(budget))
-        got = {}
-        for engine in ("roots", "vectors"):
-            if engine == "vectors":
-                monkeypatch.setattr(braid, "roots", lambda form: None)
-            ck = tmp_path / engine
-            rep = orbit_enumerate(seed, "bases", max_states=budget,
-                                  checkpoint=str(ck))
-            assert rep.truncated and rep.class_count == budget
-            got[engine] = (rep.levels, rep.states_visited,
-                           saved_classes(ck, seed))
-        assert got["roots"] == got["vectors"]
-        assert len(got["roots"][2]) == budget
+        ck = tmp_path / "orbit.ck"
+        rep = orbit_enumerate(seed, "bases", max_states=budget,
+                              checkpoint=str(ck))
+        assert rep.truncated and rep.class_count == budget
+        assert _engine(seed, "bases").start.dtype == \
+            (np.uint16 if label == "A23" else np.uint8)
+        levels, expanded, classes = scalar_prefix(seed, budget)
+        assert (list(rep.levels), rep.states_visited) == (levels, expanded)
+        assert saved_classes(ck, seed) == classes and len(classes) == budget
+
+    def test_threads_share_one_root_table(self):
+        # more threads than cores fill cold root tables at once, switching
+        # every microsecond: each run counts as it does alone, each form
+        # has one table, and every filled entry of it is the reflection of
+        # its pair, recomputed on vectors
+        rng = random.Random(34)
+        seeds = [moved_seed(label, rng) for label in ("A5", "D5", "E6")]
+        seeds = seeds * 2 + [seed_stokes("tE6").stokes] * 2
+        budget = [None] * 6 + [3000] * 2
+        want = [orbit_enumerate(s, "bases", max_states=b).levels
+                for s, b in zip(seeds, budget)]
+        roots.cache_clear()
+        got, interval = [None] * len(seeds), sys.getswitchinterval()
+
+        def run(k):
+            got[k] = orbit_enumerate(seeds[k], "bases",
+                                     max_states=budget[k]).levels
+
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(k,))
+                       for k in range(len(seeds))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+        for seed in seeds[:3] + seeds[-1:]:
+            form = symmetrized_form(seed).rows
+            table = _engine(seed, "bases").table
+            assert table is roots(form)
+            v, refl = table.V, table.refl[:table.size, :table.size]
+            a, b = np.nonzero(refl != table.sentinel)
+            assert len(a) and len(set(map(tuple, v.tolist()))) == len(v)
+            moved = [_canon_vectors([_apply_gen(
+                (tuple(v[x]), tuple(v[y])), form, -1)[0]])[0]
+                for x, y in zip(a.tolist(), b.tolist())]
+            assert tuples(v[refl[a, b]][:, None]) == [(m,) for m in moved]
 
     @pytest.mark.parametrize("label", ["A100", "D100"])
     def test_large_seed_budget_stays_small(self, label):
-        # A100 has 5050 roots up to sign and D100 9900, past
-        # ROOT_TABLE_MAX: a budgeted run takes the vector engine, and
-        # neither the definiteness test nor the root closure, which stops
-        # at the cap, allocates more than a few MB on the way
+        # A100 and D100 have 5050 and 9900 roots up to sign and rank 100,
+        # so uint16 indices; a budgeted run fills only the few roots and
+        # reflections it reaches, so neither the definiteness test nor the
+        # table allocates more than a few MB on the way
         seed = seed_stokes(label).stokes
         roots.cache_clear()
         tracemalloc.start()
@@ -874,17 +1030,10 @@ class TestRootEngine:
         finally:
             tracemalloc.stop()
         assert rep.truncated and rep.class_count == 100
-        assert _engine(seed, "bases")[0].shape == (1, seed.mu, seed.mu)
-        assert peak < 32 * 2 ** 20
-
-    @pytest.mark.extended
-    def test_e7_matches_vector_engine(self, monkeypatch):
-        seed = seed_stokes("E7").stokes
-        rep = orbit_enumerate(seed, "bases")
-        monkeypatch.setattr(braid, "roots", lambda form: None)
-        ref = orbit_enumerate(seed, "bases")
-        assert rep.class_count == ref.class_count == 1062882
-        assert rep.levels == ref.levels and len(rep.levels) == 26
+        table = roots(symmetrized_form(seed).rows)
+        assert table.dtype == np.uint16 and table.size < 512
+        assert _engine(seed, "bases").start.shape == (1, seed.mu)
+        assert peak < 4 * 2 ** 20
 
 
 def code_rows(m):
@@ -959,9 +1108,8 @@ class TestCodeEngine:
             rep = orbit_enumerate(seed, "stokes", max_states=budget,
                                   checkpoint=str(ck))
             assert rep.truncated and rep.class_count == budget
-            check = _engine(seed, "stokes")[4]
             visited = _load_checkpoint(str(ck), "stokes", seed.rows,
-                                       check)[0]
+                                       _engine(seed, "stokes"))[0]
             if engine == "codes":
                 visited = packed_keys(visited, 10)
             got[engine] = rep.levels, rep.states_visited, visited
@@ -1060,24 +1208,32 @@ NOT_BASES = {
 
 
 class TestCheckpointFormat:
-    @pytest.mark.parametrize("label, mode, engine, budget", [
+    @pytest.mark.parametrize("label, mode, table, budget", [
         ("A5", "stokes", None, 60), ("D5", "stokes", None, 90),
         ("E6", "stokes", None, 1000),
         ("A5", "bases", "roots", 400), ("D5", "bases", "roots", 2000),
         ("E6", "bases", "roots", 9000),
-        ("A5", "bases", "vectors", 400), ("D5", "bases", "vectors", 2000),
-        ("E6", "bases", "vectors", 9000)])
-    def test_resume_matches_uninterrupted(self, tmp_path, monkeypatch, label,
-                                          mode, engine, budget):
-        if engine == "vectors":
-            monkeypatch.setattr(braid, "roots", lambda form: None)
+        ("A5", "bases", "reordered", 400), ("D5", "bases", "reordered", 2000),
+        ("E6", "bases", "reordered", 9000)])
+    def test_resume_matches_uninterrupted(self, tmp_path, label, mode, table,
+                                          budget):
+        # a bases run resumes in the root table the run left, or in a
+        # table built afresh whose roots past the basis were interned in
+        # reverse order, so that every saved index is remapped
         seed = seed_stokes(label).stokes
         full = orbit_enumerate(seed, mode)
-        ck = str(tmp_path / "orbit.ck")
+        ck = tmp_path / "orbit.ck"
         partial = orbit_enumerate(seed, mode, max_states=budget,
-                                  checkpoint=ck)
+                                  checkpoint=str(ck))
         assert partial.truncated and partial.class_count == budget
-        resumed = orbit_enumerate(seed, mode, checkpoint=ck)
+        if table == "reordered":
+            form = symmetrized_form(seed).rows
+            filled = roots(form).V
+            roots.cache_clear()
+            roots(form).intern(filled[seed.mu:][::-1])
+            assert not np.array_equal(roots(form).V, filled)
+            assert np.array_equal(saved_roots(ck), filled)
+        resumed = orbit_enumerate(seed, mode, checkpoint=str(ck))
         assert not resumed.truncated
         assert (resumed.class_count, resumed.levels,
                 resumed.states_visited) == \
@@ -1096,36 +1252,42 @@ class TestCheckpointFormat:
         # bit and no truncation goes unnoticed
         ck, data = self.written(tmp_path, 20)
         seed = chain(4)
-        check = _engine(seed, "bases")[4]
-        assert _load_checkpoint(str(ck), "bases", seed.rows, check)
+        engine = _engine(seed, "bases")
+        assert _load_checkpoint(str(ck), "bases", seed.rows, engine)
         for k in range(len(data)):
             for damaged in (data[:k],
                             data[:k] + bytes([data[k] ^ 1]) + data[k + 1:]):
                 if not damaged:
                     continue          # an empty file starts afresh
                 ck.write_bytes(damaged)
-                with pytest.raises(ValueError, match="corrupt|format 5"):
-                    _load_checkpoint(str(ck), "bases", seed.rows, check)
+                with pytest.raises(ValueError, match="corrupt|format 6"):
+                    _load_checkpoint(str(ck), "bases", seed.rows, engine)
 
     def test_layout(self, tmp_path):
+        # a fresh root table, so the roots saved are those this run reached
+        roots.cache_clear()
         ck, data = self.written(tmp_path, 30)
         doc = manifest(ck)
         magic, digest, rest = data.split(b"\n", 2)
         # the format is named by the magic line, and one SHA-256 covers
         # everything after the digest line
-        assert magic == b"singlat checkpoint 5" and "format" not in doc
+        assert magic == b"singlat checkpoint 6" and "format" not in doc
         assert hashlib.sha256(rest).hexdigest().encode() == digest
         assert doc["mode"] == "bases"
         assert doc["seed"] == [list(r) for r in chain(4).rows]
         names = [(a["name"], a["dtype"], a["shape"]) for a in doc["arrays"]]
         # the unexpanded classes in one array: the 23 - 10 = 13 left of
-        # the current level, then the 7 found of the next one
+        # the current level, then the 7 found of the next one; then the
+        # table's roots, all 10 of A4 up to sign, as int64 rows
         assert (doc["levels"], doc["expanded"]) == ([1, 6, 16], 10)
         assert names == [("pending", "|u1", [20, 4]),
+                         ("roots", "<i8", [10, 4]),
                          ("visited4", "|u1", [30, 4])]
+        table = roots(symmetrized_form(chain(4)).rows)
+        assert np.array_equal(saved_roots(ck), table.V)
         # the body is the raw bytes the manifest describes, and no more
-        assert [a["size"] for a in doc["arrays"]] == [80, 120]
-        assert len(rest.split(b"\n", 1)[1]) == 200
+        assert [a["size"] for a in doc["arrays"]] == [80, 320, 120]
+        assert len(rest.split(b"\n", 1)[1]) == 520
 
     def test_code_run_layout(self, tmp_path):
         # a code run saves its pending classes as uint16 codes and its keys
@@ -1154,6 +1316,9 @@ class TestCheckpointFormat:
         start = _engine(a3, "stokes")[0]
         assert start.dtype == np.uint16 and start.shape == (1,)
         assert _engine(affine, "stokes")[0].shape == (1, 3)
+        a3_roots = roots(symmetrized_form(a3).rows)
+        orbit_enumerate(a3, "bases")
+        assert a3_roots.size == 6
         for seed, mode, pending in (
                 (affine, "stokes", np.array([[0, 0, 0]], np.int8)),
                 (affine, "stokes", np.array([[-1, 0, -1]], np.int8)),
@@ -1165,7 +1330,8 @@ class TestCheckpointFormat:
                 (a3, "stokes", _decode(start, 3).T)):
             braid._save_checkpoint(ck, {
                 "mode": mode, "seed": seed.rows, "visited": {b"key"},
-                "pending": pending, "levels": [1], "expanded": 0})
+                "pending": pending, "levels": [1], "expanded": 0,
+                **({"roots": a3_roots.V} if mode == "bases" else {})})
             # refused for its state, before its key is looked up
             with pytest.raises(ValueError, match="corrupt: saved"):
                 orbit_enumerate(seed, mode, checkpoint=ck)
@@ -1194,7 +1360,7 @@ class TestCheckpointFormat:
                         "size": 8}]}, sort_keys=True).encode() + \
             b"\n" + bytes(8)
         ck = tmp_path / "orbit.ck"
-        ck.write_bytes(b"singlat checkpoint 5\n" +
+        ck.write_bytes(b"singlat checkpoint 6\n" +
                        hashlib.sha256(rest).hexdigest().encode() + b"\n" +
                        rest)
         with pytest.raises(ValueError, match="corrupt: bad .*shape|"
@@ -1223,9 +1389,10 @@ class TestCheckpointFormat:
         # to a count of 125 with levels summing to 126
         ck = str(tmp_path / "orbit.ck")
         seed = chain(4)
-        start = _engine(seed, "bases")[0]
+        start, table = _engine(seed, "bases")[::5]
         braid._save_checkpoint(ck, {
             "mode": "bases", "seed": seed.rows, "pending": start,
+            "roots": table.V,
             "visited": set(row_keys(np.array(visited, np.uint8)))
             if visited else set(), "levels": levels, "expanded": expanded})
         with pytest.raises(ValueError, match="corrupt: .*" + reason):
@@ -1233,7 +1400,8 @@ class TestCheckpointFormat:
         # the consistent file resumes to the whole orbit
         braid._save_checkpoint(ck, {
             "mode": "bases", "seed": seed.rows, "pending": start,
-            "visited": set(row_keys(start)), "levels": [1], "expanded": 0})
+            "roots": table.V, "visited": set(row_keys(start)),
+            "levels": [1], "expanded": 0})
         rep = orbit_enumerate(seed, "bases", checkpoint=ck)
         assert (rep.class_count, sum(rep.levels)) == (125, 125)
 
@@ -1242,43 +1410,51 @@ class TestCheckpointFormat:
         for name, vectors in NOT_BASES.items()
         for engine in ("roots", "vectors")
         if engine == "vectors" or name != "negative-vector"])
-    def test_saved_bases_are_bases(self, tmp_path, monkeypatch, engine,
-                                   vectors):
+    def test_saved_bases_are_bases(self, tmp_path, engine, vectors):
         # a hash-valid, self-consistent A4 file whose pending tuple is not
         # a sign-canonical distinguished basis (NOT_BASES): each is refused
-        # on root indices, where its vectors are roots, and on vectors
+        # when its saved roots are the table's, all roots, and when they
+        # are the tuple's own vectors in order; -e_0 there is a saved root
+        # that is not sign canonical
         seed = chain(4)
+        table = roots(symmetrized_form(seed).rows)
         if engine == "vectors":
-            monkeypatch.setattr(braid, "roots", lambda form: None)
-            pending = np.array([vectors], np.int8)
+            saved = np.array(vectors, np.int64)
+            pending = np.arange(4, dtype=np.uint8)[None]
         else:
-            table = roots(symmetrized_form(seed).rows)[0].tolist()
-            pending = np.array([[table.index(list(v)) for v in vectors]],
-                               np.uint8)
-        keys = _engine(seed, "bases")[2]
+            orbit_enumerate(seed, "bases")
+            saved = table.V
+            pending = np.array([[saved.tolist().index(list(v))
+                                 for v in vectors]], np.uint8)
         ck = str(tmp_path / "orbit.ck")
         braid._save_checkpoint(ck, {
             "mode": "bases", "seed": seed.rows, "pending": pending,
-            "visited": set(keys(pending)), "levels": [1], "expanded": 0})
+            "roots": saved, "visited": set(row_keys(pending)),
+            "levels": [1], "expanded": 0})
         with pytest.raises(ValueError, match="corrupt: saved states are "
-                           "not sign-canonical distinguished bases"):
+                           "not sign-canonical distinguished bases|"
+                           "corrupt: saved roots are not sign-canonical "
+                           "roots"):
             orbit_enumerate(seed, "bases", checkpoint=ck)
 
     def test_wide_entries_saved_as_json(self, tmp_path):
-        # states beyond int64 are object arrays, saved as JSON text and
-        # read back as Python ints; the form is indefinite, so the states
-        # are vectors
+        # roots beyond int64 are an object array, saved as JSON text and
+        # read back as Python ints; the form is indefinite, so the indices
+        # are uint16
         big = 2 ** 70
         seed = StokesMatrix(((1, big), (0, 1)))
         ck = tmp_path / "orbit.ck"
         rep = orbit_enumerate(seed, "bases", max_states=3,
                               checkpoint=str(ck))
         assert rep.truncated
-        assert manifest(ck)["arrays"][0]["dtype"] == "|O"
+        dtypes = {a["name"]: a["dtype"] for a in manifest(ck)["arrays"]}
+        assert dtypes["roots"] == "|O" and dtypes["pending"] == "<u2"
+        engine = _engine(seed, "bases")
         visited, frontier, _, _, _ = _load_checkpoint(
-            str(ck), "bases", seed.rows, _engine(seed, "bases")[4])
-        assert frontier.dtype == object and big in map(abs, frontier.flat)
-        assert set(_keys(frontier)) < visited and len(visited) == 3
+            str(ck), "bases", seed.rows, engine)
+        v = engine.table.V
+        assert v.dtype == object and big in map(abs, v[frontier].flat)
+        assert set(row_keys(frontier)) < visited and len(visited) == 3
 
 
 class TestBraidProperties:

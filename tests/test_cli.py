@@ -126,7 +126,7 @@ class TestOrbitCommand:
                                   "--checkpoint", str(ck))
         assert code == 1 and len(lines) == 1
         assert lines[0].startswith("error:")
-        assert "not in checkpoint format 5" in lines[0]
+        assert "not in checkpoint format 6" in lines[0]
 
     def test_packed_stokes_checkpoint_fails(self, capsys, tmp_path,
                                             monkeypatch):
@@ -165,7 +165,7 @@ class TestOrbitCommand:
                                   "--checkpoint", str(ck))
         assert code == 1 and len(lines) == 1
         assert lines[0].startswith("error:")
-        assert "not in checkpoint format 5" in lines[0]
+        assert "not in checkpoint format 6" in lines[0]
         assert "corrupt" not in lines[0]
 
     @pytest.mark.parametrize("crafted", ["levels", "basis"])
@@ -181,12 +181,75 @@ class TestOrbitCommand:
         ck = str(tmp_path / "orbit.ck")
         braid._save_checkpoint(ck, {
             "mode": "bases", "seed": seed.rows, "pending": pending,
+            "roots": np.eye(4, dtype=np.int64),
             "visited": set() if crafted == "levels" else {pending.tobytes()},
             "levels": [1], "expanded": 0})
         code, lines = error_lines(capsys, "orbit", "A4", "--mode", "bases",
                                   "--checkpoint", ck)
         assert code == 1 and len(lines) == 1
         assert lines[0].startswith("error:") and "corrupt" in lines[0]
+
+    def test_format_5_checkpoint_fails(self, capsys, tmp_path):
+        # a format-5 file as format 5 wrote it, the A2 bases run stopped at
+        # 1 class: root indices without the roots they refer to.  Its hash
+        # holds, so it is refused by its magic line, as another format
+        rest = (b'{"arrays": [{"dtype": "|u1", "name": "pending", "shape": '
+                b'[1, 2], "size": 2}, {"dtype": "|u1", "name": "visited2", '
+                b'"shape": [1, 2], "size": 2}], "expanded": 0, "levels": '
+                b'[1], "mode": "bases", "seed": [[1, -1], [0, 1]]}\n'
+                b'\x00\x01\x00\x01')
+        ck = tmp_path / "orbit.ck"
+        ck.write_bytes(b"singlat checkpoint 5\n" +
+                       hashlib.sha256(rest).hexdigest().encode() + b"\n" +
+                       rest)
+        code, lines = error_lines(capsys, "orbit", "A2", "--mode", "bases",
+                                  "--checkpoint", str(ck))
+        assert code == 1 and len(lines) == 1
+        assert lines[0].startswith("error:")
+        assert "not in checkpoint format 6" in lines[0]
+        assert "corrupt" not in lines[0]
+
+    @pytest.mark.parametrize("crafted", ["norm", "sign", "index", "repeat"])
+    def test_crafted_roots_fail(self, capsys, tmp_path, crafted):
+        # hash-valid A4 bases files holding the start (0, 1, 2, 3) whose
+        # saved roots no run writes: e_0 + e_2 of I(v, v) = 4 in place of
+        # e_3, -e_3 (not sign canonical), only three roots (so index 3 is
+        # past them), or the basis with e_0 once more
+        seed = seed_stokes("A4").stokes
+        saved = np.eye(4, dtype=np.int64)
+        if crafted == "norm":
+            saved[3] = (1, 0, 1, 0)
+        elif crafted == "sign":
+            saved[3] = (0, 0, 0, -1)
+        elif crafted == "index":
+            saved = saved[:3]
+        else:
+            saved = np.vstack([saved, saved[:1]])
+        pending = np.arange(4, dtype=np.uint8)[None]
+        ck = str(tmp_path / "orbit.ck")
+        braid._save_checkpoint(ck, {
+            "mode": "bases", "seed": seed.rows, "pending": pending,
+            "roots": saved, "visited": {pending.tobytes()},
+            "levels": [1], "expanded": 0})
+        code, lines = error_lines(capsys, "orbit", "A4", "--mode", "bases",
+                                  "--checkpoint", ck)
+        assert code == 1 and len(lines) == 1
+        assert lines[0].startswith("error:") and "corrupt" in lines[0]
+        assert ("repeat" if crafted == "repeat" else "past" if
+                crafted == "index" else "not sign-canonical roots") in \
+            lines[0]
+
+    def test_root_overflow_fails(self, capsys, monkeypatch):
+        # a run that would intern more roots than its indices hold ends
+        # with one error: line, not a traceback
+        def overflow(*args, **kwargs):
+            raise OverflowError("more than 65535 roots do not fit uint16 "
+                                "indices")
+        monkeypatch.setattr(braid, "orbit_enumerate", overflow)
+        code, lines = error_lines(capsys, "orbit", "tE6", "--mode", "bases",
+                                  "--budget-states", "10")
+        assert code == 1 and len(lines) == 1
+        assert lines[0].startswith("error: more than 65535 roots")
 
     def test_crafted_pickle_is_never_loaded(self, capsys, tmp_path):
         # a format-3-style pickle whose __reduce__ would create a marker
@@ -203,7 +266,7 @@ class TestOrbitCommand:
                                   "--checkpoint", str(ck))
         assert code == 1 and len(lines) == 1
         assert lines[0].startswith("error:")
-        assert "not in checkpoint format 5" in lines[0]
+        assert "not in checkpoint format 6" in lines[0]
         assert not marker.exists()
 
     @pytest.mark.parametrize("damage", ["truncate", "flip"])
@@ -406,14 +469,18 @@ ORBIT_RUN = {"E7": "extended", "E8": "extended", "tE6": "extended",
              "tE7": "extended", "tE8": None}
 
 
-def test_scorecard_small(capsys, monkeypatch):
-    # restrict the orbit section to A2 and A3 so the smoke test stays fast;
-    # every degree and stokes-count entry still runs against the real
-    # table.  The desk-scale orbit runs are the acceptance suite's job.
+def small_scorecard(monkeypatch):
+    """Restrict the orbit section to A2 and A3 so the smoke tests stay
+    fast; every degree and stokes-count entry still runs against the real
+    table.  The desk-scale orbit runs are the acceptance suite's job."""
     import singlat.cli as cli
     monkeypatch.setattr(cli, "SCORECARD_TABLE", {
         label: (deg, stokes, "desk" if label in ("A2", "A3") else None)
         for label, (deg, stokes, _) in cli.SCORECARD_TABLE.items()})
+
+
+def test_scorecard_small(capsys, monkeypatch):
+    small_scorecard(monkeypatch)
     code, doc = run(capsys, "scorecard")
     assert code == 0 and doc["passed"]
     assert all(e["passed"] for e in doc["entries"])
@@ -429,6 +496,27 @@ def test_scorecard_small(capsys, monkeypatch):
         assert got[f"stokes-count:{label}"] == stokes
     segre = {e["name"]: e.get("segre") for e in doc["entries"]}
     assert segre["degree:tE8"] == 21374793216 and segre["degree:A2"] is None
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_scorecard_stdout_is_deterministic(capsys, monkeypatch, jobs):
+    # two runs print the same stdout bytes, with no time in them; each
+    # orbit entry's time is on its stderr line, the run's on the summary
+    small_scorecard(monkeypatch)
+    outs = []
+    for _ in range(2):
+        assert main(["scorecard", "--jobs", jobs]) == 0
+        captured = capsys.readouterr()
+        outs.append(captured.out)
+        err = captured.err.splitlines()
+        orbit_lines = [line for line in err if line.startswith("PASS orbit:")]
+        assert len(orbit_lines) == 4
+        assert all(line.endswith("s)") for line in orbit_lines)
+        assert err[-1].startswith("scorecard: all green (") and \
+            err[-1].endswith("s)")
+    assert outs[0] == outs[1]
+    assert "seconds" not in outs[0]
+    assert all("seconds" not in e for e in json.loads(outs[0])["entries"])
 
 
 def test_scorecard_table_matches_literal():

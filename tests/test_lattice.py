@@ -1,4 +1,6 @@
 import random
+import threading
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -9,8 +11,8 @@ from singlat.lattice import (MonodromyMatrix, StokesMatrix, char_poly,
                              coxeter_dynkin, definiteness, is_connected,
                              is_quasiunipotent, mat_det, matrix_order,
                              monodromy_from_stokes, monodromy_product,
-                             pl_reflect, radical_rank, roots,
-                             symmetrized_form, ROOT_TABLE_MAX)
+                             pl_reflect, process_cache, radical_rank, roots,
+                             RootTable, symmetrized_form)
 from singlat.braid import (VanishingTuple, braid_apply_word, BraidWord,
                            _canon_vectors, _generators, stokes_of_tuple)
 from singlat.polyalg import MultiPoly
@@ -130,15 +132,58 @@ def moved_forms(label, count, rng):
     return forms
 
 
+def closed(form, rounds=float("inf")):
+    """A fresh RootTable of form, filled the eager way: every pair of its
+    roots reflected, round after round, until a round finds no new root
+    (the closure) or after rounds rounds."""
+    t, done = RootTable(form), 0
+    while done < rounds:
+        n = t.size
+        idx = np.arange(n, dtype=t.dtype)
+        t.fill(np.repeat(idx, n), np.tile(idx, n))
+        if t.size == n:
+            break
+        done += 1
+    return t
+
+
+def filled(t):
+    """V and the filled square of the reflection table of t."""
+    return t.V, t.refl[:t.size, :t.size]
+
+
+def test_process_cache_builds_once():
+    # threads that ask for one key at once share one value, built once
+    calls = []
+
+    @process_cache
+    def slow(key):
+        calls.append(key)
+        time.sleep(0.01)
+        return object()
+
+    got = [None] * 8
+    threads = [threading.Thread(target=lambda k=k: got.__setitem__(
+        k, slow("key"))) for k in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+        assert not t.is_alive()
+    assert calls == ["key"] and len({id(v) for v in got}) == 1
+    slow.cache_clear()
+    assert slow("key") is not got[0] and calls == ["key", "key"]
+
+
 class TestRoots:
     @pytest.mark.parametrize("label", ROOT_LABELS)
     def test_tables(self, label):
         rng = random.Random(label)
         for form in moved_forms(label, 3, rng):
-            v, r = roots(form)
+            v, r = filled(closed(form))
             n, size = len(form), root_count(label)
             assert v.shape == (size, n) and r.shape == (size, size)
-            assert not v.flags.writeable and not r.flags.writeable
+            assert not v.flags.writeable
             assert r.dtype == np.uint8
             # the basis first, every vector sign canonical and a root
             assert v[:n].tolist() == np.eye(n, dtype=int).tolist()
@@ -158,33 +203,61 @@ class TestRoots:
                     tuple(v[r[a, b]].tolist())
 
     @pytest.mark.parametrize("label", ["tE6", "tE7", "tE8"])
-    def test_none_for_elliptic(self, label):
+    def test_elliptic_tables_grow_on_demand(self, label):
+        # an elliptic form has infinitely many roots: every round of
+        # reflections finds new ones, each a sign-canonical root, and the
+        # indices are uint16
         for form in moved_forms(label, 2, random.Random(label)):
-            assert roots(form) is None
+            t = RootTable(form)
+            assert t.definiteness != "positive-definite"
+            assert t.dtype == np.uint16 and t.size == len(form)
+            sizes = [closed(form, rounds).size for rounds in (1, 2, 3)]
+            assert len(form) < sizes[0] < sizes[1] < sizes[2]
+            v = closed(form, 3).V
+            assert (np.einsum("ai,ij,aj->a", v, np.array(form), v) == 2).all()
+            assert [tuple(x) for x in v.tolist()] == \
+                list(_canon_vectors(tuple(x) for x in v.tolist()))
 
     def test_table_size_cap(self):
-        # A31 has 496 roots, A32 528: past ROOT_TABLE_MAX there is no table,
-        # and the closure stops as soon as it finds one root too many
-        assert ROOT_TABLE_MAX == 512
-        v, r = roots(symmetrized_form(chain(31)).rows)
-        assert (len(v), r.dtype) == (496, np.uint16)
-        for seed in (chain(32), chain(100), seed_stokes("D100").stokes):
-            assert roots(symmetrized_form(seed).rows) is None
+        # uint8 indices stop below the sentinel 255: a table that would
+        # intern a 256th root raises instead of wrapping, and keeps every
+        # index it gave out
+        t = RootTable(symmetrized_form(chain(3)).rows)
+        rows = np.array([(1, k, 0) for k in range(1, 253)], np.int64)
+        assert t.intern(rows).tolist() == list(range(3, 255))
+        assert t.size == 255 and t.sentinel == 255
+        with pytest.raises(OverflowError, match="255 roots"):
+            t.intern(np.array([(1, 253, 0)], np.int64))
+        assert t.size == 255 and t.refl.shape == (255, 255)
+        assert t.intern(rows[-1:]).tolist() == [254]
 
     def test_index_width(self):
-        # uint8 while every index fits, up to N = 256 roots
-        for mu, size, width in ((21, 231, np.uint8), (22, 253, np.uint8),
-                                (23, 276, np.uint16)):
-            v, r = roots(symmetrized_form(chain(mu)).rows)
+        # uint8 for a positive definite form of rank <= 16, whose roots
+        # fit (D16 has 240, the most at rank 16 with E8 + E8), and uint16
+        # past rank 16 or for a form that is not positive definite
+        for form, size, width in (
+                (symmetrized_form(chain(16)).rows, 136, np.uint8),
+                (symmetrized_form(seed_stokes("D16").stokes).rows, 240,
+                 np.uint8),
+                (symmetrized_form(chain(17)).rows, 153, np.uint16)):
+            v, r = filled(closed(form))
             assert (len(v), r.dtype) == (size, width)
             assert int(r.max()) == size - 1
+        assert roots(symmetrized_form(seed_stokes("tE6").stokes).rows) \
+            .dtype == np.uint16
 
     def test_disconnected_form(self):
         # 2 Id: the roots are the basis alone, each its own reflection's
         # fixed point up to sign and orthogonal to the others
-        v, r = roots(symmetrized_form(StokesMatrix.identity(3)).rows)
+        v, r = filled(closed(symmetrized_form(StokesMatrix.identity(3)).rows))
         assert v.tolist() == np.eye(3, dtype=int).tolist()
         assert r.tolist() == [[0, 1, 2]] * 3
+
+    def test_one_table_per_form(self):
+        # roots caches one table per form, with its definiteness
+        form = symmetrized_form(seed_stokes("E7").stokes).rows
+        assert roots(form) is roots(tuple(map(tuple, form)))
+        assert roots(form).definiteness == definiteness(form)
 
 
 class TestDiagram:
