@@ -112,8 +112,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import (StokesMatrix, symmetrized_form, mat_det, is_connected,
-                      form_pair, mat_mul, mat_neg, mat_transpose,
-                      process_cache, roots, row_keys)
+                      definiteness, form_pair, mat_mul, mat_neg,
+                      mat_transpose, process_cache, roots, row_keys)
 
 
 @dataclass(frozen=True)
@@ -562,7 +562,7 @@ def _expand_roots(x, table):
     s_old[t](old[other]) into slot t (_move_tables): on indices up to sign
     table.refl[x[t], x[other]], one gather.  Only if its bytes hold the
     sentinel's (a third of a numpy reduction's cost; a false uint16 match
-    needs an index >= 65280 and costs an idle fill) does the
+    needs an index >= 65280, past the table's limit) does the
     lattice.RootTable fill the missing pairs, and the gather is redone."""
     gi, _, t, slots, perm = _move_tables(x.shape[1])
     pairs = x[:, slots]
@@ -621,14 +621,14 @@ def _engine(seed, mode):
     index tuple (0, ..., mu-1).  The seed is connected, so the Stokes start
     is sign_canonical_stokes(seed), narrowed first: a sign flip keeps every
     entry's width.  A Stokes run with m <= _CODE_MAX_M packed entries over
-    a positive definite form (as its root table found once), whose entries
-    stay in {-1, 0, 1}, runs on the codes of _CodeTable; any other Stokes
-    run on packed states."""
+    a positive definite form (lattice.definiteness, once per form), whose
+    entries stay in {-1, 0, 1}, runs on the codes of _CodeTable; any other
+    Stokes run on packed states."""
     if mode == "stokes":
         start = _tree_sign_form(_narrow(_pack(seed)))
         m = len(start)
-        if m <= _CODE_MAX_M and roots(symmetrized_form(
-                seed).rows).definiteness == "positive-definite":
+        if m <= _CODE_MAX_M and definiteness(
+                symmetrized_form(seed).rows) == "positive-definite":
             start = _encode(start)
             return _Engine(start, _code_table(m).expand, _code_keys,
                            np.asarray, functools.partial(
@@ -642,7 +642,7 @@ def _engine(seed, mode):
     return _Engine(start, functools.partial(_expand_roots, table=table),
                    row_keys, np.asarray, functools.partial(
                        _check_bases, start=start, seed_rows=seed.rows,
-                       table=table), table)
+                       limit=table.limit), table)
 
 
 def orbit_enumerate(seed: StokesMatrix, mode: str = "bases", *,
@@ -813,11 +813,12 @@ def _load_checkpoint(path, mode, seed_rows, engine):
 
     Loading checks what it resumes: levels start with the seed's level of
     1, the first sum(levels) - expanded pending classes are the rest of
-    the current level, engine.check accepts (and remaps) the saved states,
-    visited holds exactly the classes of the levels and of the next level,
-    and each pending state's key is in visited.  Anything unreadable, of
+    the current level, engine.check accepts the saved states, visited
+    holds exactly the classes of the levels and of the next level, and
+    each pending state's key is in visited.  Anything unreadable, of
     another format, of another run or inconsistent raises ValueError; no
-    byte of the file is unpickled."""
+    byte of the file is unpickled.  Only then are a bases run's saved
+    roots interned into its table (_adopt_roots)."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -869,7 +870,8 @@ def _load_checkpoint(path, mode, seed_rows, engine):
         split = sum(levels) - expanded      # unexpanded in the current level
         if levels[:1] != [1] or not 0 <= split <= len(pending):
             raise ValueError("levels, expanded and pending do not agree")
-        pending, visited = engine.check(pending, rows, arrays.get("roots"))
+        engine.check(pending, rows, arrays.get("roots"))
+        visited = set().union(*map(row_keys, rows))
         if len(visited) != expanded + len(pending):
             raise ValueError("visited does not hold exactly the classes of "
                              "the levels and of the next level")
@@ -878,6 +880,9 @@ def _load_checkpoint(path, mode, seed_rows, engine):
     except (KeyError, TypeError, ValueError, OverflowError,
             RecursionError) as exc:
         raise ValueError(f"checkpoint {path} is corrupt: {exc}") from None
+    if engine.table is not None:
+        pending, visited = _adopt_roots(engine.table, arrays["roots"],
+                                        pending, rows, visited)
     nxt = pending[split:]
     return visited, pending[:split], [nxt] if len(nxt) else [], \
         list(levels), expanded
@@ -918,11 +923,11 @@ def _checkpoint_arrays(entries, body):
 
 
 def _check_states(a, rows, saved, start, m, bound=None):
-    """The saved Stokes states a and the set of the visited key rows rows
-    (saved roots: none), once a passes as states of the run of m packed
-    entries from start: its shape per state, integer entries, on codes
-    start's dtype and values below bound, and tree sign normal forms,
-    which a disconnected diagram has none of.  Else raise ValueError."""
+    """Raise ValueError unless the saved Stokes states a pass as states of
+    the run of m packed entries from start (saved roots: none): its shape
+    per state, integer entries, on codes start's dtype and values below
+    bound, and tree sign normal forms, which a disconnected diagram has
+    none of."""
     if a.shape[1:] != start.shape[1:] or \
             (a.dtype != object and a.dtype.kind not in "iu"):
         raise ValueError("saved states do not fit this run")
@@ -940,42 +945,47 @@ def _check_states(a, rows, saved, start, m, bound=None):
         if not canonical:
             raise ValueError("saved Stokes states are not sign normal forms "
                              "of connected diagrams")
-    return a, set().union(*map(row_keys, rows))
 
 
-def _check_bases(a, rows, saved, start, seed_rows, table):
-    """The saved bases states a, (B, mu) indices into the saved roots
-    (N, mu), and the set of the visited key rows rows, remapped to indices
-    of this process's table; else raise ValueError.
+def _check_bases(a, rows, saved, start, seed_rows, limit):
+    """Raise ValueError unless the saved bases states a, (B, mu) indices
+    into the saved roots (N, mu), and the visited key rows rows fit the
+    run from start and a are distinguished bases over the seed S.
 
-    Saved roots must be sign canonical with I(v, v) = 2, indices below N,
-    and a state a distinguished basis over the seed S: its Gram matrix
-    V L V^t for L = -S^t lower unitriangular with diagonal -1, the test of
-    _stokes_rows_of_vectors.  So the N x N pairings P = saved L saved^t
-    are computed once, exactly; their diagonal -I(v, v)/2 must be -1, and
-    every P[x_a, x_b], a < b, gathered per chunk of states, 0.  The saved
-    roots are then interned, must come out distinct, and give the index
-    map, so a table filled in another order resumes the same classes."""
+    N is at most limit, the roots a table holds, before any arithmetic;
+    indices are below N; saved roots are distinct, sign canonical and of
+    I(v, v) = 2; and the Gram matrix V L V^t of each state, L = -S^t, is
+    lower unitriangular with diagonal -1 (_stokes_rows_of_vectors).  So
+    the diagonal -I(v, v)/2 of the pairings saved L saved^t must be -1,
+    and P[x_a, x_b], a < b, gathered per chunk of states from the N x N
+    table of nonzero pairings, False.  That table, N^2 bytes built a block
+    of rows at a time, is no larger than the refl that interning the N
+    roots makes."""
     n = start.shape[1]
     if a.shape[1:] != start.shape[1:] or a.dtype != start.dtype:
         raise ValueError("saved root indices do not fit this run")
     if saved is None or saved.ndim != 2 or saved.shape[1] != n:
         raise ValueError("saved roots do not fit this run")
+    count = len(saved)
+    if count > limit:
+        raise ValueError(f"more than {limit} saved roots")
     if any(r.shape[1] != n * a.itemsize for r in rows):
         raise ValueError("saved keys do not fit this run")
-    keys = [r.view(a.dtype) for r in rows]
-    count = len(saved)
-    if any(x.size and int(x.max()) >= count for x in [a] + keys):
+    if any(x.size and int(x.max()) >= count
+           for x in [a] + [r.view(a.dtype) for r in rows]):
         raise ValueError("saved root indices are past the saved roots")
     lead = saved[np.arange(count), (saved != 0).argmax(axis=1)]
     seifert = -np.array(seed_rows, dtype=object).T
     top = int(np.abs(saved).max(initial=0))
     w = _work_dtype(n * n * int(np.abs(seifert).max()) * top * top)
     v = saved.astype(w)
-    pair = v @ seifert.astype(w) @ v.T
-    if not ((lead > 0).all() and (np.diagonal(pair) == -1).all()):
+    vl = v @ seifert.astype(w)
+    if not ((lead > 0).all() and ((vl * v).sum(axis=1) == -1).all()):
         raise ValueError("saved roots are not sign-canonical roots")
-    upper = pair != 0
+    upper = np.empty((count, count), bool)
+    step = max(1, _CHUNK_ELEMENTS // (n * max(1, count)))
+    for lo in range(0, count, step):
+        upper[lo:lo + step] = vl[lo:lo + step] @ v.T != 0
     i, j = np.triu_indices(n, 1)
     step = max(1, _CHUNK_ELEMENTS // n ** 2)
     for lo in range(0, len(a), step):
@@ -983,10 +993,21 @@ def _check_bases(a, rows, saved, start, seed_rows, table):
         if upper[x[:, i], x[:, j]].any():
             raise ValueError("saved states are not sign-canonical "
                              "distinguished bases")
-    index = table.intern(saved)
-    if len(set(index.tolist())) != count:
+    if len(set(map(tuple, saved.tolist()))) != count:
         raise ValueError("saved roots repeat")
-    return index[a], set().union(*(row_keys(index[x]) for x in keys))
+
+
+def _adopt_roots(table, saved, pending, rows, visited):
+    """The checked saved states pending and visited keys, remapped from
+    indices of the saved roots to those of this process's table, which
+    interns the roots: so a table filled in another order resumes the same
+    classes.  A table that starts at the saved roots' order keeps every
+    index, and the visited set as it is."""
+    index = table.intern(saved)
+    if np.array_equal(index, np.arange(len(saved))):
+        return pending, visited
+    return index[pending], set().union(
+        *(row_keys(index[r.view(table.dtype)]) for r in rows))
 
 
 def _sha256(*parts):

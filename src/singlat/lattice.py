@@ -281,8 +281,10 @@ def radical_rank(i: IntersectionMatrix) -> int:
                                 for row in rows])[0]
 
 
+@functools.lru_cache(maxsize=None)
 def definiteness(i: IntersectionMatrix):
-    """'positive-definite', 'positive-semidefinite' or 'indefinite'.
+    """'positive-definite', 'positive-semidefinite' or 'indefinite',
+    computed once per form and process (i, or its row tuples, is the key).
 
     Exact, by symmetric fraction-free (Bareiss) elimination, one O(mu^3)
     pass.  A positive pivot is eliminated.  A zero pivot must head a zero
@@ -312,6 +314,7 @@ def definiteness(i: IntersectionMatrix):
 
 
 _INT64_MAX = 2 ** 63 - 1
+_MAX_ROOTS = 4096    # uint16 tables: refl at most 4096^2 x 2 B = 32 MiB
 
 
 class RootTable:
@@ -324,11 +327,13 @@ class RootTable:
     it.  refl[a, b] is the index of s_(V[a])(V[b]) = V[b] - I(V[a], V[b])
     V[a] up to sign, or sentinel, the dtype's largest value, if unfilled.
     Indices are uint8 for a positive definite form of rank <= 16 (an ADE
-    lattice, at most 240 roots up to sign: D16, E8 + E8), else uint16;
-    interning past the sentinel raises OverflowError.  Writes hold a lock;
-    V and the dense square refl are replaced when they grow (by doubling),
-    never resized in place, so a reader without the lock sees a filled
-    entry or the sentinel, and every index it reads fits the next table."""
+    lattice, at most 240 roots up to sign: D16, E8 + E8), else uint16.
+    The table holds at most limit roots, the sentinel 255 for uint8 and
+    _MAX_ROOTS for uint16, which keeps the dense refl in memory; interning
+    past it raises OverflowError.  Writes hold a lock; V and the dense
+    square refl are replaced when they grow (by doubling), never resized
+    in place, so a reader without the lock sees a filled entry or the
+    sentinel, and every index it reads fits the next table."""
 
     def __init__(self, form_rows):
         n = self.mu = len(form_rows)
@@ -336,11 +341,12 @@ class RootTable:
         small = self.definiteness == "positive-definite" and n <= 16
         self.dtype = np.dtype(np.uint8 if small else np.uint16)
         self.sentinel = int(np.iinfo(self.dtype).max)
+        self.limit = min(self.sentinel, _MAX_ROOTS)
         self.sentinel_bytes = b"\xff" * self.dtype.itemsize
         form = np.array(form_rows, dtype=object)
         self.f = int(np.abs(form).max(initial=0))
         self.form = form.astype(np.int64) if self.f <= _INT64_MAX else form
-        cap = min(self.sentinel, max(16, 2 * n))
+        cap = min(self.limit, max(16, 2 * n))
         self.vectors = np.zeros((cap, n), np.int64)
         self.refl = np.full((cap, cap), self.sentinel, self.dtype)
         self.top, self.size, self.index = 0, 0, {}   # top: max |entry|
@@ -373,11 +379,11 @@ class RootTable:
                 k = self.index.get(key)
                 if k is None:
                     k = self.size
-                    if k >= self.sentinel:
-                        raise OverflowError(f"more than {self.sentinel} roots "
-                                            f"do not fit {self.dtype} indices")
+                    if k >= self.limit:
+                        raise OverflowError(f"more than {self.limit} roots do "
+                                            "not fit this form's root table")
                     if k == len(self.vectors):
-                        cap = min(2 * k, self.sentinel)
+                        cap = min(2 * k, self.limit)
                         grown = np.zeros((cap, self.mu), self.vectors.dtype)
                         grown[:k] = self.vectors
                         refl = np.full((cap, cap), self.sentinel, self.dtype)

@@ -915,8 +915,8 @@ class TestRootEngine:
             table = engine.table
             assert engine.start.dtype == table.dtype
             level, seen, checked = engine.start, set(row_keys(engine.start)), 0
-            while len(level) and checked < 1000:
-                for lo in range(0, min(len(level), 1000), 97):
+            while len(level) and checked < 3000:
+                for lo in range(0, len(level), 97):
                     x = level[lo:lo + 97]
                     got = _expand_roots(x, table)
                     v = table.V

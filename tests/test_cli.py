@@ -3,13 +3,15 @@ import json
 import math
 import os
 import pickle
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from singlat import braid, verify
+from singlat import braid, lattice, verify
 from singlat.cli import main
+from singlat.lattice import roots, symmetrized_form
 from singlat.singdata import seed_stokes, sing_class
 
 
@@ -209,14 +211,18 @@ class TestOrbitCommand:
         assert "not in checkpoint format 6" in lines[0]
         assert "corrupt" not in lines[0]
 
-    @pytest.mark.parametrize("crafted", ["norm", "sign", "index", "repeat"])
+    @pytest.mark.parametrize("crafted", ["norm", "sign", "index", "repeat",
+                                         "many"])
     def test_crafted_roots_fail(self, capsys, tmp_path, crafted):
         # hash-valid A4 bases files holding the start (0, 1, 2, 3) whose
         # saved roots no run writes: e_0 + e_2 of I(v, v) = 4 in place of
         # e_3, -e_3 (not sign canonical), only three roots (so index 3 is
-        # past them), or the basis with e_0 once more
+        # past them), the basis with e_0 once more, or the basis and e_0
+        # 200000 times more, an 800 kB file that once asked for a
+        # 200004^2 pairing matrix.  Each is refused in little memory, and
+        # before any saved root enters the process's table
         seed = seed_stokes("A4").stokes
-        saved = np.eye(4, dtype=np.int64)
+        saved = np.eye(4, dtype=np.int8)
         if crafted == "norm":
             saved[3] = (1, 0, 1, 0)
         elif crafted == "sign":
@@ -224,32 +230,44 @@ class TestOrbitCommand:
         elif crafted == "index":
             saved = saved[:3]
         else:
-            saved = np.vstack([saved, saved[:1]])
+            saved = np.vstack([saved] + [saved[:1]] *
+                              (200000 if crafted == "many" else 1))
         pending = np.arange(4, dtype=np.uint8)[None]
         ck = str(tmp_path / "orbit.ck")
         braid._save_checkpoint(ck, {
             "mode": "bases", "seed": seed.rows, "pending": pending,
             "roots": saved, "visited": {pending.tobytes()},
             "levels": [1], "expanded": 0})
-        code, lines = error_lines(capsys, "orbit", "A4", "--mode", "bases",
-                                  "--checkpoint", ck)
+        table = roots(symmetrized_form(seed).rows)
+        size = table.size
+        tracemalloc.start()
+        try:
+            code, lines = error_lines(capsys, "orbit", "A4", "--mode",
+                                      "bases", "--checkpoint", ck)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert code == 1 and len(lines) == 1
         assert lines[0].startswith("error:") and "corrupt" in lines[0]
-        assert ("repeat" if crafted == "repeat" else "past" if
-                crafted == "index" else "not sign-canonical roots") in \
-            lines[0]
+        assert {"repeat": "repeat", "index": "past",
+                "many": "more than 255 saved roots"}.get(
+                    crafted, "not sign-canonical roots") in lines[0]
+        assert peak < 16 * 2 ** 20 and table.size == size
 
     def test_root_overflow_fails(self, capsys, monkeypatch):
-        # a run that would intern more roots than its indices hold ends
-        # with one error: line, not a traceback
-        def overflow(*args, **kwargs):
-            raise OverflowError("more than 65535 roots do not fit uint16 "
-                                "indices")
-        monkeypatch.setattr(braid, "orbit_enumerate", overflow)
-        code, lines = error_lines(capsys, "orbit", "tE6", "--mode", "bases",
-                                  "--budget-states", "10")
+        # a run that would intern more roots than its table holds ends
+        # with one error: line, not a traceback: tE6 at 5000 classes needs
+        # 60 roots, here past a limit of 40 in a table made afresh
+        monkeypatch.setattr(lattice, "_MAX_ROOTS", 40)
+        lattice.roots.cache_clear()
+        try:
+            code, lines = error_lines(capsys, "orbit", "tE6", "--mode",
+                                      "bases", "--budget-states", "5000")
+        finally:
+            lattice.roots.cache_clear()
         assert code == 1 and len(lines) == 1
-        assert lines[0].startswith("error: more than 65535 roots")
+        assert lines[0] == ("error: more than 40 roots do not fit this "
+                            "form's root table")
 
     def test_crafted_pickle_is_never_loaded(self, capsys, tmp_path):
         # a format-3-style pickle whose __reduce__ would create a marker
