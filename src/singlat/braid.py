@@ -90,10 +90,15 @@ Budgets are exact: a run stopped by max_states reports exactly that many
 classes, the first ones in FIFO order, and is truncated only if the orbit
 is larger.
 
-Checkpoints (format 6, _save_checkpoint) are one file under one SHA-256:
-a JSON manifest, then the raw bytes of the arrays it describes, a bases
-run's root vectors among them.  Loading unpickles nothing, checks what it
-resumes and remaps saved root indices to this process's (_load_checkpoint).
+Checkpoints (format 7, _save_checkpoint) are one file under one SHA-256:
+a JSON manifest, then the raw bytes of the arrays it describes.  Every
+move has its inverse among the generators, so expanding level d meets
+only classes of levels d - 1, d and d + 1 (Korf, Zhang, Thayer and
+Hohwald, JACM 52(5), 2005), and a checkpoint holds just those: the array
+window, from the first class of level d - 1 to the last one found, in
+FIFO order, and a bases run's root vectors.  Loading unpickles nothing,
+checks every saved class and remaps saved root indices to this process's
+(_load_checkpoint).
 """
 
 from __future__ import annotations
@@ -231,8 +236,9 @@ def sign_canonical_stokes(s: StokesMatrix) -> StokesMatrix:
 # orbit enumeration
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_FORMAT = 6          # 5 lacked the roots its indices name; 4
-                               # nested .npy files; 3 a pickle; 2 mu x mu
+CHECKPOINT_FORMAT = 7          # 6 saved every visited key; 5 lacked the
+                               # roots its indices name; 4 nested .npy
+                               # files; 3 a pickle; 2 mu x mu
 _CHECKPOINT_MAGIC = f"singlat checkpoint {CHECKPOINT_FORMAT}".encode()
 CHECKPOINT_EVERY = 250_000     # expanded states between checkpoint saves
 _CHUNK_ELEMENTS = 2 ** 16      # per numpy pass, counting mu^2 per
@@ -668,7 +674,9 @@ def orbit_enumerate(seed: StokesMatrix, mode: str = "bases", *,
     which no choice of canonical form changes; a truncated run reports the
     classes found per level.  With a checkpoint path, a run resumes from
     the search state saved there, and saves it after every CHECKPOINT_EVERY
-    expanded states and when the budget stops it.
+    expanded states and when the budget stops it.  A resumed run's
+    visited set holds only the saved window's keys and those it finds:
+    expanding level d or later meets no class of level d - 2.
     """
     if mode not in ("bases", "stokes"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -689,17 +697,26 @@ def orbit_enumerate(seed: StokesMatrix, mode: str = "bases", *,
     expand, keys, store = engine.expand, engine.keys, engine.store
     g_count = 2 * (n - 1)
     chunk = max(1, _CHUNK_ELEMENTS // (max(1, g_count) * n * n))
-    level, nxt, levels, expanded = engine.start, [], [1], 0
-    visited = set(keys(level))
+    # prev and cur are the whole levels d - 1 and d, level the rest of cur
+    # to expand, nxt the classes found of level d + 1
+    prev, cur, nxt = engine.start[:0], engine.start, []
+    levels, expanded = [1], 0
+    visited = set(keys(cur))
     if checkpoint:
         resumed = _load_checkpoint(checkpoint, mode, seed.rows, engine)
         if resumed is not None:
-            visited, level, nxt, levels, expanded = resumed
+            visited, window, levels, expanded = resumed
+            a = sum(levels[-2:-1])          # level d - 1, none at d = 0
+            b = a + levels[-1]
+            prev, cur = window[:a], window[a:b]
+            nxt = [window[b:]] if len(window) > b else []
+    level = cur[expanded - sum(levels[:-1]):]
+    count = sum(levels) + sum(len(a) for a in nxt)
 
     def save():
-        doc = {"mode": mode, "seed": seed.rows, "visited": visited,
-               "pending": np.concatenate([level] + nxt), "levels": levels,
-               "expanded": expanded}
+        doc = {"mode": mode, "seed": seed.rows, "levels": levels,
+               "expanded": expanded,
+               "window": np.concatenate([prev, cur] + nxt)}
         if engine.table is not None:
             doc["roots"] = engine.table.V
         _save_checkpoint(checkpoint, doc)
@@ -708,11 +725,12 @@ def orbit_enumerate(seed: StokesMatrix, mode: str = "bases", *,
     saved_at = expanded
     while len(level) or nxt:
         if not len(level):
-            level, nxt = np.concatenate(nxt), []
-            levels.append(len(level))
+            prev, cur = cur, np.concatenate(nxt)
+            level, nxt = cur, []
+            levels.append(len(cur))
         x = level[:chunk]
         cands = expand(x)
-        room = limit - len(visited)
+        room = limit - count
         new = []
         for j, key in enumerate(keys(cands)):
             if key not in visited:
@@ -723,6 +741,7 @@ def orbit_enumerate(seed: StokesMatrix, mode: str = "bases", *,
                 new.append(j)
         if new:
             nxt.append(store(cands[new]))
+            count += len(new)
         if truncated:
             # the state in progress stays in the frontier: a resumed run
             # expands it again and finds its remaining classes in order
@@ -739,7 +758,7 @@ def orbit_enumerate(seed: StokesMatrix, mode: str = "bases", *,
         save()
     if nxt:
         levels.append(sum(len(a) for a in nxt))
-    return OrbitReport(mode=mode, class_count=len(visited),
+    return OrbitReport(mode=mode, class_count=count,
                        states_visited=expanded,
                        wall_clock=time.monotonic() - t0,
                        truncated=truncated, levels=tuple(levels))
@@ -747,8 +766,9 @@ def orbit_enumerate(seed: StokesMatrix, mode: str = "bases", *,
 
 def _save_checkpoint(path, doc):
     """Write the search state doc to a temporary file beside path, fsync
-    it, then rename it over path, so a reader sees the old checkpoint or
-    the new one, never a partial write.
+    it, rename it over path and fsync the directory, so a reader sees the
+    old checkpoint or the new one, never a partial write, and a crash
+    after the save cannot undo the rename.
 
     The file is the line _CHECKPOINT_MAGIC, which names the format, a line
     with the SHA-256 of everything after it, one line of JSON manifest
@@ -757,20 +777,13 @@ def _save_checkpoint(path, doc):
     C-order bytes of an integer array, or the JSON list of the entries of
     an object array of Python ints.  So every byte after the magic is
     under the one hash, and the manifest is the only description of each
-    array.  The arrays are pending, the unexpanded classes in FIFO order
-    (the rest of the current level, then the next level); in bases mode
-    roots, the table's roots that the indices refer to; and the visited
-    keys as uint8 rows, one array per key length."""
-    by_length = {}
-    for key in doc["visited"]:
-        by_length.setdefault(len(key), []).append(key)
-    arrays = [("pending", doc["pending"])]
+    array.  The arrays are window, the classes of the open levels in FIFO
+    order: every class of levels d - 1 and d (levels[-2:], d the level in
+    expansion) and those found so far of level d + 1; and in bases mode
+    roots, the table's roots that the indices refer to."""
+    arrays = [("window", doc["window"])]
     if "roots" in doc:
         arrays.append(("roots", doc["roots"]))
-    arrays += [
-        (f"visited{width}", np.frombuffer(b"".join(keys), np.uint8)
-         .reshape(len(keys), width))
-        for width, keys in sorted(by_length.items())]
     entries, blobs = [], []
     for name, a in arrays:
         if a.dtype == object:
@@ -786,10 +799,10 @@ def _save_checkpoint(path, doc):
         "expanded": doc["expanded"], "arrays": entries},
         sort_keys=True).encode()
     digest = _sha256(manifest + b"\n", *blobs)
+    folder = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp = tempfile.mkstemp(
-            dir=os.path.dirname(os.path.abspath(path)),
-            prefix=os.path.basename(path) + ".", suffix=".tmp")
+            dir=folder, prefix=os.path.basename(path) + ".", suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
                 fh.write(b"%s\n%s\n%s\n" % (_CHECKPOINT_MAGIC,
@@ -802,23 +815,27 @@ def _save_checkpoint(path, doc):
         except BaseException:
             os.unlink(tmp)
             raise
+        fd = os.open(folder, os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise ValueError(f"cannot write checkpoint {path}: {exc}") from None
 
 
 def _load_checkpoint(path, mode, seed_rows, engine):
-    """The saved search state (visited, frontier, next, levels, expanded),
-    or None when path is missing or empty; next is a list of at most one
-    array.  engine is the run's _Engine.
+    """The saved search state (visited, window, levels, expanded), or None
+    when path is missing or empty; visited holds the window's keys.
 
     Loading checks what it resumes: levels start with the seed's level of
-    1, the first sum(levels) - expanded pending classes are the rest of
-    the current level, engine.check accepts the saved states, visited
-    holds exactly the classes of the levels and of the next level, and
-    each pending state's key is in visited.  Anything unreadable, of
-    another format, of another run or inconsistent raises ValueError; no
-    byte of the file is unpickled.  Only then are a bases run's saved
-    roots interned into its table (_adopt_roots)."""
+    1 and hold no 0, sum(levels[:-1]) <= expanded <= sum(levels), the
+    window holds at least the classes of the last two levels, engine.check
+    (engine is the run's _Engine) accepts every saved class, and none
+    repeats.  Anything unreadable, of another format, of another run or
+    inconsistent raises ValueError; no byte of the file is unpickled.
+    Only then are a bases run's saved roots interned into its table; if
+    that moves them, one gather maps the window and its keys are redone."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -860,32 +877,28 @@ def _load_checkpoint(path, mode, seed_rows, engine):
         levels, expanded = manifest["levels"], manifest["expanded"]
         if not _is_int_list(levels) or not _is_int_list([expanded]):
             raise ValueError("levels and expanded must be integers")
-        rows = []
-        for name, a in arrays.items():
-            if name.startswith("visited"):
-                if a.dtype != np.uint8 or a.ndim != 2:
-                    raise ValueError(f"{name} is not a uint8 table")
-                rows.append(a)
-        pending = arrays["pending"]
-        split = sum(levels) - expanded      # unexpanded in the current level
-        if levels[:1] != [1] or not 0 <= split <= len(pending):
-            raise ValueError("levels, expanded and pending do not agree")
-        engine.check(pending, rows, arrays.get("roots"))
-        visited = set().union(*map(row_keys, rows))
-        if len(visited) != expanded + len(pending):
-            raise ValueError("visited does not hold exactly the classes of "
-                             "the levels and of the next level")
-        if not visited.issuperset(engine.keys(pending)):
-            raise ValueError("the visited set lacks a saved state's key")
+        window = arrays["window"]
+        if levels[:1] != [1] or 0 in levels:
+            raise ValueError("levels do not start at the seed's level of "
+                             "1, or hold an empty level")
+        if not sum(levels[:-1]) <= expanded <= sum(levels):
+            raise ValueError("expanded lies outside the last level")
+        if len(window) < sum(levels[-2:]):
+            raise ValueError("the window is shorter than its open levels")
+        engine.check(window, arrays.get("roots"))
+        visited = set(engine.keys(window))
+        if len(visited) != len(window):
+            raise ValueError("saved classes repeat")
     except (KeyError, TypeError, ValueError, OverflowError,
             RecursionError) as exc:
         raise ValueError(f"checkpoint {path} is corrupt: {exc}") from None
     if engine.table is not None:
-        pending, visited = _adopt_roots(engine.table, arrays["roots"],
-                                        pending, rows, visited)
-    nxt = pending[split:]
-    return visited, pending[:split], [nxt] if len(nxt) else [], \
-        list(levels), expanded
+        # a table filled in another order holds the roots elsewhere
+        index = engine.table.intern(arrays["roots"])
+        if not np.array_equal(index, np.arange(len(index))):
+            window = index[window]
+            visited = set(engine.keys(window))
+    return visited, window, list(levels), expanded
 
 
 def _checkpoint_arrays(entries, body):
@@ -922,7 +935,7 @@ def _checkpoint_arrays(entries, body):
     return arrays
 
 
-def _check_states(a, rows, saved, start, m, bound=None):
+def _check_states(a, saved, start, m, bound=None):
     """Raise ValueError unless the saved Stokes states a pass as states of
     the run of m packed entries from start (saved roots: none): its shape
     per state, integer entries, on codes start's dtype and values below
@@ -947,10 +960,10 @@ def _check_states(a, rows, saved, start, m, bound=None):
                              "of connected diagrams")
 
 
-def _check_bases(a, rows, saved, start, seed_rows, limit):
+def _check_bases(a, saved, start, seed_rows, limit):
     """Raise ValueError unless the saved bases states a, (B, mu) indices
-    into the saved roots (N, mu), and the visited key rows rows fit the
-    run from start and a are distinguished bases over the seed S.
+    into the saved roots (N, mu), fit the run from start and are
+    distinguished bases over the seed S.
 
     N is at most limit, the roots a table holds, before any arithmetic;
     indices are below N; saved roots are distinct, sign canonical and of
@@ -969,10 +982,7 @@ def _check_bases(a, rows, saved, start, seed_rows, limit):
     count = len(saved)
     if count > limit:
         raise ValueError(f"more than {limit} saved roots")
-    if any(r.shape[1] != n * a.itemsize for r in rows):
-        raise ValueError("saved keys do not fit this run")
-    if any(x.size and int(x.max()) >= count
-           for x in [a] + [r.view(a.dtype) for r in rows]):
+    if a.size and int(a.max()) >= count:
         raise ValueError("saved root indices are past the saved roots")
     lead = saved[np.arange(count), (saved != 0).argmax(axis=1)]
     seifert = -np.array(seed_rows, dtype=object).T
@@ -995,19 +1005,6 @@ def _check_bases(a, rows, saved, start, seed_rows, limit):
                              "distinguished bases")
     if len(set(map(tuple, saved.tolist()))) != count:
         raise ValueError("saved roots repeat")
-
-
-def _adopt_roots(table, saved, pending, rows, visited):
-    """The checked saved states pending and visited keys, remapped from
-    indices of the saved roots to those of this process's table, which
-    interns the roots: so a table filled in another order resumes the same
-    classes.  A table that starts at the saved roots' order keeps every
-    index, and the visited set as it is."""
-    index = table.intern(saved)
-    if np.array_equal(index, np.arange(len(saved))):
-        return pending, visited
-    return index[pending], set().union(
-        *(row_keys(index[r.view(table.dtype)]) for r in rows))
 
 
 def _sha256(*parts):

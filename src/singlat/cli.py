@@ -313,22 +313,35 @@ def _check_entry(outcome):
             **({"detail": outcome.detail} if outcome.detail else {})}
 
 
+def _status(entry, took=None):
+    """Write the stderr line of a scorecard entry, with its seconds if
+    given."""
+    line = ("PASS " if entry["passed"] else "FAIL ") + entry["name"]
+    _info(line if took is None else f"{line} ({took:.2f}s)")
+
+
 def cmd_scorecard(args):
     t0 = time.monotonic()
     orbit_jobs = _orbit_jobs(args.extended)
+    entries = [None] * len(orbit_jobs)
+
+    def finish(k, run):
+        # an orbit entry's line goes out when its run ends; stdout keeps
+        # the entries in job order
+        entries[k], took = run
+        _status(entries[k], took)
+
     if args.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import ProcessPoolExecutor, as_completed
         workers = min(args.jobs, os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_orbit_entry, *job) for job in orbit_jobs]
-            runs = [f.result() for f in futures]
+            futures = {pool.submit(_orbit_entry, *job): k
+                       for k, job in enumerate(orbit_jobs)}
+            for f in as_completed(futures):
+                finish(futures[f], f.result())
     else:
-        runs = []
-        for job in orbit_jobs:
-            _info(f"orbit {job[0]} {job[1]} ...")
-            runs.append(_orbit_entry(*job))
-    entries = [entry for entry, _ in runs]
-    seconds = {entry["name"]: took for entry, took in runs}
+        for k, job in enumerate(orbit_jobs):
+            finish(k, _orbit_entry(*job))
     entries.extend(_degree_entries())
     _info("symbolic identities ...")
     for o in verify.identity_suite():
@@ -338,9 +351,8 @@ def cmd_scorecard(args):
         entries.append(_check_entry(o))
     ok = all(e["passed"] for e in entries)
     _emit({"passed": ok, "entries": entries})
-    for e in entries:
-        took = f" ({seconds[e['name']]:.2f}s)" if e["name"] in seconds else ""
-        _info(("PASS " if e["passed"] else "FAIL ") + e["name"] + took)
+    for e in entries[len(orbit_jobs):]:
+        _status(e)
     _info(f"scorecard: {'all green' if ok else 'FAILURES'} "
           f"({len(entries)} entries, {time.monotonic() - t0:.1f}s)")
     return EXIT_OK if ok else EXIT_FAIL

@@ -91,6 +91,25 @@ def test_criterion_3_extended_e7():
 
 
 @pytest.mark.extended
+def test_criterion_3_extended_e7_resumed(tmp_path):
+    # E7 bases stopped at 300000 and 700000 classes, then resumed to the
+    # end, each run from the window the one before saved
+    t0 = time.monotonic()
+    seed = seed_stokes("E7").stokes
+    ck = str(tmp_path / "orbit.ck")
+    for budget in (300000, 700000):
+        rep = orbit_enumerate(seed, "bases", max_states=budget,
+                              checkpoint=ck)
+        assert rep.truncated and rep.class_count == budget
+    rep = orbit_enumerate(seed, "bases", checkpoint=ck)
+    full = orbit_enumerate(seed, "bases")
+    assert not rep.truncated and rep.class_count == 1062882
+    assert (rep.levels, rep.states_visited) == \
+        (full.levels, full.states_visited)
+    report(3, "E7 extended: 1062882 bases resumed at 300000, 700000", t0)
+
+
+@pytest.mark.extended
 def test_criterion_3_extended_e8_stokes():
     t0 = time.monotonic()
     rs = orbit_enumerate(seed_stokes("E8").stokes, "stokes")

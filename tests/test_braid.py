@@ -3,8 +3,10 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import pickle
 import random
+import stat
 import sys
 import threading
 import tracemalloc
@@ -387,7 +389,7 @@ class TestOrbits:
             orbit_enumerate(chain(4), "bases", checkpoint=str(ck))
         # refused by its leading pickle opcode, never unpickled
         ck.write_bytes(b"\x80\x04garbage, not a pickle")
-        with pytest.raises(ValueError, match="not in checkpoint format 6"):
+        with pytest.raises(ValueError, match="not in checkpoint format 7"):
             orbit_enumerate(chain(4), "bases", checkpoint=str(ck))
 
     def test_checkpoint_old_format_rejected(self, tmp_path):
@@ -410,7 +412,7 @@ class TestOrbits:
             "format": 2, "mode": "stokes", "seed": seed.rows,
             "visited": set(_keys(start)), "frontier": start, "next": [],
             "levels": [1], "expanded": 0}))
-        with pytest.raises(ValueError, match="not in checkpoint format 6"):
+        with pytest.raises(ValueError, match="not in checkpoint format 7"):
             orbit_enumerate(seed, "stokes", checkpoint=str(ck))
 
     def test_checkpoint_written_atomically(self, tmp_path, monkeypatch):
@@ -419,8 +421,27 @@ class TestOrbits:
         orbit_enumerate(chain(5), "bases", max_states=300,
                         checkpoint=str(ck))
         assert [p.name for p in tmp_path.iterdir()] == ["orbit.ck"]
-        assert ck.read_bytes().startswith(b"singlat checkpoint 6\n")
-        assert CHECKPOINT_FORMAT == 6
+        assert ck.read_bytes().startswith(b"singlat checkpoint 7\n")
+        assert CHECKPOINT_FORMAT == 7
+
+    def test_checkpoint_save_is_durable(self, tmp_path, monkeypatch):
+        # the file is fsynced before the rename, and the directory that
+        # holds the rename after it, last
+        calls, fsync, replace = [], os.fsync, os.replace
+
+        def spy_fsync(fd):
+            calls.append(("fsync", stat.S_ISDIR(os.fstat(fd).st_mode)))
+            fsync(fd)
+
+        def spy_replace(src, dst):
+            calls.append(("replace", dst))
+            replace(src, dst)
+
+        monkeypatch.setattr(braid.os, "fsync", spy_fsync)
+        monkeypatch.setattr(braid.os, "replace", spy_replace)
+        ck = str(tmp_path / "orbit.ck")
+        orbit_enumerate(chain(4), "bases", max_states=20, checkpoint=ck)
+        assert calls == [("fsync", False), ("replace", ck), ("fsync", True)]
 
 
 def random_signed_walk(rng, seed, steps):
@@ -860,36 +881,55 @@ def moved_seed(label, rng, steps=12):
         else BraidWord(())))
 
 
-def saved_classes(path, seed):
-    """The classes a bases checkpoint holds, as a set of vector tuples."""
-    engine = _engine(seed, "bases")
-    visited = _load_checkpoint(path, "bases", seed.rows, engine)[0]
-    v = engine.table.V
-    return {tuple(map(tuple, v[np.frombuffer(k, engine.start.dtype)]
-                      .tolist())) for k in visited}
+def saved_windows(monkeypatch):
+    """The saves of the orbit runs that follow, one after every chunk, as
+    a list that fills as they run: (position, window, roots), the window's
+    classes, their FIFO position sum(levels[:-2]) and a bases run's roots.
+    Nothing is written."""
+    saves = []
+    monkeypatch.setattr(braid, "CHECKPOINT_EVERY", 1)
+    monkeypatch.setattr(braid, "_save_checkpoint", lambda path, doc: (
+        saves.append((sum(doc["levels"][:-2]), doc["window"],
+                      doc.get("roots")))))
+    return saves
+
+
+def fifo_classes(saves, count, rows):
+    """The first count classes of a run, in FIFO order, read from the
+    windows of its saves: rows(window, roots) lists the classes of a
+    window.  Windows that overlap agree, and together they hold every
+    class."""
+    classes = [None] * count
+    for pos, window, saved in saves:
+        for k, c in enumerate(rows(window, saved), pos):
+            assert classes[k] in (None, c)
+            classes[k] = c
+    assert None not in classes
+    return classes
 
 
 def scalar_prefix(seed, budget):
-    """levels, expanded states and classes of a FIFO search on vector
-    tuples by the scalar oracle, stopped at budget classes as
-    orbit_enumerate stops."""
+    """levels, expanded states and classes, in FIFO order, of a FIFO
+    search on vector tuples by the scalar oracle, stopped at budget
+    classes as orbit_enumerate stops."""
     form = symmetrized_form(seed).rows
     start = _canon_vectors(VanishingTuple.standard(seed).vectors)
-    seen, level, levels, expanded = {start}, [start], [1], 0
+    seen, order, level, levels, expanded = {start}, [start], [start], [1], 0
     while level:
         nxt = []
         for state in level:
             for moved in scalar_moves([state], form):
                 if moved not in seen:
                     if len(seen) == budget:
-                        return levels + [len(nxt)], expanded, seen
+                        return levels + [len(nxt)], expanded, order
                     seen.add(moved)
+                    order.append(moved)
                     nxt.append(moved)
             expanded += 1
         if nxt:
             levels.append(len(nxt))
         level = nxt
-    return levels, expanded, seen
+    return levels, expanded, order
 
 
 ELLIPTIC = ["tE6", "tE7", "tE8"]
@@ -957,21 +997,22 @@ class TestRootEngine:
     @pytest.mark.parametrize("label, budget", [("E6", 500), ("D6", 500),
                                                ("A5", 97), ("A23", 2000)])
     def test_budget_keeps_vector_engine_classes(self, label, budget,
-                                                tmp_path):
-        # the first classes of a budgeted run, read back from the
-        # checkpoint the budget stop writes, are those of a FIFO search on
-        # vector tuples by the scalar oracle; A23 has rank 23, so uint16
-        # indices and keys of 2 mu bytes
+                                                tmp_path, monkeypatch):
+        # the classes of a budgeted run, read from the windows of its saves
+        # as vector tuples, are those of a FIFO search on vector tuples by
+        # the scalar oracle, in order; A23 has rank 23, so uint16 indices
+        # and keys of 2 mu bytes
         seed = moved_seed(label, random.Random(budget))
-        ck = tmp_path / "orbit.ck"
+        saves = saved_windows(monkeypatch)
         rep = orbit_enumerate(seed, "bases", max_states=budget,
-                              checkpoint=str(ck))
+                              checkpoint=str(tmp_path / "orbit.ck"))
         assert rep.truncated and rep.class_count == budget
         assert _engine(seed, "bases").start.dtype == \
             (np.uint16 if label == "A23" else np.uint8)
         levels, expanded, classes = scalar_prefix(seed, budget)
         assert (list(rep.levels), rep.states_visited) == (levels, expanded)
-        assert saved_classes(ck, seed) == classes and len(classes) == budget
+        assert fifo_classes(saves, budget, lambda window, v: tuples(
+            v[window])) == classes and len(classes) == budget
 
     def test_threads_share_one_root_table(self):
         # more threads than cores fill cold root tables at once, switching
@@ -1043,10 +1084,12 @@ def code_rows(m):
     return codes, table.rows[table.slot[codes]]
 
 
-def packed_keys(visited, m):
-    """The keys of the packed engine for the code keys visited."""
-    codes = np.frombuffer(b"".join(visited), np.uint16)
-    return set(_keys(_decode(codes, m).T))
+def packed_rows(window, roots):
+    """The packed Stokes states of a window, as tuples of ints; a code
+    window (m = 10) is decoded first."""
+    if window.ndim == 1:
+        window = _decode(window, 10).T
+    return [tuple(map(int, u)) for u in window.tolist()]
 
 
 SMALL_CLASSES = ["A1", "A2", "A3", "A4", "A5", "D4", "D5"]
@@ -1097,22 +1140,21 @@ class TestCodeEngine:
                                                ("D5", 90), ("D5", 200)])
     def test_budget_keeps_packed_engine_classes(self, label, budget,
                                                 tmp_path, monkeypatch):
-        # the first classes of a budgeted run, read back from the
-        # checkpoint its budget stop writes, are the packed engine's
+        # the classes of a budgeted run, read from the windows of its
+        # saves, are the packed engine's, in order
         seed = moved_seed(label, random.Random(budget))
         got = {}
         for engine in ("codes", "packed"):
             if engine == "packed":
                 monkeypatch.setattr(braid, "_CODE_MAX_M", -1)
-            ck = tmp_path / engine
+            saves = saved_windows(monkeypatch)
             rep = orbit_enumerate(seed, "stokes", max_states=budget,
-                                  checkpoint=str(ck))
+                                  checkpoint=str(tmp_path / engine))
             assert rep.truncated and rep.class_count == budget
-            visited = _load_checkpoint(str(ck), "stokes", seed.rows,
-                                       _engine(seed, "stokes"))[0]
-            if engine == "codes":
-                visited = packed_keys(visited, 10)
-            got[engine] = rep.levels, rep.states_visited, visited
+            assert {w.ndim for _, w, _ in saves} == {
+                "codes": {1}, "packed": {2}}[engine]
+            got[engine] = rep.levels, rep.states_visited, fifo_classes(
+                saves, budget, packed_rows)
         assert got["codes"] == got["packed"]
 
     @pytest.mark.parametrize("label", ["A1", "A2"])
@@ -1214,14 +1256,23 @@ class TestCheckpointFormat:
         ("A5", "bases", "roots", 400), ("D5", "bases", "roots", 2000),
         ("E6", "bases", "roots", 9000),
         ("A5", "bases", "reordered", 400), ("D5", "bases", "reordered", 2000),
-        ("E6", "bases", "reordered", 9000)])
+        ("E6", "bases", "reordered", 9000),
+        ("tE6", "stokes", None, 3000), ("tE6", "bases", "roots", 3000)])
     def test_resume_matches_uninterrupted(self, tmp_path, label, mode, table,
                                           budget):
         # a bases run resumes in the root table the run left, or in a
         # table built afresh whose roots past the basis were interned in
-        # reverse order, so that every saved index is remapped
+        # reverse order, so that every saved index is remapped.  tE6 runs
+        # Stokes on packed states, all 76545 classes, and bases on uint16
+        # root indices, whose orbit is infinite: both of those runs stop at
+        # 20000 classes
         seed = seed_stokes(label).stokes
-        full = orbit_enumerate(seed, mode)
+        final = 20000 if (label, mode) == ("tE6", "bases") else None
+        if label == "tE6":
+            start = _engine(seed, mode).start
+            assert start.dtype == np.uint16 if mode == "bases" else \
+                start.shape == (1, 28)
+        full = orbit_enumerate(seed, mode, max_states=final)
         ck = tmp_path / "orbit.ck"
         partial = orbit_enumerate(seed, mode, max_states=budget,
                                   checkpoint=str(ck))
@@ -1233,11 +1284,49 @@ class TestCheckpointFormat:
             roots(form).intern(filled[seed.mu:][::-1])
             assert not np.array_equal(roots(form).V, filled)
             assert np.array_equal(saved_roots(ck), filled)
-        resumed = orbit_enumerate(seed, mode, checkpoint=str(ck))
-        assert not resumed.truncated
+        resumed = orbit_enumerate(seed, mode, max_states=final,
+                                  checkpoint=str(ck))
+        assert resumed.truncated == full.truncated == (final is not None)
         assert (resumed.class_count, resumed.levels,
                 resumed.states_visited) == \
             (full.class_count, full.levels, full.states_visited)
+
+    def test_window_holds_open_levels(self, tmp_path, monkeypatch):
+        # every save of an E6 bases run holds exactly levels[-2] +
+        # levels[-1] + len(next) classes: those of a plain FIFO search from
+        # position sum(levels[:-2]) to the last class that the first
+        # `expanded` states found
+        seed = seed_stokes("E6").stokes
+        engine = _engine(seed, "bases")
+        g = len(_generators(seed.mu))
+        level, seen = engine.start, set(row_keys(engine.start))
+        order, parent, first = [level], [-1], 0
+        while len(level):
+            cands = engine.expand(level)
+            new = [j for j, k in enumerate(row_keys(cands))
+                   if not (k in seen or seen.add(k))]
+            parent += [first + j // g for j in new]
+            first += len(level)
+            level = cands[new]
+            order.append(level)
+        fifo, parent, sizes = np.concatenate(order), np.array(parent), []
+
+        def check(path, doc):
+            levels, window = doc["levels"], doc["window"]
+            found = int(np.searchsorted(parent, doc["expanded"]))
+            assert len(window) == sum(levels[-2:]) + found - sum(levels)
+            at = sum(levels[:-2])
+            assert np.array_equal(window, fifo[at:at + len(window)])
+            sizes.append(len(window))
+
+        monkeypatch.setattr(braid, "CHECKPOINT_EVERY", 7)
+        monkeypatch.setattr(braid, "_save_checkpoint", check)
+        rep = orbit_enumerate(seed, "bases", checkpoint=str(tmp_path / "c"))
+        assert rep.class_count == len(fifo) == 41472
+        # a save after nearly every chunk of 182 states; the widest window
+        # holds 45% of the orbit
+        assert len(sizes) > 200
+        assert max(sizes) < 0.46 * len(fifo)
 
     @staticmethod
     def written(tmp_path, budget):
@@ -1260,7 +1349,7 @@ class TestCheckpointFormat:
                 if not damaged:
                     continue          # an empty file starts afresh
                 ck.write_bytes(damaged)
-                with pytest.raises(ValueError, match="corrupt|format 6"):
+                with pytest.raises(ValueError, match="corrupt|format 7"):
                     _load_checkpoint(str(ck), "bases", seed.rows, engine)
 
     def test_layout(self, tmp_path):
@@ -1271,37 +1360,34 @@ class TestCheckpointFormat:
         magic, digest, rest = data.split(b"\n", 2)
         # the format is named by the magic line, and one SHA-256 covers
         # everything after the digest line
-        assert magic == b"singlat checkpoint 6" and "format" not in doc
+        assert magic == b"singlat checkpoint 7" and "format" not in doc
         assert hashlib.sha256(rest).hexdigest().encode() == digest
         assert doc["mode"] == "bases"
         assert doc["seed"] == [list(r) for r in chain(4).rows]
         names = [(a["name"], a["dtype"], a["shape"]) for a in doc["arrays"]]
-        # the unexpanded classes in one array: the 23 - 10 = 13 left of
-        # the current level, then the 7 found of the next one; then the
+        # the window holds the open levels: all 6 classes of level 1, all
+        # 16 of level 2, in expansion, and the 7 found of level 3; then the
         # table's roots, all 10 of A4 up to sign, as int64 rows
         assert (doc["levels"], doc["expanded"]) == ([1, 6, 16], 10)
-        assert names == [("pending", "|u1", [20, 4]),
-                         ("roots", "<i8", [10, 4]),
-                         ("visited4", "|u1", [30, 4])]
+        assert names == [("window", "|u1", [29, 4]),
+                         ("roots", "<i8", [10, 4])]
         table = roots(symmetrized_form(chain(4)).rows)
         assert np.array_equal(saved_roots(ck), table.V)
         # the body is the raw bytes the manifest describes, and no more
-        assert [a["size"] for a in doc["arrays"]] == [80, 320, 120]
-        assert len(rest.split(b"\n", 1)[1]) == 520
+        assert [a["size"] for a in doc["arrays"]] == [116, 320]
+        assert len(rest.split(b"\n", 1)[1]) == 436
 
     def test_code_run_layout(self, tmp_path):
-        # a code run saves its pending classes as uint16 codes and its keys
-        # as rows of the codes' two bytes
+        # a code run saves its window as uint16 codes, one array
         ck = tmp_path / "orbit.ck"
         seed = seed_stokes("D5").stokes
         orbit_enumerate(seed, "stokes", max_states=90, checkpoint=str(ck))
         doc = manifest(ck)
         names = [(a["name"], a["dtype"], a["shape"]) for a in doc["arrays"]]
-        assert [n[:2] for n in names] == [("pending", "<u2"),
-                                          ("visited2", "|u1")]
-        assert len(names[0][2]) == 1 and names[1][2] == [90, 2]
-        # the classes not yet expanded are those not in the saved count
-        assert doc["expanded"] + names[0][2][0] == 90
+        # the window runs from the first class of the level before the
+        # one in expansion to the 90th class
+        assert names == [("window", "<u2", [90 - sum(doc["levels"][:-2])])]
+        assert len(doc["levels"]) > 2
 
     def test_states_checked_on_load(self, tmp_path):
         # a file whose hash matches but whose states no run can hold: a
@@ -1310,35 +1396,40 @@ class TestCheckpointFormat:
         # m = 3) those two states' codes 13 and 3, a code past 3^3, and
         # codes of another dtype or as packed int8 rows.  The affine A2
         # seed is semidefinite, so its Stokes run holds packed states.
+        # Each bad class follows a good one: every saved class is checked
         a3 = chain(3)
         affine = StokesMatrix(((1, -1, -1), (0, 1, -1), (0, 0, 1)))
         ck = str(tmp_path / "orbit.ck")
         start = _engine(a3, "stokes")[0]
         assert start.dtype == np.uint16 and start.shape == (1,)
-        assert _engine(affine, "stokes")[0].shape == (1, 3)
+        affine_start = _engine(affine, "stokes")[0]
+        assert affine_start.shape == (1, 3)
         a3_roots = roots(symmetrized_form(a3).rows)
         orbit_enumerate(a3, "bases")
         assert a3_roots.size == 6
-        for seed, mode, pending in (
-                (affine, "stokes", np.array([[0, 0, 0]], np.int8)),
-                (affine, "stokes", np.array([[-1, 0, -1]], np.int8)),
-                (a3, "bases", np.array([[0, 1, 6]], np.uint8)),
-                (a3, "stokes", np.array([13], np.uint16)),
-                (a3, "stokes", np.array([3], np.uint16)),
-                (a3, "stokes", np.array([27], np.uint16)),
-                (a3, "stokes", start.astype(np.uint8)),
-                (a3, "stokes", _decode(start, 3).T)):
+        for seed, mode, first, window in (
+                (affine, "stokes", affine_start,
+                 np.array([[0, 0, 0]], np.int8)),
+                (affine, "stokes", affine_start,
+                 np.array([[-1, 0, -1]], np.int8)),
+                (a3, "bases", np.array([[0, 1, 2]], np.uint8),
+                 np.array([[0, 1, 6]], np.uint8)),
+                (a3, "stokes", start, np.array([13], np.uint16)),
+                (a3, "stokes", start, np.array([3], np.uint16)),
+                (a3, "stokes", start, np.array([27], np.uint16)),
+                (a3, "stokes", None, start.astype(np.uint8)),
+                (a3, "stokes", None, _decode(start, 3).T)):
+            if first is not None:
+                window = np.concatenate([first.astype(window.dtype), window])
             braid._save_checkpoint(ck, {
-                "mode": mode, "seed": seed.rows, "visited": {b"key"},
-                "pending": pending, "levels": [1], "expanded": 0,
+                "mode": mode, "seed": seed.rows, "window": window,
+                "levels": [1], "expanded": 0,
                 **({"roots": a3_roots.V} if mode == "bases" else {})})
-            # refused for its state, before its key is looked up
             with pytest.raises(ValueError, match="corrupt: saved"):
                 orbit_enumerate(seed, mode, checkpoint=ck)
         # the start code itself is a level the run can hold
         braid._save_checkpoint(ck, {
-            "mode": "stokes", "seed": a3.rows,
-            "visited": set(braid._code_keys(start)), "pending": start,
+            "mode": "stokes", "seed": a3.rows, "window": start,
             "levels": [1], "expanded": 0})
         assert orbit_enumerate(a3, "stokes", checkpoint=ck).class_count == 4
 
@@ -1348,60 +1439,61 @@ class TestCheckpointFormat:
         ids=["2^45-rows", "too-few-rows", "too-many-rows", "f8", "V8",
              "negative-extent"])
     def test_manifest_checked_against_length(self, tmp_path, dtype, shape):
-        # the hash matches, but the manifest claims 2^45 pending states,
-        # fewer or more than the 8 bytes that follow, a dtype that is not
-        # an integer, or a negative extent (whose product is 8): the
-        # claim is checked against the byte size before anything is read
+        # the hash matches, but the manifest claims a window of 2^45
+        # classes, fewer or more than the 8 bytes that follow, a dtype
+        # that is not an integer, or a negative extent (whose product is
+        # 8): the claim is checked against the byte size before anything
+        # is read
         seed = chain(4)
         rest = json.dumps({
             "mode": "bases", "levels": [1], "expanded": 0,
             "seed": [list(r) for r in seed.rows],
-            "arrays": [{"name": "pending", "dtype": dtype, "shape": shape,
+            "arrays": [{"name": "window", "dtype": dtype, "shape": shape,
                         "size": 8}]}, sort_keys=True).encode() + \
             b"\n" + bytes(8)
         ck = tmp_path / "orbit.ck"
-        ck.write_bytes(b"singlat checkpoint 6\n" +
+        ck.write_bytes(b"singlat checkpoint 7\n" +
                        hashlib.sha256(rest).hexdigest().encode() + b"\n" +
                        rest)
         with pytest.raises(ValueError, match="corrupt: bad .*shape|"
-                           "corrupt: pending does not have its recorded"):
+                           "corrupt: window does not have its recorded"):
             orbit_enumerate(seed, "bases", checkpoint=str(ck))
 
-    @pytest.mark.parametrize("levels, expanded, visited, reason", [
-        # the start pending, visited empty
-        ([1], 0, [], "visited does not hold exactly"),
-        # no levels; a first level of two classes; more expanded than the
-        # levels hold; a current level with more classes than pending
-        ([], 0, [(0, 1, 2, 3)], "do not agree"),
-        ([2], 0, [(0, 1, 2, 3)], "do not agree"),
-        ([1], 2, [(0, 1, 2, 3)], "do not agree"),
-        ([1, 1], 0, [(0, 1, 2, 3)], "do not agree"),
-        # a class too many; the pending class not visited
-        ([1], 0, [(0, 1, 2, 3), (3, 2, 1, 0)], "visited does not hold"),
-        ([1], 0, [(3, 2, 1, 0)], "lacks a saved state's key")],
+    @pytest.mark.parametrize("levels, expanded, window, reason", [
+        # an empty window: nothing would be visited
+        ([1], 0, [], "shorter than its open levels"),
+        # no levels; a first level of two classes
+        ([], 0, ["start"], "do not start"),
+        ([2], 0, ["start"], "do not start"),
+        # more expanded than the levels hold; fewer than the levels before
+        # the last; a last level with more classes than the window
+        ([1], 2, ["start"], "outside the last level"),
+        ([1, 1], 0, ["start", "moved"], "outside the last level"),
+        ([1, 6], 1, ["start"], "shorter than its open levels"),
+        # a class too many: the start saved twice
+        ([1], 0, ["start", "start"], "classes repeat")],
         ids=["nothing-visited", "no-levels", "first-level-of-2",
-             "expanded-past-levels", "level-past-pending", "class-too-many",
-             "pending-not-visited"])
+             "expanded-past-levels", "expanded-before-level",
+             "level-past-pending", "class-too-many"])
     def test_inconsistent_state_rejected(self, tmp_path, levels, expanded,
-                                         visited, reason):
-        # a hash-valid A4 bases file whose levels, expanded count, pending
-        # classes and visited set disagree; the first one used to resume
-        # to a count of 125 with levels summing to 126
+                                         window, reason):
+        # a hash-valid A4 bases file whose levels, expanded count and
+        # window disagree, each of its classes a distinguished basis
         ck = str(tmp_path / "orbit.ck")
         seed = chain(4)
         start, table = _engine(seed, "bases")[::5]
+        classes = {"start": start[0], "moved": _expand_roots(start, table)[0]}
         braid._save_checkpoint(ck, {
-            "mode": "bases", "seed": seed.rows, "pending": start,
-            "roots": table.V,
-            "visited": set(row_keys(np.array(visited, np.uint8)))
-            if visited else set(), "levels": levels, "expanded": expanded})
+            "mode": "bases", "seed": seed.rows, "roots": table.V,
+            "window": np.array([classes[c] for c in window],
+                               np.uint8).reshape(-1, 4),
+            "levels": levels, "expanded": expanded})
         with pytest.raises(ValueError, match="corrupt: .*" + reason):
             orbit_enumerate(seed, "bases", checkpoint=ck)
         # the consistent file resumes to the whole orbit
         braid._save_checkpoint(ck, {
-            "mode": "bases", "seed": seed.rows, "pending": start,
-            "roots": table.V, "visited": set(row_keys(start)),
-            "levels": [1], "expanded": 0})
+            "mode": "bases", "seed": seed.rows, "window": start,
+            "roots": table.V, "levels": [1], "expanded": 0})
         rep = orbit_enumerate(seed, "bases", checkpoint=ck)
         assert (rep.class_count, sum(rep.levels)) == (125, 125)
 
@@ -1411,7 +1503,7 @@ class TestCheckpointFormat:
         for engine in ("roots", "vectors")
         if engine == "vectors" or name != "negative-vector"])
     def test_saved_bases_are_bases(self, tmp_path, engine, vectors):
-        # a hash-valid, self-consistent A4 file whose pending tuple is not
+        # a hash-valid, self-consistent A4 file whose window tuple is not
         # a sign-canonical distinguished basis (NOT_BASES): each is refused
         # when its saved roots are the table's, all roots, and when they
         # are the tuple's own vectors in order; -e_0 there is a saved root
@@ -1420,17 +1512,16 @@ class TestCheckpointFormat:
         table = roots(symmetrized_form(seed).rows)
         if engine == "vectors":
             saved = np.array(vectors, np.int64)
-            pending = np.arange(4, dtype=np.uint8)[None]
+            window = np.arange(4, dtype=np.uint8)[None]
         else:
             orbit_enumerate(seed, "bases")
             saved = table.V
-            pending = np.array([[saved.tolist().index(list(v))
-                                 for v in vectors]], np.uint8)
+            window = np.array([[saved.tolist().index(list(v))
+                                for v in vectors]], np.uint8)
         ck = str(tmp_path / "orbit.ck")
         braid._save_checkpoint(ck, {
-            "mode": "bases", "seed": seed.rows, "pending": pending,
-            "roots": saved, "visited": set(row_keys(pending)),
-            "levels": [1], "expanded": 0})
+            "mode": "bases", "seed": seed.rows, "window": window,
+            "roots": saved, "levels": [1], "expanded": 0})
         with pytest.raises(ValueError, match="corrupt: saved states are "
                            "not sign-canonical distinguished bases|"
                            "corrupt: saved roots are not sign-canonical "
@@ -1448,13 +1539,14 @@ class TestCheckpointFormat:
                               checkpoint=str(ck))
         assert rep.truncated
         dtypes = {a["name"]: a["dtype"] for a in manifest(ck)["arrays"]}
-        assert dtypes["roots"] == "|O" and dtypes["pending"] == "<u2"
+        assert dtypes == {"roots": "|O", "window": "<u2"}
         engine = _engine(seed, "bases")
-        visited, frontier, _, _, _ = _load_checkpoint(
+        visited, window, levels, _ = _load_checkpoint(
             str(ck), "bases", seed.rows, engine)
         v = engine.table.V
-        assert v.dtype == object and big in map(abs, v[frontier].flat)
-        assert set(row_keys(frontier)) < visited and len(visited) == 3
+        assert v.dtype == object and big in map(abs, v[window].flat)
+        assert set(row_keys(window)) == visited
+        assert len(visited) == 3 - sum(levels[:-2])
 
 
 class TestBraidProperties:

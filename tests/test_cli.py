@@ -128,7 +128,7 @@ class TestOrbitCommand:
                                   "--checkpoint", str(ck))
         assert code == 1 and len(lines) == 1
         assert lines[0].startswith("error:")
-        assert "not in checkpoint format 6" in lines[0]
+        assert "not in checkpoint format 7" in lines[0]
 
     def test_packed_stokes_checkpoint_fails(self, capsys, tmp_path,
                                             monkeypatch):
@@ -143,8 +143,8 @@ class TestOrbitCommand:
                           "--checkpoint", str(ck), "--budget-states", "90")
         assert code == 3
         arrays = json.loads(ck.read_bytes().split(b"\n")[2])["arrays"]
+        assert len(arrays) == 1 and arrays[0]["name"] == "window"
         assert arrays[0]["dtype"] == "|i1" and arrays[0]["shape"][1] == 10
-        assert arrays[-1]["name"] == "visited10"
         code = main(["orbit", "D5", "--mode", "stokes", "--checkpoint",
                      str(ck)])
         captured = capsys.readouterr()
@@ -167,25 +167,30 @@ class TestOrbitCommand:
                                   "--checkpoint", str(ck))
         assert code == 1 and len(lines) == 1
         assert lines[0].startswith("error:")
-        assert "not in checkpoint format 6" in lines[0]
+        assert "not in checkpoint format 7" in lines[0]
         assert "corrupt" not in lines[0]
 
-    @pytest.mark.parametrize("crafted", ["levels", "basis"])
+    @pytest.mark.parametrize("crafted", ["levels", "basis", "repeat",
+                                         "short", "expanded"])
     def test_inconsistent_checkpoint_fails(self, capsys, tmp_path, crafted):
-        # hash-valid A4 bases files that no run writes: levels [1] with the
-        # start pending and nothing visited (it used to resume to a count
-        # of 125 whose levels summed to 126), and the pending root-index
-        # tuple (0, 1, 2, 2) with its key visited (it used to resume to 81
-        # classes of the 125)
+        # hash-valid A4 bases files that no run writes: levels [2], not
+        # starting at the seed's level of 1; the root-index tuple (0, 1, 2,
+        # 2) (a format-6 file of it once resumed to 81 classes of the 125);
+        # the start saved twice; levels [1, 2] whose window lacks a class;
+        # and 2 states expanded of levels [1]
         seed = seed_stokes("A4").stokes
-        pending = np.array([[0, 1, 2, 3] if crafted == "levels"
-                            else [0, 1, 2, 2]], np.uint8)
+        start = np.arange(4, dtype=np.uint8)[None]
+        window, levels, expanded = {
+            "levels": (start, [2], 0),
+            "basis": (np.array([[0, 1, 2, 2]], np.uint8), [1], 0),
+            "repeat": (np.vstack([start, start]), [1], 0),
+            "short": (np.vstack([start, start[:, ::-1]]), [1, 2], 1),
+            "expanded": (start, [1], 2)}[crafted]
         ck = str(tmp_path / "orbit.ck")
         braid._save_checkpoint(ck, {
-            "mode": "bases", "seed": seed.rows, "pending": pending,
-            "roots": np.eye(4, dtype=np.int64),
-            "visited": set() if crafted == "levels" else {pending.tobytes()},
-            "levels": [1], "expanded": 0})
+            "mode": "bases", "seed": seed.rows, "window": window,
+            "roots": np.eye(4, dtype=np.int64), "levels": levels,
+            "expanded": expanded})
         code, lines = error_lines(capsys, "orbit", "A4", "--mode", "bases",
                                   "--checkpoint", ck)
         assert code == 1 and len(lines) == 1
@@ -208,7 +213,30 @@ class TestOrbitCommand:
                                   "--checkpoint", str(ck))
         assert code == 1 and len(lines) == 1
         assert lines[0].startswith("error:")
-        assert "not in checkpoint format 6" in lines[0]
+        assert "not in checkpoint format 7" in lines[0]
+        assert "corrupt" not in lines[0]
+
+    def test_format_6_checkpoint_fails(self, capsys, tmp_path):
+        # a format-6 file as format 6 wrote it, the A2 bases run stopped at
+        # 1 class: pending classes, roots and every visited key.  Its hash
+        # holds, so it is refused by its magic line, as another format
+        rest = (b'{"arrays": [{"dtype": "|u1", "name": "pending", "shape": '
+                b'[1, 2], "size": 2}, {"dtype": "<i8", "name": "roots", '
+                b'"shape": [3, 2], "size": 48}, {"dtype": "|u1", "name": '
+                b'"visited2", "shape": [1, 2], "size": 2}], "expanded": 0, '
+                b'"levels": [1], "mode": "bases", "seed": [[1, -1], [0, 1]]}'
+                b'\n\x00\x01' + np.array([[1, 0], [0, 1], [1, 1]],
+                                          "<i8").tobytes() + b'\x00\x01')
+        digest = b"904003c7e026b00662a2a1507bc26e67" \
+                 b"6401fe4720e33153df20b17761f30bd7"
+        assert hashlib.sha256(rest).hexdigest().encode() == digest
+        ck = tmp_path / "orbit.ck"
+        ck.write_bytes(b"singlat checkpoint 6\n" + digest + b"\n" + rest)
+        code, lines = error_lines(capsys, "orbit", "A2", "--mode", "bases",
+                                  "--checkpoint", str(ck))
+        assert code == 1 and len(lines) == 1
+        assert lines[0].startswith("error:")
+        assert "not in checkpoint format 7" in lines[0]
         assert "corrupt" not in lines[0]
 
     @pytest.mark.parametrize("crafted", ["norm", "sign", "index", "repeat",
@@ -232,12 +260,11 @@ class TestOrbitCommand:
         else:
             saved = np.vstack([saved] + [saved[:1]] *
                               (200000 if crafted == "many" else 1))
-        pending = np.arange(4, dtype=np.uint8)[None]
         ck = str(tmp_path / "orbit.ck")
         braid._save_checkpoint(ck, {
-            "mode": "bases", "seed": seed.rows, "pending": pending,
-            "roots": saved, "visited": {pending.tobytes()},
-            "levels": [1], "expanded": 0})
+            "mode": "bases", "seed": seed.rows, "roots": saved,
+            "window": np.arange(4, dtype=np.uint8)[None], "levels": [1],
+            "expanded": 0})
         table = roots(symmetrized_form(seed).rows)
         size = table.size
         tracemalloc.start()
@@ -284,7 +311,7 @@ class TestOrbitCommand:
                                   "--checkpoint", str(ck))
         assert code == 1 and len(lines) == 1
         assert lines[0].startswith("error:")
-        assert "not in checkpoint format 6" in lines[0]
+        assert "not in checkpoint format 7" in lines[0]
         assert not marker.exists()
 
     @pytest.mark.parametrize("damage", ["truncate", "flip"])
@@ -519,7 +546,9 @@ def test_scorecard_small(capsys, monkeypatch):
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_scorecard_stdout_is_deterministic(capsys, monkeypatch, jobs):
     # two runs print the same stdout bytes, with no time in them; each
-    # orbit entry's time is on its stderr line, the run's on the summary
+    # orbit entry's time is on its stderr line, written when the entry
+    # completes, so before the symbolic checks start, and the run's on the
+    # summary
     small_scorecard(monkeypatch)
     outs = []
     for _ in range(2):
@@ -530,6 +559,8 @@ def test_scorecard_stdout_is_deterministic(capsys, monkeypatch, jobs):
         orbit_lines = [line for line in err if line.startswith("PASS orbit:")]
         assert len(orbit_lines) == 4
         assert all(line.endswith("s)") for line in orbit_lines)
+        assert err[:4] == orbit_lines
+        assert err[4] == "symbolic identities ..."
         assert err[-1].startswith("scorecard: all green (") and \
             err[-1].endswith("s)")
     assert outs[0] == outs[1]
