@@ -90,13 +90,19 @@ Budgets are exact: a run stopped by max_states reports exactly that many
 classes, the first ones in FIFO order, and is truncated only if the orbit
 is larger.
 
+Open levels: every move has its inverse among the generators, so
+expanding level d meets only classes of levels d - 1, d and d + 1 (Korf,
+Zhang, Thayer and Hohwald, JACM 52(5), 2005).  A run's search state is
+those open levels: the window, from the first class of level d - 1 to
+the last one found, in FIFO order.  A fresh run starts from the start's
+window of one class, a resumed one from the saved window, and both
+dedup against the keys of the open levels alone: each level keeps the
+list of its classes' keys, and a level swap drops level d - 1's from the
+visited set.
+
 Checkpoints (format 7, _save_checkpoint) are one file under one SHA-256:
-a JSON manifest, then the raw bytes of the arrays it describes.  Every
-move has its inverse among the generators, so expanding level d meets
-only classes of levels d - 1, d and d + 1 (Korf, Zhang, Thayer and
-Hohwald, JACM 52(5), 2005), and a checkpoint holds just those: the array
-window, from the first class of level d - 1 to the last one found, in
-FIFO order, and a bases run's root vectors.  Loading unpickles nothing,
+a JSON manifest, then the raw bytes of the arrays it describes, which are
+the window and a bases run's root vectors.  Loading unpickles nothing,
 checks every saved class and remaps saved root indices to this process's
 (_load_checkpoint).
 """
@@ -118,7 +124,8 @@ import numpy as np
 
 from .lattice import (StokesMatrix, symmetrized_form, mat_det, is_connected,
                       definiteness, form_pair, mat_mul, mat_neg,
-                      mat_transpose, process_cache, roots, row_keys)
+                      mat_transpose, process_cache, roots, row_keys,
+                      _INT8_MAX, _INT64_MAX, _work_dtype)
 
 
 @dataclass(frozen=True)
@@ -246,9 +253,6 @@ _CHUNK_ELEMENTS = 2 ** 16      # per numpy pass, counting mu^2 per
                                # packed Stokes chunk holds about 2^15
 _CODE_MAX_M = 10               # Stokes codes of m <= 10 entries are
                                # below 3^10 = 59049 and fit uint16
-_INT8_MAX = 127
-_INT16_MAX = 2 ** 15 - 1
-_INT64_MAX = 2 ** 63 - 1
 
 
 @dataclass
@@ -369,15 +373,6 @@ def _frozen(*arrays):
     return arrays
 
 
-def _work_dtype(bound):
-    """Narrowest exact dtype for values of absolute value <= bound."""
-    if bound <= _INT16_MAX:
-        return np.int16
-    if bound <= _INT64_MAX:
-        return np.int64
-    return object
-
-
 def _stokes_moves(x):
     """Every generator move of a batch of packed Stokes matrices.
 
@@ -464,12 +459,13 @@ def _sign_rounds(sg):
 
 def _expand_stokes(x):
     """Tree sign normal forms of every move of the packed Stokes matrices
-    x, (B, m), as one (B * G, m) batch in FIFO order, computed exactly."""
+    x, (B, m), as one (B * G, m) batch in FIFO order, computed exactly and
+    stored as _narrow stores them."""
     b, m = x.shape
     g = 2 * (_mu_of(m) - 1)
     top = int(np.abs(x).max(initial=0))
     y = _stokes_moves(x.T.astype(_work_dtype(top * (1 + top) ** 2)))
-    y = _tree_sign_form(y.reshape(m, g * b))
+    y = _narrow(_tree_sign_form(y.reshape(m, g * b)))
     return y.reshape(m, g, b).transpose(2, 1, 0).reshape(b * g, m)
 
 
@@ -586,13 +582,14 @@ def _keys(states):
     """Dedup keys of a batch of packed Stokes states: the int8 bytes when
     every entry of the state has absolute value <= 127, else b"W" and the
     int64 bytes, else b"P" and the repr; the three kinds never compare
-    equal.  States without entries (the packed Stokes matrix of mu = 1) key
-    as b""."""
+    equal.  An int8 batch, which _narrow and _check_states keep within
+    +-127, is keyed as it is.  States without entries (the packed Stokes
+    matrix of mu = 1) key as b""."""
     if not states.size:
         return [b""] * len(states)
     flat = states.reshape(len(states), -1)
-    if -_INT8_MAX <= flat.min() and flat.max() <= _INT8_MAX:
-        return row_keys(np.ascontiguousarray(flat, dtype=np.int8))
+    if flat.dtype == np.int8:
+        return row_keys(flat)
     return [_wide_key(v) for v in flat]
 
 
@@ -614,14 +611,14 @@ def _narrow(states):
     return states.astype(np.int64 if m <= _INT64_MAX else object)
 
 
-_Engine = namedtuple("_Engine", "start expand keys store check table")
+_Engine = namedtuple("_Engine", "start expand keys check table")
 
 
 def _engine(seed, mode):
     """How one orbit run stores and moves its states: the start level, the
-    batched expansion, the key function, the store applied to new classes,
-    the check of a checkpoint's saved states (_check_states, _check_bases)
-    and a bases run's lattice.RootTable.
+    batched expansion, which returns the candidates as the run stores
+    them, the key function, the check of a checkpoint's saved states
+    (_check_states, _check_bases) and a bases run's lattice.RootTable.
 
     A bases run's table starts at e_0, ..., e_(mu-1), so its start is the
     index tuple (0, ..., mu-1).  The seed is connected, so the Stokes start
@@ -637,16 +634,15 @@ def _engine(seed, mode):
                 symmetrized_form(seed).rows) == "positive-definite":
             start = _encode(start)
             return _Engine(start, _code_table(m).expand, _code_keys,
-                           np.asarray, functools.partial(
-                               _check_states, start=start, m=m,
-                               bound=3 ** m), None)
-        return _Engine(start.T, _expand_stokes, _keys, _narrow,
+                           functools.partial(_check_states, start=start, m=m,
+                                             bound=3 ** m), None)
+        return _Engine(start.T, _expand_stokes, _keys,
                        functools.partial(_check_states, start=start.T, m=m),
                        None)
     table = roots(symmetrized_form(seed).rows)
     start = np.arange(seed.mu, dtype=table.dtype)[None]
     return _Engine(start, functools.partial(_expand_roots, table=table),
-                   row_keys, np.asarray, functools.partial(
+                   row_keys, functools.partial(
                        _check_bases, start=start, seed_rows=seed.rows,
                        limit=table.limit), table)
 
@@ -674,9 +670,13 @@ def orbit_enumerate(seed: StokesMatrix, mode: str = "bases", *,
     which no choice of canonical form changes; a truncated run reports the
     classes found per level.  With a checkpoint path, a run resumes from
     the search state saved there, and saves it after every CHECKPOINT_EVERY
-    expanded states and when the budget stops it.  A resumed run's
-    visited set holds only the saved window's keys and those it finds:
-    expanding level d or later meets no class of level d - 2.
+    expanded states and when the budget stops it.
+
+    Every run starts from a window of open levels, the saved one or the
+    start's level alone, and its visited set holds the keys of the open
+    levels d - 1, d and d + 1 only: every move has its inverse among the
+    generators, so expanding level d meets no class of level d - 2, and
+    each level swap drops the keys of the level that leaves the window.
     """
     if mode not in ("bases", "stokes"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -694,24 +694,25 @@ def orbit_enumerate(seed: StokesMatrix, mode: str = "bases", *,
     limit = float("inf") if max_states is None else max_states
 
     engine = _engine(seed, mode)
-    expand, keys, store = engine.expand, engine.keys, engine.store
+    expand, keys = engine.expand, engine.keys
     g_count = 2 * (n - 1)
     chunk = max(1, _CHUNK_ELEMENTS // (max(1, g_count) * n * n))
+    resumed = checkpoint and _load_checkpoint(checkpoint, mode, seed.rows,
+                                              engine)
+    window, window_keys, visited, levels, expanded = \
+        resumed or (engine.start, *_keyed(engine.start, keys), [1], 0)
     # prev and cur are the whole levels d - 1 and d, level the rest of cur
-    # to expand, nxt the classes found of level d + 1
-    prev, cur, nxt = engine.start[:0], engine.start, []
-    levels, expanded = [1], 0
-    visited = set(keys(cur))
-    if checkpoint:
-        resumed = _load_checkpoint(checkpoint, mode, seed.rows, engine)
-        if resumed is not None:
-            visited, window, levels, expanded = resumed
-            a = sum(levels[-2:-1])          # level d - 1, none at d = 0
-            b = a + levels[-1]
-            prev, cur = window[:a], window[a:b]
-            nxt = [window[b:]] if len(window) > b else []
+    # to expand, nxt the classes found of level d + 1; each of the three
+    # open levels keeps the list of its classes' keys beside it
+    a = sum(levels[-2:-1])                  # level d - 1, none at d = 0
+    b = a + levels[-1]
+    prev, cur = window[:a], window[a:b]
+    nxt = [window[b:]] if len(window) > b else []
+    prev_keys, cur_keys, nxt_keys = \
+        window_keys[:a], window_keys[a:b], window_keys[b:]
+    del window_keys                         # its slices hold its keys
     level = cur[expanded - sum(levels[:-1]):]
-    count = sum(levels) + sum(len(a) for a in nxt)
+    count = sum(levels) + len(nxt_keys)
 
     def save():
         doc = {"mode": mode, "seed": seed.rows, "levels": levels,
@@ -725,7 +726,9 @@ def orbit_enumerate(seed: StokesMatrix, mode: str = "bases", *,
     saved_at = expanded
     while len(level) or nxt:
         if not len(level):
+            visited.difference_update(prev_keys)
             prev, cur = cur, np.concatenate(nxt)
+            prev_keys, cur_keys, nxt_keys = cur_keys, nxt_keys, []
             level, nxt = cur, []
             levels.append(len(cur))
         x = level[:chunk]
@@ -738,9 +741,10 @@ def orbit_enumerate(seed: StokesMatrix, mode: str = "bases", *,
                     truncated = True
                     break
                 visited.add(key)
+                nxt_keys.append(key)
                 new.append(j)
         if new:
-            nxt.append(store(cands[new]))
+            nxt.append(cands[new])
             count += len(new)
         if truncated:
             # the state in progress stays in the frontier: a resumed run
@@ -757,7 +761,7 @@ def orbit_enumerate(seed: StokesMatrix, mode: str = "bases", *,
     if checkpoint and truncated:
         save()
     if nxt:
-        levels.append(sum(len(a) for a in nxt))
+        levels.append(len(nxt_keys))
     return OrbitReport(mode=mode, class_count=count,
                        states_visited=expanded,
                        wall_clock=time.monotonic() - t0,
@@ -825,8 +829,10 @@ def _save_checkpoint(path, doc):
 
 
 def _load_checkpoint(path, mode, seed_rows, engine):
-    """The saved search state (visited, window, levels, expanded), or None
-    when path is missing or empty; visited holds the window's keys.
+    """The saved search state (window, window_keys, visited, levels,
+    expanded), or None when path is missing or empty: window_keys lists
+    the keys of the window's classes in order, and visited is their set
+    (_keyed).
 
     Loading checks what it resumes: levels start with the seed's level of
     1 and hold no 0, sum(levels[:-1]) <= expanded <= sum(levels), the
@@ -886,7 +892,7 @@ def _load_checkpoint(path, mode, seed_rows, engine):
         if len(window) < sum(levels[-2:]):
             raise ValueError("the window is shorter than its open levels")
         engine.check(window, arrays.get("roots"))
-        visited = set(engine.keys(window))
+        window_keys, visited = _keyed(window, engine.keys)
         if len(visited) != len(window):
             raise ValueError("saved classes repeat")
     except (KeyError, TypeError, ValueError, OverflowError,
@@ -897,8 +903,14 @@ def _load_checkpoint(path, mode, seed_rows, engine):
         index = engine.table.intern(arrays["roots"])
         if not np.array_equal(index, np.arange(len(index))):
             window = index[window]
-            visited = set(engine.keys(window))
-    return visited, window, list(levels), expanded
+            window_keys, visited = _keyed(window, engine.keys)
+    return window, window_keys, visited, list(levels), expanded
+
+
+def _keyed(window, keys):
+    """The keys of the classes of window, in order, and their set."""
+    window_keys = keys(window)
+    return window_keys, set(window_keys)
 
 
 def _checkpoint_arrays(entries, body):
@@ -939,14 +951,18 @@ def _check_states(a, saved, start, m, bound=None):
     """Raise ValueError unless the saved Stokes states a pass as states of
     the run of m packed entries from start (saved roots: none): its shape
     per state, integer entries, on codes start's dtype and values below
-    bound, and tree sign normal forms, which a disconnected diagram has
-    none of."""
+    bound, packed entries above their signed dtype's minimum (whose
+    negation wraps, so no sign flip or key would be exact), and tree sign
+    normal forms, which a disconnected diagram has none of."""
     if a.shape[1:] != start.shape[1:] or \
             (a.dtype != object and a.dtype.kind not in "iu"):
         raise ValueError("saved states do not fit this run")
     if bound is not None and (a.dtype != start.dtype or
                               (a.size and int(a.max()) >= bound)):
         raise ValueError("saved Stokes codes do not fit this run")
+    if bound is None and a.dtype.kind == "i" and a.size and \
+            int(a.min()) == np.iinfo(a.dtype).min:
+        raise ValueError("saved Stokes entries reach their dtype's minimum")
     step = max(1, _CHUNK_ELEMENTS // _mu_of(m) ** 2)
     for lo in range(0, len(a), step):
         x = a[lo:lo + step]

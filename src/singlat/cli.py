@@ -73,9 +73,18 @@ def cmd_orbit(args):
         checkpoint=args.checkpoint)
     print(report.to_json(label=cls.label))
     _info(f"{cls.label} {args.mode}: {report.class_count} classes "
-          f"({report.states_visited} expanded, {report.wall_clock:.1f}s"
+          f"({report.states_visited} expanded, {report.wall_clock:.1f}s, "
+          f"peak RSS {_peak_rss_mb():.0f} MB"
           f"{', truncated' if report.truncated else ''})")
     return EXIT_TRUNCATED if report.truncated else EXIT_OK
+
+
+def _peak_rss_mb():
+    """The process's peak resident set size in MB, from getrusage, whose
+    ru_maxrss is in KiB on Linux and in bytes on macOS."""
+    import resource
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return rss / (2 ** 20 if sys.platform == "darwin" else 2 ** 10)
 
 
 def cmd_stokes_count(args):

@@ -313,8 +313,19 @@ def definiteness(i: IntersectionMatrix):
     return kind
 
 
+_INT8_MAX = 127
+_INT16_MAX = 2 ** 15 - 1
 _INT64_MAX = 2 ** 63 - 1
 _MAX_ROOTS = 4096    # uint16 tables: refl at most 4096^2 x 2 B = 32 MiB
+
+
+def _work_dtype(bound):
+    """Narrowest exact dtype for values of absolute value <= bound."""
+    if bound <= _INT16_MAX:
+        return np.int16
+    if bound <= _INT64_MAX:
+        return np.int64
+    return object
 
 
 class RootTable:
@@ -363,8 +374,7 @@ class RootTable:
             a, b = a[miss], b[miss]
             va, vb, form = self.vectors[a], self.vectors[b], self.form
             m = self.top
-            if va.dtype == object or \
-                    m + self.mu ** 2 * self.f * m ** 3 > _INT64_MAX:
+            if _work_dtype(m + self.mu ** 2 * self.f * m ** 3) is object:
                 va, vb, form = (x.astype(object) for x in (va, vb, form))
             c = ((va @ form) * vb).sum(axis=1)
             self.refl[a, b] = self.intern(

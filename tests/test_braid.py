@@ -814,7 +814,8 @@ class TestBatchedEngine:
         # a mixed batch expands to the concatenated single-state
         # expansions: walked states of several classes, which alone run
         # at int16, with one state in the middle whose entry big makes the
-        # whole batch run at int64 or in Python ints.  On root indices the
+        # whole batch run at int64 or in Python ints, and returns it
+        # narrowed, in int64 since entries pass 127.  On root indices the
         # batch fills one fresh table and the single states another, and
         # the vectors of the moves agree
         rng = random.Random(big)
@@ -830,7 +831,8 @@ class TestBatchedEngine:
             batch = _narrow(np.array(states, dtype=object))
             assert len(set(_keys(batch))) > 5
             got = _expand_stokes(batch)
-            assert got.dtype == width
+            assert _work_dtype(big * (1 + big) ** 2) == width
+            assert got.dtype == np.int64
             alone = [_expand_stokes(_narrow(np.array([s], dtype=object)))
                      .tolist() for s in states]
             assert got.tolist() == sum(alone, [])
@@ -1328,6 +1330,42 @@ class TestCheckpointFormat:
         assert len(sizes) > 200
         assert max(sizes) < 0.46 * len(fifo)
 
+    @pytest.mark.parametrize("label, mode, peak, count, resume_at", [
+        ("E6", "bases", 18655, 41472, None),
+        ("E6", "stokes", 2280, 3456, None),
+        ("D5", "stokes", 165, 256, None),
+        ("tE6", "stokes", 38266, 76545, None),
+        ("tE6", "stokes", 38266, 76545, 3000)],
+        ids=["E6-bases", "E6-stokes-packed", "D5-stokes-codes",
+             "tE6-stokes", "tE6-stokes-resumed"])
+    def test_visited_set_holds_open_levels(self, tmp_path, monkeypatch,
+                                           label, mode, peak, count,
+                                           resume_at):
+        # every set the module builds records its largest size: the
+        # visited set peaks at the widest three consecutive levels, never
+        # at the orbit, in a fresh run and in one resumed mid-level
+        seed = seed_stokes(label).stokes
+        ck = str(tmp_path / "orbit.ck")
+        if resume_at:
+            orbit_enumerate(seed, mode, max_states=resume_at, checkpoint=ck)
+        sizes = []
+
+        class Recorded(set):
+            def __init__(self, *args):
+                super().__init__(*args)
+                sizes.append(len(self))
+
+            def add(self, key):
+                super().add(key)
+                sizes.append(len(self))
+
+        monkeypatch.setattr(braid, "set", Recorded, raising=False)
+        rep = orbit_enumerate(seed, mode, checkpoint=ck if resume_at else None)
+        levels = rep.levels
+        assert rep.class_count == count
+        assert max(sizes) == peak == \
+            max(sum(levels[d:d + 3]) for d in range(len(levels)))
+
     @staticmethod
     def written(tmp_path, budget):
         """A bases checkpoint of A4 stopped at budget classes."""
@@ -1392,7 +1430,9 @@ class TestCheckpointFormat:
     def test_states_checked_on_load(self, tmp_path):
         # a file whose hash matches but whose states no run can hold: a
         # Stokes state of a disconnected diagram, one not in sign normal
-        # form, a root index past the last root; and on codes (A3 Stokes,
+        # form, an int8 entry of -128 (a normal form off the spanning
+        # tree, which a run holds in int64), a root index past the last
+        # root; and on codes (A3 Stokes,
         # m = 3) those two states' codes 13 and 3, a code past 3^3, and
         # codes of another dtype or as packed int8 rows.  The affine A2
         # seed is semidefinite, so its Stokes run holds packed states.
@@ -1412,6 +1452,8 @@ class TestCheckpointFormat:
                  np.array([[0, 0, 0]], np.int8)),
                 (affine, "stokes", affine_start,
                  np.array([[-1, 0, -1]], np.int8)),
+                (affine, "stokes", affine_start,
+                 np.array([[1, 1, -128]], np.int8)),
                 (a3, "bases", np.array([[0, 1, 2]], np.uint8),
                  np.array([[0, 1, 6]], np.uint8)),
                 (a3, "stokes", start, np.array([13], np.uint16)),
@@ -1481,7 +1523,8 @@ class TestCheckpointFormat:
         # window disagree, each of its classes a distinguished basis
         ck = str(tmp_path / "orbit.ck")
         seed = chain(4)
-        start, table = _engine(seed, "bases")[::5]
+        engine = _engine(seed, "bases")
+        start, table = engine.start, engine.table
         classes = {"start": start[0], "moved": _expand_roots(start, table)[0]}
         braid._save_checkpoint(ck, {
             "mode": "bases", "seed": seed.rows, "roots": table.V,
@@ -1541,11 +1584,12 @@ class TestCheckpointFormat:
         dtypes = {a["name"]: a["dtype"] for a in manifest(ck)["arrays"]}
         assert dtypes == {"roots": "|O", "window": "<u2"}
         engine = _engine(seed, "bases")
-        visited, window, levels, _ = _load_checkpoint(
+        window, window_keys, visited, levels, _ = _load_checkpoint(
             str(ck), "bases", seed.rows, engine)
         v = engine.table.V
         assert v.dtype == object and big in map(abs, v[window].flat)
-        assert set(row_keys(window)) == visited
+        assert row_keys(window) == window_keys
+        assert set(window_keys) == visited
         assert len(visited) == 3 - sum(levels[:-2])
 
 

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import pickle
+import re
 import tracemalloc
 import warnings
 
@@ -80,6 +81,19 @@ class TestOrbitCommand:
         code, doc = run(capsys, "orbit", "A3", "--mode", "stokes")
         assert code == 0
         assert doc["count"] == 4 and doc["truncated"] is False
+
+    def test_summary_reports_peak_rss(self, capsys):
+        # stdout is the JSON report alone; the stderr summary line ends
+        # with the process's peak RSS, and a truncated run says so after it
+        assert main(["orbit", "A3", "--mode", "stokes"]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["count"] == 4
+        assert re.fullmatch(r"A3 stokes: 4 classes \(4 expanded, \d+\.\ds, "
+                            r"peak RSS [1-9]\d* MB\)\n", captured.err)
+        assert main(["orbit", "A5", "--budget-states", "100"]) == 3
+        assert re.fullmatch(r"A5 bases: 100 classes \(32 expanded, \d+\.\ds, "
+                            r"peak RSS [1-9]\d* MB, truncated\)\n",
+                            capsys.readouterr().err)
 
     def test_budget_truncation_exit_code(self, capsys):
         code, doc = run(capsys, "orbit", "A5", "--budget-states", "100")
