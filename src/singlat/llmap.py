@@ -14,10 +14,12 @@ section 4) the critical values of every other class are the eigenvalues
 of multiplication by the unfolding F on its Jacobi algebra, a matrix that
 one least-squares solve gives.  Numeric companions: fiber counts over
 generic targets for mu = 2, 3, by one batched multistart Newton on a
-polynomial system compiled to exponent and coefficient matrices, and a
-wall walker that tracks the good ordering of the critical values along a
-path in parameter space and emits a braid letter at every transversal
-crossing of adjacent imaginary parts.  The walker samples each segment
+polynomial system compiled to exponent and coefficient matrices, whose
+residuals and Jacobians come from one matmul and whose steps are
+closed-form adjugate solves, and a wall walker that tracks the good
+ordering of the critical values along a path in parameter space and emits
+a braid letter at every transversal crossing of adjacent imaginary
+parts.  The walker samples each segment
 adaptively, with the predictor step of path tracking in the spirit of
 the certified tracking of Beltran and Leykin (Exp. Math. 21, 2012): the
 velocity of each critical value along a segment is exact, as f' vanishes
@@ -221,11 +223,14 @@ def critical_values_numeric(cls_or_label, t, lam=None) -> CriticalData:
     order: a row of the walk's kernel (`_walk_values`) for the chain family,
     else the eigenvalues of multiplication by F on the Jacobi algebra
     (`_multiplication_values`), degenerate t included.  t needs one entry
-    per parameter, an elliptic class a lam outside {0, 1}: else ValueError."""
+    per parameter, an elliptic class a lam outside {0, 1}, and an ADE class
+    takes no lam: else ValueError."""
     cls = sing_class(cls_or_label)
     if len(t) != len(cls.tvars):
         raise ValueError(f"{cls.label} needs {len(cls.tvars)} parameters, "
                          f"got {len(t)}")
+    if not cls.is_elliptic and lam is not None:
+        raise ValueError(f"{cls.label} has no family parameter")
     if cls.is_elliptic and (lam is None or complex(lam) in (0, 1)):
         raise ValueError(f"{cls.label} needs a family parameter lam "
                          "outside {0, 1}")
@@ -320,45 +325,71 @@ class FiberCount:
     solutions: tuple
 
 
-def _newton_steps(G, J, starts):
+# Flat indices into the row-major entries a of an m x m matrix that give
+# its cofactors, row by row: cofactor (i, j) is a[p] a[q] - a[r] a[s] for
+# m = 3, the indices mod 3 carrying the signs, and the sign times a[p] for
+# m = 2.
+_COFACTORS = {
+    2: (np.array([3, 2, 1, 0]), np.array([[1.0], [-1.0], [-1.0], [1.0]])),
+    3: tuple(np.array([(i + u) % 3 * 3 + (j + v) % 3
+                       for i, j in itertools.product(range(3), repeat=2)])
+             for u, v in ((1, 1), (2, 2), (1, 2), (2, 1))),
+}
+
+
+def _solve(jac, g):
+    """The Newton steps jac^-1 g of a stack of m x m systems, m = 2 or 3,
+    as an (n, m) array: jac is (n, m, m) and g is (n, m).
+
+    Each step is the adjugate of its Jacobian times g over the determinant,
+    every row at once; the determinant is the cofactor expansion along the
+    first row.  An exactly singular row gets a non-finite step, without a
+    numpy warning.  The arithmetic reads each entry as one row over the n
+    systems, so every operation is elementwise over the stack."""
+    n, m = g.shape
+    if m not in _COFACTORS:
+        raise ValueError(f"adjugate steps cover 2 x 2 and 3 x 3 systems, "
+                         f"not {m} x {m}")
+    a = jac.transpose(1, 2, 0).reshape(m * m, n)
+    with np.errstate(all="ignore"):
+        if m == 2:
+            p, sign = _COFACTORS[2]
+            cof = a[p] * sign
+        else:
+            p, q, r, s = _COFACTORS[3]
+            cof = a[p] * a[q] - a[r] * a[s]
+        cof = cof.reshape(m, m, n)
+        det = (a[:m] * cof[0]).sum(axis=0)
+        return ((cof * g.T[:, None]).sum(axis=0) / det).T
+
+
+def _newton_steps(GJ, starts):
     """Newton's method on every row of starts at once, as a generator.
 
-    G maps an (n, m) array of points to the (n, m) residuals, J to the
-    (n, m, m) Jacobians.  A row converges when max|g| < 1e-11 and is dropped
-    when its Jacobian is singular or its step is not finite or exceeds 1e6
-    in modulus; after 120 iterations the rest are dropped.  After each
-    iteration in which rows converge it yields their start indices and
-    points, in start order.  numpy's floating-point warnings are off inside
-    each iteration (a start near the float range overflows, and its row is
-    dropped), but not across the yield."""
-    T = np.array(starts, dtype=complex)
-    live = np.arange(len(T))
+    GJ maps an (n, m) array of points to the (n, m) residuals and the
+    (n, m, m) Jacobians, from one evaluation (`_system`); the step is the
+    adjugate solve of `_solve`.  A row converges when max|g| < 1e-11 and is
+    dropped when its step is not finite, as on an exactly singular
+    Jacobian, or exceeds 1e6 in modulus; after 120 iterations the rest are
+    dropped.  After each iteration in which rows converge it yields their
+    start indices and points, in start order.  The live rows are kept as
+    one array, compacted at every step.  numpy's floating-point warnings
+    are off inside each iteration (a start near the float range overflows,
+    and its row is dropped), but not across the yield."""
+    X = np.array(starts, dtype=complex)
+    live = np.arange(len(X))
     for _ in range(120):
         with np.errstate(all="ignore"):
-            g = G(T[live])
-            done = np.max(np.abs(g), axis=1) < 1e-11
+            g, jac = GJ(X)
+            done = (np.abs(g) < 1e-11).all(axis=1)
+            step = _solve(jac, g)
+            keep = ~done & (np.abs(step) <= 1e6).all(axis=1)   # and not NaN
+            nxt = X[keep] - step[keep]
         if done.any():
-            yield live[done], T[live[done]]
-        live, g = live[~done], g[~done]
+            yield live[done], X[done]
+        X, live = nxt, live[keep]
         if not live.size:
             return
-        keep = np.ones(live.size, dtype=bool)
-        with np.errstate(all="ignore"):
-            jac = J(T[live])
-            try:
-                step = np.linalg.solve(jac, g[..., None])[..., 0]
-            except np.linalg.LinAlgError:
-                # the stacked solve fails as a whole: drop the singular
-                # rows only
-                step = np.zeros_like(g)
-                for i in range(live.size):
-                    try:
-                        step[i] = np.linalg.solve(jac[i], g[i])
-                    except np.linalg.LinAlgError:
-                        keep[i] = False
-            keep &= (np.abs(step) <= 1e6).all(axis=1)   # and not NaN
-            live, step = live[keep], step[keep]
-            T[live] -= step
 
 
 # Starts per batched Newton call in _distinct_zeros.  The search stops at
@@ -398,31 +429,30 @@ def _compile(polys, names):
 
 
 def _system(E, C, m, target):
-    """Residual G and Jacobian J of the m compiled polys (`_compile`) =
-    target, each evaluated on an (n, number of unknowns) array of rows by
-    one power table, one product over the unknowns and one matmul."""
+    """The m compiled polys (`_compile`) = target as one callable GJ.  On an
+    (n, number of unknowns) array of points GJ returns the (n, m) residuals
+    and the (n, m, number of unknowns) Jacobians, both from one power
+    table, one product over the unknowns and one matmul against the whole
+    coefficient matrix.  That matmul holds each output as a row over the n
+    points, and the residuals and Jacobians are transposed views of it, so
+    `_solve` reads each Jacobian entry as one contiguous row."""
     nv = E.shape[1]
     deg = E.max(initial=1)   # the table holds at least T^0 and T^1
     var = np.arange(nv)
-    target = np.asarray(target, dtype=complex)
-    CG, CJ = np.ascontiguousarray(C[:, :m]), np.ascontiguousarray(C[:, m:])
+    CT = C.T
+    target = np.asarray(target, dtype=complex).reshape(-1, 1)
 
-    def outputs(T, CK):
-        T = np.asarray(T, dtype=complex)
-        pw = np.empty((deg + 1, len(T), nv), dtype=complex)
-        pw[0], pw[1] = 1, T
+    def GJ(T):
+        pw = np.empty((deg + 1, nv, len(T)), dtype=complex)
+        pw[0], pw[1] = 1, T.T
         for d in range(2, deg + 1):
-            np.multiply(pw[d - 1], T, out=pw[d])
-        # pw[E, :, var] has shape (monomials, unknowns, rows)
-        return np.dot(pw[E, :, var].prod(axis=1).T, CK)
+            np.multiply(pw[d - 1], pw[1], out=pw[d])
+        # pw[E, var] has shape (monomials, unknowns, points)
+        out = np.dot(CT, pw[E, var].prod(axis=1))
+        return ((out[:m] - target).T,
+                out[m:].reshape(m, nv, -1).transpose(2, 0, 1))
 
-    def G(T):
-        return outputs(T, CG) - target
-
-    def J(T):
-        return outputs(T, CJ).reshape(-1, m, nv)
-
-    return G, J
+    return GJ
 
 
 @lru_cache(maxsize=None)
@@ -432,7 +462,7 @@ def _ll_compiled(mu):
 
 
 def _ll_system(mu, p: LLPoint):
-    """Residual G and Jacobian J of the chain family's coefficient-matching
+    """The callable GJ (`_system`) of the chain family's coefficient-matching
     system c_k(t) = p_k (k < mu) on rows of parameters; the system is
     compiled once per mu."""
     return _system(*_ll_compiled(mu), mu, p.coeffs[:mu])
@@ -460,10 +490,10 @@ def _start_table(mu, n):
     return table[:n]
 
 
-def _distinct_zeros(G, J, mu, budget, want):
-    """Distinct zeros of the system (G, J) that Newton reaches from the
-    first budget rows of mu's start table (`_start_table`), sliced
-    NEWTON_CHUNK rows at a time.
+def _distinct_zeros(GJ, mu, budget, want):
+    """Distinct zeros of the system GJ (`_system`) that Newton reaches
+    from the first budget rows of mu's start table (`_start_table`),
+    sliced NEWTON_CHUNK rows at a time.
 
     Converged rows are taken in convergence order: chunk, then Newton
     iteration (`_newton_steps`), then start index.  A row is kept when it
@@ -472,7 +502,7 @@ def _distinct_zeros(G, J, mu, budget, want):
     found = []
     for k in range(0, budget, NEWTON_CHUNK):
         chunk = _start_table(mu, min(k + NEWTON_CHUNK, budget))[k:]
-        for _, Z in _newton_steps(G, J, chunk):
+        for _, Z in _newton_steps(GJ, chunk):
             if found:   # drop the rows within TOL_DEDUP of a kept zero
                 d = np.abs(Z[:, None, :] - np.array(found)).max(axis=2)
                 Z = Z[(d > TOL_DEDUP).all(axis=1)]
@@ -525,7 +555,7 @@ def ll_fiber_count(cls_or_label, p: LLPoint, budget=600) -> FiberCount:
     if min(abs(a - b) for a, b in itertools.combinations(sylv_roots, 2)) < 1e-5:
         raise ValueError("target has a (near-)multiple root")
     deg = _deg_ll(cls)
-    sols = _distinct_zeros(*_ll_system(mu, p), mu, budget, deg)
+    sols = _distinct_zeros(_ll_system(mu, p), mu, budget, deg)
     return FiberCount(count=len(sols), saturated=len(sols) == deg,
                       starts=budget, solutions=tuple(tuple(v) for v in sols))
 

@@ -18,14 +18,16 @@ from singlat.llmap import (TOL_DEDUP, TOL_DISC, TOL_WALL, WALK_CHUNK,
                            LLPoint, WalkStats, _compile, _ll_compiled,
                            _ll_system, _matched, _multiplication_plan,
                            _newton_steps, _path_values, _separations,
-                           _start_table, _steps_ok, _symbolic_ll, _system,
-                           _velocities, _walk, _walk_points, _walk_values,
+                           _solve, _start_table, _steps_ok, _symbolic_ll,
+                           _system, _velocities, _walk, _walk_points,
+                           _walk_values,
                            critical_values_numeric, discriminant_member,
                            good_order, ll_exact_A, ll_fiber_count,
                            wall_walk_A)
 from singlat.polyalg import MultiPoly, macaulay, resultant
 from singlat.singdata import (jacobi_system, normal_form, sing_class,
                               unfolding, unfolding_monomials, weights)
+from singlat.verify import jacobi_dimension
 
 
 def match_sets(a, b):
@@ -305,10 +307,11 @@ class TestNumericCriticalValues:
     ])
     def test_overflow_raises_without_warnings(self, label, t):
         # one ValueError from the kernel, and no numpy warning on the way
+        lam = F(2, 5) if sing_class(label).is_elliptic else None
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="overflow"):
-                critical_values_numeric(label, t, F(2, 5))
+                critical_values_numeric(label, t, lam)
 
     def test_a2_hand_solved(self):
         cd = critical_values_numeric("A2", [0, -3])
@@ -338,6 +341,19 @@ class TestNumericCriticalValues:
     def test_wrong_arity_rejected(self, label, t, lam):
         with pytest.raises(ValueError, match="parameter"):
             critical_values_numeric(label, t, lam)
+
+    @pytest.mark.parametrize("label,t,lam", [
+        ("D4", [0.1, 0.2, 0.3, 0.4], 0.5),
+        ("A2", [0.1, 0.2], 7),
+        ("E6", [0.1] * 6, F(2, 5)),
+    ])
+    def test_lam_for_simple_class_rejected(self, label, t, lam):
+        # an ADE class has no family parameter, as in
+        # verify.jacobi_dimension
+        with pytest.raises(ValueError, match="no family parameter"):
+            critical_values_numeric(label, t, lam)
+        with pytest.raises(ValueError, match="no family parameter"):
+            jacobi_dimension(label, lam)
 
     @pytest.mark.parametrize("label,t,want", [
         ("D4", [0, 0, 0, 0], 0),          # the singularity itself
@@ -441,15 +457,16 @@ class TestNumericCriticalValues:
         # relative to the largest value; inputs with one value 10^6 times
         # the others agree to a few 1e-9.
         cls = sing_class(label)
+        lam = F(2, 5) if cls.is_elliptic else None
         rng = random.Random(71)
         deg = weights(cls).t_weights
         for _ in range(25):
             t = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in deg]
-            got = critical_values_numeric(label, t, F(2, 5)).values
+            got = critical_values_numeric(label, t, lam).values
             assert len(got) == cls.mu and all(map(cmath.isfinite, got))
             scaled = critical_values_numeric(
                 label, [v * 2 ** float(d) for v, d in zip(t, deg)],
-                F(2, 5)).values
+                lam).values
             scale = max(map(abs, got))
             assert match_sets([2 * v for v in got], scaled) <= 1e-7 * scale
 
@@ -649,12 +666,12 @@ def seed5_starts(mu, budget):
             for _ in range(budget)]
 
 
-def newton_rows(G, J, starts):
+def newton_rows(GJ, starts):
     """One full `_newton_steps` pass: the converged mask and the points,
     converged where the mask is set and the starts elsewhere."""
     T = np.array(starts, dtype=complex)
     ok = np.zeros(len(T), dtype=bool)
-    for idx, Z in _newton_steps(G, J, T):
+    for idx, Z in _newton_steps(GJ, T):
         ok[idx], T[idx] = True, Z
     return ok, T
 
@@ -690,7 +707,7 @@ class TestBatchedNewton:
                                for _ in range(mu)])
         starts = [[complex(rng.gauss(0, 2), rng.gauss(0, 2))
                    for _ in range(mu)] for _ in range(40)]
-        ok, T = newton_rows(*_ll_system(mu, p), starts)
+        ok, T = newton_rows(_ll_system(mu, p), starts)
         for k, start in enumerate(starts):
             ref = scalar_newton(mu, p, start)
             assert ok[k] == (ref is not None)
@@ -708,7 +725,7 @@ class TestBatchedNewton:
         for _ in range(4):
             p = target_from_roots([complex(rng.gauss(0, 1), rng.gauss(0, 1))
                                    for _ in range(mu)])
-            ok, T = newton_rows(*_ll_system(mu, p), seed5_starts(mu, budget))
+            ok, T = newton_rows(_ll_system(mu, p), seed5_starts(mu, budget))
             ref = []
             for z in T[ok]:
                 if all(np.max(np.abs(z - z0)) > TOL_DEDUP for z0 in ref):
@@ -723,14 +740,14 @@ class TestBatchedNewton:
             assert (near.sum(axis=0) == 1).all()
 
     def test_search_stops_at_completing_iteration(self, monkeypatch):
-        # one Newton iteration is one call to G: the search that completes
+        # one Newton iteration is one call to GJ: the search that completes
         # an A2 fiber in its first chunk iterates less than a full pass
         calls = []
         system = llmap._ll_system
 
         def counted(mu, p):
-            G, J = system(mu, p)
-            return (lambda T: calls.append(len(T)) or G(T)), J
+            GJ = system(mu, p)
+            return lambda T: calls.append(len(T)) or GJ(T)
 
         monkeypatch.setattr(llmap, "_ll_system", counted)
         rng = random.Random(67)
@@ -741,7 +758,7 @@ class TestBatchedNewton:
             assert ll_fiber_count("A2", p, budget=150).saturated
             search = len(calls)
             calls.clear()
-            newton_rows(*counted(2, p), seed5_starts(2, 150))
+            newton_rows(counted(2, p), seed5_starts(2, 150))
             assert search < len(calls)
 
     @pytest.mark.parametrize("mu", [2, 3])
@@ -780,33 +797,84 @@ class TestBatchedNewton:
         # beyond 1e6: each row is dropped there, not carried to the
         # iteration cap, and numpy warns of nothing
         calls = []
-        G, J = _ll_system(2, LLPoint((1e308 + 0j, 1e308 + 0j, 1)))
+        GJ = _ll_system(2, LLPoint((1e308 + 0j, 1e308 + 0j, 1)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ok, _ = newton_rows(lambda T: calls.append(len(T)) or G(T), J,
+            ok, _ = newton_rows(lambda T: calls.append(len(T)) or GJ(T),
                                 seed5_starts(2, 128))
         assert not ok.any()
         assert calls[0] == 128 and sum(calls[1:]) == 0
 
     def test_singular_rows_dropped_alone(self):
         # det J = 8/9 t2^2 for A2: a start with t2 = 0 has an exactly
-        # singular Jacobian, which makes the stacked solve fail as a whole
+        # singular Jacobian, whose adjugate step is not finite; the rows
+        # beside it step as they do alone
         p = target_from_roots((0.7 + 0.2j, -0.4 + 1.1j))
-        G, J = _ll_system(2, p)
+        GJ = _ll_system(2, p)
         generic = [[0.3 + 0.4j, 1.2 - 0.5j], [-1.1 + 0.2j, 0.4 + 0.9j],
                    [0.8 - 1.3j, -0.6 - 0.2j]]
         singular = [[0.5 + 0.5j, 0j], [-2.0 + 0j, 0j]]
         starts = [generic[0], singular[0], generic[1], singular[1],
                   generic[2]]
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.solve(J(np.array(starts)),
-                            G(np.array(starts))[..., None])
-        ok, T = newton_rows(G, J, starts)
-        ok_g, T_g = newton_rows(G, J, generic)
+        g, jac = GJ(np.array(starts))
+        finite = np.isfinite(_solve(jac, g)).all(axis=1)
+        assert finite.tolist() == [True, False, True, False, True]
+        calls = []
+        ok, T = newton_rows(lambda T: calls.append(len(T)) or GJ(T), starts)
+        assert calls[:2] == [5, 3]   # the singular rows go at the first step
+        ok_g, T_g = newton_rows(GJ, generic)
         assert ok_g.all()
         assert not ok[1] and not ok[3]
         assert ok[[0, 2, 4]].all()
         assert np.max(np.abs(T[[0, 2, 4]] - T_g)) < 1e-12
+
+
+class TestAdjugateSolve:
+    @staticmethod
+    def stack(rng, m, n):
+        # the identity times 3 plus entries of scale 0.5: condition numbers
+        # stay small, and are checked
+        noise = rng.normal(0, 0.5, (n, m, m)) + 1j * rng.normal(0, 0.5,
+                                                               (n, m, m))
+        jac = 3 * np.eye(m) + noise
+        g = rng.normal(0, 2, (n, m)) + 1j * rng.normal(0, 2, (n, m))
+        assert np.linalg.cond(jac).max() < 10
+        return jac, g
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_matches_lapack(self, m):
+        rng = np.random.default_rng(97 + m)
+        jac, g = self.stack(rng, m, 200)
+        want = np.linalg.solve(jac, g[..., None])[..., 0]
+        got = _solve(jac, g)
+        assert got.shape == (200, m)
+        err = np.abs(got - want).max(axis=1)
+        assert (err <= 1e-12 * np.abs(want).max(axis=1)).all()
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_singular_row_not_finite_and_silent(self, m):
+        # rows of small integers: the last row of each singular matrix is
+        # the sum of the ones above it, so its determinant is exactly 0;
+        # the zero matrix is singular with a zero adjugate
+        rng = np.random.default_rng(101 + m)
+        jac, g = self.stack(rng, m, 5)
+        dep = rng.integers(-3, 4, (m, m)) + 1j * rng.integers(-3, 4, (m, m))
+        dep[-1] = dep[:-1].sum(axis=0)
+        jac[1], jac[3] = dep, 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            step = _solve(jac, g)
+        assert np.isfinite(step).all(axis=1).tolist() == \
+            [True, False, True, False, True]
+        rows = [0, 2, 4]
+        want = np.linalg.solve(jac[rows], g[rows, :, None])[..., 0]
+        assert np.abs(step[rows] - want).max() <= \
+            1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_other_sizes_rejected(self, m):
+        with pytest.raises(ValueError, match="adjugate"):
+            _solve(np.eye(m, dtype=complex)[None], np.ones((1, m), complex))
 
 
 class TestWallWalk:
@@ -1378,8 +1446,8 @@ class TestCompiledSystem:
         want = np.asarray(want)
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1, abs(want)))
 
-    def check(self, polys, names, target, G, J, rows):
-        g, jac = G(rows), J(rows)
+    def check(self, polys, names, target, GJ, rows):
+        g, jac = GJ(rows)
         assert g.shape == (len(rows), len(polys))
         assert jac.shape == (len(rows), len(polys), len(names))
         for r, z in enumerate(rows):
@@ -1400,7 +1468,7 @@ class TestCompiledSystem:
         rows = np.array([[complex(rng.gauss(0, 1.5), rng.gauss(0, 1.5))
                           for _ in f.vars] for _ in range(40)])
         self.check(polys, f.vars, (0, 0),
-                   *_system(*_compile(polys, f.vars), 2, 0), rows)
+                   _system(*_compile(polys, f.vars), 2, 0), rows)
 
     def test_negative_power_rejected(self):
         p = MultiPoly(("x", "y"), {(1, -1): F(1), (0, 2): F(3)})
@@ -1432,4 +1500,4 @@ class TestCompiledSystem:
         rows = np.array([[complex(rng.gauss(0, 2), rng.gauss(0, 2))
                           for _ in tv] for _ in range(40)])
         target = [complex(c) for c in p.coeffs[:mu]]
-        self.check(coeffs, tv, target, *_ll_system(mu, p), rows)
+        self.check(coeffs, tv, target, _ll_system(mu, p), rows)
