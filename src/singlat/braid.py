@@ -581,10 +581,12 @@ def _expand_roots(x, table):
 def _keys(states):
     """Dedup keys of a batch of packed Stokes states: the int8 bytes when
     every entry of the state has absolute value <= 127, else b"W" and the
-    int64 bytes, else b"P" and the repr; the three kinds never compare
-    equal.  An int8 batch, which _narrow and _check_states keep within
-    +-127, is keyed as it is.  States without entries (the packed Stokes
-    matrix of mu = 1) key as b""."""
+    int64 bytes, else b"P" and each entry as its length in bytes (8 bytes)
+    and its signed bytes, of any size.  The three kinds never compare
+    equal: for m entries, an int8 key has m bytes, a b"W" key 1 + 8m and a
+    b"P" key at least 1 + 9m.  An int8 batch, which _narrow and
+    _check_states keep within +-127, is keyed as it is.  States without
+    entries (the packed Stokes matrix of mu = 1) key as b""."""
     if not states.size:
         return [b""] * len(states)
     flat = states.reshape(len(states), -1)
@@ -599,7 +601,11 @@ def _wide_key(v):
         return v.astype(np.int8).tobytes()
     if m <= _INT64_MAX:
         return b"W" + v.astype(np.int64).tobytes()
-    return b"P" + repr(tuple(int(x) for x in v)).encode()
+    key = [b"P"]
+    for x in map(int, v):
+        n = x.bit_length() // 8 + 1   # the sign bit included
+        key += (n.to_bytes(8, "little"), x.to_bytes(n, "little", signed=True))
+    return b"".join(key)
 
 
 def _narrow(states):

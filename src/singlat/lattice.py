@@ -19,6 +19,7 @@ suspension), so no generality is lost for the counting problems.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import threading
@@ -83,26 +84,33 @@ def unit_upper_inverse(s):
 def char_poly(m):
     """Characteristic polynomial det(y*Id - M), ascending coefficients.
 
-    Faddeev-LeVerrier: c_k = -tr(M A_k) / k is exact for a matrix over Z
-    or over a polynomial ring Z[t].  Entries are ints or MultiPolys, and
-    `//` is the exact division for both, as in `bareiss`; any other entry
-    (a Fraction, say) raises TypeError.
+    From the power sums p_k = tr(M^k), k <= n, by Newton's identities
+    k c_k = -(c_(k-1) p_1 + ... + c_0 p_k), where y^n + c_1 y^(n-1) + ...
+    + c_n is the polynomial.  Only M^1, ..., M^h, h = ceil(n/2), are
+    formed, h - 1 matrix products: beyond h, p_(h+b) = sum_ij (M^h)_ij
+    (M^b)_ji, one entrywise product.  The division by k is exact for a
+    matrix over Z or over a polynomial ring Z[t].  Entries are ints or
+    MultiPolys, and `//` is the exact division for both, as in `bareiss`;
+    any other entry (a Fraction, say) raises TypeError.
     """
     mm = tuple(tuple(x if isinstance(x, MultiPoly) else operator.index(x)
                      for x in row) for row in m)
     n = len(mm)
+    powers = [mm]
+    for _ in range((n + 1) // 2 - 1):
+        powers.append(mat_mul(powers[-1], mm))
+    p = [sum(a[i][i] for i in range(n)) for a in powers]
+    top = list(itertools.chain.from_iterable(powers[-1]))
+    for a in powers[:n - len(powers)]:
+        p.append(sum(map(operator.mul, top,
+                         itertools.chain.from_iterable(zip(*a)))))
     cs = [1]  # y^n + cs[1] y^{n-1} + ... + cs[n]
-    a = mm
     for k in range(1, n + 1):
-        tr = -sum(a[i][i] for i in range(n))
-        ck = tr // k
-        if ck * k != tr:
+        s = -sum(map(operator.mul, cs, reversed(p[:k])))
+        ck = s // k
+        if ck * k != s:
             raise ArithmeticError("characteristic polynomial not integral")
         cs.append(ck)
-        if k < n:
-            shifted = tuple(tuple(a[i][j] + ck if i == j else a[i][j]
-                                  for j in range(n)) for i in range(n))
-            a = mat_mul(mm, shifted)
     return tuple(reversed(cs))  # ascending: entry k is the coefficient of y^k
 
 

@@ -4,11 +4,12 @@ For the one-variable chain family the map sending unfolding parameters to
 the monic polynomial with the critical values as roots is computed exactly.
 By Stickelberger's theorem that polynomial, prod_i (y - f(x_i)) over the
 critical points x_i counted with multiplicity, is the characteristic
-polynomial of multiplication by f in Q[x]/(f'): one integer (or, for the
-symbolic map, Z[t]) Faddeev-LeVerrier pass after the weighted C*-scaling
-of the parameters that makes the matrix integral (`_config_coeffs`).
-Discriminant membership is exact as well, a Bareiss rank test of the
-Sylvester matrix of the polynomial and its derivative over Z.  By the
+polynomial of multiplication by f in Q[x]/(f'), taken over Z (or, for
+the symbolic map, Z[t]) from power sums by Newton's identities after the
+weighted C*-scaling of the parameters that makes the matrix integral
+(`_config_coeffs`).  Discriminant membership is exact as well: the
+Hankel matrix of the Newton sums of the roots, scaled to integers, is
+singular over Z exactly when a root repeats.  By the
 same theorem (Cox, Little and O'Shea, Using Algebraic Geometry, ch. 2
 section 4) the critical values of every other class are the eigenvalues
 of multiplication by the unfolding F on its Jacobi algebra, a matrix that
@@ -52,7 +53,7 @@ import numpy as np
 from .braid import BraidWord
 from .degrees import deg_ll_simple
 from .lattice import char_poly
-from .polyalg import MultiPoly, bareiss, macaulay, sylvester, to_complex
+from .polyalg import MultiPoly, bareiss, macaulay, to_complex
 from .singdata import jacobi_system, sing_class, unfolding, weights
 
 F = Fraction
@@ -125,7 +126,8 @@ def _config_coeffs(mu, n, d):
     """Coefficients c_0, ..., c_(mu-1) of the configuration polynomial
     y^mu + sum_k c_k y^k = prod_i (y - f(x_i)) of the chain family
     f = x^(mu+1) + t_1 + t_2 x + ... + t_mu x^(mu-1) at t = n / d, the
-    product over the mu critical points x_i of f counted with multiplicity.
+    product over the mu critical points x_i of f counted with multiplicity,
+    each as a pair (a_k, s^e_k) with c_k = a_k / s^e_k.
 
     The entries of n are ints over the common denominator d, or MultiPolys
     in the parameter names over d = 1 for the symbolic map.  By
@@ -140,8 +142,9 @@ def _config_coeffs(mu, n, d):
     critical value by s^(mu+1) and c_k by s^((mu+1)(mu-k)).  At
     s = (mu+1) d the scaled g_i = (i+1) s^(mu-1-i) n_(i+2) and
     r_i = (mu+1-i) s^(mu-i) n_(i+1) are integral, and so is every column,
-    as g is monic: the matrix is over Z or Z[t], and coefficient k of its
-    characteristic polynomial is divided by s^((mu+1)(mu-k)) once."""
+    as g is monic: the matrix is over Z or Z[t], a_k is coefficient k of
+    its characteristic polynomial (`lattice.char_poly`, by power sums) and
+    e_k = (mu+1)(mu-k); the caller divides once."""
     s = (mu + 1) * d
     zero = n[0] * 0
     # g = x^mu + sum_i g_i x^i, with g_(mu-1) = 0
@@ -156,8 +159,7 @@ def _config_coeffs(mu, n, d):
             col = [c - top * gi for c, gi in zip(col, g)]
         cols.append(col)
     cp = char_poly(list(zip(*cols)))
-    return [c * F(1, s ** ((mu + 1) * (mu - k)))
-            for k, c in enumerate(cp[:mu])]
+    return [(c, s ** ((mu + 1) * (mu - k))) for k, c in enumerate(cp[:mu])]
 
 
 def ll_exact_A(mu, t) -> LLPoint:
@@ -168,8 +170,12 @@ def ll_exact_A(mu, t) -> LLPoint:
     multiplication by f in Q[x]/(f') (Stickelberger; see `_config_coeffs`),
     computed over Z: the weighted C*-scaling t_j -> s^(mu+2-j) t_j,
     s = (mu+1) lcm(denominators of t), makes the matrix integral and
-    multiplies c_k, of weight (mu+1)(mu-k), by s^((mu+1)(mu-k)).  Equal to
-    the monic Res_x(f', y - f)."""
+    multiplies c_k, of weight (mu+1)(mu-k), by s^((mu+1)(mu-k)), which one
+    Fraction per coefficient divides out.  Equal to the monic
+    Res_x(f', y - f).  A mu that is not an integer (a bool included) or
+    is below 1 raises ValueError."""
+    if isinstance(mu, bool) or not isinstance(mu, numbers.Integral):
+        raise ValueError(f"mu must be an integer, not {mu!r}")
     if mu < 1:
         raise ValueError(f"mu must be at least 1, got {mu}")
     if len(t) != mu:
@@ -178,23 +184,39 @@ def ll_exact_A(mu, t) -> LLPoint:
     d = math.lcm(*(v.denominator for v in t))
     coeffs = _config_coeffs(mu, [v.numerator * (d // v.denominator)
                                  for v in t], d)
-    return LLPoint(tuple(coeffs) + (F(1),))
+    return LLPoint(tuple(F(a, e) for a, e in coeffs) + (F(1),))
 
 
 def discriminant_member(p: LLPoint) -> bool:
-    """True iff the polynomial has a multiple root, i.e. shares a root with
-    its derivative.  Decided exactly: p is scaled to integer coefficients,
-    and the Sylvester matrix of p and p' is singular (`polyalg.bareiss`
-    over Z) iff their resultant, the discriminant up to a nonzero factor,
-    vanishes."""
-    cs = [F(c) for c in p.coeffs]
-    if len(cs) < 2:
-        return False
+    """True iff the polynomial has a multiple root.  Decided exactly over
+    Z: p, monic of degree n with rational coefficients c_k, is scaled to
+    the monic integer q(y) = d^n p(y/d), d the lcm of their denominators,
+    whose roots are d times those of p.  The n x n Hankel matrix
+    [s_(i+j)] of the Newton sums s_k of q's roots is V^t V for the
+    Vandermonde matrix V of the roots, so its determinant is
+    prod_(i<j) (x_i - x_j)^2, the discriminant of q (Hermite; Basu,
+    Pollack and Roy, Algorithms in Real Algebraic Geometry, ch. 4), and
+    `polyalg.bareiss` tests it for zero.  A coefficient that is not a
+    rational number (a finite float is one, exactly) raises ValueError."""
+    cs = []
+    for c in p.coeffs:
+        if not isinstance(c, numbers.Rational):
+            if not isinstance(c, numbers.Real) or not math.isfinite(c):
+                raise ValueError(f"coefficient {c!r} is not rational")
+            c = F(c)
+        cs.append(c)
+    n = len(cs) - 1
     d = math.lcm(*(c.denominator for c in cs))
-    a = [(c * d).numerator for c in cs]
-    # monic of degree >= 1, so the derivative is not zero
-    da = [k * a[k] for k in range(1, len(a))]
-    return bareiss(sylvester(a, da))[1] == 0
+    # q = y^n + a[n-1] y^(n-1) + ... + a[0]
+    a = [c.numerator * (d ** (n - k) // c.denominator)
+         for k, c in enumerate(cs)]
+    # Newton: s_k = -(a[n-1] s_(k-1) + ... + a[n-k+1] s_1) - k a[n-k] for
+    # k <= n, and s_k = -(a[n-1] s_(k-1) + ... + a[0] s_(k-n)) beyond
+    s = [n]
+    for k in range(1, 2 * n - 1):
+        s.append(-sum(a[n - i] * s[k - i] for i in range(1, min(k, n + 1)))
+                 - (k * a[n - k] if k <= n else 0))
+    return bareiss([s[i:i + n] for i in range(n)])[1] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +336,8 @@ def _symbolic_ll(mu):
     with the parameters as variables over d = 1, so the characteristic
     polynomial is taken over Z[t] after scaling t_j by (mu+1)^(mu+2-j)."""
     tv = sing_class(f"A{mu}").tvars
-    return tv, _config_coeffs(mu, [MultiPoly.var(tn, tv) for tn in tv], 1)
+    return tv, [a * F(1, e) for a, e in
+                _config_coeffs(mu, [MultiPoly.var(tn, tv) for tn in tv], 1)]
 
 
 @dataclass

@@ -12,11 +12,12 @@ hold it and stores them through the private `_raw`, without a re-check.
 `macaulay` is the one weighted Macaulay compiler, and a graded piece is
 one block of it (`graded_block`).
 Fraction-free (Bareiss) elimination, `_pivot_columns`, is the one exact
-rank and determinant routine: the resultant and the discriminant test (on
-one Sylvester matrix builder), the Milnor-lattice determinants and the
-graded Jacobi ranks all run it, the resultant alone on polynomial
-entries.  A graded rank over Q(la) is an elimination over Z at one
-integer value of la where no nonzero minor vanishes (`GradedPiece.ranks`).
+rank and determinant routine: the resultant (on the Sylvester matrix),
+the discriminant test (on a Hankel matrix of Newton sums), the
+Milnor-lattice determinants and the graded Jacobi ranks all run it, the
+resultant alone on polynomial entries.  A graded rank over Q(la) is an
+elimination over Z at one integer value of la where no nonzero minor
+vanishes (`GradedPiece.ranks`).
 """
 
 from __future__ import annotations

@@ -687,6 +687,29 @@ class TestBatchedEngine:
         assert _keys(np.stack([base]))[0] != _keys(
             np.stack([base * 128]))[0]
 
+    def test_long_entries_keyed(self):
+        # entries past Python's 4300-digit int-to-string limit: the keys
+        # hold their bytes, so values that differ only in the last digit,
+        # or only in sign, key apart, and equal values key alike
+        big = 10 ** 5000
+        base = np.eye(3, dtype=object)
+        states = []
+        # the last two concatenate to the same entry bytes, 2^64 and 1
+        # against 0 and 2^64 + 2^56: the lengths keep them apart
+        for a, b in ((0, big), (0, big + 1), (0, big + 2), (0, -big),
+                     (0, big + 1), (2 ** 64, 1), (0, 2 ** 64 + 2 ** 56)):
+            s = base.copy()
+            s[0, 1], s[0, 2] = a, b
+            states.append(s)
+        keys = _keys(np.stack(states))
+        assert all(k.startswith(b"P") for k in keys)
+        assert len(set(keys[:4])) == 4 and keys[4] == keys[1]
+        assert keys[5] != keys[6]
+        # an orbit run from such a seed keys its states
+        seed = StokesMatrix(((1, -1, big), (0, 1, -1), (0, 0, 1)))
+        rep = orbit_enumerate(seed, "stokes", max_states=50)
+        assert rep.class_count == 50 and rep.truncated
+
     @pytest.mark.parametrize("big, width", [(3, np.int16),
                                             (127, np.int64),
                                             (128, np.int64),

@@ -484,6 +484,59 @@ class TestIntegerKernels:
                       sympy.Integer(0))
             assert sympy.expand(got - want.coeff_monomial(y ** k)) == 0
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_seeded_match_sympy(self, n):
+        # odd and even n, since the power sums past ceil(n/2) come from
+        # entrywise products: generic, nilpotent (L U L^-1, U strictly
+        # upper, L unit lower triangular) and singular matrices, and
+        # entries beyond int64
+        sympy = pytest.importorskip("sympy")
+        y = sympy.Symbol("y")
+        rng = random.Random(97 + n)
+
+        def rand(bound, band=-n):
+            # random entries on and above the band-th diagonal, else 0
+            return sympy.Matrix(n, n, lambda i, j: rng.randint(-bound, bound)
+                                if j - i >= band else 0)
+
+        low = sympy.eye(n) + rand(3, 1).T
+        singular = rand(9)
+        singular[n - 1, :] = sum((rng.randint(-2, 2) * singular[i, :]
+                                  for i in range(n - 1)), sympy.zeros(1, n))
+        for m in (rand(9), rand(2 ** 70), low * rand(5, 1) * low.inv(),
+                  singular):
+            rows = [[int(x) for x in m.row(i)] for i in range(n)]
+            cp = char_poly(rows)
+            assert all(type(c) is int for c in cp)
+            assert cp == tuple(int(c) for c in
+                               reversed(m.charpoly(y).all_coeffs()))
+        assert cp[0] == 0
+        assert char_poly(rows[:0]) == (1,)
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_seeded_polynomial_entries_match_sympy(self, n):
+        # over Z[a, b], past the one matrix product of n <= 4
+        sympy = pytest.importorskip("sympy")
+        a, b, y = sympy.symbols("a b y")
+        rng = random.Random(101 + n)
+        terms = [[{(rng.randint(0, 2), rng.randint(0, 1)):
+                   Fraction(rng.randint(-3, 3))
+                   for _ in range(rng.randint(0, 2))}
+                  for _ in range(n)] for _ in range(n)]
+        m = [[MultiPoly(("a", "b"), t) for t in row] for row in terms]
+        want = sympy.Matrix([[sum((int(c) * a ** i * b ** j
+                                   for (i, j), c in t.items()),
+                                  sympy.Integer(0)) for t in row]
+                             for row in terms]).charpoly(y)
+        for k, c in enumerate(char_poly(m)):
+            c = c if isinstance(c, MultiPoly) else \
+                MultiPoly.const(("a", "b"), c)
+            got = sum((sympy.Rational(v.numerator, v.denominator)
+                       * a ** i * b ** j
+                       for (i, j), v in c.with_vars(("a", "b")).terms.items()),
+                      sympy.Integer(0))
+            assert sympy.expand(got - want.coeff_monomial(y ** k)) == 0
+
     def test_non_integer_entry_rejected(self):
         with pytest.raises(TypeError):
             char_poly([[Fraction(1, 2)]])

@@ -106,6 +106,24 @@ class TestExactMap:
         # all-zero t: y^mu, a multiple root from mu = 2 on
         for mu in range(1, 7):
             assert discriminant_member(ll_exact_A(mu, [0] * mu)) == (mu > 1)
+        # a finite float is read exactly: (y - 1/2)^2
+        assert discriminant_member(LLPoint((0.25, -1.0, 1)))
+        assert not discriminant_member(LLPoint((0.25, -1.0 - 2 ** -40, 1)))
+
+    @pytest.mark.parametrize("mu", [True, False, 2.0, "3", None, F(2)])
+    def test_mu_must_be_an_integer(self, mu):
+        with pytest.raises(ValueError, match="mu must be an integer"):
+            ll_exact_A(mu, [1] * 2)
+
+    def test_numpy_integer_mu(self):
+        assert ll_exact_A(np.int64(3), (1, F(1, 2), -2)) == \
+            ll_exact_A(3, (1, F(1, 2), -2))
+
+    @pytest.mark.parametrize("c", [1j, complex(1, 0), float("nan"),
+                                   float("-inf"), "1/2", None])
+    def test_non_rational_coefficient_rejected(self, c):
+        with pytest.raises(ValueError, match="not rational"):
+            discriminant_member(LLPoint((F(1), c, F(1))))
 
 
 def resultant_ll(mu, t):
@@ -133,6 +151,10 @@ def poly_mul(a, b):
 
 _rationals = st.one_of(st.just(F(0)), st.fractions(
     min_value=-9, max_value=9, max_denominator=7))
+# large denominators, powers and multiples of the prime 10^6 + 3, which
+# the d^(n-k) scaling of discriminant_member raises to the power n - k
+_wide_rationals = st.builds(F, st.integers(-10 ** 7, 10 ** 7), st.sampled_from(
+    [1, 10 ** 6 + 3, 7 * (10 ** 6 + 3), (10 ** 6 + 3) ** 2]))
 
 
 @st.composite
@@ -161,15 +183,24 @@ class TestCharacteristicPolynomial:
             assert got.vars == tv
             assert got.terms == c.with_vars(tv).terms
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(st.one_of(
-        # generic monic polynomials of degree 1..6
-        st.lists(_rationals, min_size=1, max_size=6).map(
-            lambda cs: LLPoint(tuple(cs) + (F(1),))),
-        # (y - a)^2 q: always in the discriminant
-        st.tuples(_rationals, st.lists(_rationals, max_size=4)).map(
+        # generic monic polynomials of degree 1..8, also with large
+        # denominators
+        st.lists(st.one_of(_rationals, _wide_rationals), min_size=1,
+                 max_size=8).map(lambda cs: LLPoint(tuple(cs) + (F(1),))),
+        # (y - a)^2 q and (y - a)^3 q, degree up to 8: always in the
+        # discriminant
+        st.tuples(st.one_of(_rationals, _wide_rationals),
+                  st.lists(_rationals, max_size=6)).map(
             lambda aq: LLPoint(poly_mul((aq[0] ** 2, -2 * aq[0], F(1)),
                                         tuple(aq[1]) + (F(1),)))),
+        st.tuples(st.one_of(_rationals, _wide_rationals),
+                  st.lists(st.one_of(_rationals, _wide_rationals),
+                           max_size=5)).map(
+            lambda aq: LLPoint(poly_mul(
+                (-aq[0] ** 3, 3 * aq[0] ** 2, -3 * aq[0], F(1)),
+                tuple(aq[1]) + (F(1),)))),
         # chain-family images, among them t2 = 0 and all-zero t
         chain_parameters().map(lambda c: ll_exact_A(*c)),
         chain_parameters((2, 3, 4, 5)).map(
@@ -1477,14 +1508,16 @@ class TestCompiledSystem:
 
     # SHA-256 of the compiled chain system's exponent matrix (as <i8) and
     # coefficient matrix (as <c16), with their shapes: pinned, since the
-    # fiber counts and solutions rest on these arrays bit for bit
+    # fiber counts and solutions rest on these arrays bit for bit.  The row
+    # order is the order in which the characteristic polynomial's
+    # arithmetic over Z[t] first produces each monomial
     @pytest.mark.parametrize("mu,shape,digest", [
         (2, (5, 6), "22a7e42d3c805ed9678af7770b15db6a"
                     "7ed3432edd6bc294954f2ac23b2ee3c2"),
-        (3, (25, 12), "8c176f6f23791bbd04c0d0db38b42535"
-                      "e7ca4da97a7548161d66615d590b7e52"),
-        (4, (118, 20), "270cc58f446f404be72388745e51daef"
-                       "09244f8953213aa7bc504d42cada82ca")])
+        (3, (25, 12), "9fa016caa8d4f75fe0baca9968e9a465"
+                      "579c590bcf1babb53e89926959ded913"),
+        (4, (118, 20), "be1e9cb5fa7bc4de7d181d99358b0377"
+                       "d941962ec5ecab3efb38c2c83ae57c34")])
     def test_ll_compiled_pinned(self, mu, shape, digest):
         E, C = _ll_compiled(mu)
         assert E.shape == (shape[0], mu) and C.shape == shape
