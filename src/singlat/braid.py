@@ -112,7 +112,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import numbers
 import os
 import tempfile
 import threading
@@ -126,6 +125,7 @@ from .lattice import (StokesMatrix, symmetrized_form, mat_det, is_connected,
                       definiteness, form_pair, mat_mul, mat_neg,
                       mat_transpose, process_cache, roots, row_keys,
                       _INT8_MAX, _INT64_MAX, _work_dtype)
+from .polyalg import positive_int
 
 
 @dataclass(frozen=True)
@@ -689,12 +689,7 @@ def orbit_enumerate(seed: StokesMatrix, mode: str = "bases", *,
     if not is_connected(seed):
         raise ValueError("orbit enumeration requires a connected seed diagram")
     if max_states is not None:
-        if isinstance(max_states, bool) or \
-                not isinstance(max_states, numbers.Integral):
-            raise ValueError(f"max_states must be an integer, not "
-                             f"{max_states!r}")
-        if max_states < 1:
-            raise ValueError("max_states must be at least 1")
+        max_states = positive_int(max_states, "max_states")
     n = seed.mu
     t0 = time.monotonic()
     limit = float("inf") if max_states is None else max_states

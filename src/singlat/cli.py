@@ -118,20 +118,14 @@ def cmd_verify_symmetry(args):
 
 def cmd_verify_kappa(args):
     cls = _usage(singdata.sing_class, args.cls)
-    if not cls.is_elliptic:
-        raise _Usage("the kappa extension concerns the elliptic classes")
-    return _report_outcomes([verify.check_kappa_extension(cls)])
+    return _report_outcomes([_usage(verify.check_kappa_extension, cls)])
 
 
 def cmd_jacobi_dim(args):
     cls = _usage(singdata.sing_class, args.cls)
     lam = args.at
-    if lam is not None and not cls.is_elliptic:
-        raise _Usage("--at applies to the simple elliptic classes only")
-    if lam in (0, 1):
-        raise _Usage("family parameter must avoid 0 and 1")
     try:
-        dim = verify.jacobi_dimension(cls, lam)
+        dim = _usage(verify.jacobi_dimension, cls, lam)
     except verify.JacobiRankError as exc:
         _emit({"class": cls.label, "error": str(exc)})
         return EXIT_FAIL
@@ -211,9 +205,7 @@ def cmd_ll_eval(args):
     if cls.family != "A":
         raise _Usage("exact evaluation covers the A family")
     t = _parse_vec(_json(args.t), cls.mu)
-    if any(isinstance(v, complex) for v in t):
-        raise _Usage("exact evaluation needs rational parameters")
-    p = llmap.ll_exact_A(cls.mu, t)
+    p = _usage(llmap.ll_exact_A, cls.mu, t)
     _emit({"class": cls.label, "coeffs": [str(c) for c in p.coeffs],
            "in_discriminant": llmap.discriminant_member(p)})
     return EXIT_OK

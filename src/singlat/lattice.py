@@ -2,11 +2,10 @@
 
 Stokes matrices, the symmetrized intersection form, monodromy,
 Picard-Lefschetz reflections and Coxeter-Dynkin diagrams, all as exact
-integer matrix computations; definiteness is read off one exact
-elimination, and quasiunipotence off the integer characteristic
-polynomial.  The roots of every form, up to sign, and their reflections
-are tabulated once per form and filled on demand (`roots`).  The sign
-conventions are fixed
+integer matrix computations; definiteness and quasiunipotence are both
+read off the integer characteristic polynomial (`char_poly`).  The roots
+of every form, up to sign, and their reflections are tabulated once per
+form and filled on demand (`roots`).  The sign conventions are fixed
 once and for all at the dimension residue n = 0 mod 4, where
 
     I = S + S^t,   M = -S^{-1} S^t,   s_d(b) = b - I(d,b) d,
@@ -294,31 +293,22 @@ def definiteness(i: IntersectionMatrix):
     """'positive-definite', 'positive-semidefinite' or 'indefinite',
     computed once per form and process (i, or its row tuples, is the key).
 
-    Exact, by symmetric fraction-free (Bareiss) elimination, one O(mu^3)
-    pass.  A positive pivot is eliminated.  A zero pivot must head a zero
-    row, as every 2 x 2 principal minor of a psd form is >= 0, and is then
-    dropped; a zero pivot with a nonzero row, or a negative pivot, makes
-    the form indefinite.  Every entry after a step is the minor of the
-    pivots kept so far and its own row and column (Sylvester's identity),
-    so a pivot has the sign of the Schur complement's diagonal entry; the
-    form is positive definite iff no pivot is dropped.
+    Exact, from the characteristic polynomial det(y - I) = sum_k c_k y^k
+    (`char_poly`), whose roots, the eigenvalues of the symmetric I, are
+    real.  If none is negative, c_k = (-1)^(n-k) e_(n-k)(roots) gives
+    (-1)^(n-k) c_k >= 0 for every k; conversely, under those signs
+    (-1)^n p(-u) = sum_k (-1)^(n-k) c_k u^k >= u^n > 0 for u > 0, so no
+    root is negative (Basu, Pollack and Roy, Algorithms in Real Algebraic
+    Geometry, ch. 2).  The nullity of a semidefinite I is the multiplicity
+    of the root 0, the index of the lowest nonzero c_k, so I is positive
+    definite iff c_0 != 0 as well.
     """
     rows = i.rows if isinstance(i, IntersectionMatrix) else i
-    a = [[operator.index(x) for x in row] for row in rows]
-    prev, kind = 1, "positive-definite"
-    for k, top in enumerate(a):
-        p = top[k]
-        if p < 0 or (p == 0 and any(top[k + 1:])):
-            return "indefinite"
-        if p == 0:
-            kind = "positive-semidefinite"
-            continue
-        for r in a[k + 1:]:
-            f = r[k]
-            r[k + 1:] = [(p * x - f * y) // prev
-                         for x, y in zip(r[k + 1:], top[k + 1:])]
-        prev = p
-    return kind
+    c = char_poly(rows)
+    n = len(c) - 1
+    if any((-1) ** (n - k) * x < 0 for k, x in enumerate(c)):
+        return "indefinite"
+    return "positive-definite" if c[0] else "positive-semidefinite"
 
 
 _INT8_MAX = 127
@@ -346,7 +336,8 @@ class RootTable:
     it.  refl[a, b] is the index of s_(V[a])(V[b]) = V[b] - I(V[a], V[b])
     V[a] up to sign, or sentinel, the dtype's largest value, if unfilled.
     Indices are uint8 for a positive definite form of rank <= 16 (an ADE
-    lattice, at most 240 roots up to sign: D16, E8 + E8), else uint16.
+    lattice, at most 240 roots up to sign: D16, E8 + E8), else uint16; a
+    form of higher rank never has its `definiteness` computed here.
     The table holds at most limit roots, the sentinel 255 for uint8 and
     _MAX_ROOTS for uint16, which keeps the dense refl in memory; interning
     past it raises OverflowError.  Writes hold a lock; V and the dense
@@ -356,8 +347,7 @@ class RootTable:
 
     def __init__(self, form_rows):
         n = self.mu = len(form_rows)
-        self.definiteness = definiteness(form_rows)
-        small = self.definiteness == "positive-definite" and n <= 16
+        small = n <= 16 and definiteness(form_rows) == "positive-definite"
         self.dtype = np.dtype(np.uint8 if small else np.uint16)
         self.sentinel = int(np.iinfo(self.dtype).max)
         self.limit = min(self.sentinel, _MAX_ROOTS)

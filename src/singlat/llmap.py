@@ -42,7 +42,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-import numbers
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,7 +52,8 @@ import numpy as np
 from .braid import BraidWord
 from .degrees import deg_ll_simple
 from .lattice import char_poly
-from .polyalg import MultiPoly, bareiss, macaulay, to_complex
+from .polyalg import (MultiPoly, bareiss, exact_rational, macaulay,
+                      positive_int, to_complex)
 from .singdata import jacobi_system, sing_class, unfolding, weights
 
 F = Fraction
@@ -172,15 +172,13 @@ def ll_exact_A(mu, t) -> LLPoint:
     s = (mu+1) lcm(denominators of t), makes the matrix integral and
     multiplies c_k, of weight (mu+1)(mu-k), by s^((mu+1)(mu-k)), which one
     Fraction per coefficient divides out.  Equal to the monic
-    Res_x(f', y - f).  A mu that is not an integer (a bool included) or
-    is below 1 raises ValueError."""
-    if isinstance(mu, bool) or not isinstance(mu, numbers.Integral):
-        raise ValueError(f"mu must be an integer, not {mu!r}")
-    if mu < 1:
-        raise ValueError(f"mu must be at least 1, got {mu}")
+    Res_x(f', y - f).  A mu that is not a `positive_int`, or a parameter
+    that is not an `exact_rational` (a string included), raises
+    ValueError."""
+    mu = positive_int(mu, "mu")
     if len(t) != mu:
         raise ValueError(f"need {mu} parameters")
-    t = [F(v) for v in t]
+    t = [exact_rational(v, "parameter") for v in t]
     d = math.lcm(*(v.denominator for v in t))
     coeffs = _config_coeffs(mu, [v.numerator * (d // v.denominator)
                                  for v in t], d)
@@ -196,15 +194,9 @@ def discriminant_member(p: LLPoint) -> bool:
     Vandermonde matrix V of the roots, so its determinant is
     prod_(i<j) (x_i - x_j)^2, the discriminant of q (Hermite; Basu,
     Pollack and Roy, Algorithms in Real Algebraic Geometry, ch. 4), and
-    `polyalg.bareiss` tests it for zero.  A coefficient that is not a
-    rational number (a finite float is one, exactly) raises ValueError."""
-    cs = []
-    for c in p.coeffs:
-        if not isinstance(c, numbers.Rational):
-            if not isinstance(c, numbers.Real) or not math.isfinite(c):
-                raise ValueError(f"coefficient {c!r} is not rational")
-            c = F(c)
-        cs.append(c)
+    `polyalg.bareiss` tests it for zero.  A coefficient that is not an
+    `exact_rational` (a finite float is one, exactly) raises ValueError."""
+    cs = [exact_rational(c, "coefficient") for c in p.coeffs]
     n = len(cs) - 1
     d = math.lcm(*(c.denominator for c in cs))
     # q = y^n + a[n-1] y^(n-1) + ... + a[0]
@@ -562,20 +554,16 @@ def ll_fiber_count(cls_or_label, p: LLPoint, budget=600) -> FiberCount:
     search stops at the Newton iteration that finds the last of them, and
     the saturation flag records that it did.  The solutions come in
     convergence order (`_distinct_zeros`): chunk, then iteration, then
-    start index.  A budget that is not an integer (a bool included) or is
-    below 1 raises ValueError."""
+    start index.  A budget that is not a `positive_int` raises
+    ValueError."""
     cls = sing_class(cls_or_label)
     if cls.family != "A" or cls.mu not in (2, 3):
         raise ValueError("fiber counting is desk-scale: chain family, mu in {2, 3}")
-    if isinstance(budget, bool) or not isinstance(budget, numbers.Integral):
-        raise ValueError(f"budget must be an integer, not {budget!r}")
-    if budget < 1:
-        raise ValueError(f"the start budget must be at least 1, got {budget}")
+    budget = positive_int(budget, "budget")
     mu = cls.mu
     if p.degree != mu:
         raise ValueError("target degree mismatch")
-    sylv_roots = p.roots()
-    if min(abs(a - b) for a, b in itertools.combinations(sylv_roots, 2)) < 1e-5:
+    if _separations(p.roots()[None])[0] < 1e-5:
         raise ValueError("target has a (near-)multiple root")
     deg = _deg_ll(cls)
     sols = _distinct_zeros(_ll_system(mu, p), mu, budget, deg)
@@ -914,19 +902,15 @@ def wall_walk_A(mu, path, steps=64) -> BraidWord:
     array call (`_matched`), the step test's own matching; a still sample,
     whose matched values are in good order with every adjacent imaginary
     gap at least TOL_WALL, changes nothing, and every other one goes
-    through `_walk_step`.  A steps that is not an integer (a bool
-    included) or is below 1 raises ValueError."""
+    through `_walk_step`.  A mu or a steps that is not a `positive_int`
+    raises ValueError."""
     return _walk(mu, path, steps)[0]
 
 
 def _walk(mu, path, steps):
     """`wall_walk_A`'s word, and the WalkStats of its sampling."""
-    if mu < 1:
-        raise ValueError(f"mu must be at least 1, got {mu}")
-    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
-        raise ValueError(f"steps must be an integer, not {steps!r}")
-    if steps < 1:
-        raise ValueError(f"steps must be at least 1, got {steps}")
+    mu = positive_int(mu, "mu")
+    steps = positive_int(steps, "steps")
     waypoints = [tuple(complex(c) for c in wp) for wp in path]
     if len(waypoints) < 1:
         raise ValueError("empty path")

@@ -18,15 +18,48 @@ Milnor-lattice determinants and the graded Jacobi ranks all run it, the
 resultant alone on polynomial entries.  A graded rank over Q(la) is an
 elimination over Z at one integer value of la where no nonzero minor
 vanishes (`GradedPiece.ranks`).
+The argument rules shared across the package live here too: a count is
+a `positive_int`, and an exact input is an `exact_rational`.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+
+
+# ---------------------------------------------------------------------------
+# argument checks
+# ---------------------------------------------------------------------------
+
+def positive_int(v, name):
+    """v as an int, for an integer of at least 1; a bool, a float, a
+    string or any other non-integer, or an integer below 1, raises
+    ValueError naming the argument."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, not {v!r}")
+    if v < 1:
+        raise ValueError(f"{name} must be at least 1, got {v}")
+    return operator.index(v)
+
+
+def exact_rational(v, name):
+    """v as a Fraction, for any rational number (numbers.Rational, a bool
+    excepted) and for a finite float, at its exact binary value.  A
+    string, a bool, a complex number, NaN, an infinity or anything else
+    raises ValueError naming the argument: nothing is parsed."""
+    if type(v) is Fraction:
+        return v
+    if isinstance(v, numbers.Rational) and not isinstance(v, bool):
+        return Fraction(operator.index(v.numerator),
+                        operator.index(v.denominator))
+    if isinstance(v, float) and math.isfinite(v):
+        return Fraction(v)
+    raise ValueError(f"{name} {v!r} is not rational")
 
 
 # ---------------------------------------------------------------------------

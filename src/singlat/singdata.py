@@ -601,7 +601,10 @@ def _stokes_from_upper(mu, upper):
 
 def validate_seed(cls: SingularityClass, s: StokesMatrix):
     """Triangularity, entry bounds, connectivity, and positive
-    (semi)definiteness with the right radical rank.
+    (semi)definiteness with the right radical rank: the kind of the form
+    I = S + S^t is read off its characteristic polynomial
+    (`lattice.definiteness`), the radical rank off one fraction-free
+    elimination (`lattice.radical_rank`).
 
     The monodromy M = -S^{-1} S^t of a seed that passes is quasiunipotent,
     so it is not checked here.  M is the Coxeter element s_1 ... s_mu of the
@@ -622,7 +625,7 @@ def validate_seed(cls: SingularityClass, s: StokesMatrix):
     if not is_connected(s):
         raise SeedError(f"{cls.label}: diagram is disconnected")
     i = symmetrized_form(s)
-    kind = definiteness(i)
+    kind = definiteness(i.rows)   # one cache entry, shared with braid
     if cls.is_elliptic:
         if kind != "positive-semidefinite" or radical_rank(i) != 2:
             raise SeedError(f"{cls.label}: form must be psd with radical 2")

@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
-from .polyalg import MultiPoly, graded_block, parse_poly
+from .polyalg import MultiPoly, exact_rational, graded_block, parse_poly
 from .singdata import (jacobi_system, normal_form, sing_class, sym_field,
                        symmetry_data, unfolding, unfolding_monomials, weights)
 
@@ -87,9 +87,10 @@ def jacobi_dimension(cls_or_label, lam=None) -> int:
 
     lam = None runs the elliptic families symbolically: the ranks are taken
     over Q(la), by one integer elimination at a point where no nonzero
-    minor of the piece vanishes (see `polyalg.GradedPiece.ranks`).  A
-    Fraction outside {0, 1} evaluates there.  An ADE class has no lam, and
-    a lam given for one raises ValueError.
+    minor of the piece vanishes (see `polyalg.GradedPiece.ranks`).  An
+    `exact_rational` lam outside {0, 1} evaluates there; any other lam (a
+    string included) raises ValueError.  An ADE class has no lam, and a
+    lam given for one raises ValueError.
     The pieces come from `_jacobi_plan`, built once per class; every call
     evaluates and ranks them.
     """
@@ -97,7 +98,7 @@ def jacobi_dimension(cls_or_label, lam=None) -> int:
     if lam is not None:
         if not cls.is_elliptic:
             raise ValueError(f"{cls.label} has no family parameter")
-        lam = F(lam)
+        lam = exact_rational(lam, "family parameter")
         if lam in (0, 1):
             raise ValueError("family parameter must avoid 0 and 1")
     dim = 0
@@ -286,6 +287,7 @@ def _kappa_data(cls):
     xv = cls.xvars
     sv = tuple(f"s{j}" for j in range(1, cls.mu))
     vs = xv + sv + ("ka",)
+    ka = MultiPoly.var("ka", vs)
 
     def P(text):
         return parse_poly(text, vs)
@@ -303,10 +305,10 @@ def _kappa_data(cls):
         c = 3
         yv = ("y0", "y1", "y2")
         ydefs = {
-            "y0": P("x0 * x1 + x0 * s5") * _mono(vs, "ka", -1),
+            "y0": P("x0 * x1 + x0 * s5") * ka ** -1,
             "y1": (P("x0 * x1^2 + 2 * x0 * x1 * s5 + x0 * s5^2")
-                   * _mono(vs, "ka", -2)),
-            "y2": P("x0 * x2^2") * _mono(vs, "ka", -2),
+                   * ka ** -2),
+            "y2": P("x0 * x2^2") * ka ** -2,
         }
         ext = parse_poly(
             "x0 * y0 + s6 * y0 - y1 - ka * x0 * x1^2 + x1^3 - y2"
@@ -321,7 +323,7 @@ def _kappa_data(cls):
         x0_scale = -1
         c = 2
         yv = ("y",)
-        ydefs = {"y": P("x0 * x1") * _mono(vs, "ka", -1)}
+        ydefs = {"y": P("x0 * x1") * ka ** -1}
         ext = parse_poly(
             "x0^2 * y - ka^2 * y^2 - y^2 + x1^2 * y"
             " + s1 + x0 * s2 + x1 * s3 + x0^2 * s4 + y * s5 + x1^2 * s6"
@@ -331,17 +333,17 @@ def _kappa_data(cls):
         rho = {
             "t1": P("s1"), "t2": P("ka * s2"), "t3": P("ka^2 * s3"),
             "t4": (P("s4") - (P("s6 * s9") * F(1, 2) + P("s7 * s9^2") * F(1, 4)
-                              + P("s9^4") * F(1, 16)) * _mono(vs, "ka", -1)),
+                              + P("s9^4") * F(1, 16)) * ka ** -1),
             "t5": P("ka^3 * s5"),
             "t6": P("s6"), "t7": P("ka * s7"),
-            "t8": P("s8") - P("s9^2") * F(1, 4) * _mono(vs, "ka", -2),
-            "t9": P("s9") * _mono(vs, "ka", -1),
+            "t8": P("s8") - P("s9^2") * F(1, 4) * ka ** -2,
+            "t9": P("s9") * ka ** -1,
         }
         x0_scale = -1
         c = 3
         yv = ("y",)
         ydefs = {"y": (P("x0 * x1") - P("x1 * s9") * F(1, 2))
-                 * _mono(vs, "ka", -1)}
+                 * ka ** -1}
         ext = parse_poly(
             "x0^3 * y + 1/2 * x0^2 * s9 * y + 1/4 * x0 * s9^2 * y"
             " + 1/8 * s9^3 * y + x0 * s7 * y + 1/2 * s9 * s7 * y + s6 * y"
@@ -354,10 +356,6 @@ def _kappa_data(cls):
             vs, yv)
 
 
-def _mono(vs, name, e):
-    return MultiPoly(vs, {tuple(e if v == name else 0 for v in vs): F(1)})
-
-
 def check_kappa_extension(cls_or_label) -> CheckOutcome:
     """Pull the unfolding back along la = kappa^c and x0 -> kappa^e x0 with
     the tabulated parameter rescale rho; the result, rewritten through the
@@ -366,8 +364,9 @@ def check_kappa_extension(cls_or_label) -> CheckOutcome:
     cls = sing_class(cls_or_label)
     rho, x0_scale, c, ydefs, ext, vs, yv = _kappa_data(cls)
     name = f"{cls.label}:kappa-extension"
-    sub = {"la": _mono(vs, "ka", c),
-           "x0": _mono(vs, "x0", 1) * _mono(vs, "ka", x0_scale)}
+    ka = MultiPoly.var("ka", vs)
+    sub = {"la": ka ** c,
+           "x0": MultiPoly.var("x0", vs) * ka ** x0_scale}
     sub.update({t: rho[t] for t in cls.tvars})
     pulled = unfolding(cls).subst(sub)
     if ext.min_degree("ka") < 0:

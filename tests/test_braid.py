@@ -1085,8 +1085,8 @@ class TestRootEngine:
     def test_large_seed_budget_stays_small(self, label):
         # A100 and D100 have 5050 and 9900 roots up to sign and rank 100,
         # so uint16 indices; a budgeted run fills only the few roots and
-        # reflections it reaches, so neither the definiteness test nor the
-        # table allocates more than a few MB on the way
+        # reflections it reaches, and a table of rank above 16 runs no
+        # definiteness test, so the run allocates no more than a few MB
         seed = seed_stokes(label).stokes
         roots.cache_clear()
         tracemalloc.start()

@@ -557,6 +557,20 @@ def test_scorecard_small(capsys, monkeypatch):
     assert segre["degree:tE8"] == 21374793216 and segre["degree:A2"] is None
 
 
+def test_scorecard_full(capsys):
+    # the real table end to end: every desk orbit run (the bases and the
+    # Stokes orbit of each ADE class up to E6), degree, Stokes count,
+    # stored identity and Jacobi dimension
+    code, doc = run(capsys, "scorecard")
+    assert code == 0 and doc["passed"]
+    entries = doc["entries"]
+    assert len(entries) == 72 and all(e["passed"] for e in entries)
+    desk = ("A2", "A3", "A4", "A5", "D4", "D5", "E6")
+    assert [(e["name"], e["got"]) for e in entries[:14]] == [
+        (f"orbit:{label}:{mode}", SCORECARD[label][k])
+        for label in desk for k, mode in enumerate(("bases", "stokes"))]
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_scorecard_stdout_is_deterministic(capsys, monkeypatch, jobs):
     # two runs print the same stdout bytes, with no time in them; each

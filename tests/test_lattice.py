@@ -1,3 +1,4 @@
+import operator
 import random
 import threading
 import time
@@ -209,7 +210,7 @@ class TestRoots:
         # indices are uint16
         for form in moved_forms(label, 2, random.Random(label)):
             t = RootTable(form)
-            assert t.definiteness != "positive-definite"
+            assert definiteness(form) != "positive-definite"
             assert t.dtype == np.uint16 and t.size == len(form)
             sizes = [closed(form, rounds).size for rounds in (1, 2, 3)]
             assert len(form) < sizes[0] < sizes[1] < sizes[2]
@@ -254,10 +255,12 @@ class TestRoots:
         assert r.tolist() == [[0, 1, 2]] * 3
 
     def test_one_table_per_form(self):
-        # roots caches one table per form, with its definiteness
+        # roots caches one table per form, its index width set by the
+        # form's definiteness: uint8 for E7, positive definite of rank 7
         form = symmetrized_form(seed_stokes("E7").stokes).rows
         assert roots(form) is roots(tuple(map(tuple, form)))
-        assert roots(form).definiteness == definiteness(form)
+        assert definiteness(form) == "positive-definite"
+        assert roots(form).dtype == np.uint8
 
 
 class TestDiagram:
@@ -410,6 +413,21 @@ class TestRadicalAndDefiniteness:
             kinds.add((want, mat_det(form) > 0))
         assert {("indefinite", True), ("positive-definite", True),
                 ("positive-semidefinite", False)} <= kinds
+        # semidefinite forms B B^t of rank at most r < n: the nullity read
+        # off the characteristic polynomial, the index of its lowest
+        # nonzero coefficient, is the radical rank of the elimination
+        nullities = set()
+        for _ in range(300):
+            n = rng.randint(2, 7)
+            r = rng.randint(1, n - 1)
+            b = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(n)]
+            form = tuple(tuple(sum(map(operator.mul, u, v)) for v in b)
+                         for u in b)
+            assert definiteness(form) == "positive-semidefinite", form
+            nullity = next(k for k, c in enumerate(char_poly(form)) if c)
+            assert nullity == radical_rank(form), form
+            nullities.add((n, nullity))
+        assert {(n, n - 1) for n in range(2, 8)} <= nullities
 
 
 @st.composite

@@ -1122,15 +1122,21 @@ class TestWallWalk:
         with pytest.raises(ValueError, match="at least 1"):
             wall_walk_A(mu, path, steps=steps)
 
-    @pytest.mark.parametrize("steps", [True, False, 2.5, 8.0, "8", None])
-    def test_steps_must_be_an_integer(self, steps):
-        # a bool, a float or a string is no step count, even when it
-        # compares or converts like one
+    @pytest.mark.parametrize("name,value", [
+        ("steps", True), ("steps", False), ("steps", 2.5), ("steps", 8.0),
+        ("steps", "8"), ("steps", None),
+        ("mu", True), ("mu", 2.0), ("mu", "2")],
+        ids=["True", "False", "2.5", "8.0", "8", "None",
+             "mu-True", "mu-2.0", "mu-2"])
+    def test_steps_must_be_an_integer(self, name, value):
+        # a bool, a float or a string is no step count and no mu, even
+        # when it compares or converts like one
         path = [[0.5, -1.0], [-0.5, 1.0 + 0.1j]]
-        with pytest.raises(ValueError, match="steps must be an integer"):
-            wall_walk_A(2, path, steps=steps)
-        with pytest.raises(ValueError, match="steps must be an integer"):
-            _walk(2, path, steps)
+        args = {"mu": 2, "steps": 16, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            wall_walk_A(args["mu"], path, steps=args["steps"])
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            _walk(args["mu"], path, args["steps"])
 
     def test_numpy_integer_steps(self):
         path = [[0.5, -1.0], [-0.5, 1.0 + 0.1j]]

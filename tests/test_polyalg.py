@@ -5,14 +5,20 @@ import operator
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from singlat.braid import orbit_enumerate
+from singlat.lattice import StokesMatrix
+from singlat.llmap import (LLPoint, discriminant_member, ll_exact_A,
+                           ll_fiber_count, wall_walk_A)
 from singlat.polyalg import (Cyclo, GAUSS, ZETA8, MultiPoly, RatFunc,
-                             WeightSystem, bareiss, graded_columns,
-                             graded_piece_rank, macaulay, parse_poly,
-                             resultant, sylvester)
+                             WeightSystem, bareiss, exact_rational,
+                             graded_columns, graded_piece_rank, macaulay,
+                             parse_poly, positive_int, resultant, sylvester)
 from singlat.singdata import sing_class, weights
+from singlat.verify import jacobi_dimension
 
 
 def P(text, vars):
@@ -765,3 +771,58 @@ def test_two_outside_variables_are_rejected():
         graded_piece_rank([P("la * x0", vs), P("mu * x1", vs)], w, 1)
     # a variable that is listed but never occurs does not count
     assert graded_piece_rank([P("la * x0", vs), P("x1", vs)], w, 1) == 2
+
+
+class TestArgumentRules:
+    """positive_int and exact_rational, the one check of each argument
+    kind, and every entry point that applies them."""
+
+    @pytest.mark.parametrize("v", [1, 7, np.int64(3), 10 ** 30])
+    def test_positive_int(self, v):
+        got = positive_int(v, "n")
+        assert type(got) is int and got == v
+
+    @pytest.mark.parametrize("v,want", [
+        (F(-2, 3), F(-2, 3)), (5, F(5)), (np.int64(-5), F(-5)),
+        (0.1, F(3602879701896397, 2 ** 55)), (-0.0, F(0))])
+    def test_exact_rational(self, v, want):
+        got = exact_rational(v, "x")
+        assert type(got) is F and got == want
+        assert type(got.numerator) is int
+
+    def test_float_parameters_are_exact(self):
+        assert ll_exact_A(2, [0.5, np.int64(3)]) == ll_exact_A(2, [F(1, 2), 3])
+        assert jacobi_dimension("tE6", 0.25) == jacobi_dimension("tE6", F(1, 4))
+
+
+_PATH = [[0.5, -1.0], [-0.5, 1.0 + 0.1j]]
+# every entry point that takes a count (a positive integer) or an exact
+# rational, each fed one argument of that kind
+_COUNTS = {
+    "ll_exact_A-mu": lambda v: ll_exact_A(v, [1, 2]),
+    "ll_fiber_count-budget": lambda v: ll_fiber_count(
+        "A2", LLPoint((F(2), F(-3), F(1))), budget=v),
+    "orbit_enumerate-max_states": lambda v: orbit_enumerate(
+        StokesMatrix.chain(3), "bases", max_states=v),
+    "wall_walk_A-mu": lambda v: wall_walk_A(v, _PATH),
+    "wall_walk_A-steps": lambda v: wall_walk_A(2, _PATH, steps=v),
+}
+_RATIONALS = {
+    "ll_exact_A-t": lambda v: ll_exact_A(2, [v, 2]),
+    "discriminant_member": lambda v: discriminant_member(
+        LLPoint((F(1), v, F(1)))),
+    "jacobi_dimension": lambda v: jacobi_dimension("tE6", v),
+}
+_BAD = [*((e, v) for e in _COUNTS
+           for v in (True, False, "2", 2j, math.nan, 0, -1)),
+        *((e, v) for e in _RATIONALS
+          for v in (True, "1/2", "2/5", 1j, math.nan, math.inf))]
+
+
+@pytest.mark.parametrize("entry,v", _BAD,
+                         ids=[f"{e}-{v!r}" for e, v in _BAD])
+def test_bad_argument_is_value_error(entry, v):
+    call = {**_COUNTS, **_RATIONALS}[entry]
+    with pytest.raises(ValueError, match="must be an integer|must be at "
+                                         "least 1|is not rational"):
+        call(v)
