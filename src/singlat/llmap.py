@@ -421,25 +421,28 @@ def _compile(polys, names):
     is an unknown.
 
     Row r of the exponent matrix E (integer, shape (M, len(names))) is a
-    distinct monomial in the unknowns; column k of the coefficient matrix C
-    (complex, shape (M, K)) holds output k's coefficients of those
+    distinct monomial in the unknowns, the rows in ascending order of their
+    exponent tuples, so that the arrays depend only on the polys' values
+    and not on the order of their terms; column k of the coefficient matrix
+    C (complex, shape (M, K)) holds output k's coefficients of those
     monomials.  The outputs are the polys, then the partials row by row:
     output len(polys) + i len(names) + j is d polys[i] / d names[j]."""
     pos = {v: i for i, v in enumerate(names)}
     outs = list(polys) + [p.partial(v) for p in polys for v in names]
-    rows, entries = {}, []
+    entries = []
     for k, p in enumerate(outs):
         for expo, c in p.terms.items():
-            cv, key = to_complex(c), [0] * len(names)
+            key = [0] * len(names)
             for v, e in zip(p.vars, expo):
                 if e < 0:
                     raise ValueError(f"negative power of unknown {v}")
                 key[pos[v]] = e
-            entries.append((rows.setdefault(tuple(key), len(rows)), k, cv))
+            entries.append((tuple(key), k, to_complex(c)))
+    rows = {key: r for r, key in enumerate(sorted({e[0] for e in entries}))}
     E = np.array(list(rows), dtype=np.intp).reshape(len(rows), len(names))
     C = np.zeros((len(rows), len(outs)), dtype=complex)
-    for r, k, cv in entries:
-        C[r, k] += cv
+    for key, k, cv in entries:
+        C[rows[key], k] += cv
     return E, C
 
 

@@ -17,13 +17,15 @@ the discriminant test (on a Hankel matrix of Newton sums), the
 Milnor-lattice determinants and the graded Jacobi ranks all run it, the
 resultant alone on polynomial entries.  A graded rank over Q(la) is an
 elimination over Z at one integer value of la where no nonzero minor
-vanishes (`GradedPiece.ranks`).
+vanishes; at a given la the rank is read off one cached minor, with an
+elimination only at its roots (`GradedPiece.ranks`).
 The argument rules shared across the package live here too: a count is
 a `positive_int`, and an exact input is an `exact_rational`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import operator
@@ -965,6 +967,25 @@ class WeightSystem:
         return [e for e, d in self.monomials(q) if d == q]
 
 
+def _homogeneous(coeffs, a, b):
+    """b^d p(a/b) for the integer polynomial p with ascending coefficients
+    coeffs of length d + 1: sum_k c_k a^k b^(d-k), by Horner's rule, an
+    integer that is zero exactly where p is."""
+    terms = reversed(coeffs)
+    value, scale = next(terms), 1
+    for c in terms:
+        scale *= b
+        value = value * a + c * scale
+    return value
+
+
+def _evaluate(rows, a, b=1):
+    """The matrix rows of integer polynomials in la, every entry as its
+    ascending coefficients padded to one length d + 1, at la = a/b and
+    scaled by b^d (`_homogeneous`): an integer matrix of the same ranks."""
+    return [[_homogeneous(e, a, b) for e in row] for row in rows]
+
+
 @dataclass(frozen=True)
 class GradedPiece:
     """One graded piece of a Macaulay matrix as an integer matrix over Z[la].
@@ -980,7 +1001,11 @@ class GradedPiece:
 
     `ranks` evaluates the entries at an integer point and ranks the
     result with `_pivot_columns`; see its docstring for why that rank is
-    the rank over Q(la)."""
+    the rank over Q(la).  At a given la it first evaluates a certificate,
+    the determinant of a minor that certifies the ranks over Q(la)
+    wherever it is nonzero, and eliminates only at its roots.  The ranks
+    over Q(la) and the certificate are built once per piece, on first use,
+    and cached on it."""
     rows: tuple
     lead: int
     degree: int
@@ -991,9 +1016,44 @@ class GradedPiece:
         """The dimension of the piece."""
         return len(self.rows)
 
+    def _count(self, pivots):
+        return sum(c < self.lead for c in pivots), len(pivots)
+
+    @functools.cached_property
+    def _pivots(self):
+        """The pivot columns over Q(la): those at la = B + 2 (`ranks`)."""
+        return _pivot_columns(_evaluate(self.rows, self.bound + 2))[0]
+
+    @functools.cached_property
+    def _generic(self):
+        """`ranks` over Q(la)."""
+        return self._count(self._pivots)
+
+    @functools.cached_property
+    def _certificate(self):
+        """The determinant of a minor on the pivot columns over Q(la) that
+        is nonzero over Q(la), as ascending integer coefficients in la.
+
+        Every coefficient of a minor is at most B in modulus (`ranks`), so
+        at x = 2B + 1 the minor's value is sum_k c_k x^k with each c_k in
+        [-B, B]: the c_k are the balanced base-x digits of that value
+        (Kronecker substitution).  x > B + 1 is past every root of a
+        nonzero minor, and the rows are the pivots of the columns'
+        transpose at x, so the minor is nonzero there."""
+        x = 2 * self.bound + 1
+        at = _evaluate(self.rows, x)
+        cols = self._pivots
+        rows = _pivot_columns([[row[c] for row in at] for c in cols])[0]
+        det = _pivot_columns([[at[i][c] for c in cols] for i in rows])[1]
+        coeffs = []
+        while det:
+            det, digit = divmod(det + self.bound, x)
+            coeffs.append(digit - self.bound)
+        return coeffs
+
     def ranks(self, lam=None):
         """(rank of the leading columns, rank of all columns), over Q(la)
-        for lam = None and at la = lam otherwise.
+        for lam = None and at la = lam, an `exact_rational`, otherwise.
 
         At lam = a/b an entry sum_k c_k la^k becomes sum_k c_k a^k b^(d-k),
         which scales the whole matrix by b^d and leaves every rank alone.
@@ -1008,18 +1068,25 @@ class GradedPiece:
 
         One elimination gives both ranks: `_pivot_columns` finds the pivots
         column by column, so the pivots among the first `lead` columns span
-        those columns."""
-        d = self.degree
-        if lam is None:
-            a, b = self.bound + 2, 1
-        else:
-            lam = Fraction(lam)
-            a, b = lam.numerator, lam.denominator
-        powers = [a ** k * b ** (d - k) for k in range(d + 1)]
-        rows = [[sum(map(operator.mul, e, powers)) for e in row]
-                for row in self.rows]
-        pivots, _ = _pivot_columns(rows)
-        return sum(c < self.lead for c in pivots), len(pivots)
+        those columns.
+
+        At la = lam the rank of a column set is at most its rank over
+        Q(la), since a minor that is nonzero at lam is nonzero over Q(la).
+        The certificate (`_certificate`) is a minor on the pivot columns
+        over Q(la) that is nonzero over Q(la).  Where it is nonzero at lam,
+        those columns stay independent at lam, the pivots among the first
+        `lead` columns with them, so both ranks are those over Q(la): they
+        can drop only at the certificate's finitely many roots.  There the
+        entries are evaluated at lam and ranked by `_pivot_columns`;
+        elsewhere the ranks over Q(la) are returned without an
+        elimination."""
+        if lam is not None:
+            lam = exact_rational(lam, "lam")
+            if not _homogeneous(self._certificate, lam.numerator,
+                                lam.denominator):
+                at = _evaluate(self.rows, lam.numerator, lam.denominator)
+                return self._count(_pivot_columns(at)[0])
+        return self._generic
 
 
 def macaulay(columns, weights, top):

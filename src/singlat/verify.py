@@ -63,8 +63,10 @@ def _jacobi_plan(cls):
 
     The partial columns x^a d_k f of degree q lead, then come the unfolding
     monomials of degree q and (elliptic, q = 1) the la-derivative of f;
-    every entry is an integer polynomial in la of degree at most 1.  Only
-    the structure is cached: the ranks are taken on every call."""
+    every entry is an integer polynomial in la of degree at most 1.  Each
+    piece caches its ranks over Q(la) and, on the first call with a lam,
+    its certificate (`polyalg.GradedPiece.ranks`), so a later call
+    eliminates only at a root of the certificate."""
     wsys = weights(cls)
     basis, degrees, index, entries = jacobi_system(cls)
     at_t0 = {k: v for k, v in entries.items() if k in ((), (("la", 1),))}
@@ -91,8 +93,12 @@ def jacobi_dimension(cls_or_label, lam=None) -> int:
     `exact_rational` lam outside {0, 1} evaluates there; any other lam (a
     string included) raises ValueError.  An ADE class has no lam, and a
     lam given for one raises ValueError.
-    The pieces come from `_jacobi_plan`, built once per class; every call
-    evaluates and ranks them.
+    The pieces come from `_jacobi_plan`, built once per class.  At a lam
+    each piece evaluates its cached certificate minor and returns its
+    ranks over Q(la) where it is nonzero; only at a root does it evaluate
+    its entries at lam and eliminate.  For tE6-tE8 the certificates have
+    no rational root outside {0, 1}, so every accepted lam takes the
+    first path.
     """
     cls = sing_class(cls_or_label)
     if lam is not None:

@@ -1514,16 +1514,16 @@ class TestCompiledSystem:
 
     # SHA-256 of the compiled chain system's exponent matrix (as <i8) and
     # coefficient matrix (as <c16), with their shapes: pinned, since the
-    # fiber counts and solutions rest on these arrays bit for bit.  The row
-    # order is the order in which the characteristic polynomial's
-    # arithmetic over Z[t] first produces each monomial
+    # fiber counts and solutions rest on these arrays bit for bit.  The rows
+    # are in ascending order of their exponent tuples
     @pytest.mark.parametrize("mu,shape,digest", [
-        (2, (5, 6), "22a7e42d3c805ed9678af7770b15db6a"
-                    "7ed3432edd6bc294954f2ac23b2ee3c2"),
-        (3, (25, 12), "9fa016caa8d4f75fe0baca9968e9a465"
-                      "579c590bcf1babb53e89926959ded913"),
-        (4, (118, 20), "be1e9cb5fa7bc4de7d181d99358b0377"
-                       "d941962ec5ecab3efb38c2c83ae57c34")])
+        (2, (5, 6), "e3ac04d9328db441416910151b567848"
+                    "2b9407b427b29e528acfecb33bd7389c"),
+        (3, (25, 12), "3de9e949a851057fc31835347319e502"
+                      "2c73eb52fc33672f626b19eb62181652"),
+        (4, (118, 20), "ff9791ca6379a77b01afbb5e20a2cca7"
+                       "35884aef5ed9aba03ce45be56969c4c5")],
+        ids=["A2", "A3", "A4"])
     def test_ll_compiled_pinned(self, mu, shape, digest):
         E, C = _ll_compiled(mu)
         assert E.shape == (shape[0], mu) and C.shape == shape

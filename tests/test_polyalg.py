@@ -18,7 +18,7 @@ from singlat.polyalg import (Cyclo, GAUSS, ZETA8, MultiPoly, RatFunc,
                              graded_columns, graded_piece_rank, macaulay,
                              parse_poly, positive_int, resultant, sylvester)
 from singlat.singdata import sing_class, weights
-from singlat.verify import jacobi_dimension
+from singlat.verify import _jacobi_plan, jacobi_dimension
 
 
 def P(text, vars):
@@ -760,6 +760,33 @@ def test_minors_vanishing_at_small_integers(text, rank):
     cols = [[P(e, ("la",)) for e in col] for col in zip(*text)]
     gens, w = _generators(cols)
     assert graded_piece_rank(gens, w, 1) == rank == _oracle_rank(cols)
+    # at every small integer, the ranks of the piece's (scaled) matrix
+    # evaluated there: at the roots of the minors (2, -2, 10, 12, 0, 1, -1)
+    # the certificate vanishes and ranks falls back to the elimination
+    piece = graded_columns(gens, w, 1, lead=1)
+    vanishing = set()
+    for lam in range(-12, 13):
+        if not sum(c * lam ** k for k, c in enumerate(piece._certificate)):
+            vanishing.add(lam)
+        at = [[sum(c * lam ** k for k, c in enumerate(e)) for e in row]
+              for row in piece.rows]
+        assert piece.ranks(lam) == (bareiss([row[:1] for row in at])[0],
+                                    bareiss(at)[0])
+    assert vanishing and vanishing <= {2, -2, 10, 12, 0, 1, -1}
+
+
+@pytest.mark.parametrize("label", ["tE6", "tE7", "tE8"])
+def test_elliptic_certificates_have_no_rational_root_but_0_and_1(label):
+    """Every lam that jacobi_dimension accepts takes the certified path:
+    sympy factors each piece's certificate over Q, and every linear factor
+    is la or la - 1."""
+    sympy = pytest.importorskip("sympy")
+    la = sympy.Symbol("la")
+    for _, piece in _jacobi_plan(sing_class(label)):
+        cert = sympy.Poly(piece._certificate[::-1], la)
+        _, factors = sympy.factor_list(cert)
+        assert {f.as_expr() for f, _ in factors if f.degree() == 1} <= {
+            la, la - 1}
 
 
 def test_two_outside_variables_are_rejected():
@@ -812,6 +839,8 @@ _RATIONALS = {
     "discriminant_member": lambda v: discriminant_member(
         LLPoint((F(1), v, F(1)))),
     "jacobi_dimension": lambda v: jacobi_dimension("tE6", v),
+    "GradedPiece.ranks": lambda v: _jacobi_plan(sing_class("tE6"))[1][1]
+    .ranks(v),
 }
 _BAD = [*((e, v) for e in _COUNTS
            for v in (True, False, "2", 2j, math.nan, 0, -1)),
