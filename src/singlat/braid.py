@@ -69,7 +69,7 @@ function of the m entry signs alone, computed by the rounds of
 _sign_rounds, the one definition of the form.  A packed Stokes key is the
 int8 bytes of the state's m entries, or a prefixed int64 (or repr)
 encoding when an entry exceeds 127, so widths never collide and nothing
-overflows; a code's key is its two bytes.  Keys are compared by full
+overflows; a code is its own key, as a Python int.  Keys are compared by full
 equality (Python set semantics), so counts are exact.
 
 Codes: over a positive definite form every Stokes entry S_ij, i < j, is
@@ -77,14 +77,15 @@ the pairing I(v_i, v_j) of two roots of a basis, which are distinct and
 not opposite, so by Cauchy-Schwarz |I(v_i, v_j)| < sqrt(I(v_i, v_i)
 I(v_j, v_j)) = 2 and the entry lies in {-1, 0, 1}.  A packed state u is
 then the code sum_q (u_q + 1) 3^q, below 3^10 = 59049 for m <= 10, and
-the code is a bijection on {-1, 0, 1}^m, so its two bytes are the key.
-Row c of the move table holds the codes of the tree sign forms of the
-moves of the state of code c, in _generators order; a row is filled, by
-_stokes_moves and the rounds, the first time its state is expanded, and
-kept for the life of the process.  An expansion is then one gather,
-rows[slot[x]].ravel(), state-major and generator-minor, as FIFO order
-requires.  The rounds canonicalise a run's start, and run on every
-packed (m > 10 or not positive definite) chunk.
+the code is a bijection on {-1, 0, 1}^m, so it is its own key.  Row c
+of the move table holds the codes of the tree sign forms of the moves
+of the state of code c, in _generators order; a row is filled, by the
+packed engine's kernel _expand_stokes on the decoded states, the first
+time its state is expanded, and kept for the life of the process.  An
+expansion is then one gather, rows[slot[x]].ravel(), state-major and
+generator-minor, as FIFO order requires.  So both Stokes engines move
+and canonicalise with one kernel: on every packed (m > 10 or not
+positive definite) chunk, and on the states of every new row.
 
 Budgets are exact: a run stopped by max_states reports exactly that many
 classes, the first ones in FIFO order, and is truncated only if the orbit
@@ -491,23 +492,18 @@ def _decode(codes, m):
     return (codes // _code_weights(m) % 3 - 1).astype(np.int8)
 
 
-def _code_keys(codes):
-    """Dedup keys of Stokes codes: the two bytes of each code."""
-    return row_keys(codes[:, None])
-
-
 class _CodeTable:
     """The move table of the Stokes code engine for one m, filled on
     demand and kept for the life of the process.
 
     Row r of rows holds, for every generator in _generators order, the code
-    of the tree sign normal form of that move of one state; slot[c] is the
-    row of the state of code c, or 0 while that row is unfilled (rows[0]
-    is a placeholder), so T[x] = rows[slot[x]].  slot is 3^m uint16 zeros
-    (118 KB at m = 10), and rows grows by doubling, one row per expanded
-    class: a process that runs every A5 and D5 orbit holds 472 rows of 8
-    codes, where a dense table would hold 3^10.  rows grows, so rows are
-    filled under a lock."""
+    of the tree sign normal form of that move of one state, as
+    _expand_stokes computes it; slot[c] is the row of the state of code c,
+    or 0 while that row is unfilled (rows[0] is a placeholder), so T[x] =
+    rows[slot[x]].  slot is 3^m uint16 zeros (118 KB at m = 10), and rows
+    grows by doubling, one row per expanded class: a process that runs
+    every A5 and D5 orbit holds 472 rows of 8 codes, where a dense table
+    would hold 3^10.  rows grows, so rows are filled under a lock."""
 
     def __init__(self, m):
         self.m = m
@@ -526,27 +522,27 @@ class _CodeTable:
         return self.rows[at].ravel()
 
     def fill(self, codes):
-        """Fill the rows of the codes in one batch: decode, _stokes_moves,
-        then the rounds of _tree_sign_form.  A positive definite form keeps
-        every entry in {-1, 0, 1} and every diagram connected; a move that
-        does not raises AssertionError."""
+        """Fill the rows of the codes in one batch: decode, _expand_stokes
+        (the packed engine's kernel), encode.  A positive definite form
+        keeps every entry in {-1, 0, 1} and every diagram connected; a move
+        that does not raises AssertionError (a sign flip keeps every
+        absolute value, so the narrowed forms show it)."""
         with self.lock:
             # distinct codes that no other thread filled meanwhile; a set,
             # for np.unique imports numpy.ma, about 10 ms and 1 MB of RSS
             codes = np.array(sorted(set(codes.tolist())), np.uint16)
             codes = codes[self.slot[codes] == 0]
-            k, m = len(codes), self.m
-            y = _stokes_moves(_decode(codes, m))
-            g = y.shape[1]
+            k, g = len(codes), self.rows.shape[1]
+            y = _expand_stokes(_decode(codes, self.m).T)
             if np.abs(y).max(initial=0) > 1:
                 raise AssertionError("a Stokes entry left {-1, 0, 1}")
-            rows = _encode(_tree_sign_form(y.reshape(m, g * k)))
+            rows = _encode(y.T).reshape(k, g)
             lo, hi = self.filled, self.filled + k
             if hi > len(self.rows):
                 grown = np.zeros((max(hi, 2 * len(self.rows)), g), np.uint16)
                 grown[:lo] = self.rows[:lo]
                 self.rows = grown
-            self.rows[lo:hi] = rows.reshape(g, k).T
+            self.rows[lo:hi] = rows
             self.filled = hi
             # the slots last: a reader that sees a row number finds its row
             self.slot[codes] = np.arange(lo, hi)
@@ -639,7 +635,7 @@ def _engine(seed, mode):
         if m <= _CODE_MAX_M and definiteness(
                 symmetrized_form(seed).rows) == "positive-definite":
             start = _encode(start)
-            return _Engine(start, _code_table(m).expand, _code_keys,
+            return _Engine(start, _code_table(m).expand, np.ndarray.tolist,
                            functools.partial(_check_states, start=start, m=m,
                                              bound=3 ** m), None)
         return _Engine(start.T, _expand_stokes, _keys,

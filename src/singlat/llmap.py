@@ -52,8 +52,8 @@ import numpy as np
 from .braid import BraidWord
 from .degrees import deg_ll_simple
 from .lattice import char_poly
-from .polyalg import (MultiPoly, bareiss, exact_rational, macaulay,
-                      positive_int, to_complex)
+from .polyalg import (MultiPoly, bareiss, exact_rational, finite_complex,
+                      macaulay, positive_int, to_complex)
 from .singdata import jacobi_system, sing_class, unfolding, weights
 
 F = Fraction
@@ -237,18 +237,19 @@ def critical_values_numeric(cls_or_label, t, lam=None) -> CriticalData:
     order: a row of the walk's kernel (`_walk_values`) for the chain family,
     else the eigenvalues of multiplication by F on the Jacobi algebra
     (`_multiplication_values`), degenerate t included.  t needs one entry
-    per parameter, an elliptic class a lam outside {0, 1}, and an ADE class
-    takes no lam: else ValueError."""
+    per parameter, an elliptic class a lam outside {0, 1}, each a
+    `finite_complex`, and an ADE class takes no lam: else ValueError."""
     cls = sing_class(cls_or_label)
     if len(t) != len(cls.tvars):
         raise ValueError(f"{cls.label} needs {len(cls.tvars)} parameters, "
                          f"got {len(t)}")
     if not cls.is_elliptic and lam is not None:
         raise ValueError(f"{cls.label} has no family parameter")
-    if cls.is_elliptic and (lam is None or complex(lam) in (0, 1)):
+    if cls.is_elliptic and (lam is None or
+                            finite_complex(lam, "lam") in (0, 1)):
         raise ValueError(f"{cls.label} needs a family parameter lam "
                          "outside {0, 1}")
-    T = np.array([[complex(v) for v in t]])
+    T = np.array([[finite_complex(v, "t") for v in t]])
     values = tuple((_walk_values(cls.mu, T)[0] if cls.family == "A" else
                     _multiplication_values(cls, T[0], lam)).tolist())
     try:
@@ -905,8 +906,8 @@ def wall_walk_A(mu, path, steps=64) -> BraidWord:
     array call (`_matched`), the step test's own matching; a still sample,
     whose matched values are in good order with every adjacent imaginary
     gap at least TOL_WALL, changes nothing, and every other one goes
-    through `_walk_step`.  A mu or a steps that is not a `positive_int`
-    raises ValueError."""
+    through `_walk_step`.  A mu or a steps that is not a `positive_int`,
+    or a path entry that is not a `finite_complex`, raises ValueError."""
     return _walk(mu, path, steps)[0]
 
 
@@ -914,13 +915,12 @@ def _walk(mu, path, steps):
     """`wall_walk_A`'s word, and the WalkStats of its sampling."""
     mu = positive_int(mu, "mu")
     steps = positive_int(steps, "steps")
-    waypoints = [tuple(complex(c) for c in wp) for wp in path]
+    waypoints = [tuple(finite_complex(c, "path") for c in wp)
+                 for wp in path]
     if len(waypoints) < 1:
         raise ValueError("empty path")
     if any(len(wp) != mu for wp in waypoints):
         raise ValueError("waypoints must have mu components")
-    if not np.isfinite(waypoints).all():
-        raise ValueError("waypoints must be finite")
     check_segments(waypoints)
     stats = WalkStats()
     if len(waypoints) == 1:

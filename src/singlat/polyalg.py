@@ -17,14 +17,18 @@ the discriminant test (on a Hankel matrix of Newton sums), the
 Milnor-lattice determinants and the graded Jacobi ranks all run it, the
 resultant alone on polynomial entries.  A graded rank over Q(la) is an
 elimination over Z at one integer value of la where no nonzero minor
-vanishes; at a given la the rank is read off one cached minor, with an
-elimination only at its roots (`GradedPiece.ranks`).
+vanishes, and the pivot minor of that elimination is cached as a
+certificate: at a given la the ranks are read off it, with an elimination
+only at its roots (`GradedPiece.ranks`).
 The argument rules shared across the package live here too: a count is
-a `positive_int`, and an exact input is an `exact_rational`.
+a `positive_int`, an exact input is an `exact_rational`, and a numeric
+one is a `finite_complex`.
 """
 
 from __future__ import annotations
 
+import cmath
+import contextlib
 import functools
 import math
 import numbers
@@ -62,6 +66,19 @@ def exact_rational(v, name):
     if isinstance(v, float) and math.isfinite(v):
         return Fraction(v)
     raise ValueError(f"{name} {v!r} is not rational")
+
+
+def finite_complex(v, name):
+    """v as a complex, for any complex number (numbers.Complex, a bool
+    excepted) with finite real and imaginary parts.  A string, a bool, NaN,
+    an infinity, a number beyond the float range or anything else raises
+    ValueError naming the argument: nothing is parsed."""
+    if isinstance(v, numbers.Complex) and not isinstance(v, bool):
+        with contextlib.suppress(OverflowError):
+            z = complex(v)
+            if cmath.isfinite(z):
+                return z
+    raise ValueError(f"{name} {v!r} is not a finite complex number")
 
 
 # ---------------------------------------------------------------------------
@@ -837,9 +854,12 @@ def parse_poly(text, vars):
 # ---------------------------------------------------------------------------
 
 def _pivot_columns(rows):
-    """Pivot columns and determinant of fraction-free (Bareiss) elimination
+    """Pivot columns and pivot minor of fraction-free (Bareiss) elimination
     on rows; see `bareiss`.  The columns are found left to right, so the
-    number of pivots among the first k columns is their rank."""
+    number of pivots among the first k columns is their rank.  The pivot
+    minor, the signed last pivot, is +-1 times the minor on the pivot rows
+    and columns (Sylvester's identity), never 0 (1 for no pivots), and the
+    determinant of a square matrix of full rank."""
     rows = [list(row) for row in rows]
     n = len(rows)
     cols = len(rows[0]) if rows else 0
@@ -865,7 +885,7 @@ def _pivot_columns(rows):
         pivots.append(c)
         if rank + 1 == n:
             break
-    return pivots, sign * prev if len(pivots) == n == cols else 0
+    return pivots, sign * prev
 
 
 def bareiss(rows):
@@ -877,9 +897,11 @@ def bareiss(rows):
     Every entry after a step is a minor of the input, so the division by
     the previous pivot is exact.  A step rewrites only the entries right of
     the pivot column; those left of it are never read again.  The
-    determinant is 0 unless the matrix is square of full rank."""
-    pivots, det = _pivot_columns(rows)
-    return len(pivots), det
+    determinant is the pivot minor of `_pivot_columns` for a square matrix
+    of full rank, and 0 otherwise."""
+    pivots, minor = _pivot_columns(rows)
+    n = len(pivots)
+    return n, minor if n == len(rows) == len(rows[0] if rows else ()) else 0
 
 
 def sylvester(pc, qc, zero=0):
@@ -999,13 +1021,9 @@ class GradedPiece:
     degree    the largest la-degree d of an entry
     bound     B = prod over rows of max(1, sum of the entries' 1-norms)
 
-    `ranks` evaluates the entries at an integer point and ranks the
-    result with `_pivot_columns`; see its docstring for why that rank is
-    the rank over Q(la).  At a given la it first evaluates a certificate,
-    the determinant of a minor that certifies the ranks over Q(la)
-    wherever it is nonzero, and eliminates only at its roots.  The ranks
-    over Q(la) and the certificate are built once per piece, on first use,
-    and cached on it."""
+    `ranks` reads the ranks over Q(la), and at a given la off the roots of
+    a certificate minor, from one elimination, run once per piece on first
+    use and cached on it (`_generic`)."""
     rows: tuple
     lead: int
     degree: int
@@ -1020,36 +1038,21 @@ class GradedPiece:
         return sum(c < self.lead for c in pivots), len(pivots)
 
     @functools.cached_property
-    def _pivots(self):
-        """The pivot columns over Q(la): those at la = B + 2 (`ranks`)."""
-        return _pivot_columns(_evaluate(self.rows, self.bound + 2))[0]
-
-    @functools.cached_property
     def _generic(self):
-        """`ranks` over Q(la)."""
-        return self._count(self._pivots)
+        """`ranks` over Q(la) and the certificate, as ascending integer
+        coefficients in la, from one elimination at la = 2B + 1 (`ranks`).
 
-    @functools.cached_property
-    def _certificate(self):
-        """The determinant of a minor on the pivot columns over Q(la) that
-        is nonzero over Q(la), as ascending integer coefficients in la.
-
-        Every coefficient of a minor is at most B in modulus (`ranks`), so
-        at x = 2B + 1 the minor's value is sum_k c_k x^k with each c_k in
-        [-B, B]: the c_k are the balanced base-x digits of that value
-        (Kronecker substitution).  x > B + 1 is past every root of a
-        nonzero minor, and the rows are the pivots of the columns'
-        transpose at x, so the minor is nonzero there."""
+        Every coefficient of a minor is at most B in modulus, so the pivot
+        minor's value at x = 2B + 1 is sum_k c_k x^k with each c_k in
+        [-B, B]: the c_k are its balanced base-x digits (Kronecker
+        substitution)."""
         x = 2 * self.bound + 1
-        at = _evaluate(self.rows, x)
-        cols = self._pivots
-        rows = _pivot_columns([[row[c] for row in at] for c in cols])[0]
-        det = _pivot_columns([[at[i][c] for c in cols] for i in rows])[1]
+        pivots, minor = _pivot_columns(_evaluate(self.rows, x))
         coeffs = []
-        while det:
-            det, digit = divmod(det + self.bound, x)
+        while minor:
+            minor, digit = divmod(minor + self.bound, x)
             coeffs.append(digit - self.bound)
-        return coeffs
+        return self._count(pivots), coeffs
 
     def ranks(self, lam=None):
         """(rank of the leading columns, rank of all columns), over Q(la)
@@ -1058,35 +1061,31 @@ class GradedPiece:
         At lam = a/b an entry sum_k c_k la^k becomes sum_k c_k a^k b^(d-k),
         which scales the whole matrix by b^d and leaves every rank alone.
 
-        Over Q(la) the entries are evaluated at the integer a = B + 2.  A
+        Over Q(la) the entries are evaluated at the integer x = 2B + 1.  A
         minor is a sum over permutations of products of one entry per row,
         and the 1-norm is submultiplicative, so every coefficient of every
         minor is at most B in modulus.  A nonzero minor has an integer
         leading coefficient, so by Cauchy's bound each of its roots has
-        modulus at most 1 + B < a: no nonzero minor vanishes at a, and the
-        rank of every column prefix at a is its rank over Q(la).
-
-        One elimination gives both ranks: `_pivot_columns` finds the pivots
-        column by column, so the pivots among the first `lead` columns span
-        those columns.
+        modulus at most 1 + B < x: no nonzero minor vanishes at x, and the
+        rank of every column prefix at x is its rank over Q(la).  One
+        elimination gives both ranks, since `_pivot_columns` finds the
+        pivots column by column, and its pivot minor, on the pivot rows and
+        columns, is nonzero at x, hence over Q(la): the certificate.
 
         At la = lam the rank of a column set is at most its rank over
         Q(la), since a minor that is nonzero at lam is nonzero over Q(la).
-        The certificate (`_certificate`) is a minor on the pivot columns
-        over Q(la) that is nonzero over Q(la).  Where it is nonzero at lam,
-        those columns stay independent at lam, the pivots among the first
-        `lead` columns with them, so both ranks are those over Q(la): they
-        can drop only at the certificate's finitely many roots.  There the
-        entries are evaluated at lam and ranked by `_pivot_columns`;
-        elsewhere the ranks over Q(la) are returned without an
-        elimination."""
+        Where the certificate is nonzero at lam, the pivot columns over
+        Q(la) stay independent at lam, the leading ones with them, so both
+        ranks are those over Q(la).  Only at its finitely many roots are
+        the entries evaluated at lam and ranked by `_pivot_columns`."""
+        generic, certificate = self._generic
         if lam is not None:
             lam = exact_rational(lam, "lam")
-            if not _homogeneous(self._certificate, lam.numerator,
+            if not _homogeneous(certificate, lam.numerator,
                                 lam.denominator):
                 at = _evaluate(self.rows, lam.numerator, lam.denominator)
                 return self._count(_pivot_columns(at)[0])
-        return self._generic
+        return generic
 
 
 def macaulay(columns, weights, top):

@@ -64,8 +64,8 @@ def _jacobi_plan(cls):
     The partial columns x^a d_k f of degree q lead, then come the unfolding
     monomials of degree q and (elliptic, q = 1) the la-derivative of f;
     every entry is an integer polynomial in la of degree at most 1.  Each
-    piece caches its ranks over Q(la) and, on the first call with a lam,
-    its certificate (`polyalg.GradedPiece.ranks`), so a later call
+    piece caches its ranks over Q(la) and its certificate, both from one
+    elimination (`polyalg.GradedPiece.ranks`), so a call with a lam
     eliminates only at a root of the certificate."""
     wsys = weights(cls)
     basis, degrees, index, entries = jacobi_system(cls)

@@ -1212,6 +1212,17 @@ class TestCodeEngine:
         affine = StokesMatrix(((1, -1, -1), (0, 1, -1), (0, 0, 1)))
         assert _engine(affine, "stokes")[0].shape == (1, 3)
 
+    def test_fill_rejects_what_codes_cannot_hold(self):
+        # a fresh table (the process's stays clean): the indefinite seed's
+        # moves hold a 2, and the zero state's moves are disconnected
+        start = _engine(StokesMatrix(tuple(
+            tuple(1 if i == j else -1 if j > i else 0 for j in range(5))
+            for i in range(5))), "stokes")[0]
+        with pytest.raises(AssertionError, match="left {-1, 0, 1}"):
+            braid._CodeTable(10).fill(_encode(start.T))
+        with pytest.raises(AssertionError, match="disconnected"):
+            braid._CodeTable(10).fill(_encode(np.zeros((10, 1), np.int8)))
+
     def test_threads_share_one_table(self):
         # more threads than cores fill one cold table at once, switching
         # every microsecond: each run counts its orbit, every code is

@@ -9,14 +9,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from singlat import polyalg
 from singlat.braid import orbit_enumerate
 from singlat.lattice import StokesMatrix
-from singlat.llmap import (LLPoint, discriminant_member, ll_exact_A,
-                           ll_fiber_count, wall_walk_A)
-from singlat.polyalg import (Cyclo, GAUSS, ZETA8, MultiPoly, RatFunc,
-                             WeightSystem, bareiss, exact_rational,
-                             graded_columns, graded_piece_rank, macaulay,
-                             parse_poly, positive_int, resultant, sylvester)
+from singlat.llmap import (LLPoint, critical_values_numeric,
+                           discriminant_member, ll_exact_A, ll_fiber_count,
+                           wall_walk_A)
+from singlat.polyalg import (Cyclo, GAUSS, ZETA8, GradedPiece, MultiPoly,
+                             RatFunc, WeightSystem, _pivot_columns, bareiss,
+                             exact_rational, finite_complex, graded_columns,
+                             graded_piece_rank, macaulay, parse_poly,
+                             positive_int, resultant, sylvester)
 from singlat.singdata import sing_class, weights
 from singlat.verify import _jacobi_plan, jacobi_dimension
 
@@ -672,6 +675,39 @@ def test_bareiss_over_z_la_matches_sympy(case):
     _check_bareiss(*case, sympy.ZZ[la], sympy.QQ.frac_field(la))
 
 
+def _check_pivot_minor(rows, ring):
+    """The pivot minor of _pivot_columns is nonzero and is +-1 times an
+    r x r minor on its r pivot columns (the empty minor, 1, for r = 0);
+    bareiss's determinant is that minor for a square matrix of full rank
+    and 0 for any other matrix."""
+    pivots, minor = _pivot_columns(rows)
+    got = _sympy(minor)
+    assert got != 0
+    minors = [1]
+    if pivots:
+        minors = [ring.to_sympy(_domain_matrix(
+            [[rows[i][c] for c in pivots] for i in sub], ring).det())
+            for sub in itertools.combinations(range(len(rows)), len(pivots))]
+    assert any((got - want).expand() == 0 or (got + want).expand() == 0
+               for want in minors)
+    full = len(pivots) == len(rows) == len(rows[0])
+    assert bareiss(rows) == (len(pivots), minor if full else 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_matrices(_ints))
+def test_pivot_minor_over_z_is_a_pivot_column_minor(case):
+    sympy = pytest.importorskip("sympy")
+    _check_pivot_minor(case[0], sympy.ZZ)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_matrices(_zla))
+def test_pivot_minor_over_z_la_is_a_pivot_column_minor(case):
+    sympy = pytest.importorskip("sympy")
+    _check_pivot_minor(case[0], sympy.ZZ[sympy.Symbol("la")])
+
+
 # ---------------------------------------------------------------------------
 # graded ranks over Q(la), taken at one integer point, against bareiss on
 # the polynomial entries (the resultants' elimination, an independent path)
@@ -766,7 +802,7 @@ def test_minors_vanishing_at_small_integers(text, rank):
     piece = graded_columns(gens, w, 1, lead=1)
     vanishing = set()
     for lam in range(-12, 13):
-        if not sum(c * lam ** k for k, c in enumerate(piece._certificate)):
+        if not sum(c * lam ** k for k, c in enumerate(piece._generic[1])):
             vanishing.add(lam)
         at = [[sum(c * lam ** k for k, c in enumerate(e)) for e in row]
               for row in piece.rows]
@@ -783,10 +819,28 @@ def test_elliptic_certificates_have_no_rational_root_but_0_and_1(label):
     sympy = pytest.importorskip("sympy")
     la = sympy.Symbol("la")
     for _, piece in _jacobi_plan(sing_class(label)):
-        cert = sympy.Poly(piece._certificate[::-1], la)
+        cert = sympy.Poly(piece._generic[1][::-1], la)
         _, factors = sympy.factor_list(cert)
         assert {f.as_expr() for f, _ in factors if f.degree() == 1} <= {
             la, la - 1}
+
+
+def test_piece_ranks_and_certificate_from_one_elimination(monkeypatch):
+    """On first use a piece evaluates its entries once and eliminates once;
+    later calls, at a lam off the certificate's roots too, do neither."""
+    calls = []
+    for name in ("_evaluate", "_pivot_columns"):
+        def counted(*a, _f=getattr(polyalg, name), _name=name):
+            calls.append(_name)
+            return _f(*a)
+        monkeypatch.setattr(polyalg, name, counted)
+    for _, p in _jacobi_plan(sing_class("tE6")):
+        piece = GradedPiece(p.rows, p.lead, p.degree, p.bound)
+        want = p.ranks()
+        calls.clear()
+        assert piece.ranks() == piece.ranks(F(1, 3)) == want
+        assert piece.ranks(-7) == want
+        assert calls == ["_evaluate", "_pivot_columns"]
 
 
 def test_two_outside_variables_are_rejected():
@@ -801,8 +855,8 @@ def test_two_outside_variables_are_rejected():
 
 
 class TestArgumentRules:
-    """positive_int and exact_rational, the one check of each argument
-    kind, and every entry point that applies them."""
+    """positive_int, exact_rational and finite_complex, the one check of
+    each argument kind, and every entry point that applies them."""
 
     @pytest.mark.parametrize("v", [1, 7, np.int64(3), 10 ** 30])
     def test_positive_int(self, v):
@@ -817,14 +871,38 @@ class TestArgumentRules:
         assert type(got) is F and got == want
         assert type(got.numerator) is int
 
+    @pytest.mark.parametrize("v,want", [
+        (3, 3), (F(-1, 4), -0.25), (0.5, 0.5), (1 - 2j, 1 - 2j),
+        (np.int64(-2), -2), (np.float32(0.5), 0.5),
+        (np.complex64(1 + 2j), 1 + 2j)])
+    def test_finite_complex(self, v, want):
+        got = finite_complex(v, "z")
+        assert type(got) is complex and got == want
+
+    @pytest.mark.parametrize("v", [
+        True, np.True_, "1", "1j", None, math.nan, math.inf,
+        complex(0, math.nan), complex(-math.inf, 0), 10 ** 400,
+        F(10 ** 400, 3)])
+    def test_not_finite_complex(self, v):
+        with pytest.raises(ValueError, match="z .* is not a finite complex"):
+            finite_complex(v, "z")
+
+    def test_exact_numeric_parameters_are_converted(self):
+        assert critical_values_numeric("D4", [F(1, 10), 0.2, 1j, 0]) == \
+            critical_values_numeric("D4", [0.1, 0.2, 1j, 0])
+        assert critical_values_numeric("tE6", [0.1] * 7, lam=F(1, 2)) == \
+            critical_values_numeric("tE6", [0.1] * 7, lam=0.5)
+        assert wall_walk_A(2, [[F(1, 2), -1], [F(-1, 2), 1 + 0.1j]]) == \
+            wall_walk_A(2, _PATH)
+
     def test_float_parameters_are_exact(self):
         assert ll_exact_A(2, [0.5, np.int64(3)]) == ll_exact_A(2, [F(1, 2), 3])
         assert jacobi_dimension("tE6", 0.25) == jacobi_dimension("tE6", F(1, 4))
 
 
 _PATH = [[0.5, -1.0], [-0.5, 1.0 + 0.1j]]
-# every entry point that takes a count (a positive integer) or an exact
-# rational, each fed one argument of that kind
+# every entry point that takes a count (a positive integer), an exact
+# rational or a finite complex number, each fed one argument of that kind
 _COUNTS = {
     "ll_exact_A-mu": lambda v: ll_exact_A(v, [1, 2]),
     "ll_fiber_count-budget": lambda v: ll_fiber_count(
@@ -842,16 +920,26 @@ _RATIONALS = {
     "GradedPiece.ranks": lambda v: _jacobi_plan(sing_class("tE6"))[1][1]
     .ranks(v),
 }
+_COMPLEXES = {
+    "critical_values_numeric-t": lambda v: critical_values_numeric(
+        "D4", [v, 0.2, 1j, 0]),
+    "critical_values_numeric-lam": lambda v: critical_values_numeric(
+        "tE6", [0.1] * 7, lam=v),
+    "wall_walk_A-path": lambda v: wall_walk_A(2, [[v, -1.0], _PATH[1]]),
+}
 _BAD = [*((e, v) for e in _COUNTS
            for v in (True, False, "2", 2j, math.nan, 0, -1)),
         *((e, v) for e in _RATIONALS
-          for v in (True, "1/2", "2/5", 1j, math.nan, math.inf))]
+          for v in (True, "1/2", "2/5", 1j, math.nan, math.inf)),
+        *((e, v) for e in _COMPLEXES
+          for v in (True, "0.5", "1j", math.nan, complex(0, math.inf)))]
 
 
 @pytest.mark.parametrize("entry,v", _BAD,
                          ids=[f"{e}-{v!r}" for e, v in _BAD])
 def test_bad_argument_is_value_error(entry, v):
-    call = {**_COUNTS, **_RATIONALS}[entry]
+    call = {**_COUNTS, **_RATIONALS, **_COMPLEXES}[entry]
     with pytest.raises(ValueError, match="must be an integer|must be at "
-                                         "least 1|is not rational"):
+                                         "least 1|is not rational|is not a "
+                                         "finite complex"):
         call(v)
