@@ -52,8 +52,8 @@ import numpy as np
 from .braid import BraidWord
 from .degrees import deg_ll_simple
 from .lattice import char_poly
-from .polyalg import (MultiPoly, bareiss, exact_rational, finite_complex,
-                      macaulay, positive_int, to_complex)
+from .polyalg import (MultiPoly, bareiss, entries, exact_rational,
+                      finite_complex, macaulay, positive_int, to_complex)
 from .singdata import jacobi_system, sing_class, unfolding, weights
 
 F = Fraction
@@ -172,13 +172,13 @@ def ll_exact_A(mu, t) -> LLPoint:
     s = (mu+1) lcm(denominators of t), makes the matrix integral and
     multiplies c_k, of weight (mu+1)(mu-k), by s^((mu+1)(mu-k)), which one
     Fraction per coefficient divides out.  Equal to the monic
-    Res_x(f', y - f).  A mu that is not a `positive_int`, or a parameter
-    that is not an `exact_rational` (a string included), raises
-    ValueError."""
+    Res_x(f', y - f).  A mu that is not a `positive_int`, a t that is not
+    a container (`entries`), or a parameter that is not an
+    `exact_rational` (a string included), raises ValueError."""
     mu = positive_int(mu, "mu")
+    t = entries(t, "t", exact_rational)
     if len(t) != mu:
         raise ValueError(f"need {mu} parameters")
-    t = [exact_rational(v, "parameter") for v in t]
     d = math.lcm(*(v.denominator for v in t))
     coeffs = _config_coeffs(mu, [v.numerator * (d // v.denominator)
                                  for v in t], d)
@@ -236,10 +236,12 @@ def critical_values_numeric(cls_or_label, t, lam=None) -> CriticalData:
     """Critical values of the unfolding at t, with multiplicity, in kernel
     order: a row of the walk's kernel (`_walk_values`) for the chain family,
     else the eigenvalues of multiplication by F on the Jacobi algebra
-    (`_multiplication_values`), degenerate t included.  t needs one entry
-    per parameter, an elliptic class a lam outside {0, 1}, each a
-    `finite_complex`, and an ADE class takes no lam: else ValueError."""
+    (`_multiplication_values`), degenerate t included.  t, a container
+    (`entries`), needs one entry per parameter, an elliptic class a lam
+    outside {0, 1}, each a `finite_complex`, and an ADE class takes no lam:
+    else ValueError."""
     cls = sing_class(cls_or_label)
+    t = entries(t, "t", finite_complex)
     if len(t) != len(cls.tvars):
         raise ValueError(f"{cls.label} needs {len(cls.tvars)} parameters, "
                          f"got {len(t)}")
@@ -249,7 +251,7 @@ def critical_values_numeric(cls_or_label, t, lam=None) -> CriticalData:
                             finite_complex(lam, "lam") in (0, 1)):
         raise ValueError(f"{cls.label} needs a family parameter lam "
                          "outside {0, 1}")
-    T = np.array([[finite_complex(v, "t") for v in t]])
+    T = np.array([t])
     values = tuple((_walk_values(cls.mu, T)[0] if cls.family == "A" else
                     _multiplication_values(cls, T[0], lam)).tolist())
     try:
@@ -558,8 +560,9 @@ def ll_fiber_count(cls_or_label, p: LLPoint, budget=600) -> FiberCount:
     search stops at the Newton iteration that finds the last of them, and
     the saturation flag records that it did.  The solutions come in
     convergence order (`_distinct_zeros`): chunk, then iteration, then
-    start index.  A budget that is not a `positive_int` raises
-    ValueError."""
+    start index.  A budget that is not a `positive_int`, or a target
+    coefficient that is not a `finite_complex` (a string or NaN
+    included), raises ValueError."""
     cls = sing_class(cls_or_label)
     if cls.family != "A" or cls.mu not in (2, 3):
         raise ValueError("fiber counting is desk-scale: chain family, mu in {2, 3}")
@@ -567,6 +570,7 @@ def ll_fiber_count(cls_or_label, p: LLPoint, budget=600) -> FiberCount:
     mu = cls.mu
     if p.degree != mu:
         raise ValueError("target degree mismatch")
+    p = LLPoint(tuple(finite_complex(c, "target") for c in p.coeffs))
     if _separations(p.roots()[None])[0] < 1e-5:
         raise ValueError("target has a (near-)multiple root")
     deg = _deg_ll(cls)
@@ -907,7 +911,8 @@ def wall_walk_A(mu, path, steps=64) -> BraidWord:
     whose matched values are in good order with every adjacent imaginary
     gap at least TOL_WALL, changes nothing, and every other one goes
     through `_walk_step`.  A mu or a steps that is not a `positive_int`,
-    or a path entry that is not a `finite_complex`, raises ValueError."""
+    a path or a waypoint that is not a container (`entries`), or a path
+    entry that is not a `finite_complex`, raises ValueError."""
     return _walk(mu, path, steps)[0]
 
 
@@ -915,8 +920,8 @@ def _walk(mu, path, steps):
     """`wall_walk_A`'s word, and the WalkStats of its sampling."""
     mu = positive_int(mu, "mu")
     steps = positive_int(steps, "steps")
-    waypoints = [tuple(finite_complex(c, "path") for c in wp)
-                 for wp in path]
+    waypoints = [entries(wp, "path", finite_complex)
+                 for wp in entries(path, "path")]
     if len(waypoints) < 1:
         raise ValueError("empty path")
     if any(len(wp) != mu for wp in waypoints):

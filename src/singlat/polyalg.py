@@ -21,8 +21,8 @@ vanishes, and the pivot minor of that elimination is cached as a
 certificate: at a given la the ranks are read off it, with an elimination
 only at its roots (`GradedPiece.ranks`).
 The argument rules shared across the package live here too: a count is
-a `positive_int`, an exact input is an `exact_rational`, and a numeric
-one is a `finite_complex`.
+a `positive_int`, an exact input is an `exact_rational`, a numeric one is
+a `finite_complex`, and a container is read once by `entries`.
 """
 
 from __future__ import annotations
@@ -79,6 +79,17 @@ def finite_complex(v, name):
             if cmath.isfinite(z):
                 return z
     raise ValueError(f"{name} {v!r} is not a finite complex number")
+
+
+def entries(v, name, read=None):
+    """The entries of the container v (an iterator included), read once
+    into a tuple, each through read(entry, name) when a read is given.  A
+    v that is not iterable raises ValueError naming the argument."""
+    try:
+        it = iter(v)
+    except TypeError:
+        raise ValueError(f"{name} {v!r} is not a container") from None
+    return tuple(it if read is None else (read(c, name) for c in it))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ from singlat.llmap import (LLPoint, critical_values_numeric,
                            wall_walk_A)
 from singlat.polyalg import (Cyclo, GAUSS, ZETA8, GradedPiece, MultiPoly,
                              RatFunc, WeightSystem, _pivot_columns, bareiss,
-                             exact_rational, finite_complex, graded_columns,
+                             entries, exact_rational, finite_complex,
+                             graded_columns,
                              graded_piece_rank, macaulay, parse_poly,
                              positive_int, resultant, sylvester)
 from singlat.singdata import sing_class, weights
@@ -855,8 +856,8 @@ def test_two_outside_variables_are_rejected():
 
 
 class TestArgumentRules:
-    """positive_int, exact_rational and finite_complex, the one check of
-    each argument kind, and every entry point that applies them."""
+    """positive_int, exact_rational, finite_complex and entries, the one
+    check of each argument kind, and every entry point that applies them."""
 
     @pytest.mark.parametrize("v", [1, 7, np.int64(3), 10 ** 30])
     def test_positive_int(self, v):
@@ -887,6 +888,27 @@ class TestArgumentRules:
         with pytest.raises(ValueError, match="z .* is not a finite complex"):
             finite_complex(v, "z")
 
+    @pytest.mark.parametrize("v", [[1, 2], (1, 2), iter([1, 2]),
+                                   (c for c in (1, 2)), np.array([1, 2])])
+    def test_entries(self, v):
+        assert entries(v, "xs", finite_complex) == (1 + 0j, 2 + 0j)
+
+    def test_entries_are_read_once(self):
+        got = entries(iter("ab"), "xs")
+        assert got == ("a", "b") and type(got) is tuple
+
+    @pytest.mark.parametrize("v", [0.5, 5, True, None, F(1, 2), 1j])
+    def test_not_entries(self, v):
+        with pytest.raises(ValueError, match="xs .* is not a container"):
+            entries(v, "xs")
+
+    def test_iterators_are_containers(self):
+        assert critical_values_numeric("D4", iter([0.1, 0.2, 0, 0])) == \
+            critical_values_numeric("D4", [0.1, 0.2, 0, 0])
+        assert ll_exact_A(2, iter([1, 2])) == ll_exact_A(2, [1, 2])
+        assert wall_walk_A(2, (iter(wp) for wp in _PATH)) == \
+            wall_walk_A(2, _PATH)
+
     def test_exact_numeric_parameters_are_converted(self):
         assert critical_values_numeric("D4", [F(1, 10), 0.2, 1j, 0]) == \
             critical_values_numeric("D4", [0.1, 0.2, 1j, 0])
@@ -914,6 +936,7 @@ _COUNTS = {
 }
 _RATIONALS = {
     "ll_exact_A-t": lambda v: ll_exact_A(2, [v, 2]),
+    "ll_exact_A-t-container": lambda v: ll_exact_A(2, v),
     "discriminant_member": lambda v: discriminant_member(
         LLPoint((F(1), v, F(1)))),
     "jacobi_dimension": lambda v: jacobi_dimension("tE6", v),
@@ -923,9 +946,15 @@ _RATIONALS = {
 _COMPLEXES = {
     "critical_values_numeric-t": lambda v: critical_values_numeric(
         "D4", [v, 0.2, 1j, 0]),
+    "critical_values_numeric-t-container": lambda v: critical_values_numeric(
+        "D4", v),
     "critical_values_numeric-lam": lambda v: critical_values_numeric(
         "tE6", [0.1] * 7, lam=v),
     "wall_walk_A-path": lambda v: wall_walk_A(2, [[v, -1.0], _PATH[1]]),
+    "wall_walk_A-path-container": lambda v: wall_walk_A(2, v),
+    "wall_walk_A-waypoint": lambda v: wall_walk_A(2, [v, _PATH[1]]),
+    "ll_fiber_count-target": lambda v: ll_fiber_count(
+        "A2", LLPoint((v, F(-3), F(1)))),
 }
 _BAD = [*((e, v) for e in _COUNTS
            for v in (True, False, "2", 2j, math.nan, 0, -1)),
@@ -941,5 +970,5 @@ def test_bad_argument_is_value_error(entry, v):
     call = {**_COUNTS, **_RATIONALS, **_COMPLEXES}[entry]
     with pytest.raises(ValueError, match="must be an integer|must be at "
                                          "least 1|is not rational|is not a "
-                                         "finite complex"):
+                                         "finite complex|is not a container"):
         call(v)
