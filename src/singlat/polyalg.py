@@ -2,6 +2,9 @@
 
 Everything here is exact: coefficients are Fractions or elements of small
 cyclotomic extensions of Q (for i and the primitive 8th root of unity).
+A cyclotomic element, a Cyclo, is an integer coefficient vector over one
+positive denominator in lowest terms, so its arithmetic is integer
+arithmetic and equal elements are stored alike.
 MultiPoly is a sparse Laurent polynomial in named variables over either
 domain; the domains only need +, -, *, / and a truthiness test, so they mix
 freely through Python's operator coercion.  Cyclo, RatFunc and MultiPoly
@@ -60,6 +63,8 @@ def exact_rational(v, name):
     raises ValueError naming the argument: nothing is parsed."""
     if type(v) is Fraction:
         return v
+    if type(v) is int:   # the common case, without the ABC check
+        return Fraction(v)
     if isinstance(v, numbers.Rational) and not isinstance(v, bool):
         return Fraction(operator.index(v.numerator),
                         operator.index(v.denominator))
@@ -99,9 +104,11 @@ def entries(v, name, read=None):
 @dataclass(frozen=True)
 class CycloField:
     """Descriptor of Q[z]/(m(z)) for a monic irreducible m with integer
-    coefficients, together with the complex root used for numeric output."""
+    coefficients, together with the complex root used for numeric output.
+    min_poly holds m's coefficients as ints, so that a Cyclo product is
+    reduced modulo m in integer arithmetic."""
     name: str
-    min_poly: tuple  # monic, ascending, e.g. (1, 0, 1) for z^2+1
+    min_poly: tuple  # monic, ascending ints, e.g. (1, 0, 1) for z^2+1
     root: complex
 
     @property
@@ -109,12 +116,8 @@ class CycloField:
         return len(self.min_poly) - 1
 
 
-GAUSS = CycloField("i", (Fraction(1), Fraction(0), Fraction(1)), 1j)
-ZETA8 = CycloField(
-    "zeta8",
-    (Fraction(1), Fraction(0), Fraction(0), Fraction(0), Fraction(1)),
-    complex(2 ** -0.5, 2 ** -0.5),
-)
+GAUSS = CycloField("i", (1, 0, 1), 1j)
+ZETA8 = CycloField("zeta8", (1, 0, 0, 0, 1), complex(2 ** -0.5, 2 ** -0.5))
 
 
 def _poly_trim(cs):
@@ -229,40 +232,58 @@ class _Ring:
 
 
 class Cyclo(_Ring):
-    """Element of a CycloField, stored as a reduced polynomial in the root.
+    """Element of a CycloField, stored as num / den: num a tuple of
+    field.degree ints, the coefficients of a polynomial in the root of
+    degree below field.degree, over one common denominator den, an int;
+    the standard representation of a number-field element (Cohen, A Course
+    in Computational Algebraic Number Theory, GTM 138, section 4.2).
 
-    Invariant: coeffs is a tuple of exactly field.degree Fractions.  The
-    public constructor establishes it from any sequence of ints and
-    Fractions, reducing modulo the minimal polynomial.  Negation and +
-    build tuples that already hold it and store them with `_raw`,
-    unchecked, and so does * with an int or a Fraction: such an operand
-    acts on the coefficients directly.  A product of two elements is
-    reduced by the public constructor."""
+    Invariant: den > 0 and gcd(den, *num) = 1, so equal elements have
+    equal (num, den).  The public constructor establishes it from a
+    container of `exact_rational` coefficients, reducing modulo the
+    minimal polynomial.  The arithmetic works on integers and brings its
+    result to that form in `_make`: a product is one integer `_poly_mul`,
+    one `_reduce` and one gcd, and a sum, or an int or Fraction operand
+    of +, - or *, one cross-multiplication and one gcd.
+    Negation and an int or Fraction read as a Cyclo hold the invariant
+    already and are stored with `_raw`, unchecked.  `coeffs` reads the
+    element back as field.degree Fractions."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "num", "den")
 
     def __init__(self, field, coeffs):
-        d = field.degree
-        cs = list(coeffs)
-        if len(cs) > d:
-            cs = self._reduce(field, cs)
-        cs = [Fraction(c) if not isinstance(c, Fraction) else c for c in cs]
-        cs += [Fraction(0)] * (d - len(cs))
-        self.field = field
-        self.coeffs = tuple(cs[:d])
+        cs = entries(coeffs, "coefficient", exact_rational)
+        den = math.lcm(*(c.denominator for c in cs))
+        z = self._make(field, [c.numerator * (den // c.denominator)
+                               for c in cs], den)
+        self.field, self.num, self.den = field, z.num, z.den
 
     @classmethod
-    def _raw(cls, field, coeffs):
-        """The element with coeffs, a tuple of field.degree Fractions,
-        stored unchecked."""
+    def _raw(cls, field, num, den):
+        """The element num / den, for a tuple num of field.degree ints and
+        an int den that hold the invariant, stored unchecked."""
         z = object.__new__(cls)
         z.field = field
-        z.coeffs = coeffs
+        z.num = num
+        z.den = den
         return z
+
+    @classmethod
+    def _make(cls, field, num, den):
+        """The element num / den, for a list num of ints of any length and
+        an int den > 0, brought to the form of the invariant."""
+        d = field.degree
+        if len(num) > d:
+            num = cls._reduce(field, num)
+        num += [0] * (d - len(num))
+        g = math.gcd(den, *num)
+        if g != 1:
+            num, den = [n // g for n in num], den // g
+        return cls._raw(field, tuple(num), den)
 
     @staticmethod
     def _reduce(field, cs):
-        m = list(field.min_poly)
+        m = field.min_poly
         d = len(m) - 1
         cs = list(cs)
         for k in range(len(cs) - 1, d - 1, -1):
@@ -277,6 +298,12 @@ class Cyclo(_Ring):
     def gen(cls, field):
         return cls(field, [0, 1])
 
+    @property
+    def coeffs(self):
+        """The coefficients in the root, a tuple of field.degree Fractions."""
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.num)
+
     # -- coercion -----------------------------------------------------------
     def _co(self, other):
         if isinstance(other, Cyclo):
@@ -284,46 +311,48 @@ class Cyclo(_Ring):
                 raise TypeError("mixed cyclotomic fields")
             return other
         if isinstance(other, (int, Fraction)):
-            return Cyclo(self.field, [Fraction(other)])
+            return Cyclo._raw(self.field, (other.numerator,) + (0,) * (
+                self.field.degree - 1), other.denominator)
         return None
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.num)
 
     def __eq__(self, other):
         o = self._co(other)
         if o is None:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.num == o.num and self.den == o.den
 
     def __hash__(self):
         # a rational element equals its Fraction, so it hashes like one
-        if not any(self.coeffs[1:]):
-            return hash(self.coeffs[0])
+        if not any(self.num[1:]):
+            return hash(Fraction(self.num[0], self.den))
         return hash((self.field.name, self.coeffs))
 
     def __neg__(self):
-        return Cyclo._raw(self.field, tuple(-c for c in self.coeffs))
+        return Cyclo._raw(self.field, tuple(-n for n in self.num), self.den)
 
     def __add__(self, other):
-        cs = self.coeffs
-        if isinstance(other, (int, Fraction)):
-            return Cyclo._raw(self.field, (cs[0] + other,) + cs[1:])
         o = self._co(other)
         if o is None:
             return NotImplemented
-        return Cyclo._raw(self.field, tuple(map(operator.add, cs, o.coeffs)))
+        a, b = self.den, o.den
+        return Cyclo._make(self.field, [x * b + y * a for x, y
+                                        in zip(self.num, o.num)], a * b)
 
     __radd__ = __add__
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Cyclo._raw(self.field,
-                              tuple(c * other for c in self.coeffs))
+            p = other.numerator
+            return Cyclo._make(self.field, [n * p for n in self.num],
+                               self.den * other.denominator)
         o = self._co(other)
         if o is None:
             return NotImplemented
-        return Cyclo(self.field, _poly_mul(list(self.coeffs), list(o.coeffs)))
+        return Cyclo._make(self.field, _poly_mul(self.num, o.num),
+                           self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -342,7 +371,7 @@ class Cyclo(_Ring):
         return Cyclo(self.field, [x / c for x in s0])
 
     def _one(self):
-        return Cyclo(self.field, [1])
+        return self._co(1)
 
     def eval_complex(self):
         z = self.field.root
@@ -500,6 +529,19 @@ def _grlex_key(expo):
     return (sum(expo), expo)
 
 
+def _coefficient(c):
+    """A MultiPoly coefficient from outside data: a Cyclo as it is, and an
+    int or a Fraction (any numbers.Rational, a bool excepted) as a Fraction
+    by `exact_rational`.  Anything else, a float or a string included,
+    raises ValueError: nothing is parsed or rounded."""
+    if isinstance(c, Cyclo):
+        return c
+    if isinstance(c, numbers.Rational):
+        return exact_rational(c, "coefficient")
+    raise ValueError(f"coefficient {c!r} is not an int, a Fraction or a "
+                     "Cyclo")
+
+
 class MultiPoly(_Ring):
     """Sparse polynomial in named variables; exponents may be negative.
 
@@ -508,10 +550,12 @@ class MultiPoly(_Ring):
     is p * q.inv(), so q must be a monomial; `exact_div` takes any divisor.
 
     Invariant: vars is a tuple, and terms maps tuples of len(vars) ints to
-    nonzero coefficients.  The public constructor establishes it: it
-    raises on an exponent of the wrong length, converts exponents to int
-    tuples and drops zero coefficients.  The arithmetic builds its results
-    from terms that already hold it and stores them with `_raw`, unchecked.
+    nonzero coefficients, each a Fraction or a Cyclo.  The public
+    constructor and `const` establish it: they raise on an exponent of the
+    wrong length, convert exponents to int tuples, read each coefficient
+    with `_coefficient` and drop zero coefficients.  The arithmetic builds
+    its results from terms that already hold it and stores them with
+    `_raw`, unchecked.
     """
 
     __slots__ = ("vars", "terms")
@@ -522,6 +566,7 @@ class MultiPoly(_Ring):
         for expo, c in terms.items():
             if len(expo) != len(self.vars):
                 raise ValueError("exponent length mismatch")
+            c = _coefficient(c)
             if c:
                 clean[tuple(int(e) for e in expo)] = c
         self.terms = clean
@@ -543,8 +588,7 @@ class MultiPoly(_Ring):
     @classmethod
     def const(cls, vars, c):
         vars = tuple(vars)
-        if isinstance(c, int):
-            c = Fraction(c)
+        c = _coefficient(c)
         return cls._raw(vars, {(0,) * len(vars): c} if c else {})
 
     @classmethod

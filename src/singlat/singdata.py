@@ -118,10 +118,13 @@ ALL_LABELS = ("A2", "A3", "A4", "A5", "D4", "D5", "E6", "E7", "E8",
 # normal forms and unfoldings
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def normal_form(cls: SingularityClass) -> MultiPoly:
     """The tabulated polynomial at minimal variable count.
 
-    Elliptic families come back as polynomials in (x..., la) over Q."""
+    Elliptic families come back as polynomials in (x..., la) over Q.
+    Parsed once per class and shared read-only, like `unfolding`: no code
+    writes MultiPoly.terms or .vars in place."""
     xv = cls.xvars
     if cls.family == "A":
         return parse_poly(f"x0^{cls.mu + 1}", xv)
@@ -131,15 +134,17 @@ def normal_form(cls: SingularityClass) -> MultiPoly:
                       xv + (("la",) if cls.is_elliptic else ()))
 
 
-def unfolding_monomials(cls: SingularityClass):
-    """The tabulated monomials m_1 .. m_mu (ADE) or m_1 .. m_{mu-1}."""
+@lru_cache(maxsize=None)
+def unfolding_monomials(cls: SingularityClass) -> tuple:
+    """The tabulated monomials m_1 .. m_mu (ADE) or m_1 .. m_{mu-1}, a
+    tuple of MultiPolys parsed once per class and shared read-only."""
     if cls.family == "A":
         texts = ["1"] + [f"x0^{k}" for k in range(1, cls.mu)]
     elif cls.family == "D":
         texts = ["1", "x1", "x0"] + [f"x0^{k}" for k in range(2, cls.mu - 1)]
     else:
         texts = _EXCEPTIONAL[cls.label][3]
-    return [parse_poly(t, cls.xvars) for t in texts]
+    return tuple(parse_poly(t, cls.xvars) for t in texts)
 
 
 @lru_cache(maxsize=None)
@@ -191,7 +196,7 @@ def jacobi_system(cls: SingularityClass):
     wsys, Fu = weights(cls), unfolding(cls)
     basis = unfolding_monomials(cls)
     if cls.is_elliptic:
-        basis.append(normal_form(cls).partial("la"))
+        basis = (*basis, normal_form(cls).partial("la"))
     bdeg = [wsys.poly_degree(b) for b in basis]
     top = 1 + max(*bdeg, *(w for _, w in wsys.var_weights))
     dF = {v: Fu.partial(v) for v, _ in wsys.var_weights}

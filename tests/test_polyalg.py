@@ -164,6 +164,22 @@ _operands = st.one_of(st.integers(-5, 5), st.just(F(0)), st.fractions(
     min_value=-9, max_value=9, max_denominator=7))
 
 
+def _assert_canonical(z):
+    """z holds Cyclo's invariant: num is field.degree ints over one int
+    den > 0 with gcd(den, *num) = 1, so that the equal element rebuilt from
+    its coeffs, a tuple of field.degree Fractions, has the same (num, den)."""
+    d = z.field.degree
+    assert type(z.num) is tuple and len(z.num) == d
+    assert all(type(n) is int for n in z.num)
+    assert type(z.den) is int and z.den > 0
+    assert math.gcd(z.den, *z.num) == 1
+    cs = z.coeffs
+    assert type(cs) is tuple and len(cs) == d
+    assert all(type(c) is F for c in cs)
+    w = Cyclo(z.field, cs)
+    assert (w.num, w.den) == (z.num, z.den) and hash(w) == hash(z)
+
+
 class TestCyclo:
     def test_gauss(self):
         i = Cyclo.gen(GAUSS)
@@ -182,27 +198,77 @@ class TestCyclo:
         assert z ** 8 == 1
         assert (z ** 2) * (z ** 2) == -1  # zeta8^2 is a square root of -1
 
+    def test_canonical_form(self):
+        # one (num, den) per element, however it was reached: a common
+        # factor of the numerator and den, a reduction modulo the minimal
+        # polynomial that cancels a denominator, and a negative divisor
+        for field in (GAUSS, ZETA8):
+            d = field.degree
+            half = Cyclo(field, [F(1, 2)] + [F(-1, 6)] * (d - 1))
+            for z in (half + half, half * 2, half / F(1, 2), half / F(-1, 2),
+                      2 / (1 / half), Cyclo(field, [F(1, 2)] * (d + 1))
+                      - F(1, 2) + F(1, 2)):
+                _assert_canonical(z)
+            assert ((half + half).num, (half + half).den) == \
+                ((3,) + (-1,) * (d - 1), 3)
+            # z^d + 1 = 0: the d + 1 halves reduce to the integer 0
+            zero = Cyclo(field, [F(1, 2)] + [0] * (d - 1) + [F(1, 2)])
+            assert (zero.num, zero.den) == ((0,) * d, 1)
+            for r in (-3, F(-2, 5), F(7, 3)):
+                q, want = half / r, half * (1 / F(r))
+                _assert_canonical(q)
+                assert (q.num, q.den) == (want.num, want.den) and q * r == half
+            with pytest.raises(ZeroDivisionError):
+                half / 0
+
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from((GAUSS, ZETA8)), st.data())
     def test_rational_operands(self, field, data):
-        # + and * with an int or a Fraction give what the operand as a
-        # Cyclo gives, in field.degree Fractions
+        # +, -, * and / with an int or a Fraction on either side give what
+        # the operand as a Cyclo gives, in canonical form
         d = field.degree
         z = Cyclo(field, data.draw(st.lists(_operands, max_size=d)))
         r = data.draw(_operands)
         rc = Cyclo(field, [r])
-        for got, want in ((z * r, z * rc), (r * z, rc * z),
-                          (z + r, z + rc), (r + z, rc + z),
-                          (z - r, z - rc), (r - z, rc - z), (-z, 0 - z)):
-            assert got == want and got.coeffs == want.coeffs
-            assert len(got.coeffs) == d
-            assert all(type(c) is F for c in got.coeffs)
+        pairs = [(z * r, z * rc), (r * z, rc * z),
+                 (z + r, z + rc), (r + z, rc + z),
+                 (z - r, z - rc), (r - z, rc - z), (-z, 0 - z)]
+        if r:
+            pairs.append((z / r, z * rc.inv()))
+        if z:
+            pairs.append((r / z, rc * z.inv()))
+        for got, want in pairs:
+            assert got == want and (got.num, got.den) == (want.num, want.den)
+            _assert_canonical(got)
         # a rational result still equals its Fraction and hashes like it
         q = Cyclo(field, [z.coeffs[0]])
         for got, want in ((q * r, z.coeffs[0] * r), (r + q, z.coeffs[0] + r)):
             assert got == F(want) and hash(got) == hash(F(want))
         g = Cyclo.gen(field)
         assert g ** d * r == -r and hash(g ** d * r) == hash(F(-r))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from((GAUSS, ZETA8)), st.data())
+    def test_powers_and_inverse(self, field, data):
+        # the power law, negative exponents included, and z * z.inv() = 1,
+        # each result in canonical form and close to the complex value
+        d = field.degree
+        z = Cyclo(field, data.draw(st.lists(_operands, min_size=1,
+                                            max_size=d)))
+        m, n = data.draw(st.integers(-3, 4)), data.draw(st.integers(-3, 4))
+        if not z:
+            assert z ** max(m, 1) == 0
+            with pytest.raises(ZeroDivisionError):
+                z.inv()
+            return
+        zi = z.inv()
+        assert z * zi == 1 and zi * z == 1 and zi.inv() == z
+        assert z ** m * z ** n == z ** (m + n)
+        assert z ** -n == zi ** n and z ** 0 == 1
+        for w, k in ((zi, -1), (z ** m, m), (z ** -n, -n)):
+            _assert_canonical(w)
+            want = z.eval_complex() ** k
+            assert abs(w.eval_complex() - want) <= 1e-9 * (1 + abs(want))
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +342,17 @@ class TestPublicConstructor:
                                    (1, 1): Cyclo(GAUSS, [0, 0])})
         assert p.terms == {(2, 2): F(3)}
         assert MultiPoly(("x",), {(1,): F(0)}).is_zero
+
+    def test_rational_coefficients_become_fractions(self):
+        # an int coefficient is stored as a Fraction, so the inverse and
+        # the quotient of a monomial stay exact
+        x2 = MultiPoly(("x",), {(1,): 2})
+        three = MultiPoly.const(("x",), 3)
+        for p, want in ((x2, {(1,): 2}), (three, {(0,): 3}),
+                        (x2.inv(), {(-1,): F(1, 2)}),
+                        (three / x2, {(-1,): F(3, 2)})):
+            assert p.terms == want
+            assert all(type(c) is F for c in p.terms.values())
 
     def test_exponents_become_int_tuples(self):
         p = MultiPoly(["x", "y"], {(True, F(2)): F(1)})
@@ -354,15 +431,27 @@ class TestSympyOracle:
             cs = poly.rem(m).all_coeffs()[::-1]
             cs = [F(int(c.p), int(c.q)) for c in cs] + [F(0)] * (d - len(cs))
             assert x.coeffs == tuple(cs)
+            _assert_canonical(x)
 
         same(a + b, sa + sb)
+        same(a - b, sa - sb)
         same(a * b, sa * sb)
+        # an int or a Fraction on either side
+        r = data.draw(_operands)
+        sr = sympy.Rational(r.numerator, r.denominator)
+        for x, poly in ((a + r, sa + sr), (r + a, sa + sr), (a - r, sa - sr),
+                        (r - a, sr - sa), (a * r, sa * sr), (r * a, sa * sr)):
+            same(x, poly)
+        if r:
+            same(a / r, sa * (1 / sr))
         n = data.draw(st.integers(-3, 6))
         if a:
             inv = sympy.Poly(sympy.invert(sa.as_expr(), m.as_expr(), z), z,
                              domain="QQ")
             same(a.inv(), inv)
             same(a ** n, inv ** -n if n < 0 else sa ** n)
+            same(r / a, inv * sr)
+            same(b / a, sb * inv)
         elif n >= 0:
             same(a ** n, sa ** n)
 
@@ -942,6 +1031,14 @@ _RATIONALS = {
     "jacobi_dimension": lambda v: jacobi_dimension("tE6", v),
     "GradedPiece.ranks": lambda v: _jacobi_plan(sing_class("tE6"))[1][1]
     .ranks(v),
+    "Cyclo": lambda v: Cyclo(GAUSS, [F(1, 2), v]),
+}
+# an exact polynomial's coefficient is an int, a Fraction or a Cyclo: a
+# float is refused too, where exact_rational would read it
+_COEFFICIENTS = {
+    "MultiPoly": lambda v: MultiPoly(("x",), {(0,): F(1), (1,): v}),
+    "MultiPoly.const": lambda v: MultiPoly.const(("x",), v),
+    "MultiPoly.subst": lambda v: P("x + 1", ("x",)).subst({"x": v}),
 }
 _COMPLEXES = {
     "critical_values_numeric-t": lambda v: critical_values_numeric(
@@ -961,14 +1058,18 @@ _BAD = [*((e, v) for e in _COUNTS
         *((e, v) for e in _RATIONALS
           for v in (True, "1/2", "2/5", 1j, math.nan, math.inf)),
         *((e, v) for e in _COMPLEXES
-          for v in (True, "0.5", "1j", math.nan, complex(0, math.inf)))]
+          for v in (True, "0.5", "1j", math.nan, complex(0, math.inf))),
+        *((e, v) for e in _COEFFICIENTS
+          for v in (True, "2", "1/2", 0.5, 1j, math.nan))]
 
 
 @pytest.mark.parametrize("entry,v", _BAD,
                          ids=[f"{e}-{v!r}" for e, v in _BAD])
 def test_bad_argument_is_value_error(entry, v):
-    call = {**_COUNTS, **_RATIONALS, **_COMPLEXES}[entry]
+    call = {**_COUNTS, **_RATIONALS, **_COMPLEXES, **_COEFFICIENTS}[entry]
     with pytest.raises(ValueError, match="must be an integer|must be at "
                                          "least 1|is not rational|is not a "
-                                         "finite complex|is not a container"):
+                                         "finite complex|is not a container|"
+                                         "is not an int, a Fraction or a "
+                                         "Cyclo"):
         call(v)

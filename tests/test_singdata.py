@@ -9,10 +9,10 @@ from singlat.lattice import (StokesMatrix, coxeter_dynkin, definiteness,
                              monodromy_from_stokes, monodromy_product,
                              symmetrized_form, tensor_rows)
 from singlat.polyalg import GAUSS, Cyclo, MultiPoly, parse_poly
-from singlat.singdata import (ALL_LABELS, SeedError, normal_form, seed_stokes,
-                              sing_class, sym_field, symmetry_data,
-                              tensor_stokes, unfolding, unfolding_monomials,
-                              validate_seed, weights)
+from singlat.singdata import (ALL_LABELS, SeedError, jacobi_system,
+                              normal_form, seed_stokes, sing_class, sym_field,
+                              symmetry_data, tensor_stokes, unfolding,
+                              unfolding_monomials, validate_seed, weights)
 
 
 class TestClasses:
@@ -102,6 +102,22 @@ class TestUnfoldings:
     def test_te6_last_monomial(self):
         ms = unfolding_monomials(sing_class("tE6"))
         assert ms[-1] == parse_poly("x1*x2", ("x0", "x1", "x2"))
+
+    @pytest.mark.parametrize("label", ALL_LABELS + ("A1", "D7"))
+    def test_class_tables_are_shared_and_left_unchanged(self, label):
+        # normal_form and unfolding_monomials are parsed once per class and
+        # handed to every caller; building the Jacobi system, which adds
+        # df/dla to the elliptic basis, must not write into them
+        cls = sing_class(label)
+        f, ms = normal_form(cls), unfolding_monomials(cls)
+        assert normal_form(sing_class(label)) is f
+        assert type(ms) is tuple and unfolding_monomials(cls) is ms
+        before = [(m.vars, dict(m.terms)) for m in (f, *ms)]
+        basis = jacobi_system.__wrapped__(cls)[0]
+        assert unfolding_monomials(cls) is ms and normal_form(cls) is f
+        assert [(m.vars, m.terms) for m in (f, *ms)] == before
+        assert basis[:len(ms)] == ms
+        assert len(basis) == len(ms) + cls.is_elliptic
 
     # deg_w t_j for every class, written out: weights derives them from
     # the unfolding monomials, so this table is the independent oracle
