@@ -15,17 +15,21 @@ Orbit enumeration is a deterministic breadth-first closure over all
 before deduplication.
 
 Engine: the search is level-synchronous, and each run uses one of three
-engines, fixed by its mode and seed (_engine).  A bases run holds a state
-as the (B, mu) tuple of the indices of its vectors in the process's root
-table of the seed's form (lattice.roots), and a move is one gather from
-the table's reflections (_expand_roots), which computes and interns only
-the roots and reflections met for the first time: every vector of the
-orbit is a root up to sign, a simple seed ends with its whole table, and
-an elliptic seed holds the few roots its budget reaches.  A Stokes run
-over a positive definite form with m = mu(mu-1)/2 <= 10 packed entries
+engines, fixed by its mode and seed (_engine).  A run on root indices
+holds a state as the (B, mu) tuple of the indices of its vectors in the
+process's root table of the seed's form (lattice.roots), and a move is
+one gather from the table's reflections (_expand_roots), which computes
+and interns only the reflections met for the first time: every vector of
+the orbit is a root up to sign, a simple seed ends with its whole table,
+and an elliptic seed holds the few roots its budget reaches.  Every bases
+run is one, and so is a Stokes run over a positive definite form of rank
+<= 16 with m = mu(mu-1)/2 > 10 packed entries (A6-A16, D6-D16, E6-E8),
+whose table holds every root and whose tuples are canonical modulo G_Z
+(see Keys).  A Stokes run over a positive definite form with m <= 10
 (A1-A5, D4, D5) runs on codes: a state is the uint16 base-3 code of its
 packed tree sign normal form, and a move is one row of a move table
-(_CodeTable).  Every other Stokes run holds packed Stokes matrices, one
+(_CodeTable).  Every other Stokes run, over an indefinite or semidefinite
+form (the elliptic classes), holds packed Stokes matrices, one
 (B, m) array per level, int8 while the entries fit, and applies every
 generator (S' = P S P^t) to a chunk of states in one numpy pass, in
 int16, int64 or Python ints as a bound on the entries requires, so
@@ -58,7 +62,13 @@ neighbour signs from the packed signs, and _tree_sign_form writes packed,
 C-ordered results.
 
 Keys: a bases state indexes sign-canonical roots, each interned once, so
-it is its own key, the bytes of its mu indices.  A Stokes state is put in
+it is its own key, the bytes of its mu indices.  Two distinguished bases
+have one Stokes matrix exactly when an element of G_Z, the automorphisms
+of the lattice that keep the Seifert form, maps one to the other; so a
+Stokes class is a bases class modulo G_Z/+-1, and a Stokes run on root
+indices holds each class as its least image tuple under the action of
+G_Z/+-1 on the roots (lattice.gz, _gz_canon), keyed by its bytes as a
+bases state is.  A packed Stokes state is put in
 the tree sign normal form of _tree_sign_form, signs propagated along a
 spanning tree that depends only on the support pattern.  The support is
 sign-invariant, so the tree is too, and on a connected diagram the
@@ -83,9 +93,10 @@ of the state of code c, in _generators order; a row is filled, by the
 packed engine's kernel _expand_stokes on the decoded states, the first
 time its state is expanded, and kept for the life of the process.  An
 expansion is then one gather, rows[slot[x]].ravel(), state-major and
-generator-minor, as FIFO order requires.  So both Stokes engines move
-and canonicalise with one kernel: on every packed (m > 10 or not
-positive definite) chunk, and on the states of every new row.
+generator-minor, as FIFO order requires.  So the code and packed engines
+move and canonicalise with one kernel: on every packed (indefinite or
+semidefinite) chunk, and on the states of every new row.  Codes stay for
+m <= 10, where they are faster than root indices (_engine).
 
 Budgets are exact: a run stopped by max_states reports exactly that many
 classes, the first ones in FIFO order, and is truncated only if the orbit
@@ -101,11 +112,11 @@ dedup against the keys of the open levels alone: each level keeps the
 list of its classes' keys, and a level swap drops level d - 1's from the
 visited set.
 
-Checkpoints (format 7, _save_checkpoint) are one file under one SHA-256:
+Checkpoints (format 8, _save_checkpoint) are one file under one SHA-256:
 a JSON manifest, then the raw bytes of the arrays it describes, which are
-the window and a bases run's root vectors.  Loading unpickles nothing,
-checks every saved class and remaps saved root indices to this process's
-(_load_checkpoint).
+the window and a root-index run's root vectors.  Loading unpickles
+nothing, checks every saved class, remaps saved root indices to this
+process's and redoes a Stokes run's canonical tuples (_load_checkpoint).
 """
 
 from __future__ import annotations
@@ -124,7 +135,7 @@ import numpy as np
 
 from .lattice import (StokesMatrix, symmetrized_form, mat_det, is_connected,
                       definiteness, form_pair, mat_mul, mat_neg,
-                      mat_transpose, process_cache, roots, row_keys,
+                      mat_transpose, process_cache, roots, row_keys, gz,
                       _INT8_MAX, _INT64_MAX, _work_dtype)
 from .polyalg import positive_int
 
@@ -244,9 +255,11 @@ def sign_canonical_stokes(s: StokesMatrix) -> StokesMatrix:
 # orbit enumeration
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_FORMAT = 7          # 6 saved every visited key; 5 lacked the
-                               # roots its indices name; 4 nested .npy
-                               # files; 3 a pickle; 2 mu x mu
+CHECKPOINT_FORMAT = 8          # 7 saved E6-E8, A6+ and D6+ Stokes runs
+                               # packed and wide entries as JSON; 6 saved
+                               # every visited key; 5 lacked the roots its
+                               # indices name; 4 nested .npy files; 3 a
+                               # pickle; 2 mu x mu
 _CHECKPOINT_MAGIC = f"singlat checkpoint {CHECKPOINT_FORMAT}".encode()
 CHECKPOINT_EVERY = 250_000     # expanded states between checkpoint saves
 _CHUNK_ELEMENTS = 2 ** 16      # per numpy pass, counting mu^2 per
@@ -613,40 +626,102 @@ def _narrow(states):
     return states.astype(np.int64 if m <= _INT64_MAX else object)
 
 
-_Engine = namedtuple("_Engine", "start expand keys check table")
+_Engine = namedtuple("_Engine", "start expand keys check table canon")
 
 
 def _engine(seed, mode):
     """How one orbit run stores and moves its states: the start level, the
     batched expansion, which returns the candidates as the run stores
     them, the key function, the check of a checkpoint's saved states
-    (_check_states, _check_bases) and a bases run's lattice.RootTable.
+    (_check_states, _check_bases), a root-index run's lattice.RootTable
+    and a Stokes root-index run's canonical form (_gz_canon).
 
-    A bases run's table starts at e_0, ..., e_(mu-1), so its start is the
-    index tuple (0, ..., mu-1).  The seed is connected, so the Stokes start
-    is sign_canonical_stokes(seed), narrowed first: a sign flip keeps every
-    entry's width.  A Stokes run with m <= _CODE_MAX_M packed entries over
-    a positive definite form (lattice.definiteness, once per form), whose
-    entries stay in {-1, 0, 1}, runs on the codes of _CodeTable; any other
-    Stokes run on packed states."""
-    if mode == "stokes":
+    A run on root indices starts from the index tuple (0, ..., mu-1) of
+    its table's basis and moves with _expand_roots: every bases run, and
+    a Stokes run over a positive definite form (lattice.definiteness, once
+    per form) of rank <= 16, whose table has uint8 indices, with m =
+    mu(mu-1)/2 > _CODE_MAX_M packed entries (A6-A16, D6-D16, E6-E8), which
+    holds the canonical tuple of each class modulo G_Z (_expand_classes).
+    The smaller positive definite Stokes runs (A1-A5, D4, D5), whose
+    entries stay in {-1, 0, 1}, keep the codes of _CodeTable, which are
+    faster there: a moved A5 orbit took 0.44 ms on codes and 1.04 ms on
+    roots, D5 0.48 and 1.15 ms (medians).  Any other Stokes run holds packed
+    states; the seed is connected, so its start is
+    sign_canonical_stokes(seed), narrowed first: a sign flip keeps every
+    entry's width."""
+    n, form = seed.mu, symmetrized_form(seed).rows
+    m = n * (n - 1) // 2
+    definite = mode == "stokes" and n <= 16 and \
+        definiteness(form) == "positive-definite"
+    if mode == "stokes" and not (definite and m > _CODE_MAX_M):
         start = _tree_sign_form(_narrow(_pack(seed)))
-        m = len(start)
-        if m <= _CODE_MAX_M and definiteness(
-                symmetrized_form(seed).rows) == "positive-definite":
+        if definite:
             start = _encode(start)
             return _Engine(start, _code_table(m).expand, np.ndarray.tolist,
                            functools.partial(_check_states, start=start, m=m,
-                                             bound=3 ** m), None)
+                                             bound=3 ** m), None, None)
         return _Engine(start.T, _expand_stokes, _keys,
                        functools.partial(_check_states, start=start.T, m=m),
-                       None)
-    table = roots(symmetrized_form(seed).rows)
-    start = np.arange(seed.mu, dtype=table.dtype)[None]
-    return _Engine(start, functools.partial(_expand_roots, table=table),
-                   row_keys, functools.partial(
-                       _check_bases, start=start, seed_rows=seed.rows,
-                       limit=table.limit), table)
+                       None, None)
+    table = roots(form)
+    start = np.arange(n, dtype=table.dtype)[None]
+    check = functools.partial(_check_bases, start=start, seed_rows=seed.rows,
+                              limit=table.limit)
+    if mode == "bases":
+        return _Engine(start, functools.partial(_expand_roots, table=table),
+                       row_keys, check, table, None)
+    canon, free = _gz_canon(gz(seed.rows).perms)
+    return _Engine(canon(start), functools.partial(
+        _expand_classes, table=table, canon=canon, free=free), row_keys,
+        check, table, canon)
+
+
+def _gz_canon(perms):
+    """The canonical form of root-index tuples modulo G_Z/+-1, whose action
+    on the N roots is perms, (G, N) (lattice.gz): canon maps a batch of
+    tuples (B, mu) to the least image tuple of each; free is True when
+    only g = 1 fixes a root, so that each coset below has one element.
+
+    The least image sends slot 0 to the least index of the orbit of a =
+    x[0], so it lies in the coset of the g that do: one g for A6, A8, E7
+    and E8, and at most two for every class that runs on roots (A6-A16,
+    D6-D16, E6-E8), g1 and g2 (g1 = g2 for a coset of one).  table holds
+    perms[g1] for every a, then perms[g2], and later[a, b] the sign of
+    perms[g2, b] - perms[g1, b]; the first nonzero one along the tuple,
+    the sign of a dot product with _pow3, says which image is least."""
+    count, n = perms.shape
+    lo = perms.min(axis=0)
+    hit = perms == lo
+    size = hit.sum(axis=0)
+    if size.max() > 2:
+        raise AssertionError("a coset of G_Z/+-1 of more than two elements")
+    g1, g2 = hit.argmax(axis=0), count - 1 - hit[::-1].argmax(axis=0)
+    table = np.concatenate([perms[g1], perms[g2]]).ravel()
+    later = np.sign(perms[g2].astype(np.int16) - perms[g1]).astype(
+        np.int8).ravel()
+    row, free = np.arange(n) * n, size.max() == 1
+
+    def canon(x):
+        at = x + row[x[:, 0], None]
+        if not free:
+            at += (later.take(at) @ _pow3(x.shape[1]) < 0) * n * n
+        return table.take(at)
+    return canon, free
+
+
+def _expand_classes(x, table, canon, free):
+    """The canonical tuples (_gz_canon) of every move of the canonical
+    tuples x, (B, mu), as one (B * G, mu) batch in FIFO order.  A move
+    commutes with G_Z, and every generator but +-1 keeps slot 0, where
+    x[0] is the least root of its orbit; so where only g = 1 fixes a root
+    (free), the moves by +-1 alone need the canonical step."""
+    y = _expand_roots(x, table)
+    if not free:
+        return canon(y)
+    b, n = x.shape
+    y3 = y.reshape(b, -1, n)
+    y3[:, :2] = canon(y3[:, :2].reshape(-1, n)).reshape(b, 2, n)
+    return y
 
 
 def orbit_enumerate(seed: StokesMatrix, mode: str = "bases", *,
@@ -656,10 +731,15 @@ def orbit_enumerate(seed: StokesMatrix, mode: str = "bases", *,
 
     bases  : states are sign-canonical tuples over the fixed seed, held as
              indices into the root table of the seed's form (lattice.roots).
-    stokes : states are tree sign normal forms of Stokes matrices, packed
-             to their strict upper triangles, held as base-3 codes when
-             mu <= 5 and the seed's form is positive definite;
-             transitions treat the current matrix as its own seed.
+    stokes : states are Stokes matrices up to sign, in one of three
+             engines (_engine).  Over a positive definite form of rank
+             <= 16 with mu >= 6 (A6-A16, D6-D16, E6-E8), a class is a
+             bases class modulo G_Z, held as its canonical tuple of root
+             indices.  Over a positive definite form with mu <= 5 (A1-A5,
+             D4, D5), it is the base-3 code of the tree sign normal form
+             of the Stokes matrix, packed to its strict upper triangle.
+             Over any other form, it is that packed normal form itself,
+             and transitions treat the current matrix as its own seed.
 
     The search is level-synchronous: each level is one array and a chunk of
     it is expanded by all generators in one numpy pass, in entries wide
@@ -775,21 +855,22 @@ def _save_checkpoint(path, doc):
     with the SHA-256 of everything after it, one line of JSON manifest
     (mode, seed rows, levels, expanded, and the name, dtype, shape and byte
     size of every array), then the arrays' bytes in manifest order: the
-    C-order bytes of an integer array, or the JSON list of the entries of
-    an object array of Python ints.  So every byte after the magic is
-    under the one hash, and the manifest is the only description of each
-    array.  The arrays are window, the classes of the open levels in FIFO
-    order: every class of levels d - 1 and d (levels[-2:], d the level in
-    expansion) and those found so far of level d + 1; and in bases mode
-    roots, the table's roots that the indices refer to."""
+    C-order bytes of an integer array, or the entries of an object array
+    of Python ints in canonical hex ("-1f"), comma separated, which no
+    digit limit applies to (json.dumps refuses an int of 4300 digits).
+    So every byte after the magic is under the one hash, and the manifest
+    is the only description of each array.  The arrays are window, the
+    classes of the open levels in FIFO order: every class of levels d - 1
+    and d (levels[-2:], d the level in expansion) and those found so far
+    of level d + 1; and in a run on root indices roots, the table's roots
+    that the indices refer to."""
     arrays = [("window", doc["window"])]
     if "roots" in doc:
         arrays.append(("roots", doc["roots"]))
     entries, blobs = [], []
     for name, a in arrays:
         if a.dtype == object:
-            blob = json.dumps(a.ravel().tolist(),
-                              separators=(",", ":")).encode()
+            blob = b",".join(b"%x" % v for v in a.ravel().tolist())
         else:
             blob = np.ascontiguousarray(a).tobytes()
         entries.append({"name": name, "dtype": a.dtype.str,
@@ -837,8 +918,10 @@ def _load_checkpoint(path, mode, seed_rows, engine):
     (engine is the run's _Engine) accepts every saved class, and none
     repeats.  Anything unreadable, of another format, of another run or
     inconsistent raises ValueError; no byte of the file is unpickled.
-    Only then are a bases run's saved roots interned into its table; if
-    that moves them, one gather maps the window and its keys are redone."""
+    Only once every saved class passes engine.check are a root-index run's
+    saved roots interned into its table, one gather maps the window if
+    that moves them, and a Stokes run puts it in canonical form modulo
+    this process's G_Z (_gz_canon); then the keys show any repeat."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -889,18 +972,21 @@ def _load_checkpoint(path, mode, seed_rows, engine):
         if len(window) < sum(levels[-2:]):
             raise ValueError("the window is shorter than its open levels")
         engine.check(window, arrays.get("roots"))
-        window_keys, visited = _keyed(window, engine.keys)
-        if len(visited) != len(window):
-            raise ValueError("saved classes repeat")
     except (KeyError, TypeError, ValueError, OverflowError,
             RecursionError) as exc:
         raise ValueError(f"checkpoint {path} is corrupt: {exc}") from None
     if engine.table is not None:
-        # a table filled in another order holds the roots elsewhere
+        # a table filled in another order holds the roots elsewhere, and
+        # a Stokes run's canonical tuples follow its order
         index = engine.table.intern(arrays["roots"])
         if not np.array_equal(index, np.arange(len(index))):
             window = index[window]
-            window_keys, visited = _keyed(window, engine.keys)
+        if engine.canon is not None:
+            window = engine.canon(window)
+    window_keys, visited = _keyed(window, engine.keys)
+    if len(visited) != len(window):
+        raise ValueError(f"checkpoint {path} is corrupt: saved classes "
+                         "repeat")
     return window, window_keys, visited, list(levels), expanded
 
 
@@ -915,8 +1001,8 @@ def _checkpoint_arrays(entries, body):
     dtype and shape must account for each array's byte size before
     anything is read, so no claimed shape allocates anything: an integer
     array (dtype kind i or u) is np.frombuffer over exactly prod(shape)
-    itemsize bytes, and an object array is a flat JSON list of
-    prod(shape) Python ints."""
+    itemsize bytes, and an object array prod(shape) Python ints, each in
+    the canonical hex that _save_checkpoint writes and nothing else."""
     arrays, offset = {}, 0
     for entry in entries:
         name, size, shape = entry["name"], entry["size"], entry["shape"]
@@ -927,10 +1013,14 @@ def _checkpoint_arrays(entries, body):
         offset += size
         count = math.prod(shape)
         if entry["dtype"] == "|O":
-            flat = json.loads(blob)
-            if type(flat) is not list or len(flat) != count or \
-                    not all(type(v) is int for v in flat):
-                raise ValueError(f"{name} is not a list of {count} integers")
+            hexes = blob.split(b",") if blob else []
+            try:
+                flat = [int(h, 16) for h in hexes]
+            except ValueError:
+                flat = None
+            if len(hexes) != count or flat is None or \
+                    [b"%x" % v for v in flat] != hexes:
+                raise ValueError(f"{name} is not {count} integers in hex")
             a = np.array(flat, dtype=object).reshape(shape)
         else:
             dtype = np.dtype(entry["dtype"])

@@ -5,8 +5,10 @@ Picard-Lefschetz reflections and Coxeter-Dynkin diagrams, all as exact
 integer matrix computations; definiteness and quasiunipotence are both
 read off the integer characteristic polynomial (`char_poly`).  The roots
 of every form, up to sign, and their reflections are tabulated once per
-form and filled on demand (`roots`).  The sign conventions are fixed
-once and for all at the dimension residue n = 0 mod 4, where
+form and filled on demand (`roots`), and so is G_Z, the automorphism
+group of the Seifert form of a positive definite seed (`gz`).  The sign
+conventions are fixed once and for all at the dimension residue n = 0
+mod 4, where
 
     I = S + S^t,   M = -S^{-1} S^t,   s_d(b) = b - I(d,b) d,
 
@@ -22,6 +24,7 @@ import itertools
 import math
 import operator
 import threading
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -360,6 +363,7 @@ class RootTable:
         self.refl = np.full((cap, cap), self.sentinel, self.dtype)
         self.top, self.size, self.index = 0, 0, {}   # top: max |entry|
         self.lock = threading.RLock()
+        self.groups = {}                # gz of this form's seeds, by rows
         self.intern(np.eye(n, dtype=np.int64))
 
     def fill(self, a, b):
@@ -408,6 +412,146 @@ class RootTable:
                     self.V.flags.writeable = False
                 out[j] = k
         return out
+
+    def close(self):
+        """Intern every root the reflections s_(e_i) of the basis reach
+        from it, batch by batch of new roots; s_(e_i)(r) is r with entry i
+        lowered by I(e_i, r).  Over a positive definite form reached from a
+        distinguished basis by braid moves they generate the Weyl group,
+        which is transitive on the roots of a connected diagram, so the
+        table then holds all of them (120 up to sign for E8)."""
+        with self.lock:
+            lo, eye = 0, np.eye(self.mu, dtype=np.int64)
+            known = set(row_keys(self.V))
+            while lo < self.size:
+                r = self.V[lo:]
+                lo = self.size
+                moved = _sign_canonical((r[:, None] - (r @ self.form)[
+                    :, :, None] * eye).reshape(-1, self.mu))
+                new = {k: j for j, k in enumerate(row_keys(moved))
+                       if k not in known}
+                known.update(new)
+                self.intern(moved[list(new.values())])
+
+
+GroupZ = namedtuple("GroupZ", "elements perms")
+
+
+def gz(seed_rows):
+    """G_Z, the automorphisms g of the lattice that keep the Seifert form
+    of the seed S (g^t S g = S), for a positive definite form of rank <= 16
+    (uint8 root indices), computed once per seed and cached with the
+    process's RootTable of its form, whose roots it closes (close).
+
+    elements holds G_Z as (|G_Z|, mu, mu) int64 matrices, g and -g in its
+    two halves; perms[k], over the table's roots, is the root index of
+    elements[k] V[r] up to sign, the action of G_Z/+-1.  Both read-only.
+
+    Every g commutes with M = -S^(-1) S^t and maps roots to roots.  The
+    basis vectors e_i whose chains e_i, M e_i, ... are taken, up to
+    dependence, make a basis K (one vector for A and E, whose e_0 is
+    cyclic, two for D_even, whose M has a double eigenvalue), and g is
+    fixed by the roots r_i = g e_i: g = K' K^(-1), K' the chains of the r_i.
+    A candidate must match every Seifert pairing u^t S M^k w, |k| < mu, of
+    the e_i, which prunes the stack to about |G_Z|/2; it is built exactly
+    over the adjugate of K, and kept iff it is integral and keeps S."""
+    rows = tuple(map(tuple, seed_rows))
+    table = roots(mat_add(rows, mat_transpose(rows)))
+    if table.dtype != np.uint8:
+        raise ValueError("G_Z is computed for positive definite forms of "
+                         "rank <= 16")
+    with table.lock:
+        if rows not in table.groups:
+            table.close()
+            table.groups[rows] = _gz(rows, table)
+        return table.groups[rows]
+
+
+def _gz(rows, table):
+    n = len(rows)
+    s = np.array(rows, np.int64)
+    si = np.array(unit_upper_inverse(rows), np.int64)
+    m, back = -si @ s.T, -si.T @ s                    # M and M^(-1)
+    powers, inverse = [np.eye(n, dtype=np.int64)], [np.eye(n, dtype=np.int64)]
+    for _ in range(n - 1):
+        powers.append(m @ powers[-1])
+        inverse.append(back @ inverse[-1])
+    sm = s @ np.stack(inverse[:0:-1] + powers)        # S M^k, |k| < mu
+    chains = np.stack(powers).transpose(2, 0, 1)      # chains[i]: e_i's
+    # the generators by exact rank: one cyclic e_i, else a pair that spans
+    # (on D seeds, more often with the last e_j, so they are tried first)
+    d = {}
+    for i in reversed(range(n)):
+        d[i] = bareiss(chains[i].tolist())[0]
+        if d[i] == n:
+            gens = [i]
+            break
+    else:
+        i = max(d, key=d.get)
+        gens = next(([i, j] for j in reversed(range(n)) if bareiss(
+            chains[[i, j]].reshape(-1, n).tolist())[0] == n), None)
+        if gens is None:
+            raise ValueError("no one or two basis vectors generate the "
+                             "lattice under the monodromy")
+    dims = [d[gens[0]], n - d[gens[0]]][:len(gens)]
+    k = np.vstack([chains[i, :c] for i, c in zip(gens, dims)]).T
+    det, adj = _adjugate(k.tolist())
+    adj = np.array(adj, np.int64)
+    v = table.V.astype(np.int64)
+    # every product below is at most n^2 x^3; elements keep S, so their
+    # columns are roots, and entries past table.top are no element's
+    x = max(table.top, abs(det),
+            *(int(np.abs(a).max()) for a in (sm, m, adj)))
+    if n * n * x ** 3 > _INT64_MAX:
+        raise OverflowError("G_Z of this seed does not fit int64")
+    rs = np.vstack([v, -v])                           # the signed roots
+    prof = ((rs @ sm) * rs).sum(axis=2)               # (2 mu - 1, 2N)
+    for t, i in enumerate(gens):
+        ok = np.flatnonzero((prof.T == sm[:, i, i]).all(axis=1))
+        if t:
+            cross = rs[cands[:, 0]] @ sm @ rs[ok].T
+            c, r = np.nonzero((cross == sm[:, gens[0], i, None, None]).all(
+                axis=0))
+            cands = np.hstack([cands[c], ok[r, None]])
+        else:
+            cands = ok[ok < len(v), None]
+    kp = np.concatenate([np.stack([rs[cands[:, t]] @ p.T for p in powers[:c]],
+                                  axis=2) for t, c in enumerate(dims)], axis=2)
+    num = kp @ adj
+    g = num // det
+    g = g[(g * det == num).all(axis=(1, 2)) &
+          (np.abs(g).max(axis=(1, 2)) <= table.top)]
+    g = g[(g.transpose(0, 2, 1) @ s @ g == s).all(axis=(1, 2))]
+    img = _sign_canonical((g @ v.T).transpose(0, 2, 1).reshape(-1, n))
+    index = dict(zip(row_keys(v), range(len(v))))
+    perms = np.array([index[key] for key in row_keys(img)],
+                     table.dtype).reshape(len(g), len(v))
+    out = GroupZ(np.concatenate([g, -g]), perms)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _adjugate(m):
+    """p and p m^(-1) of an invertible integer matrix m, p = +-det m, by
+    fraction-free Gauss-Jordan elimination: every entry is a minor of
+    [m | 1] up to sign, so each division by the last pivot is exact."""
+    n = len(m)
+    a = [list(row) + [int(i == j) for j in range(n)]
+         for i, row in enumerate(m)]
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            raise ArithmeticError("the Krylov basis is singular")
+        a[k], a[piv] = a[piv], a[k]
+        top, p = a[k], a[k][k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], top)]
+        prev = p
+    return prev, [row[n:] for row in a]
 
 
 def process_cache(build):

@@ -118,6 +118,23 @@ def test_criterion_3_extended_e8_stokes():
 
 
 @pytest.mark.extended
+def test_criterion_3_extended_a8_stokes():
+    t0 = time.monotonic()
+    rs = orbit_enumerate(seed_stokes("A8").stokes, "stokes")
+    assert rs.class_count == 531441
+    report(3, "A8 extended: 531441 stokes", t0)
+
+
+@pytest.mark.extended
+def test_criterion_3_extended_d8_stokes():
+    # D is the family whose G_Z is fixed by the images of two vectors
+    t0 = time.monotonic()
+    rs = orbit_enumerate(seed_stokes("D8").stokes, "stokes")
+    assert rs.class_count == 823543
+    report(3, "D8 extended: 823543 stokes", t0)
+
+
+@pytest.mark.extended
 def test_criterion_3_extended_e8_bases():
     t0 = time.monotonic()
     rb = orbit_enumerate(seed_stokes("E8").stokes, "bases")

@@ -26,7 +26,7 @@ from singlat.braid import (CHECKPOINT_FORMAT, _CODE_MAX_M, BraidWord,
                            braid_apply, braid_apply_word, orbit_enumerate,
                            sign_canonical_stokes, sign_canonical_tuple,
                            stokes_of_tuple)
-from singlat.lattice import (RootTable, StokesMatrix, roots, row_keys,
+from singlat.lattice import (RootTable, StokesMatrix, gz, roots, row_keys,
                              symmetrized_form)
 from singlat.singdata import ALL_LABELS, seed_stokes, tensor_stokes
 
@@ -389,7 +389,7 @@ class TestOrbits:
             orbit_enumerate(chain(4), "bases", checkpoint=str(ck))
         # refused by its leading pickle opcode, never unpickled
         ck.write_bytes(b"\x80\x04garbage, not a pickle")
-        with pytest.raises(ValueError, match="not in checkpoint format 7"):
+        with pytest.raises(ValueError, match="not in checkpoint format 8"):
             orbit_enumerate(chain(4), "bases", checkpoint=str(ck))
 
     def test_checkpoint_old_format_rejected(self, tmp_path):
@@ -412,7 +412,7 @@ class TestOrbits:
             "format": 2, "mode": "stokes", "seed": seed.rows,
             "visited": set(_keys(start)), "frontier": start, "next": [],
             "levels": [1], "expanded": 0}))
-        with pytest.raises(ValueError, match="not in checkpoint format 7"):
+        with pytest.raises(ValueError, match="not in checkpoint format 8"):
             orbit_enumerate(seed, "stokes", checkpoint=str(ck))
 
     def test_checkpoint_written_atomically(self, tmp_path, monkeypatch):
@@ -421,8 +421,8 @@ class TestOrbits:
         orbit_enumerate(chain(5), "bases", max_states=300,
                         checkpoint=str(ck))
         assert [p.name for p in tmp_path.iterdir()] == ["orbit.ck"]
-        assert ck.read_bytes().startswith(b"singlat checkpoint 7\n")
-        assert CHECKPOINT_FORMAT == 7
+        assert ck.read_bytes().startswith(b"singlat checkpoint 8\n")
+        assert CHECKPOINT_FORMAT == 8
 
     def test_checkpoint_save_is_durable(self, tmp_path, monkeypatch):
         # the file is fsynced before the rename, and the directory that
@@ -1117,6 +1117,30 @@ def packed_rows(window, roots):
     return [tuple(map(int, u)) for u in window.tolist()]
 
 
+def force_engine(patch, engine):
+    """Run the Stokes runs that follow on the named engine: "packed" reads
+    every form as indefinite, "roots" takes the positive definite seeds
+    of m <= 10 packed entries too, and "codes" changes nothing."""
+    if engine == "packed":
+        patch.setattr(braid, "definiteness", lambda rows: "indefinite")
+    elif engine == "roots":
+        patch.setattr(braid, "_CODE_MAX_M", -1)
+
+
+def stokes_rows(seed):
+    """rows(window, roots) of fifo_classes for every Stokes engine: the
+    packed sign normal forms of the window's classes, read from codes or
+    packed states, or on root indices those of the Stokes matrices of the
+    saved tuples over the seed."""
+    def rows(window, saved):
+        if saved is None:
+            return packed_rows(window, saved)
+        return [tuple(_pack(sign_canonical_stokes(stokes_of_tuple(
+            VanishingTuple(tuples(saved[t][None])[0], seed))))[:, 0])
+            for t in window]
+    return rows
+
+
 SMALL_CLASSES = ["A1", "A2", "A3", "A4", "A5", "D4", "D5"]
 
 
@@ -1166,21 +1190,23 @@ class TestCodeEngine:
     def test_budget_keeps_packed_engine_classes(self, label, budget,
                                                 tmp_path, monkeypatch):
         # the classes of a budgeted run, read from the windows of its
-        # saves, are the packed engine's, in order
+        # saves as packed sign normal forms, are the packed engine's, in
+        # order, and so are those of a run forced onto root indices
         seed = moved_seed(label, random.Random(budget))
         got = {}
-        for engine in ("codes", "packed"):
-            if engine == "packed":
-                monkeypatch.setattr(braid, "_CODE_MAX_M", -1)
-            saves = saved_windows(monkeypatch)
-            rep = orbit_enumerate(seed, "stokes", max_states=budget,
-                                  checkpoint=str(tmp_path / engine))
+        for engine in ("codes", "roots", "packed"):
+            with monkeypatch.context() as patch:
+                force_engine(patch, engine)
+                saves = saved_windows(patch)
+                rep = orbit_enumerate(seed, "stokes", max_states=budget,
+                                      checkpoint=str(tmp_path / engine))
             assert rep.truncated and rep.class_count == budget
-            assert {w.ndim for _, w, _ in saves} == {
-                "codes": {1}, "packed": {2}}[engine]
+            assert {(w.ndim, w.dtype.str) for _, w, _ in saves} == {
+                "codes": {(1, "<u2")}, "roots": {(2, "|u1")},
+                "packed": {(2, "|i1")}}[engine]
             got[engine] = rep.levels, rep.states_visited, fifo_classes(
-                saves, budget, packed_rows)
-        assert got["codes"] == got["packed"]
+                saves, budget, stokes_rows(seed))
+        assert got["codes"] == got["roots"] == got["packed"]
 
     @pytest.mark.parametrize("label", ["A1", "A2"])
     def test_smallest_classes(self, label, tmp_path):
@@ -1273,6 +1299,164 @@ class TestCodeEngine:
         assert peak < 2 ** 19
 
 
+STOKES_COUNTS = {"A6": 2401, "A7": 32768, "D6": 3125, "D7": 46656,
+                 "E6": 3456}
+
+
+class TestStokesOnRoots:
+    @pytest.mark.parametrize("label", ["A6", "A7", "D6", "D7", "E6"])
+    def test_matches_packed_engine(self, label, monkeypatch):
+        # from the class seed and a moved seed, a run on root indices
+        # counts the packed engine's classes, level by level, expanding as
+        # many states
+        rng = random.Random(label)
+        for seed in (seed_stokes(label).stokes, moved_seed(label, rng)):
+            engine = _engine(seed, "stokes")
+            assert engine.start.shape == (1, seed.mu)
+            assert engine.start.dtype == np.uint8
+            assert engine.table is roots(symmetrized_form(seed).rows)
+            rep = orbit_enumerate(seed, "stokes")
+            with monkeypatch.context() as patch:
+                force_engine(patch, "packed")
+                assert _engine(seed, "stokes").table is None
+                packed = orbit_enumerate(seed, "stokes")
+            assert rep.class_count == STOKES_COUNTS[label]
+            assert (rep.class_count, rep.levels, rep.states_visited) == \
+                (packed.class_count, packed.levels, packed.states_visited)
+
+    @pytest.mark.parametrize("label", ["A6", "D6", "E6"])
+    @pytest.mark.parametrize("budget", [7, 100])
+    def test_budget_keeps_packed_engine_classes(self, label, budget,
+                                                tmp_path, monkeypatch):
+        # the classes of a budgeted run, read from the windows of its
+        # saves as sign-canonical Stokes matrices, are the packed engine's,
+        # in order
+        seed = moved_seed(label, random.Random(budget))
+        got = {}
+        for engine in ("roots", "packed"):
+            with monkeypatch.context() as patch:
+                force_engine(patch, engine)
+                saves = saved_windows(patch)
+                rep = orbit_enumerate(seed, "stokes", max_states=budget,
+                                      checkpoint=str(tmp_path / engine))
+            assert rep.truncated and rep.class_count == budget
+            assert {w.dtype.str for _, w, _ in saves} == {
+                "roots": {"|u1"}, "packed": {"|i1"}}[engine]
+            got[engine] = rep.levels, rep.states_visited, fifo_classes(
+                saves, budget, stokes_rows(seed))
+        assert got["roots"] == got["packed"]
+
+    @pytest.mark.parametrize("label", ["A6", "D6", "E6", "E7"])
+    def test_keys_are_stokes_classes(self, label):
+        # on pairs of moved tuples, keys are equal exactly when the
+        # sign-canonical Stokes matrices are: pairs of two short walks,
+        # and pairs of a walk and its image under a random element of G_Z
+        # with random signs
+        rng = random.Random(label)
+        seed = seed_stokes(label).stokes
+        engine = _engine(seed, "stokes")
+        elements = gz(seed.rows).elements
+        std = VanishingTuple.standard(seed)
+
+        def key(vectors):
+            index = engine.table.intern(np.array(_canon_vectors(vectors)))
+            return row_keys(engine.canon(index[None]))[0]
+
+        def stokes(vectors):
+            return sign_canonical_stokes(stokes_of_tuple(VanishingTuple(
+                vectors, seed)))
+
+        equal = 0
+        for _ in range(120):
+            a = braid_apply_word(std, random_word(
+                rng, seed.mu, rng.randint(0, 4))).vectors
+            if rng.random() < 0.5:
+                g = elements[rng.randrange(len(elements))]
+                b = tuple(tuple(rng.choice((1, -1)) * g @ v) for v in a)
+            else:
+                b = braid_apply_word(std, random_word(
+                    rng, seed.mu, rng.randint(0, 4))).vectors
+            same = stokes(a) == stokes(b)
+            assert (key(a) == key(b)) == same
+            equal += same
+        assert 40 < equal < 120
+
+    def test_packed_kernels_unused(self, monkeypatch):
+        # positive definite Stokes runs of m > 10 packed entries never
+        # reach the packed move or sign kernels; an elliptic run does
+        def refuse(*args):
+            raise AssertionError("a packed kernel ran")
+
+        rng = random.Random(35)
+        with monkeypatch.context() as patch:
+            patch.setattr(braid, "_expand_stokes", refuse)
+            patch.setattr(braid, "_sign_rounds", refuse)
+            for label, budget in (("A6", None), ("D6", None), ("E6", None),
+                                  ("E7", 3000), ("D12", 500), ("A16", 300)):
+                rep = orbit_enumerate(moved_seed(label, rng), "stokes",
+                                      max_states=budget)
+                assert rep.class_count == STOKES_COUNTS.get(label, budget)
+            with pytest.raises(AssertionError, match="packed kernel"):
+                orbit_enumerate(seed_stokes("tE6").stokes, "stokes",
+                                max_states=100)
+
+    def test_threads_share_one_group(self):
+        # more threads than cores start Stokes runs on cold root tables at
+        # once, switching every microsecond: each counts its orbit, and
+        # each seed's table closes once and holds one G_Z
+        rng = random.Random(36)
+        seeds = [moved_seed(label, rng) for label in ("A6", "D6", "E6")] * 2
+        roots.cache_clear()
+        got, interval = [None] * len(seeds), sys.getswitchinterval()
+
+        def run(k):
+            got[k] = orbit_enumerate(seeds[k], "stokes").class_count
+
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(k,))
+                       for k in range(len(seeds))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [2401, 3125, 3456] * 2
+        tables = [roots(symmetrized_form(seed).rows) for seed in seeds[:3]]
+        assert [len(t.V) for t in tables] == [21, 30, 36]
+        for seed, table in zip(seeds, tables):
+            assert list(table.groups) == [seed.rows]
+            assert gz(seed.rows) is table.groups[seed.rows]
+
+    def test_checkpoint_layout_and_checks(self, tmp_path):
+        # a run saves its index tuples and the table's roots; a saved
+        # tuple that is no distinguished basis, or two tuples of one
+        # Stokes class, are refused
+        seed = seed_stokes("E6").stokes
+        ck = tmp_path / "orbit.ck"
+        orbit_enumerate(seed, "stokes", max_states=500, checkpoint=str(ck))
+        names = [(a["name"], a["dtype"], a["shape"][1:])
+                 for a in manifest(ck)["arrays"]]
+        assert names == [("window", "|u1", [6]), ("roots", "<i8", [6])]
+        table = roots(symmetrized_form(seed).rows)
+        assert np.array_equal(saved_roots(ck), table.V)
+        start = np.arange(6, dtype=np.uint8)[None]
+        moved = next(p[start] for p in gz(seed.rows).perms
+                     if (p[start] != start).any())
+        for window, reason in (([[0, 1, 2, 3, 4, 4]],
+                                "not sign-canonical distinguished bases"),
+                               (moved, "classes repeat")):
+            braid._save_checkpoint(str(ck), {
+                "mode": "stokes", "seed": seed.rows,
+                "window": np.vstack([start, window]).astype(np.uint8),
+                "roots": table.V, "levels": [1, 1], "expanded": 1})
+            with pytest.raises(ValueError, match="corrupt: saved .*" +
+                               reason):
+                orbit_enumerate(seed, "stokes", checkpoint=str(ck))
+
+
 # A4 tuples that are no sign-canonical distinguished basis: a repeated root
 # (root indices (0, 1, 2, 2), which a file once resumed to 81 classes), two
 # swapped roots, e_0 + e_1 before e_1 (roots, but a Gram matrix with a
@@ -1288,7 +1472,8 @@ NOT_BASES = {
 class TestCheckpointFormat:
     @pytest.mark.parametrize("label, mode, table, budget", [
         ("A5", "stokes", None, 60), ("D5", "stokes", None, 90),
-        ("E6", "stokes", None, 1000),
+        ("E6", "stokes", "roots", 1000), ("E6", "stokes", "reordered", 1000),
+        ("D6", "stokes", "roots", 1000), ("D6", "stokes", "reordered", 1000),
         ("A5", "bases", "roots", 400), ("D5", "bases", "roots", 2000),
         ("E6", "bases", "roots", 9000),
         ("A5", "bases", "reordered", 400), ("D5", "bases", "reordered", 2000),
@@ -1296,12 +1481,13 @@ class TestCheckpointFormat:
         ("tE6", "stokes", None, 3000), ("tE6", "bases", "roots", 3000)])
     def test_resume_matches_uninterrupted(self, tmp_path, label, mode, table,
                                           budget):
-        # a bases run resumes in the root table the run left, or in a
-        # table built afresh whose roots past the basis were interned in
-        # reverse order, so that every saved index is remapped.  tE6 runs
-        # Stokes on packed states, all 76545 classes, and bases on uint16
-        # root indices, whose orbit is infinite: both of those runs stop at
-        # 20000 classes
+        # a run on root indices (bases, and E6 and D6 Stokes) resumes in the
+        # root table the run left, or in a table built afresh whose roots
+        # past the basis were interned in reverse order, so that every
+        # saved index is remapped and a Stokes run's tuples are canonical
+        # anew.  tE6 runs Stokes on packed states, all 76545 classes, and
+        # bases on uint16 root indices, whose orbit is infinite: the bases
+        # run stops at 20000 classes
         seed = seed_stokes(label).stokes
         final = 20000 if (label, mode) == ("tE6", "bases") else None
         if label == "tE6":
@@ -1370,7 +1556,7 @@ class TestCheckpointFormat:
         ("D5", "stokes", 165, 256, None),
         ("tE6", "stokes", 38266, 76545, None),
         ("tE6", "stokes", 38266, 76545, 3000)],
-        ids=["E6-bases", "E6-stokes-packed", "D5-stokes-codes",
+        ids=["E6-bases", "E6-stokes-roots", "D5-stokes-codes",
              "tE6-stokes", "tE6-stokes-resumed"])
     def test_visited_set_holds_open_levels(self, tmp_path, monkeypatch,
                                            label, mode, peak, count,
@@ -1421,7 +1607,7 @@ class TestCheckpointFormat:
                 if not damaged:
                     continue          # an empty file starts afresh
                 ck.write_bytes(damaged)
-                with pytest.raises(ValueError, match="corrupt|format 7"):
+                with pytest.raises(ValueError, match="corrupt|format 8"):
                     _load_checkpoint(str(ck), "bases", seed.rows, engine)
 
     def test_layout(self, tmp_path):
@@ -1432,7 +1618,7 @@ class TestCheckpointFormat:
         magic, digest, rest = data.split(b"\n", 2)
         # the format is named by the magic line, and one SHA-256 covers
         # everything after the digest line
-        assert magic == b"singlat checkpoint 7" and "format" not in doc
+        assert magic == b"singlat checkpoint 8" and "format" not in doc
         assert hashlib.sha256(rest).hexdigest().encode() == digest
         assert doc["mode"] == "bases"
         assert doc["seed"] == [list(r) for r in chain(4).rows]
@@ -1528,7 +1714,7 @@ class TestCheckpointFormat:
                         "size": 8}]}, sort_keys=True).encode() + \
             b"\n" + bytes(8)
         ck = tmp_path / "orbit.ck"
-        ck.write_bytes(b"singlat checkpoint 7\n" +
+        ck.write_bytes(b"singlat checkpoint 8\n" +
                        hashlib.sha256(rest).hexdigest().encode() + b"\n" +
                        rest)
         with pytest.raises(ValueError, match="corrupt: bad .*shape|"
@@ -1605,8 +1791,8 @@ class TestCheckpointFormat:
                            "roots"):
             orbit_enumerate(seed, "bases", checkpoint=ck)
 
-    def test_wide_entries_saved_as_json(self, tmp_path):
-        # roots beyond int64 are an object array, saved as JSON text and
+    def test_wide_entries_saved_as_hex(self, tmp_path):
+        # roots beyond int64 are an object array, saved as hex text and
         # read back as Python ints; the form is indefinite, so the indices
         # are uint16
         big = 2 ** 70
@@ -1625,6 +1811,50 @@ class TestCheckpointFormat:
         assert row_keys(window) == window_keys
         assert set(window_keys) == visited
         assert len(visited) == 3 - sum(levels[:-2])
+
+
+    def test_entries_past_4300_digits(self, tmp_path):
+        # a packed tE6-style window (28 entries a class) holding entries of
+        # 5001 digits, which json.dumps refuses, round-trips
+        big = 10 ** 5000
+        window = np.array([[big] + [0] * 27, [1] * 27 + [-big]], dtype=object)
+        ck = tmp_path / "orbit.ck"
+        braid._save_checkpoint(str(ck), {
+            "mode": "stokes", "seed": seed_stokes("tE6").stokes.rows,
+            "window": window, "levels": [1, 1], "expanded": 1})
+        head, body = ck.read_bytes().split(b"\n", 3)[2:]
+        entries = json.loads(head)["arrays"]
+        assert entries[0]["dtype"] == "|O"
+        got = braid._checkpoint_arrays(entries, body)["window"]
+        assert got.dtype == object and got.tolist() == window.tolist()
+        # a truncated entry, a missing one, and entries that are not
+        # integers in canonical hex are refused
+        for blob in (b"1f,", b"1f", b"1f,zz", b"1f,1.5", b"1f, 2", b"1f,+2",
+                     b"1f,02", b"1f,-0", b"1f,0x2", b"1f,2_0", b"1f,2,3"):
+            entry = {"name": "window", "dtype": "|O", "shape": [2],
+                     "size": len(blob)}
+            with pytest.raises(ValueError, match="2 integers in hex"):
+                braid._checkpoint_arrays([entry], blob)
+
+    def test_huge_entries_resume(self, tmp_path, monkeypatch):
+        # a packed run whose entries pass 4300 digits, from a seed whose
+        # entries do not (the manifest holds the seed as JSON), saves and
+        # resumes
+        seed = StokesMatrix(((1, 10 ** 3000, 0), (0, 1, -1), (0, 0, 1)))
+        ck = str(tmp_path / "orbit.ck")
+        full = orbit_enumerate(seed, "stokes", max_states=12)
+        saves = saved_windows(monkeypatch)
+        assert orbit_enumerate(seed, "stokes", max_states=10,
+                               checkpoint=ck).truncated
+        assert max(abs(x) for x in saves[-1][1].flat) > 10 ** 5000
+        monkeypatch.undo()
+        assert orbit_enumerate(seed, "stokes", max_states=10,
+                               checkpoint=ck).truncated
+        resumed = orbit_enumerate(seed, "stokes", max_states=12,
+                                  checkpoint=ck)
+        assert (resumed.class_count, resumed.levels,
+                resumed.states_visited) == \
+            (full.class_count, full.levels, full.states_visited)
 
 
 class TestBraidProperties:

@@ -142,7 +142,7 @@ class TestOrbitCommand:
                                   "--checkpoint", str(ck))
         assert code == 1 and len(lines) == 1
         assert lines[0].startswith("error:")
-        assert "not in checkpoint format 7" in lines[0]
+        assert "not in checkpoint format 8" in lines[0]
 
     def test_packed_stokes_checkpoint_fails(self, capsys, tmp_path,
                                             monkeypatch):
@@ -150,16 +150,30 @@ class TestOrbitCommand:
         # on codes: int8 (B, 10) packed states and 10-byte keys.  It does
         # not fit a code run, and is refused rather than resumed under
         # other keys.
+        self.refused_as_packed(capsys, tmp_path, monkeypatch, "D5", 10)
+
+    def test_packed_e6_stokes_checkpoint_fails(self, capsys, tmp_path,
+                                               monkeypatch):
+        # likewise an E6 Stokes file of the packed engine, as written
+        # before E6 ran on root indices: the run refuses its window
+        self.refused_as_packed(capsys, tmp_path, monkeypatch, "E6", 15)
+
+    @staticmethod
+    def refused_as_packed(capsys, tmp_path, monkeypatch, label, m):
+        """A budgeted Stokes run of the packed engine, forced by reading
+        every form as indefinite, writes a file of packed states that a
+        run of the engine the class runs on refuses with one error:
+        line."""
         ck = tmp_path / "orbit.ck"
         with monkeypatch.context() as patch:
-            patch.setattr(braid, "_CODE_MAX_M", -1)
-            code, _ = run(capsys, "orbit", "D5", "--mode", "stokes",
+            patch.setattr(braid, "definiteness", lambda rows: "indefinite")
+            code, _ = run(capsys, "orbit", label, "--mode", "stokes",
                           "--checkpoint", str(ck), "--budget-states", "90")
         assert code == 3
         arrays = json.loads(ck.read_bytes().split(b"\n")[2])["arrays"]
         assert len(arrays) == 1 and arrays[0]["name"] == "window"
-        assert arrays[0]["dtype"] == "|i1" and arrays[0]["shape"][1] == 10
-        code = main(["orbit", "D5", "--mode", "stokes", "--checkpoint",
+        assert arrays[0]["dtype"] == "|i1" and arrays[0]["shape"][1] == m
+        code = main(["orbit", label, "--mode", "stokes", "--checkpoint",
                      str(ck)])
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
@@ -181,7 +195,7 @@ class TestOrbitCommand:
                                   "--checkpoint", str(ck))
         assert code == 1 and len(lines) == 1
         assert lines[0].startswith("error:")
-        assert "not in checkpoint format 7" in lines[0]
+        assert "not in checkpoint format 8" in lines[0]
         assert "corrupt" not in lines[0]
 
     @pytest.mark.parametrize("crafted", ["levels", "basis", "repeat",
@@ -227,7 +241,7 @@ class TestOrbitCommand:
                                   "--checkpoint", str(ck))
         assert code == 1 and len(lines) == 1
         assert lines[0].startswith("error:")
-        assert "not in checkpoint format 7" in lines[0]
+        assert "not in checkpoint format 8" in lines[0]
         assert "corrupt" not in lines[0]
 
     def test_format_6_checkpoint_fails(self, capsys, tmp_path):
@@ -250,8 +264,36 @@ class TestOrbitCommand:
                                   "--checkpoint", str(ck))
         assert code == 1 and len(lines) == 1
         assert lines[0].startswith("error:")
-        assert "not in checkpoint format 7" in lines[0]
+        assert "not in checkpoint format 8" in lines[0]
         assert "corrupt" not in lines[0]
+
+    def test_format_7_checkpoint_fails(self, capsys, tmp_path):
+        # a format-7 file as format 7 wrote it, the A2 bases run stopped at
+        # 1 class: the start's window and the basis roots, the same layout
+        # as format 8 but for wide entries as JSON.  Its hash holds, so it
+        # is refused by its magic line, as another format
+        rest = (b'{"arrays": [{"dtype": "|u1", "name": "window", "shape": '
+                b'[1, 2], "size": 2}, {"dtype": "<i8", "name": "roots", '
+                b'"shape": [2, 2], "size": 32}], "expanded": 0, "levels": '
+                b'[1], "mode": "bases", "seed": [[1, -1], [0, 1]]}\n'
+                b'\x00\x01' + np.eye(2, dtype="<i8").tobytes())
+        ck = tmp_path / "orbit.ck"
+        ck.write_bytes(b"singlat checkpoint 7\n" +
+                       hashlib.sha256(rest).hexdigest().encode() + b"\n" +
+                       rest)
+        code, lines = error_lines(capsys, "orbit", "A2", "--mode", "bases",
+                                  "--checkpoint", str(ck))
+        assert code == 1 and len(lines) == 1
+        assert lines[0].startswith("error:")
+        assert "not in checkpoint format 8" in lines[0]
+        assert "corrupt" not in lines[0]
+        # the same bytes under the format-8 magic line resume
+        ck.write_bytes(b"singlat checkpoint 8\n" +
+                       hashlib.sha256(rest).hexdigest().encode() + b"\n" +
+                       rest)
+        code, doc = run(capsys, "orbit", "A2", "--mode", "bases",
+                        "--checkpoint", str(ck))
+        assert code == 0 and doc["count"] == 3
 
     @pytest.mark.parametrize("crafted", ["norm", "sign", "index", "repeat",
                                          "many"])
@@ -325,7 +367,7 @@ class TestOrbitCommand:
                                   "--checkpoint", str(ck))
         assert code == 1 and len(lines) == 1
         assert lines[0].startswith("error:")
-        assert "not in checkpoint format 7" in lines[0]
+        assert "not in checkpoint format 8" in lines[0]
         assert not marker.exists()
 
     @pytest.mark.parametrize("damage", ["truncate", "flip"])

@@ -9,13 +9,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from singlat.lattice import (MonodromyMatrix, StokesMatrix, char_poly,
-                             coxeter_dynkin, definiteness, is_connected,
+                             coxeter_dynkin, definiteness, gz, is_connected,
                              is_quasiunipotent, mat_det, matrix_order,
                              monodromy_from_stokes, monodromy_product,
                              pl_reflect, process_cache, radical_rank, roots,
-                             RootTable, symmetrized_form)
+                             RootTable, row_keys, symmetrized_form)
 from singlat.braid import (VanishingTuple, braid_apply_word, BraidWord,
-                           _canon_vectors, _generators, stokes_of_tuple)
+                           _canon_vectors, _engine, _generators,
+                           sign_canonical_stokes, stokes_of_tuple)
+from singlat.degrees import gz_order
 from singlat.polyalg import MultiPoly
 from singlat.singdata import seed_stokes, ALL_LABELS
 
@@ -254,6 +256,16 @@ class TestRoots:
         assert v.tolist() == np.eye(3, dtype=int).tolist()
         assert r.tolist() == [[0, 1, 2]] * 3
 
+    @pytest.mark.parametrize("label", ROOT_LABELS)
+    def test_close_holds_every_root(self, label):
+        # the reflections of the basis alone reach every root: the same
+        # set as the eager closure under every pair of roots
+        for form in moved_forms(label, 2, random.Random(label)):
+            t = RootTable(form)
+            t.close()
+            assert len(t.V) == root_count(label)
+            assert set(tuples_of(t.V)) == set(tuples_of(closed(form).V))
+
     def test_one_table_per_form(self):
         # roots caches one table per form, its index width set by the
         # form's definiteness: uint8 for E7, positive definite of rank 7
@@ -261,6 +273,144 @@ class TestRoots:
         assert roots(form) is roots(tuple(map(tuple, form)))
         assert definiteness(form) == "positive-definite"
         assert roots(form).dtype == np.uint8
+
+
+def moved_seeds(label, count, rng):
+    """The class seed and count seeds a random braid word away from it."""
+    seed = seed_stokes(label).stokes
+    gens = _generators(seed.mu)
+    return [seed] + [stokes_of_tuple(braid_apply_word(
+        VanishingTuple.standard(seed), BraidWord(tuple(
+            rng.choice(gens) for _ in range(rng.randint(1, 12))))))
+        for _ in range(count)]
+
+
+def backtracked_gz(label):
+    """G_Z of the seed S by backtracking, the oracle of lattice.gz: the
+    images r_0, r_1, ... of the basis, chosen one at a time among the
+    signed roots, must pair under u^t S v as the basis vectors do, in both
+    orders; the roots are every vector of I(v, v) = 2 with entries in
+    [-2, 2], which holds all of them for the class seeds of A3-A5, D4, D5
+    (the count is checked)."""
+    s = np.array(seed_stokes(label).stokes.rows)
+    n = len(s)
+    box = np.array(np.meshgrid(*[range(-2, 3)] * n)).reshape(n, -1).T
+    signed = box[np.einsum("ai,ij,aj->a", box, s + s.T, box) == 2]
+    assert len(signed) == 2 * root_count(label)
+    pair = signed @ s @ signed.T
+    found = []
+
+    def extend(chosen):
+        k = len(chosen)
+        if k == n:
+            found.append(tuple(map(tuple, signed[chosen].T.tolist())))
+            return
+        for r in range(len(signed)):
+            if pair[r, r] == 1 and all(
+                    pair[c, r] == s[j, k] and pair[r, c] == s[k, j]
+                    for j, c in enumerate(chosen)):
+                extend(chosen + [r])
+    extend([])
+    return found
+
+
+class TestGZ:
+    @pytest.mark.parametrize("label", [f"A{n}" for n in range(3, 9)] +
+                             [f"D{n}" for n in range(4, 9)] +
+                             ["E6", "E7", "E8"])
+    def test_group(self, label):
+        # on the class seed and three moved seeds: the order is
+        # degrees.gz_order, every element is integral and keeps S, the
+        # elements are closed under products and hold +-M, and perms is
+        # each element's action on the closed table's roots up to sign
+        for seed in moved_seeds(label, 3, random.Random(label)):
+            g = gz(seed.rows)
+            s = np.array(seed.rows)
+            els = g.elements
+            assert els.dtype == np.int64 and not els.flags.writeable
+            assert len(els) == gz_order(label)
+            assert len(g.perms) == len(els) // 2
+            for e in els.tolist():
+                assert mat_mul_rows(transpose(e), mat_mul_rows(
+                    seed.rows, e)) == [list(r) for r in seed.rows]
+            keys = set(row_keys(els.reshape(len(els), -1)))
+            assert len(keys) == len(els)
+            products = np.einsum("aij,bjk->abik", els, els)
+            assert set(row_keys(products.reshape(len(els) ** 2, -1))) == keys
+            m = np.array(monodromy_from_stokes(seed).rows)
+            assert {row_keys(x.reshape(1, -1))[0] for x in (m, -m)} <= keys
+            table = roots(symmetrized_form(seed).rows)
+            v = table.V
+            assert len(v) == root_count(label)
+            assert g.perms.dtype == np.uint8 and not g.perms.flags.writeable
+            for e, p in zip(els, g.perms):
+                assert tuples_of(v[p]) == _canon_vectors(
+                    tuple(x) for x in (e @ v.T).T.tolist())
+
+    @pytest.mark.parametrize("label", ["A3", "A4", "A5", "D4", "D5"])
+    def test_matches_backtracking(self, label):
+        seed = seed_stokes(label).stokes
+        got = {tuple(map(tuple, e)) for e in gz(seed.rows).elements.tolist()}
+        assert got == set(backtracked_gz(label))
+
+    def test_cached_with_the_table(self):
+        # one computation per seed and table; a fresh table recomputes
+        seed = seed_stokes("E6").stokes
+        form = symmetrized_form(seed).rows
+        assert gz(seed.rows) is gz(tuple(map(tuple, seed.rows)))
+        assert roots(form).groups[seed.rows] is gz(seed.rows)
+        first = gz(seed.rows)
+        roots.cache_clear()
+        assert gz(seed.rows) is not first
+        assert np.array_equal(gz(seed.rows).elements, first.elements)
+
+    def test_definite_forms_only(self):
+        # G_Z of an elliptic seed is infinite, and a form of rank above
+        # 16 has uint16 indices
+        for label in ("tE6", "A17"):
+            with pytest.raises(ValueError, match="rank <= 16"):
+                gz(seed_stokes(label).stokes.rows)
+
+    @pytest.mark.parametrize("label", ["A4", "D4"])
+    def test_orbits_are_stokes_classes(self, label):
+        # the paper's fiber structure: G_Z/+-1 acts freely on the bases
+        # classes, and each orbit is the set of bases classes with one
+        # sign-canonical Stokes matrix, |G_Z|/2 classes each
+        seed = seed_stokes(label).stokes
+        engine = _engine(seed, "bases")
+        level, seen = engine.start, {row_keys(engine.start)[0]: 0}
+        classes = [engine.start[0]]
+        while len(level):
+            cands, new = engine.expand(level), []
+            for j, k in enumerate(row_keys(cands)):
+                if k not in seen:
+                    seen[k] = len(seen)
+                    new.append(j)
+            level = cands[new]
+            classes += list(level)
+        perms, v = gz(seed.rows).perms, engine.table.V
+        half = gz_order(label) // 2
+        stokes = [sign_canonical_stokes(stokes_of_tuple(VanishingTuple(
+            tuples_of(v[c]), seed))) for c in classes]
+        assert len(classes) == len(seen) == {"A4": 125, "D4": 162}[label]
+        for c, st in zip(classes, stokes):
+            orbit = row_keys(perms[:, c])
+            assert len(set(orbit)) == half
+            members = {seen[k] for k in orbit}
+            assert members == {j for j, t in enumerate(stokes) if t == st}
+
+
+def mat_mul_rows(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+
+
+def transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
+def tuples_of(a):
+    return tuple(map(tuple, a.tolist()))
 
 
 class TestDiagram:
