@@ -112,9 +112,10 @@ dedup against the keys of the open levels alone: each level keeps the
 list of its classes' keys, and a level swap drops level d - 1's from the
 visited set.
 
-Checkpoints (format 8, _save_checkpoint) are one file under one SHA-256:
-a JSON manifest, then the raw bytes of the arrays it describes, which are
-the window and a root-index run's root vectors.  Loading unpickles
+Checkpoints (format 9, _save_checkpoint) are one file under one SHA-256:
+a JSON manifest, with the seed in canonical hex, then the raw bytes of the
+arrays it describes, which are the window and a root-index run's root
+vectors.  Loading unpickles
 nothing, checks every saved class, remaps saved root indices to this
 process's and redoes a Stokes run's canonical tuples (_load_checkpoint).
 """
@@ -122,6 +123,7 @@ process's and redoes a Stokes run's canonical tuples (_load_checkpoint).
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import os
@@ -136,7 +138,7 @@ import numpy as np
 from .lattice import (StokesMatrix, symmetrized_form, mat_det, is_connected,
                       definiteness, form_pair, mat_mul, mat_neg,
                       mat_transpose, process_cache, roots, row_keys, gz,
-                      _INT8_MAX, _INT64_MAX, _work_dtype)
+                      _INT8_MAX, _INT64_MAX, _sign_canonical, _work_dtype)
 from .polyalg import positive_int
 
 
@@ -255,8 +257,9 @@ def sign_canonical_stokes(s: StokesMatrix) -> StokesMatrix:
 # orbit enumeration
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_FORMAT = 8          # 7 saved E6-E8, A6+ and D6+ Stokes runs
-                               # packed and wide entries as JSON; 6 saved
+CHECKPOINT_FORMAT = 9          # 8 held the seed as JSON; 7 saved E6-E8,
+                               # A6+ and D6+ Stokes runs packed and wide
+                               # entries as JSON; 6 saved
                                # every visited key; 5 lacked the roots its
                                # indices name; 4 nested .npy files; 3 a
                                # pickle; 2 mu x mu
@@ -853,13 +856,14 @@ def _save_checkpoint(path, doc):
 
     The file is the line _CHECKPOINT_MAGIC, which names the format, a line
     with the SHA-256 of everything after it, one line of JSON manifest
-    (mode, seed rows, levels, expanded, and the name, dtype, shape and byte
+    (mode, seed, levels, expanded, and the name, dtype, shape and byte
     size of every array), then the arrays' bytes in manifest order: the
     C-order bytes of an integer array, or the entries of an object array
-    of Python ints in canonical hex ("-1f"), comma separated, which no
-    digit limit applies to (json.dumps refuses an int of 4300 digits).
-    So every byte after the magic is under the one hash, and the manifest
-    is the only description of each array.  The arrays are window, the
+    of Python ints in canonical hex (`_hex`).  The manifest holds the
+    seed's entries, row by row, as one such hex string: json.dumps refuses
+    an int of 4300 digits, and hex has no digit limit.  So every byte after
+    the magic is under the one hash, and the manifest is the only
+    description of each array.  The arrays are window, the
     classes of the open levels in FIFO order: every class of levels d - 1
     and d (levels[-2:], d the level in expansion) and those found so far
     of level d + 1; and in a run on root indices roots, the table's roots
@@ -870,14 +874,15 @@ def _save_checkpoint(path, doc):
     entries, blobs = [], []
     for name, a in arrays:
         if a.dtype == object:
-            blob = b",".join(b"%x" % v for v in a.ravel().tolist())
+            blob = _hex(a.ravel().tolist())
         else:
             blob = np.ascontiguousarray(a).tobytes()
         entries.append({"name": name, "dtype": a.dtype.str,
                         "shape": list(a.shape), "size": len(blob)})
         blobs.append(blob)
     manifest = json.dumps({
-        "mode": doc["mode"], "seed": doc["seed"], "levels": doc["levels"],
+        "mode": doc["mode"], "seed": _seed_hex(doc["seed"]),
+        "levels": doc["levels"],
         "expanded": doc["expanded"], "arrays": entries},
         sort_keys=True).encode()
     digest = _sha256(manifest + b"\n", *blobs)
@@ -955,7 +960,7 @@ def _load_checkpoint(path, mode, seed_rows, engine):
     except (ValueError, AttributeError, RecursionError) as exc:
         raise ValueError(f"checkpoint {path} is corrupt: unreadable "
                          f"manifest ({exc})") from None
-    if run != (mode, [list(r) for r in seed_rows]):
+    if run != (mode, _seed_hex(seed_rows)):
         raise ValueError("checkpoint belongs to a different run "
                          "(mode or seed mismatch)")
     try:
@@ -990,6 +995,18 @@ def _load_checkpoint(path, mode, seed_rows, engine):
     return window, window_keys, visited, list(levels), expanded
 
 
+def _hex(values):
+    """The Python ints values in canonical hex ("-1f"), comma separated:
+    the one text form of a checkpoint's wide integers, which no digit
+    limit applies to."""
+    return b",".join(b"%x" % v for v in values)
+
+
+def _seed_hex(seed_rows):
+    """The manifest's seed: its entries, row by row, in `_hex`."""
+    return _hex(itertools.chain.from_iterable(seed_rows)).decode()
+
+
 def _keyed(window, keys):
     """The keys of the classes of window, in order, and their set."""
     window_keys = keys(window)
@@ -1018,8 +1035,7 @@ def _checkpoint_arrays(entries, body):
                 flat = [int(h, 16) for h in hexes]
             except ValueError:
                 flat = None
-            if len(hexes) != count or flat is None or \
-                    [b"%x" % v for v in flat] != hexes:
+            if len(hexes) != count or flat is None or _hex(flat) != blob:
                 raise ValueError(f"{name} is not {count} integers in hex")
             a = np.array(flat, dtype=object).reshape(shape)
         else:
@@ -1087,13 +1103,14 @@ def _check_bases(a, saved, start, seed_rows, limit):
         raise ValueError(f"more than {limit} saved roots")
     if a.size and int(a.max()) >= count:
         raise ValueError("saved root indices are past the saved roots")
-    lead = saved[np.arange(count), (saved != 0).argmax(axis=1)]
+    exact = saved.astype(object)   # an int64 minimum negates to itself
     seifert = -np.array(seed_rows, dtype=object).T
-    top = int(np.abs(saved).max(initial=0))
+    top = int(np.abs(exact).max(initial=0))
     w = _work_dtype(n * n * int(np.abs(seifert).max()) * top * top)
     v = saved.astype(w)
     vl = v @ seifert.astype(w)
-    if not ((lead > 0).all() and ((vl * v).sum(axis=1) == -1).all()):
+    if not (np.array_equal(_sign_canonical(exact), exact) and
+            ((vl * v).sum(axis=1) == -1).all()):
         raise ValueError("saved roots are not sign-canonical roots")
     upper = np.empty((count, count), bool)
     step = max(1, _CHUNK_ELEMENTS // (n * max(1, count)))

@@ -7,7 +7,7 @@ JSON results go to stdout, human-readable progress to stderr.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import cmath
+import contextlib
 import json
 import math
 import os
@@ -157,67 +157,45 @@ def _json(text):
         raise _Usage(f"not JSON: {text!r} ({exc})")
 
 
-def _not_bool(v):
-    if isinstance(v, bool):
-        raise TypeError(f"{json.dumps(v)} is not a number")
+def _entry(v):
+    """A vector entry: a string as a Fraction, an [re, im] pair of real
+    numbers as a complex number (unless an int in it is beyond the float
+    range), and every other entry unchanged, for the library to judge."""
+    if isinstance(v, str):
+        try:
+            return Fraction(v)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise _Usage(f"not a rational number: {v!r} ({exc})")
+    if isinstance(v, list) and len(v) == 2 and \
+            all(type(x) in (int, float) for x in v):
+        with contextlib.suppress(OverflowError):
+            return complex(*v)
     return v
 
 
-def _pair(v):
-    """A decoded JSON [re, im] pair as a complex number."""
-    if len(v) != 2:
-        raise ValueError(f"{json.dumps(v)} is not a [re, im] pair")
-    return complex(*map(_not_bool, v))
-
-
-def _parse_vec(raw, n):
-    """n finite numbers from a decoded JSON list: [re, im] pairs become
-    complex, strings rational; other numbers stay as they are (`v + 0`
-    rejects null and objects, `_not_bool` true and false, `_pair` lists
-    of any other length).  Any value but a list is a usage error."""
+def _vector(raw, read=_entry):
+    """raw, a decoded JSON value, with each entry of a list read by read.
+    A value that is not a list is passed on unchanged: the library judges
+    it."""
     if not isinstance(raw, list):
-        raise _Usage(f"not a JSON list: {raw!r}")
-    try:
-        out = [_pair(v) if isinstance(v, list) else
-               Fraction(v) if isinstance(v, str) else _not_bool(v) + 0
-               for v in raw]
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise _Usage(f"bad vector {raw!r}: {exc}")
-    if not all(cmath.isfinite(v) for v in out
-               if isinstance(v, (float, complex))):
-        raise _Usage(f"NaN or Infinity in vector {raw!r}")
-    if len(out) != n:
-        raise _Usage(f"need {n} components, got {len(out)} in {raw!r}")
-    return out
-
-
-def _complex_vec(raw, n):
-    """_parse_vec's numbers as complex; one beyond the float range is a
-    usage error."""
-    try:
-        return [complex(v) for v in _parse_vec(raw, n)]
-    except OverflowError as exc:
-        raise _Usage(f"bad vector {raw!r}: {exc}")
+        return raw
+    return [read(v) for v in raw]
 
 
 def cmd_ll_eval(args):
     cls = _usage(singdata.sing_class, args.cls)
     if cls.family != "A":
         raise _Usage("exact evaluation covers the A family")
-    t = _parse_vec(_json(args.t), cls.mu)
-    p = _usage(llmap.ll_exact_A, cls.mu, t)
+    p = _usage(llmap.ll_exact_A, cls.mu, _vector(_json(args.t)))
     _emit({"class": cls.label, "coeffs": [str(c) for c in p.coeffs],
            "in_discriminant": llmap.discriminant_member(p)})
     return EXIT_OK
 
 
 def cmd_ll_fiber(args):
-    cls = _usage(singdata.sing_class, args.cls)
-    if cls.label not in ("A2", "A3"):
-        raise _Usage("fiber counting covers A2 and A3")
-    target = _complex_vec(_json(args.p), cls.mu) + [1.0]
-    fc = llmap.ll_fiber_count(cls, llmap.LLPoint(tuple(target)),
-                              budget=args.budget)
+    cls, target = _usage(llmap._fiber_target, args.cls,
+                         _vector(_json(args.p)))
+    fc = llmap.ll_fiber_count(cls, target, budget=args.budget)
     _emit({"class": cls.label, "count": fc.count, "saturated": fc.saturated,
            "starts": fc.starts})
     if not fc.saturated:
@@ -227,12 +205,9 @@ def cmd_ll_fiber(args):
 
 
 def cmd_wall_walk(args):
-    path = _json(args.path)
-    if not isinstance(path, list) or not path:
-        raise _Usage("the path must be a non-empty JSON list of waypoints")
-    waypoints = [_complex_vec(wp, args.mu) for wp in path]
-    _usage(llmap.check_segments, waypoints)
-    word, stats = llmap._walk(args.mu, waypoints, args.steps)
+    path = _vector(_json(args.path), _vector)   # a vector of vectors
+    _usage(llmap._waypoints, args.mu, path)
+    word, stats = llmap._walk(args.mu, path, args.steps)
     _emit({"mu": args.mu, "word": list(word.letters)})
     sep = stats.min_separation
     _info(json.dumps({"samples": stats.samples, "bisected": stats.bisected,

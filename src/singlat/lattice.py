@@ -415,23 +415,19 @@ class RootTable:
 
     def close(self):
         """Intern every root the reflections s_(e_i) of the basis reach
-        from it, batch by batch of new roots; s_(e_i)(r) is r with entry i
-        lowered by I(e_i, r).  Over a positive definite form reached from a
-        distinguished basis by braid moves they generate the Weyl group,
-        which is transitive on the roots of a connected diagram, so the
-        table then holds all of them (120 up to sign for E8)."""
+        from it, batch by batch of new roots: `fill` makes refl[i, r] for
+        the basis indices i and each batch's roots r, r-major, so new
+        roots are interned in that order.  Over a positive definite form
+        reached from a distinguished basis by braid moves the s_(e_i)
+        generate the Weyl group, which is transitive on the roots of a
+        connected diagram, so the table then holds all of them (120 up to
+        sign for E8)."""
         with self.lock:
-            lo, eye = 0, np.eye(self.mu, dtype=np.int64)
-            known = set(row_keys(self.V))
+            lo, basis = 0, np.arange(self.mu)
             while lo < self.size:
-                r = self.V[lo:]
+                r = np.arange(lo, self.size)
                 lo = self.size
-                moved = _sign_canonical((r[:, None] - (r @ self.form)[
-                    :, :, None] * eye).reshape(-1, self.mu))
-                new = {k: j for j, k in enumerate(row_keys(moved))
-                       if k not in known}
-                known.update(new)
-                self.intern(moved[list(new.values())])
+                self.fill(np.tile(basis, len(r)), np.repeat(r, self.mu))
 
 
 GroupZ = namedtuple("GroupZ", "elements perms")

@@ -35,6 +35,9 @@ array matching, and applies its per-sample step only to the samples
 whose matched values leave good order or touch a wall.  The chain-family
 roots come from stacked companion-matrix eigenvalues (`_companion_roots`).
 A coefficient or critical value beyond the float range raises ValueError.
+The arguments of a fiber count and of a walk are read by one reader each,
+`_fiber_target` and `_waypoints`, which the CLI calls on the vectors it
+decodes, so a rule and its message have one home.
 """
 
 from __future__ import annotations
@@ -560,23 +563,33 @@ def ll_fiber_count(cls_or_label, p: LLPoint, budget=600) -> FiberCount:
     search stops at the Newton iteration that finds the last of them, and
     the saturation flag records that it did.  The solutions come in
     convergence order (`_distinct_zeros`): chunk, then iteration, then
-    start index.  A budget that is not a `positive_int`, or a target
-    coefficient that is not a `finite_complex` (a string or NaN
-    included), raises ValueError."""
-    cls = sing_class(cls_or_label)
-    if cls.family != "A" or cls.mu not in (2, 3):
-        raise ValueError("fiber counting is desk-scale: chain family, mu in {2, 3}")
+    start index.  A budget that is not a `positive_int`, or a class or a
+    target that `_fiber_target` refuses, raises ValueError, and so does a
+    target with a root pair closer than 1e-5."""
     budget = positive_int(budget, "budget")
-    mu = cls.mu
-    if p.degree != mu:
-        raise ValueError("target degree mismatch")
-    p = LLPoint(tuple(finite_complex(c, "target") for c in p.coeffs))
+    cls, p = _fiber_target(cls_or_label, p.coeffs[:-1])
     if _separations(p.roots()[None])[0] < 1e-5:
         raise ValueError("target has a (near-)multiple root")
     deg = _deg_ll(cls)
-    sols = _distinct_zeros(_ll_system(mu, p), mu, budget, deg)
+    sols = _distinct_zeros(_ll_system(cls.mu, p), cls.mu, budget, deg)
     return FiberCount(count=len(sols), saturated=len(sols) == deg,
                       starts=budget, solutions=tuple(tuple(v) for v in sols))
+
+
+def _fiber_target(cls_or_label, target):
+    """The class and the monic target LLPoint of a fiber count, read from
+    target, the container (`entries`) of its mu coefficients below the
+    leading 1, ascending.  A class other than A2 or A3, a target of
+    another degree, or a coefficient that is not a `finite_complex` (a
+    string or NaN included) raises ValueError."""
+    cls = sing_class(cls_or_label)
+    if cls.family != "A" or cls.mu not in (2, 3):
+        raise ValueError("fiber counting is desk-scale: chain family, mu in {2, 3}")
+    target = entries(target, "target")
+    if len(target) != cls.mu:
+        raise ValueError("target degree mismatch")
+    return cls, LLPoint(tuple(finite_complex(c, "target") for c in target)
+                        + (1 + 0j,))
 
 
 # ---------------------------------------------------------------------------
@@ -867,15 +880,6 @@ def _walk_step(matched, letters, contact):
             contact[i] = 0
 
 
-def check_segments(waypoints):
-    """Raise ValueError unless every difference between consecutive
-    waypoints is finite, so each segment of the path can be sampled."""
-    if not all(cmath.isfinite(y - x) for a, b in zip(waypoints, waypoints[1:])
-               for x, y in zip(a, b)):
-        raise ValueError("consecutive waypoints must have a finite "
-                         "difference")
-
-
 def wall_walk_A(mu, path, steps=64) -> BraidWord:
     """Track the good-ordered critical values along a piecewise-linear path
     of parameter vectors; emit one braid letter per transversal crossing of
@@ -911,8 +915,7 @@ def wall_walk_A(mu, path, steps=64) -> BraidWord:
     whose matched values are in good order with every adjacent imaginary
     gap at least TOL_WALL, changes nothing, and every other one goes
     through `_walk_step`.  A mu or a steps that is not a `positive_int`,
-    a path or a waypoint that is not a container (`entries`), or a path
-    entry that is not a `finite_complex`, raises ValueError."""
+    or a path that `_waypoints` refuses, raises ValueError."""
     return _walk(mu, path, steps)[0]
 
 
@@ -920,13 +923,7 @@ def _walk(mu, path, steps):
     """`wall_walk_A`'s word, and the WalkStats of its sampling."""
     mu = positive_int(mu, "mu")
     steps = positive_int(steps, "steps")
-    waypoints = [entries(wp, "path", finite_complex)
-                 for wp in entries(path, "path")]
-    if len(waypoints) < 1:
-        raise ValueError("empty path")
-    if any(len(wp) != mu for wp in waypoints):
-        raise ValueError("waypoints must have mu components")
-    check_segments(waypoints)
+    waypoints = _waypoints(mu, path)
     stats = WalkStats()
     if len(waypoints) == 1:
         return BraidWord(()), stats
@@ -953,3 +950,23 @@ def _walk(mu, path, steps):
                 contact = {}
         prev = V[-1:]
     return BraidWord(tuple(letters)), stats
+
+
+def _waypoints(mu, path):
+    """The waypoints of a walk's path, a container (`entries`) of
+    containers of mu `finite_complex` entries, as tuples of complex
+    numbers.  Any other entry, an empty path, a waypoint of another
+    length, or two consecutive waypoints whose difference is not finite,
+    so that the segment between them cannot be sampled, raises
+    ValueError."""
+    waypoints = [entries(wp, "path", finite_complex)
+                 for wp in entries(path, "path")]
+    if not waypoints:
+        raise ValueError("empty path")
+    if any(len(wp) != mu for wp in waypoints):
+        raise ValueError("waypoints must have mu components")
+    if not all(cmath.isfinite(y - x) for a, b in zip(waypoints, waypoints[1:])
+               for x, y in zip(a, b)):
+        raise ValueError("consecutive waypoints must have a finite "
+                         "difference")
+    return waypoints

@@ -389,7 +389,7 @@ class TestOrbits:
             orbit_enumerate(chain(4), "bases", checkpoint=str(ck))
         # refused by its leading pickle opcode, never unpickled
         ck.write_bytes(b"\x80\x04garbage, not a pickle")
-        with pytest.raises(ValueError, match="not in checkpoint format 8"):
+        with pytest.raises(ValueError, match="not in checkpoint format 9"):
             orbit_enumerate(chain(4), "bases", checkpoint=str(ck))
 
     def test_checkpoint_old_format_rejected(self, tmp_path):
@@ -412,7 +412,7 @@ class TestOrbits:
             "format": 2, "mode": "stokes", "seed": seed.rows,
             "visited": set(_keys(start)), "frontier": start, "next": [],
             "levels": [1], "expanded": 0}))
-        with pytest.raises(ValueError, match="not in checkpoint format 8"):
+        with pytest.raises(ValueError, match="not in checkpoint format 9"):
             orbit_enumerate(seed, "stokes", checkpoint=str(ck))
 
     def test_checkpoint_written_atomically(self, tmp_path, monkeypatch):
@@ -421,8 +421,8 @@ class TestOrbits:
         orbit_enumerate(chain(5), "bases", max_states=300,
                         checkpoint=str(ck))
         assert [p.name for p in tmp_path.iterdir()] == ["orbit.ck"]
-        assert ck.read_bytes().startswith(b"singlat checkpoint 8\n")
-        assert CHECKPOINT_FORMAT == 8
+        assert ck.read_bytes().startswith(b"singlat checkpoint 9\n")
+        assert CHECKPOINT_FORMAT == 9
 
     def test_checkpoint_save_is_durable(self, tmp_path, monkeypatch):
         # the file is fsynced before the rename, and the directory that
@@ -1607,7 +1607,7 @@ class TestCheckpointFormat:
                 if not damaged:
                     continue          # an empty file starts afresh
                 ck.write_bytes(damaged)
-                with pytest.raises(ValueError, match="corrupt|format 8"):
+                with pytest.raises(ValueError, match="corrupt|format 9"):
                     _load_checkpoint(str(ck), "bases", seed.rows, engine)
 
     def test_layout(self, tmp_path):
@@ -1618,10 +1618,11 @@ class TestCheckpointFormat:
         magic, digest, rest = data.split(b"\n", 2)
         # the format is named by the magic line, and one SHA-256 covers
         # everything after the digest line
-        assert magic == b"singlat checkpoint 8" and "format" not in doc
+        assert magic == b"singlat checkpoint 9" and "format" not in doc
         assert hashlib.sha256(rest).hexdigest().encode() == digest
         assert doc["mode"] == "bases"
-        assert doc["seed"] == [list(r) for r in chain(4).rows]
+        # the seed's entries, row by row, in canonical hex
+        assert doc["seed"] == "1,-1,0,0,0,1,-1,0,0,0,1,-1,0,0,0,1"
         names = [(a["name"], a["dtype"], a["shape"]) for a in doc["arrays"]]
         # the window holds the open levels: all 6 classes of level 1, all
         # 16 of level 2, in expansion, and the 7 found of level 3; then the
@@ -1709,12 +1710,12 @@ class TestCheckpointFormat:
         seed = chain(4)
         rest = json.dumps({
             "mode": "bases", "levels": [1], "expanded": 0,
-            "seed": [list(r) for r in seed.rows],
+            "seed": braid._seed_hex(seed.rows),
             "arrays": [{"name": "window", "dtype": dtype, "shape": shape,
                         "size": 8}]}, sort_keys=True).encode() + \
             b"\n" + bytes(8)
         ck = tmp_path / "orbit.ck"
-        ck.write_bytes(b"singlat checkpoint 8\n" +
+        ck.write_bytes(b"singlat checkpoint 9\n" +
                        hashlib.sha256(rest).hexdigest().encode() + b"\n" +
                        rest)
         with pytest.raises(ValueError, match="corrupt: bad .*shape|"
@@ -1837,10 +1838,10 @@ class TestCheckpointFormat:
                 braid._checkpoint_arrays([entry], blob)
 
     def test_huge_entries_resume(self, tmp_path, monkeypatch):
-        # a packed run whose entries pass 4300 digits, from a seed whose
-        # entries do not (the manifest holds the seed as JSON), saves and
-        # resumes
-        seed = StokesMatrix(((1, 10 ** 3000, 0), (0, 1, -1), (0, 0, 1)))
+        # a packed run from a seed with an entry of 5001 digits, past the
+        # 4300 that json.dumps writes, saves (the manifest holds the seed
+        # in hex) and resumes
+        seed = StokesMatrix(((1, 10 ** 5000, 0), (0, 1, -1), (0, 0, 1)))
         ck = str(tmp_path / "orbit.ck")
         full = orbit_enumerate(seed, "stokes", max_states=12)
         saves = saved_windows(monkeypatch)

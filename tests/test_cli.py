@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from singlat import braid, lattice, verify
+from singlat import braid, cli, lattice, llmap, verify
 from singlat.cli import main
 from singlat.lattice import roots, symmetrized_form
 from singlat.singdata import seed_stokes, sing_class
@@ -66,6 +66,18 @@ FORMAT_4_FILE = (b"singlat checkpoint\n"
                  b"1b0eeb2192c860d18ab86adee5947ade"
                  b"3e72bb755a42a9a3b43d1745e2a0d1db\n" +
                  FORMAT_4_MANIFEST + b"\n" + FORMAT_4_NPY * 2)
+
+# A format-8 checkpoint as format 8 wrote it: the A2 bases run stopped at 1
+# class, its window (0, 1) and the table's 3 roots as int64 rows, under a
+# manifest that holds the seed rows as JSON.
+FORMAT_8_REST = (
+    b'{"arrays": [{"dtype": "|u1", "name": "window", "shape": [1, 2], '
+    b'"size": 2}, {"dtype": "<i8", "name": "roots", "shape": [3, 2], '
+    b'"size": 48}], "expanded": 0, "levels": [1], "mode": "bases", '
+    b'"seed": [[1, -1], [0, 1]]}\n\x00\x01' +
+    np.array([[1, 0], [0, 1], [1, 1]], "<i8").tobytes())
+FORMAT_8_DIGEST = (b"eab2962aaba14fc6432ac74b90b3ef68"
+                   b"1a39a8af5dfd707e7f929c5f9364f2d0")
 
 
 def error_lines(capsys, *argv):
@@ -142,7 +154,7 @@ class TestOrbitCommand:
                                   "--checkpoint", str(ck))
         assert code == 1 and len(lines) == 1
         assert lines[0].startswith("error:")
-        assert "not in checkpoint format 8" in lines[0]
+        assert "not in checkpoint format 9" in lines[0]
 
     def test_packed_stokes_checkpoint_fails(self, capsys, tmp_path,
                                             monkeypatch):
@@ -195,7 +207,7 @@ class TestOrbitCommand:
                                   "--checkpoint", str(ck))
         assert code == 1 and len(lines) == 1
         assert lines[0].startswith("error:")
-        assert "not in checkpoint format 8" in lines[0]
+        assert "not in checkpoint format 9" in lines[0]
         assert "corrupt" not in lines[0]
 
     @pytest.mark.parametrize("crafted", ["levels", "basis", "repeat",
@@ -241,7 +253,7 @@ class TestOrbitCommand:
                                   "--checkpoint", str(ck))
         assert code == 1 and len(lines) == 1
         assert lines[0].startswith("error:")
-        assert "not in checkpoint format 8" in lines[0]
+        assert "not in checkpoint format 9" in lines[0]
         assert "corrupt" not in lines[0]
 
     def test_format_6_checkpoint_fails(self, capsys, tmp_path):
@@ -264,7 +276,7 @@ class TestOrbitCommand:
                                   "--checkpoint", str(ck))
         assert code == 1 and len(lines) == 1
         assert lines[0].startswith("error:")
-        assert "not in checkpoint format 8" in lines[0]
+        assert "not in checkpoint format 9" in lines[0]
         assert "corrupt" not in lines[0]
 
     def test_format_7_checkpoint_fails(self, capsys, tmp_path):
@@ -285,29 +297,53 @@ class TestOrbitCommand:
                                   "--checkpoint", str(ck))
         assert code == 1 and len(lines) == 1
         assert lines[0].startswith("error:")
-        assert "not in checkpoint format 8" in lines[0]
+        assert "not in checkpoint format 9" in lines[0]
         assert "corrupt" not in lines[0]
-        # the same bytes under the format-8 magic line resume
-        ck.write_bytes(b"singlat checkpoint 8\n" +
+        # the same bytes with the seed in hex under the format-9 magic line
+        # resume
+        rest = rest.replace(b'[[1, -1], [0, 1]]', b'"1,-1,0,1"')
+        ck.write_bytes(b"singlat checkpoint 9\n" +
                        hashlib.sha256(rest).hexdigest().encode() + b"\n" +
                        rest)
         code, doc = run(capsys, "orbit", "A2", "--mode", "bases",
                         "--checkpoint", str(ck))
         assert code == 0 and doc["count"] == 3
 
+    def test_format_8_checkpoint_fails(self, capsys, tmp_path):
+        # a format-8 file as format 8 wrote it, the A2 bases run stopped at
+        # 1 class: the seed rows as JSON in the manifest, which json.dumps
+        # refuses for an entry of 4300 digits.  Its hash holds, so it is
+        # refused by its magic line, with one error line
+        ck = tmp_path / "orbit.ck"
+        ck.write_bytes(b"singlat checkpoint 8\n" + FORMAT_8_DIGEST + b"\n" +
+                       FORMAT_8_REST)
+        assert hashlib.sha256(FORMAT_8_REST).hexdigest().encode() == \
+            FORMAT_8_DIGEST
+        code, lines = error_lines(capsys, "orbit", "A2", "--mode", "bases",
+                                  "--checkpoint", str(ck))
+        assert code == 1 and len(lines) == 1
+        assert lines[0].startswith("error:")
+        assert "not in checkpoint format 9" in lines[0]
+        assert "corrupt" not in lines[0]
+
     @pytest.mark.parametrize("crafted", ["norm", "sign", "index", "repeat",
-                                         "many"])
+                                         "many", "int64-min"])
     def test_crafted_roots_fail(self, capsys, tmp_path, crafted):
         # hash-valid A4 bases files holding the start (0, 1, 2, 3) whose
         # saved roots no run writes: e_0 + e_2 of I(v, v) = 4 in place of
         # e_3, -e_3 (not sign canonical), only three roots (so index 3 is
         # past them), the basis with e_0 once more, or the basis and e_0
         # 200000 times more, an 800 kB file that once asked for a
-        # 200004^2 pairing matrix.  Each is refused in little memory, and
-        # before any saved root enters the process's table
+        # 200004^2 pairing matrix, or the basis and e_0 - 2^63 e_2, whose
+        # pairings wrap to those of a root in int64 (np.abs(-2^63) is
+        # negative, so a bound read from it chose int64 and let it in).
+        # Each is refused in little memory, and before any saved root
+        # enters the process's table
         seed = seed_stokes("A4").stokes
         saved = np.eye(4, dtype=np.int8)
-        if crafted == "norm":
+        if crafted == "int64-min":
+            saved = np.vstack([saved.astype(np.int64), [[1, 0, -2**63, 0]]])
+        elif crafted == "norm":
             saved[3] = (1, 0, 1, 0)
         elif crafted == "sign":
             saved[3] = (0, 0, 0, -1)
@@ -367,7 +403,7 @@ class TestOrbitCommand:
                                   "--checkpoint", str(ck))
         assert code == 1 and len(lines) == 1
         assert lines[0].startswith("error:")
-        assert "not in checkpoint format 8" in lines[0]
+        assert "not in checkpoint format 9" in lines[0]
         assert not marker.exists()
 
     @pytest.mark.parametrize("damage", ["truncate", "flip"])
@@ -661,6 +697,16 @@ def test_scorecard_extended_orbit_jobs(monkeypatch):
         ("A3", "stokes", 4), ("tE6", "stokes", 76545)]
 
 
+# The llmap reader of each vector verb, on its class or mu argument and the
+# decoded JSON value, as the CLI calls it.
+READERS = {
+    "ll-eval": lambda cls, raw: llmap.ll_exact_A(sing_class(cls).mu,
+                                                 cli._vector(raw)),
+    "ll-fiber": lambda cls, raw: llmap._fiber_target(cls, cli._vector(raw)),
+    "wall-walk": lambda mu, raw: llmap._waypoints(
+        int(mu), cli._vector(raw, cli._vector)),
+}
+
 WALK = json.dumps([[0.5, [-1.0, 0.0]], [-0.5, [1.0, 0.1]]])
 FIBER = json.dumps([[0.518, 0.0], [-0.666, 0.0]])
 
@@ -715,6 +761,10 @@ FIBER = json.dumps([[0.518, 0.0], [-0.666, 0.0]])
     ("counts", "A+3"),
     ("counts", "D 4"),
     ("counts", "A٣"),
+    ("ll-eval", "A2", "[null,1]"),
+    ("ll-eval", "A2", "[[1,2,3],1]"),
+    ("ll-eval", "A2", '[[0.5,"1"],1]'),
+    ("ll-eval", "A2", "[1e400,1]"),
 ], ids=["at-zero-denominator", "at-not-rational", "ll-eval-length",
         "ll-eval-not-json", "wall-walk-waypoint-length", "at-zero",
         "at-one", "steps-zero", "steps-negative", "walk-mu-zero",
@@ -732,12 +782,37 @@ FIBER = json.dumps([[0.518, 0.0], [-0.666, 0.0]])
         "ll-fiber-object", "wall-walk-object-waypoint", "counts-inner-space",
         "counts-leading-zero", "counts-empty-label", "orbit-inner-space",
         "jacobi-dim-inner-space", "counts-sign", "counts-D-inner-space",
-        "counts-non-ascii-digit"])
+        "counts-non-ascii-digit", "ll-eval-null", "ll-eval-triple",
+        "ll-eval-string-in-pair", "ll-eval-bare-1e400"])
 def test_bad_input_is_usage_error(capsys, argv):
     assert main(list(argv)) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error:" in captured.err and "Traceback" not in captured.err
+    if argv[0] not in READERS or captured.err.startswith("usage:"):
+        return   # not a vector verb, or an option argparse refuses
+    try:
+        raw = json.loads(argv[2])
+    except ValueError:   # JSON syntax is the CLI's own to refuse
+        assert captured.err.startswith("error: not JSON: ")
+        return
+    # one rule, one message: the CLI decodes the vector, and the llmap
+    # reader that judges it writes the whole error line
+    with pytest.raises(ValueError) as exc:
+        READERS[argv[0]](argv[1], raw)
+    assert captured.err == f"error: {exc.value}\n"
+
+
+def test_string_entry_is_rational_syntax(capsys):
+    # a string entry is read as a Fraction, so one that is not a rational
+    # is the CLI's own usage error, named with the string
+    for text, verb in (('["1/0",1]', "ll-eval"), ('[[1,"x"],[0,1]]',
+                                                  "wall-walk")):
+        argv = [verb, "A2" if verb == "ll-eval" else "2", text]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: not a rational number: ")
+        assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("path", [

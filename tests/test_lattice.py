@@ -13,7 +13,8 @@ from singlat.lattice import (MonodromyMatrix, StokesMatrix, char_poly,
                              is_quasiunipotent, mat_det, matrix_order,
                              monodromy_from_stokes, monodromy_product,
                              pl_reflect, process_cache, radical_rank, roots,
-                             RootTable, row_keys, symmetrized_form)
+                             RootTable, row_keys, symmetrized_form,
+                             _sign_canonical)
 from singlat.braid import (VanishingTuple, braid_apply_word, BraidWord,
                            _canon_vectors, _engine, _generators,
                            sign_canonical_stokes, stokes_of_tuple)
@@ -150,6 +151,26 @@ def closed(form, rounds=float("inf")):
     return t
 
 
+def batched_closure(form):
+    """A fresh RootTable of form closed with reflections of its own, the
+    oracle of RootTable.close's root order: each batch of new roots r is
+    reflected in every basis vector at once, as r - I(e_i, r) e_i in
+    int64, r-major, and the moved roots not yet known are interned in that
+    order."""
+    t = RootTable(form)
+    lo, eye = 0, np.eye(t.mu, dtype=np.int64)
+    known = set(row_keys(t.V))
+    while lo < t.size:
+        r = t.V[lo:]
+        lo = t.size
+        moved = _sign_canonical((r[:, None] - (r @ t.form)[:, :, None] *
+                                 eye).reshape(-1, t.mu))
+        new = {k: j for j, k in enumerate(row_keys(moved)) if k not in known}
+        known.update(new)
+        t.intern(moved[list(new.values())])
+    return t
+
+
 def filled(t):
     """V and the filled square of the reflection table of t."""
     return t.V, t.refl[:t.size, :t.size]
@@ -265,6 +286,19 @@ class TestRoots:
             t.close()
             assert len(t.V) == root_count(label)
             assert set(tuples_of(t.V)) == set(tuples_of(closed(form).V))
+
+    @pytest.mark.parametrize("label", [f"{f}{n}" for f in "ADE"
+                                       for n in (6, 7, 8)])
+    def test_close_keeps_the_batched_order(self, label):
+        # close reflects through fill, and interns the roots in the order
+        # of the batched closure: the same V, byte for byte
+        for seed in moved_seeds(label, 3, random.Random(label)):
+            form = symmetrized_form(seed).rows
+            t = RootTable(form)
+            t.close()
+            want = batched_closure(form).V
+            assert t.V.dtype == want.dtype
+            assert t.V.tobytes() == want.tobytes()
 
     def test_one_table_per_form(self):
         # roots caches one table per form, its index width set by the

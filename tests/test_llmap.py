@@ -823,6 +823,22 @@ class TestBatchedNewton:
             assert ll_fiber_count("A3", p, budget=600).count == 16
             assert (len(draws) > 0) == (k == 0)
 
+    def test_large_budget_draws_what_the_search_reaches(self, monkeypatch):
+        # a count that saturates in its first chunk draws that one block
+        # of starts, whatever the budget
+        draws = []
+        gauss = random.Random.gauss
+
+        def counted(self, *a):
+            draws.append(1)
+            return gauss(self, *a)
+
+        monkeypatch.setattr(llmap, "_STARTS", {})
+        monkeypatch.setattr(random.Random, "gauss", counted)
+        p = LLPoint((0.518, -0.666, 1))
+        assert ll_fiber_count("A2", p, budget=10**6).saturated
+        assert len(draws) == 2 * 2 * llmap.NEWTON_CHUNK
+
     def test_non_finite_steps_dropped(self):
         # over a target near the float range every first step is NaN or
         # beyond 1e6: each row is dropped there, not carried to the
