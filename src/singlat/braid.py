@@ -77,8 +77,8 @@ form is a complete sign-class invariant, and sign_canonical_stokes (which
 packs, normalizes and unpacks) returns it.  The conjugating signs are a
 function of the m entry signs alone, computed by the rounds of
 _sign_rounds, the one definition of the form.  A packed Stokes key is the
-int8 bytes of the state's m entries, or a prefixed int64 (or repr)
-encoding when an entry exceeds 127, so widths never collide and nothing
+int8 bytes of the state's m entries, or b"P" and their canonical hex
+(_hex) when an entry exceeds 127, so widths never collide and nothing
 overflows; a code is its own key, as a Python int.  Keys are compared by full
 equality (Python set semantics), so counts are exact.
 
@@ -225,7 +225,7 @@ def _stokes_rows_of_vectors(vectors, seed_rows):
     g = mat_mul(mat_mul(vectors, mat_neg(mat_transpose(seed_rows))),
                 mat_transpose(vectors))
     if any(row[a] != -1 or any(row[a + 1:]) for a, row in enumerate(g)):
-        raise AssertionError("tuple is not distinguished-shaped")
+        raise ValueError("tuple is not distinguished-shaped")
     return mat_neg(mat_transpose(g))
 
 
@@ -592,13 +592,13 @@ def _expand_roots(x, table):
 
 def _keys(states):
     """Dedup keys of a batch of packed Stokes states: the int8 bytes when
-    every entry of the state has absolute value <= 127, else b"W" and the
-    int64 bytes, else b"P" and each entry as its length in bytes (8 bytes)
-    and its signed bytes, of any size.  The three kinds never compare
-    equal: for m entries, an int8 key has m bytes, a b"W" key 1 + 8m and a
-    b"P" key at least 1 + 9m.  An int8 batch, which _narrow and
-    _check_states keep within +-127, is keyed as it is.  States without
-    entries (the packed Stokes matrix of mu = 1) key as b""."""
+    every entry of the state has absolute value <= 127, else b"P" and the
+    entries in the comma-separated canonical hex of _hex, of any size.
+    The two kinds never compare equal: for m entries, an int8 key has m
+    bytes and a b"P" key at least 2m, and the commas keep the entries of
+    b"P" keys apart.  An int8 batch, which _narrow and _check_states keep
+    within +-127, is keyed as it is.  States without entries (the packed
+    Stokes matrix of mu = 1) key as b""."""
     if not states.size:
         return [b""] * len(states)
     flat = states.reshape(len(states), -1)
@@ -608,16 +608,10 @@ def _keys(states):
 
 
 def _wide_key(v):
-    m = max(abs(int(x)) for x in v)
-    if m <= _INT8_MAX:
-        return v.astype(np.int8).tobytes()
-    if m <= _INT64_MAX:
-        return b"W" + v.astype(np.int64).tobytes()
-    key = [b"P"]
-    for x in map(int, v):
-        n = x.bit_length() // 8 + 1   # the sign bit included
-        key += (n.to_bytes(8, "little"), x.to_bytes(n, "little", signed=True))
-    return b"".join(key)
+    v = v.tolist()
+    if max(map(abs, v)) <= _INT8_MAX:
+        return np.array(v, np.int8).tobytes()
+    return b"P" + _hex(v)
 
 
 def _narrow(states):
@@ -765,6 +759,8 @@ def orbit_enumerate(seed: StokesMatrix, mode: str = "bases", *,
     """
     if mode not in ("bases", "stokes"):
         raise ValueError(f"unknown mode {mode!r}")
+    if not seed.mu:
+        raise ValueError("orbit enumeration requires a seed of mu >= 1")
     if not is_connected(seed):
         raise ValueError("orbit enumeration requires a connected seed diagram")
     if max_states is not None:

@@ -3,10 +3,13 @@
 Stokes matrices, the symmetrized intersection form, monodromy,
 Picard-Lefschetz reflections and Coxeter-Dynkin diagrams, all as exact
 integer matrix computations; definiteness and quasiunipotence are both
-read off the integer characteristic polynomial (`char_poly`).  The roots
-of every form, up to sign, and their reflections are tabulated once per
-form and filled on demand (`roots`), and so is G_Z, the automorphism
-group of the Seifert form of a positive definite seed (`gz`).  The sign
+read off the integer characteristic polynomial (`char_poly`), ranks and
+determinants come from `polyalg.bareiss`, and every inverse, S^{-1} and
+that of G_Z's Krylov basis, from one fraction-free Gauss-Jordan
+elimination (`_adjugate`).  The roots of every form, up to sign, and
+their reflections are tabulated once per form and filled on demand
+(`roots`), and so is G_Z, the automorphism group of the Seifert form of
+a positive definite seed (`gz`).  The sign
 conventions are fixed once and for all at the dimension residue n = 0
 mod 4, where
 
@@ -67,20 +70,6 @@ def form_pair(i_rows, a, b):
 def mat_det(m):
     """Exact integer determinant."""
     return bareiss([[operator.index(x) for x in row] for row in m])[1]
-
-
-def unit_upper_inverse(s):
-    """Exact integer inverse of a unit upper triangular integer matrix."""
-    n = len(s)
-    inv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for col in range(n):
-        for i in range(n - 2, -1, -1):
-            acc = 0
-            for k in range(i + 1, n):
-                if s[i][k]:
-                    acc += s[i][k] * inv[k][col]
-            inv[i][col] = (1 if i == col else 0) - acc
-    return tuple(tuple(row) for row in inv)
 
 
 def char_poly(m):
@@ -222,8 +211,9 @@ def symmetrized_form(s: StokesMatrix) -> IntersectionMatrix:
 
 
 def monodromy_from_stokes(s: StokesMatrix) -> MonodromyMatrix:
-    """M = -S^{-1} S^t; integral because S is unimodular."""
-    inv = unit_upper_inverse(s.rows)
+    """M = -S^{-1} S^t; integral because S is unimodular (_adjugate
+    returns S^{-1} with the factor 1)."""
+    _, inv = _adjugate(s.rows)
     return MonodromyMatrix(mat_neg(mat_mul(inv, mat_transpose(s.rows))))
 
 
@@ -466,7 +456,7 @@ def gz(seed_rows):
 def _gz(rows, table):
     n = len(rows)
     s = np.array(rows, np.int64)
-    si = np.array(unit_upper_inverse(rows), np.int64)
+    si = np.array(_adjugate(rows)[1], np.int64)
     m, back = -si @ s.T, -si.T @ s                    # M and M^(-1)
     powers, inverse = [np.eye(n, dtype=np.int64)], [np.eye(n, dtype=np.int64)]
     for _ in range(n - 1):
@@ -531,7 +521,12 @@ def _gz(rows, table):
 def _adjugate(m):
     """p and p m^(-1) of an invertible integer matrix m, p = +-det m, by
     fraction-free Gauss-Jordan elimination: every entry is a minor of
-    [m | 1] up to sign, so each division by the last pivot is exact."""
+    [m | 1] up to sign, so each division by the last pivot is exact.
+
+    The one exact inverse of the library: it serves M = -S^(-1) S^t
+    (monodromy_from_stokes, _gz) and the Krylov basis of _gz.  On a unit
+    upper triangular S no row is swapped and every pivot, a leading
+    principal minor, is 1, so it returns (1, S^(-1))."""
     n = len(m)
     a = [list(row) + [int(i == j) for j in range(n)]
          for i, row in enumerate(m)]
@@ -539,7 +534,7 @@ def _adjugate(m):
     for k in range(n):
         piv = next((i for i in range(k, n) if a[i][k]), None)
         if piv is None:
-            raise ArithmeticError("the Krylov basis is singular")
+            raise ArithmeticError("the matrix is singular")
         a[k], a[piv] = a[piv], a[k]
         top, p = a[k], a[k][k]
         for i in range(n):

@@ -889,7 +889,11 @@ def parse_poly(text, vars):
             if not factor:
                 raise ValueError(f"empty factor in {tok!r}")
             if factor[0].isdigit():
-                coeff *= Fraction(factor)
+                try:
+                    coeff *= Fraction(factor)
+                except ZeroDivisionError:
+                    raise ValueError(f"zero denominator in {factor!r}") \
+                        from None
             else:
                 if "^" in factor:
                     name, _, p = factor.partition("^")

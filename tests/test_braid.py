@@ -126,6 +126,12 @@ class TestStokesOfTuple:
             rows = stokes_of_tuple(t).rows   # asserts shape internally
             assert all(abs(v) <= 1 for row in rows for v in row)
 
+    def test_non_distinguished_tuple_is_value_error(self):
+        # the tuple (e_1, e_0) of A2 has the Gram matrix of no Stokes matrix
+        s = chain(2)
+        with pytest.raises(ValueError, match="not distinguished-shaped"):
+            stokes_of_tuple(VanishingTuple(((0, 1), (1, 0)), s))
+
 
 class TestSignCanonical:
     def test_tuple_first_nonzero_positive(self):
@@ -213,6 +219,11 @@ class TestOrbits:
             rep = orbit_enumerate(chain(1), mode)
             assert (rep.class_count, rep.truncated, rep.levels) == \
                 (1, False, (1,))
+
+    def test_rank_zero_seed_refused(self):
+        for mode in ("bases", "stokes"):
+            with pytest.raises(ValueError, match="mu >= 1"):
+                orbit_enumerate(StokesMatrix(()), mode)
 
     def test_d4_tensor_counts(self):
         s = tensor_stokes(chain(2), chain(2))
@@ -669,33 +680,33 @@ class TestBatchedEngine:
     def test_key_widths(self):
         n = 3
         base = np.eye(n, dtype=object)
-        for value, prefix, length in ((127, None, n * n),
-                                      (-127, None, n * n),
-                                      (128, b"W", 1 + 8 * n * n),
-                                      (-128, b"W", 1 + 8 * n * n),
-                                      (2 ** 63, b"P", None)):
+        for value in (127, -127, 128, -128, 2 ** 63):
             s = base.copy()
             s[0, 2] = value
             key = _keys(np.stack([base, s]))[1]
-            if prefix is None:
-                assert len(key) == length
+            if abs(value) <= 127:
+                assert len(key) == n * n
                 assert np.frombuffer(key, np.int8)[2] == value
             else:
-                assert key.startswith(prefix)
-                assert length is None or len(key) == length
+                assert key == b"P" + braid._hex(s.ravel().tolist())
         # a narrow key never equals a wide one
         assert _keys(np.stack([base]))[0] != _keys(
             np.stack([base * 128]))[0]
+        # an int64 batch keys its rows that fit int8 as the int8 batch does
+        rows = np.array([[1, -1, 0], [127, -127, 2]])
+        wide = np.vstack([rows, [[128, 0, 0]]]).astype(np.int64)
+        assert _keys(wide)[:2] == _keys(rows.astype(np.int8))
+        assert _keys(wide)[2] == b"P80,0,0"
 
     def test_long_entries_keyed(self):
         # entries past Python's 4300-digit int-to-string limit: the keys
-        # hold their bytes, so values that differ only in the last digit,
+        # hold their hex, so values that differ only in the last digit,
         # or only in sign, key apart, and equal values key alike
         big = 10 ** 5000
         base = np.eye(3, dtype=object)
         states = []
         # the last two concatenate to the same entry bytes, 2^64 and 1
-        # against 0 and 2^64 + 2^56: the lengths keep them apart
+        # against 0 and 2^64 + 2^56: the commas keep them apart
         for a, b in ((0, big), (0, big + 1), (0, big + 2), (0, -big),
                      (0, big + 1), (2 ** 64, 1), (0, 2 ** 64 + 2 ** 56)):
             s = base.copy()

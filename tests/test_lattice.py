@@ -12,8 +12,9 @@ from singlat.lattice import (MonodromyMatrix, StokesMatrix, char_poly,
                              coxeter_dynkin, definiteness, gz, is_connected,
                              is_quasiunipotent, mat_det, matrix_order,
                              monodromy_from_stokes, monodromy_product,
-                             pl_reflect, process_cache, radical_rank, roots,
-                             RootTable, row_keys, symmetrized_form,
+                             mat_mul, mat_neg, mat_transpose, pl_reflect,
+                             process_cache, radical_rank, roots, RootTable,
+                             row_keys, symmetrized_form, _adjugate,
                              _sign_canonical)
 from singlat.braid import (VanishingTuple, braid_apply_word, BraidWord,
                            _canon_vectors, _engine, _generators,
@@ -44,7 +45,48 @@ class TestSymmetrizedForm:
         assert radical_rank(i) == 2
 
 
+def triangular_inverse(s):
+    """Exact integer inverse of a unit upper triangular integer matrix by
+    back substitution, the oracle of lattice._adjugate on Stokes
+    matrices."""
+    n = len(s)
+    inv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for col in range(n):
+        for i in range(n - 2, -1, -1):
+            acc = 0
+            for k in range(i + 1, n):
+                if s[i][k]:
+                    acc += s[i][k] * inv[k][col]
+            inv[i][col] = (1 if i == col else 0) - acc
+    return tuple(tuple(row) for row in inv)
+
+
 class TestMonodromy:
+    @pytest.mark.parametrize("label", [f"A{n}" for n in range(1, 9)] +
+                             [f"D{n}" for n in range(4, 9)] +
+                             ["E6", "E7", "E8", "tE6", "tE7", "tE8"])
+    def test_adjugate_is_the_triangular_inverse(self, label):
+        # on the class seed and three moved seeds (A1 has no moves): the
+        # factor is 1, the inverse is back substitution's, and so M is
+        # -S^(-1) S^t over that inverse
+        count = 3 if label != "A1" else 0
+        for seed in moved_seeds(label, count, random.Random(label)):
+            inv = triangular_inverse(seed.rows)
+            assert _adjugate(seed.rows) == (1, [list(r) for r in inv])
+            assert monodromy_from_stokes(seed).rows == mat_neg(
+                mat_mul(inv, mat_transpose(seed.rows)))
+
+    def test_adjugate_of_wide_entries(self):
+        # exact past int64: Python ints throughout
+        seed = StokesMatrix(((1, 2 ** 70, -3, 5), (0, 1, -2 ** 64, 1),
+                             (0, 0, 1, 2 ** 63 + 7), (0, 0, 0, 1)))
+        inv = triangular_inverse(seed.rows)
+        assert _adjugate(seed.rows) == (1, [list(r) for r in inv])
+        assert mat_mul(inv, seed.rows) == tuple(
+            tuple(int(i == j) for j in range(4)) for i in range(4))
+        assert monodromy_from_stokes(seed).rows == mat_neg(
+            mat_mul(inv, mat_transpose(seed.rows)))
+
     def test_mu_one(self):
         assert monodromy_from_stokes(StokesMatrix.identity(1)).rows == ((-1,),)
 

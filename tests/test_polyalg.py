@@ -103,6 +103,11 @@ class TestTextForm:
         assert parse_poly("0", ("x",)).is_zero
         assert MultiPoly.zero(("x",)).format() == "0"
 
+    def test_zero_denominator_is_value_error(self):
+        # as the parser's other errors, it names the factor
+        with pytest.raises(ValueError, match=r"zero denominator in '1/0'"):
+            parse_poly("1/0 * x", ("x",))
+
 
 class TestExactDivision:
     def test_exact_quotients(self):
