@@ -1,13 +1,16 @@
 """Exact multivariate polynomial arithmetic and fraction-free elimination.
 
-Everything here is exact: coefficients are Fractions or elements of small
+Everything here is exact: coefficients are rationals or elements of small
 cyclotomic extensions of Q (for i and the primitive 8th root of unity).
 A cyclotomic element, a Cyclo, is an integer coefficient vector over one
 positive denominator in lowest terms, so its arithmetic is integer
 arithmetic and equal elements are stored alike.
 MultiPoly is a sparse Laurent polynomial in named variables over either
-domain; the domains only need +, -, *, / and a truthiness test, so they mix
-freely through Python's operator coercion.  Cyclo, RatFunc and MultiPoly
+domain; a rational coefficient is an int when it is integral and a
+Fraction otherwise, so integer coefficients stay Python ints, and every
+coefficient division is exact (`_quotient`).  The domains only need +, -,
+*, / and a truthiness test, so they mix freely through Python's operator
+coercion.  Cyclo, RatFunc and MultiPoly
 derive -, / and ** from one base, `_Ring`.  Cyclo and MultiPoly each keep
 an invariant (see their docstrings) that the public constructor checks
 and establishes for outside data; the arithmetic produces only values that
@@ -135,10 +138,6 @@ def _poly_add(a, b):
         y = b[k] if k < len(b) else 0
         out.append(x + y)
     return _poly_trim(out)
-
-
-def _poly_neg(a):
-    return [-x for x in a]
 
 
 def _poly_mul(a, b):
@@ -357,18 +356,24 @@ class Cyclo(_Ring):
     __rmul__ = __mul__
 
     def inv(self):
-        """Inverse via the extended Euclidean algorithm in Q[z]."""
+        """The inverse, over Z by Cramer's rule.  Multiplication by num is
+        the integer matrix M whose column j holds num z^j reduced modulo
+        the minimal polynomial; M is invertible as the field has no zero
+        divisors, and num^-1 is the solution x of M x = e_0, x_i = det M_i /
+        det M with column i of M replaced by e_0.  The determinants are
+        those of the transposes, whose rows are the columns (`bareiss`).
+        The inverse of num / den is den x."""
         if not self:
             raise ZeroDivisionError("inverse of zero")
-        r0, r1 = list(self.field.min_poly), _poly_trim(self.coeffs)
-        s0, s1 = [], [Fraction(1)]
-        while r1:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_add(s0, _poly_neg(_poly_mul(q, s1)))
-        # r0 = gcd (a nonzero constant since min_poly is irreducible)
-        c = r0[0]
-        return Cyclo(self.field, [x / c for x in s0])
+        field, d = self.field, self.field.degree
+        cols = [self._reduce(field, [0] * j + list(self.num))
+                for j in range(d)]
+        e0 = [1] + [0] * (d - 1)
+        det = bareiss(cols)[1]
+        x = [bareiss(cols[:i] + [e0] + cols[i + 1:])[1] for i in range(d)]
+        if det < 0:
+            det, x = -det, [-v for v in x]
+        return Cyclo._make(field, [self.den * v for v in x], det)
 
     def _one(self):
         return self._co(1)
@@ -529,15 +534,32 @@ def _grlex_key(expo):
     return (sum(expo), expo)
 
 
+def _rational(c):
+    """c in the form of a MultiPoly coefficient: an integral Fraction as
+    its int, and an int, any other Fraction or a Cyclo as it is."""
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
+
+
+def _quotient(a, b):
+    """a / b for MultiPoly coefficients a and b, b nonzero, in the form of
+    `_rational`.  The one coefficient division: an int over an int is a
+    Fraction or an int, never a float."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _rational(a / b)
+
+
 def _coefficient(c):
     """A MultiPoly coefficient from outside data: a Cyclo as it is, and an
-    int or a Fraction (any numbers.Rational, a bool excepted) as a Fraction
-    by `exact_rational`.  Anything else, a float or a string included,
-    raises ValueError: nothing is parsed or rounded."""
-    if isinstance(c, Cyclo):
+    int or a Fraction (any numbers.Rational, a bool excepted) read by
+    `exact_rational` and stored as an int when it is integral, as a
+    Fraction otherwise (`_rational`).  Anything else, a float or a string
+    included, raises ValueError: nothing is parsed or rounded."""
+    if isinstance(c, Cyclo) or type(c) is int:
         return c
     if isinstance(c, numbers.Rational):
-        return exact_rational(c, "coefficient")
+        return _rational(exact_rational(c, "coefficient"))
     raise ValueError(f"coefficient {c!r} is not an int, a Fraction or a "
                      "Cyclo")
 
@@ -550,12 +572,15 @@ class MultiPoly(_Ring):
     is p * q.inv(), so q must be a monomial; `exact_div` takes any divisor.
 
     Invariant: vars is a tuple, and terms maps tuples of len(vars) ints to
-    nonzero coefficients, each a Fraction or a Cyclo.  The public
+    nonzero coefficients, each an int, a Fraction with denominator > 1 or
+    a Cyclo: a rational coefficient is an int exactly when it is integral,
+    so integer coefficients multiply and add as ints.  The public
     constructor and `const` establish it: they raise on an exponent of the
     wrong length, convert exponents to int tuples, read each coefficient
     with `_coefficient` and drop zero coefficients.  The arithmetic builds
-    its results from terms that already hold it and stores them with
-    `_raw`, unchecked.
+    its results from terms that already hold it, brings every new rational
+    coefficient to that form (`_rational`, and `_quotient` for a division,
+    so no float appears) and stores them with `_raw`, unchecked.
     """
 
     __slots__ = ("vars", "terms")
@@ -597,7 +622,7 @@ class MultiPoly(_Ring):
         expo = tuple(1 if v == name else 0 for v in vars)
         if name not in vars:
             raise ValueError(f"{name} not among {vars}")
-        return cls(vars, {expo: Fraction(1)})
+        return cls._raw(vars, {expo: 1})
 
     # -- variable alignment --------------------------------------------------
     def with_vars(self, newvars):
@@ -660,7 +685,7 @@ class MultiPoly(_Ring):
             if e in terms:
                 s = terms[e] + c
                 if s:
-                    terms[e] = s
+                    terms[e] = _rational(s)
                 else:
                     del terms[e]
             else:
@@ -682,11 +707,11 @@ class MultiPoly(_Ring):
                 if e in terms:
                     s = terms[e] + c
                     if s:
-                        terms[e] = s
+                        terms[e] = _rational(s)
                     else:
                         del terms[e]
                 elif c:
-                    terms[e] = c
+                    terms[e] = _rational(c)
         return MultiPoly._raw(a.vars, terms)
 
     __rmul__ = __mul__
@@ -699,7 +724,8 @@ class MultiPoly(_Ring):
         if len(self.terms) != 1:
             raise ValueError("only single-term polynomials are invertible")
         (expo, c), = self.terms.items()
-        return MultiPoly._raw(self.vars, {tuple(-e for e in expo): 1 / c})
+        return MultiPoly._raw(self.vars, {tuple(-e for e in expo):
+                                          _quotient(1, c)})
 
     # -- calculus / substitution ---------------------------------------------
     def partial(self, name):
@@ -711,7 +737,7 @@ class MultiPoly(_Ring):
                 continue
             ne = list(expo)
             ne[i] = e - 1
-            terms[tuple(ne)] = c * e
+            terms[tuple(ne)] = _rational(c * e)
         return MultiPoly._raw(self.vars, terms)
 
     def subst(self, mapping):
@@ -807,7 +833,8 @@ class MultiPoly(_Ring):
         if len(b.terms) == 1:  # a unit of the Laurent ring
             (be, bc), = b.terms.items()
             return MultiPoly._raw(a.vars, {tuple(map(operator.sub, e, be)):
-                                           c / bc for e, c in a.terms.items()})
+                                           _quotient(c, bc)
+                                           for e, c in a.terms.items()})
         floor = [min(x) - min(y) for x, y in zip(zip(*a.terms), zip(*b.terms))]
         quo = {}
         rem = dict(a.terms)
@@ -818,13 +845,13 @@ class MultiPoly(_Ring):
             qe = tuple(x - y for x, y in zip(lead, b_lead))
             if any(x < y for x, y in zip(qe, floor)):
                 raise ArithmeticError("not exactly divisible")
-            qc = rem[lead] / b_lc
+            qc = _quotient(rem[lead], b_lc)
             quo[qe] = qc
             for e2, c2 in b.terms.items():
                 e = tuple(x + y for x, y in zip(qe, e2))
                 c = rem.get(e, 0) - qc * c2
                 if c:
-                    rem[e] = c
+                    rem[e] = _rational(c)
                 elif e in rem:
                     del rem[e]
             if lead in rem:
@@ -835,13 +862,14 @@ class MultiPoly(_Ring):
 
     # -- text form ------------------------------------------------------------
     def format(self):
-        """Canonical plain-text form; Q coefficients only, exact round-trip."""
+        """Canonical plain-text form; rational (int or Fraction)
+        coefficients only, exact round-trip."""
         if not self.terms:
             return "0"
         parts = []
         for expo in sorted(self.terms, key=_grlex_key, reverse=True):
             c = self.terms[expo]
-            if not isinstance(c, Fraction):
+            if isinstance(c, Cyclo):
                 raise ValueError("text form is defined for rational coefficients")
             mon = " * ".join(f"{v}^{e}" for v, e in zip(self.vars, expo) if e)
             mag = abs(c)

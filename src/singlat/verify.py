@@ -181,17 +181,26 @@ def _symmetries(cls, names):
 
 
 def _check_unfolding(cls, datum) -> CheckOutcome:
-    """`check_unfolding_identity` on one symmetry datum of cls."""
+    """`check_unfolding_identity` on one symmetry datum of cls.
+
+    The computed t_j is the coefficient of the j-th unfolding monomial in
+    lhs = F(Psi(phi(x), t), t), read off one `coefficient_split` on the
+    x-variables.  The unfolding monomials are monic and distinct, so m_j
+    times its coefficient is exactly the part of lhs at m_j's exponent,
+    and the residual lhs - f_target - sum_j m_j t_j is lhs without the
+    tabulated x-monomials, minus f_target, over the variables of
+    lhs - f_target."""
     F_full, f_target = _lift_unfolding(cls, datum)
     name = f"{cls.label}:{datum.label}"
     lhs = F_full.subst(_composed_substitution(cls, datum))
     split = lhs.coefficient_split(cls.xvars)
-    residual = lhs - f_target
-    computed = {}
-    for j, m in enumerate(unfolding_monomials(cls), start=1):
-        coeff = split.get(next(iter(m.terms)), MultiPoly.zero(cls.tvars))
-        computed[f"t{j}"] = coeff
-        residual = residual - m * coeff
+    basis = [next(iter(m.terms)) for m in unfolding_monomials(cls)]
+    computed = {f"t{j}": split.get(e, MultiPoly.zero(cls.tvars))
+                for j, e in enumerate(basis, start=1)}
+    on, tabulated = [lhs.vars.index(v) for v in cls.xvars], set(basis)
+    residual = MultiPoly(lhs.vars, {
+        e: c for e, c in lhs.terms.items()
+        if tuple(e[i] for i in on) not in tabulated}) - f_target
     if not residual.is_zero:
         return CheckOutcome(name, False, residual,
                             "uncancelled monomials outside the unfolding basis")

@@ -137,7 +137,7 @@ def resultant_ll(mu, t):
     f = f.with_vars(("x0", "y") + tuple(v for v in f.vars if v != "x0"))
     res = resultant(f.partial("x0"), MultiPoly.var("y", f.vars) - f, "x0")
     (_, lead), = res.coeff_of("y", mu).terms.items()
-    return [res.coeff_of("y", k) * (1 / lead) for k in range(mu + 1)]
+    return [res.coeff_of("y", k) * F(1, lead) for k in range(mu + 1)]
 
 
 def poly_mul(a, b):

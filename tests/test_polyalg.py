@@ -281,15 +281,23 @@ class TestCyclo:
 # len(vars) to nonzero coefficients, on every result of the arithmetic
 # ---------------------------------------------------------------------------
 
+def _assert_coefficient_form(c, field):
+    """c is a nonzero MultiPoly coefficient: an int, a Fraction with
+    denominator > 1 or a Cyclo of field; never a float or a bool."""
+    assert c
+    if isinstance(c, Cyclo):
+        assert c.field is field and len(c.coeffs) == field.degree
+        assert all(type(k) is F for k in c.coeffs)
+    else:
+        assert type(c) is int or (type(c) is F and c.denominator > 1), c
+
+
 def _assert_clean(p, field):
     assert type(p.vars) is tuple
     for e, c in p.terms.items():
         assert type(e) is tuple and len(e) == len(p.vars)
         assert all(type(k) is int for k in e)
-        assert c and isinstance(c, (F, Cyclo))
-        if isinstance(c, Cyclo):
-            assert c.field is field and len(c.coeffs) == field.degree
-            assert all(type(k) is F for k in c.coeffs)
+        _assert_coefficient_form(c, field)
     rebuilt = MultiPoly(p.vars, p.terms)
     assert rebuilt == p and rebuilt.terms == p.terms
 
@@ -335,6 +343,40 @@ def test_arithmetic_keeps_the_multipoly_invariant(field, data):
         _assert_clean(r, field)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from((None, GAUSS, ZETA8)), st.data())
+def test_every_coefficient_is_an_int_a_fraction_or_a_cyclo(field, data):
+    # a tripwire for the coefficient form: an integral rational is an int,
+    # any other a Fraction with denominator > 1, on every result of the
+    # arithmetic, the divisions included, so no float can appear
+    a = data.draw(_laurent_polys(field, ("x", "y")))
+    b = data.draw(_laurent_polys(field, ("y", "z")))
+    p = data.draw(_laurent_polys(field, ("x", "y", "z"), low=0))
+    mono = data.draw(_laurent_polys(field, ("x", "y")).filter(
+        lambda m: len(m.terms) == 1))
+    r = data.draw(_small_fracs)
+    k = data.draw(st.integers(-6, 6).filter(bool))
+    n = data.draw(st.integers(0, 3))
+    x = MultiPoly.var("x", ("x", "y"))
+    results = [a + b, a - b, a * b, a ** n, mono ** -n, mono.inv(),
+               a / mono, b / mono, a / 2, a // k, a // (x * k),
+               (a * b).exact_div(b) if b else b, (a * mono).exact_div(mono),
+               ((x + 1) * a).exact_div(x + 1), a * r, a + r, a - r,
+               p.subst({"x": r, "z": F(k, 3)}),
+               p.subst({"x": a, "y": r}), b.subst({"z": F(1, k)})]
+    for v in a.vars:
+        results += [a.partial(v), (a * a).partial(v), a.coeff_of(v, 1)]
+    results += p.coefficient_split(("x", "z")).values()
+    if field is not None:
+        i = Cyclo.gen(field)
+        results += [a * i, i * b, (a * i).exact_div(i), a / (x * i)]
+    for q in results:
+        _assert_clean(q, field)
+    if field is None:
+        for q in results:
+            assert parse_poly(q.format(), q.vars) == q
+
+
 class TestPublicConstructor:
     def test_exponent_length_mismatch_raises(self):
         with pytest.raises(ValueError, match="exponent length"):
@@ -349,15 +391,22 @@ class TestPublicConstructor:
         assert MultiPoly(("x",), {(1,): F(0)}).is_zero
 
     def test_rational_coefficients_become_fractions(self):
-        # an int coefficient is stored as a Fraction, so the inverse and
-        # the quotient of a monomial stay exact
+        # a rational coefficient is an int when it is integral and a
+        # Fraction otherwise, so the inverse and the quotient of a
+        # monomial stay exact: the inverse of 2x is 1/2 x^-1, never 0.5
         x2 = MultiPoly(("x",), {(1,): 2})
-        three = MultiPoly.const(("x",), 3)
-        for p, want in ((x2, {(1,): 2}), (three, {(0,): 3}),
-                        (x2.inv(), {(-1,): F(1, 2)}),
-                        (three / x2, {(-1,): F(3, 2)})):
+        three = MultiPoly.const(("x",), F(6, 2))
+        for p, want, kind in ((x2, {(1,): 2}, int),
+                              (three, {(0,): 3}, int),
+                              (MultiPoly(("x",), {(2,): F(4, 2)}),
+                               {(2,): 2}, int),
+                              (x2.inv(), {(-1,): F(1, 2)}, F),
+                              (three / x2, {(-1,): F(3, 2)}, F),
+                              (x2 // 2, {(1,): 1}, int),
+                              (x2 // 4, {(1,): F(1, 2)}, F),
+                              (x2.inv() * 4, {(-1,): 2}, int)):
             assert p.terms == want
-            assert all(type(c) is F for c in p.terms.values())
+            assert all(type(c) is kind for c in p.terms.values())
 
     def test_exponents_become_int_tuples(self):
         p = MultiPoly(["x", "y"], {(True, F(2)): F(1)})
@@ -459,6 +508,30 @@ class TestSympyOracle:
             same(b / a, sb * inv)
         elif n >= 0:
             same(a ** n, sa ** n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from((GAUSS, ZETA8)), st.data())
+    def test_cyclo_inverse(self, field, data):
+        # the integer inverse against sympy's inverse modulo the minimal
+        # polynomial, on wide numerators and denominators: the same
+        # canonical (num, den) as the element sympy's coefficients give
+        sympy = pytest.importorskip("sympy")
+        z = sympy.Symbol("z")
+        d = field.degree
+        m = sum(int(c) * z ** k for k, c in enumerate(field.min_poly))
+        cs = data.draw(st.lists(st.builds(
+            F, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 3)),
+            min_size=1, max_size=d).filter(any))
+        a = Cyclo(field, cs)
+        inv = sympy.Poly(sympy.invert(
+            sum(sympy.Rational(c.numerator, c.denominator) * z ** k
+                for k, c in enumerate(cs)), m, z), z, domain="QQ")
+        want = Cyclo(field, [F(int(c.p), int(c.q))
+                             for c in inv.all_coeffs()[::-1]])
+        got = a.inv()
+        _assert_canonical(got)
+        assert (got.num, got.den) == (want.num, want.den)
+        assert a * got == 1
 
 
 class TestRatFunc:

@@ -192,6 +192,56 @@ class TestUnfoldingIdentities:
             check(*args)
 
 
+def _third_on_x2(shift):
+    return {**shift, "x2": shift["x2"] + MultiPoly.const(shift["x2"].vars,
+                                                         F(1, 3))}
+
+
+def _negated(shift):
+    return {k: -v for k, v in shift.items()}
+
+
+class TestResidualBranch:
+    """A broken shift leaves monomials outside the unfolding basis, and
+    the public checks report them with the residual as the witness."""
+
+    @pytest.mark.parametrize("label,which,perturb", [
+        ("tE6", "psi3", _third_on_x2), ("D4", "phi3", _negated)],
+        ids=["tE6-psi3-shift-plus-a-third", "D4-phi3-shift-negated"])
+    def test_uncancelled_monomials(self, monkeypatch, label, which,
+                                   perturb):
+        cls = sing_class(label)
+        data = tuple(dataclasses.replace(d, psi_shift=perturb(d.psi_shift))
+                     if d.label == which else d for d in symmetry_data(cls))
+        monkeypatch.setattr(verify, "symmetry_data", lambda c: data)
+        bad, = (d for d in data if d.label == which)
+        # the residual lhs - f_target - sum_j m_j t_j, term by term
+        f_full, f_target = _lift_unfolding(cls, bad)
+        lhs = f_full.subst(_composed_substitution(cls, bad))
+        split = lhs.coefficient_split(cls.xvars)
+        want = lhs - f_target
+        for m in singdata.unfolding_monomials(cls):
+            want = want - m * split.get(next(iter(m.terms)),
+                                        MultiPoly.zero(cls.tvars))
+        assert not want.is_zero
+        detail = "uncancelled monomials outside the unfolding basis"
+        outs = [check_unfolding_identity(label, which)]
+        if label == "D4":
+            outs.append(check_simple_symmetry(label))
+        for out in outs:
+            assert not out.passed and out.detail == detail
+            assert out.witness == want and out.witness.vars == want.vars
+
+    @pytest.mark.parametrize("label", SYMMETRY_LABELS)
+    def test_unfolding_monomials_are_monic_and_distinct(self, label):
+        # so m_j times its coefficient is the part of lhs at m_j's exponent
+        cls = sing_class(label)
+        ms = singdata.unfolding_monomials(cls)
+        assert all(m.vars == cls.xvars and list(m.terms.values()) == [1]
+                   for m in ms)
+        assert len({next(iter(m.terms)) for m in ms}) == len(ms)
+
+
 class TestSimpleSymmetries:
     def test_d5_sign_flip(self):
         assert check_simple_symmetry("D5").passed
