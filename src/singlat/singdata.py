@@ -217,7 +217,9 @@ class SymmetryDatum:
     are read-only views (types.MappingProxyType) of copies of what the
     constructor, or dataclasses.replace, was given.  So `symmetry_data`
     builds each class's data once per process and shares it read-only;
-    `verify` re-derives every identity from it on every call.
+    the family parameter and its image are realised once per class and
+    la-image by `symmetry_forms`, from lam_image and root_order alone, and
+    `verify` re-derives every identity from them on every call.
 
     phi            coordinate change on x (var -> MultiPoly)
     psi_shift      the accompanying shift Psi on x, may involve (t, la)
@@ -260,7 +262,9 @@ def sym_field(lam_image, m=1):
 
     Both maps are injective ring homomorphisms, so an identity holds in
     the Laurent ring exactly when it holds over la.  Every inverse the
-    tables take is a monomial; a non-monomial inverse raises."""
+    tables take is a monomial; a non-monomial inverse raises.
+    `symmetry_forms` realises la and its image in this ring once per class
+    and la-image for the checks."""
     if lam_image == "inv":
         nu = MultiPoly.var("nu")
         return nu, nu ** m
@@ -268,6 +272,26 @@ def sym_field(lam_image, m=1):
         a = MultiPoly.var("a")
         return a, 1 - a ** -1
     raise ValueError(f"no parameter field for the la-image {lam_image!r}")
+
+
+@lru_cache(maxsize=None)
+def symmetry_forms(cls: SingularityClass, lam_image, root_order) -> tuple:
+    """(f, F, f_target) for a symmetry of cls with the given la-image and
+    root order: the normal form f and the unfolding F with la written in
+    the Laurent ring of sym_field(lam_image, root_order), and the la-image
+    normal form f_{la'}, la' = 1/la ('inv') or 1 - la ('one-minus').  A
+    class without la gets (f, F, f).  The one home of the la-image rule.
+
+    Realised once per class and la-image and shared read-only, like
+    `normal_form` and `unfolding`; `verify` composes, substitutes and
+    compares on every call."""
+    f, F_full = normal_form(cls), unfolding(cls)
+    if not cls.is_elliptic:
+        return f, F_full, f
+    _, la = sym_field(lam_image, root_order)
+    la_image = la ** -1 if lam_image == "inv" else 1 - la
+    return (f.subst({"la": la}), F_full.subst({"la": la}),
+            f.subst({"la": la_image}))
 
 
 def _poly(terms, vs):
@@ -294,8 +318,9 @@ def symmetry_data(cls: SingularityClass) -> tuple:
 
     Built from Cyclo and Laurent arithmetic once per class per process and
     shared read-only: the tuple and its data are immutable.  Only the
-    tables are cached; `verify` re-derives every identity from them on
-    every call."""
+    tables, and the forms `symmetry_forms` realises in each datum's
+    Laurent ring, are cached; `verify` re-derives every identity from them
+    on every call."""
     if cls.family == "D":
         return _d_family_symmetries(cls)
     if cls.is_elliptic:

@@ -27,8 +27,9 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .polyalg import MultiPoly, exact_rational, graded_block, parse_poly
-from .singdata import (jacobi_system, normal_form, sing_class, sym_field,
-                       symmetry_data, unfolding, unfolding_monomials, weights)
+from .singdata import (jacobi_system, sing_class, symmetry_data,
+                       symmetry_forms, unfolding, unfolding_monomials,
+                       weights)
 
 F = Fraction
 
@@ -121,28 +122,6 @@ def jacobi_dimension(cls_or_label, lam=None) -> int:
 # unfolding symmetry identities
 # ---------------------------------------------------------------------------
 
-def _lambda_target(cls, datum):
-    """la in the datum's Laurent ring (see singdata.sym_field) and the
-    la-image polynomial f_{la'}(x) with la' = 1/la (inv) or 1 - la
-    (one-minus).  The simple classes have no la."""
-    f = normal_form(cls)
-    if not cls.is_elliptic:
-        return f, None
-    _, la = sym_field(datum.lam_image, datum.root_order)
-    la_image = la ** -1 if datum.lam_image == "inv" else 1 - la
-    return f.subst({"la": la_image}), la
-
-
-def _lift_unfolding(cls, datum):
-    """F(x, t) with la realized in the datum's Laurent ring, together with
-    the la-image polynomial f_{la'}(x)."""
-    f_target, la = _lambda_target(cls, datum)
-    F_full = unfolding(cls)
-    if cls.is_elliptic:
-        F_full = F_full.subst({"la": la})
-    return F_full, f_target
-
-
 def _composed_substitution(cls, datum):
     """x_k -> Psi_k(phi(x), t) as polynomials in (x, t)."""
     xv = cls.xvars
@@ -183,14 +162,17 @@ def _symmetries(cls, names):
 def _check_unfolding(cls, datum) -> CheckOutcome:
     """`check_unfolding_identity` on one symmetry datum of cls.
 
-    The computed t_j is the coefficient of the j-th unfolding monomial in
-    lhs = F(Psi(phi(x), t), t), read off one `coefficient_split` on the
-    x-variables.  The unfolding monomials are monic and distinct, so m_j
-    times its coefficient is exactly the part of lhs at m_j's exponent,
-    and the residual lhs - f_target - sum_j m_j t_j is lhs without the
-    tabulated x-monomials, minus f_target, over the variables of
-    lhs - f_target."""
-    F_full, f_target = _lift_unfolding(cls, datum)
+    F and f_target are read from `singdata.symmetry_forms`, realised once
+    per class and la-image; phi and Psi are composed and substituted on
+    every call.  The computed t_j is the coefficient of the j-th
+    unfolding monomial in lhs = F(Psi(phi(x), t), t), read off one
+    `coefficient_split` on the x-variables.  The unfolding monomials are
+    monic and distinct, so m_j times its coefficient is exactly the part
+    of lhs at m_j's exponent, and the residual
+    lhs - f_target - sum_j m_j t_j is lhs without the tabulated
+    x-monomials, minus f_target, over the variables of lhs - f_target."""
+    _, F_full, f_target = symmetry_forms(cls, datum.lam_image,
+                                         datum.root_order)
     name = f"{cls.label}:{datum.label}"
     lhs = F_full.subst(_composed_substitution(cls, datum))
     split = lhs.coefficient_split(cls.xvars)
@@ -236,8 +218,7 @@ def _check_projection(cls, datum) -> CheckOutcome:
     """`check_lambda_projection` on one symmetry datum of cls."""
     if not cls.is_elliptic:
         raise ValueError(f"{cls.label} has no family parameter la")
-    f_target, la = _lambda_target(cls, datum)
-    f = normal_form(cls).subst({"la": la})
+    f, _, f_target = symmetry_forms(cls, datum.lam_image, datum.root_order)
     lhs = f.subst({v: datum.phi[v] for v in cls.xvars})
     diff = lhs - f_target.with_vars(lhs.vars)
     ok = diff.is_zero
@@ -291,14 +272,16 @@ def check_simple_symmetry(cls_or_label) -> CheckOutcome:
 
 @lru_cache(maxsize=None)
 def _kappa_data(cls):
-    """(rho, x0_scale, c, ydefs, ext, vs, yv) of an elliptic class: rho maps
-    t_j to a polynomial in (s, kappa), x0_scale is the x0 rescale exponent,
-    c the cover degree, ydefs the auxiliary y definitions, ext the extended
-    form, over the variables vs and, for ext, yv.
+    """(pullback, ydefs, ext) of an elliptic class: pullback maps la to
+    kappa^c (c the cover degree), x0 to kappa^e x0 (e the x0 rescale
+    exponent) and t_j to rho_j, the tabulated parameter rescale, a Laurent
+    polynomial in (s, kappa); ydefs gives the auxiliary y-variables in
+    (x, s, kappa), and ext is the extended form over (x, s, kappa, y).
 
-    Parsed once per class per process and shared read-only: rho and ydefs
-    are types.MappingProxyType views.  Only the tables are cached;
-    `check_kappa_extension` pulls back and compares on every call."""
+    Parsed and tabulated once per class per process and shared read-only:
+    pullback and ydefs are types.MappingProxyType views.  Only the tables
+    are cached; `check_kappa_extension` pulls back, rewrites and compares
+    on every call."""
     xv = cls.xvars
     sv = tuple(f"s{j}" for j in range(1, cls.mu))
     vs = xv + sv + ("ka",)
@@ -367,27 +350,28 @@ def _kappa_data(cls):
             vs + yv)
     else:
         raise ValueError("kappa extension is defined for the elliptic classes")
-    return (MappingProxyType(rho), x0_scale, c, MappingProxyType(ydefs), ext,
-            vs, yv)
+    pullback = {"la": ka ** c, "x0": MultiPoly.var("x0", vs) * ka ** x0_scale,
+                **rho}
+    return MappingProxyType(pullback), MappingProxyType(ydefs), ext
 
 
 def check_kappa_extension(cls_or_label) -> CheckOutcome:
     """Pull the unfolding back along la = kappa^c and x0 -> kappa^e x0 with
     the tabulated parameter rescale rho; the result, rewritten through the
     auxiliary y-variables, must equal the tabulated extended form, which is
-    polynomial in kappa (so the family extends to kappa = 0)."""
+    polynomial in kappa (so the family extends to kappa = 0).
+
+    The pull-back map is tabulated once per class by `_kappa_data`; the
+    pull-back, the kappa-polynomial test, the rewrite and the comparison
+    run on every call."""
     cls = sing_class(cls_or_label)
-    rho, x0_scale, c, ydefs, ext, vs, yv = _kappa_data(cls)
+    pullback, ydefs, ext = _kappa_data(cls)
     name = f"{cls.label}:kappa-extension"
-    ka = MultiPoly.var("ka", vs)
-    sub = {"la": ka ** c,
-           "x0": MultiPoly.var("x0", vs) * ka ** x0_scale}
-    sub.update({t: rho[t] for t in cls.tvars})
-    pulled = unfolding(cls).subst(sub)
+    pulled = unfolding(cls).subst(pullback)
     if ext.min_degree("ka") < 0:
         return CheckOutcome(name, False, ext,
                             "stored extended form is not polynomial in kappa")
-    rewritten = ext.subst({y: ydefs[y] for y in yv})
+    rewritten = ext.subst(ydefs)
     diff = pulled - rewritten
     ok = diff.is_zero
     detail = "extended form is kappa-polynomial and matches the pullback"

@@ -5,13 +5,15 @@ import pytest
 
 from singlat import singdata, verify
 from singlat.polyalg import MultiPoly, graded_columns
-from singlat.singdata import sing_class, symmetry_data, weights
+from singlat.singdata import (normal_form, sing_class, sym_field,
+                              symmetry_data, symmetry_forms, unfolding,
+                              weights)
 from singlat.verify import (JacobiRankError, check_kappa_extension,
                             check_lambda_projection, check_simple_symmetry,
                             check_unfolding_identity, identity_suite,
                             jacobi_dimension, jacobi_suite, symmetry_checks,
                             _check_unfolding, _composed_substitution,
-                            _kappa_data, _lift_unfolding)
+                            _kappa_data)
 
 SYMMETRY_LABELS = ("D4", "D5", "D6", "D7", "D8", "tE6", "tE7", "tE8")
 ELLIPTIC_LABELS = ("tE6", "tE7", "tE8")
@@ -21,11 +23,11 @@ ELLIPTIC_LABELS = ("tE6", "tE7", "tE8")
 def cold_plans():
     # jacobi_dimension's graded pieces are views of singdata.jacobi_system,
     # which is cached per class like the unfolding and the weights it is
-    # built from; a test that patches singdata.unfolding_monomials starts
-    # and ends with all four caches empty, so nothing built under the
-    # patch outlives it
+    # built from, and symmetry_forms realises la in the unfolding; a test
+    # that patches singdata.unfolding_monomials starts and ends with all
+    # five caches empty, so nothing built under the patch outlives it
     caches = (verify._jacobi_plan, singdata.jacobi_system,
-              singdata.unfolding, singdata.weights)
+              singdata.unfolding, singdata.weights, singdata.symmetry_forms)
     for c in caches:
         c.cache_clear()
     yield
@@ -160,7 +162,8 @@ class TestUnfoldingIdentities:
         bad_shift["x2"] = bad_shift["x2"] + MultiPoly.const(
             bad_shift["x2"].vars, F(1, 3))
         bad = dataclasses.replace(datum, psi_shift=bad_shift)
-        f_full, f_target = _lift_unfolding(cls, bad)
+        _, f_full, f_target = symmetry_forms(cls, bad.lam_image,
+                                             bad.root_order)
         lhs = f_full.subst(_composed_substitution(cls, bad))
         assert not (lhs - f_target.with_vars(lhs.vars)).is_zero
 
@@ -216,7 +219,8 @@ class TestResidualBranch:
         monkeypatch.setattr(verify, "symmetry_data", lambda c: data)
         bad, = (d for d in data if d.label == which)
         # the residual lhs - f_target - sum_j m_j t_j, term by term
-        f_full, f_target = _lift_unfolding(cls, bad)
+        _, f_full, f_target = symmetry_forms(cls, bad.lam_image,
+                                             bad.root_order)
         lhs = f_full.subst(_composed_substitution(cls, bad))
         split = lhs.coefficient_split(cls.xvars)
         want = lhs - f_target
@@ -271,7 +275,8 @@ class TestSimpleSymmetries:
         datum = {d.label: d for d in symmetry_data(cls)}["phi3"]
         bad_shift = {k: -v for k, v in datum.psi_shift.items()}
         bad = dataclasses.replace(datum, psi_shift=bad_shift)
-        f_full, f_target = _lift_unfolding(cls, bad)
+        _, f_full, f_target = symmetry_forms(cls, bad.lam_image,
+                                             bad.root_order)
         lhs = f_full.subst(_composed_substitution(cls, bad))
         # with the broken shift the non-basis coefficients survive
         split = lhs.coefficient_split(cls.xvars)
@@ -294,7 +299,7 @@ class TestKappaExtension:
         # s = 0 and kappa = 0 stays polynomial
         for label in ELLIPTIC_LABELS:
             cls = sing_class(label)
-            rho, x0s, c, ydefs, ext, vs, yv = _kappa_data(cls)
+            _, _, ext = _kappa_data(cls)
             assert ext.min_degree("ka") >= 0
             sub = {f"s{j}": 0 for j in range(1, cls.mu)}
             sub["ka"] = 0
@@ -307,8 +312,9 @@ class TestKappaExtension:
 
 
 class TestSharedTables:
-    """symmetry_data and _kappa_data build each class's tables once per
-    process; the shared tables are read-only, and no check changes them."""
+    """symmetry_data, symmetry_forms and _kappa_data build each class's
+    tables once per process; the shared tables are read-only, and no check
+    changes them."""
 
     @pytest.mark.parametrize("label", SYMMETRY_LABELS)
     def test_symmetry_data_is_built_once(self, label):
@@ -342,10 +348,49 @@ class TestSharedTables:
 
     @pytest.mark.parametrize("label", ELLIPTIC_LABELS)
     def test_kappa_data_is_read_only(self, label):
-        rho, _, _, ydefs, *_ = _kappa_data(sing_class(label))
-        for table in (rho, ydefs):
+        pullback, ydefs, _ = _kappa_data(sing_class(label))
+        for table in (pullback, ydefs):
             with pytest.raises(TypeError):
                 table["t1"] = None
+
+    @pytest.mark.parametrize("label", SYMMETRY_LABELS)
+    def test_symmetry_forms_are_the_substituted_forms(self, label):
+        # built once per la-image, equal to la (and its image) substituted
+        # into the cached normal form and unfolding, and unchanged by the
+        # checks
+        cls = sing_class(label)
+        f, F_full = normal_form(cls), unfolding(cls)
+        built = {}
+        for d in symmetry_data(cls):
+            key = (d.lam_image, d.root_order)
+            built[key] = forms = symmetry_forms(cls, *key)
+            assert all(a is b for a, b in
+                       zip(forms, symmetry_forms(cls, *key)))
+            if cls.is_elliptic:
+                _, la = sym_field(*key)
+                image = la ** -1 if d.lam_image == "inv" else 1 - la
+                want = (f.subst({"la": la}), F_full.subst({"la": la}),
+                        f.subst({"la": image}))
+            else:
+                want = (f, F_full, f)
+            assert forms == want
+            assert [p.vars for p in forms] == [p.vars for p in want]
+        assert all(identity_suite())
+        for key, forms in built.items():
+            assert symmetry_forms(cls, *key) is forms
+            assert repr(forms) == repr(symmetry_forms.__wrapped__(cls, *key))
+
+    def test_cold_and_warm_suites_agree(self):
+        # the suite reads the same outcomes whether the realised forms and
+        # the kappa tables are built in it or read from the caches
+        symmetry_forms.cache_clear()
+        _kappa_data.cache_clear()
+
+        def outcomes():
+            return [(o.name, o.passed, o.detail, repr(o.witness),
+                     getattr(o.witness, "vars", None))
+                    for o in identity_suite()]
+        assert outcomes() == outcomes()
 
     def test_checks_leave_the_tables_unchanged(self):
         assert all(identity_suite())
