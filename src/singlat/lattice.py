@@ -566,14 +566,21 @@ def roots(form_rows):
     return RootTable(form_rows)
 
 
+@functools.lru_cache(maxsize=None)
+def _void(width):
+    """The np.void dtype of width bytes, built once per width."""
+    return np.dtype((np.void, width))
+
+
 def row_keys(a):
     """The bytes of each row of the 2-D array a, as a list: hashable keys
-    that are equal exactly when the rows are, for arrays of one dtype."""
+    that are equal exactly when the rows are, for arrays of one dtype.
+    The rows are viewed as one np.void dtype of their byte width, built
+    once per width (_void), so a call costs the view and the list."""
     a = np.ascontiguousarray(a)
     if not a.shape[1]:
         return [b""] * len(a)
-    return a.view(np.dtype((np.void, a.itemsize * a.shape[1]))).ravel() \
-        .tolist()
+    return a.view(_void(a.itemsize * a.shape[1])).ravel().tolist()
 
 
 def _sign_canonical(rows):

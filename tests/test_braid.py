@@ -971,7 +971,70 @@ def scalar_prefix(seed, budget):
 ELLIPTIC = ["tE6", "tE7", "tE8"]
 
 
+def scatter_moves(x, table):
+    """Every move of the root-index tuples x by a gather of the swaps and
+    a scatter of the moved slots, the formulation _expand_roots had before
+    its one take of braid._move_index: the oracle of that take."""
+    gi, _, t, slots, perm = braid._move_tables(x.shape[1])
+    pairs = x[:, slots]
+    a, b = pairs[:, :len(t)], pairs[:, len(t):]
+    moved = table.refl[a, b]
+    if table.sentinel_bytes in moved.tobytes():
+        table.fill(a, b)
+        moved = table.refl[a, b]
+    y = x[:, perm]
+    y[:, gi, t] = moved
+    return y.reshape(-1, x.shape[1])
+
+
 class TestRootEngine:
+    @pytest.mark.parametrize("mu", range(2, 17))
+    def test_move_index_is_the_swap_with_the_moved_slot(self, mu):
+        # row g of the one gather is generator g's swap with slot t[g]
+        # reading column mu + g, where the moved root is appended; the
+        # cached table is read-only
+        gi, _, t, _, perm = braid._move_tables(mu)
+        index = braid._move_index(mu)
+        assert index is braid._move_index(mu)
+        assert not index.flags.writeable
+        assert index.shape == perm.shape == (2 * (mu - 1), mu)
+        for g in gi.tolist():
+            row = perm[g].tolist()
+            row[t[g]] = mu + g
+            assert index[g].tolist() == row
+        with pytest.raises(ValueError, match="read-only"):
+            index[0, 0] = 0
+
+    @pytest.mark.parametrize("label", ["A4", "E6", "A23"])
+    def test_one_take_matches_gather_and_scatter(self, label):
+        # random walked tuples interned alike into two fresh tables: the
+        # first moves fill missing pairs on both (the sentinel path), the
+        # same moves again read them filled, and the moves of the moves
+        # fill more; the take gives the oracle's indices and dtype, and
+        # both tables number their roots alike.  A23 has uint16 indices
+        rng = random.Random(label)
+        seed = seed_stokes(label).stokes
+        form = symmetrized_form(seed).rows
+        std = VanishingTuple.standard(seed)
+        states = [_canon_vectors(braid_apply_word(std, random_word(
+            rng, seed.mu, rng.randint(0, 12))).vectors) for _ in range(40)]
+        oracle, table = RootTable(form), RootTable(form)
+        x = interned(oracle, states)
+        assert np.array_equal(interned(table, states), x)
+        fills, fill = [], table.fill
+        table.fill = lambda a, b: fills.append(len(a)) or fill(a, b)
+        for step in ("cold", "warm", "moved"):
+            want = scatter_moves(x, oracle)
+            del fills[:]
+            got = _expand_roots(x, table)
+            assert bool(fills) == (step != "warm")
+            assert got.dtype == table.dtype == \
+                (np.uint16 if label == "A23" else np.uint8)
+            assert np.array_equal(got, want)
+            assert np.array_equal(table.V, oracle.V)
+            if step == "warm":
+                x = got
+
     @pytest.mark.parametrize("label", [f"A{n}" for n in range(1, 9)] +
                              [f"D{n}" for n in range(4, 9)] + ["E6"] +
                              ELLIPTIC)
@@ -1410,6 +1473,25 @@ class TestStokesOnRoots:
             with pytest.raises(AssertionError, match="packed kernel"):
                 orbit_enumerate(seed_stokes("tE6").stokes, "stokes",
                                 max_states=100)
+
+    def test_canon_built_once_per_seed(self):
+        # two runs from one seed share one canonical form; another seed,
+        # or the seed over a fresh root table, gets its own; and the runs
+        # count as runs on canonical forms built afresh do, level by level
+        seeds = [seed_stokes("E6").stokes, moved_seed("E6", random.Random(51)),
+                 seed_stokes("D6").stokes]
+        canons = [_engine(s, "stokes").canon for s in seeds]
+        assert _engine(seeds[0], "stokes").canon is canons[0]
+        assert len({id(c) for c in canons}) == 3
+        runs = [orbit_enumerate(s, "stokes") for s in seeds + seeds[:1]]
+        runs = [(r.class_count, r.levels, r.states_visited) for r in runs]
+        assert [r[0] for r in runs] == [3456, 3456, 3125, 3456]
+        assert runs[3] == runs[0]
+        roots.cache_clear()
+        assert _engine(seeds[0], "stokes").canon is not canons[0]
+        fresh = [orbit_enumerate(s, "stokes") for s in seeds]
+        assert [(r.class_count, r.levels, r.states_visited)
+                for r in fresh] == runs[:3]
 
     def test_threads_share_one_group(self):
         # more threads than cores start Stokes runs on cold root tables at

@@ -61,6 +61,20 @@ def test_wrong_jacobi_dimension_fails(seed1):
         assert not gates.check(op, dim - 1), op.kind
 
 
+def test_wrong_orbit_count_fails(seed1):
+    # a full orbit must count its classes, untruncated; a budgeted one
+    # must stop within one expansion of its budget
+    for gate in ("stokes", "bases"):
+        for op, rep in seed1[gate]:
+            fields = gates.render(1, op, rep).split(" ")
+            assert fields[2:5] == [str(rep.class_count), str(rep.truncated),
+                                   str(rep.states_visited)]
+            assert fields[5] == f"({','.join(map(str, rep.levels))})"
+            off = rep.class_count + (-1 if rep.truncated else 1)
+            assert not gates.check(op, dataclasses.replace(
+                rep, class_count=off, truncated=not rep.truncated)), op.kind
+
+
 def test_op_counts():
     counts = Counter({g: n for g, (_, n) in gates.GATES.items()})
     assert gates.miscounted(counts) == []

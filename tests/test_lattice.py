@@ -1,3 +1,4 @@
+import itertools
 import operator
 import random
 import threading
@@ -15,7 +16,7 @@ from singlat.lattice import (MonodromyMatrix, StokesMatrix, char_poly,
                              mat_mul, mat_neg, mat_transpose, pl_reflect,
                              process_cache, radical_rank, roots, RootTable,
                              row_keys, symmetrized_form, _adjugate,
-                             _sign_canonical)
+                             _sign_canonical, _void)
 from singlat.braid import (VanishingTuple, braid_apply_word, BraidWord,
                            _canon_vectors, _engine, _generators,
                            sign_canonical_stokes, stokes_of_tuple)
@@ -216,6 +217,31 @@ def batched_closure(form):
 def filled(t):
     """V and the filled square of the reflection table of t."""
     return t.V, t.refl[:t.size, :t.size]
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int8, np.int64])
+def test_row_keys_equal_exactly_when_rows_are(dtype):
+    # rows of widths 0-17 over the dtype's extremes, 0 and 1, with repeats:
+    # two keys are equal exactly when their rows are, also for the rows of
+    # a column slice, and each byte width has one cached dtype
+    rng = random.Random(str(np.dtype(dtype)))
+    info = np.iinfo(dtype)
+    values = [info.min, info.min + 1, 0, 1, info.max]
+    for width in range(18):
+        rows = [[rng.choice(values[:2 + width % 4]) for _ in range(width)]
+                for _ in range(40)]
+        rows += rows[::5]
+        rows = np.array(rows, dtype).reshape(len(rows), width)
+        keys = row_keys(rows)
+        assert row_keys(np.hstack([rows, rows])[:, :width]) == keys
+        for i, j in itertools.product(range(len(rows)), repeat=2):
+            assert (keys[i] == keys[j]) == \
+                (rows[i].tolist() == rows[j].tolist())
+        assert len(set(keys)) == len(set(map(tuple, rows.tolist())))
+        if width:
+            size = width * rows.itemsize
+            assert _void(size) is _void(size)
+            assert _void(size).itemsize == size
 
 
 def test_process_cache_builds_once():
