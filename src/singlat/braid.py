@@ -648,8 +648,7 @@ def _engine(seed, mode):
     batched expansion, which returns the candidates as the run stores
     them, the key function, the check of a checkpoint's saved states
     (_check_states, _check_bases), a root-index run's lattice.RootTable
-    and a Stokes root-index run's canonical form (_gz_canon, built once
-    per seed by _seed_canon).
+    and a Stokes root-index run's canonical form (_gz_canon).
 
     A run on root indices starts from the index tuple (0, ..., mu-1) of
     its table's basis and moves with _expand_roots: every bases run, and
@@ -685,18 +684,10 @@ def _engine(seed, mode):
     if mode == "bases":
         return _Engine(start, functools.partial(_expand_roots, table=table),
                        row_keys, check, table, None)
-    canon, free = _seed_canon((table, seed.rows))
+    canon, free = _gz_canon(gz(seed.rows).perms)
     return _Engine(canon(start), functools.partial(
         _expand_classes, table=table, canon=canon, free=free), row_keys,
         check, table, canon)
-
-
-@process_cache
-def _seed_canon(key):
-    """_gz_canon of G_Z of the seed rows, key = (table, rows), built once
-    per seed and root table, as lattice.gz caches G_Z with the table: a
-    fresh table may number the roots otherwise."""
-    return _gz_canon(gz(key[1]).perms)
 
 
 def _gz_canon(perms):

@@ -1474,24 +1474,18 @@ class TestStokesOnRoots:
                 orbit_enumerate(seed_stokes("tE6").stokes, "stokes",
                                 max_states=100)
 
-    def test_canon_built_once_per_seed(self):
-        # two runs from one seed share one canonical form; another seed,
-        # or the seed over a fresh root table, gets its own; and the runs
-        # count as runs on canonical forms built afresh do, level by level
-        seeds = [seed_stokes("E6").stokes, moved_seed("E6", random.Random(51)),
-                 seed_stokes("D6").stokes]
-        canons = [_engine(s, "stokes").canon for s in seeds]
-        assert _engine(seeds[0], "stokes").canon is canons[0]
-        assert len({id(c) for c in canons}) == 3
-        runs = [orbit_enumerate(s, "stokes") for s in seeds + seeds[:1]]
-        runs = [(r.class_count, r.levels, r.states_visited) for r in runs]
-        assert [r[0] for r in runs] == [3456, 3456, 3125, 3456]
-        assert runs[3] == runs[0]
-        roots.cache_clear()
-        assert _engine(seeds[0], "stokes").canon is not canons[0]
-        fresh = [orbit_enumerate(s, "stokes") for s in seeds]
-        assert [(r.class_count, r.levels, r.states_visited)
-                for r in fresh] == runs[:3]
+    def test_list_rows_seed(self):
+        # a seed whose rows are lists, not tuples, runs on root indices
+        # and counts, level by level, as the same seed with tuple rows
+        rng = random.Random(51)
+        for label in ("A6", "D6", "E6"):
+            seed = moved_seed(label, rng)
+            listed = StokesMatrix([list(row) for row in seed.rows])
+            assert _engine(listed, "stokes").canon is not None
+            want, got = (orbit_enumerate(s, "stokes") for s in (seed, listed))
+            assert got.class_count == STOKES_COUNTS[label]
+            assert (got.class_count, got.levels, got.states_visited) == \
+                (want.class_count, want.levels, want.states_visited)
 
     def test_threads_share_one_group(self):
         # more threads than cores start Stokes runs on cold root tables at

@@ -19,9 +19,10 @@ _SPEC.loader.exec_module(gates)
 @pytest.fixture(scope="module")
 def seed1():
     """gate -> [(op, result)] of seed 1."""
-    out = {}
-    for gate, _, op in gates.gate_ops(seeds=[1]):
-        out.setdefault(gate, []).append((op, gates.run(op)))
+    out, ops = {}, gates.gate_ops(seeds=[1])
+    ctx = gates.context(ops)
+    for gate, _, op in ops:
+        out.setdefault(gate, []).append((op, gates.run(ctx, op)))
     return out
 
 

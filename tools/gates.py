@@ -5,13 +5,13 @@ Runs the `ll:`, `fiber:` and `walk:` ops of analytic seeds 1-40, the
 and orbit-bases seeds 1-40 (`perfbench.workloads`, read-only) as the
 benchmark does, untraced; walks go through `llmap._walk` at
 `wall_walk_A`'s default steps, which keeps their WalkStats, and orbit ops
-start from the benchmark's moved seeds (`Context`).  Prints one line per
-op, gate by gate, and exits 1 naming on stderr each op that fails
-`check_op` (LL points on the discriminant only at `ll:A2:t2=0`, 3 points
-in each A2 fiber and 16 in each A3 one, walk words of exponent sum 0,
-Jacobi dimension mu, the class count of a full orbit, a budget stop
-within one expansion) or whose fiber is unsaturated, and each gate whose
-op count is not 2360, 840, 160, 2280, 4000 or 4000.  Two checkouts agree
+start from the benchmark's moved seeds (one `Context` over all ops).
+Prints one line per op, gate by gate, and exits 1 naming on stderr each
+op that fails `check_op` (LL points on the discriminant only at
+`ll:A2:t2=0`, 3 points in each A2 fiber and 16 in each A3 one, walk words
+of exponent sum 0, Jacobi dimension mu, the class count of a full orbit,
+a budget stop within one expansion) or whose fiber is unsaturated, and
+each gate whose op count is not 2360, 840, 160, 2280, 4000 or 4000.  Two checkouts agree
 when the `ll:`, `jac-at:`, `stokes:` and `bases:` lines are
 byte-identical, the `fiber:` lines agree in columns 1-4 and their
 solutions within 1e-9, and the `walk:` lines agree in columns 1-3
@@ -20,7 +20,6 @@ solutions within 1e-9, and the `walk:` lines agree in columns 1-3
     PYTHONPATH=src python tools/gates.py > gates.txt
 """
 
-import functools
 import sys
 import time
 from collections import Counter
@@ -38,7 +37,6 @@ GATES = {"ll": ("analytic", 2360), "fiber": ("analytic", 840),
          "walk": ("analytic", 160), "jac-at": ("symbolic", 2280),
          "stokes": ("orbit-stokes", 4000), "bases": ("orbit-bases", 4000)}
 STEPS = llmap.wall_walk_A.__defaults__[0]   # the default steps
-ORBIT_GATES = ("stokes", "bases")
 
 
 def gate_ops(seeds=range(1, 41)):
@@ -50,20 +48,16 @@ def gate_ops(seeds=range(1, 41)):
             if op.kind.split(":")[0] == gate]
 
 
-@functools.lru_cache(maxsize=None)
-def context():
-    """The benchmark's validated seeds, built once; run adds each orbit
-    op's moved start."""
-    return Context(NullTracer(), [])
+def context(ops):
+    """The benchmark's validated seeds and the moved start of each orbit op
+    among the (gate, seed, op) ops."""
+    return Context(NullTracer(), [op for _, _, op in ops])
 
 
-def run(op):
+def run(ctx, op):
     if op.kind.startswith("walk:"):
         return llmap._walk(*op.args, STEPS)
-    if op.kind.split(":")[0] in ORBIT_GATES:
-        context().add_starts(NullTracer(), [op])
-        return run_op(NullTracer(), context(), op)
-    return run_op(NullTracer(), None, op)
+    return run_op(NullTracer(), ctx, op)
 
 
 def render(seed, op, r):
@@ -79,7 +73,7 @@ def render(seed, op, r):
         return (f"{seed} {op.kind} ({','.join(map(str, r[0].letters))}) "
                 f"samples={r[1].samples} bisected={r[1].bisected} "
                 f"min_separation={r[1].min_separation:.3e}")
-    if gate in ORBIT_GATES:
+    if GATES[gate][0].startswith("orbit-"):
         return (f"{seed} {op.kind} {r.class_count} {r.truncated} "
                 f"{r.states_visited} ({','.join(map(str, r.levels))})")
     return f"{seed} {op.kind} {op.args[1]} {r}"
@@ -102,8 +96,9 @@ def main():
     start = time.perf_counter()
     ops = gate_ops()
     failed = miscounted(Counter(gate for gate, _, _ in ops))
+    ctx = context(ops)
     for _, seed, op in ops:
-        r = run(op)
+        r = run(ctx, op)
         print(render(seed, op, r))
         if not check(op, r):
             failed.append(f"{op.kind} of seed {seed}")
