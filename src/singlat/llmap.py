@@ -32,7 +32,10 @@ of the letters is uncertain; a close pair that moves fast together, as
 near a fold, does not force steps of its separation.  It matches whole
 chunks of the samples to their predecessors with the step test's own
 array matching, and applies its per-sample step only to the samples
-whose matched values leave good order or touch a wall.  The chain-family
+whose matched values leave good order or touch a wall.  It walks the
+whole path in windows of WALK_CHUNK grid intervals across segment ends:
+the grid samples of a window, and then the midpoints of each round of
+bisection, are evaluated in one stacked call each.  The chain-family
 roots come from stacked companion-matrix eigenvalues (`_companion_roots`).
 A coefficient or critical value beyond the float range raises ValueError.
 The arguments of a fiber count and of a walk are read by one reader each,
@@ -596,16 +599,20 @@ def _fiber_target(cls_or_label, target):
 # wall walking
 # ---------------------------------------------------------------------------
 
-# Path samples whose critical values are computed in one stacked eigenvalue
+# Grid intervals of the path that the walk samples and refines together, and
+# path samples whose critical values are computed in one stacked eigenvalue
 # call; bounds the walk's working memory whatever the step count.
 WALK_CHUNK = 256
 
 # The shortest interval, as a fraction of its segment, that the walk
 # bisects: an interval that still fails the step test at this length is
-# taken to cross the discriminant.
+# taken to cross the discriminant.  A separation below this fraction of the
+# largest critical value's modulus is taken to be beyond what floats resolve.
 WALK_FLOOR = 2.0 ** -40
 
 _COLLIDE = "hit discriminant: critical values collide"
+_UNRESOLVED = ("critical values too large for floats to resolve their "
+               "separation; shift or rescale the path")
 
 
 @dataclass
@@ -645,14 +652,14 @@ def _walk_values(mu, T):
 
 
 def _velocities(X, d):
-    """Derivatives of the critical values along the direction d in
-    parameter space, at the critical points X (one row per sample): as
-    f'(x_k) = 0, dv_k = sum_j x_k^(j-1) d_j.  A derivative beyond the float
-    range raises ValueError."""
+    """Derivatives of the critical values at the critical points X (one
+    row per sample) along the directions d in parameter space, one row per
+    sample: as f'(x_k) = 0, dv_k = sum_j x_k^(j-1) d_j.  A derivative beyond
+    the float range raises ValueError."""
     dV = np.zeros_like(X)
     with np.errstate(all="ignore"):
-        for c in d[::-1]:   # Horner, from d_mu x^(mu-1) down
-            dV = dV * X + c
+        for c in d.T[::-1]:   # Horner, from d_mu x^(mu-1) down
+            dV = dV * X + c[:, None]
     return _finite(dV)
 
 
@@ -739,19 +746,57 @@ def _intervals_ok(s, V, dV, sep, k):
                      sep[k], sep[k + 1])
 
 
-def _sample(mu, a, b, s, stats):
+def _lost(V, sep):
+    """Mask of the samples, with values V and separations sep, at which the
+    walk ends: two values closer than TOL_DISC (the path hit the
+    discriminant), or than WALK_FLOOR of the largest value's modulus, a
+    separation floats do not resolve."""
+    return (sep < TOL_DISC) | (sep < WALK_FLOOR * np.abs(V).max(axis=1))
+
+
+def _lost_error(sep):
+    """The error that ends a walk at a `_lost` sample of separation sep."""
+    return ValueError(_COLLIDE if sep < TOL_DISC else _UNRESOLVED)
+
+
+def _guarded(f, seg, *rows):
+    """f(*rows) and None, for arrays rows of one row per sample, the samples
+    in path order on the segments seg.  When f raises ValueError: f on the
+    rows of the segments before the first one whose own rows raise, and
+    that segment's error."""
+    try:
+        return f(*rows), None
+    except ValueError:
+        pass
+    for i in np.unique(seg):
+        try:
+            f(*(x[seg == i] for x in rows))
+        except ValueError as exc:
+            return f(*(x[seg < i] for x in rows)), exc
+
+
+def _sample(mu, W, seg, s, stats):
     """Critical points, values, velocities d/ds and separations at the
-    points a + s (b - a) of a segment (b itself at s = 1), evaluated
-    WALK_CHUNK rows at a time."""
+    points W[i] + s (W[i + 1] - W[i]) of the segments i = seg (W[i + 1]
+    itself at s = 1), WALK_CHUNK rows per `_walk_points` call, and the
+    error of `_guarded`, which leaves out the rows from the segment that
+    raised on."""
+    def evaluate(T, d):
+        X, V = (np.concatenate(z) for z in zip(*(
+            _walk_points(mu, T[k:k + WALK_CHUNK])
+            for k in range(0, max(len(T), 1), WALK_CHUNK))))
+        return X, V, _velocities(X, d)
+
+    a, b = W[seg], W[seg + 1]
     T = a + s[:, None] * (b - a)
-    T[s == 1] = b
-    X, V = (np.concatenate(z) for z in zip(*(
-        _walk_points(mu, T[k:k + WALK_CHUNK])
-        for k in range(0, len(T), WALK_CHUNK))))
+    end = s == 1
+    T[end] = b[end]
+    (X, V, dV), err = _guarded(evaluate, seg, T, b - a)
     sep = _separations(V)
-    stats.samples += len(s)
-    stats.min_separation = min(stats.min_separation, float(sep.min()))
-    return X, V, _velocities(X, b - a), sep
+    stats.samples += len(V)
+    stats.min_separation = min(stats.min_separation,
+                               float(sep.min(initial=np.inf)))
+    return X, V, dV, sep, err
 
 
 def _merged(x, y, old, at):
@@ -762,46 +807,61 @@ def _merged(x, y, old, at):
     return out
 
 
-def _refine(mu, a, b, s, V, dV, sep, stats):
-    """Bisect the intervals between consecutive samples s of the segment
-    from a to b until each passes `_steps_ok`; return the samples, their
-    values, velocities and separations, and whether the path hit the
-    discriminant.
+def _refine(mu, W, s, seg, V, dV, sep, err, stats):
+    """Bisect the intervals between consecutive samples of one segment, in
+    the samples s on the segments seg of a window, until each passes
+    `_steps_ok`; each segment's first row is the sample before it.  err is
+    the error that ends the walk after these rows, or None.  Returns the
+    samples, segments, values, velocities and separations, the number of
+    rows the walk yields and the error that ends it there.
 
     Each round evaluates the midpoints of all failing intervals in one
-    stacked call.  The path hits the discriminant at the first sample whose
-    separation is below TOL_DISC, and at the right end of the first
-    failing interval shorter than WALK_FLOOR: the samples end there, and
-    that last one is not part of the walk."""
-    ok = _intervals_ok(s, V, dV, sep, np.arange(len(s) - 1))
-    hit = False
+    stacked call.  The walk ends at the first `_lost` sample and at the
+    right end of the first failing interval shorter than WALK_FLOOR (the
+    path hit the discriminant), which the walk does not yield, and before
+    a segment whose midpoints raise: the earliest end holds."""
+    ok = seg[1:] != seg[:-1]
+    k = np.flatnonzero(~ok)
+    ok[k] = _intervals_ok(s, V, dV, sep, k)
+    end, new = len(s), np.arange(len(s))
+
+    def cut(n):
+        return (s[:n], seg[:n], V[:n], dV[:n], sep[:n]), ok[:max(n - 1, 0)]
+
     while True:
-        low = sep < TOL_DISC
-        if low.any():
-            n = int(np.argmax(low)) + 1
-            s, V, dV, sep, ok = s[:n], V[:n], dV[:n], sep[:n], ok[:n - 1]
-            hit = True
+        lost = _lost(V[new], sep[new])
+        if lost.any():
+            end = int(new[np.argmax(lost)])
+            err = _lost_error(sep[end])
+            (s, seg, V, dV, sep), ok = cut(end + 1)
         bad = np.flatnonzero(~ok)
         short = s[bad + 1] - s[bad] < WALK_FLOOR
         if short.any():
-            n = int(bad[np.argmax(short)]) + 2
-            s, V, dV, sep, ok = s[:n], V[:n], dV[:n], sep[:n], ok[:n - 1]
-            hit, ok[-1] = True, True
-            bad = bad[bad < n - 2]
+            k = int(bad[np.argmax(short)])
+            if k + 1 < end:
+                end, err = k + 1, ValueError(_COLLIDE)
+                (s, seg, V, dV, sep), ok = cut(end + 1)
+            ok[k] = True
+            bad = bad[bad < k]
         if not len(bad):
-            return s, V, dV, sep, hit
+            return s, seg, V, dV, sep, end, err
         mid = (s[bad] + s[bad + 1]) / 2
-        _, Vm, dVm, sepm = _sample(mu, a, b, mid, stats)
+        _, Vm, dVm, sepm, e = _sample(mu, W, seg[bad], mid, stats)
+        if e is not None:   # end before the segment that raised
+            end, err = int(np.searchsorted(seg, seg[bad[len(Vm)]])), e
+            (s, seg, V, dV, sep), ok = cut(end)
+            bad, mid = bad[:len(Vm)], mid[:len(Vm)]
         stats.bisected += len(bad)
         # the midpoint of interval bad[k] lands at index bad[k] + k + 1
-        at = bad + np.arange(1, len(bad) + 1)
+        new = bad + np.arange(1, len(bad) + 1)
         old = np.ones(len(s) + len(bad), dtype=bool)
-        old[at] = False
-        s, V, dV, sep = (_merged(x, y, old, at) for x, y in (
-            (s, mid), (V, Vm), (dV, dVm), (sep, sepm)))
-        ok = _merged(ok, False, old[:-1], at)   # one entry per interval
-        new = np.concatenate([at - 1, at])
-        ok[new] = _intervals_ok(s, V, dV, sep, new)
+        old[new] = False
+        s, seg, V, dV, sep = (_merged(x, y, old, new) for x, y in (
+            (s, mid), (seg, seg[bad]), (V, Vm), (dV, dVm), (sep, sepm)))
+        end += len(bad)   # every midpoint lies before the end
+        ok = _merged(ok, False, old[:-1], new)   # one entry per interval
+        k = np.concatenate([new - 1, new])
+        ok[k] = _intervals_ok(s, V, dV, sep, k)
 
 
 def _path_values(mu, waypoints, steps, stats):
@@ -815,38 +875,64 @@ def _path_values(mu, waypoints, steps, stats):
 
     Each segment starts from the uniform samples k/steps and bisects every
     interval between adjacent samples that fails the step test
-    (`_steps_ok`), WALK_CHUNK initial intervals at a time, so memory does
-    not grow with steps.  The critical points of each segment's end are
-    kept, so the velocities at the next segment's start cost no eigenvalue
-    call.  A sample whose critical values are closer than TOL_DISC, or an
-    interval that still fails at WALK_FLOOR of its segment, means the path
-    hit the discriminant: the samples before it are yielded, then
-    ValueError is raised.  stats, a WalkStats, counts what was
-    evaluated."""
-    W = np.array(waypoints, dtype=complex)
-    X, V, dV, sep = _sample(mu, W[0], W[0], np.zeros(1), stats)   # the start
-    if sep[0] < TOL_DISC:
-        raise ValueError(_COLLIDE)
-    yield V, None
-    for a, b in zip(W, W[1:]):
-        s0, dV = 0.0, _velocities(X[-1:], b - a)
-        for k in range(0, steps, WALK_CHUNK):
-            s = np.arange(k + 1, min(k + WALK_CHUNK, steps) + 1) / steps
-            X, Vs, dVs, seps = _sample(mu, a, b, s, stats)
-            s, V, dV, sep, hit = _refine(
-                mu, a, b, np.concatenate([[s0], s]),
-                np.concatenate([V[-1:], Vs]), np.concatenate([dV[-1:], dVs]),
-                np.concatenate([sep[-1:], seps]), stats)
-            # bit for bit the predictions _intervals_ok matched
-            h = np.diff(s)[:, None]
-            P = V[:-1] + h * dV[:-1]
-            end = len(s) - hit
-            for r in range(1, end, WALK_CHUNK):
-                stop = min(r + WALK_CHUNK, end)
-                yield V[r:stop], P[r - 1:stop - 1]
-            if hit:
-                raise ValueError(_COLLIDE)
-            s0 = s[-1]
+    (`_steps_ok`).  The grid intervals of the whole path are taken in
+    windows of WALK_CHUNK across segment ends, so memory does not grow
+    with steps: the start and the grid samples of every segment in a
+    window are evaluated in one stacked call, and so are the midpoints of
+    each round of bisection (`_refine`).  A sample whose critical values
+    are closer than TOL_DISC or than floats resolve (`_lost`), or an
+    interval that still fails at WALK_FLOOR of its segment, ends the walk:
+    the samples before it are yielded, then ValueError is raised.  An
+    overflow in a segment's samples of a window raises after the samples
+    of the earlier segments, before any of its own.  stats, a WalkStats,
+    counts what was evaluated."""
+    # segment i runs from W[i] to W[i + 1]; segment 0 holds the start alone
+    W = np.array([waypoints[0], *waypoints], dtype=complex)
+    n = (len(W) - 2) * steps   # grid intervals
+    for lo in range(0, n, WALK_CHUNK):
+        k = np.arange(lo, min(lo + WALK_CHUNK, n))
+        # in the first segment's windows k < steps: no integer division by
+        # a steps beyond the int64 range
+        seg, k = np.divmod(k, steps) if lo + WALK_CHUNK > steps else (0 * k, k)
+        seg, s = seg + 1, (k + 1) / steps
+        if not lo:   # the start, at s = 0 of segment 0
+            seg, s = np.r_[0, seg], np.r_[0.0, s]
+        X, V, dV, sep, err = _sample(mu, W, seg, s, stats)
+        seg, s = seg[:len(V)], s[:len(V)]
+        if not lo:
+            if not len(V):
+                raise err
+            if _lost(V[:1], sep[:1])[0]:
+                raise _lost_error(sep[0])
+            yield V[:1], None
+        else:   # the window's first row: the previous window's last sample
+            seg, s, X, V, dV, sep = (np.concatenate(z) for z in zip(
+                last, (seg, s, X, V, dV, sep)))
+        last = seg[-1:], s[-1:], X[-1:], V[-1:], dV[-1:], sep[-1:]
+        # each segment's rows after a copy of the sample before them, with
+        # velocities along the segment, at s = 0 if it ends the one before
+        first = np.diff(seg[1:], prepend=-1) != 0
+        at = np.flatnonzero(first) + np.arange(first.sum())
+        src = np.repeat(np.arange(1, len(seg)), 1 + first)
+        fseg = np.repeat(seg[1:], 1 + first)
+        src[at] -= 1
+        fs = s[src]
+        fs[at] *= seg[src[at]] == fseg[at]
+        dVa, e = _guarded(_velocities, fseg[at], X[src[at]],
+                          W[fseg[at] + 1] - W[fseg[at]])
+        src = src[:len(src) if e is None else at[len(dVa)]]
+        fdV = dV[src]
+        fdV[at[:len(dVa)]] = dVa
+        fs, fseg, V, dV, sep, end, err = _refine(
+            mu, W, fs[:len(src)], fseg[:len(src)], V[src], fdV, sep[src],
+            err if e is None else e, stats)
+        # bit for bit the predictions _intervals_ok matched
+        P = V[:-1] + np.diff(fs)[:, None] * dV[:-1]
+        r = np.flatnonzero(np.diff(fseg[:end]) == 0)
+        for k in range(0, len(r), WALK_CHUNK):
+            yield V[r[k:k + WALK_CHUNK] + 1], P[r[k:k + WALK_CHUNK]]
+        if err is not None:
+            raise err
 
 
 def _walk_step(matched, letters, contact):
@@ -902,14 +988,19 @@ def wall_walk_A(mu, path, steps=64) -> BraidWord:
     3. at most one pair to cross a wall with imaginary gaps of at least
        TOL_WALL at both ends, so the order of the letters is certain.
     A close pair that moves fast together passes in steps of its motion,
-    not of its separation.
+    not of its separation.  The path is sampled in windows of WALK_CHUNK
+    grid intervals across segment ends, each window's grid samples and
+    each round's midpoints in one stacked call.
     Aborts when two critical values come closer than TOL_DISC or an
     interval cannot be resolved above WALK_FLOOR (the path hit the
-    discriminant), or when a wall contact, an adjacent imaginary gap below
-    TOL_WALL, does not resolve within the sample resolution (tangential
-    crossing).  Both bands are absolute constants: scaling each t_j by
-    s^(deg t_j), s > 0, scales every critical value by s and keeps the
-    word, so a path can be rescaled away from them.  Samples are read a
+    discriminant), or closer than WALK_FLOOR of their largest modulus,
+    which floats do not resolve, or when a wall contact, an adjacent
+    imaginary gap below TOL_WALL, does not resolve within the sample
+    resolution (tangential crossing).  Both bands are absolute constants:
+    scaling each t_j by s^(deg t_j), s > 0, scales every critical value by
+    s and keeps the word, so a path can be rescaled away from them, and
+    shifting t_1 shifts every critical value alike and keeps the word.
+    Samples are read a
     chunk at a time and matched to their predecessors' predictions in one
     array call (`_matched`), the step test's own matching; a still sample,
     whose matched values are in good order with every adjacent imaginary

@@ -833,6 +833,19 @@ def test_walk_overflow_is_one_error_line(capsys, path):
     assert "overflow" in lines[0] and "NaN" not in lines[0]
 
 
+@pytest.mark.parametrize("t1", ["1e50", "1e200"])
+def test_unresolvable_walk_is_one_error_line(t1, capped_python):
+    # critical values 1e50 -+ 0.385i, whose separation floats do not
+    # resolve: one error line (exit 1) at once, run under a memory cap, as
+    # the walk once bisected until memory ran out
+    run = capped_python("-m", "singlat.cli", "wall-walk", "2",
+                        f"[[{t1},1],[-{t1},1]]")
+    assert run.returncode == 1 and run.stdout == ""
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    assert lines[0].endswith("rescale the path")
+
+
 def test_fiber_overflow_is_one_warning_line(capsys):
     # a finite target whose Newton iterates overflow: every start is
     # dropped (exit 3, count 0) without a numpy warning on stderr

@@ -1,9 +1,12 @@
 import cmath
 import hashlib
+import importlib.util
 import itertools
 import random
 import warnings
 from fractions import Fraction as F
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,12 +18,13 @@ from singlat.braid import VanishingTuple, braid_apply, braid_apply_word, \
 from singlat.degrees import deg_ll_simple, gz_order
 from singlat.lattice import StokesMatrix, char_poly
 from singlat.llmap import (TOL_DEDUP, TOL_DISC, TOL_WALL, WALK_CHUNK,
-                           LLPoint, WalkStats, _compile, _ll_compiled,
-                           _ll_system, _matched, _multiplication_plan,
-                           _newton_steps, _path_values, _separations,
-                           _solve, _start_table, _steps_ok, _symbolic_ll,
-                           _system, _velocities, _walk, _walk_points,
-                           _walk_values,
+                           WALK_FLOOR, LLPoint, WalkStats, _compile,
+                           _intervals_ok, _ll_compiled, _ll_system, _lost,
+                           _lost_error, _matched, _merged,
+                           _multiplication_plan, _newton_steps, _path_values,
+                           _separations, _solve, _start_table, _steps_ok,
+                           _symbolic_ll, _system, _velocities, _walk,
+                           _walk_points, _walk_values,
                            critical_values_numeric, discriminant_member,
                            good_order, ll_exact_A, ll_fiber_count,
                            wall_walk_A)
@@ -968,6 +972,33 @@ class TestWallWalk:
         with pytest.raises(ValueError, match="tangential crossing"):
             wall_walk_A(3, [[1.5, 0.1, 0.2], [-0.2, 0.8, -2.3]], steps=4)
 
+    def test_lost_samples(self):
+        # a sample ends the walk when two values are closer than TOL_DISC,
+        # or than WALK_FLOOR of the largest modulus (here 1e13 * 2^-40,
+        # about 9.1, but 1e12 * 2^-40 is about 0.91)
+        V = np.array([[0, 2], [0, 1e-10], [1e13, 1e13 + 1j],
+                      [1e12, 1e12 + 1j], [1e13, 1e13 + 1e-10j]])
+        sep = _separations(V)
+        assert _lost(V, sep).tolist() == [False, True, True, False, True]
+        assert [str(_lost_error(x)) for x in sep[[1, 2, 4]]] == [
+            "hit discriminant: critical values collide",
+            llmap._UNRESOLVED, "hit discriminant: critical values collide"]
+        assert not _lost(np.array([[1e300]]), np.array([np.inf]))[0]
+
+    @pytest.mark.parametrize("t1", ["1e50", "1e200"])
+    def test_unresolvable_walk_fails_fast(self, t1, capped_python):
+        # at t = (1e50, 1) the values 1e50 -+ 0.385i are 0.77 apart, far
+        # below the rounding of their real parts, so every interval would
+        # fail the step test and each round of bisection would double the
+        # samples down to WALK_FLOOR: the walk ends at the start instead.
+        # Run under a memory cap, so that a regression fails, not the host
+        code = ("from singlat.llmap import wall_walk_A\n"
+                f"wall_walk_A(2, [[{t1}, 1], [-{t1}, 1]])")
+        run = capped_python("-c", code)
+        assert run.returncode == 1, run.stderr[-500:]
+        assert run.stderr.splitlines()[-1] == \
+            f"ValueError: {llmap._UNRESOLVED}"
+
     def test_chunks_do_not_grow_with_steps(self, monkeypatch):
         # every stacked evaluation and every chunk holds at most WALK_CHUNK
         # samples, however many steps a segment starts from; each chunk
@@ -1053,15 +1084,17 @@ class TestWallWalk:
 
     def test_velocities_are_derivatives(self):
         # dv_k = sum_j x_k^(j-1) d_j at the critical points, against a
-        # central difference of the values along d
+        # central difference of the values along d, one direction per row
         rng = random.Random(83)
         for mu in (1, 2, 3, 4, 5):
-            T = np.array([[complex(rng.gauss(0, 1), rng.gauss(0, 1))
-                           for _ in range(mu)] for _ in range(8)])
-            d = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1))
-                          for _ in range(mu)])
+            T, d = (np.array([[complex(rng.gauss(0, 1), rng.gauss(0, 1))
+                               for _ in range(mu)] for _ in range(8)])
+                    for _ in range(2))
             X, V = _walk_points(mu, T)
             dV = _velocities(X, d)
+            # a direction shared by every row broadcasts
+            assert np.array_equal(_velocities(X, d[:1]),
+                                  _velocities(X, np.repeat(d[:1], 8, axis=0)))
             eps = 1e-6
             up, down = _walk_values(mu, T + eps * d), \
                 _walk_values(mu, T - eps * d)
@@ -1113,16 +1146,8 @@ class TestWallWalk:
 
     @pytest.mark.parametrize("mu", [1, 2, 3, 4, 5])
     def test_chunked_walk_matches_per_sample(self, mu):
-        # 60 seeded round trips per mu, 300 in all, at steps from 20 to 2000
-        # (20 * 100^(u^2) for uniform u); every seventh path is real
-        rng = random.Random(71 + mu)
         seen = set()
-        for k in range(60):
-            steps = round(20 * 100 ** rng.random() ** 2)
-            im = 0 if k % 7 == 3 else 2
-            path = [[complex(rng.uniform(-2, 2), rng.uniform(-im, im))
-                     for _ in range(mu)] for _ in range(rng.choice((2, 3)))]
-            path += path[-2::-1]
+        for path, steps in seeded_round_trips(mu):
             got = walk_outcome(lambda: wall_walk_A(mu, path, steps).letters)
             want = walk_outcome(lambda: per_sample_walk(mu, path, steps))
             assert got == want, (path, steps)
@@ -1353,6 +1378,134 @@ class TestWallWalk:
             assert np.allclose(vals, ref, rtol=1e-12, atol=1e-12)
 
 
+def reference_sample(mu, a, b, s, stats):
+    """The per-segment producer's sampling: critical points, values,
+    velocities d/ds and separations at the points a + s (b - a) of one
+    segment (b itself at s = 1), WALK_CHUNK rows per `_walk_points` call."""
+    T = a + s[:, None] * (b - a)
+    T[s == 1] = b
+    X, V = (np.concatenate(z) for z in zip(*(
+        llmap._walk_points(mu, T[k:k + WALK_CHUNK])
+        for k in range(0, len(T), WALK_CHUNK))))
+    sep = _separations(V)
+    stats.samples += len(s)
+    stats.min_separation = min(stats.min_separation, float(sep.min()))
+    return X, V, _velocities(X, (b - a)[None]), sep
+
+
+def reference_refine(mu, a, b, s, V, dV, sep, stats):
+    """The per-segment producer's bisection of one chunk of a segment's
+    samples: the samples, values, velocities and separations, and the
+    error that ends the walk at the last one (None if none)."""
+    ok = _intervals_ok(s, V, dV, sep, np.arange(len(s) - 1))
+    hit = None
+    while True:
+        low = _lost(V, sep)
+        if low.any():
+            n = int(np.argmax(low)) + 1
+            s, V, dV, sep, ok = s[:n], V[:n], dV[:n], sep[:n], ok[:n - 1]
+            hit = _lost_error(sep[-1])
+        bad = np.flatnonzero(~ok)
+        short = s[bad + 1] - s[bad] < WALK_FLOOR
+        if short.any():
+            n = int(bad[np.argmax(short)]) + 2
+            if n < len(s) or hit is None:
+                hit = ValueError("hit discriminant: critical values collide")
+            s, V, dV, sep, ok = s[:n], V[:n], dV[:n], sep[:n], ok[:n - 1]
+            ok[-1] = True
+            bad = bad[bad < n - 2]
+        if not len(bad):
+            return s, V, dV, sep, hit
+        mid = (s[bad] + s[bad + 1]) / 2
+        _, Vm, dVm, sepm = reference_sample(mu, a, b, mid, stats)
+        stats.bisected += len(bad)
+        at = bad + np.arange(1, len(bad) + 1)
+        old = np.ones(len(s) + len(bad), dtype=bool)
+        old[at] = False
+        s, V, dV, sep = (_merged(x, y, old, at) for x, y in (
+            (s, mid), (V, Vm), (dV, dVm), (sep, sepm)))
+        ok = _merged(ok, False, old[:-1], at)
+        new = np.concatenate([at - 1, at])
+        ok[new] = _intervals_ok(s, V, dV, sep, new)
+
+
+def reference_path_values(mu, waypoints, steps, stats):
+    """Reference: the walk's producer as it was before it stacked the
+    segments of a path, with the `_path_values` contract.  Each segment is
+    sampled on its own, WALK_CHUNK grid intervals at a time, with one
+    `_walk_points` call per chunk and per bisection round; the critical
+    points of a segment's end give the velocities along the next one."""
+    W = np.array(waypoints, dtype=complex)
+    X, V, dV, sep = reference_sample(mu, W[0], W[0], np.zeros(1), stats)
+    if _lost(V, sep)[0]:
+        raise _lost_error(sep[0])
+    yield V, None
+    for a, b in zip(W, W[1:]):
+        s0, dV = 0.0, _velocities(X[-1:], (b - a)[None])
+        for k in range(0, steps, WALK_CHUNK):
+            s = np.arange(k + 1, min(k + WALK_CHUNK, steps) + 1) / steps
+            X, Vs, dVs, seps = reference_sample(mu, a, b, s, stats)
+            s, V, dV, sep, hit = reference_refine(
+                mu, a, b, np.concatenate([[s0], s]),
+                np.concatenate([V[-1:], Vs]), np.concatenate([dV[-1:], dVs]),
+                np.concatenate([sep[-1:], seps]), stats)
+            P = V[:-1] + np.diff(s)[:, None] * dV[:-1]
+            end = len(s) - (hit is not None)
+            for r in range(1, end, WALK_CHUNK):
+                stop = min(r + WALK_CHUNK, end)
+                yield V[r:stop], P[r - 1:stop - 1]
+            if hit is not None:
+                raise hit
+            s0 = s[-1]
+
+
+def stream(producer, mu, path, steps):
+    """The rows (V, P) that a producer yields after the start, as two
+    arrays, the start's values, its WalkStats and the message of the
+    ValueError it ends with (None if none)."""
+    stats, chunks, error = WalkStats(), [], None
+    try:
+        for chunk in producer(mu, [tuple(map(complex, w)) for w in path],
+                              steps, stats):
+            chunks.append(chunk)
+    except ValueError as exc:
+        error = str(exc)
+    start = chunks[0][0] if chunks else None
+    rows = chunks[1:] or [(np.zeros((0, mu), complex),) * 2]
+    return (np.concatenate([V for V, _ in rows]),
+            np.concatenate([P for _, P in rows]), start, stats, error)
+
+
+def reference_walk(mu, path, steps):
+    """The word and WalkStats of `_walk` over the reference producer."""
+    with mock.patch.object(llmap, "_path_values", reference_path_values):
+        return _walk(mu, path, steps)
+
+
+STEPS = wall_walk_A.__defaults__[0]   # the default steps
+
+
+def gates_module():
+    """tools/gates.py, the standing-gate runner, as a module."""
+    spec = importlib.util.spec_from_file_location(
+        "gates", Path(__file__).resolve().parents[1] / "tools" / "gates.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def seeded_round_trips(mu):
+    """60 seeded round trips (path, steps) for mu, at steps from 20 to 2000
+    (20 * 100^(u^2) for uniform u); every seventh path is real."""
+    rng = random.Random(71 + mu)
+    for k in range(60):
+        steps = round(20 * 100 ** rng.random() ** 2)
+        im = 0 if k % 7 == 3 else 2
+        path = [[complex(rng.uniform(-2, 2), rng.uniform(-im, im))
+                 for _ in range(mu)] for _ in range(rng.choice((2, 3)))]
+        yield path + path[-2::-1], steps
+
+
 def walk_outcome(walk):
     """The word a walk returns, or the message of the ValueError it raises."""
     try:
@@ -1373,14 +1526,18 @@ def free_reduce(letters):
 
 
 def spy_refine(monkeypatch):
-    """Record each chunk of segment samples that `_refine` returns in the
-    walks that follow: the segment's ends a, b and the refined samples s,
-    values V and velocities dV."""
+    """Record the samples of each segment in each window that `_refine`
+    returns in the walks that follow, in path order: the segment's ends
+    a, b and its refined samples s, values V and velocities dV, the first
+    of them the sample before the segment's first one in the window."""
     refined, refine = [], llmap._refine
 
-    def spy(mu, a, b, *args):
-        out = refine(mu, a, b, *args)
-        refined.append((a, b) + out[:3])
+    def spy(mu, W, *args):
+        out = refine(mu, W, *args)
+        s, seg, V, dV = out[:4]
+        for i in np.unique(seg):
+            at = seg == i
+            refined.append((W[i], W[i + 1], s[at], V[at], dV[at]))
         return out
 
     monkeypatch.setattr(llmap, "_refine", spy)
@@ -1488,6 +1645,119 @@ def per_sample_walk(mu, path, steps):
                 contact[i] = 0
         prev, raw = matched, vals
     return tuple(letters)
+
+
+class TestStackedProducer:
+    """The walk's producer, which evaluates the segments of a window
+    together, against the per-segment reference producer
+    (`reference_path_values`): the same (V, P) rows bit for bit, the same
+    WalkStats, words and error messages."""
+
+    @staticmethod
+    def assert_same(mu, path, steps):
+        got, want = (stream(producer, mu, path, steps) for producer in
+                     (_path_values, reference_path_values))
+        for x, y in zip(got[:3], want[:3]):
+            assert (x is None) == (y is None)
+            assert x is None or (x.shape == y.shape and
+                                 x.tobytes() == y.tobytes()), (path, steps)
+        assert got[4] == want[4], (path, steps)
+        if want[4] is None:   # a walk that raises reports no statistics
+            assert got[3] == want[3], (path, steps)
+        outcome = walk_outcome(lambda: _walk(mu, path, steps))
+        assert outcome == walk_outcome(lambda: reference_walk(mu, path,
+                                                              steps))
+        return outcome
+
+    @pytest.mark.parametrize("mu", [1, 2, 3, 4, 5])
+    def test_round_trips(self, mu):
+        outcomes = [self.assert_same(mu, path, steps)
+                    for path, steps in seeded_round_trips(mu)]
+        assert {type(o) for o in outcomes} == \
+            ({tuple} if mu == 1 else {tuple, str})
+
+    def test_gate_walks(self):
+        # the 160 walks of tools/gates.py, at the default steps
+        walks = [op.args for gate, _, op in gates_module().gate_ops()
+                 if gate == "walk"]
+        assert len(walks) == 160
+        for mu, path in walks:   # each ends with a word
+            assert not isinstance(self.assert_same(mu, path, STEPS), str)
+
+    @pytest.mark.parametrize("steps", [1, 2, 2000, 3 * WALK_CHUNK + 5])
+    def test_step_counts(self, steps):
+        # one grid interval per segment, windows that hold many segments,
+        # and windows that split segments
+        paths = [TestWallWalk.DEFECT_PATH] + TestWallWalk.BENCH_PATHS
+        for path in paths + [p + p[-2::-1] for p in paths]:
+            self.assert_same(len(path[0]), path, steps)
+
+    # one segment of each ending: it crosses the discriminant at t2 = 0,
+    # keeps the two imaginary parts equal (t2 = -1), or overflows
+    ENDINGS = {"hit discriminant": [(0.3 + 0.2j, 1), (0.3 + 0.2j, -1)],
+               "tangential crossing": [(0, -1), (1j, -1)],
+               "overflow": [(0.5 + 0.1j, -1 + 0.2j), (0.5 + 0.1j, 1e300)]}
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(ENDINGS)))
+    @pytest.mark.parametrize("steps", [16, 200])
+    def test_errors_keep_path_order(self, order, steps):
+        # after a generic first segment, the three segments in the given
+        # order, joined by segments between them: the first one's error
+        # ends the walk, whichever later segment a window also evaluates
+        path = [(0.7 + 0.4j, 0.5 - 0.3j)] + [
+            w for kind in order for w in self.ENDINGS[kind]]
+        outcome = self.assert_same(2, path, steps)
+        assert order[0] in outcome
+
+    @pytest.mark.parametrize("mu,path,steps", [
+        # the velocities at the start along the first segment overflow
+        (2, [(0.5, -10), (0.5, 1.7e308)], 16),
+        # those at a later segment's start, in one window and in two
+        (2, [(0.3 + 0.1j, 0.2j), (0.5, -10), (0.5, 1.7e308)], 16),
+        (2, [(0.3 + 0.1j, 0.2j), (0.5, -10), (0.5, 1.7e308)], 300),
+        # a derivative coefficient overflows, at the start and later
+        (3, [(0, 0, 1e308), (0, 0, 1e307)], 10),
+        (3, [(0.2, 0.1j, 0.3), (0, 0, 1e308), (0, 0, 1e307)], 10),
+        # an overflow after a hit, in a later window
+        (2, [(0.7 + 0.4j, 0.5 - 0.3j), (0.3 + 0.2j, 1), (0.3 + 0.2j, -1),
+             (0.5 + 0.1j, -1 + 0.2j), (0.5 + 0.1j, 1e300)], 300),
+        # a walk that ends, or starts, on the discriminant
+        (2, [(0.3 + 0.2j, 1), (0.3 + 0.2j, 0)], 7),
+        (2, [(0.3 + 0.2j, 0), (0.3 + 0.2j, 1)], 7)])
+    def test_ends_match_reference(self, mu, path, steps):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert isinstance(self.assert_same(mu, path, steps), str)
+
+    def test_walk_points_calls(self, monkeypatch):
+        # a 4-segment round trip that bisects nothing: one window of 256
+        # grid intervals, whose start and grid samples take 2 calls of at
+        # most WALK_CHUNK rows (the per-segment producer: 5, one for the
+        # start and one per segment)
+        calls = []
+
+        def spy(mu, T):
+            calls.append(len(T))
+            return _walk_points(mu, T)
+
+        monkeypatch.setattr(llmap, "_walk_points", spy)
+        p = [[0.5, -1 + 0.5j], [-0.5, 1 + 0.1j], [0.3 + 0.2j, 0.8j]]
+        word, stats = _walk(2, p + p[-2::-1], STEPS)
+        assert word.letters == (-1, 1, -1, 1) and stats.bisected == 0
+        assert calls == [WALK_CHUNK, 1]
+        del calls[:]
+        reference_walk(2, p + p[-2::-1], STEPS)
+        assert len(calls) == 5
+        # the defect round trip: its one window takes the 2 grid calls and
+        # one per round of bisection, 8 rounds (the per-segment producer:
+        # 21, a grid call and one per round in each segment, and the start)
+        p = TestWallWalk.DEFECT_PATH
+        del calls[:]
+        _walk(3, p + p[-2::-1], STEPS)
+        assert len(calls) == 10 and max(calls) <= WALK_CHUNK
+        del calls[:]
+        reference_walk(3, p + p[-2::-1], STEPS)
+        assert len(calls) == 21
 
 
 class TestCompiledSystem:
