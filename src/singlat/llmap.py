@@ -896,7 +896,7 @@ def _path_values(mu, waypoints, steps, stats):
         seg, k = np.divmod(k, steps) if lo + WALK_CHUNK > steps else (0 * k, k)
         seg, s = seg + 1, (k + 1) / steps
         if not lo:   # the start, at s = 0 of segment 0
-            seg, s = np.r_[0, seg], np.r_[0.0, s]
+            seg, s = np.concatenate([[0], seg]), np.concatenate([[0.0], s])
         X, V, dV, sep, err = _sample(mu, W, seg, s, stats)
         seg, s = seg[:len(V)], s[:len(V)]
         if not lo:
@@ -927,8 +927,8 @@ def _path_values(mu, waypoints, steps, stats):
             mu, W, fs[:len(src)], fseg[:len(src)], V[src], fdV, sep[src],
             err if e is None else e, stats)
         # bit for bit the predictions _intervals_ok matched
-        P = V[:-1] + np.diff(fs)[:, None] * dV[:-1]
-        r = np.flatnonzero(np.diff(fseg[:end]) == 0)
+        P = V[:-1] + (fs[1:] - fs[:-1])[:, None] * dV[:-1]
+        r = np.flatnonzero(fseg[1:end] == fseg[:end][:-1])
         for k in range(0, len(r), WALK_CHUNK):
             yield V[r[k:k + WALK_CHUNK] + 1], P[r[k:k + WALK_CHUNK]]
         if err is not None:
