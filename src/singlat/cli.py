@@ -136,16 +136,13 @@ def cmd_jacobi_dim(args):
 
 def _report_outcomes(outcomes):
     docs = []
-    ok = True
     for o in outcomes:
-        doc = {"name": o.name, "passed": o.passed}
-        if o.detail:
-            doc["detail"] = o.detail
+        doc = _check_entry(o)
         if o.witness is not None:
             doc["witness"] = repr(o.witness)
         docs.append(doc)
-        ok = ok and o.passed
-        _info(("PASS " if o.passed else "FAIL ") + o.name)
+        _status(doc)
+    ok = all(doc["passed"] for doc in docs)
     _emit({"checks": docs, "all_passed": ok})
     return EXIT_OK if ok else EXIT_FAIL
 
@@ -290,8 +287,8 @@ def _check_entry(outcome):
 
 
 def _status(entry, took=None):
-    """Write the stderr line of a scorecard entry, with its seconds if
-    given."""
+    """Write the stderr line of a check or scorecard entry, with its
+    seconds if given."""
     line = ("PASS " if entry["passed"] else "FAIL ") + entry["name"]
     _info(line if took is None else f"{line} ({took:.2f}s)")
 

@@ -34,8 +34,11 @@ chunks of the samples to their predecessors with the step test's own
 array matching, and applies its per-sample step only to the samples
 whose matched values leave good order or touch a wall.  It walks the
 whole path in windows of WALK_CHUNK grid intervals across segment ends:
-the grid samples of a window, and then the midpoints of each round of
-bisection, are evaluated in one stacked call each.  The chain-family
+the grid samples of a window, with the left end of its first interval in
+each segment, and then the midpoints of each round of bisection, are
+evaluated in one stacked call each, so a window carries nothing from the
+one before it.  A path of one waypoint is its start alone, which the
+walker checks as it checks every start.  The chain-family
 roots come from stacked companion-matrix eigenvalues (`_companion_roots`).
 A coefficient or critical value beyond the float range raises ValueError.
 The arguments of a fiber count and of a walk are read by one reader each,
@@ -776,27 +779,27 @@ def _guarded(f, seg, *rows):
 
 
 def _sample(mu, W, seg, s, stats):
-    """Critical points, values, velocities d/ds and separations at the
-    points W[i] + s (W[i + 1] - W[i]) of the segments i = seg (W[i + 1]
-    itself at s = 1), WALK_CHUNK rows per `_walk_points` call, and the
-    error of `_guarded`, which leaves out the rows from the segment that
-    raised on."""
+    """Critical values, velocities d/ds and separations at the points
+    W[i] + s (W[i + 1] - W[i]) of the segments i = seg (W[i + 1] itself at
+    s = 1, and W[i] at s = 0 on the segments after the start's segment 0),
+    WALK_CHUNK rows per `_walk_points` call, and the error of `_guarded`,
+    which leaves out the rows from the segment that raised on."""
     def evaluate(T, d):
         X, V = (np.concatenate(z) for z in zip(*(
             _walk_points(mu, T[k:k + WALK_CHUNK])
             for k in range(0, max(len(T), 1), WALK_CHUNK))))
-        return X, V, _velocities(X, d)
+        return V, _velocities(X, d)
 
     a, b = W[seg], W[seg + 1]
     T = a + s[:, None] * (b - a)
-    end = s == 1
-    T[end] = b[end]
-    (X, V, dV), err = _guarded(evaluate, seg, T, b - a)
+    end, start = s == 1, (s == 0) & (seg > 0)
+    T[end], T[start] = b[end], a[start]
+    (V, dV), err = _guarded(evaluate, seg, T, b - a)
     sep = _separations(V)
     stats.samples += len(V)
     stats.min_separation = min(stats.min_separation,
                                float(sep.min(initial=np.inf)))
-    return X, V, dV, sep, err
+    return V, dV, sep, err
 
 
 def _merged(x, y, old, at):
@@ -810,10 +813,11 @@ def _merged(x, y, old, at):
 def _refine(mu, W, s, seg, V, dV, sep, err, stats):
     """Bisect the intervals between consecutive samples of one segment, in
     the samples s on the segments seg of a window, until each passes
-    `_steps_ok`; each segment's first row is the sample before it.  err is
-    the error that ends the walk after these rows, or None.  Returns the
-    samples, segments, values, velocities and separations, the number of
-    rows the walk yields and the error that ends it there.
+    `_steps_ok`; each segment's first row is the left end of its first
+    interval in the window.  err is the error that ends the walk after
+    these rows, or None.  Returns the samples, segments, values,
+    velocities and separations, the number of rows the walk yields and
+    the error that ends it there.
 
     Each round evaluates the midpoints of all failing intervals in one
     stacked call.  The walk ends at the first `_lost` sample and at the
@@ -846,7 +850,7 @@ def _refine(mu, W, s, seg, V, dV, sep, err, stats):
         if not len(bad):
             return s, seg, V, dV, sep, end, err
         mid = (s[bad] + s[bad + 1]) / 2
-        _, Vm, dVm, sepm, e = _sample(mu, W, seg[bad], mid, stats)
+        Vm, dVm, sepm, e = _sample(mu, W, seg[bad], mid, stats)
         if e is not None:   # end before the segment that raised
             end, err = int(np.searchsorted(seg, seg[bad[len(Vm)]])), e
             (s, seg, V, dV, sep), ok = cut(end)
@@ -868,36 +872,47 @@ def _path_values(mu, waypoints, steps, stats):
     """Critical values at adaptive samples of the piecewise-linear path,
     with the predictions they are matched to, in path order: one pair
     (V, P) of (n, mu) arrays per chunk of at most WALK_CHUNK samples.  The
-    first chunk is the first waypoint alone, with P None; then come each
-    segment's samples after its start, the last one its end.  Row r of P
-    holds the forward predictions at sample r of the previous sample's
-    values, in that sample's order, the ones `_steps_ok` matched.
+    first chunk is the first waypoint alone, with P None, also on a path
+    of one waypoint; then come each segment's samples after its start, the
+    last one its end.  Row r of P holds the forward predictions at sample
+    r of the previous sample's values, in that sample's order, the ones
+    `_steps_ok` matched.
 
     Each segment starts from the uniform samples k/steps and bisects every
     interval between adjacent samples that fails the step test
     (`_steps_ok`).  The grid intervals of the whole path are taken in
     windows of WALK_CHUNK across segment ends, so memory does not grow
-    with steps: the start and the grid samples of every segment in a
-    window are evaluated in one stacked call, and so are the midpoints of
-    each round of bisection (`_refine`).  A sample whose critical values
-    are closer than TOL_DISC or than floats resolve (`_lost`), or an
-    interval that still fails at WALK_FLOOR of its segment, ends the walk:
-    the samples before it are yielded, then ValueError is raised.  An
-    overflow in a segment's samples of a window raises after the samples
-    of the earlier segments, before any of its own.  stats, a WalkStats,
-    counts what was evaluated."""
+    with steps.  A window evaluates in one stacked call the right end of
+    each of its intervals, the left end of its first interval in each
+    segment (so it carries nothing from the window before it), and on the
+    first window the start; the midpoints of each round of bisection
+    (`_refine`) take one stacked call as well.  A sample whose critical
+    values are closer than TOL_DISC or than floats resolve (`_lost`), or
+    an interval that still fails at WALK_FLOOR of its segment, ends the
+    walk: the samples before it are yielded, then ValueError is raised.
+    An overflow in a segment's samples of a window raises after the
+    samples of the earlier segments, before any of its own.  stats, a
+    WalkStats, counts the points evaluated, each left end once: it is the
+    start, the end of the segment before or a grid sample of the window
+    before."""
     # segment i runs from W[i] to W[i + 1]; segment 0 holds the start alone
     W = np.array([waypoints[0], *waypoints], dtype=complex)
     n = (len(W) - 2) * steps   # grid intervals
-    for lo in range(0, n, WALK_CHUNK):
+    for lo in range(0, max(n, 1), WALK_CHUNK):
         k = np.arange(lo, min(lo + WALK_CHUNK, n))
         # in the first segment's windows k < steps: no integer division by
         # a steps beyond the int64 range
         seg, k = np.divmod(k, steps) if lo + WALK_CHUNK > steps else (0 * k, k)
-        seg, s = seg + 1, (k + 1) / steps
+        # each interval's right end, after its left end where the interval
+        # starts the window or a segment
+        left = k == 0
+        left[:1] = True
+        i = np.flatnonzero(left)
+        seg = np.insert(seg, i, seg[i]) + 1
+        s = np.insert(k + 1, i, k[i]) / steps
         if not lo:   # the start, at s = 0 of segment 0
             seg, s = np.concatenate([[0], seg]), np.concatenate([[0.0], s])
-        X, V, dV, sep, err = _sample(mu, W, seg, s, stats)
+        V, dV, sep, err = _sample(mu, W, seg, s, stats)
         seg, s = seg[:len(V)], s[:len(V)]
         if not lo:
             if not len(V):
@@ -905,30 +920,15 @@ def _path_values(mu, waypoints, steps, stats):
             if _lost(V[:1], sep[:1])[0]:
                 raise _lost_error(sep[0])
             yield V[:1], None
-        else:   # the window's first row: the previous window's last sample
-            seg, s, X, V, dV, sep = (np.concatenate(z) for z in zip(
-                last, (seg, s, X, V, dV, sep)))
-        last = seg[-1:], s[-1:], X[-1:], V[-1:], dV[-1:], sep[-1:]
-        # each segment's rows after a copy of the sample before them, with
-        # velocities along the segment, at s = 0 if it ends the one before
-        first = np.diff(seg[1:], prepend=-1) != 0
-        at = np.flatnonzero(first) + np.arange(first.sum())
-        src = np.repeat(np.arange(1, len(seg)), 1 + first)
-        fseg = np.repeat(seg[1:], 1 + first)
-        src[at] -= 1
-        fs = s[src]
-        fs[at] *= seg[src[at]] == fseg[at]
-        dVa, e = _guarded(_velocities, fseg[at], X[src[at]],
-                          W[fseg[at] + 1] - W[fseg[at]])
-        src = src[:len(src) if e is None else at[len(dVa)]]
-        fdV = dV[src]
-        fdV[at[:len(dVa)]] = dVa
-        fs, fseg, V, dV, sep, end, err = _refine(
-            mu, W, fs[:len(src)], fseg[:len(src)], V[src], fdV, sep[src],
-            err if e is None else e, stats)
+            seg, s, V, dV, sep = seg[1:], s[1:], V[1:], dV[1:], sep[1:]
+        # each segment's left end is a point counted before (a set, as
+        # np.unique would import numpy.ma, a megabyte, into every walk)
+        stats.samples -= len(set(seg.tolist()))
+        s, seg, V, dV, sep, end, err = _refine(mu, W, s, seg, V, dV, sep,
+                                               err, stats)
         # bit for bit the predictions _intervals_ok matched
-        P = V[:-1] + (fs[1:] - fs[:-1])[:, None] * dV[:-1]
-        r = np.flatnonzero(fseg[1:end] == fseg[:end][:-1])
+        P = V[:-1] + (s[1:] - s[:-1])[:, None] * dV[:-1]
+        r = np.flatnonzero(seg[1:end] == seg[:end][:-1])
         for k in range(0, len(r), WALK_CHUNK):
             yield V[r[k:k + WALK_CHUNK] + 1], P[r[k:k + WALK_CHUNK]]
         if err is not None:
@@ -990,7 +990,8 @@ def wall_walk_A(mu, path, steps=64) -> BraidWord:
     A close pair that moves fast together passes in steps of its motion,
     not of its separation.  The path is sampled in windows of WALK_CHUNK
     grid intervals across segment ends, each window's grid samples and
-    each round's midpoints in one stacked call.
+    each round's midpoints in one stacked call.  A path of one waypoint
+    gives the empty word, after the checks of its start.
     Aborts when two critical values come closer than TOL_DISC or an
     interval cannot be resolved above WALK_FLOOR (the path hit the
     discriminant), or closer than WALK_FLOOR of their largest modulus,
@@ -1016,9 +1017,6 @@ def _walk(mu, path, steps):
     steps = positive_int(steps, "steps")
     waypoints = _waypoints(mu, path)
     stats = WalkStats()
-    if len(waypoints) == 1:
-        return BraidWord(()), stats
-
     letters, contact = [], {}   # contact: adjacent pair -> samples on the wall
     prev = None                 # the previous sample's values
     for V, P in _path_values(mu, waypoints, steps, stats):

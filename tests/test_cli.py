@@ -517,6 +517,18 @@ class TestCountsAndChecks:
     def test_verify_kappa_usage(self, capsys):
         assert main(["verify-kappa", "E6"]) == 2
 
+    def test_failed_check_report(self, capsys, monkeypatch):
+        # the bytes of a failed check: its witness and detail on stdout,
+        # one FAIL line on stderr, exit 1
+        monkeypatch.setattr(verify, "check_kappa_extension", lambda cls:
+                            verify.CheckOutcome("tE6:kappa-extension", False,
+                                                "ka - 1", "disagrees"))
+        assert main(["verify-kappa", "tE6"]) == 1
+        assert capsys.readouterr() == (
+            '{"all_passed":false,"checks":[{"detail":"disagrees",'
+            '"name":"tE6:kappa-extension","passed":false,'
+            '"witness":"\'ka - 1\'"}]}\n', "FAIL tE6:kappa-extension\n")
+
     def test_jacobi_dim(self, capsys):
         code, doc = run(capsys, "jacobi-dim", "tE6", "--at", "2/5")
         assert code == 0 and doc["jacobi_dimension"] == 8
@@ -540,9 +552,12 @@ class TestLLCommands:
         assert doc["count"] == 3 and doc["saturated"] is True
 
     def test_wall_walk(self, capsys):
+        # a path of one waypoint: its start is the one sample
         path = json.dumps([[0.5, [-1.0, 0.0]]])
-        code, doc = run(capsys, "wall-walk", "2", path, "--steps", "20")
-        assert code == 0 and doc["word"] == []
+        assert main(["wall-walk", "2", path, "--steps", "20"]) == 0
+        out, err = capsys.readouterr()
+        assert json.loads(out)["word"] == []
+        assert json.loads(err)["samples"] == 1
 
     def test_wall_walk_reports_sampling(self, capsys):
         # one JSON line on stderr: the samples evaluated, the intervals
@@ -831,6 +846,21 @@ def test_walk_overflow_is_one_error_line(capsys, path):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), lines
     assert "overflow" in lines[0] and "NaN" not in lines[0]
+
+
+@pytest.mark.parametrize("point", ["[[0,0],[0,0]]", "[[1e200,0],[1,0]]"],
+                         ids=["discriminant", "unresolved"])
+def test_one_waypoint_walk_checks_its_start(capsys, point):
+    # a path of one waypoint fails (exit 1) with the one error line of the
+    # same point given twice
+    errors = []
+    for path in (f"[{point}]", f"[{point},{point}]"):
+        assert main(["wall-walk", "2", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+    assert errors[0] == errors[1] and errors[0].startswith("error: ")
+    assert errors[0].count("\n") == 1
 
 
 @pytest.mark.parametrize("t1", ["1e50", "1e200"])

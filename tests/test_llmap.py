@@ -955,6 +955,18 @@ class TestWallWalk:
         wr = wall_walk_A(2, list(reversed(loop)), steps=400)
         assert wr.letters == w.inverse().letters
 
+    def test_one_waypoint_checks_its_start(self):
+        # a path of one waypoint samples its start, as every walk does
+        word, stats = _walk(2, [[0.5, -1.0]], 10)
+        assert word.letters == () and \
+            (stats.samples, stats.bisected) == (1, 0)
+        # on the discriminant, and where floats do not resolve the values:
+        # the error of the same point given twice
+        for point in ([0, 0], [1e200, 1]):
+            errors = [walk_outcome(lambda: wall_walk_A(2, path))
+                      for path in ([point], [point, point])]
+            assert isinstance(errors[0], str) and errors[0] == errors[1]
+
     def test_discriminant_abort(self):
         with pytest.raises(ValueError, match="discriminant"):
             wall_walk_A(2, [[0.3, 1.0], [0.3, -1.0]], steps=100)
@@ -1731,9 +1743,9 @@ class TestStackedProducer:
 
     def test_walk_points_calls(self, monkeypatch):
         # a 4-segment round trip that bisects nothing: one window of 256
-        # grid intervals, whose start and grid samples take 2 calls of at
-        # most WALK_CHUNK rows (the per-segment producer: 5, one for the
-        # start and one per segment)
+        # grid intervals, whose grid samples, start and 4 segment starts
+        # take 2 calls of at most WALK_CHUNK rows (the per-segment
+        # producer: 5, one for the start and one per segment)
         calls = []
 
         def spy(mu, T):
@@ -1744,7 +1756,7 @@ class TestStackedProducer:
         p = [[0.5, -1 + 0.5j], [-0.5, 1 + 0.1j], [0.3 + 0.2j, 0.8j]]
         word, stats = _walk(2, p + p[-2::-1], STEPS)
         assert word.letters == (-1, 1, -1, 1) and stats.bisected == 0
-        assert calls == [WALK_CHUNK, 1]
+        assert calls == [WALK_CHUNK, 5]
         del calls[:]
         reference_walk(2, p + p[-2::-1], STEPS)
         assert len(calls) == 5
