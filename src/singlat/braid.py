@@ -257,12 +257,7 @@ def sign_canonical_stokes(s: StokesMatrix) -> StokesMatrix:
 # orbit enumeration
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_FORMAT = 9          # 8 held the seed as JSON; 7 saved E6-E8,
-                               # A6+ and D6+ Stokes runs packed and wide
-                               # entries as JSON; 6 saved
-                               # every visited key; 5 lacked the roots its
-                               # indices name; 4 nested .npy files; 3 a
-                               # pickle; 2 mu x mu
+CHECKPOINT_FORMAT = 9          # a file of any other format is refused
 _CHECKPOINT_MAGIC = f"singlat checkpoint {CHECKPOINT_FORMAT}".encode()
 CHECKPOINT_EVERY = 250_000     # expanded states between checkpoint saves
 _CHUNK_ELEMENTS = 2 ** 16      # per numpy pass, counting mu^2 per

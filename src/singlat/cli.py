@@ -385,13 +385,13 @@ def build_parser():
     p = add("ll-fiber", cmd_ll_fiber, help="numeric fiber count over a target")
     p.add_argument("cls")
     p.add_argument("p", help="JSON list of the mu non-leading coefficients")
-    p.add_argument("--budget", type=_positive_int, default=600)
+    p.add_argument("--budget", type=_positive_int, default=llmap.FIBER_BUDGET)
 
     p = add("wall-walk", cmd_wall_walk,
             help="braid word emitted along a parameter path")
     p.add_argument("mu", type=_positive_int)
     p.add_argument("path", help="JSON list of waypoints (lists of [re, im])")
-    p.add_argument("--steps", type=_positive_int, default=64,
+    p.add_argument("--steps", type=_positive_int, default=llmap.WALK_STEPS,
                    help="uniform samples each segment starts from; the "
                         "walk bisects wherever a critical value strays from "
                         "its predicted motion or a pair of values turns too "

@@ -5,11 +5,11 @@ Picard-Lefschetz reflections and Coxeter-Dynkin diagrams, all as exact
 integer matrix computations; definiteness and quasiunipotence are both
 read off the integer characteristic polynomial (`char_poly`), ranks and
 determinants come from `polyalg.bareiss`, and every inverse, S^{-1} and
-that of G_Z's Krylov basis, from one fraction-free Gauss-Jordan
-elimination (`_adjugate`).  The roots of every form, up to sign, and
-their reflections are tabulated once per form and filled on demand
-(`roots`), and so is G_Z, the automorphism group of the Seifert form of
-a positive definite seed (`gz`).  The sign
+that of G_Z's Krylov basis, from `polyalg._adjugate`, back substitution
+on the echelon rows of the same fraction-free elimination.  The roots of
+every form, up to sign, and their reflections are tabulated once per
+form and filled on demand (`roots`), and so is G_Z, the automorphism
+group of the Seifert form of a positive definite seed (`gz`).  The sign
 conventions are fixed once and for all at the dimension residue n = 0
 mod 4, where
 
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polyalg import MultiPoly, bareiss
+from .polyalg import MultiPoly, _adjugate, bareiss
 
 
 # ---------------------------------------------------------------------------
@@ -516,33 +516,6 @@ def _gz(rows, table):
     for a in out:
         a.flags.writeable = False
     return out
-
-
-def _adjugate(m):
-    """p and p m^(-1) of an invertible integer matrix m, p = +-det m, by
-    fraction-free Gauss-Jordan elimination: every entry is a minor of
-    [m | 1] up to sign, so each division by the last pivot is exact.
-
-    The one exact inverse of the library: it serves M = -S^(-1) S^t
-    (monodromy_from_stokes, _gz) and the Krylov basis of _gz.  On a unit
-    upper triangular S no row is swapped and every pivot, a leading
-    principal minor, is 1, so it returns (1, S^(-1))."""
-    n = len(m)
-    a = [list(row) + [int(i == j) for j in range(n)]
-         for i, row in enumerate(m)]
-    prev = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
-        if piv is None:
-            raise ArithmeticError("the matrix is singular")
-        a[k], a[piv] = a[piv], a[k]
-        top, p = a[k], a[k][k]
-        for i in range(n):
-            if i != k:
-                f = a[i][k]
-                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], top)]
-        prev = p
-    return prev, [row[n:] for row in a]
 
 
 def process_cache(build):

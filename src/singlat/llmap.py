@@ -426,6 +426,9 @@ def _newton_steps(GJ, starts):
 # needs all 600 starts takes about as long as one batched pass over them.
 NEWTON_CHUNK = 128
 
+# Starts of a fiber count when the caller gives none (the CLI's too).
+FIBER_BUDGET = 600
+
 
 def _compile(polys, names):
     """The polys and their partials in names as one exponent matrix over the
@@ -552,7 +555,8 @@ def _deg_ll(cls):
     return deg_ll_simple(cls).deg_ll
 
 
-def ll_fiber_count(cls_or_label, p: LLPoint, budget=600) -> FiberCount:
+def ll_fiber_count(cls_or_label, p: LLPoint,
+                   budget=FIBER_BUDGET) -> FiberCount:
     """Number of parameter points mapping to the target configuration,
     located by multistart Newton on the coefficient-matching system.
 
@@ -606,6 +610,10 @@ def _fiber_target(cls_or_label, target):
 # path samples whose critical values are computed in one stacked eigenvalue
 # call; bounds the walk's working memory whatever the step count.
 WALK_CHUNK = 256
+
+# Uniform grid samples of each segment when the caller gives none (the
+# CLI's too).
+WALK_STEPS = 64
 
 # The shortest interval, as a fraction of its segment, that the walk
 # bisects: an interval that still fails the step test at this length is
@@ -966,7 +974,7 @@ def _walk_step(matched, letters, contact):
             contact[i] = 0
 
 
-def wall_walk_A(mu, path, steps=64) -> BraidWord:
+def wall_walk_A(mu, path, steps=WALK_STEPS) -> BraidWord:
     """Track the good-ordered critical values along a piecewise-linear path
     of parameter vectors; emit one braid letter per transversal crossing of
     adjacent imaginary parts.  The letter sign comes from the real-part
@@ -1011,7 +1019,7 @@ def wall_walk_A(mu, path, steps=64) -> BraidWord:
     return _walk(mu, path, steps)[0]
 
 
-def _walk(mu, path, steps):
+def _walk(mu, path, steps=WALK_STEPS):
     """`wall_walk_A`'s word, and the WalkStats of its sampling."""
     mu = positive_int(mu, "mu")
     steps = positive_int(steps, "steps")

@@ -18,14 +18,16 @@ hold it and stores them through the private `_raw`, without a re-check.
 `macaulay` is the one weighted Macaulay compiler, and a graded piece is
 one block of it (`graded_block`).
 Fraction-free (Bareiss) elimination, `_pivot_columns`, is the one exact
-rank and determinant routine: the resultant (on the Sylvester matrix),
-the discriminant test (on a Hankel matrix of Newton sums), the
+rank, determinant and inverse routine: the resultant (on the Sylvester
+matrix), the discriminant test (on a Hankel matrix of Newton sums), the
 Milnor-lattice determinants and the graded Jacobi ranks all run it, the
-resultant alone on polynomial entries.  A graded rank over Q(la) is an
-elimination over Z at one integer value of la where no nonzero minor
-vanishes, and the pivot minor of that elimination is cached as a
-certificate: at a given la the ranks are read off it, with an elimination
-only at its roots (`GradedPiece.ranks`).
+resultant alone on polynomial entries, and `_adjugate`, the exact
+inverse of the Milnor lattice's matrices and of `Cyclo.inv`'s
+multiplication matrix, is back substitution on its echelon rows.  A
+graded rank over Q(la) is an elimination over Z at one integer value of
+la where no nonzero minor vanishes, and the pivot minor of that
+elimination is cached as a certificate: at a given la the ranks are read
+off it, with an elimination only at its roots (`GradedPiece.ranks`).
 The argument rules shared across the package live here too: a count is
 a `positive_int`, an exact input is an `exact_rational`, a numeric one is
 a `finite_complex`, and a container is read once by `entries`.
@@ -356,24 +358,20 @@ class Cyclo(_Ring):
     __rmul__ = __mul__
 
     def inv(self):
-        """The inverse, over Z by Cramer's rule.  Multiplication by num is
-        the integer matrix M whose column j holds num z^j reduced modulo
-        the minimal polynomial; M is invertible as the field has no zero
-        divisors, and num^-1 is the solution x of M x = e_0, x_i = det M_i /
-        det M with column i of M replaced by e_0.  The determinants are
-        those of the transposes, whose rows are the columns (`bareiss`).
-        The inverse of num / den is den x."""
+        """The inverse, over Z.  Multiplication by num is the integer
+        matrix M whose column j holds num z^j reduced modulo the minimal
+        polynomial; M is invertible as the field has no zero divisors, and
+        num^-1 is the solution x of M x = e_0, the first column of M^-1.
+        `_adjugate` of the transpose, whose rows are the columns, gives p
+        and p (M^-1)^t, whose first row is p x.  The inverse of num / den
+        is den x."""
         if not self:
             raise ZeroDivisionError("inverse of zero")
         field, d = self.field, self.field.degree
-        cols = [self._reduce(field, [0] * j + list(self.num))
-                for j in range(d)]
-        e0 = [1] + [0] * (d - 1)
-        det = bareiss(cols)[1]
-        x = [bareiss(cols[:i] + [e0] + cols[i + 1:])[1] for i in range(d)]
-        if det < 0:
-            det, x = -det, [-v for v in x]
-        return Cyclo._make(field, [self.den * v for v in x], det)
+        p, adj = _adjugate([self._reduce(field, [0] * j + list(self.num))
+                            for j in range(d)])
+        s = -1 if p < 0 else 1
+        return Cyclo._make(field, [s * self.den * v for v in adj[0]], s * p)
 
     def _one(self):
         return self._co(1)
@@ -941,12 +939,15 @@ def parse_poly(text, vars):
 # ---------------------------------------------------------------------------
 
 def _pivot_columns(rows):
-    """Pivot columns and pivot minor of fraction-free (Bareiss) elimination
-    on rows; see `bareiss`.  The columns are found left to right, so the
-    number of pivots among the first k columns is their rank.  The pivot
-    minor, the signed last pivot, is +-1 times the minor on the pivot rows
-    and columns (Sylvester's identity), never 0 (1 for no pivots), and the
-    determinant of a square matrix of full rank."""
+    """Pivot columns, pivot minor and echelon rows of fraction-free
+    (Bareiss) elimination on rows; see `bareiss`.  The columns are found
+    left to right, so the number of pivots among the first k columns is
+    their rank.  The pivot minor, the signed last pivot, is +-1 times the
+    minor on the pivot rows and columns (Sylvester's identity), never 0 (1
+    for no pivots), and the determinant of a square matrix of full rank.
+    The echelon rows are the rows, swapped and eliminated: row k is an
+    integer combination of the input's rows, zero left of its pivot column
+    pivots[k]; the list holds stale entries there, never read."""
     rows = [list(row) for row in rows]
     n = len(rows)
     cols = len(rows[0]) if rows else 0
@@ -972,7 +973,38 @@ def _pivot_columns(rows):
         pivots.append(c)
         if rank + 1 == n:
             break
-    return pivots, sign * prev
+    return pivots, sign * prev, rows
+
+
+def _adjugate(m):
+    """p and p m^(-1) of an invertible integer matrix m, p = +-det m the
+    last pivot of `_pivot_columns` on [m | 1].  Its echelon rows are
+    U | R with U = R m upper triangular (its stale entries below the
+    diagonal are not read), so p m^(-1) = U^(-1) p R is the solution X of
+    U X = p R, found by back substitution from the last row up.  X is
+    integral (+-adj m), so every division by a pivot U[i][i] is exact.
+    A singular m raises ArithmeticError.
+
+    The one exact inverse of the package: it serves M = -S^(-1) S^t
+    (`lattice.monodromy_from_stokes`, `lattice._gz`), the Krylov basis of
+    `lattice._gz` and `Cyclo.inv`.  On a unit upper triangular S no row is
+    swapped and every pivot, a leading principal minor, is 1, so it
+    returns (1, S^(-1))."""
+    n = len(m)
+    pivots, _, rows = _pivot_columns(
+        [list(row) + [int(i == j) for j in range(n)]
+         for i, row in enumerate(m)])
+    if pivots != list(range(n)):
+        raise ArithmeticError("the matrix is singular")
+    p = rows[n - 1][n - 1] if n else 1
+    for i in reversed(range(n)):   # row i of X replaces echelon row i
+        u = rows[i]
+        acc = [p * r for r in u[n:]]
+        for j in range(i + 1, n):
+            if u[j]:
+                acc = [a - u[j] * b for a, b in zip(acc, rows[j])]
+        rows[i] = [a // u[i] for a in acc]
+    return p, rows
 
 
 def bareiss(rows):
@@ -986,7 +1018,7 @@ def bareiss(rows):
     the pivot column; those left of it are never read again.  The
     determinant is the pivot minor of `_pivot_columns` for a square matrix
     of full rank, and 0 otherwise."""
-    pivots, minor = _pivot_columns(rows)
+    pivots, minor, _ = _pivot_columns(rows)
     n = len(pivots)
     return n, minor if n == len(rows) == len(rows[0] if rows else ()) else 0
 
@@ -1134,7 +1166,7 @@ class GradedPiece:
         [-B, B]: the c_k are its balanced base-x digits (Kronecker
         substitution)."""
         x = 2 * self.bound + 1
-        pivots, minor = _pivot_columns(_evaluate(self.rows, x))
+        pivots, minor, _ = _pivot_columns(_evaluate(self.rows, x))
         coeffs = []
         while minor:
             minor, digit = divmod(minor + self.bound, x)

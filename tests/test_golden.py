@@ -53,8 +53,9 @@ def test_battery_is_byte_identical():
         f"{GOLDEN.name} is pinned to numpy {pinned}, this run has numpy "
         f"{numpy.__version__}; its float lines may differ")
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
-    run = subprocess.run([sys.executable, str(REPO / "tools" /
-                                              "byte_identity.py")],
+    # a subprocess does not inherit pytest's warning filter
+    run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                          str(REPO / "tools" / "byte_identity.py")],
                          capture_output=True, env=env, cwd=REPO, check=False)
     assert run.returncode == 0, run.stderr.decode()[-2000:]
     report = first_difference(want, run.stdout)

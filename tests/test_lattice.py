@@ -15,13 +15,13 @@ from singlat.lattice import (MonodromyMatrix, StokesMatrix, char_poly,
                              monodromy_from_stokes, monodromy_product,
                              mat_mul, mat_neg, mat_transpose, pl_reflect,
                              process_cache, radical_rank, roots, RootTable,
-                             row_keys, symmetrized_form, _adjugate,
-                             _sign_canonical, _void)
+                             row_keys, symmetrized_form, _sign_canonical,
+                             _void)
 from singlat.braid import (VanishingTuple, braid_apply_word, BraidWord,
                            _canon_vectors, _engine, _generators,
                            sign_canonical_stokes, stokes_of_tuple)
 from singlat.degrees import gz_order
-from singlat.polyalg import MultiPoly
+from singlat.polyalg import MultiPoly, _adjugate
 from singlat.singdata import seed_stokes, ALL_LABELS
 
 
@@ -48,7 +48,7 @@ class TestSymmetrizedForm:
 
 def triangular_inverse(s):
     """Exact integer inverse of a unit upper triangular integer matrix by
-    back substitution, the oracle of lattice._adjugate on Stokes
+    back substitution, the oracle of polyalg._adjugate on Stokes
     matrices."""
     n = len(s)
     inv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]

@@ -18,9 +18,9 @@ from singlat.braid import VanishingTuple, braid_apply, braid_apply_word, \
 from singlat.degrees import deg_ll_simple, gz_order
 from singlat.lattice import StokesMatrix, char_poly
 from singlat.llmap import (TOL_DEDUP, TOL_DISC, TOL_WALL, WALK_CHUNK,
-                           WALK_FLOOR, LLPoint, WalkStats, _compile,
-                           _intervals_ok, _ll_compiled, _ll_system, _lost,
-                           _lost_error, _matched, _merged,
+                           WALK_FLOOR, WALK_STEPS, LLPoint, WalkStats,
+                           _compile, _intervals_ok, _ll_compiled, _ll_system,
+                           _lost, _lost_error, _matched, _merged,
                            _multiplication_plan, _newton_steps, _path_values,
                            _separations, _solve, _start_table, _steps_ok,
                            _symbolic_ll, _system, _velocities, _walk,
@@ -1494,8 +1494,6 @@ def reference_walk(mu, path, steps):
         return _walk(mu, path, steps)
 
 
-STEPS = wall_walk_A.__defaults__[0]   # the default steps
-
 
 def gates_module():
     """tools/gates.py, the standing-gate runner, as a module."""
@@ -1694,7 +1692,7 @@ class TestStackedProducer:
                  if gate == "walk"]
         assert len(walks) == 160
         for mu, path in walks:   # each ends with a word
-            assert not isinstance(self.assert_same(mu, path, STEPS), str)
+            assert not isinstance(self.assert_same(mu, path, WALK_STEPS), str)
 
     @pytest.mark.parametrize("steps", [1, 2, 2000, 3 * WALK_CHUNK + 5])
     def test_step_counts(self, steps):
@@ -1754,21 +1752,21 @@ class TestStackedProducer:
 
         monkeypatch.setattr(llmap, "_walk_points", spy)
         p = [[0.5, -1 + 0.5j], [-0.5, 1 + 0.1j], [0.3 + 0.2j, 0.8j]]
-        word, stats = _walk(2, p + p[-2::-1], STEPS)
+        word, stats = _walk(2, p + p[-2::-1], WALK_STEPS)
         assert word.letters == (-1, 1, -1, 1) and stats.bisected == 0
         assert calls == [WALK_CHUNK, 5]
         del calls[:]
-        reference_walk(2, p + p[-2::-1], STEPS)
+        reference_walk(2, p + p[-2::-1], WALK_STEPS)
         assert len(calls) == 5
         # the defect round trip: its one window takes the 2 grid calls and
         # one per round of bisection, 8 rounds (the per-segment producer:
         # 21, a grid call and one per round in each segment, and the start)
         p = TestWallWalk.DEFECT_PATH
         del calls[:]
-        _walk(3, p + p[-2::-1], STEPS)
+        _walk(3, p + p[-2::-1], WALK_STEPS)
         assert len(calls) == 10 and max(calls) <= WALK_CHUNK
         del calls[:]
-        reference_walk(3, p + p[-2::-1], STEPS)
+        reference_walk(3, p + p[-2::-1], WALK_STEPS)
         assert len(calls) == 21
 
 

@@ -16,7 +16,8 @@ from singlat.llmap import (LLPoint, critical_values_numeric,
                            discriminant_member, ll_exact_A, ll_fiber_count,
                            wall_walk_A)
 from singlat.polyalg import (Cyclo, GAUSS, ZETA8, GradedPiece, MultiPoly,
-                             RatFunc, WeightSystem, _pivot_columns, bareiss,
+                             RatFunc, WeightSystem, _adjugate, _pivot_columns,
+                             bareiss,
                              entries, exact_rational, finite_complex,
                              graded_columns,
                              graded_piece_rank, macaulay, parse_poly,
@@ -848,7 +849,7 @@ def _check_pivot_minor(rows, ring):
     r x r minor on its r pivot columns (the empty minor, 1, for r = 0);
     bareiss's determinant is that minor for a square matrix of full rank
     and 0 for any other matrix."""
-    pivots, minor = _pivot_columns(rows)
+    pivots, minor, _ = _pivot_columns(rows)
     got = _sympy(minor)
     assert got != 0
     minors = [1]
@@ -874,6 +875,60 @@ def test_pivot_minor_over_z_is_a_pivot_column_minor(case):
 def test_pivot_minor_over_z_la_is_a_pivot_column_minor(case):
     sympy = pytest.importorskip("sympy")
     _check_pivot_minor(case[0], sympy.ZZ[sympy.Symbol("la")])
+
+
+# ---------------------------------------------------------------------------
+# the exact inverse against sympy's DomainMatrix, a test-only oracle
+# ---------------------------------------------------------------------------
+
+def _square(rng, kind, n):
+    """A seeded n x n integer matrix of the kind: small dense entries;
+    sparse ones, whose zero pivots swap rows; a unit upper triangular
+    matrix with its rows shuffled, invertible and swapped; entries past
+    int64; or a product of n x r and r x n matrices, r < n, singular."""
+    if kind == "singular":
+        r = rng.randrange(n)
+        a = [[rng.randint(-4, 4) for _ in range(r)] for _ in range(n)]
+        b = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(r)]
+        return [[sum(a[i][k] * b[k][j] for k in range(r)) for j in range(n)]
+                for i in range(n)]
+    if kind == "shuffled":
+        rows = [[0 if j < i else 1 if j == i else rng.randint(-5, 5)
+                 for j in range(n)] for i in range(n)]
+        rng.shuffle(rows)
+        return rows
+    entry = {"dense": lambda: rng.randint(-9, 9),
+             "sparse": lambda: rng.choice((0, 0, 0, 1, -1, 2)),
+             "wide": lambda: rng.randint(-2 ** 70, 2 ** 70)}[kind]
+    return [[entry() for _ in range(n)] for _ in range(n)]
+
+
+@pytest.mark.parametrize("kind", ["dense", "sparse", "shuffled", "wide",
+                                  "singular"])
+def test_adjugate_matches_sympy(kind):
+    """_adjugate(m) is (p, p m^(-1)) with p = +-det m for n x n matrices,
+    n <= 8, so p m^(-1) is +-adj m; a singular m raises ArithmeticError."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(kind)
+    singular = 0
+    for _ in range(40):
+        m = _square(rng, kind, rng.randint(1, 8))
+        dm = _domain_matrix(m, sympy.ZZ)
+        det = int(dm.det())
+        if not det:
+            singular += 1
+            with pytest.raises(ArithmeticError):
+                _adjugate(m)
+            continue
+        p, x = _adjugate(m)
+        assert p in (det, -det)
+        assert x == [[p // det * int(v) for v in row]
+                     for row in dm.adjugate().to_list()]
+    assert singular == 40 if kind == "singular" else singular < 40
+
+
+def test_adjugate_of_the_empty_matrix():
+    assert _adjugate([]) == (1, [])
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 Runs the `ll:`, `fiber:` and `walk:` ops of analytic seeds 1-40, the
 `jac-at:` ops of symbolic seeds 1-40 and the orbit ops of orbit-stokes
 and orbit-bases seeds 1-40 (`perfbench.workloads`, read-only) as the
-benchmark does, untraced; walks go through `llmap._walk` at
-`wall_walk_A`'s default steps, which keeps their WalkStats, and orbit ops
+benchmark does, untraced; walks go through `llmap._walk` at the default
+steps, `llmap.WALK_STEPS`, which keeps their WalkStats, and orbit ops
 start from the benchmark's moved seeds (one `Context` over all ops).
 Prints one line per op, gate by gate, and exits 1 naming on stderr each
 op that fails `check_op` (LL points on the discriminant only at
@@ -36,7 +36,6 @@ from singlat import llmap  # noqa: E402
 GATES = {"ll": ("analytic", 2360), "fiber": ("analytic", 840),
          "walk": ("analytic", 160), "jac-at": ("symbolic", 2280),
          "stokes": ("orbit-stokes", 4000), "bases": ("orbit-bases", 4000)}
-STEPS = llmap.wall_walk_A.__defaults__[0]   # the default steps
 
 
 def gate_ops(seeds=range(1, 41)):
@@ -56,7 +55,7 @@ def context(ops):
 
 def run(ctx, op):
     if op.kind.startswith("walk:"):
-        return llmap._walk(*op.args, STEPS)
+        return llmap._walk(*op.args, llmap.WALK_STEPS)
     return run_op(NullTracer(), ctx, op)
 
 
