@@ -73,14 +73,15 @@ the tree sign normal form of _tree_sign_form, signs propagated along a
 spanning tree that depends only on the support pattern.  The support is
 sign-invariant, so the tree is too, and on a connected diagram the
 tree-edge signs fix the conjugating signs up to a global sign; so that
-form is a complete sign-class invariant, and sign_canonical_stokes (which
-packs, normalizes and unpacks) returns it.  The conjugating signs are a
-function of the m entry signs alone, computed by the rounds of
-_sign_rounds, the one definition of the form.  A packed Stokes key is the
-int8 bytes of the state's m entries, or b"P" and their canonical hex
-(_hex) when an entry exceeds 127, so widths never collide and nothing
-overflows; a code is its own key, as a Python int.  Keys are compared by full
-equality (Python set semantics), so counts are exact.
+form is a complete sign-class invariant.  The conjugating signs are a
+function of the m entry signs alone.  sign_canonical_stokes is the rule
+on one matrix, in Python ints, and gives every code and packed run its
+start; _sign_rounds is its batch kernel, which signs a batch of packed
+states at once, and a test ties the two together.  A packed Stokes key
+is the int8 bytes of the state's m entries, or b"P" and their canonical
+hex (_hex) when an entry exceeds 127, so widths never collide and
+nothing overflows; a code is its own key, as a Python int.  Keys are
+compared by full equality (Python set semantics), so counts are exact.
 
 Codes: over a positive definite form every Stokes entry S_ij, i < j, is
 the pairing I(v_i, v_j) of two roots of a basis, which are distinct and
@@ -243,14 +244,38 @@ def _canon_vectors(vectors):
 
 
 def sign_canonical_stokes(s: StokesMatrix) -> StokesMatrix:
-    """The tree sign normal form of _tree_sign_form: diag(e) S diag(e) with
-    e_0 = +1 and every edge of the support's spanning tree positive.
+    """The tree sign normal form diag(e) S diag(e): e_0 = +1 and every edge
+    of the support's spanning tree positive, on Python ints of any size.
+
+    The tree is breadth-first from vertex 0: in each round, every vertex
+    not yet reached hangs from its lowest-index neighbour among the
+    vertices reached in the round before, with e_j = e_parent sign(S).  A
+    vertex still unreached has no reached neighbour older than that round,
+    so this is the rule of _sign_rounds, the batch kernel of the orbit
+    engines, on one matrix; a test ties the two together.
 
     Requires a connected diagram (otherwise per-component sign freedom would
-    leave the form ill-defined)."""
-    if not is_connected(s):
+    leave the form ill-defined); the empty matrix is its own form."""
+    rows = s.rows
+    e = [1] * len(rows)
+    prev, left = [0], range(1, len(rows))
+    while prev and left:
+        reached, rest = [], []
+        for j in left:
+            for i in prev:
+                x = rows[i][j] if i < j else rows[j][i]
+                if x:
+                    e[j] = e[i] if x > 0 else -e[i]
+                    reached.append(j)
+                    break
+            else:
+                rest.append(j)
+        prev, left = reached, rest
+    if left:
         raise ValueError("sign canonicalization requires a connected diagram")
-    return _unpack(_tree_sign_form(_pack(s))[:, 0])
+    return StokesMatrix(tuple([tuple([x if d == f else -x
+                                      for x, f in zip(row, e)])
+                               for d, row in zip(e, rows)]))
 
 
 # ---------------------------------------------------------------------------
@@ -370,14 +395,6 @@ def _pack(s: StokesMatrix):
     """The strict upper triangle of s as a packed batch of one, (m, 1)."""
     a, b = _stokes_tables(s.mu)[:2]
     return np.array(s.rows, dtype=object)[a, b][:, None]
-
-
-def _unpack(u):
-    """The Stokes matrix of a packed state u, shape (m,)."""
-    ext = u.tolist() + [0, 1]
-    pos = _stokes_tables(_mu_of(len(u)))[2]
-    return StokesMatrix(tuple(tuple(ext[k] for k in row)
-                              for row in pos.tolist()))
 
 
 @functools.lru_cache(maxsize=None)
@@ -592,7 +609,7 @@ def _expand_roots(x, table):
     timeit on a 2-core host)."""
     n = x.shape[1]
     _, _, t, slots, _ = _move_tables(n)
-    pairs = x[:, slots]
+    pairs = x.take(slots, axis=1)
     a, b = pairs[:, :len(t)], pairs[:, len(t):]
     moved = table.refl[a, b]
     if table.sentinel_bytes in moved.tobytes():
@@ -655,20 +672,26 @@ def _engine(seed, mode):
     entries stay in {-1, 0, 1}, keep the codes of _CodeTable, which are
     faster there: a moved A5 orbit took 0.44 ms on codes and 1.04 ms on
     roots, D5 0.48 and 1.15 ms (medians).  Any other Stokes run holds packed
-    states; the seed is connected, so its start is
-    sign_canonical_stokes(seed), narrowed first: a sign flip keeps every
-    entry's width."""
+    states.  Both start from sign_canonical_stokes(seed), on Python ints
+    (the seed is connected): a code run from the base-3 code of its rows,
+    summed as _encode sums it, a packed run from its packed rows, narrowed
+    (a sign flip keeps every entry's width)."""
     n, form = seed.mu, symmetrized_form(seed).rows
     m = n * (n - 1) // 2
     definite = mode == "stokes" and n <= 16 and \
         definiteness(form) == "positive-definite"
     if mode == "stokes" and not (definite and m > _CODE_MAX_M):
-        start = _tree_sign_form(_narrow(_pack(seed)))
+        canon = sign_canonical_stokes(seed)
         if definite:
-            start = _encode(start)
+            code = 0
+            for x in reversed([x for i, row in enumerate(canon.rows)
+                               for x in row[i + 1:]]):
+                code = 3 * code + x + 1
+            start = np.array([code], np.uint16)
             return _Engine(start, _code_table(m).expand, np.ndarray.tolist,
                            functools.partial(_check_states, start=start, m=m,
                                              bound=3 ** m), None, None)
+        start = _narrow(_pack(canon))
         return _Engine(start.T, _expand_stokes, _keys,
                        functools.partial(_check_states, start=start.T, m=m),
                        None, None)

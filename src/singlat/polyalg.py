@@ -967,7 +967,7 @@ def _pivot_columns(rows):
             if f:
                 r[c + 1:] = [(p * a - f * b) // prev
                              for a, b in zip(r[c + 1:], top[c + 1:])]
-            else:
+            elif p != prev:     # else the rescale p / prev is 1
                 r[c + 1:] = [p * a // prev for a in r[c + 1:]]
         prev = p
         pivots.append(c)

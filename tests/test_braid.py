@@ -22,12 +22,12 @@ from singlat.braid import (CHECKPOINT_FORMAT, _CODE_MAX_M, BraidWord,
                            _expand_roots, _expand_stokes, _generators, _keys,
                            _load_checkpoint, _mu_of, _narrow, _pack, _pow3,
                            _sign_rounds, _stokes_moves, _stokes_tables,
-                           _tree_sign_form, _unpack, _work_dtype,
+                           _tree_sign_form, _work_dtype,
                            braid_apply, braid_apply_word, orbit_enumerate,
                            sign_canonical_stokes, sign_canonical_tuple,
                            stokes_of_tuple)
-from singlat.lattice import (RootTable, StokesMatrix, gz, roots, row_keys,
-                             symmetrized_form)
+from singlat.lattice import (RootTable, StokesMatrix, gz, is_connected,
+                             roots, row_keys, symmetrized_form)
 from singlat.singdata import ALL_LABELS, seed_stokes, tensor_stokes
 
 
@@ -197,8 +197,103 @@ class TestSignCanonical:
 
     def test_disconnected_rejected(self):
         s = StokesMatrix(((1, 0), (0, 1)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^sign canonicalization "
+                           "requires a connected diagram$"):
             sign_canonical_stokes(s)
+
+    def test_empty_and_single_vertex(self):
+        # mu = 0 is connected by is_connected's own rule, and is its own
+        # form; so is mu = 1, a single vertex with no edge
+        for n in (0, 1):
+            s = StokesMatrix.identity(n)
+            assert is_connected(s)
+            assert sign_canonical_stokes(s) == s
+
+    def test_entries_beyond_int64(self):
+        # vertices 1 and 2 hang from 0, by -2^70 (e_1 = -1) and 5^40
+        # (e_2 = +1); the edge (1, 2), off the tree, flips with e_1
+        s = StokesMatrix(((1, -2 ** 70, 5 ** 40), (0, 1, 3 ** 50),
+                          (0, 0, 1)))
+        form = sign_canonical_stokes(s)
+        assert form.rows == ((1, 2 ** 70, 5 ** 40), (0, 1, -3 ** 50),
+                             (0, 0, 1))
+        assert all(type(x) is int for row in form.rows for x in row)
+        assert form == unpack(_tree_sign_form(_pack(s))[:, 0])
+
+
+class TestSignFormOnOneMatrix:
+    """sign_canonical_stokes, the rule on one matrix in Python ints, and
+    _tree_sign_form, its batch kernel, agree on every state: the same form
+    on a connected diagram, and a refusal from both on a disconnected
+    one."""
+
+    @staticmethod
+    def agree(u):
+        """Check both on every column of the packed batch u, (m, N), and
+        return how many columns are connected."""
+        connected = _sign_rounds(np.sign(u).astype(np.int8)).all(axis=0)
+        form = _tree_sign_form(u[:, connected])
+        for col, want in zip(u[:, connected].T, form.T):
+            s = unpack(col)
+            assert is_connected(s)
+            assert sign_canonical_stokes(s) == unpack(want)
+        for col in u[:, ~connected].T:
+            s = unpack(col)
+            assert not is_connected(s)
+            with pytest.raises(ValueError, match="connected diagram"):
+                sign_canonical_stokes(s)
+            with pytest.raises(AssertionError, match="disconnected"):
+                _tree_sign_form(col[:, None])
+        return int(connected.sum())
+
+    @pytest.mark.parametrize("n, connected", [(2, 2), (3, 20), (4, 624)])
+    def test_every_small_state(self, n, connected):
+        # all 3^m states of mu <= 4; the connected ones are the labelled
+        # connected graphs, 2^edges sign patterns each
+        m = n * (n - 1) // 2
+        u = np.array(list(itertools.product((-1, 0, 1), repeat=m)),
+                     np.int8).reshape(-1, m).T
+        assert self.agree(u) == connected
+
+    def test_seeded_mu5_states(self):
+        u = np.random.default_rng(55).integers(-1, 2, (10, 5000), np.int8)
+        assert 0 < self.agree(u) < 5000
+
+    @pytest.mark.parametrize("top, width", [(2 ** 15 - 1, np.int16),
+                                            (2 ** 63 - 1, np.int64),
+                                            (2 ** 100, object)])
+    @pytest.mark.parametrize("n", range(6, 11))
+    def test_seeded_wide_states(self, n, top, width):
+        # entries up to the width's maximum, a third of them zero
+        rng = random.Random(n)
+        m = n * (n - 1) // 2
+        u = np.array([[rng.choice((0, rng.randint(-top, top)))
+                       for _ in range(40)] for _ in range(m)], width)
+        assert self.agree(u) > 0
+
+    @pytest.mark.parametrize("label", ["A4", "A5", "D4", "D5"])
+    def test_code_start_is_the_batch_form(self, label):
+        # the start of a code run, summed from the canonical rows, is the
+        # code of the batch kernel's form of the moved seed
+        rng = random.Random(56)
+        for _ in range(20):
+            seed = random_signed_walk(rng, seed_stokes(label).stokes,
+                                      rng.randint(0, 12))
+            start = _engine(seed, "stokes").start
+            want = _encode(_tree_sign_form(_narrow(_pack(seed))))
+            assert start.dtype == want.dtype == np.uint16
+            assert start.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("label", ["tE6", "tE7", "tE8"])
+    def test_packed_start_is_the_batch_form(self, label):
+        rng = random.Random(57)
+        for _ in range(10):
+            seed = random_signed_walk(rng, seed_stokes(label).stokes,
+                                      rng.randint(0, 30))
+            start = _engine(seed, "stokes").start
+            want = _tree_sign_form(_narrow(_pack(seed))).T
+            assert start.dtype == want.dtype
+            assert start.tolist() == want.tolist()
 
 
 class TestOrbits:
@@ -500,6 +595,14 @@ def packed(mats):
     return np.hstack([_pack(m) for m in mats]).T
 
 
+def unpack(u):
+    """The Stokes matrix of a packed state u, shape (m,): _pack's inverse."""
+    ext = u.tolist() + [0, 1]
+    pos = _stokes_tables(_mu_of(len(u)))[2]
+    return StokesMatrix(tuple(tuple(ext[k] for k in row)
+                              for row in pos.tolist()))
+
+
 def scalar_moves(states, form):
     """Every move of the vector tuples states, state-major and
     generator-minor: _apply_gen, then _canon_vectors, one state and one
@@ -589,7 +692,7 @@ class TestBatchedEngine:
         for m, row in zip(mats, moved):
             std = VanishingTuple.standard(m)
             for g, got in zip(gens, row):
-                assert _unpack(got) == stokes_of_tuple(braid_apply(std, g))
+                assert unpack(got) == stokes_of_tuple(braid_apply(std, g))
 
     @pytest.mark.parametrize("big, width", [(3, np.int16),
                                             (2 ** 10, np.int64),
@@ -2008,4 +2111,4 @@ class TestBraidProperties:
             code = _code_table(m).expand(code)[k:k + 1]
         want = sign_canonical_stokes(stokes_of_tuple(braid_apply_word(
             VanishingTuple.standard(seed), BraidWord(tuple(word)))))
-        assert _unpack(_decode(code, m)[:, 0]) == want
+        assert unpack(_decode(code, m)[:, 0]) == want
