@@ -391,12 +391,6 @@ def _mu_of(m):
     return (1 + math.isqrt(1 + 8 * m)) // 2
 
 
-def _pack(s: StokesMatrix):
-    """The strict upper triangle of s as a packed batch of one, (m, 1)."""
-    a, b = _stokes_tables(s.mu)[:2]
-    return np.array(s.rows, dtype=object)[a, b][:, None]
-
-
 @functools.lru_cache(maxsize=None)
 def _pow3(n):
     """The column (3^(n-1), ..., 3, 1), shape (n, 1), read-only.  For w in
@@ -672,28 +666,27 @@ def _engine(seed, mode):
     entries stay in {-1, 0, 1}, keep the codes of _CodeTable, which are
     faster there: a moved A5 orbit took 0.44 ms on codes and 1.04 ms on
     roots, D5 0.48 and 1.15 ms (medians).  Any other Stokes run holds packed
-    states.  Both start from sign_canonical_stokes(seed), on Python ints
-    (the seed is connected): a code run from the base-3 code of its rows,
-    summed as _encode sums it, a packed run from its packed rows, narrowed
-    (a sign flip keeps every entry's width)."""
+    states.  Both start from the strict upper triangle of
+    sign_canonical_stokes(seed), on Python ints (the seed is connected): a
+    code run from its base-3 code, summed as _encode sums it, a packed run
+    from the triangle itself, narrowed (a sign flip keeps every entry's
+    width)."""
     n, form = seed.mu, symmetrized_form(seed).rows
     m = n * (n - 1) // 2
     definite = mode == "stokes" and n <= 16 and \
         definiteness(form) == "positive-definite"
     if mode == "stokes" and not (definite and m > _CODE_MAX_M):
-        canon = sign_canonical_stokes(seed)
+        upper = [x for i, row in enumerate(sign_canonical_stokes(seed).rows)
+                 for x in row[i + 1:]]
         if definite:
-            code = 0
-            for x in reversed([x for i, row in enumerate(canon.rows)
-                               for x in row[i + 1:]]):
-                code = 3 * code + x + 1
-            start = np.array([code], np.uint16)
+            start = np.array([sum((x + 1) * 3 ** q
+                                  for q, x in enumerate(upper))], np.uint16)
             return _Engine(start, _code_table(m).expand, np.ndarray.tolist,
                            functools.partial(_check_states, start=start, m=m,
                                              bound=3 ** m), None, None)
-        start = _narrow(_pack(canon))
-        return _Engine(start.T, _expand_stokes, _keys,
-                       functools.partial(_check_states, start=start.T, m=m),
+        start = _narrow(np.array([upper], dtype=object))
+        return _Engine(start, _expand_stokes, _keys,
+                       functools.partial(_check_states, start=start, m=m),
                        None, None)
     table = roots(form)
     start = np.arange(n, dtype=table.dtype)[None]

@@ -284,7 +284,8 @@ def radical_rank(i: IntersectionMatrix) -> int:
 @functools.lru_cache(maxsize=None)
 def definiteness(i: IntersectionMatrix):
     """'positive-definite', 'positive-semidefinite' or 'indefinite',
-    computed once per form and process (i, or its row tuples, is the key).
+    computed once per form and process: the key is the row tuples, which
+    an IntersectionMatrix passes on.
 
     Exact, from the characteristic polynomial det(y - I) = sum_k c_k y^k
     (`char_poly`), whose roots, the eigenvalues of the symmetric I, are
@@ -296,8 +297,9 @@ def definiteness(i: IntersectionMatrix):
     of the root 0, the index of the lowest nonzero c_k, so I is positive
     definite iff c_0 != 0 as well.
     """
-    rows = i.rows if isinstance(i, IntersectionMatrix) else i
-    c = char_poly(rows)
+    if isinstance(i, IntersectionMatrix):
+        return definiteness(i.rows)
+    c = char_poly(i)
     n = len(c) - 1
     if any((-1) ** (n - k) * x < 0 for k, x in enumerate(c)):
         return "indefinite"

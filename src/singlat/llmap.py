@@ -606,9 +606,10 @@ def _fiber_target(cls_or_label, target):
 # wall walking
 # ---------------------------------------------------------------------------
 
-# Grid intervals of the path that the walk samples and refines together, and
-# path samples whose critical values are computed in one stacked eigenvalue
-# call; bounds the walk's working memory whatever the step count.
+# Grid intervals of the path that the walk samples, refines and yields
+# together, its grid samples in one stacked eigenvalue call and each round
+# of bisection in one more; bounds the walk's working memory whatever the
+# step count.
 WALK_CHUNK = 256
 
 # Uniform grid samples of each segment when the caller gives none (the
@@ -790,12 +791,10 @@ def _sample(mu, W, seg, s, stats):
     """Critical values, velocities d/ds and separations at the points
     W[i] + s (W[i + 1] - W[i]) of the segments i = seg (W[i + 1] itself at
     s = 1, and W[i] at s = 0 on the segments after the start's segment 0),
-    WALK_CHUNK rows per `_walk_points` call, and the error of `_guarded`,
-    which leaves out the rows from the segment that raised on."""
+    all in one `_walk_points` call, and the error of `_guarded`, which
+    leaves out the rows from the segment that raised on."""
     def evaluate(T, d):
-        X, V = (np.concatenate(z) for z in zip(*(
-            _walk_points(mu, T[k:k + WALK_CHUNK])
-            for k in range(0, max(len(T), 1), WALK_CHUNK))))
+        X, V = _walk_points(mu, T)
         return V, _velocities(X, d)
 
     a, b = W[seg], W[seg + 1]
@@ -878,13 +877,13 @@ def _refine(mu, W, s, seg, V, dV, sep, err, stats):
 
 def _path_values(mu, waypoints, steps, stats):
     """Critical values at adaptive samples of the piecewise-linear path,
-    with the predictions they are matched to, in path order: one pair
-    (V, P) of (n, mu) arrays per chunk of at most WALK_CHUNK samples.  The
-    first chunk is the first waypoint alone, with P None, also on a path
-    of one waypoint; then come each segment's samples after its start, the
-    last one its end.  Row r of P holds the forward predictions at sample
-    r of the previous sample's values, in that sample's order, the ones
-    `_steps_ok` matched.
+    with the predictions they are matched to, in path order: pairs (V, P)
+    of (n, mu) arrays.  The first pair is the first waypoint alone, with P
+    None, also on a path of one waypoint; then one pair per window, its
+    samples after each segment's start (a segment's last sample is its
+    end), and none for a window without such samples.  Row r of P holds
+    the forward predictions at sample r of the previous sample's values,
+    in that sample's order, the ones `_steps_ok` matched.
 
     Each segment starts from the uniform samples k/steps and bisects every
     interval between adjacent samples that fails the step test
@@ -893,11 +892,12 @@ def _path_values(mu, waypoints, steps, stats):
     with steps.  A window evaluates in one stacked call the right end of
     each of its intervals, the left end of its first interval in each
     segment (so it carries nothing from the window before it), and on the
-    first window the start; the midpoints of each round of bisection
-    (`_refine`) take one stacked call as well.  A sample whose critical
-    values are closer than TOL_DISC or than floats resolve (`_lost`), or
-    an interval that still fails at WALK_FLOOR of its segment, ends the
-    walk: the samples before it are yielded, then ValueError is raised.
+    first window the start, segment 0 of its own; the midpoints of each
+    round of bisection (`_refine`) take one stacked call as well.  A
+    sample whose critical values are closer than TOL_DISC or than floats
+    resolve (`_lost`), the start included, or an interval that still fails
+    at WALK_FLOOR of its segment, ends the walk: the samples before it are
+    yielded, then ValueError is raised.
     An overflow in a segment's samples of a window raises after the
     samples of the earlier segments, before any of its own.  stats, a
     WalkStats, counts the points evaluated, each left end once: it is the
@@ -922,23 +922,19 @@ def _path_values(mu, waypoints, steps, stats):
             seg, s = np.concatenate([[0], seg]), np.concatenate([[0.0], s])
         V, dV, sep, err = _sample(mu, W, seg, s, stats)
         seg, s = seg[:len(V)], s[:len(V)]
-        if not lo:
-            if not len(V):
-                raise err
-            if _lost(V[:1], sep[:1])[0]:
-                raise _lost_error(sep[0])
-            yield V[:1], None
-            seg, s, V, dV, sep = seg[1:], s[1:], V[1:], dV[1:], sep[1:]
-        # each segment's left end is a point counted before (a set, as
-        # np.unique would import numpy.ma, a megabyte, into every walk)
-        stats.samples -= len(set(seg.tolist()))
+        # each segment's left end but the start is a point counted before
+        # (a set, as np.unique would import numpy.ma, a megabyte, into
+        # every walk)
+        stats.samples -= len(set(seg.tolist()) - {0})
         s, seg, V, dV, sep, end, err = _refine(mu, W, s, seg, V, dV, sep,
                                                err, stats)
+        if not lo and end > 0:
+            yield V[:1], None
         # bit for bit the predictions _intervals_ok matched
         P = V[:-1] + (s[1:] - s[:-1])[:, None] * dV[:-1]
         r = np.flatnonzero(seg[1:end] == seg[:end][:-1])
-        for k in range(0, len(r), WALK_CHUNK):
-            yield V[r[k:k + WALK_CHUNK] + 1], P[r[k:k + WALK_CHUNK]]
+        if len(r):
+            yield V[r + 1], P[r]
         if err is not None:
             raise err
 

@@ -314,10 +314,11 @@ def test_criterion_9_property_suites():
     # entry bounds on reachable Stokes matrices
     # (packed strict upper triangles: the unit diagonal and the zero lower
     # triangle are within every bound)
-    from singlat.braid import _pack, _stokes_moves
+    from singlat.braid import _stokes_moves
+    from test_braid import pack
     for label, bound in (("E6", 1), ("tE6", 2)):
         seed = seed_stokes(label).stokes
-        u = _pack(seed).astype(np.int64)
+        u = pack(seed).astype(np.int64)
         for _ in range(400):
             u = _stokes_moves(u)[:, rng.randrange(2 * (seed.mu - 1))]
             assert np.abs(u).max() <= bound

@@ -20,7 +20,7 @@ from singlat.braid import (CHECKPOINT_FORMAT, _CODE_MAX_M, BraidWord,
                            VanishingTuple, _apply_gen, _canon_vectors,
                            _code_table, _decode, _encode, _engine,
                            _expand_roots, _expand_stokes, _generators, _keys,
-                           _load_checkpoint, _mu_of, _narrow, _pack, _pow3,
+                           _load_checkpoint, _mu_of, _narrow, _pow3,
                            _sign_rounds, _stokes_moves, _stokes_tables,
                            _tree_sign_form, _work_dtype,
                            braid_apply, braid_apply_word, orbit_enumerate,
@@ -218,7 +218,7 @@ class TestSignCanonical:
         assert form.rows == ((1, 2 ** 70, 5 ** 40), (0, 1, -3 ** 50),
                              (0, 0, 1))
         assert all(type(x) is int for row in form.rows for x in row)
-        assert form == unpack(_tree_sign_form(_pack(s))[:, 0])
+        assert form == unpack(_tree_sign_form(pack(s))[:, 0])
 
 
 class TestSignFormOnOneMatrix:
@@ -280,7 +280,7 @@ class TestSignFormOnOneMatrix:
             seed = random_signed_walk(rng, seed_stokes(label).stokes,
                                       rng.randint(0, 12))
             start = _engine(seed, "stokes").start
-            want = _encode(_tree_sign_form(_narrow(_pack(seed))))
+            want = _encode(_tree_sign_form(_narrow(pack(seed))))
             assert start.dtype == want.dtype == np.uint16
             assert start.tolist() == want.tolist()
 
@@ -291,7 +291,7 @@ class TestSignFormOnOneMatrix:
             seed = random_signed_walk(rng, seed_stokes(label).stokes,
                                       rng.randint(0, 30))
             start = _engine(seed, "stokes").start
-            want = _tree_sign_form(_narrow(_pack(seed))).T
+            want = _tree_sign_form(_narrow(pack(seed))).T
             assert start.dtype == want.dtype
             assert start.tolist() == want.tolist()
 
@@ -403,7 +403,7 @@ class TestOrbits:
             s = seed_stokes(label).stokes
             # packed: the diagonal 1 and the zero lower entries are within
             # every bound
-            u = _pack(s).astype(np.int64)
+            u = pack(s).astype(np.int64)
             for _ in range(300):
                 k = rng.randrange(2 * (s.mu - 1))
                 u = _stokes_moves(u)[:, k]
@@ -590,13 +590,20 @@ def lex_min_form(s):
     return tuple(flat[np.lexsort(flat.T[::-1])[0]].tolist())
 
 
+def pack(s):
+    """The strict upper triangle of the Stokes matrix s as a packed batch
+    of one, (m, 1), object entries."""
+    a, b = _stokes_tables(s.mu)[:2]
+    return np.array(s.rows, dtype=object)[a, b][:, None]
+
+
 def packed(mats):
     """The packed states of Stokes matrices, one per row, object entries."""
-    return np.hstack([_pack(m) for m in mats]).T
+    return np.hstack([pack(m) for m in mats]).T
 
 
 def unpack(u):
-    """The Stokes matrix of a packed state u, shape (m,): _pack's inverse."""
+    """The Stokes matrix of a packed state u, shape (m,): pack's inverse."""
     ext = u.tolist() + [0, 1]
     pos = _stokes_tables(_mu_of(len(u)))[2]
     return StokesMatrix(tuple(tuple(ext[k] for k in row)
@@ -659,7 +666,7 @@ def all_classes(expand, start):
 
 
 def tree_key(s):
-    return _keys(_tree_sign_form(_pack(s)).T)[0]
+    return _keys(_tree_sign_form(pack(s)).T)[0]
 
 
 class TestBatchedEngine:
@@ -774,7 +781,7 @@ class TestBatchedEngine:
         for m in mats:
             std = VanishingTuple.standard(m)
             for g in _generators(n):
-                want = _pack(stokes_of_tuple(braid_apply(std, g)))
+                want = pack(stokes_of_tuple(braid_apply(std, g)))
                 e = _sign_rounds(np.sign(want).astype(np.int8))
                 assert got[k].tolist() == (want * (e[a] * e[b]))[:, 0].tolist()
                 assert _keys(_tree_sign_form(want).T) == _keys(got[k:k + 1])
@@ -1312,7 +1319,7 @@ def stokes_rows(seed):
     def rows(window, saved):
         if saved is None:
             return packed_rows(window, saved)
-        return [tuple(_pack(sign_canonical_stokes(stokes_of_tuple(
+        return [tuple(pack(sign_canonical_stokes(stokes_of_tuple(
             VanishingTuple(tuples(saved[t][None])[0], seed))))[:, 0])
             for t in window]
     return rows

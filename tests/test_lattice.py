@@ -1,3 +1,4 @@
+import functools
 import itertools
 import operator
 import random
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from singlat import lattice
 from singlat.lattice import (MonodromyMatrix, StokesMatrix, char_poly,
                              coxeter_dynkin, definiteness, gz, is_connected,
                              is_quasiunipotent, mat_det, matrix_order,
@@ -643,6 +645,26 @@ class TestRadicalAndDefiniteness:
     def test_double_identity(self):
         i = symmetrized_form(StokesMatrix.identity(4))
         assert radical_rank(i) == 0
+
+    @pytest.mark.parametrize("first", ["matrix", "rows"])
+    def test_definiteness_once_per_form(self, monkeypatch, first):
+        # an IntersectionMatrix and its rows share one cache entry, so a
+        # form's characteristic polynomial is computed once, whichever of
+        # the two comes first; on a fresh cache, which earlier calls of
+        # the process-wide one do not reach
+        i, calls = symmetrized_form(seed_stokes("E6").stokes), []
+
+        def counted(rows):
+            calls.append(rows)
+            return char_poly(rows)
+
+        monkeypatch.setattr(lattice, "char_poly", counted)
+        monkeypatch.setattr(lattice, "definiteness", functools.lru_cache(
+            maxsize=None)(definiteness.__wrapped__))
+        forms = (i, i.rows) if first == "matrix" else (i.rows, i)
+        assert [lattice.definiteness(f) for f in forms] == \
+            ["positive-definite"] * 2
+        assert calls == [i.rows]
 
     def test_matches_eigenvalues(self):
         # random forms with diagonal 2 and small entries, indefinite ones

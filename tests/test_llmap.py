@@ -1012,9 +1012,12 @@ class TestWallWalk:
             f"ValueError: {llmap._UNRESOLVED}"
 
     def test_chunks_do_not_grow_with_steps(self, monkeypatch):
-        # every stacked evaluation and every chunk holds at most WALK_CHUNK
-        # samples, however many steps a segment starts from; each chunk
-        # comes with one prediction per sample, the start with none
+        # each window's grid samples take one stacked evaluation, and
+        # every chunk holds at most WALK_CHUNK samples, however many steps
+        # a segment starts from: the first window's call holds the start,
+        # the segment's left end and WALK_CHUNK grid samples, the next one
+        # its left end and WALK_CHUNK grid samples; each chunk comes with
+        # one prediction per sample, the start with none
         path = [[0.5, -1.0 + 0.5j], [-0.5, 1.0 + 0.1j]]
         sizes = []
 
@@ -1030,7 +1033,8 @@ class TestWallWalk:
         monkeypatch.setattr(llmap, "_walk_points", spy)
         with pytest.raises(Enough):
             wall_walk_A(2, path, steps=10 ** 13)
-        assert max(sizes) == WALK_CHUNK
+        assert sizes[:2] == [WALK_CHUNK + 2, WALK_CHUNK + 1]
+        assert max(sizes) == WALK_CHUNK + 2
         monkeypatch.undo()
         chunks = _path_values(2, path, 10 ** 13, WalkStats())
         V, P = next(chunks)
@@ -1742,8 +1746,8 @@ class TestStackedProducer:
     def test_walk_points_calls(self, monkeypatch):
         # a 4-segment round trip that bisects nothing: one window of 256
         # grid intervals, whose grid samples, start and 4 segment starts
-        # take 2 calls of at most WALK_CHUNK rows (the per-segment
-        # producer: 5, one for the start and one per segment)
+        # take one call (the per-segment producer: 5, one for the start
+        # and one per segment)
         calls = []
 
         def spy(mu, T):
@@ -1754,20 +1758,51 @@ class TestStackedProducer:
         p = [[0.5, -1 + 0.5j], [-0.5, 1 + 0.1j], [0.3 + 0.2j, 0.8j]]
         word, stats = _walk(2, p + p[-2::-1], WALK_STEPS)
         assert word.letters == (-1, 1, -1, 1) and stats.bisected == 0
-        assert calls == [WALK_CHUNK, 5]
+        assert calls == [WALK_CHUNK + 5]
         del calls[:]
         reference_walk(2, p + p[-2::-1], WALK_STEPS)
         assert len(calls) == 5
-        # the defect round trip: its one window takes the 2 grid calls and
+        # the defect round trip: its one window takes the grid call and
         # one per round of bisection, 8 rounds (the per-segment producer:
         # 21, a grid call and one per round in each segment, and the start)
         p = TestWallWalk.DEFECT_PATH
         del calls[:]
         _walk(3, p + p[-2::-1], WALK_STEPS)
-        assert len(calls) == 10 and max(calls) <= WALK_CHUNK
+        assert len(calls) == 9
         del calls[:]
         reference_walk(3, p + p[-2::-1], WALK_STEPS)
         assert len(calls) == 21
+
+    @pytest.mark.parametrize("steps", [1, 2, 100, 3 * WALK_CHUNK + 5, 2000])
+    def test_one_call_per_window(self, monkeypatch, steps):
+        # the grid call of each window, the one before its _refine, holds
+        # the window's intervals, the left end of its first interval in
+        # each segment and, on the first window, the start; the window's
+        # rows come as one chunk
+        calls, refine = [], llmap._refine
+
+        def spy(mu, T):
+            calls.append(len(T))
+            return _walk_points(mu, T)
+
+        def refine_spy(*args):
+            calls.append(None)
+            return refine(*args)
+
+        monkeypatch.setattr(llmap, "_walk_points", spy)
+        monkeypatch.setattr(llmap, "_refine", refine_spy)
+        paths = [TestWallWalk.DEFECT_PATH] + TestWallWalk.BENCH_PATHS
+        for path in (p + p[-2::-1] for p in paths):
+            n = (len(path) - 1) * steps
+            want = [len(k) + len({j // steps for j in k}) + (lo == 0)
+                    for lo in range(0, n, WALK_CHUNK)
+                    for k in [range(lo, min(lo + WALK_CHUNK, n))]]
+            del calls[:]
+            _walk(len(path[0]), path, steps)
+            assert [calls[k - 1] for k, c in enumerate(calls)
+                    if c is None] == want
+            chunks = _path_values(len(path[0]), path, steps, WalkStats())
+            assert sum(1 for _ in chunks) == 1 + len(want)
 
 
 class TestCompiledSystem:

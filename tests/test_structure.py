@@ -1,13 +1,21 @@
 """Structure tripwires over the library's source, by the standard library's
 ast alone: no private top-level name outlives its last library caller, and
-no module keeps an import it does not use."""
+no module keeps an import it does not use.  Also the code-line count of
+tools/code_lines.py."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
 
 import singlat
+
+_SPEC = importlib.util.spec_from_file_location(
+    "code_lines",
+    Path(__file__).resolve().parents[1] / "tools" / "code_lines.py")
+code_lines = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(code_lines)
 
 TREES = {p: ast.parse(p.read_text(), filename=str(p))
          for p in sorted(Path(singlat.__file__).parent.glob("*.py"))}
@@ -79,3 +87,38 @@ def test_every_import_is_used(path):
     unused = [(name, line) for name, line in _imports(tree)
               if name not in read]
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+SNIPPET = '''"""Module docstring,
+over two lines."""
+
+# a comment
+import os  # a trailing comment
+
+
+class A:
+    """Class docstring."""
+
+    x = 1
+
+    def f(self):
+        """Function
+        docstring."""
+        # another comment
+        s = """a string that is
+        not a docstring"""
+        return (s,
+                os.sep)
+'''
+
+
+def test_code_lines_skip_docstrings_comments_and_blanks():
+    # import, class, x = 1, def, the two lines of s, the two of return
+    assert code_lines.code_lines(SNIPPET) == 8
+
+
+def test_code_lines_report(capsys):
+    code_lines.main()
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [name for name, _ in lines] == [p.stem for p in TREES] + ["total"]
+    assert sum(int(n) for _, n in lines[:-1]) == int(lines[-1][1])
